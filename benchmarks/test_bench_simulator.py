@@ -8,7 +8,7 @@ conventionally (multiple rounds, statistics meaningful).
 ``test_idle_skip_speedup`` additionally writes the machine-readable
 ``BENCH_simulator.json`` artifact (override the path with the
 ``REPRO_BENCH_OUT`` environment variable) comparing naive ticking with
-the idle-skip fast path per workload; CI uploads it per run.
+the fast schedule per workload; CI uploads it per run.
 """
 
 import os
@@ -85,14 +85,13 @@ def test_ocp_loopback_cycles_per_second(benchmark):
 
 
 def test_idle_skip_speedup():
-    """Naive vs fast vs vectorized kernel across the bench workloads +
-    JSON artifact.
+    """Naive vs fast kernel across the bench workloads + JSON artifact.
 
-    ``run_benchmarks`` itself asserts cycle-count equality between all
-    three modes, so this doubles as an equivalence smoke test.  The
+    ``run_benchmarks`` itself asserts cycle-count equality between both
+    modes, so this doubles as an equivalence smoke test.  The
     wall-clock bars are deliberately below what the workloads actually
-    get (stall_heavy ~400x naive->fast, jpeg_idct/dft >=5x fast->hot
-    in the committed artifact), to stay robust on loaded CI hosts.
+    get (see ``hot_speedup`` in the committed artifact), to stay robust
+    on loaded CI hosts.
     """
     results = run_benchmarks()
     write_report(
@@ -101,11 +100,9 @@ def test_idle_skip_speedup():
     by_name = {r.workload: r for r in results}
     stall = by_name["stall_heavy"]
     assert stall.skip_ratio > 0.9
-    assert stall.speedup >= 3.0
+    assert stall.hot_speedup >= 3.0
     assert by_name["idle_timeout"].skip_ratio == 1.0
-    # the vectorized lane earns its keep on the transfer-heavy
-    # workloads: hot (trace-free dispatch) vs the idle-skip baseline.
-    # Only these two run long enough (>0.1s) for the ratio to be
-    # stable on shared CI hosts.
+    # the batch lane earns its keep on the transfer-heavy workloads,
+    # where almost nothing can be skipped
     assert by_name["jpeg_idct"].hot_speedup >= 4.0
     assert by_name["dft"].hot_speedup >= 4.0

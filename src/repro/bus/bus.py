@@ -70,7 +70,7 @@ class SystemBus(Component):
         at the submitting instruction, like a bus error would.  The
         decode result is cached on the handle so the grant and the data
         movement skip the memory-map walk.  ``waiter``, if given, is
-        poked when the transfer completes (vectorized dispatch).
+        poked when the transfer completes (fast schedule).
         """
         route = self.memmap.lookup(request.address, span_bytes=4 * request.burst)
         transfer = BusTransfer(

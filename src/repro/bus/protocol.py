@@ -108,15 +108,6 @@ class BusProtocol:
         total += self.arbitration_cycles * (1 if self.locked_chunks else chunks)
         return total
 
-    def transfer_cycles_chunked(
-        self, total_beats: int, slave_latency: int = 0
-    ) -> int:
-        """Reference per-chunk summation (cross-check for the closed form)."""
-        total = 0
-        for index, beats in enumerate(self.split_burst(total_beats)):
-            total += self.chunk_cycles(beats, slave_latency, first=index == 0)
-        return total
-
     def cycles_per_word(self, total_beats: int, slave_latency: int = 0) -> float:
         """Amortized cycles per 32-bit word for a transfer."""
         return self.transfer_cycles(total_beats, slave_latency) / total_beats

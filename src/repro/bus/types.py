@@ -83,7 +83,7 @@ class BusTransfer:
     error: bool = False
     error_reason: Optional[str] = None
     #: component blocked on this transfer; the bus pokes it (wake-cache
-    #: invalidation for vectorized dispatch) when the transfer finishes
+    #: invalidation for the fast schedule) when the transfer finishes
     waiter: Optional[object] = None
     #: decode result cached at submit so grant/data beats skip the
     #: memory-map walk: (slave, byte offset of ``address`` in its region)

@@ -19,8 +19,8 @@ original project shipped alongside its RTL:
 * ``table1``    -- regenerate the paper's Table I
 * ``transfer``  -- regenerate the cycles-per-word analysis
 * ``faults``    -- fault-injection demo (replay + recovery)
-* ``bench``     -- kernel wall-clock benchmark (naive vs idle-skip
-  vs vectorized trace-free hot mode)
+* ``bench``     -- kernel host-time benchmark (naive vs fast
+  schedule)
 * ``profile``   -- traced workload run with cycle attribution,
   Perfetto/VCD export and a counter read-back differential check
 
@@ -727,8 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="kernel wall-clock benchmark: naive vs idle-skip "
-             "vs vectorized (hot)",
+        help="kernel host-time benchmark: naive vs fast schedule",
     )
     p.add_argument("workloads", nargs="*",
                    help="workload names (default: all)")

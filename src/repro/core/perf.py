@@ -98,7 +98,7 @@ class PerfCounterBlock:
     def value(self, index: int) -> int:
         """Current value of counter ``index`` (word index, unmasked)."""
         ctrl = self._controller
-        # under vectorized dispatch the controller's per-state cycle
+        # under the fast schedule the controller's per-state cycle
         # counters are reconciled lazily; settle them before sampling
         ctrl.sync_skips()
         if index == PERF_BUSY:

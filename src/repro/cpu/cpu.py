@@ -72,7 +72,7 @@ class CPU(Component):
         self.irq = irq
         if irq is not None:
             # a WFI'd CPU declares indefinite idleness; interrupt
-            # edges must re-poll it under vectorized dispatch
+            # edges must re-poll it under the fast schedule
             irq.watch(self)
         self.cost = cost_model or CostModel()
         self.regs: List[int] = [0] * 32

@@ -40,9 +40,8 @@ class FaultySlave(Component, BusSlave):
     regardless of how long each one takes.
     """
 
-    #: armed faults perturb other components mid-window: force the
-    #: simulator off the vectorized dispatch table onto the audited
-    #: idle-skip path
+    #: armed faults perturb other components without poking them: every
+    #: component must tick on every executed cycle
     requires_full_dispatch = True
 
     def __init__(
@@ -143,7 +142,7 @@ class FaultyFIFO(FIFO):
     unless given explicitly.
     """
 
-    #: see FaultySlave: armed fault sites disable vectorized dispatch
+    #: see FaultySlave: armed fault sites require full dispatch
     requires_full_dispatch = True
 
     def __init__(
@@ -196,7 +195,7 @@ class MicrocodeCorruptor(Component):
     starts (the controller snapshots bank 0 in one burst).
     """
 
-    #: see FaultySlave: armed fault sites disable vectorized dispatch
+    #: see FaultySlave: armed fault sites require full dispatch
     requires_full_dispatch = True
 
     def __init__(
@@ -246,7 +245,7 @@ class ExecHang(Component):
     an infinite hang is what the controller watchdog exists for.
     """
 
-    #: see FaultySlave: armed fault sites disable vectorized dispatch
+    #: see FaultySlave: armed fault sites require full dispatch
     requires_full_dispatch = True
 
     def __init__(

@@ -317,7 +317,7 @@ def reconstruct_spans(
     if trace is None:
         raise SimulationError(
             "span reconstruction requested but no trace was recorded: "
-            "the run executed in hot mode (vectorized dispatch with "
+            "the run executed in hot mode (the fast schedule with "
             "trace=None compiles spans down to plain counters). "
             "Attach a Trace to the Simulator to reconstruct spans."
         )

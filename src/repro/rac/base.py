@@ -181,6 +181,10 @@ class StreamingRAC(RAC):
         self._to_emit: List[List[int]] = []
         self._emitted: List[int] = []
         self._compute_timer = 0
+        #: one input and one output port, stock collect/compute/emit
+        #: behaviour: the shape the batch lane handles
+        self._single_stream = (n_in == 1 and n_out == 1
+                               and type(self).tick is StreamingRAC.tick)
 
     # -- handshake ---------------------------------------------------------
     def start_op(self) -> None:
@@ -292,42 +296,41 @@ class StreamingRAC(RAC):
             self._finish_op()
 
     # -- hot-mode batch lane -------------------------------------------------
-    #: the kernel may grant this RAC whole runs of cycles when it is
-    #: the only component due (see :meth:`tick_batch`)
-    can_batch = True
+    @property
+    def can_batch(self) -> bool:  # type: ignore[override]
+        """True while :meth:`tick_batch` would move a slab: a
+        single-stream RAC with input still to collect, or emitting.
+
+        Phase transitions (autostart pickup, compute expiry, a tick
+        that completes collection) stay single dispatched cycles: their
+        pushes are staged and need the kernel's commit phase.
+        """
+        phase = self._phase
+        if phase is _Phase.EMIT:
+            return self._single_stream
+        return (phase is _Phase.COLLECT and self._single_stream
+                and len(self._collected[0]) < self.items_in[0])
 
     def tick_batch(self, budget: int) -> int:
         """Fast-forward up to ``budget`` consecutive streaming ticks.
 
-        Granted only in hot mode (no trace) with this RAC the sole due
-        component, so nothing can observe the intermediate per-cycle
-        FIFO states; the aggregate state after ``consumed`` cycles is
-        bit-identical to ``consumed`` naive ticks.  Batches are bounded
-        by the armed FIFO stall watches (:meth:`FIFO.pop_crossing` /
+        Granted only in hot mode (no trace) while :attr:`can_batch`
+        holds and this RAC is the sole due component, so nothing can
+        observe the intermediate per-cycle FIFO states; the aggregate
+        state after ``consumed`` cycles is bit-identical to ``consumed``
+        naive ticks and commits.  Batches are bounded by the armed FIFO
+        stall watches (:meth:`FIFO.pop_crossing` /
         :meth:`FIFO.push_crossing`) so a stalled controller resumes on
-        exactly the naive cycle.  Anything non-streaming (multi-port
-        RACs, overridden ``tick``) falls back to a single tick.
+        exactly the naive cycle.
         """
-        if (len(self.inputs) != 1 or len(self.outputs) != 1
-                or type(self).tick is not StreamingRAC.tick):
-            self.tick()
-            return 1
         if self._phase is _Phase.COLLECT:
             return self._batch_collect(budget)
-        if self._phase is _Phase.EMIT:
-            return self._batch_emit(budget)
-        # DONE (autostart pickup) and COMPUTE (timer expiry) are
-        # single-tick transitions
-        self.tick()
-        return 1
+        return self._batch_emit(budget)
 
     def _batch_collect(self, budget: int) -> int:
         fifo = self.inputs[0]
         need = self.items_in[0] - len(self._collected[0])
         avail = min(need, fifo.occupancy)
-        if avail < 1:  # pragma: no cover - due implies words or done
-            self.tick()
-            return 1
         rate = self.input_rate
         cycles = -(-avail // rate)
         crossing = fifo.pop_crossing()
@@ -348,9 +351,6 @@ class StreamingRAC(RAC):
         fifo = self.outputs[0]
         remaining = self.items_out[0] - self._emitted[0]
         room = min(remaining, fifo.free_push_words)
-        if room < 1:  # pragma: no cover - due implies space or done
-            self.tick()
-            return 1
         rate = self.output_rate
         cycles = -(-room // rate)
         crossing = fifo.push_crossing()

@@ -16,7 +16,7 @@ during a cycle become visible to the pop side on the *next* cycle
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from ..sim.errors import ConfigurationError, FIFOError
 from ..sim.kernel import Component
@@ -245,7 +245,7 @@ class FIFO(Component):
         """Pop everything currently visible (testing convenience)."""
         return self.pop_many(self.occupancy)
 
-    # -- stall watches (vectorized batch bounds) ---------------------------
+    # -- stall watches (batch-lane bounds) ----------------------------------
     def set_free_watch(self, words: Optional[int]) -> None:
         """Arm (or clear) a stalled producer's free-space threshold."""
         self._min_free_watch = words
@@ -359,6 +359,14 @@ class FIFO(Component):
         """
         if self.sim is not None and self.sim.trace is not None:
             self.sim.trace.record(self.sim.cycle, self.name, event, data)
+
+    def audit_state(self) -> Dict[str, object]:
+        """Fields a strict-mode slab audit compares: the live contents
+        replace the ring layout, which depends on when it was compacted."""
+        state = dict(vars(self))
+        state["_atoms"] = self._atoms[self._head:]
+        state["_head"] = 0
+        return state
 
     def clear_high_water(self) -> None:
         """Restart the windowed occupancy maximum (perf-counter clear)."""

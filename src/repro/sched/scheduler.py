@@ -315,7 +315,7 @@ class ThroughputScheduler(Component):
         self.completed: Dict[str, JobResult] = {}
         self.completion_order: List[str] = []
         # a running slot sleeps on its OCP's IRQ line: the edge must
-        # re-poll the scheduler under vectorized dispatch
+        # re-poll the scheduler under the fast schedule
         for slot in self._slots.values():
             slot.ocp.irq.watch(self)
         soc.sim.add(self)

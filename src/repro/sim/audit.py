@@ -1,0 +1,181 @@
+"""Strict-mode audits of the fast schedule.
+
+``Simulator(strict=True)`` keeps the fast schedule's decisions but
+checks each of them against the naive oracle while it runs:
+
+* :func:`audit_claims` re-polls every cached quiescence claim before
+  the dispatch scan trusts it;
+* :func:`replay` executes a window the scan declared idle through the
+  naive stepper and asserts that nothing happened in it;
+* :func:`audit_batch` runs a ``tick_batch`` slab on a copy of the
+  batching component and the components it drives, replays the same
+  cycles naively on the real system, and requires both to end in the
+  same state (:func:`state_diff`).
+
+The real system therefore always follows the naive schedule in strict
+mode; the fast paths only run to be checked.
+"""
+
+from __future__ import annotations
+
+import copy
+from collections import deque
+from types import MethodType
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+
+from .errors import SimulationError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .kernel import Component, Simulator
+
+#: kernel bookkeeping that legitimately differs between a slab and its
+#: naive replay (cached wakes, deferred-skip markers)
+_KERNEL_FIELDS = frozenset(("_wake", "_wake_valid", "_synced", "_ran_at"))
+
+
+def audit_claims(sim: "Simulator") -> None:
+    """Check every cached claim against a fresh poll.
+
+    A claim may only move *later* on its own (rule 3 of the protocol);
+    one that moved earlier without a poke means the component's wake
+    wiring is missing a path, and the fast schedule would have slept
+    through its wake-up.
+    """
+    now = sim.cycle
+    for comp in sim._components:
+        if not comp._wake_valid:
+            continue
+        cached = comp._wake
+        fresh = sim._poll(comp, now)
+        if fresh is not None and (cached is None or fresh < cached):
+            raise SimulationError(
+                f"strict dispatch: component {comp.name!r} moved its "
+                f"wake from {cached} to {fresh} at cycle {now} "
+                "without being poked (stale quiescence claim)"
+            )
+
+
+def replay(sim: "Simulator", cycles: int,
+           sole: Optional["Component"] = None) -> None:
+    """Tick naively through ``cycles`` cycles the fast schedule would
+    have skipped (or, with ``sole``, batched) and assert that the claims
+    held: no component other than ``sole`` due, no trace events or
+    activity outside it."""
+    events_before = len(sim.trace) if sim.trace is not None else None
+    allowed = {sim.last_active, sole.name if sole is not None else None}
+    window = "batched" if sole is not None else "declared-idle"
+    sim._settle()
+    for offset in range(cycles):
+        for comp in sim._components:
+            if comp is sole:
+                continue
+            wake = comp.next_activity()
+            if wake is not None and wake <= sim.cycle:
+                raise SimulationError(
+                    f"strict dispatch: component {comp.name!r} "
+                    f"turned active at cycle {sim.cycle}, {offset} "
+                    f"cycles into a {cycles}-cycle {window} window"
+                )
+        sim._tick_settled()
+    if events_before is not None and len(sim.trace) != events_before:
+        culprit = sim.trace.dump().splitlines()[events_before]
+        raise SimulationError(
+            f"strict dispatch: trace events emitted during a {window} "
+            f"window (first: {culprit!r})"
+        )
+    if sim.last_active not in allowed:
+        raise SimulationError(
+            f"strict dispatch: component {sim.last_active!r} was "
+            f"active during a {window} window"
+        )
+
+
+def audit_batch(sim: "Simulator", sole: "Component", horizon: int) -> None:
+    """Check one ``tick_batch`` slab against its naive replay.
+
+    The slab runs on a deep copy of ``sole`` and of the registered
+    components it references (its FIFOs); every other component and the
+    simulator are shared with the copy, not copied.  The real system
+    then ticks the same number of cycles naively, and the two must
+    agree on every field of every copied component.
+    """
+    sim._settle()
+    now = sim.cycle
+    registered = {id(comp) for comp in sim._components}
+    driven = [sole]
+    for name, value in vars(sole).items():
+        if name == "_watchers":
+            continue
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            if id(item) in registered and item not in driven:
+                driven.append(item)
+    memo: Dict[int, object] = {id(sim): sim}
+    for comp in sim._components:
+        if comp not in driven:
+            memo[id(comp)] = comp
+    shadows = copy.deepcopy(driven, memo)
+    consumed = max(1, shadows[0].tick_batch(horizon - now))
+    for shadow in shadows[1:]:
+        shadow.on_skip(consumed)
+    replay(sim, consumed, sole)
+    for real, shadow in zip(driven, shadows):
+        where = state_diff(real, shadow, real.name)
+        if where is not None:
+            raise SimulationError(
+                f"strict dispatch: {sole.name!r} tick_batch slab of "
+                f"{consumed} cycles from cycle {now} diverged from the "
+                f"naive replay at {where}"
+            )
+
+
+def state_diff(a: Any, b: Any, path: str,
+               seen: Optional[Set[Tuple[int, int]]] = None) -> Optional[str]:
+    """Path of the first field where two object graphs differ, or None.
+
+    Walks containers and instance ``__dict__`` recursively (skipping
+    :data:`_KERNEL_FIELDS`); shared objects and already-visited pairs
+    compare equal, array-likes compare by value.  An object whose
+    internal layout may legitimately differ between the two schedules
+    defines ``audit_state()`` returning the dict to compare instead of
+    its ``__dict__``.
+    """
+    if a is b:
+        return None
+    if type(a) is not type(b):
+        return path
+    seen = set() if seen is None else seen
+    key = (id(a), id(b))
+    if key in seen:
+        return None
+    seen.add(key)
+    if isinstance(a, (list, tuple, deque)):
+        if len(a) != len(b):
+            return f"{path} (length)"
+        pairs: List[Tuple[str, Any, Any]] = [
+            (f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(a, b))
+        ]
+    elif isinstance(a, dict):
+        if a.keys() != b.keys():
+            return f"{path} (keys)"
+        pairs = [(f"{path}[{k!r}]", a[k], b[k]) for k in a]
+    elif isinstance(a, MethodType):
+        if a.__func__ is not b.__func__:
+            return path
+        pairs = [(path, a.__self__, b.__self__)]
+    elif hasattr(a, "tolist"):  # numpy arrays and scalars
+        return None if a.tolist() == b.tolist() else path
+    elif hasattr(a, "__dict__"):
+        canonical = hasattr(a, "audit_state")
+        fields = a.audit_state() if canonical else vars(a)
+        other = b.audit_state() if canonical else vars(b)
+        if fields.keys() != other.keys():
+            return f"{path} (fields)"
+        pairs = [(f"{path}.{k}", v, other[k]) for k, v in fields.items()
+                 if k not in _KERNEL_FIELDS]
+    else:
+        return None if a == b else path
+    for where, x, y in pairs:
+        found = state_diff(x, y, where, seen)
+        if found is not None:
+            return found
+    return None

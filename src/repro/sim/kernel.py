@@ -18,55 +18,37 @@ right fidelity level for reproducing the paper's cycle counts (bus beats,
 FIFO occupancy, controller FSM states) without modelling individual
 wires.
 
-Idle skipping
+Two schedules
 -------------
 
-Long waits dominate many workloads (a DFT's ``exec_wait``, SDRAM
-latency, driver backoff windows): every component is stalled, yet the
-naive stepper still pays two Python calls per component per cycle.
-Components may therefore declare *quiescence* through
-:meth:`Component.next_activity`: "my ``tick``/``commit`` are observable
-no-ops until cycle N (or until another component acts)".  When every
-registered component is quiescent, :meth:`Simulator.step` and
-:meth:`Simulator.run_until` fast-forward the clock to the earliest
-declared wake-up instead of ticking through the gap, giving each
-component the chance to reconcile its internal cycle counters via
-:meth:`Component.on_skip` so statistics stay bit-identical with the
-naive schedule.
+``Simulator(idle_skip=False)`` is the *naive* schedule described above:
+every component, every cycle.  It is the oracle.
 
-The protocol and its correctness rules are documented in
-``docs/SIMULATION.md``; ``Simulator(strict=True)`` cross-checks every
-declared-idle window by running the naive stepper through it and
-asserting that nothing observable happened.
+The default *fast* schedule produces bit-identical results while
+touching only the components that matter.  Components declare
+*quiescence* through :meth:`Component.next_activity` ("my
+``tick``/``commit`` are observable no-ops until cycle N, or until
+another component pokes me").  The kernel caches each answer, scans the
+cache once per event, and
 
-Vectorized dispatch
--------------------
+* fast-forwards the clock over windows in which no component is due,
+* ticks only the due components on the other cycles, and
+* -- when no trace is attached and a single component is due -- lets
+  that component consume a whole run of cycles in one host call
+  (:meth:`Component.tick_batch`, the FIFO slab transfers).
 
-Idle skipping only helps when *every* component is quiescent.  On
-transfer-heavy workloads one component (a streaming RAC, the bus) is
-live nearly every cycle, and the naive schedule still pays two Python
-calls per *quiescent* component per cycle.  ``Simulator(vectorized=
-True)`` (the default) adds a dispatch-table fast path: each
-component's ``next_activity()`` answer is cached and only invalidated
-when the component itself acts or another component *pokes* it
-(:meth:`Component.poke`, FIFO/IRQ/bus wake wiring), so an executed
-cycle touches only the components that are actually due.  Per-cycle
-skip reconciliation is deferred: a quiescent component's
-:meth:`Component.on_skip` runs lazily, just before its next real tick
-(or at the public ``step``/``run_until`` boundary), covering exactly
-the cycles it sat out.
+A quiescent component's per-cycle counters are reconciled lazily via
+:meth:`Component.on_skip`, just before its next tick or at the end of
+the public ``step``/``run_until`` call.  Components that must see every
+cycle (waveform probes, fault injectors) set
+:attr:`Component.requires_full_dispatch`; while one is registered every
+component ticks on every cycle that is not skipped.
 
-On top of the dispatch table, *hot mode* (vectorized dispatch with no
-trace attached) lets a component that is the only one due fast-forward
-through a run of consecutive ticks in one host call
-(:meth:`Component.tick_batch`) -- the FIFO slab transfers used by
-streaming accelerators.  Both paths are bit-exact against the naive
-schedule; the equivalence suite in ``tests/test_idle_skip.py`` gates
-naive vs idle-skip vs vectorized on clean and fault-injected seeds.
-
-Components that must observe every cycle (waveform probes, fault
-injectors) set :attr:`Component.requires_full_dispatch`; registering
-one forces the whole simulator back onto the audited idle-skip path.
+``Simulator(strict=True)`` audits the fast schedule while it runs
+(:mod:`repro.sim.audit`): it checks each cached claim against a fresh
+one before trusting it, and re-executes each window it would skip or
+batch through the naive stepper.  The protocol and its correctness
+rules are documented in ``docs/SIMULATION.md``.
 """
 
 from __future__ import annotations
@@ -75,6 +57,7 @@ from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
+from . import audit
 from .errors import DeadlockError, SimulationError
 from .tracing import Trace
 
@@ -88,13 +71,14 @@ class Component:
     per-cycle counters, :meth:`on_skip`) to take part in idle skipping.
     """
 
-    #: set True on components whose mere presence must disable the
-    #: vectorized dispatch table (waveform probes sample every cycle,
-    #: fault injectors perturb other components mid-window); the
-    #: simulator then falls back to the audited idle-skip path
+    #: set True on components whose mere presence requires every
+    #: component to tick on every executed cycle (waveform probes sample
+    #: every cycle, fault injectors perturb other components without
+    #: poking them)
     requires_full_dispatch = False
 
-    #: True on components implementing :meth:`tick_batch`
+    #: True while :meth:`tick_batch` may run (a class attribute or a
+    #: state-dependent property)
     can_batch = False
 
     def __init__(self, name: str) -> None:
@@ -104,10 +88,10 @@ class Component:
         #: components whose quiescence claim depends on this one's
         #: state; poked (wake-cache invalidated) whenever it changes
         self._watchers: List["Component"] = []
-        # vectorized-dispatch bookkeeping (owned by the Simulator):
-        # cached next_activity() answer, its validity, the first cycle
-        # whose tick/on_skip has not been accounted yet, and the cycle
-        # of the last real tick (commit-phase membership marker)
+        # fast-schedule bookkeeping (owned by the Simulator): cached
+        # next_activity() answer, its validity, the first cycle whose
+        # tick/on_skip has not been accounted yet, and the cycle of the
+        # last real tick (commit-phase membership marker)
         self._wake: Optional[int] = None
         self._wake_valid = False
         self._synced = 0
@@ -170,25 +154,27 @@ class Component:
     def tick_batch(self, budget: int) -> int:
         """Execute up to ``budget`` consecutive ticks in one host call.
 
-        Hot-mode hook (``can_batch = True``): called only when this
-        component is the *sole* active one, tracing is off, and no
-        other component wakes for at least ``budget`` cycles.  The
-        implementation must be cycle-for-cycle equivalent to that many
-        naive ticks and must return early (the count actually
+        Batch-lane hook: called only while :attr:`can_batch` holds,
+        this component is the *sole* active one, tracing is off, and
+        no other component wakes for at least ``budget`` cycles.  No
+        commit phase follows, so the implementation must be
+        cycle-for-cycle equivalent to that many naive ticks *and
+        commits* and must return early (the count actually
         consumed, at least 1) at any tick whose effects could wake
         another component -- poking it so the kernel re-polls at the
         exact naive cycle.
         """
         self.tick()
+        self.commit()
         return 1
 
-    # -- vectorized-dispatch helpers ----------------------------------
+    # -- fast-schedule helpers ----------------------------------------
     def poke(self) -> None:
         """Invalidate this component's cached quiescence claim.
 
         Any code that changes state a *quiescent* component's
         ``next_activity`` answer depends on must poke it, or the
-        dispatch table would trust a stale claim.
+        fast schedule would trust a stale claim.
         """
         self._wake_valid = False
 
@@ -209,7 +195,8 @@ class Component:
         Used before externally-driven state mutation (a CTRL register
         write flipping the controller's FSM): pending quiescent cycles
         must be charged to the *old* state before it changes.  Also
-        invalidates the wake cache.  No-op outside vectorized dispatch.
+        invalidates the wake cache.  No-op outside a fast-schedule
+        ``step``/``run_until``.
         """
         sim = self.sim
         if sim is not None and sim._dispatching:
@@ -265,13 +252,12 @@ class ComponentProfile:
 class SimProfile:
     """Cycle accounting of one :class:`Simulator`'s execution.
 
-    ``ticked`` counts cycles executed through the naive two-phase
-    schedule, ``skipped`` counts cycles fast-forwarded over declared
-    idle windows; the two always sum to ``cycles``.  ``components`` is
-    populated with per-component tick counts and host-time attribution
-    when the simulator was built with ``profile_time=True`` (the
-    instrumented loop costs two clock reads per component per cycle,
-    so it is off by default).
+    ``ticked`` counts cycles on which components executed, ``skipped``
+    counts cycles fast-forwarded over declared idle windows; the two
+    always sum to ``cycles``.  With ``profile_time=True``,
+    ``components`` carries each component's executed ticks and the
+    host time spent in its hooks, and ``kernel_s`` the host time the
+    kernel itself spent scanning and dispatching.
     """
 
     cycles: int
@@ -279,6 +265,7 @@ class SimProfile:
     skipped: int
     skip_windows: int
     components: Dict[str, ComponentProfile] = field(default_factory=dict)
+    kernel_s: float = 0.0
 
     @property
     def skip_ratio(self) -> float:
@@ -293,18 +280,23 @@ class SimProfile:
             f"({100 * self.skip_ratio:.1f}% in {self.skip_windows} windows)",
         ]
         if self.components:
-            total = sum(p.time_s for p in self.components.values())
+            rows = [(p.name, f"{p.ticks:>10} ticks", p.time_s)
+                    for p in self.components.values()]
+            rows.append(("<kernel>", " " * 16, self.kernel_s))
+            total = sum(row[2] for row in rows)
             lines.append("host time attribution:")
-            ranked = sorted(
-                self.components.values(), key=lambda p: -p.time_s
-            )
-            for prof in ranked:
-                share = prof.time_s / total if total else 0.0
+            for name, ticks, time_s in sorted(rows, key=lambda r: -r[2]):
+                share = time_s / total if total else 0.0
                 lines.append(
-                    f"  {prof.name:<20} {prof.ticks:>10} ticks "
-                    f"{1e3 * prof.time_s:>9.2f} ms ({100 * share:.1f}%)"
+                    f"  {name:<20} {ticks} "
+                    f"{1e3 * time_s:>9.2f} ms ({100 * share:.1f}%)"
                 )
         return "\n".join(lines)
+
+
+#: component hooks the kernel calls; timed per component under
+#: ``profile_time``
+_HOOKS = ("tick", "commit", "tick_batch", "next_activity", "on_skip")
 
 
 class Simulator:
@@ -314,26 +306,24 @@ class Simulator:
     ----------
     trace:
         Optional :class:`repro.sim.tracing.Trace` collecting events.
+        Without one, the fast schedule may batch (see
+        :meth:`Component.tick_batch`).
     idle_skip:
-        Enable the quiescence fast path (default True).  With it off
-        the kernel is the plain two-phase stepper; results must be
-        bit-identical either way.
-    vectorized:
-        Enable the dispatch-table fast path on top of idle skipping
-        (default True): quiescent components are not even dispatched,
-        and -- when no trace is attached ("hot mode") -- a solely
-        active component may batch runs of consecutive ticks.  Results
-        must be bit-identical to both other schedules.  Automatically
-        disabled by ``strict``/``profile_time`` and by registering any
-        component with :attr:`Component.requires_full_dispatch`.
+        Run the fast schedule (default True).  With it off the kernel is
+        the naive two-phase stepper; results must be bit-identical
+        either way.
     strict:
-        Paranoia mode: every declared-idle window is executed through
-        the naive stepper as well, asserting that no component emitted
-        a trace event or woke earlier than declared.  Used by the
-        equivalence tests; costs naive speed plus the checks.
+        Audit the fast schedule: every cached quiescence claim is
+        re-polled before it is trusted, every declared-idle window is
+        executed through the naive stepper (asserting that no component
+        emitted a trace event or woke earlier than declared), and every
+        ``tick_batch`` slab runs on a copy that must match the naive
+        replay of its cycles.  Used by the equivalence tests; costs
+        naive speed plus the checks.
     profile_time:
-        Attribute host wall-clock time to individual components (see
-        :meth:`profile`).  Slows the naive loop down; off by default.
+        Attribute host wall-clock time to individual components and to
+        the kernel (see :meth:`profile`).  Works under both schedules;
+        off by default.
     """
 
     #: predicate re-check granularity inside a declared-idle window --
@@ -349,19 +339,15 @@ class Simulator:
         idle_skip: bool = True,
         strict: bool = False,
         profile_time: bool = False,
-        vectorized: bool = True,
     ) -> None:
         self.cycle = 0
         self.trace = trace
         self.idle_skip = idle_skip
         self.strict = strict
         self.profile_time = profile_time
-        self.vectorized = (
-            vectorized and idle_skip and not strict and not profile_time
-        )
-        #: registered components that veto the dispatch table
+        #: registered components that require full dispatch
         self._full_dispatch = 0
-        #: True while inside a vectorized step/run_until epoch (skip
+        #: True while inside a fast-schedule step/run_until (skip
         #: reconciliation is deferred per component during this time)
         self._dispatching = False
         #: name of the component that most recently emitted an event
@@ -373,6 +359,10 @@ class Simulator:
         self._skipped = 0
         self._skip_windows = 0
         self._profiles: Dict[str, ComponentProfile] = {}
+        self._advance_s = 0.0
+        #: nesting flag of the profile_time hook wrappers: a hook called
+        #: from inside another timed hook is charged to the outer one
+        self._timing = [False]
 
     # -- registration ----------------------------------------------------
     def add(self, component: Component) -> Component:
@@ -385,6 +375,10 @@ class Simulator:
         self._components.append(component)
         if component.requires_full_dispatch:
             self._full_dispatch += 1
+        if self.profile_time:
+            self._instrument(component)
+        # a newcomer has no skipped cycles to reconcile
+        component._synced = self.cycle
         component.attach(self)
         return component
 
@@ -425,6 +419,48 @@ class Simulator:
                 return comp
         raise KeyError(name)
 
+    @property
+    def full_dispatch(self) -> bool:
+        """True while a registered component requires full dispatch."""
+        return self._full_dispatch > 0
+
+    @property
+    def hot(self) -> bool:
+        """True when the trace-free batch lane is in effect.
+
+        Hot runs keep every counter and final state bit-exact but
+        record no trace events, so span reconstruction is impossible
+        for them (``repro.obs`` refuses loudly).
+        """
+        return (self.trace is None and self.idle_skip and not self.strict
+                and not self._full_dispatch)
+
+    # -- host-time profiling ---------------------------------------------
+    def _instrument(self, comp: Component) -> None:
+        """Wrap ``comp``'s kernel hooks with host-time accounting."""
+        prof = self._profiles.setdefault(
+            comp.name, ComponentProfile(comp.name)
+        )
+        timing = self._timing
+        for hook in _HOOKS:
+            def timed(*args, _fn=getattr(comp, hook), _hook=hook):
+                if timing[0]:
+                    return _fn(*args)
+                timing[0] = True
+                begin = perf_counter()
+                try:
+                    result = _fn(*args)
+                finally:
+                    prof.time_s += perf_counter() - begin
+                    timing[0] = False
+                if _hook == "tick":
+                    prof.ticks += 1
+                elif _hook == "tick_batch":
+                    prof.ticks += result
+                return result
+
+            setattr(comp, hook, timed)
+
     # -- execution ---------------------------------------------------------
     def reset(self) -> None:
         """Reset the clock, the profile counters and every component."""
@@ -432,134 +468,187 @@ class Simulator:
         self._ticked = 0
         self._skipped = 0
         self._skip_windows = 0
-        self._profiles = {}
+        self._advance_s = 0.0
+        for prof in self._profiles.values():
+            prof.ticks = 0
+            prof.time_s = 0.0
         for comp in self._components:
             comp.reset()
 
+    def step(self, cycles: int = 1) -> None:
+        """Advance the clock by ``cycles`` cycles."""
+        self._advance(self.cycle + cycles)
+
+    def run_until(
+        self,
+        predicate: Callable[[], bool],
+        max_cycles: int = 1_000_000,
+        what: str = "condition",
+    ) -> int:
+        """Step until ``predicate()`` is true; return elapsed cycles.
+
+        The predicate must be a function of component state (not of the
+        raw clock): during a declared-idle window no component state
+        changes, so the kernel re-evaluates it only at wake-ups and
+        every :attr:`max_skip_chunk` cycles.
+
+        Raises
+        ------
+        DeadlockError
+            If the predicate is still false after ``max_cycles`` steps.
+        """
+        start = self.cycle
+        self._advance(start + max_cycles, predicate, what)
+        return self.cycle - start
+
+    def _advance(
+        self,
+        bound: int,
+        predicate: Optional[Callable[[], bool]] = None,
+        what: str = "condition",
+    ) -> None:
+        """The one advance loop behind :meth:`step` and :meth:`run_until`.
+
+        Without a predicate, runs to cycle ``bound``.  With one, runs
+        until it holds, re-checking it before every event; reaching
+        ``bound`` first is a deadlock.
+        """
+        begin = perf_counter() if self.profile_time else 0.0
+        start = self.cycle
+        fast = self.idle_skip
+        strict = self.strict
+        # full dispatch needs no claim cache (strict audits it anyway)
+        eager = fast and self._full_dispatch > 0 and not strict
+        # the shipping schedule; every other mode is one branch away
+        plain = fast and not self._full_dispatch and not strict
+        if fast and not eager:
+            # anything may have mutated component state between public
+            # calls (register backdoors, FIFO drains in test harnesses):
+            # trust no cached claim from a previous call
+            self._settle()
+            self._dispatching = True
+        batch = self.trace is None
+        try:
+            while True:
+                now = self.cycle
+                if predicate is None:
+                    if now >= bound:
+                        break
+                    limit = bound
+                else:
+                    if predicate():
+                        break
+                    if now >= bound:
+                        self._raise_deadlock(bound - start, what)
+                    limit = min(bound, now + self.max_skip_chunk)
+                if plain:
+                    due, sole, horizon = self._dispatch_scan(limit)
+                    if due == 0:
+                        self.cycle = horizon
+                        self._skipped += horizon - now
+                        self._skip_windows += 1
+                    elif (batch and due == 1 and sole.can_batch
+                            and horizon - now >= 2):
+                        self._dispatch_batch(sole, horizon)
+                    else:
+                        self._dispatch_cycle()
+                elif not fast:
+                    self._tick_all()
+                elif eager:
+                    self._full_cycle(limit)
+                else:
+                    self._audited_event(limit)
+        finally:
+            if eager:
+                for comp in self._components:
+                    comp._synced = self.cycle
+            elif fast:
+                self._settle()
+                self._dispatching = False
+            if self.profile_time:
+                self._advance_s += perf_counter() - begin
+
     def _tick_all(self) -> None:
         """One naive two-phase cycle."""
-        if self.profile_time:
-            profiles = self._profiles
-            for comp in self._components:
-                prof = profiles.get(comp.name)
-                if prof is None:
-                    prof = profiles[comp.name] = ComponentProfile(comp.name)
-                begin = perf_counter()
-                comp.tick()
-                prof.time_s += perf_counter() - begin
-                prof.ticks += 1
-            for comp in self._components:
-                begin = perf_counter()
-                comp.commit()
-                profiles[comp.name].time_s += perf_counter() - begin
-        else:
-            for comp in self._components:
-                comp.tick()
-            for comp in self._components:
-                comp.commit()
+        for comp in self._components:
+            comp.tick()
+        for comp in self._components:
+            comp.commit()
         self.cycle += 1
         self._ticked += 1
 
-    def _wake_cycle(self) -> Optional[int]:
-        """Earliest cycle any component needs; ``self.cycle`` = active.
+    def _raise_deadlock(self, max_cycles: int, what: str) -> None:
+        last = self.last_active or "<none>"
+        raise DeadlockError(
+            f"{what} not reached within {max_cycles} cycles "
+            f"(stuck at cycle {self.cycle}, last active "
+            f"component: {last})"
+        )
 
-        Returns ``None`` when every component is indefinitely idle
-        (only a deadlock bound or the caller's step target can end the
-        wait).
-        """
-        wake: Optional[int] = None
-        now = self.cycle
-        for comp in self._components:
-            target = comp.next_activity()
-            if target is None:
-                continue
-            if target <= now:
-                return now
-            if wake is None or target < wake:
-                wake = target
-        return wake
+    # -- the fast schedule -------------------------------------------------
+    def _settle(self) -> None:
+        """Flush every deferred ``on_skip`` and drop every cached wake.
 
-    def _skip(self, cycles: int) -> None:
-        """Fast-forward over a window every component declared idle."""
-        if self.strict:
-            self._skip_checked(cycles)
-            return
-        for comp in self._components:
-            comp.on_skip(cycles)
-        self.cycle += cycles
-        self._skipped += cycles
-        self._skip_windows += 1
-
-    def _skip_checked(self, cycles: int) -> None:
-        """Strict mode: tick naively through the window and assert that
-        the quiescence claims held (no events, no early wake-ups)."""
-        events_before = len(self.trace) if self.trace is not None else None
-        last_before = self.last_active
-        for offset in range(cycles):
-            wake = self._wake_cycle()
-            if wake is not None and wake <= self.cycle:
-                raise SimulationError(
-                    f"strict idle-skip: a component turned active at "
-                    f"cycle {self.cycle}, {offset} cycles into a "
-                    f"{cycles}-cycle declared-idle window"
-                )
-            self._tick_all()
-        if events_before is not None and len(self.trace) != events_before:
-            culprit = self.trace.dump().splitlines()[events_before]
-            raise SimulationError(
-                "strict idle-skip: trace events emitted during a "
-                f"declared-idle window (first: {culprit!r})"
-            )
-        if self.last_active != last_before:
-            raise SimulationError(
-                f"strict idle-skip: component {self.last_active!r} was "
-                "active during a declared-idle window"
-            )
-
-    # -- vectorized dispatch ---------------------------------------------
-    @property
-    def dispatch_active(self) -> bool:
-        """True when the dispatch-table fast path is in effect."""
-        return self.vectorized and self._full_dispatch == 0
-
-    @property
-    def hot(self) -> bool:
-        """True when running trace-free on the dispatch table.
-
-        Hot runs keep every counter and final state bit-exact but
-        record no trace events, so span reconstruction is impossible
-        for them (``repro.obs`` refuses loudly).
-        """
-        return self.trace is None and self.dispatch_active
-
-    def _dispatch_begin(self) -> None:
-        """Open a vectorized epoch at a public ``step``/``run_until``.
-
-        Anything may have mutated component state between public calls
-        (register backdoors, FIFO drains in test harnesses), so every
-        cached wake is dropped; deferred-skip accounting starts from
-        the current cycle because all prior cycles are fully settled.
-        """
-        self._dispatching = True
-        now = self.cycle
-        for comp in self._components:
-            comp._wake_valid = False
-            comp._synced = now
-
-    def _dispatch_end(self) -> None:
-        """Close the epoch: flush every deferred ``on_skip``.
-
-        After this, stats and timers are exactly what the naive
-        schedule would show at this cycle -- callers may inspect any
-        component state.
+        Afterwards, stats and timers are exactly what the naive
+        schedule would show at this cycle.
         """
         now = self.cycle
         for comp in self._components:
             pending = now - comp._synced
             if pending > 0:
                 comp.on_skip(pending)
-                comp._synced = now
-        self._dispatching = False
+            comp._synced = now
+            comp._wake_valid = False
+
+    def _full_cycle(self, bound: int) -> None:
+        """Full dispatch: tick every component on any cycle some
+        component is due, else skip to the earliest wake (at most
+        ``bound``) with ``on_skip`` applied at once."""
+        now = self.cycle
+        horizon = bound
+        for comp in self._components:
+            wake = comp.next_activity()
+            if wake is None:
+                continue
+            if wake <= now:
+                self._tick_all()
+                return
+            if wake < horizon:
+                horizon = wake
+        for comp in self._components:
+            comp.on_skip(horizon - now)
+        self.cycle = horizon
+        self._skipped += horizon - now
+        self._skip_windows += 1
+
+    def _audited_event(self, bound: int) -> None:
+        """Strict mode: take the dispatch scan's decision, audited by
+        :mod:`repro.sim.audit` (the real system always ticks naively);
+        under full dispatch every due cycle is a naive one."""
+        audit.audit_claims(self)
+        now = self.cycle
+        due, sole, horizon = self._dispatch_scan(bound)
+        if due == 0:
+            audit.replay(self, horizon - now)
+        elif self._full_dispatch:
+            self._tick_settled()
+        elif (self.trace is None and due == 1 and sole.can_batch
+                and horizon - now >= 2):
+            audit.audit_batch(self, sole, horizon)
+        else:
+            self._dispatch_cycle()
+
+    def _tick_settled(self) -> None:
+        """One naive cycle inside a fast epoch: flush deferred skips,
+        drop cached wakes, tick everything."""
+        now = self.cycle
+        for comp in self._components:
+            pending = now - comp._synced
+            if pending > 0:
+                comp.on_skip(pending)
+            comp._synced = now + 1
+            comp._wake_valid = False
+        self._tick_all()
 
     def _poll(self, comp: Component, now: int) -> Optional[int]:
         """Re-poll a component's quiescence claim with settled accounting.
@@ -584,9 +673,9 @@ class Simulator:
 
         Returns ``(due, sole, horizon)``: how many components are due
         this cycle, the single due component when there is exactly one
-        (the hot-batch candidate), and the earliest strictly-future
-        wake clamped to ``bound``.  The scan stops as soon as a second
-        due component turns up -- a full cycle has to run then and the
+        (the batch candidate), and the earliest strictly-future wake
+        clamped to ``bound``.  The scan stops as soon as a second due
+        component turns up -- a full cycle has to run then and the
         horizon is irrelevant (later components keep their caches and
         are re-polled by :meth:`_dispatch_cycle` where needed).
         """
@@ -615,12 +704,6 @@ class Simulator:
                 horizon = wake
         return due, sole, horizon
 
-    def _dispatch_skip(self, cycles: int) -> None:
-        """Fast-forward a quiescent window; ``on_skip`` stays deferred."""
-        self.cycle += cycles
-        self._skipped += cycles
-        self._skip_windows += 1
-
     def _dispatch_cycle(self) -> None:
         """Execute one cycle touching only the components that are due.
 
@@ -634,11 +717,6 @@ class Simulator:
         keep their naive order, and picks up components whose commit
         phase can still observe a backward poke (a FIFO staged into by
         a later producer).
-
-        In hot mode (no trace), a solely-due component supporting
-        :meth:`Component.tick_batch` may instead consume a whole run of
-        cycles, bounded by ``limit`` and by every other component's
-        declared wake.
         """
         now = self.cycle
         components = self._components
@@ -673,7 +751,7 @@ class Simulator:
         self._ticked += 1
 
     def _dispatch_batch(self, sole: Component, horizon: int) -> None:
-        """Run the hot-mode batch lane for a sole due component.
+        """Run the batch lane for a sole due component.
 
         Preconditions established by the caller from a
         :meth:`_dispatch_scan`: tracing off, exactly one component due
@@ -687,108 +765,11 @@ class Simulator:
         pending = now - sole._synced
         if pending > 0:
             sole.on_skip(pending)
-        consumed = sole.tick_batch(horizon - now)
-        if consumed < 1:  # pragma: no cover - defensive
-            consumed = 1
+        consumed = max(1, sole.tick_batch(horizon - now))
         sole._synced = now + consumed
         sole._wake_valid = False
         self.cycle = now + consumed
         self._ticked += consumed
-
-    def step(self, cycles: int = 1) -> None:
-        """Advance the clock by ``cycles`` cycles."""
-        target = self.cycle + cycles
-        if not self.idle_skip:
-            while self.cycle < target:
-                self._tick_all()
-            return
-        if self.dispatch_active:
-            self._dispatch_begin()
-            try:
-                hot = self.trace is None
-                while self.cycle < target:
-                    due, sole, horizon = self._dispatch_scan(target)
-                    if due == 0:
-                        self._dispatch_skip(horizon - self.cycle)
-                        continue
-                    if (hot and due == 1 and sole.can_batch
-                            and horizon - self.cycle >= 2):
-                        self._dispatch_batch(sole, horizon)
-                        continue
-                    self._dispatch_cycle()
-            finally:
-                self._dispatch_end()
-            return
-        while self.cycle < target:
-            wake = self._wake_cycle()
-            if wake is None:
-                self._skip(target - self.cycle)
-                return
-            if wake > self.cycle:
-                self._skip(min(wake, target) - self.cycle)
-                continue
-            self._tick_all()
-
-    def run_until(
-        self,
-        predicate: Callable[[], bool],
-        max_cycles: int = 1_000_000,
-        what: str = "condition",
-    ) -> int:
-        """Step until ``predicate()`` is true; return elapsed cycles.
-
-        The predicate must be a function of component state (not of the
-        raw clock): during a declared-idle window no component state
-        changes, so the kernel re-evaluates it only at wake-ups and
-        every :attr:`max_skip_chunk` cycles.
-
-        Raises
-        ------
-        DeadlockError
-            If the predicate is still false after ``max_cycles`` steps.
-        """
-        start = self.cycle
-        deadline = start + max_cycles
-        if self.idle_skip and self.dispatch_active:
-            self._dispatch_begin()
-            try:
-                hot = self.trace is None
-                while not predicate():
-                    if self.cycle >= deadline:
-                        self._raise_deadlock(max_cycles, what)
-                    bound = min(deadline, self.cycle + self.max_skip_chunk)
-                    due, sole, horizon = self._dispatch_scan(bound)
-                    if due == 0:
-                        self._dispatch_skip(horizon - self.cycle)
-                        continue
-                    if (hot and due == 1 and sole.can_batch
-                            and horizon - self.cycle >= 2):
-                        self._dispatch_batch(sole, horizon)
-                        continue
-                    self._dispatch_cycle()
-            finally:
-                self._dispatch_end()
-            return self.cycle - start
-        while not predicate():
-            if self.cycle >= deadline:
-                self._raise_deadlock(max_cycles, what)
-            if self.idle_skip:
-                wake = self._wake_cycle()
-                bound = min(deadline, self.cycle + self.max_skip_chunk)
-                target = bound if wake is None else min(wake, bound)
-                if target > self.cycle:
-                    self._skip(target - self.cycle)
-                    continue
-            self._tick_all()
-        return self.cycle - start
-
-    def _raise_deadlock(self, max_cycles: int, what: str) -> None:
-        last = self.last_active or "<none>"
-        raise DeadlockError(
-            f"{what} not reached within {max_cycles} cycles "
-            f"(stuck at cycle {self.cycle}, last active "
-            f"component: {last})"
-        )
 
     # -- introspection ----------------------------------------------------
     def profile(self) -> SimProfile:
@@ -798,13 +779,16 @@ class Simulator:
         per-component tick counts and host-time shares require
         ``profile_time=True``.
         """
+        components = {
+            name: ComponentProfile(prof.name, prof.ticks, prof.time_s)
+            for name, prof in self._profiles.items()
+        }
+        hooks_s = sum(prof.time_s for prof in components.values())
         return SimProfile(
             cycles=self.cycle,
             ticked=self._ticked,
             skipped=self._skipped,
             skip_windows=self._skip_windows,
-            components={
-                name: ComponentProfile(prof.name, prof.ticks, prof.time_s)
-                for name, prof in self._profiles.items()
-            },
+            components=components,
+            kernel_s=max(0.0, self._advance_s - hooks_s),
         )

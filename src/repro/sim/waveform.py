@@ -31,8 +31,8 @@ Signal = Callable[[], int]
 class WaveformProbe(Component):
     """Samples named signals into a :class:`VCDWriter` every cycle."""
 
-    #: a probe samples every cycle: its presence forces the simulator
-    #: off the vectorized dispatch table (and, via next_activity below,
+    #: a probe samples every cycle: its presence makes every component
+    #: tick on every executed cycle (and, via next_activity below,
     #: disables idle skipping entirely)
     requires_full_dispatch = True
 

@@ -76,15 +76,14 @@ class SoC:
     clock_mhz:
         The system clock the design must close at (the paper uses
         50 MHz); consumed by the system linter's timing check.
+    idle_skip:
+        Runs the kernel's fast schedule (default); ``False`` selects
+        the naive oracle (see ``docs/SIMULATION.md``).
     strict:
-        Enables the kernel's idle-skip audits *and* runs the
+        Enables the kernel's fast-schedule audits *and* runs the
         system-level integrity analyzer (:mod:`repro.soclint`) after
         elaboration, raising :class:`ConfigurationError` on any
         error-severity finding.
-    vectorized:
-        Enables the kernel's dispatch-table fast path (default; see
-        ``docs/SIMULATION.md``).  Automatically disabled by strict
-        mode, armed fault injectors and waveform probes.
     """
 
     def __init__(
@@ -101,7 +100,6 @@ class SoC:
         idle_skip: bool = True,
         strict: bool = False,
         profile_time: bool = False,
-        vectorized: bool = True,
         clock_mhz: float = 50.0,
     ) -> None:
         self.sim = Simulator(
@@ -109,7 +107,6 @@ class SoC:
             idle_skip=idle_skip,
             strict=strict,
             profile_time=profile_time,
-            vectorized=vectorized,
         )
         self.bus = SystemBus("bus", protocol=protocol)
         self.sim.add(self.bus)

@@ -86,52 +86,6 @@ def bit_reverse(value: int, bits: int) -> int:
     return out
 
 
-def fft_q15_scalar(
-    re: Sequence[int], im: Sequence[int]
-) -> Tuple[List[int], List[int]]:
-    """Pure-Python reference for :func:`fft_q15` (kept for cross-checking).
-
-    One butterfly at a time, exactly as written in the paper's datapath
-    description; the vectorized :func:`fft_q15` below must agree with
-    this bit for bit.
-    """
-    n = len(re)
-    if n != len(im):
-        raise ValueError("re/im length mismatch")
-    if n == 0 or n & (n - 1):
-        raise ValueError(f"FFT size must be a power of two, got {n}")
-    stages = n.bit_length() - 1
-    cos_t, sin_t = twiddle_table_q15(n)
-
-    xr = [int(v) for v in re]
-    xi = [int(v) for v in im]
-    # Bit-reversal permutation (decimation in time).
-    for i in range(n):
-        j = bit_reverse(i, stages)
-        if j > i:
-            xr[i], xr[j] = xr[j], xr[i]
-            xi[i], xi[j] = xi[j], xi[i]
-
-    span = 1
-    for _stage in range(stages):
-        stride = n // (2 * span)
-        for start in range(0, n, 2 * span):
-            for k in range(span):
-                idx = start + k
-                wr = cos_t[k * stride]
-                wi = sin_t[k * stride]
-                tr = q15_mul(xr[idx + span], wr) - q15_mul(xi[idx + span], wi)
-                ti = q15_mul(xr[idx + span], wi) + q15_mul(xi[idx + span], wr)
-                # Per-stage scaling by 1/2 (arithmetic shift, floor).
-                ar, ai = xr[idx], xi[idx]
-                xr[idx] = (ar + tr) >> 1
-                xi[idx] = (ai + ti) >> 1
-                xr[idx + span] = (ar - tr) >> 1
-                xi[idx + span] = (ai - ti) >> 1
-        span *= 2
-    return xr, xi
-
-
 # Per-size FFT plan: bit-reversal permutation, per-stage butterfly index
 # arrays and twiddle tables, all as int64 ndarrays.  Sizes in practice
 # are a handful of powers of two, so an unbounded cache is fine.
@@ -175,8 +129,8 @@ def fft_q15(
 
     Internally the butterflies of each stage run as whole-array int64
     operations; int64 ``*``, ``+`` and arithmetic ``>>`` are exact, so
-    the result is bit-identical to :func:`fft_q15_scalar` (enforced by
-    tests).
+    the result is bit-identical to a one-butterfly-at-a-time scalar
+    reference (the oracle in ``tests/test_fixedpoint.py``).
     """
     n = len(re)
     if n != len(im):
@@ -290,20 +244,6 @@ def idct1_q15(coefs: Sequence[int]) -> List[int]:
     return out
 
 
-def idct2_q15_scalar(block: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Pure-Python reference for :func:`idct2_q15` (kept for cross-checking)."""
-    if len(block) != IDCT_SIZE or any(len(r) != IDCT_SIZE for r in block):
-        raise ValueError("block must be 8x8")
-    rows = [idct1_q15(row) for row in block]
-    cols = [idct1_q15([rows[r][c] for r in range(IDCT_SIZE)])
-            for c in range(IDCT_SIZE)]
-    return [
-        [saturate(cols[c][r], -(1 << 15), (1 << 15) - 1)
-         for c in range(IDCT_SIZE)]
-        for r in range(IDCT_SIZE)
-    ]
-
-
 _IDCT_MATRIX_NP = np.array(_IDCT_MATRIX, dtype=np.int64)
 
 
@@ -315,8 +255,8 @@ def idct2_q15(block: Sequence[Sequence[int]]) -> List[List[int]]:
     of the IDCT RAC and of the software IDCT kernel.
 
     Implemented as two int64 matrix products with rounding shifts --
-    exact integer arithmetic, bit-identical to :func:`idct2_q15_scalar`
-    (enforced by tests).
+    exact integer arithmetic, bit-identical to scalar :func:`idct1_q15`
+    row/column passes (the oracle in ``tests/test_fixedpoint.py``).
     """
     if len(block) != IDCT_SIZE or any(len(r) != IDCT_SIZE for r in block):
         raise ValueError("block must be 8x8")

@@ -1,6 +1,6 @@
-"""Idle-skip kernel: unit tests and naive-vs-fast equivalence.
+"""Kernel schedules: unit tests and naive-vs-fast equivalence.
 
-The fast path is only allowed to exist because it is invisible: with
+The fast schedule is only allowed to exist because it is invisible: with
 ``idle_skip=True`` every observable -- memory contents, trace events
 (including their cycle stamps), final cycle counts, per-component
 statistics -- must be bit-identical to the naive two-phase stepper.
@@ -8,7 +8,7 @@ The first half of this file unit-tests the kernel mechanics (wake
 computation, chunked predicate re-checks, strict mode, profiling); the
 second half property-tests whole-SoC equivalence on the seeded random
 workloads of the differential harness, clean and under injected stall
-faults.
+faults, traced and trace-free (batch lane).
 """
 
 import random
@@ -193,6 +193,86 @@ def test_strict_mode_catches_early_wake():
         sim.step(50)
 
 
+class Alarm(Component):
+    """Indefinitely idle until armed -- and armed without a poke."""
+
+    def __init__(self):
+        super().__init__("alarm")
+        self.armed_at = None
+        self.rang = []
+
+    def next_activity(self):
+        return self.armed_at
+
+    def tick(self):
+        if self.armed_at is not None and self.now >= self.armed_at:
+            self.rang.append(self.now)
+            self.armed_at = None
+
+
+class Unwired(Component):
+    """Arms the alarm at cycle 5 but forgets to poke it."""
+
+    def __init__(self, alarm):
+        super().__init__("unwired")
+        self.alarm = alarm
+        self.fired = False
+
+    def next_activity(self):
+        return None if self.fired else 5
+
+    def tick(self):
+        if not self.fired and self.now >= 5:
+            self.alarm.armed_at = self.now + 3
+            self.fired = True
+
+
+def test_strict_mode_catches_stale_cached_claim():
+    sim = Simulator(strict=True)
+    alarm = sim.add(Alarm())
+    sim.add(Unwired(alarm))
+    with pytest.raises(SimulationError, match="without being poked"):
+        sim.step(20)
+
+
+class Streamer(Component):
+    """Always active; batches its counting, off by ``skew`` per slab."""
+
+    can_batch = True
+
+    def __init__(self, skew=0):
+        super().__init__("streamer")
+        self.count = 0
+        self.skew = skew
+
+    def tick(self):
+        self.count += 1
+
+    def tick_batch(self, budget):
+        self.count += budget + self.skew
+        return budget
+
+
+def test_strict_mode_replays_batch_slabs():
+    """Trace-free strict runs take the batch lane on a copy and check
+    it against the naive replay: an honest slab passes (the real run
+    still ends naive-exact), a miscounting one is caught."""
+    fast = Simulator()
+    fast.add(Streamer())
+    fast.step(100)
+    assert fast.profile().ticked == 100 and fast.component("streamer").count == 100
+
+    strict = Simulator(strict=True)
+    honest = strict.add(Streamer())
+    strict.step(100)
+    assert honest.count == 100
+
+    broken = Simulator(strict=True)
+    broken.add(Streamer(skew=1))
+    with pytest.raises(SimulationError, match="tick_batch slab .* streamer.count"):
+        broken.step(100)
+
+
 def test_profile_time_attributes_host_time_per_component():
     sim = Simulator(idle_skip=False, profile_time=True)
 
@@ -206,6 +286,20 @@ def test_profile_time_attributes_host_time_per_component():
     assert prof.components["busy"].ticks == 10
     assert prof.components["busy"].time_s >= 0.0
     assert "busy" in prof.render()
+
+
+def test_profile_time_runs_on_the_fast_schedule():
+    """Profiling keeps the fast schedule: only executed ticks are
+    counted, skipped windows stay skipped, and the kernel's own host
+    time is reported next to the components'."""
+    sim = Simulator(profile_time=True)
+    sim.add(Sleeper())
+    sim.step(350)
+    prof = sim.profile()
+    assert prof.skipped == 347
+    assert prof.components["sleeper"].ticks == 3
+    assert prof.kernel_s >= 0.0
+    assert "<kernel>" in prof.render()
 
 
 def test_waveform_probe_disables_skipping():
@@ -250,10 +344,9 @@ def _execute(case, plan=None, trace=None, **soc_kw):
     soc = SoC(racs=[case.rac()], trace=trace, **soc_kw)
     if plan is not None:
         inject_faults(soc, plan)
-        # armed fault injectors must deterministically force the
-        # kernel off the dispatch-table fast path, whatever the
-        # requested mode (satellite c)
-        assert not soc.sim.dispatch_active
+        # armed fault injectors must deterministically force every
+        # component to tick on every executed cycle
+        assert soc.sim.full_dispatch
     soc.write_ram(IN, case.inputs)
     soc.write_ram(PROG, case.program.words())
     ocp = soc.ocp
@@ -269,18 +362,19 @@ def _execute(case, plan=None, trace=None, **soc_kw):
     return soc, previous
 
 
-def _run_case(case, idle_skip, plan=None, strict=False, vectorized=True):
-    """Run one differential-harness workload; capture all observables."""
-    trace = Trace()
+def _run_case(case, idle_skip, plan=None, strict=False, traced=True):
+    """Run one differential-harness workload; capture all observables
+    (the trace only when ``traced``: trace-free runs take the batch
+    lane)."""
+    trace = Trace() if traced else None
     soc, residual = _execute(case, plan=plan, trace=trace,
-                             idle_skip=idle_skip, strict=strict,
-                             vectorized=vectorized)
+                             idle_skip=idle_skip, strict=strict)
     ocp = soc.ocp
     return {
         "memory": soc.read_ram(OUT, case.total),
         "residual": residual,
         "cycle": soc.sim.cycle,
-        "trace": trace.dump(),
+        "trace": trace.dump() if traced else None,
         "controller_stats": ocp.controller.stats.as_dict(),
         "bus_stats": soc.bus.stats.as_dict(),
     }, soc.sim.profile()
@@ -288,37 +382,32 @@ def _run_case(case, idle_skip, plan=None, strict=False, vectorized=True):
 
 @pytest.mark.parametrize("index", range(N_EQUIVALENCE))
 def test_equivalence_random_workloads(index):
-    """Same seeded SoC workload, naive vs idle-skip vs vectorized
-    dispatch, clean and faulted: memory, residuals, traces, cycle
+    """Same seeded SoC workload, naive vs fast schedule (traced and
+    trace-free), clean and faulted: memory, residuals, traces, cycle
     counts and statistics all equal."""
     seed = SEED_BASE + 100_000 + index
     rng = random.Random(seed)
     case = Case(rng)
 
-    naive, naive_prof = _run_case(case, idle_skip=False, vectorized=False)
-    fast, fast_prof = _run_case(case, idle_skip=True, vectorized=False)
-    vec, vec_prof = _run_case(case, idle_skip=True, vectorized=True)
-    assert fast == naive, f"idle-skip diverged at seed {seed}"
-    assert vec == naive, f"vectorized dispatch diverged at seed {seed}"
+    naive, naive_prof = _run_case(case, idle_skip=False)
+    fast, fast_prof = _run_case(case, idle_skip=True)
+    hot, hot_prof = _run_case(case, idle_skip=True, traced=False)
+    assert fast == naive, f"fast schedule diverged at seed {seed}"
+    assert hot == dict(naive, trace=None), (
+        f"trace-free fast schedule diverged at seed {seed}"
+    )
     assert naive_prof.skipped == 0
     assert fast_prof.ticked + fast_prof.skipped == fast_prof.cycles
-    assert vec_prof.ticked + vec_prof.skipped == vec_prof.cycles
+    assert hot_prof.ticked + hot_prof.skipped == hot_prof.cycles
 
     plan = FaultPlan.random_stalls(
         seed, n_events=rng.randint(1, 4), sites=("ram",), max_index=6,
         max_stall=25,
     )
-    naive_faulted, _ = _run_case(case, idle_skip=False, plan=plan,
-                                 vectorized=False)
-    fast_faulted, _ = _run_case(case, idle_skip=True, plan=plan,
-                                vectorized=False)
-    vec_faulted, _ = _run_case(case, idle_skip=True, plan=plan,
-                               vectorized=True)
+    naive_faulted, _ = _run_case(case, idle_skip=False, plan=plan)
+    fast_faulted, _ = _run_case(case, idle_skip=True, plan=plan)
     assert fast_faulted == naive_faulted, (
-        f"idle-skip diverged under stall faults at seed {seed}"
-    )
-    assert vec_faulted == naive_faulted, (
-        f"vectorized dispatch diverged under stall faults at seed {seed}"
+        f"fast schedule diverged under stall faults at seed {seed}"
     )
     # when a stall actually fired (short programs can finish before the
     # scheduled access index), the cycle count must have moved with it
@@ -328,20 +417,61 @@ def test_equivalence_random_workloads(index):
 
 @pytest.mark.parametrize("index", range(N_STRICT))
 def test_equivalence_strict_mode_audits_idle_claims(index):
-    """strict=True re-executes every declared-idle window naively and
-    asserts the quiescence claims held -- on real SoC workloads."""
+    """strict=True audits every cached claim of the fast schedule,
+    re-executes every declared-idle window naively and asserts the
+    quiescence claims held -- on real SoC workloads, traced and
+    trace-free."""
     seed = SEED_BASE + 200_000 + index
     case = Case(random.Random(seed))
     naive, _ = _run_case(case, idle_skip=False)
     strict, _ = _run_case(case, idle_skip=True, strict=True)
     assert strict == naive, f"strict-mode divergence at seed {seed}"
-    # asking for the fast path under strict must not change anything:
-    # strict mode wins and forces full dispatch
-    strict_vec, _ = _run_case(case, idle_skip=True, strict=True,
-                              vectorized=True)
-    assert strict_vec == naive, (
-        f"strict+vectorized divergence at seed {seed}"
+    strict_hot, _ = _run_case(case, idle_skip=True, strict=True,
+                              traced=False)
+    assert strict_hot == dict(naive, trace=None), (
+        f"trace-free strict divergence at seed {seed}"
     )
+
+
+def test_strict_mode_audits_long_transfer_slabs(monkeypatch):
+    """A whole-transform DFT on the AXI4 long-burst system moves its
+    data in slabs of many cycles; trace-free strict mode checks every
+    one against its naive replay and still ends naive-exact."""
+    from repro.bus.protocol import AXI4
+    from repro.core.program import OuProgram
+    from repro.rac.dft import DFTRac
+    from repro.sim import audit
+
+    data = [(index * 97 + 5) % 1024 for index in range(512)]
+    program = OuProgram()
+    program.stream_to(1, 512, chunk=128).execs().stream_from(2, 512, chunk=128)
+    program.eop()
+
+    def run(**kw):
+        soc = SoC(racs=[DFTRac(n_points=256, fifo_depth=512)],
+                  ram_size=1 << 17, protocol=AXI4, **kw)
+        soc.write_ram(IN, data)
+        soc.write_ram(PROG, program.words())
+        ocp = soc.ocp
+        for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
+            ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
+        ocp.interface.write_word(REG_PROG_SIZE, len(program))
+        ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+        soc.run_until(lambda: ocp.done, max_cycles=100_000)
+        return (soc.sim.cycle, soc.read_ram(OUT, 512),
+                ocp.controller.stats.as_dict(), soc.bus.stats.as_dict())
+
+    slabs = []
+    audit_batch = audit.audit_batch
+
+    def counting(sim, sole, horizon):
+        start = sim.cycle
+        audit_batch(sim, sole, horizon)
+        slabs.append(sim.cycle - start)
+
+    monkeypatch.setattr(audit, "audit_batch", counting)
+    assert run(strict=True) == run(idle_skip=False)
+    assert slabs and max(slabs) >= 64
 
 
 # -- trace-free hot mode (tentpole: spans compile down to counters) ---------
@@ -356,11 +486,9 @@ def test_hot_mode_counters_match_trace_derived_values():
 
     case = Case(random.Random(SEED_BASE + 300_000))
     trace = Trace()
-    ref_soc, ref_residual = _execute(case, trace=trace, idle_skip=True,
-                                     vectorized=True)
-    hot_soc, hot_residual = _execute(case, trace=None, idle_skip=True,
-                                     vectorized=True)
-    assert hot_soc.sim.hot  # genuinely ran trace-free on the table
+    ref_soc, ref_residual = _execute(case, trace=trace)
+    hot_soc, hot_residual = _execute(case, trace=None)
+    assert hot_soc.sim.hot  # genuinely ran trace-free on the batch lane
 
     assert hot_residual == ref_residual
     assert (hot_soc.read_ram(OUT, case.total)
@@ -381,7 +509,7 @@ def test_hot_mode_span_reconstruction_refuses_loudly():
     from repro.obs import reconstruct_spans
 
     case = Case(random.Random(SEED_BASE + 310_000))
-    soc, _ = _execute(case, trace=None, idle_skip=True, vectorized=True)
+    soc, _ = _execute(case, trace=None)
     assert soc.sim.hot
     with pytest.raises(SimulationError, match="hot mode"):
         reconstruct_spans(soc.sim.trace)
@@ -389,7 +517,7 @@ def test_hot_mode_span_reconstruction_refuses_loudly():
 
 # -- overlapping DMA bursts + controller prefetch (satellite b) -------------
 
-def _run_dma_overlap(idle_skip, vectorized, seed):
+def _run_dma_overlap(idle_skip, seed):
     """OCP run with a DMA copy bursting across the same bus.
 
     The DMA engine contends with the controller's whole-ibuf PREFETCH
@@ -415,7 +543,7 @@ def _run_dma_overlap(idle_skip, vectorized, seed):
 
     trace = Trace()
     soc = SoC(racs=[case.rac()], trace=trace, idle_skip=idle_skip,
-              vectorized=vectorized, with_dma=True)
+              with_dma=True)
     soc.write_ram(IN, case.inputs)
     soc.write_ram(PROG, case.program.words())
     soc.write_ram(dma_src, payload)
@@ -448,19 +576,15 @@ def _run_dma_overlap(idle_skip, vectorized, seed):
 
 @pytest.mark.parametrize("index", range(6))
 def test_equivalence_dma_bursts_overlap_prefetch_and_xfers(index):
-    """Naive vs idle-skip vs vectorized with a DMA engine hammering
-    the bus during controller PREFETCH and data transfers: no mode may
-    skip past a wake-up caused by the other master's bursts."""
+    """Naive vs fast schedule with a DMA engine hammering the bus
+    during controller PREFETCH and data transfers: the fast schedule
+    may not skip past a wake-up caused by the other master's
+    bursts."""
     seed = SEED_BASE + 400_000 + index
-    naive, naive_prof = _run_dma_overlap(idle_skip=False,
-                                         vectorized=False, seed=seed)
-    fast, _ = _run_dma_overlap(idle_skip=True, vectorized=False,
-                               seed=seed)
-    vec, _ = _run_dma_overlap(idle_skip=True, vectorized=True,
-                              seed=seed)
+    naive, naive_prof = _run_dma_overlap(idle_skip=False, seed=seed)
+    fast, _ = _run_dma_overlap(idle_skip=True, seed=seed)
     assert naive_prof.skipped == 0
-    assert fast == naive, f"idle-skip diverged under DMA overlap ({seed})"
-    assert vec == naive, f"vectorized diverged under DMA overlap ({seed})"
+    assert fast == naive, f"fast schedule diverged under DMA overlap ({seed})"
     # the contention must be real: both masters issued bus requests
     assert naive["bus_stats"].get("requests.dma", 0) > 0
     assert any(key.startswith("requests.ocp") for key in
@@ -522,7 +646,7 @@ def _run_sched_case(idle_skip, strict=False, n_ocps=4, seed=424242):
 
 
 def test_equivalence_multi_ocp_scheduler_contention():
-    """Naive vs idle-skip on a contended 4-OCP scheduler stream: every
+    """Naive vs fast schedule on a contended 4-OCP scheduler stream: every
     observable -- outputs, cycle counts, traces, completion order,
     per-OCP attribution and the schedule report -- is bit-identical."""
     naive, naive_prof = _run_sched_case(idle_skip=False)
@@ -534,8 +658,9 @@ def test_equivalence_multi_ocp_scheduler_contention():
 
 
 def test_equivalence_multi_ocp_strict_audits_scheduler_idle_claims():
-    """strict=True naively re-executes every window the scheduler (and
-    its six-OCP neighbourhood) declared idle, and must find no lies."""
+    """strict=True audits the scheduler's (and its six-OCP
+    neighbourhood's) cached claims, naively re-executes every window
+    they declared idle, and must find no lies."""
     naive, _ = _run_sched_case(idle_skip=False, n_ocps=6, seed=515151)
     strict, _ = _run_sched_case(idle_skip=True, strict=True, n_ocps=6,
                                 seed=515151)
