@@ -1,25 +1,34 @@
 """The GPP instruction-set simulator (Leon3 stand-in).
 
-Two execution modes share one instruction-execution core:
+Two execution modes share one instruction-execution core, a basic-block
+translator.  One opcode table (:data:`_OPS`) maps each instruction to a
+Python statement; :meth:`CPU._translate` joins the statements of a
+straight-line run of instructions into one function, compiles it, and
+caches it by entry pc until the next :meth:`CPU.load`.  A block's cycle
+cost and instruction count are summed once, at translation time.
 
-* **fast mode** (:meth:`CPU.run`): a tight fetch/execute loop with no
+* **fast mode** (:meth:`CPU.run`): chains whole blocks with no
   simulator in sight, used for the pure-software baselines of Table I
   (hundreds of thousands to millions of instructions).  Loads and
   stores must stay inside the directly attached memory.
 * **ticked mode** (:meth:`CPU.tick` under a
-  :class:`~repro.sim.kernel.Simulator`): one instruction retires per
-  cost-model cycles; accesses outside the direct memory window become
-  bus transactions (MMIO) -- this is how assembly drivers program the
-  Ouessant coprocessor's registers in the integration tests.
+  :class:`~repro.sim.kernel.Simulator`): single-instruction
+  translations, one retiring per cost-model cycles; accesses outside
+  the direct memory window become bus transactions (MMIO) -- this is
+  how assembly drivers program the Ouessant coprocessor's registers in
+  the integration tests.
 
 Both modes charge cycles through the same :class:`~repro.cpu.isa.CostModel`,
 so a kernel measured in fast mode costs exactly what it would cost
-inline in a ticked run (as long as it performs no MMIO).
+inline in a ticked run (as long as it performs no MMIO).  An unaligned
+``lw``/``sw`` inside the direct window raises :class:`SimulationError`
+in both modes.  ``docs/SIMULATION.md`` ("ISS block translation")
+documents block boundaries and cache lifetime.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..bus.bus import SystemBus
 from ..bus.irq import IRQController
@@ -30,14 +39,86 @@ from ..sim.kernel import Component
 from ..sim.tracing import Stats
 from ..utils import bits
 from .assembler import AssembledProgram
-from .isa import CostModel, Instruction, Op, decode
+from .isa import BRANCH_OPS, CostModel, Instruction, Op, decode
 
 _MASK = bits.WORD_MASK
 _SIGN = 1 << 31
 
+#: The one opcode table: the Python statement each instruction becomes
+#: inside a block function ``block(cpu, r, m, mmio)`` over the register
+#: list ``r`` and the memory word list ``m``; ``mmio`` is true in ticked
+#: mode.  Placeholders: ``{a}`` / ``{b}`` rs1 / rs2 (``{sa}`` / ``{sb}``
+#: signed), ``{v}`` the rd register (a store's value), ``{rd}`` its
+#: number, ``{w}`` the ``r[rd] = `` prefix (empty for r0, whose writes
+#: are dropped), ``{i}`` the immediate, ``{k}`` its low five bits,
+#: ``{j}`` the immediate minus the memory base, ``{ok}`` the test that
+#: word offset ``o`` is aligned and inside the window, ``{pc}``,
+#: ``{link}`` (pc + 4) and ``{t}`` (branch/jal target), ``{c}`` the
+#: block's cycles before this instruction.  A block function returns
+#: the next pc; the translator appends the fall-through ``return``.
+_OPS: Dict[Op, str] = {
+    Op.ADD: "{w}({a} + {b}) & 0xFFFFFFFF",
+    Op.SUB: "{w}({a} - {b}) & 0xFFFFFFFF",
+    # the low word of a product does not depend on operand signedness
+    Op.MUL: "{w}({a} * {b}) & 0xFFFFFFFF",
+    Op.AND: "{w}{a} & {b}",
+    Op.OR: "{w}{a} | {b}",
+    Op.XOR: "{w}{a} ^ {b}",
+    Op.SLL: "{w}({a} << ({b} & 31)) & 0xFFFFFFFF",
+    Op.SRL: "{w}{a} >> ({b} & 31)",
+    Op.SRA: "{w}({sa} >> ({b} & 31)) & 0xFFFFFFFF",
+    Op.SLT: "{w}1 if {sa} < {sb} else 0",
+    Op.SLTU: "{w}1 if {a} < {b} else 0",
+    # truncating division; x / 0 = all ones, x % 0 = x
+    Op.DIV: "{w}int({sa} / d) & 0xFFFFFFFF if (d := {sb}) else 0xFFFFFFFF",
+    Op.REM: "{w}({sa} - d * int({sa} / d)) & 0xFFFFFFFF "
+            "if (d := {sb}) else {a}",
+    Op.ADDI: "{w}({a} + {i}) & 0xFFFFFFFF",
+    Op.ANDI: "{w}{a} & {i}",
+    Op.ORI: "{w}{a} | {i}",
+    Op.XORI: "{w}{a} ^ {i}",
+    Op.SLLI: "{w}({a} << {k}) & 0xFFFFFFFF",
+    Op.SRLI: "{w}{a} >> {k}",
+    Op.SRAI: "{w}({sa} >> {k}) & 0xFFFFFFFF",
+    Op.SLTI: "{w}1 if {sa} < {i} else 0",
+    Op.LUI: "{w}({i} << 16) & 0xFFFFFFFF",
+    Op.LW: "o = ({a} + {j}) & 0xFFFFFFFF\n"
+           "if {ok}: {w}m[o >> 2]\n"
+           "else: cpu._stray({pc}, {c}, READ, o, {rd}, mmio)",
+    Op.SW: "o = ({a} + {j}) & 0xFFFFFFFF\n"
+           "if {ok}: m[o >> 2] = {v}\n"
+           "else: cpu._stray({pc}, {c}, WRITE, o, {rd}, mmio)",
+    Op.BEQ: "if {a} == {b}: return {t}",
+    Op.BNE: "if {a} != {b}: return {t}",
+    Op.BLT: "if {sa} < {sb}: return {t}",
+    Op.BGE: "if {sa} >= {sb}: return {t}",
+    Op.BLTU: "if {a} < {b}: return {t}",
+    Op.BGEU: "if {a} >= {b}: return {t}",
+    Op.JAL: "{w}{link}\nreturn {t}",
+    # rs1 is read before rd is written: jalr r5, r5, 0 jumps to old r5
+    Op.JALR: "t = ({a} + {i}) & 0xFFFFFFFC\n{w}{link}\nreturn t",
+    Op.HALT: "cpu.halted = True\nreturn {pc}",
+    # ticked mode reaches a wfi only once an interrupt is pending
+    Op.WFI: "if not mmio: "
+            "cpu._fault({pc}, {c}, 'wfi is not allowed in fast mode')",
+}
+
+_BLOCK_ENDS = BRANCH_OPS | {Op.JAL, Op.JALR, Op.HALT, Op.WFI}
+
+#: a translated block: (function, instruction count, cycle cost)
+_Block = Tuple[Callable[..., int], int, int]
+
 
 def _signed(value: int) -> int:
     return value - (1 << 32) if value & _SIGN else value
+
+
+def _operand(reg: int) -> str:
+    return f"r[{reg}]" if reg else "0"
+
+
+def _signed_operand(reg: int) -> str:
+    return f"((r[{reg}] ^ 0x80000000) - 0x80000000)" if reg else "0"
 
 
 class CPU(Component):
@@ -82,6 +163,10 @@ class CPU(Component):
         self.instret = 0
         self.stats = Stats()
         self._decoded: Dict[int, Instruction] = {}
+        #: translated blocks by entry pc: whole blocks (fast mode) and
+        #: single instructions (ticked mode, and fast mode at its limit)
+        self._blocks: Dict[int, _Block] = {}
+        self._steps: Dict[int, _Block] = {}
         self._stall = 0
         self._pending: Optional[BusTransfer] = None
         self._pending_rd: Optional[int] = None
@@ -99,6 +184,8 @@ class CPU(Component):
                 program.data_base - self.memory_base, program.data
             )
         self._decoded = {}
+        self._blocks = {}
+        self._steps = {}
         for index, word in enumerate(program.text):
             self._decoded[program.text_base + 4 * index] = decode(word)
         self.pc = program.entry
@@ -136,14 +223,24 @@ class CPU(Component):
         """
         start_cycles = self.cycles
         executed = 0
+        blocks = self._blocks
+        regs = self.regs
+        words = None if self.memory is None else self.memory.words
+        pc = self.pc
         while not self.halted:
             if executed >= max_instructions:
                 raise SimulationError(
                     f"fast run exceeded {max_instructions} instructions"
                 )
-            instr = self._fetch(self.pc)
-            self.cycles += self._execute(instr, allow_mmio=False)
-            executed += 1
+            block = blocks.get(pc) or self._translate(pc, 0)
+            if executed + block[1] > max_instructions:
+                # the block would cross the limit: one instruction at a
+                # time, so the limit fires where it always has
+                block = self._steps.get(pc) or self._translate(pc, 1)
+            function, count, cycles = block
+            self.pc = pc = function(self, regs, words, False)
+            self.cycles += cycles
+            executed += count
         self.instret += executed
         return self.cycles - start_cycles
 
@@ -164,12 +261,14 @@ class CPU(Component):
             self._stall -= 1
             self.cycles += 1
             return
-        instr = self._fetch(self.pc)
-        if instr.op is Op.WFI and (self.irq is None or not self.irq.any_pending()):
+        pc = self.pc
+        function, _, cost = self._steps.get(pc) or self._translate(pc, 1)
+        if (self._decoded[pc].op is Op.WFI
+                and (self.irq is None or not self.irq.any_pending())):
             self.cycles += 1
             self.stats.incr("wfi_cycles")
             return  # stay on the wfi until an interrupt arrives
-        cost = self._execute(instr, allow_mmio=True)
+        self.pc = function(self, self.regs, self.memory.words, True)
         self.cycles += 1
         self.instret += 1
         if self._pending is None:
@@ -210,165 +309,85 @@ class CPU(Component):
     def _fetch(self, pc: int) -> Instruction:
         instr = self._decoded.get(pc)
         if instr is None:
-            word = self._load_word(pc)
-            instr = decode(word)
+            offset = pc - self.memory_base
+            if self.memory is None or not 0 <= offset < self.memory.size_bytes:
+                raise SimulationError(
+                    f"{self.name}: fetch/load outside memory at {pc:#x}"
+                )
+            if offset & 3:
+                raise SimulationError(f"{self.name}: unaligned pc {pc:#x}")
+            instr = decode(self.memory.words[offset >> 2])
             self._decoded[pc] = instr
         return instr
 
-    def _mem_index(self, address: int) -> Optional[int]:
-        if self.memory is None:
-            return None
-        offset = address - self.memory_base
-        if 0 <= offset < self.memory.size_bytes:
-            return offset >> 2
-        return None
+    def _translate(self, pc: int, limit: int) -> _Block:
+        """Translate, compile and cache the block entered at ``pc``.
 
-    def _load_word(self, address: int) -> int:
-        index = self._mem_index(address)
-        if index is None:
-            raise SimulationError(
-                f"{self.name}: fetch/load outside memory at {address:#x}"
-            )
-        return self.memory.words[index]
-
-    def _execute(self, instr: Instruction, allow_mmio: bool) -> int:
-        """Execute one instruction; returns its cycle cost.
-
-        In ticked mode an MMIO access sets ``self._pending`` and the
-        cost is paid by waiting for the bus transfer instead.
+        The block holds at most ``limit`` instructions (0: no limit;
+        1: the single-instruction cache).  It ends at a branch, jump,
+        ``halt`` or ``wfi``, or just before a pc that is not decoded
+        yet: that pc is fetched and decoded only when control reaches
+        it, so a bad fetch or decode raises exactly where it always has.
         """
-        op = instr.op
-        regs = self.regs
-        pc_next = self.pc + 4
+        instr = self._fetch(pc)
+        entry = pc
+        ok = f"o < {self.memory.size_bytes} and not o & 3"
+        statements: List[str] = []
+        count = cycles = 0
+        while True:
+            statements.append(_OPS[instr.op].format(
+                a=_operand(instr.rs1), b=_operand(instr.rs2),
+                sa=_signed_operand(instr.rs1), sb=_signed_operand(instr.rs2),
+                v=_operand(instr.rd), rd=instr.rd,
+                w=f"r[{instr.rd}] = " if instr.rd else "",
+                i=instr.imm, k=instr.imm & 31, j=instr.imm - self.memory_base,
+                ok=ok, pc=pc, link=(pc + 4) & _MASK, t=pc + 4 + 4 * instr.imm,
+                c=cycles,
+            ))
+            count += 1
+            cycles += self.cost.cost(instr.op)
+            pc += 4
+            if instr.op in _BLOCK_ENDS or count == limit:
+                break
+            instr = self._decoded.get(pc)
+            if instr is None:
+                break
+        statements.append(f"return {pc}")
+        body = "".join(f"\n    {line}" for statement in statements
+                       for line in statement.split("\n"))
+        namespace = {"READ": AccessKind.READ, "WRITE": AccessKind.WRITE}
+        exec(compile(f"def block(cpu, r, m, mmio):{body}",
+                     f"<{self.name} block {entry:#x}>", "exec"), namespace)
+        block = (namespace["block"], count, cycles)
+        (self._steps if limit == 1 else self._blocks)[entry] = block
+        return block
 
-        if op is Op.ADDI:
-            self.set_reg(instr.rd, regs[instr.rs1] + instr.imm)
-        elif op is Op.LW:
-            address = (regs[instr.rs1] + instr.imm) & _MASK
-            index = self._mem_index(address)
-            if index is not None:
-                self.set_reg(instr.rd, self.memory.words[index])
-            else:
-                self._mmio(AccessKind.READ, address, instr.rd, allow_mmio)
-        elif op is Op.SW:
-            address = (regs[instr.rs1] + instr.imm) & _MASK
-            index = self._mem_index(address)
-            if index is not None:
-                if instr.rd == 0:
-                    self.memory.words[index] = 0
-                else:
-                    self.memory.words[index] = regs[instr.rd]
-            else:
-                self._mmio(AccessKind.WRITE, address, instr.rd, allow_mmio)
-        elif op is Op.ADD:
-            self.set_reg(instr.rd, regs[instr.rs1] + regs[instr.rs2])
-        elif op is Op.SUB:
-            self.set_reg(instr.rd, regs[instr.rs1] - regs[instr.rs2])
-        elif op is Op.MUL:
-            self.set_reg(
-                instr.rd, _signed(regs[instr.rs1]) * _signed(regs[instr.rs2])
-            )
-        elif op is Op.AND:
-            self.set_reg(instr.rd, regs[instr.rs1] & regs[instr.rs2])
-        elif op is Op.OR:
-            self.set_reg(instr.rd, regs[instr.rs1] | regs[instr.rs2])
-        elif op is Op.XOR:
-            self.set_reg(instr.rd, regs[instr.rs1] ^ regs[instr.rs2])
-        elif op is Op.SLL:
-            self.set_reg(instr.rd, regs[instr.rs1] << (regs[instr.rs2] & 31))
-        elif op is Op.SRL:
-            self.set_reg(instr.rd, regs[instr.rs1] >> (regs[instr.rs2] & 31))
-        elif op is Op.SRA:
-            self.set_reg(
-                instr.rd, _signed(regs[instr.rs1]) >> (regs[instr.rs2] & 31)
-            )
-        elif op is Op.SLT:
-            self.set_reg(
-                instr.rd,
-                1 if _signed(regs[instr.rs1]) < _signed(regs[instr.rs2]) else 0,
-            )
-        elif op is Op.SLTU:
-            self.set_reg(instr.rd, 1 if regs[instr.rs1] < regs[instr.rs2] else 0)
-        elif op is Op.DIV:
-            divisor = _signed(regs[instr.rs2])
-            if divisor == 0:
-                self.set_reg(instr.rd, _MASK)
-            else:
-                quotient = int(_signed(regs[instr.rs1]) / divisor)
-                self.set_reg(instr.rd, quotient)
-        elif op is Op.REM:
-            divisor = _signed(regs[instr.rs2])
-            if divisor == 0:
-                self.set_reg(instr.rd, regs[instr.rs1])
-            else:
-                dividend = _signed(regs[instr.rs1])
-                self.set_reg(instr.rd, dividend - divisor * int(dividend / divisor))
-        elif op is Op.ANDI:
-            self.set_reg(instr.rd, regs[instr.rs1] & instr.imm)
-        elif op is Op.ORI:
-            self.set_reg(instr.rd, regs[instr.rs1] | instr.imm)
-        elif op is Op.XORI:
-            self.set_reg(instr.rd, regs[instr.rs1] ^ instr.imm)
-        elif op is Op.SLLI:
-            self.set_reg(instr.rd, regs[instr.rs1] << (instr.imm & 31))
-        elif op is Op.SRLI:
-            self.set_reg(instr.rd, regs[instr.rs1] >> (instr.imm & 31))
-        elif op is Op.SRAI:
-            self.set_reg(instr.rd, _signed(regs[instr.rs1]) >> (instr.imm & 31))
-        elif op is Op.SLTI:
-            self.set_reg(
-                instr.rd, 1 if _signed(regs[instr.rs1]) < instr.imm else 0
-            )
-        elif op is Op.LUI:
-            self.set_reg(instr.rd, instr.imm << 16)
-        elif op in (Op.BEQ, Op.BNE, Op.BLT, Op.BGE, Op.BLTU, Op.BGEU):
-            a, b = regs[instr.rs1], regs[instr.rs2]
-            if op is Op.BEQ:
-                taken = a == b
-            elif op is Op.BNE:
-                taken = a != b
-            elif op is Op.BLT:
-                taken = _signed(a) < _signed(b)
-            elif op is Op.BGE:
-                taken = _signed(a) >= _signed(b)
-            elif op is Op.BLTU:
-                taken = a < b
-            else:
-                taken = a >= b
-            if taken:
-                pc_next = self.pc + 4 + 4 * instr.imm
-        elif op is Op.JAL:
-            self.set_reg(instr.rd, pc_next)
-            pc_next = self.pc + 4 + 4 * instr.imm
-        elif op is Op.JALR:
-            self.set_reg(instr.rd, pc_next)
-            pc_next = (regs[instr.rs1] + instr.imm) & ~3 & _MASK
-        elif op is Op.HALT:
-            self.halted = True
-            pc_next = self.pc
-        elif op is Op.WFI:
-            if not allow_mmio:
-                raise SimulationError("wfi is not allowed in fast mode")
-            # reached only when an interrupt is already pending
-        else:  # pragma: no cover - decode rejects undefined opcodes
-            raise SimulationError(f"unimplemented opcode {op}")
+    def _fault(self, pc: int, cycles: int, message: str) -> None:
+        """Stop a block at ``pc`` with ``cycles`` of it charged, and raise."""
+        self.pc = pc
+        self.cycles += cycles
+        raise SimulationError(message)
 
-        self.pc = pc_next
-        return self.cost.cost(op)
-
-    def _mmio(
-        self, kind: AccessKind, address: int, reg_index: int, allowed: bool
+    def _stray(
+        self, pc: int, cycles: int, kind: AccessKind, offset: int,
+        reg: int, mmio: bool,
     ) -> None:
-        if not allowed or self.bus is None:
-            raise SimulationError(
-                f"{self.name}: MMIO access to {address:#x} outside fast-mode memory"
-            )
+        """Slow path of a ``lw``/``sw`` that is not an aligned word of
+        the direct window: an unaligned access faults, an access outside
+        the window goes over the bus (ticked mode only)."""
+        address = (offset + self.memory_base) & _MASK
+        if offset < self.memory.size_bytes:
+            self._fault(pc, cycles, f"{self.name}: unaligned {kind.value} "
+                                    f"at {address:#x} (pc {pc:#x})")
+        if not mmio or self.bus is None:
+            self._fault(pc, cycles, f"{self.name}: MMIO access to "
+                                    f"{address:#x} outside fast-mode memory")
         if kind is AccessKind.READ:
             request = BusRequest(master=self.name, kind=kind,
                                  address=address, priority=0)
-            self._pending_rd = reg_index
+            self._pending_rd = reg
         else:
-            value = 0 if reg_index == 0 else self.regs[reg_index]
+            value = 0 if reg == 0 else self.regs[reg]
             request = BusRequest(master=self.name, kind=kind, address=address,
                                  burst=1, data=[value], priority=0)
             self._pending_rd = None

@@ -64,3 +64,14 @@ def test_table_one_small_dft_shape():
     assert dft.gain > 5.0
     text = render_table_one(rows)
     assert "Gain" in text and "IDCT" in text
+
+
+def test_table_one_full_size_rows_match_experiments():
+    """The full Table I (256-point DFT) pins the EXPERIMENTS.md T1 rows:
+    Lat / HW / SW exactly, and with them the gains 1.61 and 218."""
+    rows = table_one()
+    assert [(r.name, r.lat, r.hw, r.sw) for r in rows] == [
+        ("IDCT", 18, 3293, 5309),
+        ("DFT", 2485, 6935, 1_511_186),
+    ]
+    assert [round(r.gain, 2) for r in rows] == [1.61, 217.91]
