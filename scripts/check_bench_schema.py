@@ -48,9 +48,10 @@ BASELINE_TOLERANCE = 0.8
 
 #: workloads whose committed fast leg is shorter than this are excluded
 #: from the baseline gate: a ratio over a few-millisecond timing is too
-#: close to timer noise to gate at 20% (the gated stall_faulted,
-#: jpeg_idct and dft legs take 15-50 ms of CPU time, best-of-3 on both
-#: legs, and six fresh runs stayed within 12% of the committed ratios)
+#: close to timer noise to gate at 20% (the gated jpeg_idct and dft
+#: legs take 15-50 ms of CPU time, best-of-3 on both legs, and six
+#: fresh runs stayed within 12% of the committed ratios; stall_faulted
+#: fell under the floor once faulted runs took the batch lane)
 MIN_GATE_SECONDS = 0.01
 PERFBOUND_FIELDS = (
     "predicted_lo", "predicted_hi", "measured", "tightness", "sound",

@@ -224,11 +224,11 @@ def _loopback(mode: str):
 
 
 def _stall_faulted(mode: str):
-    """Transfer dominated under injected RAM stalls: fault injectors
-    make every component tick on every executed cycle, so this times
-    the kernel's full-dispatch path (idle windows are still skipped).
-    The recoverable stalls fire inside the program: 4033 cycles against
-    3934 without them."""
+    """Transfer dominated under injected RAM stalls: the injectors
+    ride the same dispatch scan and batch lane as a clean run, so this
+    times the fast schedule with a fault plan armed.  The recoverable
+    stalls fire inside the program: 4033 cycles against 3934 without
+    them."""
     return _run_ocp(
         mode,
         lambda: PassthroughRac(block_size=64, fifo_depth=128,

@@ -25,11 +25,19 @@ from typing import Callable, List, Optional
 
 from ..rac.base import RAC
 from ..rac.fifo import FIFO
-from ..sim.errors import SimulationError
+from ..sim.errors import ConfigurationError, SimulationError
 from ..sim.tracing import Trace, TraceEvent
 from ..system import RAM_BASE, SoC
 from .injectors import ExecHang, FaultySlave, FaultyFIFO, MicrocodeCorruptor
-from .plan import FaultPlan
+from .plan import FaultEvent, FaultKind, FaultPlan
+
+#: the fault kinds the injectors read, by site (``fifo``: ``fifo.*``)
+_SITE_KINDS = {
+    "ram": {FaultKind.BIT_FLIP, FaultKind.SLAVE_ERROR, FaultKind.STALL},
+    "fifo": {FaultKind.BIT_FLIP, FaultKind.DROP_WORD, FaultKind.DUP_WORD},
+    "mc": {FaultKind.CORRUPT_MICROCODE},
+    "rac": {FaultKind.HANG_EXEC},
+}
 
 
 def faulty_fifo_factory(plan: FaultPlan) -> Callable[..., FIFO]:
@@ -51,7 +59,12 @@ def inject_faults(soc: SoC, plan: FaultPlan) -> SoC:
     FIFO faults cannot be added after the fact (the fabric is built at
     OCP construction); use :func:`build_faulty_soc` or pass
     :func:`faulty_fifo_factory` to ``add_ocp`` for those.
+
+    Raises :class:`ConfigurationError` before touching the SoC if no
+    injector would act on some event of ``plan``.
     """
+    for event in plan.events:
+        _check_event(soc, event)
     faulty_ram = FaultySlave("faults.ram", soc.memory, plan, site="ram")
     soc.bus.memmap.replace_slave("ram", faulty_ram)
     soc.sim.add(faulty_ram)
@@ -65,6 +78,28 @@ def inject_faults(soc: SoC, plan: FaultPlan) -> SoC:
             # survives into the controller's next tick
             soc.sim.add(ExecHang(f"faults.rac{suffix}", ocp.rac, plan))
     return soc
+
+
+def _check_event(soc: SoC, event: FaultEvent) -> None:
+    """Raise unless an injector of ``soc`` will act on ``event``."""
+    site = "fifo" if event.site.startswith("fifo.") else event.site
+    if event.kind not in _SITE_KINDS.get(site, ()):
+        problem = f"no injector reads {event.kind.value} at {event.site!r}"
+    elif site == "fifo" and not any(
+        isinstance(fifo, FaultyFIFO) and event in fifo._events
+        for ocp in soc.ocps for fifo in ocp.fifos_in + ocp.fifos_out
+    ):
+        problem = (f"no FIFO at {event.site!r} reads this plan; build the "
+                   "OCP with faulty_fifo_factory(plan)")
+    elif site == "rac" and all(ocp.rac is None for ocp in soc.ocps):
+        problem = "the SoC has no RAC to hang"
+    elif site == "mc" and (event.word % 4 or not RAM_BASE <= event.word
+                           < RAM_BASE + soc.memory.size_bytes):
+        problem = (f"microcode address {event.word:#x} is unaligned or "
+                   "outside RAM")
+    else:
+        return
+    raise ConfigurationError(f"fault {event.describe()}: {problem}")
 
 
 def build_faulty_soc(

@@ -16,6 +16,9 @@ exactly the seams the paper argues make Ouessant pluggable:
 Every injection is recorded in the simulation trace as a
 ``fault.<kind>`` event, so a run's complete fault history can be
 diffed between replays.
+
+Faulted runs take the kernel's fast schedule; each class docstring
+names the pokes its faults rely on or issue.
 """
 
 from __future__ import annotations
@@ -38,11 +41,10 @@ class FaultySlave(Component, BusSlave):
     :meth:`latency_for` exactly once per grant, before the data moves),
     so event indices line up with the order transfers win arbitration
     regardless of how long each one takes.
-    """
 
-    #: armed faults perturb other components without poking them: every
-    #: component must tick on every executed cycle
-    requires_full_dispatch = True
+    Every fault lands inside a bus data-path call, and the bus pokes
+    the waiting master when the transfer completes.
+    """
 
     def __init__(
         self,
@@ -140,10 +142,11 @@ class FaultyFIFO(FIFO):
     :class:`~repro.core.coprocessor.OuessantCoprocessor`; the plan site
     is derived from the fabric name (``fifo.in0``, ``fifo.out1``, ...)
     unless given explicitly.
-    """
 
-    #: see FaultySlave: armed fault sites require full dispatch
-    requires_full_dispatch = True
+    Faulted words take the staging path, whose commit wakes the FIFO's
+    watchers; :meth:`FIFO.push_many` and the streaming RAC's emit slab
+    push word by word into a FIFO that overrides :meth:`push`.
+    """
 
     def __init__(
         self,
@@ -193,10 +196,9 @@ class MicrocodeCorruptor(Component):
     the absolute byte address of the microcode word; ``index`` is the
     trigger cycle.  With prefetch enabled, corrupt before the program
     starts (the controller snapshots bank 0 in one burst).
-    """
 
-    #: see FaultySlave: armed fault sites require full dispatch
-    requires_full_dispatch = True
+    Pokes nothing: no quiescence claim depends on memory contents.
+    """
 
     def __init__(
         self,
@@ -243,10 +245,12 @@ class ExecHang(Component):
     cycles (0 = hang forever).  A suppressed completion is re-asserted
     when the window closes, so finite hangs are purely a timing fault;
     an infinite hang is what the controller watchdog exists for.
-    """
 
-    #: see FaultySlave: armed fault sites require full dispatch
-    requires_full_dispatch = True
+    Ticks through an open window, eating a completion on the cycle the
+    RAC raises it (a poke from the last tick of a batch slab would land
+    a cycle late), and calls ``rac.wake_watchers()`` whenever it clears
+    or re-asserts ``end_op``, poking the controller.
+    """
 
     def __init__(
         self,
@@ -263,57 +267,36 @@ class ExecHang(Component):
         self._suppressed = False
         self._announced: set = set()
 
-    def _active(self) -> bool:
+    def _open_window(self) -> Optional[FaultEvent]:
+        now = self.now
         for event in self._events:
-            if self.now < event.index:
-                continue
-            if event.duration == 0 or self.now < event.index + event.duration:
-                if id(event) not in self._announced:
-                    self._announced.add(id(event))
-                    self.trace_event(
-                        "fault.hang_exec",
-                        duration=event.duration or "forever",
-                    )
-                return True
-        return False
+            if event.index <= now and (
+                event.duration == 0 or now < event.index + event.duration
+            ):
+                return event
+        return None
 
     def next_activity(self):
-        """Sleep between window boundaries.
-
-        Within an open window the suppression itself reacts to
-        ``end_op``, which only the RAC's tick can raise -- the global
-        quiescence rule covers that.  The observable moments are the
-        window edges: the opening tick announces the fault (a trace
-        event), the closing tick re-asserts a suppressed completion.
-        """
-        now = self.now
-        wake = None
-        in_window = False
-        for event in self._events:
-            if now < event.index:
-                edge = event.index  # window opens (announce + suppress)
-            elif event.duration == 0 or now < event.index + event.duration:
-                in_window = True
-                if id(event) not in self._announced:
-                    return now  # open but not yet announced: tick now
-                if self.rac.end_op:
-                    return now  # a completion is waiting to be eaten
-                if event.duration == 0:
-                    continue  # forever-window: no closing edge
-                edge = event.index + event.duration  # window closes
-            else:
-                continue  # window already behind us
-            if wake is None or edge < wake:
-                wake = edge
-        if self._suppressed and not in_window:
-            return now  # the re-assert of end_op is due this cycle
-        return wake
+        # tick through an open window and on the cycle that re-asserts
+        # a suppressed end_op; otherwise sleep until a window opens
+        if self._suppressed or self._open_window() is not None:
+            return self.now
+        return min((e.index for e in self._events if e.index > self.now),
+                   default=None)
 
     def tick(self) -> None:
-        if self._active():
+        event = self._open_window()
+        if event is not None:
+            if id(event) not in self._announced:
+                self._announced.add(id(event))
+                self.trace_event(
+                    "fault.hang_exec", duration=event.duration or "forever"
+                )
             if self.rac.end_op:
                 self._suppressed = True
                 self.rac.end_op = False
+                self.rac.wake_watchers()
         elif self._suppressed:
             self._suppressed = False
             self.rac.end_op = True
+            self.rac.wake_watchers()

@@ -110,7 +110,12 @@ class FaultPlan:
         max_index: int = 32,
         max_stall: int = 20,
     ) -> "FaultPlan":
-        """Draw ``n_events`` faults from a seeded RNG."""
+        """Draw ``n_events`` faults from a seeded RNG.
+
+        ``word`` is drawn from 0..7 (a word within a RAM burst), so a
+        ``CORRUPT_MICROCODE`` event drawn for ``mc`` addresses no RAM
+        and ``inject_faults`` rejects it; build those explicitly.
+        """
         rng = random.Random(seed)
         events = [
             FaultEvent(

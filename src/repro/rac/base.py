@@ -303,11 +303,13 @@ class StreamingRAC(RAC):
 
         Phase transitions (autostart pickup, compute expiry, a tick
         that completes collection) stay single dispatched cycles: their
-        pushes are staged and need the kernel's commit phase.
+        pushes are staged and need the kernel's commit phase.  A FIFO
+        overriding ``push`` gets no emit slab (as in ``push_many``).
         """
         phase = self._phase
         if phase is _Phase.EMIT:
-            return self._single_stream
+            return (self._single_stream
+                    and type(self.outputs[0]).push is FIFO.push)
         return (phase is _Phase.COLLECT and self._single_stream
                 and len(self._collected[0]) < self.items_in[0])
 

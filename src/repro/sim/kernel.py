@@ -39,10 +39,12 @@ cache once per event, and
 
 A quiescent component's per-cycle counters are reconciled lazily via
 :meth:`Component.on_skip`, just before its next tick or at the end of
-the public ``step``/``run_until`` call.  Components that must see every
-cycle (waveform probes, fault injectors) set
-:attr:`Component.requires_full_dispatch`; while one is registered every
-component ticks on every cycle that is not skipped.
+the public ``step``/``run_until`` call.  Anything that changes state a
+quiescent component's claim depends on pokes it -- fault injectors
+included -- so faulted runs take the same schedule.  Only a component
+that samples live per-cycle state (a waveform probe) sets
+:attr:`Component.requires_full_dispatch`; while one is registered the
+kernel runs the naive stepper.
 
 ``Simulator(strict=True)`` audits the fast schedule while it runs
 (:mod:`repro.sim.audit`): it checks each cached claim against a fresh
@@ -71,10 +73,10 @@ class Component:
     per-cycle counters, :meth:`on_skip`) to take part in idle skipping.
     """
 
-    #: set True on components whose mere presence requires every
-    #: component to tick on every executed cycle (waveform probes sample
-    #: every cycle, fault injectors perturb other components without
-    #: poking them)
+    #: set True on components that sample other components' live
+    #: per-cycle state (waveform probes): while one is registered the
+    #: kernel runs the naive stepper, since the fast schedule reconciles
+    #: quiescent counters lazily
     requires_full_dispatch = False
 
     #: True while :meth:`tick_batch` may run (a class attribute or a
@@ -309,9 +311,10 @@ class Simulator:
         Without one, the fast schedule may batch (see
         :meth:`Component.tick_batch`).
     idle_skip:
-        Run the fast schedule (default True).  With it off the kernel is
-        the naive two-phase stepper; results must be bit-identical
-        either way.
+        Run the fast schedule (default True).  With it off -- or while a
+        component that requires full dispatch is registered -- the
+        kernel is the naive two-phase stepper; results must be
+        bit-identical either way.
     strict:
         Audit the fast schedule: every cached quiescence claim is
         re-polled before it is trusted, every declared-idle window is
@@ -345,7 +348,7 @@ class Simulator:
         self.idle_skip = idle_skip
         self.strict = strict
         self.profile_time = profile_time
-        #: registered components that require full dispatch
+        #: registered components that require full dispatch (naive)
         self._full_dispatch = 0
         #: True while inside a fast-schedule step/run_until (skip
         #: reconciliation is deferred per component during this time)
@@ -418,11 +421,6 @@ class Simulator:
             if comp.name == name:
                 return comp
         raise KeyError(name)
-
-    @property
-    def full_dispatch(self) -> bool:
-        """True while a registered component requires full dispatch."""
-        return self._full_dispatch > 0
 
     @property
     def hot(self) -> bool:
@@ -515,13 +513,10 @@ class Simulator:
         """
         begin = perf_counter() if self.profile_time else 0.0
         start = self.cycle
-        fast = self.idle_skip
-        strict = self.strict
-        # full dispatch needs no claim cache (strict audits it anyway)
-        eager = fast and self._full_dispatch > 0 and not strict
-        # the shipping schedule; every other mode is one branch away
-        plain = fast and not self._full_dispatch and not strict
-        if fast and not eager:
+        fast = self.idle_skip and not self._full_dispatch
+        # the shipping schedule; strict mode audits the same decisions
+        plain = fast and not self.strict
+        if fast:
             # anything may have mutated component state between public
             # calls (register backdoors, FIFO drains in test harnesses):
             # trust no cached claim from a previous call
@@ -552,19 +547,19 @@ class Simulator:
                         self._dispatch_batch(sole, horizon)
                     else:
                         self._dispatch_cycle()
-                elif not fast:
-                    self._tick_all()
-                elif eager:
-                    self._full_cycle(limit)
-                else:
+                elif fast:
                     self._audited_event(limit)
+                else:
+                    self._tick_all()
         finally:
-            if eager:
-                for comp in self._components:
-                    comp._synced = self.cycle
-            elif fast:
+            if fast:
                 self._settle()
                 self._dispatching = False
+            else:
+                # every cycle was ticked: nothing is left for a later
+                # fast epoch to reconcile through on_skip
+                for comp in self._components:
+                    comp._synced = self.cycle
             if self.profile_time:
                 self._advance_s += perf_counter() - begin
 
@@ -600,38 +595,14 @@ class Simulator:
             comp._synced = now
             comp._wake_valid = False
 
-    def _full_cycle(self, bound: int) -> None:
-        """Full dispatch: tick every component on any cycle some
-        component is due, else skip to the earliest wake (at most
-        ``bound``) with ``on_skip`` applied at once."""
-        now = self.cycle
-        horizon = bound
-        for comp in self._components:
-            wake = comp.next_activity()
-            if wake is None:
-                continue
-            if wake <= now:
-                self._tick_all()
-                return
-            if wake < horizon:
-                horizon = wake
-        for comp in self._components:
-            comp.on_skip(horizon - now)
-        self.cycle = horizon
-        self._skipped += horizon - now
-        self._skip_windows += 1
-
     def _audited_event(self, bound: int) -> None:
         """Strict mode: take the dispatch scan's decision, audited by
-        :mod:`repro.sim.audit` (the real system always ticks naively);
-        under full dispatch every due cycle is a naive one."""
+        :mod:`repro.sim.audit` (the real system always ticks naively)."""
         audit.audit_claims(self)
         now = self.cycle
         due, sole, horizon = self._dispatch_scan(bound)
         if due == 0:
             audit.replay(self, horizon - now)
-        elif self._full_dispatch:
-            self._tick_settled()
         elif (self.trace is None and due == 1 and sole.can_batch
                 and horizon - now >= 2):
             audit.audit_batch(self, sole, horizon)

@@ -31,9 +31,9 @@ Signal = Callable[[], int]
 class WaveformProbe(Component):
     """Samples named signals into a :class:`VCDWriter` every cycle."""
 
-    #: a probe samples every cycle: its presence makes every component
-    #: tick on every executed cycle (and, via next_activity below,
-    #: disables idle skipping entirely)
+    #: a probe samples live per-cycle state (FIFO levels, bus counters)
+    #: that the fast schedule reconciles lazily: while one is
+    #: registered the kernel runs the naive stepper
     requires_full_dispatch = True
 
     def __init__(
@@ -49,12 +49,6 @@ class WaveformProbe(Component):
         for signal_name in self.signals:
             vcd.register(signal_name, width=width_hint)
         self.samples = 0
-
-    def next_activity(self):
-        # a probe must observe every cycle: registering one disables
-        # idle skipping for the whole simulator, which is exactly what
-        # a waveform capture wants (no gaps in the dump)
-        return self.now
 
     def tick(self) -> None:
         for signal_name, fn in self.signals.items():

@@ -20,10 +20,11 @@ from repro.faults import (
     build_faulty_soc,
     fault_signature,
     fifo_site_for,
+    inject_faults,
 )
 from repro.mem.memory import Memory
 from repro.rac.scale import PassthroughRac
-from repro.sim.errors import DriverTimeout, OcpRunError
+from repro.sim.errors import ConfigurationError, DriverTimeout, OcpRunError
 from repro.sim.tracing import Trace
 from repro.sw.driver import OuessantDriver
 from repro.system import RAM_BASE, SoC
@@ -138,6 +139,58 @@ def test_faulty_fifo_drop_dup_flip():
     flipper.push(0)
     flipper.commit()
     assert flipper.pop() == 8
+
+
+# ---------------------------------------------------------------------------
+# malformed plans fail at injection
+# ---------------------------------------------------------------------------
+
+def _rejected(soc, *events):
+    """inject_faults must refuse the plan before touching the SoC."""
+    with pytest.raises(ConfigurationError) as excinfo:
+        inject_faults(soc, FaultPlan(events=list(events)))
+    assert not any(comp.name.startswith("faults.")
+                   for comp in soc.sim.components)
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("event", [
+    FaultEvent(FaultKind.HANG_EXEC, "mc", index=10, duration=5),
+    FaultEvent(FaultKind.SLAVE_ERROR, "rac", index=0),
+    FaultEvent(FaultKind.STALL, "fifo.in0", index=0, duration=3),
+    FaultEvent(FaultKind.BIT_FLIP, "dram", index=0),
+])
+def test_inject_rejects_event_no_injector_reads(event):
+    soc = SoC(racs=[PassthroughRac(block_size=BLOCK)])
+    assert event.describe() in _rejected(soc, event)
+
+
+def test_inject_rejects_hang_on_soc_without_rac():
+    event = FaultEvent(FaultKind.HANG_EXEC, "rac", index=0, duration=0)
+    assert event.describe() in _rejected(SoC(), event)
+
+
+def test_inject_rejects_fifo_event_without_faulty_fabric():
+    event = FaultEvent(FaultKind.DROP_WORD, "fifo.in0", index=1)
+    soc = SoC(racs=[PassthroughRac(block_size=BLOCK)])
+    message = _rejected(soc, event)
+    assert event.describe() in message
+    assert "faulty_fifo_factory" in message
+    # the same event on a fabric built from the plan is accepted
+    build_faulty_soc(PassthroughRac(block_size=BLOCK),
+                     FaultPlan(events=[event]))
+
+
+@pytest.mark.parametrize("word", [
+    PROG + 2,                       # unaligned
+    3,                              # what FaultPlan.random draws
+    RAM_BASE - 4,                   # just below RAM
+    RAM_BASE + (1 << 30),           # far past the end of RAM
+])
+def test_inject_rejects_microcode_address_outside_ram(word):
+    event = FaultEvent(FaultKind.CORRUPT_MICROCODE, "mc", index=5, word=word)
+    soc = SoC(racs=[PassthroughRac(block_size=BLOCK)])
+    assert event.describe() in _rejected(soc, event)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ statistics -- must be bit-identical to the naive two-phase stepper.
 The first half of this file unit-tests the kernel mechanics (wake
 computation, chunked predicate re-checks, strict mode, profiling); the
 second half property-tests whole-SoC equivalence on the seeded random
-workloads of the differential harness, clean and under injected stall
-faults, traced and trace-free (batch lane).
+workloads of the differential harness, clean, under injected stall
+faults and under plans mixing every fault kind, traced and trace-free
+(batch lane).
 """
 
 import random
@@ -16,10 +17,18 @@ import warnings
 
 import pytest
 
-from repro.faults import FaultPlan, inject_faults
+from repro.core.program import OuProgram
+from repro.faults import (
+    FaultEvent,
+    FaultKind,
+    FaultPlan,
+    faulty_fifo_factory,
+    inject_faults,
+)
 from repro.sim import (
     Component,
     DeadlockError,
+    ReproError,
     SimulationError,
     Simulator,
     Trace,
@@ -315,6 +324,63 @@ def test_waveform_probe_disables_skipping():
     assert prof.ticked == 250  # every cycle sampled: gap-free dump
 
 
+def _probed_run(idle_skip, remove_at=None):
+    """A SoC workload captured into a VCD: the standard OCP probe set
+    plus the bus's busy-cycle counter, a per-cycle statistic the fast
+    schedule reconciles lazily.  With ``remove_at`` the probe is
+    unregistered at that cycle and the run continues without it."""
+    from repro.sim import VCDWriter, WaveformProbe
+    from repro.sim.waveform import ocp_probe
+
+    case = Case(random.Random(SEED_BASE + 600_000))
+    trace = Trace()
+    soc = SoC(racs=[case.rac()], trace=trace, idle_skip=idle_skip)
+    signals = dict(ocp_probe("probe", VCDWriter(), soc.ocp).signals)
+    signals["bus_busy"] = lambda: soc.bus.stats["busy_cycles"]
+    vcd = VCDWriter(timescale="20ns")
+    probe = soc.sim.add(WaveformProbe("probe", vcd, signals, width_hint=16))
+    soc.write_ram(IN, case.inputs)
+    soc.write_ram(PROG, case.program.words())
+    ocp = soc.ocp
+    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
+        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
+    ocp.interface.write_word(REG_PROG_SIZE, len(case.program))
+    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    if remove_at is not None:
+        soc.sim.step(remove_at)
+        soc.sim.remove(probe)
+    soc.run_until(lambda: ocp.done, max_cycles=50_000)
+    soc.sim.step(50)
+    return {
+        "vcd": vcd.render(),
+        "memory": soc.read_ram(OUT, case.total),
+        "cycle": soc.sim.cycle,
+        "trace": trace.dump(),
+        "controller_stats": ocp.controller.stats.as_dict(),
+        "bus_stats": soc.bus.stats.as_dict(),
+    }, soc.sim.profile()
+
+
+def test_waveform_capture_is_byte_identical_to_naive():
+    """A probe steps the kernel naively, so the VCD it captures --
+    including a lazily reconciled bus counter -- is byte-identical with
+    and without idle skipping."""
+    naive, _ = _probed_run(idle_skip=False)
+    fast, fast_prof = _probed_run(idle_skip=True)
+    assert fast == naive
+    assert fast_prof.skipped == 0
+    assert "bus_busy" in naive["vcd"]
+
+
+def test_waveform_probe_removed_mid_run_then_fast_matches_naive():
+    """After the probe leaves, the fast schedule takes over without
+    replaying on_skip for the cycles the probe had ticked."""
+    naive, _ = _probed_run(idle_skip=False, remove_at=40)
+    fast, fast_prof = _probed_run(idle_skip=True, remove_at=40)
+    assert fast == naive
+    assert fast_prof.skipped > 0  # the fast schedule engaged after removal
+
+
 def test_default_component_is_always_active():
     """Unknown components must never be skipped over."""
     sim = Simulator(idle_skip=True)
@@ -344,9 +410,6 @@ def _execute(case, plan=None, trace=None, **soc_kw):
     soc = SoC(racs=[case.rac()], trace=trace, **soc_kw)
     if plan is not None:
         inject_faults(soc, plan)
-        # armed fault injectors must deterministically force every
-        # component to tick on every executed cycle
-        assert soc.sim.full_dispatch
     soc.write_ram(IN, case.inputs)
     soc.write_ram(PROG, case.program.words())
     ocp = soc.ocp
@@ -472,6 +535,191 @@ def test_strict_mode_audits_long_transfer_slabs(monkeypatch):
     monkeypatch.setattr(audit, "audit_batch", counting)
     assert run(strict=True) == run(idle_skip=False)
     assert slabs and max(slabs) >= 64
+
+
+# -- every fault kind on the dispatch scan ----------------------------------
+
+N_FAULTED = 60
+#: controller watchdog of the faulted leg: a forever hang traps
+WATCHDOG = 300
+#: cycle budget of one faulted run (a dropped word can stall a transfer
+#: for good, which no watchdog catches)
+FAULTED_BUDGET = 6_000
+
+
+def _exec_program(case):
+    """The case's blocks in the blocking Figure 4 pattern: move a block
+    in, ``exec``, move it out -- so the controller waits on the RAC's
+    ``end_op`` that hang faults suppress."""
+    program = OuProgram()
+    for block in range(case.n_blocks):
+        offset = block * case.block
+        program.stream_to(1, case.block, chunk=case.chunk,
+                          base_offset=offset)
+        program.exec_()
+        program.stream_from(2, case.block, chunk=case.chunk,
+                            base_offset=offset)
+    return program.eop()
+
+
+def _all_kinds_plan(rng, case, program, cycles):
+    """Two to four of the seven fault kinds, each at a site that reads
+    it and an index the run reaches: RAM accesses and FIFO pushes within
+    the transfers, microcode addresses inside the program, corruption
+    cycles and hang windows within the clean run's length."""
+    fifo_sites = ("fifo.in0", "fifo.out0")
+    draw = {
+        FaultKind.BIT_FLIP: lambda: FaultEvent(
+            FaultKind.BIT_FLIP, rng.choice(("ram",) + fifo_sites),
+            index=rng.randrange(case.total), bit=rng.randrange(32),
+            word=rng.randrange(8)),
+        FaultKind.DROP_WORD: lambda: FaultEvent(
+            FaultKind.DROP_WORD, rng.choice(fifo_sites),
+            index=rng.randrange(case.total)),
+        FaultKind.DUP_WORD: lambda: FaultEvent(
+            FaultKind.DUP_WORD, rng.choice(fifo_sites),
+            index=rng.randrange(case.total)),
+        FaultKind.SLAVE_ERROR: lambda: FaultEvent(
+            FaultKind.SLAVE_ERROR, "ram", index=rng.randrange(16)),
+        FaultKind.STALL: lambda: FaultEvent(
+            FaultKind.STALL, "ram", index=rng.randrange(8),
+            duration=rng.randint(1, 25)),
+        FaultKind.CORRUPT_MICROCODE: lambda: FaultEvent(
+            FaultKind.CORRUPT_MICROCODE, "mc", index=rng.randrange(cycles),
+            bit=rng.randrange(32), word=PROG + 4 * rng.randrange(len(program))),
+        FaultKind.HANG_EXEC: lambda: FaultEvent(
+            FaultKind.HANG_EXEC, "rac", index=rng.randrange(cycles),
+            duration=rng.choice((0, rng.randint(1, cycles)))),
+    }
+    kinds = rng.sample(list(FaultKind), rng.randint(2, 4))
+    return FaultPlan(events=[draw[kind]() for kind in kinds])
+
+
+def _run_faulted(case, program, plan, prefetch, idle_skip, strict=False,
+                 traced=True):
+    """One case under ``plan`` with every seam interposed (FIFO fabric
+    included); capture every observable, the way the run ended too."""
+    trace = Trace() if traced else None
+    soc = SoC(trace=trace, idle_skip=idle_skip, strict=strict,
+              prefetch=prefetch)
+    rac = case.rac()
+    # the blocking form starts each op with exec, not on data arrival
+    rac.autostart = program is case.program
+    fifo_factory = faulty_fifo_factory(plan) if plan is not None else None
+    ocp = soc.add_ocp(rac, watchdog_cycles=WATCHDOG,
+                      fifo_factory=fifo_factory)
+    if plan is not None:
+        inject_faults(soc, plan)
+    soc.write_ram(IN, case.inputs)
+    soc.write_ram(PROG, program.words())
+    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
+        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
+    ocp.interface.write_word(REG_PROG_SIZE, len(program))
+    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    try:
+        soc.run_until(lambda: ocp.done or ocp.registers.error,
+                      max_cycles=FAULTED_BUDGET)
+        outcome = ocp.registers.error_name if ocp.registers.error else "done"
+    except DeadlockError:
+        outcome = "deadlock"
+    except SimulationError:
+        raise  # a strict-mode audit finding
+    except ReproError as exc:
+        # a corrupted microcode word the controller rejects outright
+        # stops the run mid-cycle: only where and why compare
+        return ({"outcome": f"{type(exc).__name__}: {exc}",
+                 "cycle": soc.sim.cycle}, soc.sim.profile())
+    previous = -1
+    while ocp.fifos_out[0].occupancy != previous:
+        previous = ocp.fifos_out[0].occupancy
+        soc.sim.step(50)
+    return {
+        "outcome": outcome,
+        "memory": soc.read_ram(OUT, case.total),
+        "residual": previous,
+        "cycle": soc.sim.cycle,
+        "trace": trace.dump() if traced else None,
+        "ctrl": ocp.registers.ctrl,
+        "end_op": rac.end_op,
+        "controller_stats": ocp.controller.stats.as_dict(),
+        "bus_stats": soc.bus.stats.as_dict(),
+        "rac_stats": rac.stats.as_dict(),
+        "fifo_stats": [fifo.stats.as_dict()
+                       for fifo in ocp.fifos_in + ocp.fifos_out],
+    }, soc.sim.profile()
+
+
+@pytest.mark.parametrize("index", range(N_FAULTED))
+def test_equivalence_every_fault_kind(index):
+    """Faulted runs take the dispatch scan: under a plan mixing the
+    seven fault kinds across RAM, both FIFOs, the microcode store and
+    the RAC handshake, the fast schedule (traced and hot) and strict
+    mode (traced and hot, auditing the injectors' claims) all match the
+    naive oracle bit for bit, and the hot run still skips cycles."""
+    seed = SEED_BASE + 500_000 + index
+    rng = random.Random(seed)
+    case = Case(rng)
+    program = _exec_program(case) if rng.random() < 0.5 else case.program
+    prefetch = rng.random() < 0.5
+    clean, _ = _run_faulted(case, program, None, prefetch, idle_skip=True,
+                            traced=False)
+    plan = _all_kinds_plan(rng, case, program, clean["cycle"])
+
+    naive, _ = _run_faulted(case, program, plan, prefetch, idle_skip=False)
+    fast, _ = _run_faulted(case, program, plan, prefetch, idle_skip=True)
+    hot, hot_prof = _run_faulted(case, program, plan, prefetch,
+                                 idle_skip=True, traced=False)
+    strict, _ = _run_faulted(case, program, plan, prefetch, idle_skip=True,
+                             strict=True)
+    strict_hot, _ = _run_faulted(case, program, plan, prefetch,
+                                 idle_skip=True, strict=True, traced=False)
+    described = plan.describe()
+    assert fast == naive, f"fast diverged at seed {seed}\n{described}"
+    untraced = dict(naive, trace=None)
+    assert hot == untraced, f"hot diverged at seed {seed}\n{described}"
+    assert strict == naive, f"strict diverged at seed {seed}\n{described}"
+    assert strict_hot == untraced, (
+        f"strict hot diverged at seed {seed}\n{described}"
+    )
+    assert hot_prof.skipped > 0
+
+
+def _run_hang(idle_skip, start, duration):
+    """A blocking exec under one hang window on plain FIFOs, where the
+    RAC's emit runs on the batch lane in hot runs."""
+    from repro.rac.scale import PassthroughRac
+
+    soc = SoC(racs=[PassthroughRac(block_size=16, autostart=False)],
+              idle_skip=idle_skip)
+    inject_faults(soc, FaultPlan(events=[
+        FaultEvent(FaultKind.HANG_EXEC, "rac", index=start,
+                   duration=duration),
+    ]))
+    program = OuProgram().stream_to(1, 16).exec_().stream_from(2, 16).eop()
+    soc.write_ram(IN, list(range(16)))
+    soc.write_ram(PROG, program.words())
+    ocp = soc.ocp
+    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
+        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
+    ocp.interface.write_word(REG_PROG_SIZE, len(program))
+    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    soc.run_until(lambda: ocp.done, max_cycles=5_000)
+    return (soc.sim.cycle, soc.read_ram(OUT, 16),
+            ocp.controller.stats.as_dict())
+
+
+def test_hang_fault_eats_a_completion_raised_by_a_batch_slab():
+    """A hang window open when the RAC's emit slab raises ``end_op`` on
+    its last tick: the injector still eats it on that cycle, so the
+    controller, ticking first on the next cycle, never sees it -- hot
+    runs match naive whichever cycle the window opens."""
+    unhung, _, _ = _run_hang(False, 0, 1)  # closes before any exec
+    delayed = 0
+    for start in range(0, 90, 6):
+        naive = _run_hang(False, start, 60)
+        assert _run_hang(True, start, 60) == naive, f"window at {start}"
+        delayed += naive[0] > unhung
+    assert delayed  # some windows really held a completion back
 
 
 # -- trace-free hot mode (tentpole: spans compile down to counters) ---------
