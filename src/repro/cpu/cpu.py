@@ -3,14 +3,20 @@
 Two execution modes share one instruction-execution core, a basic-block
 translator.  One opcode table (:data:`_OPS`) maps each instruction to a
 Python statement; :meth:`CPU._translate` joins the statements of a
-straight-line run of instructions into one function, compiles it, and
-caches it by entry pc until the next :meth:`CPU.load`.  A block's cycle
-cost and instruction count are summed once, at translation time.
+straight-line run of instructions into one function and indexes it by
+entry pc until the next :meth:`CPU.load`.  A block's cycle cost and
+instruction count are summed once, at translation time.  Compiled
+functions are shared by every CPU through a bounded cache keyed by the
+generated source, so a fresh CPU running a known kernel compiles
+nothing.
 
 * **fast mode** (:meth:`CPU.run`): chains whole blocks with no
   simulator in sight, used for the pure-software baselines of Table I
   (hundreds of thousands to millions of instructions).  Loads and
-  stores must stay inside the directly attached memory.
+  stores must stay inside the directly attached memory.  A block that
+  branches back to its own entry becomes a ``while`` loop over
+  register locals, run for as many whole iterations as the
+  instruction limit allows.
 * **ticked mode** (:meth:`CPU.tick` under a
   :class:`~repro.sim.kernel.Simulator`): single-instruction
   translations, one retiring per cost-model cycles; accesses outside
@@ -28,7 +34,8 @@ documents block boundaries and cache lifetime.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..bus.bus import SystemBus
 from ..bus.irq import IRQController
@@ -49,12 +56,14 @@ _SIGN = 1 << 31
 #: list ``r`` and the memory word list ``m``; ``mmio`` is true in ticked
 #: mode.  Placeholders: ``{a}`` / ``{b}`` rs1 / rs2 (``{sa}`` / ``{sb}``
 #: signed), ``{v}`` the rd register (a store's value), ``{rd}`` its
-#: number, ``{w}`` the ``r[rd] = `` prefix (empty for r0, whose writes
-#: are dropped), ``{i}`` the immediate, ``{k}`` its low five bits,
-#: ``{j}`` the immediate minus the memory base, ``{ok}`` the test that
+#: number, ``{w}`` the ``rd = `` prefix (empty for r0, whose writes are
+#: dropped), ``{i}`` the immediate, ``{k}`` its low five bits, ``{o}``
+#: the window offset of a ``lw``/``sw`` address, ``{ok}`` the test that
 #: word offset ``o`` is aligned and inside the window, ``{pc}``,
-#: ``{link}`` (pc + 4) and ``{t}`` (branch/jal target), ``{c}`` the
-#: block's cycles before this instruction.  A block function returns
+#: ``{link}`` (pc + 4), ``{go}`` the taken branch/jal (``return`` the
+#: target, or ``continue`` a loop block), ``{x}`` the statement that
+#: stores a loop block's register locals back before a raise, ``{c}``
+#: the block's cycles before this instruction.  A block function returns
 #: the next pc; the translator appends the fall-through ``return``.
 _OPS: Dict[Op, str] = {
     Op.ADD: "{w}({a} + {b}) & 0xFFFFFFFF",
@@ -82,43 +91,62 @@ _OPS: Dict[Op, str] = {
     Op.SRAI: "{w}({sa} >> {k}) & 0xFFFFFFFF",
     Op.SLTI: "{w}1 if {sa} < {i} else 0",
     Op.LUI: "{w}({i} << 16) & 0xFFFFFFFF",
-    Op.LW: "o = ({a} + {j}) & 0xFFFFFFFF\n"
+    Op.LW: "o = {o}\n"
            "if {ok}: {w}m[o >> 2]\n"
-           "else: cpu._stray({pc}, {c}, READ, o, {rd}, mmio)",
-    Op.SW: "o = ({a} + {j}) & 0xFFFFFFFF\n"
+           "else: {x}cpu._stray({pc}, {c}, READ, o, {rd}, mmio)",
+    Op.SW: "o = {o}\n"
            "if {ok}: m[o >> 2] = {v}\n"
-           "else: cpu._stray({pc}, {c}, WRITE, o, {rd}, mmio)",
-    Op.BEQ: "if {a} == {b}: return {t}",
-    Op.BNE: "if {a} != {b}: return {t}",
-    Op.BLT: "if {sa} < {sb}: return {t}",
-    Op.BGE: "if {sa} >= {sb}: return {t}",
-    Op.BLTU: "if {a} < {b}: return {t}",
-    Op.BGEU: "if {a} >= {b}: return {t}",
-    Op.JAL: "{w}{link}\nreturn {t}",
+           "else: {x}cpu._stray({pc}, {c}, WRITE, o, {rd}, mmio)",
+    Op.BEQ: "if {a} == {b}: {go}",
+    Op.BNE: "if {a} != {b}: {go}",
+    Op.BLT: "if {sa} < {sb}: {go}",
+    Op.BGE: "if {sa} >= {sb}: {go}",
+    Op.BLTU: "if {a} < {b}: {go}",
+    Op.BGEU: "if {a} >= {b}: {go}",
+    Op.JAL: "{w}{link}\n{go}",
     # rs1 is read before rd is written: jalr r5, r5, 0 jumps to old r5
     Op.JALR: "t = ({a} + {i}) & 0xFFFFFFFC\n{w}{link}\nreturn t",
     Op.HALT: "cpu.halted = True\nreturn {pc}",
     # ticked mode reaches a wfi only once an interrupt is pending
     Op.WFI: "if not mmio: "
-            "cpu._fault({pc}, {c}, 'wfi is not allowed in fast mode')",
+            "{x}cpu._fault({pc}, {c}, 'wfi is not allowed in fast mode')",
 }
 
 _BLOCK_ENDS = BRANCH_OPS | {Op.JAL, Op.JALR, Op.HALT, Op.WFI}
+#: block ends with a static target; one back to its own entry is a loop
+_JUMPS = BRANCH_OPS | {Op.JAL}
 
-#: a translated block: (function, instruction count, cycle cost)
-_Block = Tuple[Callable[..., int], int, int]
+#: a translated block: (function, instruction count, cycle cost, loop);
+#: a loop block runs whole iterations -- see :meth:`CPU._translate`
+_Block = Tuple[Callable[..., Any], int, int, bool]
+
+#: how many compiled block functions :func:`_compile` keeps
+_COMPILED_BLOCKS = 4096
+
+
+@lru_cache(maxsize=_COMPILED_BLOCKS)
+def _compile(source: str) -> Callable[..., Any]:
+    """The function a block's source defines, shared by every CPU.
+
+    The source bakes in everything the function depends on (memory
+    window, cycle costs, decoded instructions), so it is the whole key.
+    """
+    namespace = {"READ": AccessKind.READ, "WRITE": AccessKind.WRITE}
+    exec(compile(source, "<iss block>", "exec"), namespace)
+    return namespace["block"]
 
 
 def _signed(value: int) -> int:
     return value - (1 << 32) if value & _SIGN else value
 
 
-def _operand(reg: int) -> str:
-    return f"r[{reg}]" if reg else "0"
+def _operand(reg: int, name: str) -> str:
+    """Register ``reg`` read through ``name`` (``r[{}]`` or ``r{}``)."""
+    return name.format(reg) if reg else "0"
 
 
-def _signed_operand(reg: int) -> str:
-    return f"((r[{reg}] ^ 0x80000000) - 0x80000000)" if reg else "0"
+def _signed_operand(reg: int, name: str) -> str:
+    return f"(({name.format(reg)} ^ 0x80000000) - 0x80000000)" if reg else "0"
 
 
 class CPU(Component):
@@ -232,13 +260,22 @@ class CPU(Component):
                 raise SimulationError(
                     f"fast run exceeded {max_instructions} instructions"
                 )
-            block = blocks.get(pc) or self._translate(pc, 0)
-            if executed + block[1] > max_instructions:
+            function, count, cycles, loop = (
+                blocks.get(pc) or self._translate(pc, 0))
+            if executed + count > max_instructions:
                 # the block would cross the limit: one instruction at a
                 # time, so the limit fires where it always has
-                block = self._steps.get(pc) or self._translate(pc, 1)
-            function, count, cycles = block
-            self.pc = pc = function(self, regs, words, False)
+                function, count, cycles, loop = (
+                    self._steps.get(pc) or self._translate(pc, 1))
+            if loop:
+                # whole iterations only, as many as fit under the limit
+                pc, trips = function(self, regs, words, False,
+                                     (max_instructions - executed) // count)
+                cycles *= trips
+                count *= trips
+            else:
+                pc = function(self, regs, words, False)
+            self.pc = pc
             self.cycles += cycles
             executed += count
         self.instret += executed
@@ -262,7 +299,7 @@ class CPU(Component):
             self.cycles += 1
             return
         pc = self.pc
-        function, _, cost = self._steps.get(pc) or self._translate(pc, 1)
+        function, _, cost, _ = self._steps.get(pc) or self._translate(pc, 1)
         if (self._decoded[pc].op is Op.WFI
                 and (self.irq is None or not self.irq.any_pending())):
             self.cycles += 1
@@ -328,37 +365,76 @@ class CPU(Component):
         ``halt`` or ``wfi``, or just before a pc that is not decoded
         yet: that pc is fetched and decoded only when control reaches
         it, so a bad fetch or decode raises exactly where it always has.
+
+        A fast-mode block (``limit`` 0) whose branch or ``jal`` targets
+        its own entry is a *loop block*: ``block(cpu, r, m, mmio,
+        budget)`` runs at most ``budget`` whole iterations over register
+        locals and returns ``(next pc, iterations run)``.  It stores the
+        registers it writes back into ``r`` on every exit, and a fault
+        charges the finished iterations' cycles before its own.
         """
-        instr = self._fetch(pc)
         entry = pc
-        ok = f"o < {self.memory.size_bytes} and not o & 3"
-        statements: List[str] = []
-        count = cycles = 0
+        code: List[Tuple[int, Instruction, int]] = []  # (pc, instr, {c})
+        instr = self._fetch(pc)
+        cycles = 0
         while True:
-            statements.append(_OPS[instr.op].format(
-                a=_operand(instr.rs1), b=_operand(instr.rs2),
-                sa=_signed_operand(instr.rs1), sb=_signed_operand(instr.rs2),
-                v=_operand(instr.rd), rd=instr.rd,
-                w=f"r[{instr.rd}] = " if instr.rd else "",
-                i=instr.imm, k=instr.imm & 31, j=instr.imm - self.memory_base,
-                ok=ok, pc=pc, link=(pc + 4) & _MASK, t=pc + 4 + 4 * instr.imm,
-                c=cycles,
-            ))
-            count += 1
+            code.append((pc, instr, cycles))
             cycles += self.cost.cost(instr.op)
             pc += 4
-            if instr.op in _BLOCK_ENDS or count == limit:
+            if instr.op in _BLOCK_ENDS or len(code) == limit:
                 break
             instr = self._decoded.get(pc)
             if instr is None:
                 break
-        statements.append(f"return {pc}")
-        body = "".join(f"\n    {line}" for statement in statements
-                       for line in statement.split("\n"))
-        namespace = {"READ": AccessKind.READ, "WRITE": AccessKind.WRITE}
-        exec(compile(f"def block(cpu, r, m, mmio):{body}",
-                     f"<{self.name} block {entry:#x}>", "exec"), namespace)
-        block = (namespace["block"], count, cycles)
+        last_pc, last, _ = code[-1]
+        loop = (not limit and last.op in _JUMPS
+                and last_pc + 4 + 4 * last.imm == entry)
+        name, store = "r[{}]", ""
+        if loop:
+            name = "r{}"
+            used = sorted({n for _, i, _ in code
+                           for n in (i.rs1, i.rs2, i.rd) if n})
+            written = sorted({i.rd for _, i, _ in code
+                              if i.rd and "{w}" in _OPS[i.op]})
+            if written:
+                store = (", ".join(f"r[{n}]" for n in written) + " = "
+                         + ", ".join(f"r{n}" for n in written) + "; ")
+        ok = f"o < {self.memory.size_bytes} and not o & 3"
+        statements: List[str] = []
+        for at, instr, before in code:
+            a = _operand(instr.rs1, name)
+            offset = instr.imm - self.memory_base
+            statements.append(_OPS[instr.op].format(
+                a=a, b=_operand(instr.rs2, name),
+                sa=_signed_operand(instr.rs1, name),
+                sb=_signed_operand(instr.rs2, name),
+                v=_operand(instr.rd, name), rd=instr.rd,
+                w=f"{name.format(instr.rd)} = " if instr.rd else "",
+                i=instr.imm, k=instr.imm & 31,
+                # registers hold 32-bit values: no mask for offset 0
+                o=f"({a} + {offset}) & 0xFFFFFFFF" if offset else a,
+                ok=ok, pc=at, link=(at + 4) & _MASK,
+                go="continue" if loop else f"return {at + 4 + 4 * instr.imm}",
+                # a fault in a loop charges the finished iterations first
+                x=store, c=f"(trips - 1) * {cycles} + {before}" if loop
+                else before,
+            ))
+        lines = [line for statement in statements
+                 for line in statement.split("\n")]
+        if loop:
+            lines = [f"r{n} = r[{n}]" for n in used] + [
+                "trips = 0", "while trips < budget:", "    trips += 1",
+                *(f"    {line}" for line in lines),
+                f"    {store}return {pc}, trips",
+                f"{store}return {entry}, trips",
+            ]
+            signature = "cpu, r, m, mmio, budget"
+        else:
+            lines.append(f"return {pc}")
+            signature = "cpu, r, m, mmio"
+        body = "".join(f"\n    {line}" for line in lines)
+        block = (_compile(f"def block({signature}):{body}"),
+                 len(code), cycles, loop)
         (self._steps if limit == 1 else self._blocks)[entry] = block
         return block
 

@@ -106,7 +106,8 @@ class Memory(BusSlave):
         self.load_words(offset, bits.words_from_bytes(data))
 
     def clear(self) -> None:
-        self._words = [0] * len(self._words)
+        """Zero every word in place, so :attr:`words` stays live."""
+        self._words[:] = [0] * len(self._words)
 
 
 class ROM(Memory):

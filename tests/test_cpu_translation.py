@@ -7,6 +7,9 @@ and must agree on registers, memory, ``pc``, ``cycles``, ``instret``
 and ``halted``, and on the exception (type and message) when one is
 raised.  The programs always terminate: control flow only goes forward
 except for counted loops whose counters no other instruction writes.
+Each loop also walks a pointer register, which may leave the direct
+window or turn unaligned a few iterations in, so faults land inside the
+translator's loop blocks as well as in straight-line code.
 
 The Hypothesis seed can be shifted with ``REPRO_ISS_SEED`` (the CI
 differential job pins it) without touching the file.
@@ -20,8 +23,10 @@ from hypothesis import strategies as st
 
 from repro.bus.bus import SystemBus
 from repro.bus.irq import IRQController, IRQLine
+from repro.baselines.software import software_idct
+from repro.cpu import kernels
 from repro.cpu.assembler import AssembledProgram, assemble
-from repro.cpu.cpu import CPU
+from repro.cpu.cpu import CPU, _compile
 from repro.cpu.isa import (
     ALU_I_OPS,
     ALU_R_OPS,
@@ -42,10 +47,12 @@ ISS_SEED = int(os.environ.get("REPRO_ISS_SEED", "20241"))
 
 #: registers random instructions read and write (many, so a result
 #: often survives to the final comparison); r16/r17 are the loop
-#: counters and r18 the address scratch, written only by their idioms
+#: counters, r18 the address scratch and r19 the loops' walking
+#: pointer, written only by their idioms
 DATA_REGS = range(16)
 COUNTERS = (16, 17)
 SCRATCH = 18
+WALKER = 19
 
 #: division by zero, INT_MIN / -1, shifts of 32 and more
 SPECIAL = [0, 1, 2, 3, 31, 32, 33, 63, 64, 0x7FFF_FFFF, 0x8000_0000,
@@ -66,8 +73,9 @@ def _imm(op):
 
 #: weighted leaf kinds: mostly straight-line work that keeps running,
 #: a little control flow, and rare program-ending faults
-KINDS = (["alu"] * 50 + ["load", "store"] * 8 + ["branch"] * 12
-         + ["jal", "jalr"] * 4 + ["stray"] * 2 + ["halt", "wfi"])
+KINDS = (["alu"] * 50 + ["load", "store"] * 8 + ["walk"] * 6
+         + ["branch"] * 12 + ["jal", "jalr"] * 4 + ["stray"] * 2
+         + ["halt", "wfi"])
 
 
 @st.composite
@@ -83,6 +91,11 @@ def _leaf(draw):
         op = Op.LW if kind == "load" else Op.SW
         return ("mem", op, draw(reg), "aligned",
                 draw(st.integers(0, 1 << 16)), draw(st.integers(-8, 8)))
+    if kind == "walk":
+        # an access through the walking pointer of the enclosing loop
+        op = draw(st.sampled_from([Op.LW, Op.SW]))
+        return ("ins", Instruction(op, draw(reg), WALKER,
+                                   imm=draw(st.sampled_from([0, 0, 4, -4]))))
     if kind == "stray":
         op = draw(st.sampled_from([Op.LW, Op.SW]))
         if draw(st.booleans()):
@@ -114,9 +127,15 @@ def _items(depth):
     low, high = LIST_SIZES[depth]
     if depth == len(COUNTERS):
         return st.lists(_leaf(), min_size=low, max_size=high)
-    loop = st.tuples(st.just("loop"), st.integers(0, 3),
-                     st.deferred(lambda: _items(depth + 1)))
-    return st.lists(st.one_of(_leaf(), _leaf(), _leaf(), loop),
+    # up to ~40 trips, so a drawn instruction limit lands mid-loop; the
+    # walking pointer starts near either end of the window and steps by
+    # a word (leaving it after ``distance`` trips) or a half word
+    loop = st.tuples(st.just("loop"),
+                     st.one_of(st.integers(0, 3), st.integers(0, 40)),
+                     st.deferred(lambda: _items(depth + 1)),
+                     st.sampled_from(["top", "bottom"]), st.integers(0, 12),
+                     st.sampled_from([4, -4, 2, -2]))
+    return st.lists(st.one_of(_leaf(), _leaf(), loop),
                     min_size=low, max_size=high)
 
 
@@ -125,17 +144,18 @@ def _flatten(items, depth=0, flat=None):
     flat = [] if flat is None else flat
     for item in items:
         if item[0] == "loop":
+            _, trips, body, place, distance, step = item
             counter = COUNTERS[depth]
-            flat.append(("init", counter, item[1]))
+            flat.append(("init", counter, trips, place, distance))
             head = len(flat)
-            _flatten(item[2], depth + 1, flat)
-            flat.append(("back", counter, head))
+            _flatten(body, depth + 1, flat)
+            flat.append(("back", counter, head, step))
         else:
             flat.append(item)
     return flat
 
 
-_SIZE = {"init": 1, "back": 2, "mem": 3, "jalr": 3}
+_SIZE = {"init": 3, "back": 3, "mem": 3, "jalr": 3}
 
 
 def _li(rd, value):
@@ -162,13 +182,19 @@ def _encode(flat, base, size):
         if kind == "ins":
             code = [item[1]]
         elif kind == "init":
-            code = [Instruction(Op.ADDI, item[1], 0, imm=item[2])]
+            _, counter, trips, place, distance = item
+            walker = (base + size - 4 - 4 * distance if place == "top"
+                      else base + 4 * distance)
+            code = _li(WALKER, walker) + [
+                Instruction(Op.ADDI, counter, 0, imm=trips)]
         elif kind == "back":
             # loop while 0 < counter (signed): a counter entered at 0 or
             # below, by a jump into the body, exits at once
-            back = (starts[item[2]] - pc - 8) // 4
-            code = [Instruction(Op.ADDI, item[1], item[1], imm=-1),
-                    Instruction(Op.BLT, rs1=0, rs2=item[1], imm=back)]
+            _, counter, head, step = item
+            back = (starts[head] - pc - 12) // 4
+            code = [Instruction(Op.ADDI, WALKER, WALKER, imm=step),
+                    Instruction(Op.ADDI, counter, counter, imm=-1),
+                    Instruction(Op.BLT, rs1=0, rs2=counter, imm=back)]
         elif kind == "mem":
             _, op, rd, place, pick, imm = item
             word = base + 4 * (pick % (size // 4))
@@ -299,16 +325,24 @@ inner:
     bne  r2, r0, inner
     addi r1, r1, -1
     bne  r1, r0, outer
+    la   r8, buf
+    addi r9, r0, 5
+walk:
+    sw   r9, 4(r8)
+    addi r8, r8, 4
+    addi r9, r9, -1
+    bne  r9, r0, walk
     halt
 .data
 buf:
-    .word 0
+    .space 24
 """
 
 
 def test_instruction_limit_at_every_offset():
     """The runaway limit fires at the same instruction for every limit,
-    including every offset inside a multi-instruction block."""
+    including every offset inside a multi-instruction block and every
+    iteration of a loop block."""
     program = assemble(LOOPS, text_base=0, data_base=0x800)
     config = (0, 4096, program.text, CostModel(), [0])
 
@@ -319,11 +353,71 @@ def test_instruction_limit_at_every_offset():
 
     total = load(OracleCPU)
     total.run()
+    translated = load(CPU)
+    translated.run()
+    for label in ("inner", "walk"):
+        assert translated._blocks[program.address_of(label)][3], label
     for limit in range(total.instret + 2):
         fast, oracle = load(CPU), load(OracleCPU)
         assert (_outcome(lambda: fast.run(max_instructions=limit))
                 == _outcome(lambda: oracle.run(max_instructions=limit)))
         assert _state(fast) == _state(oracle), limit
+
+
+WALK_OFF = """
+    li   r8, {start}
+    addi r9, r0, 10
+walk:
+    addi r9, r9, -1
+    sw   r9, 0(r8)
+    addi r8, r8, {step}
+    bne  r9, r0, walk
+    halt
+"""
+
+
+@pytest.mark.parametrize("step, start, message", [
+    (4, 4096 - 12, "outside fast-mode memory"),  # leaves on trip 4
+    (-4, 8, "outside fast-mode memory"),         # under the base, trip 4
+    (2, 0x800, "unaligned"),                     # unaligned on trip 2
+])
+def test_walking_pointer_faults_inside_a_loop_block(step, start, message):
+    """A loop block stops at the faulting access with the finished
+    iterations charged and the registers it wrote stored back."""
+    base = 0x40 if step < 0 else 0
+    program = assemble(WALK_OFF.format(start=base + start, step=step),
+                       text_base=base, data_base=base)
+    config = (base, 4096, program.text, CostModel(), [0])
+    oracle = check_fast(config, 1000)
+    check_ticked(config)
+    fast = _loaded(CPU, *config)
+    with pytest.raises(SimulationError, match=message):
+        fast.run()
+    assert fast._blocks[program.address_of("walk")][3]
+    assert oracle.pc == program.address_of("walk") + 4
+
+
+def test_dft_inner_loop_is_a_loop_block():
+    """The Table I software DFT spends its time in ``t_loop``: the
+    translator must keep compiling it as a loop block."""
+    program = assemble(kernels.dft_sw_source(256), text_base=0,
+                       data_base=0x8_0000)
+    cpu = CPU(memory=Memory("ram", 1 << 20))
+    cpu.load(program)
+    assert cpu.run() == 1_511_186
+    _, count, _, loop = cpu._blocks[program.address_of("t_loop")]
+    assert loop and count == 23
+
+
+def test_compiled_blocks_are_shared_across_cpus():
+    """Each software IDCT call builds a fresh CPU; the second call finds
+    every block in the shared cache and compiles none."""
+    block = [[(7 * r + 3 * c) % 50 - 25 for c in range(8)] for r in range(8)]
+    first, _ = software_idct(block)
+    misses = _compile.cache_info().misses
+    second, _ = software_idct(block)
+    assert _compile.cache_info().misses == misses
+    assert second == first
 
 
 JALR_SAME_REG = """

@@ -67,6 +67,17 @@ def test_clear_zeroes_everything():
     assert mem.read_word(0) == 0
 
 
+def test_clear_keeps_the_live_word_reference():
+    """A reference to ``words`` taken before ``clear()`` (as the ISS
+    holds one) sees the zeroed storage, and writes through it land."""
+    mem = Memory("m", 64, fill=0xFFFFFFFF)
+    words = mem.words
+    mem.clear()
+    assert words == [0] * 16
+    words[3] = 7
+    assert mem.read_word(12) == 7
+
+
 def test_rom_rejects_bus_writes_but_allows_loads():
     rom = ROM("rom", [1, 2, 3])
     assert rom.read_word(4) == 2
