@@ -126,11 +126,6 @@ class BenchResult:
 #: best-of-3 wall-clock hot_speedup by 15-40% between runs
 _clock = time.process_time
 
-#: bench systems only touch the first few KiB of RAM -- a small memory
-#: keeps mode-independent construction cost out of the workload numbers
-BENCH_RAM_SIZE = 1 << 17
-
-
 @lru_cache(maxsize=None)
 def _stream_program(words: int, repeats: int, chunk: int) -> OuProgram:
     """``repeats`` x (stream in, exec, stream out); built once, reused
@@ -163,8 +158,7 @@ def _run_ocp(
     would only dilute the kernel comparison.  The timer is
     :data:`_clock` (CPU time).
     """
-    soc = SoC(racs=[rac_factory()], ram_size=BENCH_RAM_SIZE,
-              protocol=protocol, **_MODE_KW[mode])
+    soc = SoC(racs=[rac_factory()], protocol=protocol, **_MODE_KW[mode])
     if plan is not None:
         inject_faults(soc, plan)
     program = _stream_program(words, repeats, chunk)
@@ -299,8 +293,7 @@ def _idle_timeout(mode: str):
     happen, and the naive kernel still ticks every component for every
     one of the ``max_cycles`` cycles before raising.
     """
-    soc = SoC(racs=[PassthroughRac(block_size=16)], ram_size=BENCH_RAM_SIZE,
-              **_MODE_KW[mode])
+    soc = SoC(racs=[PassthroughRac(block_size=16)], **_MODE_KW[mode])
     begin = _clock()
     try:
         soc.run_until(lambda: False, max_cycles=200_000, what="bench timeout")

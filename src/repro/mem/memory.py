@@ -4,10 +4,19 @@
 state) as seen from the bus: a flat array of 32-bit words with a
 configurable first-access latency.  Sequential beats of a burst stream
 at bus speed, which is what makes Ouessant's burst DMA efficient.
+
+The backing list holds only the prefix of words a run has touched: a
+write extends it with the fill value up to the highest word written,
+and a read past its end returns the fill value.  The first use of
+:attr:`Memory.words` extends it to the full size.  A system whose CPU
+never runs therefore holds its memory only up to the highest word a
+run wrote, not the paper's 16 MB as a 4 M-element list that each
+construction has to build and every full garbage collection to walk.
 """
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Iterable, List, Sequence
 
 from ..sim.errors import MemoryError_
@@ -40,28 +49,42 @@ class Memory(BusSlave):
         self.name = name
         self.size_bytes = size_bytes
         self.access_latency = access_latency
-        self._words: List[int] = [fill & bits.WORD_MASK] * (size_bytes // 4)
+        self._size_words = size_bytes // 4
+        self._fill = fill & bits.WORD_MASK
+        # the touched prefix; every word past it reads as ``_fill``
+        self._words: List[int] = []
 
     # -- helpers --------------------------------------------------------
     @property
     def size_words(self) -> int:
-        return len(self._words)
+        """Capacity in words (not the length of the touched prefix)."""
+        return self._size_words
 
     @property
     def words(self) -> List[int]:
-        """Live reference to the backing word list.
+        """Live reference to the backing word list, at full size.
 
         Exposed so the instruction-set simulator can run loads/stores
         without per-access bounds re-checks; mutating it bypasses the
-        ROM write lock, so only simulators should use it.
+        ROM write lock, so only simulators should use it.  The first
+        use extends the list in place to :attr:`size_words`, so a
+        reference taken earlier stays live.
         """
-        return self._words
+        words = self._words
+        if len(words) < self._size_words:
+            self._grow(self._size_words)
+        return words
+
+    def _grow(self, end: int) -> None:
+        """Extend the touched prefix in place to ``end`` words."""
+        words = self._words
+        words.extend(repeat(self._fill, end - len(words)))
 
     def _index(self, offset: int) -> int:
         if offset % 4 != 0:
             raise MemoryError_(f"unaligned access at offset {offset:#x}")
         index = offset // 4
-        if not 0 <= index < len(self._words):
+        if not 0 <= index < self._size_words:
             raise MemoryError_(
                 f"offset {offset:#x} outside {self.name} "
                 f"(size {self.size_bytes:#x})"
@@ -70,28 +93,43 @@ class Memory(BusSlave):
 
     # -- BusSlave interface ------------------------------------------------
     def read_word(self, offset: int) -> int:
-        return self._words[self._index(offset)]
+        index = self._index(offset)
+        words = self._words
+        return words[index] if index < len(words) else self._fill
 
     def write_word(self, offset: int, value: int) -> None:
-        self._words[self._index(offset)] = value & bits.WORD_MASK
+        index = self._index(offset)
+        words = self._words
+        if index >= len(words):
+            self._grow(index + 1)
+        words[index] = value & bits.WORD_MASK
 
     def read_burst(self, offset: int, count: int) -> List[int]:
         start = self._index(offset)
-        if start + count > len(self._words):
+        end = start + count
+        burst = self._words[start:end]
+        if len(burst) == count:
+            return burst
+        # short slice: the burst crosses the end of the touched prefix
+        # (pad it with the fill value) or of the memory itself
+        if end > self._size_words:
             raise MemoryError_(
                 f"burst [{offset:#x}+{4 * count}] overruns {self.name}"
             )
-        return self._words[start : start + count]
+        return burst + [self._fill] * (count - len(burst))
 
     def write_burst(self, offset: int, values: List[int]) -> None:
         start = self._index(offset)
-        if start + len(values) > len(self._words):
-            raise MemoryError_(
-                f"burst [{offset:#x}+{4 * len(values)}] overruns {self.name}"
-            )
-        self._words[start : start + len(values)] = [
-            v & bits.WORD_MASK for v in values
-        ]
+        end = start + len(values)
+        words = self._words
+        if end > len(words):
+            if end > self._size_words:
+                raise MemoryError_(
+                    f"burst [{offset:#x}+{4 * len(values)}] overruns "
+                    f"{self.name}"
+                )
+            self._grow(end)
+        words[start:end] = [v & bits.WORD_MASK for v in values]
 
     # -- loader convenience ---------------------------------------------
     def load_words(self, offset: int, words: Sequence[int]) -> None:
@@ -108,6 +146,7 @@ class Memory(BusSlave):
     def clear(self) -> None:
         """Zero every word in place, so :attr:`words` stays live."""
         self._words[:] = [0] * len(self._words)
+        self._fill = 0
 
 
 class ROM(Memory):
@@ -122,8 +161,7 @@ class ROM(Memory):
         words = [w & bits.WORD_MASK for w in contents]
         size = max(4, 4 * len(words))
         super().__init__(name, size, access_latency)
-        if words:
-            self._words[: len(words)] = words
+        self._words.extend(words)
         self._locked = True
 
     def write_word(self, offset: int, value: int) -> None:

@@ -339,10 +339,11 @@ class ThroughputScheduler(Component):
             )
         return slots
 
-    def _route(self, job: Job) -> Optional[List[_OcpSlot]]:
-        """Candidate slots with queue space, or ``None`` (back-pressure).
+    def _candidates(self, job: Job) -> List[_OcpSlot]:
+        """Slots that may take this job, queue space aside.
 
         Chained jobs are pinned: only the chain's home slot qualifies.
+        The answer changes only when :meth:`submit` pins a chain.
         """
         feasible = self._feasible(job)
         if job.chain is not None and job.chain in self._chains:
@@ -352,8 +353,12 @@ class ThroughputScheduler(Component):
                     f"chain {job.chain!r} is pinned to OCP {home.index}, "
                     f"which cannot run job {job.job_id}"
                 )
-            feasible = [home]
-        open_slots = [s for s in feasible
+            return [home]
+        return feasible
+
+    def _route(self, job: Job) -> Optional[List[_OcpSlot]]:
+        """Candidate slots with queue space, or ``None`` (back-pressure)."""
+        open_slots = [s for s in self._candidates(job)
                       if len(s.queue) < self.queue_bound]
         return open_slots or None
 
@@ -494,11 +499,13 @@ class ThroughputScheduler(Component):
         ``sla_cycles`` set, a job that cannot meet the budget raises
         :class:`SlaRejectionError`.
         """
-        if job.job_id in self.completed or any(
-            queued.job_id == job.job_id
+        # an id is taken while queued, in flight or completed
+        job_id = job.job_id
+        if job_id in self.completed or job_id in self._pending_meta or any(
+            queued.job_id == job_id
             for slot in self._slots.values() for queued, _ in slot.queue
         ):
-            raise ConfigurationError(f"duplicate job id {job.job_id!r}")
+            raise ConfigurationError(f"duplicate job id {job_id!r}")
         if self.racecheck != "off":
             findings = self.racecheck_job(job)
             if self.racecheck == "submit" and \
@@ -526,10 +533,17 @@ class ThroughputScheduler(Component):
         return True
 
     def submit_blocking(self, job: Job, max_cycles: int = 5_000_000) -> None:
-        """Submit, advancing the simulation until space frees up."""
+        """Submit, advancing the simulation until space frees up.
+
+        The job is routed once per wait: the clock cannot pin a chain,
+        so the wait only watches the candidates' queue lengths.
+        """
         while not self.submit(job):
+            candidates = self._candidates(job)
+            bound = self.queue_bound
             self._soc.run_until(
-                lambda: self.can_accept(job), max_cycles=max_cycles,
+                lambda: any(len(s.queue) < bound for s in candidates),
+                max_cycles=max_cycles,
                 what=f"queue space for job {job.job_id}",
             )
 

@@ -153,6 +153,22 @@ def test_duplicate_job_id_is_rejected():
         sched.submit(Job("dup", "passthrough", list(range(BLOCK))))
 
 
+def test_duplicate_of_an_in_flight_job_id_is_rejected():
+    """A dispatched job has left the queue but not completed: its id
+    is still taken, and the first job's results are not overwritten."""
+    soc = _soc(1)
+    sched = ThroughputScheduler(soc)
+    first = list(range(BLOCK))
+    assert sched.submit(Job("a", "passthrough", first))
+    soc.sim.step(5)
+    assert sched.slots[0].state == "config"
+    with pytest.raises(ConfigurationError, match="duplicate job id"):
+        sched.submit(Job("a", "passthrough", [7] * BLOCK))
+    sched.drain()
+    assert sched.completion_order == ["a"]
+    assert sched.completed["a"].outputs == first
+
+
 def test_unknown_kind_is_rejected():
     sched = ThroughputScheduler(_soc(2))
     with pytest.raises(ConfigurationError, match="no OCP serves"):
