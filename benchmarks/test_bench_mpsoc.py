@@ -110,13 +110,9 @@ def test_throughput_scheduler_scaling(benchmark):
 
     The scale-out claim the scheduler subsystem commits to: with
     compute-bound jobs, aggregate throughput at 8 coprocessors behind
-    one arbiter is at least 5x the single-OCP baseline.  The sweep is
-    merged into the ``BENCH_simulator.json`` artifact (path overridable
-    via ``REPRO_BENCH_OUT``) for the CI schema gate.
+    one arbiter is at least 5x the single-OCP baseline.
     """
-    import os
-
-    from repro.bench import merge_mpsoc_into_report, run_mpsoc_sweep
+    from repro.bench import run_mpsoc_sweep
 
     def sweep():
         return run_mpsoc_sweep(n_jobs=64, ocp_counts=(1, 2, 4, 8))
@@ -136,7 +132,3 @@ def test_throughput_scheduler_scaling(benchmark):
     assert (by_ocps[1].ops_per_sec < by_ocps[2].ops_per_sec
             < by_ocps[4].ops_per_sec < by_ocps[8].ops_per_sec)
     assert by_ocps[8].speedup_vs_1 >= 5.0
-
-    out = os.environ.get("REPRO_BENCH_OUT", "BENCH_simulator.json")
-    if os.path.exists(out):
-        merge_mpsoc_into_report(out, result)

@@ -5,15 +5,14 @@ Unlike the other benches, these measure the *reproduction's* own speed
 in the simulation kernel show up.  They use pytest-benchmark
 conventionally (multiple rounds, statistics meaningful).
 
-``test_idle_skip_speedup`` additionally writes the machine-readable
-``BENCH_simulator.json`` artifact (override the path with the
-``REPRO_BENCH_OUT`` environment variable) comparing naive ticking with
-the fast schedule per workload; CI uploads it per run.
+``test_idle_skip_speedup`` runs the ``repro bench`` workloads, which
+check naive ticking against the fast schedule per workload, and
+asserts floors on the fast schedule's deterministic work counters.
+It writes no file: only ``python -m repro.cli bench -o PATH`` writes
+the ``BENCH_simulator.json`` artifact.
 """
 
-import os
-
-from repro.bench import run_benchmarks, write_report
+from repro.bench import run_benchmarks
 from repro.core.program import OuProgram
 from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
 from repro.cpu.assembler import assemble
@@ -85,24 +84,20 @@ def test_ocp_loopback_cycles_per_second(benchmark):
 
 
 def test_idle_skip_speedup():
-    """Naive vs fast kernel across the bench workloads + JSON artifact.
+    """Naive vs fast kernel across the bench workloads.
 
     ``run_benchmarks`` itself asserts cycle-count equality between both
-    modes, so this doubles as an equivalence smoke test.  The
-    wall-clock bars are deliberately below what the workloads actually
-    get (see ``hot_speedup`` in the committed artifact), to stay robust
-    on loaded CI hosts.
+    modes, so this doubles as an equivalence smoke test.  The floors
+    are on the fast run's kernel counters, which are the same on every
+    host, and sit a little below what the workloads get (see the
+    committed artifact).
     """
-    results = run_benchmarks()
-    write_report(
-        results, os.environ.get("REPRO_BENCH_OUT", "BENCH_simulator.json")
-    )
-    by_name = {r.workload: r for r in results}
-    stall = by_name["stall_heavy"]
-    assert stall.skip_ratio > 0.9
-    assert stall.hot_speedup >= 3.0
+    by_name = {r.workload: r for r in run_benchmarks()}
+    assert by_name["stall_heavy"].skip_ratio > 0.9
     assert by_name["idle_timeout"].skip_ratio == 1.0
     # the batch lane earns its keep on the transfer-heavy workloads,
-    # where almost nothing can be skipped
-    assert by_name["jpeg_idct"].hot_speedup >= 4.0
-    assert by_name["dft"].hot_speedup >= 4.0
+    # where almost nothing can be skipped: it must consume most of
+    # the cycles that do tick
+    for name in ("jpeg_idct", "dft"):
+        row = by_name[name]
+        assert row.batched / row.ticked >= 0.85

@@ -1,26 +1,27 @@
 #!/usr/bin/env python
 """Validate a ``BENCH_simulator.json`` bench artifact.
 
-CI gate (the ``bench`` and ``mpsoc-bench`` jobs): the artifact is a
-contract for downstream dashboards, so its shape is checked field by
-field:
+CI gate (the ``bench-artifact`` job): the artifact is a contract for
+downstream dashboards, so its shape is checked field by field:
 
 * top level: ``bench == "simulator"`` plus a ``workloads`` list whose
-  rows carry the :class:`repro.bench.BenchResult` fields (and whose
-  attribution, when present, satisfies transfer+compute+control ==
-  total, and whose perfbound check, when present, is sound: measured
-  cycles inside the statically predicted ``[lo, hi]``);
+  rows carry the :class:`repro.bench.BenchResult` fields (kernel
+  counters as non-negative integers; attribution, when present,
+  satisfying transfer+compute+control == total; perfbound check, when
+  present, sound: measured cycles inside the statically predicted
+  ``[lo, hi]``);
 * the optional ``mpsoc`` section: sweep parameters plus a scaling
   curve of per-OCP-count points, strictly increasing in OCP count,
   with the smallest point pinned at ``speedup_vs_1 == 1.0``;
 * ``--require-mpsoc`` makes the section mandatory and
   ``--min-mpsoc-speedup X`` fails the gate if the largest point's
   aggregate throughput regresses below ``X`` times the 1-OCP baseline;
-* ``--baseline PATH`` compares the fresh artifact against the
-  committed one and fails on a >20% regression of the fast schedule's
-  host-time advantage (per-workload ``hot_speedup`` -- the within-run
-  naive/fast ratio, so the gate is robust to CI hosts of different
-  absolute speed).
+* ``--baseline PATH`` requires the fresh artifact to equal the
+  committed one exactly and names every JSON path that differs.  The
+  artifact holds no host-dependent field, so any difference is a
+  change in simulated behaviour or in the fast schedule's work (a lost
+  skip or batch window shows up as more ticked or fewer batched
+  cycles); a deliberate change regenerates the committed file.
 
 Reads stdin by default (pipe the CLI into it) or a file argument.
 A *missing* artifact file is itself a failure: the artifact is the
@@ -36,23 +37,11 @@ import os
 import sys
 
 WORKLOAD_FIELDS = (
-    "workload", "cycles", "naive_seconds", "fast_seconds", "skip_ratio",
-    "attribution", "perfbound", "hot_speedup", "naive_cycles_per_sec",
-    "fast_cycles_per_sec",
+    "workload", "cycles", "ticked", "skipped", "skip_windows", "batched",
+    "skip_ratio", "attribution", "perfbound",
 )
-
-#: hot_speedup may shrink to this fraction of the committed baseline
-#: before the gate fails (>20% host-time regression of the fast
-#: schedule)
-BASELINE_TOLERANCE = 0.8
-
-#: workloads whose committed fast leg is shorter than this are excluded
-#: from the baseline gate: a ratio over a few-millisecond timing is too
-#: close to timer noise to gate at 20% (the gated jpeg_idct and dft
-#: legs take 15-50 ms of CPU time, best-of-3 on both legs, and six
-#: fresh runs stayed within 12% of the committed ratios; stall_faulted
-#: fell under the floor once faulted runs took the batch lane)
-MIN_GATE_SECONDS = 0.01
+#: per-workload kernel counters: non-negative integers
+COUNTER_FIELDS = ("cycles", "ticked", "skipped", "skip_windows", "batched")
 PERFBOUND_FIELDS = (
     "predicted_lo", "predicted_hi", "measured", "tightness", "sound",
 )
@@ -62,7 +51,7 @@ MPSOC_FIELDS = (
 )
 POINT_FIELDS = (
     "ocps", "jobs", "cycles", "ops_per_sec", "words_per_cycle",
-    "speedup_vs_1", "utilization", "host_seconds",
+    "speedup_vs_1", "utilization", "ticked", "batched",
 )
 
 
@@ -87,14 +76,12 @@ def check_workload(row: object, label: str) -> list:
     problems = _check_fields(row, WORKLOAD_FIELDS, label)
     if not isinstance(row.get("workload"), str):
         problems.append(f"{label}: workload is not a string")
-    cycles = row.get("cycles")
-    if not isinstance(cycles, int) or isinstance(cycles, bool) or cycles < 0:
-        problems.append(f"{label}: cycles is {cycles!r}")
-    for field in ("naive_seconds", "fast_seconds", "skip_ratio",
-                  "hot_speedup", "naive_cycles_per_sec",
-                  "fast_cycles_per_sec"):
-        if field in row and not _is_number(row[field]):
-            problems.append(f"{label}: {field} is not a number")
+    for field in COUNTER_FIELDS:
+        value = row.get(field)
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            problems.append(f"{label}: {field} is {value!r}")
+    if "skip_ratio" in row and not _is_number(row["skip_ratio"]):
+        problems.append(f"{label}: skip_ratio is not a number")
     attribution = row.get("attribution")
     if attribution is not None and isinstance(attribution, dict):
         try:
@@ -185,49 +172,40 @@ def check_mpsoc(section: object, min_speedup: float | None) -> list:
     return problems
 
 
-def check_against_baseline(payload: object, baseline: object) -> list:
-    """Per-workload hot_speedup regression gate vs the committed artifact.
-
-    Absolute host time is incomparable across CI hosts, so the gate
-    compares ``hot_speedup`` (fast vs naive within the *same* run): a
-    drop past :data:`BASELINE_TOLERANCE` means the fast schedule itself
-    got slower, whatever the host.
-    """
-    problems = []
-    if not isinstance(payload, dict) or not isinstance(baseline, dict):
-        return ["baseline: both artifacts must be JSON objects"]
-    fresh = {row.get("workload"): row
-             for row in payload.get("workloads", [])
-             if isinstance(row, dict)}
-    for row in baseline.get("workloads", []):
-        if not isinstance(row, dict):
-            continue
-        name = row.get("workload")
-        old = row.get("hot_speedup")
-        if not _is_number(old) or old <= 0:
-            continue  # no usable ratio in the committed artifact
-        baseline_fast = row.get("fast_seconds")
-        if not _is_number(baseline_fast) or baseline_fast < MIN_GATE_SECONDS:
-            continue  # too short for the ratio to be timing-stable
-        if name not in fresh:
-            problems.append(
-                f"baseline: workload {name!r} present in the committed "
-                f"artifact but missing from the fresh one"
+def check_against_baseline(payload: object, baseline: object,
+                           path: str = "") -> list:
+    """Exact-equality gate vs the committed artifact: one line per JSON
+    path whose value differs, appeared or disappeared."""
+    where = path or "<root>"
+    if isinstance(payload, dict) and isinstance(baseline, dict):
+        problems = []
+        for key in sorted(set(payload) | set(baseline)):
+            sub = f"{path}.{key}" if path else key
+            if key not in payload:
+                problems.append(f"baseline: {sub} missing from the fresh "
+                                f"artifact")
+            elif key not in baseline:
+                problems.append(f"baseline: {sub} not in the committed "
+                                f"artifact")
+            else:
+                problems.extend(
+                    check_against_baseline(payload[key], baseline[key], sub)
+                )
+        return problems
+    if isinstance(payload, list) and isinstance(baseline, list):
+        if len(payload) != len(baseline):
+            return [f"baseline: {where} has {len(payload)} entries, the "
+                    f"committed artifact {len(baseline)}"]
+        problems = []
+        for index, (new, old) in enumerate(zip(payload, baseline)):
+            problems.extend(
+                check_against_baseline(new, old, f"{path}[{index}]")
             )
-            continue
-        new = fresh[name].get("hot_speedup")
-        if not _is_number(new):
-            problems.append(
-                f"baseline: workload {name!r} lost its hot_speedup field"
-            )
-        elif new < BASELINE_TOLERANCE * old:
-            problems.append(
-                f"baseline: workload {name!r} fast-schedule speedup "
-                f"regressed {old:.2f}x -> {new:.2f}x (more than "
-                f"{100 * (1 - BASELINE_TOLERANCE):.0f}% slower than the "
-                f"committed artifact)"
-            )
-    return problems
+        return problems
+    if type(payload) is not type(baseline) or payload != baseline:
+        return [f"baseline: {where} is {payload!r}, committed "
+                f"{baseline!r}"]
+    return []
 
 
 def main(argv) -> int:
@@ -239,8 +217,8 @@ def main(argv) -> int:
     parser.add_argument("--min-mpsoc-speedup", type=float, default=None,
                         help="largest-point speedup_vs_1 floor")
     parser.add_argument("--baseline", default=None, metavar="PATH",
-                        help="committed artifact to gate hot_speedup "
-                             "regressions against")
+                        help="committed artifact the fresh one must "
+                             "equal exactly")
     args = parser.parse_args(argv[1:])
 
     if args.report:

@@ -1,4 +1,4 @@
-"""Kernel host-time benchmarks: naive vs fast schedule.
+"""Kernel work benchmarks: naive vs fast schedule.
 
 The paper's workloads spend most of their simulated time *waiting* --
 the controller parked in ``exec_wait`` while a deep datapath crunches,
@@ -6,18 +6,20 @@ a driver backing off on a busy device, a timeout running to its
 deadline -- or *streaming* FIFO slabs and bus bursts.  The kernel's
 fast schedule (see ``docs/SIMULATION.md``) turns those waits into O(1)
 jumps, dispatches only the components that are due, and batches
-trace-free streaming into single array operations; this module
-measures what that is worth, per workload, on the host at hand.
+trace-free streaming into single slab operations; this module records
+how much per-cycle work that leaves, per workload.
 
-Each workload runs under ``naive`` (every component, every cycle: the
-oracle) and ``fast`` (the shipping trace-free schedule), and both runs
-are required to land on the *same simulated cycle count* (anything
-else is a kernel equivalence bug, and the bench refuses to report
-numbers for it).  Both legs are timed best-of-:data:`BEST_OF`, in
-alternating rounds, so ``hot_speedup`` is a ratio of two equally
-denoised timings.  Results carry host CPU seconds, simulated cycles
-per host second for each mode, ``hot_speedup`` (naive -> fast) and the
-fraction of cycles the fast schedule skipped.
+Each workload runs once under ``naive`` (every component, every cycle:
+the oracle) and once under ``fast`` (the shipping trace-free schedule),
+and both runs are required to land on the *same simulated cycle count*
+(anything else is a kernel equivalence bug, and the bench refuses to
+report numbers for it).  Each row carries the fast run's kernel
+counters from :meth:`repro.sim.Simulator.profile`: cycles ``ticked``
+and ``skipped``, the number of ``skip_windows`` and the ticked cycles
+the batch lane consumed (``batched``).  They are bit-stable on every
+host, so the artifact holds no host-dependent field and CI gates it by
+exact equality; a lost skip or batch window shows up as more ticked or
+fewer batched cycles.  Host time is measured by ``hostbench``.
 
 Each ``BenchResult`` also carries the run's cycle attribution
 (transfer / compute / control, from ``repro.obs``); naive and fast
@@ -33,15 +35,12 @@ Entry points:
 * :func:`run_benchmarks` -- programmatic, returns ``BenchResult`` rows;
 * ``python -m repro.cli bench`` -- human-readable table plus the
   ``BENCH_simulator.json`` machine-readable artifact (``--output``
-  overrides the path);
-* ``benchmarks/test_bench_simulator.py`` -- CI smoke run emitting the
-  same JSON artifact.
+  overrides the path).
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
@@ -60,38 +59,37 @@ from .rac.dft import DFTRac
 from .rac.idct import IDCTRac
 from .rac.scale import PassthroughRac
 from .sim.errors import DeadlockError, SimulationError
+from .sim.kernel import SimProfile
 from .system import RAM_BASE, SoC
 
 PROG = RAM_BASE + 0x1000
 IN = RAM_BASE + 0x2000
 OUT = RAM_BASE + 0x3000
 
-#: kernel configurations each workload runs under, in report order
-MODES = ("naive", "fast")
+#: kernel configurations each workload runs under
 _MODE_KW: Dict[str, Dict[str, bool]] = {
     "naive": {"idle_skip": False},
     "fast": {"idle_skip": True},
 }
 
-#: (simulated cycles, skip ratio, attribution dict or None, perfbound
-#: check dict or None) of one run in one kernel mode
-WorkloadFn = Callable[
-    [str],
-    Tuple[int, float, Optional[Dict[str, object]],
-          Optional[Dict[str, object]]],
-]
+#: (kernel counters, attribution dict or None, perfbound check dict or
+#: None) of one run in one kernel mode
+WorkloadRun = Tuple[SimProfile, Optional[Dict[str, object]],
+                    Optional[Dict[str, object]]]
+WorkloadFn = Callable[[str], WorkloadRun]
 
 
 @dataclass
 class BenchResult:
-    """Naive / fast measurement of one workload."""
+    """Naive / fast-checked measurement of one workload."""
 
     workload: str
     cycles: int
-    naive_seconds: float
-    #: CPU seconds of the fast (trace-free, batch lane) run
-    fast_seconds: float
-    skip_ratio: float
+    #: kernel counters of the fast (trace-free, batch lane) run
+    ticked: int
+    skipped: int
+    skip_windows: int
+    batched: int
     #: cycle attribution of the run (``AttributionReport.as_dict``),
     #: ``None`` for workloads that never start a coprocessor
     attribution: Optional[Dict[str, object]] = None
@@ -100,31 +98,15 @@ class BenchResult:
     perfbound: Optional[Dict[str, object]] = None
 
     @property
-    def hot_speedup(self) -> float:
-        """Fast-schedule gain over the naive oracle."""
-        return self.naive_seconds / self.fast_seconds if self.fast_seconds else 0.0
-
-    @property
-    def naive_cycles_per_sec(self) -> float:
-        return self.cycles / self.naive_seconds if self.naive_seconds else 0.0
-
-    @property
-    def fast_cycles_per_sec(self) -> float:
-        return self.cycles / self.fast_seconds if self.fast_seconds else 0.0
+    def skip_ratio(self) -> float:
+        """Fraction of the cycles the fast schedule skipped."""
+        return self.skipped / self.cycles if self.cycles else 0.0
 
     def as_dict(self) -> Dict[str, object]:
         out = asdict(self)
-        out["hot_speedup"] = self.hot_speedup
-        out["naive_cycles_per_sec"] = self.naive_cycles_per_sec
-        out["fast_cycles_per_sec"] = self.fast_cycles_per_sec
+        out["skip_ratio"] = self.skip_ratio
         return out
 
-
-#: timer of the kernel workloads: CPU time of this (single-threaded)
-#: process, which leaves out the time a shared host gives to other
-#: processes -- that time inflated single naive legs enough to swing a
-#: best-of-3 wall-clock hot_speedup by 15-40% between runs
-_clock = time.process_time
 
 @lru_cache(maxsize=None)
 def _stream_program(words: int, repeats: int, chunk: int) -> OuProgram:
@@ -149,15 +131,8 @@ def _run_ocp(
     chunk: int = 64,
     protocol: BusProtocol = AHB,
     plan: Optional[FaultPlan] = None,
-) -> Tuple[int, float, Dict[str, object], Dict[str, object], float]:
-    """One OCP program: ``repeats`` x (stream in, exec, stream out).
-
-    Only the simulation itself (``run_until``) is timed: system
-    construction, fault injection, program building and the post-run
-    attribution / cost-bound bookkeeping are identical across modes and
-    would only dilute the kernel comparison.  The timer is
-    :data:`_clock` (CPU time).
-    """
+) -> WorkloadRun:
+    """One OCP program: ``repeats`` x (stream in, exec, stream out)."""
     soc = SoC(racs=[rac_factory()], protocol=protocol, **_MODE_KW[mode])
     if plan is not None:
         inject_faults(soc, plan)
@@ -173,9 +148,7 @@ def _run_ocp(
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(program))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    begin = _clock()
     soc.run_until(lambda: ocp.done, max_cycles=max_cycles)
-    elapsed = _clock() - begin
     if soc.read_ram(OUT, words) != expected:
         raise SimulationError("bench workload produced wrong data")
     from .obs import attribute_run, compare_attribution
@@ -193,8 +166,7 @@ def _run_ocp(
         "tightness": bound.tightness(),
         "sound": check.sound,
     }
-    return (soc.sim.cycle, soc.sim.profile().skip_ratio,
-            report.as_dict(), perfbound, elapsed)
+    return soc.sim.profile(), report.as_dict(), perfbound
 
 
 def _stall_heavy(mode: str):
@@ -220,9 +192,9 @@ def _loopback(mode: str):
 def _stall_faulted(mode: str):
     """Transfer dominated under injected RAM stalls: the injectors
     ride the same dispatch scan and batch lane as a clean run, so this
-    times the fast schedule with a fault plan armed.  The recoverable
-    stalls fire inside the program: 4033 cycles against 3934 without
-    them."""
+    counts the fast schedule's work with a fault plan armed.  The
+    recoverable stalls fire inside the program: 4033 cycles against
+    3934 without them."""
     return _run_ocp(
         mode,
         lambda: PassthroughRac(block_size=64, fifo_depth=128,
@@ -294,16 +266,14 @@ def _idle_timeout(mode: str):
     one of the ``max_cycles`` cycles before raising.
     """
     soc = SoC(racs=[PassthroughRac(block_size=16)], **_MODE_KW[mode])
-    begin = _clock()
     try:
         soc.run_until(lambda: False, max_cycles=200_000, what="bench timeout")
     except DeadlockError:
         pass
     else:  # pragma: no cover - the predicate above is constant
         raise SimulationError("bench timeout unexpectedly satisfied")
-    elapsed = _clock() - begin
     # the coprocessor never starts: nothing to attribute or to bound
-    return soc.sim.cycle, soc.sim.profile().skip_ratio, None, None, elapsed
+    return soc.sim.profile(), None, None
 
 
 WORKLOADS: Dict[str, WorkloadFn] = {
@@ -316,49 +286,23 @@ WORKLOADS: Dict[str, WorkloadFn] = {
 }
 
 
-#: rounds per workload and mode; the best (minimum) CPU time of each
-#: mode is reported, which keeps the speedup ratios stable on noisy CI
-#: hosts
-BEST_OF = 3
-
-
-def _best_of(name: str, fn: WorkloadFn) -> Dict[str, tuple]:
-    """Alternate naive and fast rounds; keep each mode's fastest run
-    after checking that all of its rounds agree."""
-    rounds: Dict[str, List[tuple]] = {mode: [] for mode in MODES}
-    for _ in range(BEST_OF):
-        for mode in MODES:
-            rounds[mode].append(fn(mode))
-    best = {}
-    for mode, runs in rounds.items():
-        for other in runs[1:]:
-            if other[:4] != runs[0][:4]:
-                raise SimulationError(
-                    f"bench {name!r}: two identical {mode} runs disagree "
-                    f"-- the simulator is not deterministic"
-                )
-        best[mode] = min(runs, key=lambda r: r[4])
-    return best
-
-
 def run_benchmarks(
     names: Optional[List[str]] = None,
 ) -> List[BenchResult]:
     """Run each workload in both modes; verify cycle equality."""
     results: List[BenchResult] = []
     for name in names or list(WORKLOADS):
-        best = _best_of(name, WORKLOADS[name])
-        naive_cycles, naive_ratio, naive_att, naive_pb, naive_s = best["naive"]
-        fast_cycles, fast_ratio, fast_att, fast_pb, fast_s = best["fast"]
-        if fast_cycles != naive_cycles:
+        naive, naive_att, naive_pb = WORKLOADS[name]("naive")
+        fast, fast_att, fast_pb = WORKLOADS[name]("fast")
+        if fast.cycles != naive.cycles:
             raise SimulationError(
-                f"bench {name!r}: naive finished at cycle {naive_cycles} "
-                f"but fast at {fast_cycles} -- kernel equivalence violated"
+                f"bench {name!r}: naive finished at cycle {naive.cycles} "
+                f"but fast at {fast.cycles} -- kernel equivalence violated"
             )
-        if naive_ratio:
+        if naive.skipped or naive.batched:
             raise SimulationError(
-                f"bench {name!r}: naive run reported skip ratio "
-                f"{naive_ratio} (must be 0)"
+                f"bench {name!r}: naive run skipped {naive.skipped} and "
+                f"batched {naive.batched} cycles (must be 0)"
             )
         if fast_att != naive_att:
             raise SimulationError(
@@ -379,10 +323,11 @@ def run_benchmarks(
             )
         results.append(BenchResult(
             workload=name,
-            cycles=fast_cycles,
-            naive_seconds=naive_s,
-            fast_seconds=fast_s,
-            skip_ratio=fast_ratio,
+            cycles=fast.cycles,
+            ticked=fast.ticked,
+            skipped=fast.skipped,
+            skip_windows=fast.skip_windows,
+            batched=fast.batched,
             attribution=fast_att,
             perfbound=fast_pb,
         ))
@@ -391,8 +336,8 @@ def run_benchmarks(
 
 def render_results(results: List[BenchResult]) -> str:
     header = (
-        f"{'workload':<14} {'cycles':>9} {'wcet':>9} {'naive s':>9} "
-        f"{'fast s':>9} {'hot x':>8} {'skip %':>7}"
+        f"{'workload':<14} {'cycles':>9} {'wcet':>9} {'ticked':>9} "
+        f"{'batched':>9} {'windows':>8} {'skip %':>7}"
     )
     lines = [header, "-" * len(header)]
     for r in results:
@@ -400,9 +345,9 @@ def render_results(results: List[BenchResult]) -> str:
         if r.perfbound is not None and r.perfbound["predicted_hi"]:
             wcet = str(r.perfbound["predicted_hi"])
         lines.append(
-            f"{r.workload:<14} {r.cycles:>9} {wcet:>9} "
-            f"{r.naive_seconds:>9.3f} {r.fast_seconds:>9.3f} "
-            f"{r.hot_speedup:>7.1f}x {100 * r.skip_ratio:>6.1f}"
+            f"{r.workload:<14} {r.cycles:>9} {wcet:>9} {r.ticked:>9} "
+            f"{r.batched:>9} {r.skip_windows:>8} "
+            f"{100 * r.skip_ratio:>6.1f}"
         )
     return "\n".join(lines)
 
@@ -419,16 +364,6 @@ def write_report(
     }
     if mpsoc is not None:
         payload["mpsoc"] = mpsoc.as_dict()
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def merge_mpsoc_into_report(path: str, mpsoc: "MpsocSweep") -> None:
-    """Add/replace the ``mpsoc`` section of an existing report file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    payload["mpsoc"] = mpsoc.as_dict()
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -453,7 +388,9 @@ class MpsocPoint:
     speedup_vs_1: float
     #: mean per-OCP busy fraction over the run
     utilization: float
-    host_seconds: float
+    #: kernel counters of the fast run (``Simulator.profile()``)
+    ticked: int
+    batched: int
 
     def as_dict(self) -> Dict[str, object]:
         return asdict(self)
@@ -510,7 +447,7 @@ def run_mpsoc_sweep(
             for index in range(n_jobs)
         ]
 
-    def run_one(count: int, idle_skip: bool) -> Tuple[int, float]:
+    def run_one(count: int, idle_skip: bool) -> Tuple[SimProfile, float]:
         soc = SoC(
             racs=[
                 PassthroughRac(
@@ -541,20 +478,19 @@ def run_mpsoc_sweep(
         mean_util = (
             sum(s.utilization for s in report.per_ocp) / len(report.per_ocp)
         )
-        return soc.sim.cycle, mean_util
+        return soc.sim.profile(), mean_util
 
     points: List[MpsocPoint] = []
     base_cycles: Optional[int] = None
     for count in ocp_counts:
-        begin = time.perf_counter()
-        cycles, utilization = run_one(count, idle_skip=True)
-        host_seconds = time.perf_counter() - begin
+        profile, utilization = run_one(count, idle_skip=True)
+        cycles = profile.cycles
         if count == min(ocp_counts) and verify_naive:
-            naive_cycles, _ = run_one(count, idle_skip=False)
-            if naive_cycles != cycles:
+            naive, _ = run_one(count, idle_skip=False)
+            if naive.cycles != cycles:
                 raise SimulationError(
                     f"mpsoc sweep: naive kernel finished at cycle "
-                    f"{naive_cycles} but fast at {cycles} -- "
+                    f"{naive.cycles} but fast at {cycles} -- "
                     f"kernel equivalence violated"
                 )
         if base_cycles is None:
@@ -568,7 +504,8 @@ def run_mpsoc_sweep(
             words_per_cycle=n_jobs * job_words / cycles if cycles else 0.0,
             speedup_vs_1=base_cycles / cycles if cycles else 0.0,
             utilization=utilization,
-            host_seconds=host_seconds,
+            ticked=profile.ticked,
+            batched=profile.batched,
         ))
     return MpsocSweep(
         workload="mpsoc_passthrough",

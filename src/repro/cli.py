@@ -19,8 +19,8 @@ original project shipped alongside its RTL:
 * ``table1``    -- regenerate the paper's Table I
 * ``transfer``  -- regenerate the cycles-per-word analysis
 * ``faults``    -- fault-injection demo (replay + recovery)
-* ``bench``     -- kernel host-time benchmark (naive vs fast
-  schedule)
+* ``bench``     -- kernel work counters per workload, naive vs fast
+  schedule checked equal (deterministic JSON artifact)
 * ``profile``   -- traced workload run with cycle attribution,
   Perfetto/VCD export and a counter read-back differential check
 
@@ -217,6 +217,13 @@ def _stream_int(doc: dict, key: str) -> Optional[int]:
         ) from None
 
 
+def _is_int_list(value: object) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(item, int) and not isinstance(item, bool)
+        for item in value
+    )
+
+
 def _load_stream(path: str) -> dict:
     """Parse a job-stream description JSON file."""
     import json
@@ -247,9 +254,14 @@ def _cmd_racecheck(args: argparse.Namespace) -> int:
     if table is not None:
         if not isinstance(table, dict):
             raise ReproError("'capability' must map kind -> OCP list")
+        for kind, indices in table.items():
+            if not _is_int_list(indices):
+                raise ReproError(
+                    f"capability for kind {kind!r}: expected a list of "
+                    f"OCP indices, got {indices!r}"
+                )
         capability = CapabilityTable(
-            {str(kind): list(indices)
-             for kind, indices in table.items()}
+            {str(kind): indices for kind, indices in table.items()}
         )
     jobs = []
     for position, entry in enumerate(doc.get("jobs", [])):
@@ -266,10 +278,15 @@ def _cmd_racecheck(args: argparse.Namespace) -> int:
                     "'size'"
                 )
             words = [0] * size
+        elif not _is_int_list(words):
+            raise ReproError(
+                f"job #{position}: 'words' must be a list of integers, "
+                f"got {words!r}"
+            )
         jobs.append(Job(
             str(entry.get("id", f"job{position}")),
             str(entry["kind"]),
-            [int(word) for word in words],
+            words,
             chain=entry.get("chain"),
         ))
     if not jobs:
@@ -727,7 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="kernel host-time benchmark: naive vs fast schedule",
+        help="kernel work counters per workload (ticked, skipped, "
+             "batched cycles), naive vs fast schedule checked equal",
     )
     p.add_argument("workloads", nargs="*",
                    help="workload names (default: all)")

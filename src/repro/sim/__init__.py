@@ -19,7 +19,7 @@ from .errors import (
     ReproError,
     SimulationError,
 )
-from .kernel import Component, ComponentProfile, SimProfile, Simulator
+from .kernel import Component, SimProfile, Simulator
 from .tracing import Stats, Trace, TraceEvent, VCDWriter
 from .waveform import WaveformProbe, ocp_probe
 

@@ -55,9 +55,8 @@ rules are documented in ``docs/SIMULATION.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from . import audit
 from .errors import DeadlockError, SimulationError
@@ -242,32 +241,23 @@ class Component:
 
 
 @dataclass
-class ComponentProfile:
-    """Per-component slice of :meth:`Simulator.profile`."""
-
-    name: str
-    ticks: int = 0
-    time_s: float = 0.0
-
-
-@dataclass
 class SimProfile:
     """Cycle accounting of one :class:`Simulator`'s execution.
 
     ``ticked`` counts cycles on which components executed, ``skipped``
     counts cycles fast-forwarded over declared idle windows; the two
-    always sum to ``cycles``.  With ``profile_time=True``,
-    ``components`` carries each component's executed ticks and the
-    host time spent in its hooks, and ``kernel_s`` the host time the
-    kernel itself spent scanning and dispatching.
+    always sum to ``cycles``.  ``batched`` counts the cycles of
+    ``ticked`` that the batch lane consumed in
+    :meth:`Component.tick_batch` slabs.
+    Host time is not the kernel's business: hostbench's tracer
+    attributes it per layer from outside.
     """
 
     cycles: int
     ticked: int
     skipped: int
     skip_windows: int
-    components: Dict[str, ComponentProfile] = field(default_factory=dict)
-    kernel_s: float = 0.0
+    batched: int
 
     @property
     def skip_ratio(self) -> float:
@@ -275,30 +265,13 @@ class SimProfile:
         return self.skipped / self.cycles if self.cycles else 0.0
 
     def render(self) -> str:
-        lines = [
+        return "\n".join([
             f"cycles          {self.cycles:>10}",
-            f"  ticked        {self.ticked:>10}",
+            f"  ticked        {self.ticked:>10} "
+            f"({self.batched} batched)",
             f"  skipped       {self.skipped:>10} "
             f"({100 * self.skip_ratio:.1f}% in {self.skip_windows} windows)",
-        ]
-        if self.components:
-            rows = [(p.name, f"{p.ticks:>10} ticks", p.time_s)
-                    for p in self.components.values()]
-            rows.append(("<kernel>", " " * 16, self.kernel_s))
-            total = sum(row[2] for row in rows)
-            lines.append("host time attribution:")
-            for name, ticks, time_s in sorted(rows, key=lambda r: -r[2]):
-                share = time_s / total if total else 0.0
-                lines.append(
-                    f"  {name:<20} {ticks} "
-                    f"{1e3 * time_s:>9.2f} ms ({100 * share:.1f}%)"
-                )
-        return "\n".join(lines)
-
-
-#: component hooks the kernel calls; timed per component under
-#: ``profile_time``
-_HOOKS = ("tick", "commit", "tick_batch", "next_activity", "on_skip")
+        ])
 
 
 class Simulator:
@@ -323,10 +296,6 @@ class Simulator:
         ``tick_batch`` slab runs on a copy that must match the naive
         replay of its cycles.  Used by the equivalence tests; costs
         naive speed plus the checks.
-    profile_time:
-        Attribute host wall-clock time to individual components and to
-        the kernel (see :meth:`profile`).  Works under both schedules;
-        off by default.
     """
 
     #: predicate re-check granularity inside a declared-idle window --
@@ -341,13 +310,11 @@ class Simulator:
         trace: Optional[Trace] = None,
         idle_skip: bool = True,
         strict: bool = False,
-        profile_time: bool = False,
     ) -> None:
         self.cycle = 0
         self.trace = trace
         self.idle_skip = idle_skip
         self.strict = strict
-        self.profile_time = profile_time
         #: registered components that require full dispatch (naive)
         self._full_dispatch = 0
         #: True while inside a fast-schedule step/run_until (skip
@@ -361,11 +328,7 @@ class Simulator:
         self._ticked = 0
         self._skipped = 0
         self._skip_windows = 0
-        self._profiles: Dict[str, ComponentProfile] = {}
-        self._advance_s = 0.0
-        #: nesting flag of the profile_time hook wrappers: a hook called
-        #: from inside another timed hook is charged to the outer one
-        self._timing = [False]
+        self._batched = 0
 
     # -- registration ----------------------------------------------------
     def add(self, component: Component) -> Component:
@@ -378,8 +341,6 @@ class Simulator:
         self._components.append(component)
         if component.requires_full_dispatch:
             self._full_dispatch += 1
-        if self.profile_time:
-            self._instrument(component)
         # a newcomer has no skipped cycles to reconcile
         component._synced = self.cycle
         component.attach(self)
@@ -433,32 +394,6 @@ class Simulator:
         return (self.trace is None and self.idle_skip and not self.strict
                 and not self._full_dispatch)
 
-    # -- host-time profiling ---------------------------------------------
-    def _instrument(self, comp: Component) -> None:
-        """Wrap ``comp``'s kernel hooks with host-time accounting."""
-        prof = self._profiles.setdefault(
-            comp.name, ComponentProfile(comp.name)
-        )
-        timing = self._timing
-        for hook in _HOOKS:
-            def timed(*args, _fn=getattr(comp, hook), _hook=hook):
-                if timing[0]:
-                    return _fn(*args)
-                timing[0] = True
-                begin = perf_counter()
-                try:
-                    result = _fn(*args)
-                finally:
-                    prof.time_s += perf_counter() - begin
-                    timing[0] = False
-                if _hook == "tick":
-                    prof.ticks += 1
-                elif _hook == "tick_batch":
-                    prof.ticks += result
-                return result
-
-            setattr(comp, hook, timed)
-
     # -- execution ---------------------------------------------------------
     def reset(self) -> None:
         """Reset the clock, the profile counters and every component."""
@@ -466,10 +401,7 @@ class Simulator:
         self._ticked = 0
         self._skipped = 0
         self._skip_windows = 0
-        self._advance_s = 0.0
-        for prof in self._profiles.values():
-            prof.ticks = 0
-            prof.time_s = 0.0
+        self._batched = 0
         for comp in self._components:
             comp.reset()
 
@@ -511,7 +443,6 @@ class Simulator:
         until it holds, re-checking it before every event; reaching
         ``bound`` first is a deadlock.
         """
-        begin = perf_counter() if self.profile_time else 0.0
         start = self.cycle
         fast = self.idle_skip and not self._full_dispatch
         # the shipping schedule; strict mode audits the same decisions
@@ -560,8 +491,6 @@ class Simulator:
                 # fast epoch to reconcile through on_skip
                 for comp in self._components:
                     comp._synced = self.cycle
-            if self.profile_time:
-                self._advance_s += perf_counter() - begin
 
     def _tick_all(self) -> None:
         """One naive two-phase cycle."""
@@ -741,25 +670,15 @@ class Simulator:
         sole._wake_valid = False
         self.cycle = now + consumed
         self._ticked += consumed
+        self._batched += consumed
 
     # -- introspection ----------------------------------------------------
     def profile(self) -> SimProfile:
-        """Cycle accounting: ticked vs skipped cycles, time attribution.
-
-        Cheap counters (ticked/skipped/windows) are always maintained;
-        per-component tick counts and host-time shares require
-        ``profile_time=True``.
-        """
-        components = {
-            name: ComponentProfile(prof.name, prof.ticks, prof.time_s)
-            for name, prof in self._profiles.items()
-        }
-        hooks_s = sum(prof.time_s for prof in components.values())
+        """Cycle accounting: ticked, skipped and batched cycles."""
         return SimProfile(
             cycles=self.cycle,
             ticked=self._ticked,
             skipped=self._skipped,
             skip_windows=self._skip_windows,
-            components=components,
-            kernel_s=max(0.0, self._advance_s - hooks_s),
+            batched=self._batched,
         )

@@ -106,9 +106,11 @@ class OuessantLibrary:
     ) -> List[List[int]]:
         """Execute a firmware plan: allocate, load, run, read back.
 
-        ``inputs`` holds the unsigned words for each RAC input port
-        (lengths must match ``plan.words_in``); returns the unsigned
-        word lists of each output port.
+        A call's buffers are dead once its outputs are read back, so the
+        heap is reset first and holds one call at a time.  ``inputs``
+        holds the unsigned words for each RAC input port (lengths must
+        match ``plan.words_in``); returns the unsigned word lists of
+        each output port.
         """
         for port, (words, expected) in enumerate(zip(inputs, plan.words_in)):
             if len(words) != expected:
@@ -116,6 +118,7 @@ class OuessantLibrary:
                     f"input port {port}: expected {expected} words, "
                     f"got {len(words)}"
                 )
+        self.allocator.reset()
         addresses = {0: self.allocator.alloc(len(plan.program) + 4)}
         for bank, words in zip(plan.input_banks, plan.words_in):
             addresses[bank] = self.allocator.alloc(words)

@@ -99,14 +99,12 @@ class SoC:
         memory: Optional[Memory] = None,
         idle_skip: bool = True,
         strict: bool = False,
-        profile_time: bool = False,
         clock_mhz: float = 50.0,
     ) -> None:
         self.sim = Simulator(
             trace=trace,
             idle_skip=idle_skip,
             strict=strict,
-            profile_time=profile_time,
         )
         self.bus = SystemBus("bus", protocol=protocol)
         self.sim.add(self.bus)

@@ -8,6 +8,7 @@ input (warnings included), ``1`` when error findings are reported,
 perfbound``, ``-k diag``), so test ids carry the analyzer token.
 """
 
+import json
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,23 @@ def test_racecheck_findings_exit_1():
 
 def test_racecheck_usage_error_exits_2():
     assert main(["racecheck", "/nonexistent.json"]) == 2
+
+
+@pytest.mark.parametrize("job, capability", [
+    ({"kind": "passthrough", "words": ["x"]}, None),
+    ({"kind": "passthrough", "words": 5}, None),
+    ({"kind": "passthrough", "size": 16}, {"passthrough": 3}),
+], ids=["words-not-integers", "words-not-a-list", "capability-not-a-list"])
+def test_racecheck_malformed_stream_exits_2(tmp_path, capsys, job,
+                                            capability):
+    doc = {"ocps": ["passthrough:16"], "jobs": [job]}
+    if capability is not None:
+        doc["capability"] = capability
+    path = tmp_path / "stream.json"
+    path.write_text(json.dumps(doc))
+    assert main(["racecheck", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "job #0" in err or "'passthrough'" in err
 
 
 # -- perfbound ------------------------------------------------------------

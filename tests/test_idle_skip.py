@@ -282,33 +282,52 @@ def test_strict_mode_replays_batch_slabs():
         broken.step(100)
 
 
-def test_profile_time_attributes_host_time_per_component():
-    sim = Simulator(idle_skip=False, profile_time=True)
+class Burst(Streamer):
+    """Streams ``limit`` counts from cycle 0, then sleeps for good."""
 
-    class Busy(Component):
-        def tick(self):
-            pass
+    def __init__(self, limit=50):
+        super().__init__()
+        self.limit = limit
 
-    sim.add(Busy("busy"))
-    sim.step(10)
-    prof = sim.profile()
-    assert prof.components["busy"].ticks == 10
-    assert prof.components["busy"].time_s >= 0.0
-    assert "busy" in prof.render()
+    def next_activity(self):
+        return self.now if self.count < self.limit else None
+
+    def tick(self):
+        if self.count < self.limit:
+            self.count += 1
+
+    def tick_batch(self, budget):
+        consumed = min(budget, self.limit - self.count)
+        self.count += consumed
+        return consumed
 
 
-def test_profile_time_runs_on_the_fast_schedule():
-    """Profiling keeps the fast schedule: only executed ticks are
-    counted, skipped windows stay skipped, and the kernel's own host
-    time is reported next to the components'."""
-    sim = Simulator(profile_time=True)
+def _burst_run(idle_skip):
+    sim = Simulator(idle_skip=idle_skip)
+    burst = sim.add(Burst())
     sim.add(Sleeper())
     sim.step(350)
-    prof = sim.profile()
-    assert prof.skipped == 347
-    assert prof.components["sleeper"].ticks == 3
-    assert prof.kernel_s >= 0.0
-    assert "<kernel>" in prof.render()
+    return sim, burst
+
+
+def test_profile_counts_batched_cycles():
+    """``batched`` counts exactly the cycles ``tick_batch`` consumed: on
+    cycle 0 both components are due (a dispatched cycle); cycles 1-49
+    are one slab of the sole due streamer; the sleeper's later wakes
+    are dispatched, and the rest is skipped."""
+    naive, naive_burst = _burst_run(idle_skip=False)
+    fast, fast_burst = _burst_run(idle_skip=True)
+    assert naive_burst.count == fast_burst.count == 50
+    naive_prof, fast_prof = naive.profile(), fast.profile()
+    assert naive_prof.batched == 0
+    assert naive_prof.ticked == naive_prof.cycles == 350
+    assert fast_prof.batched == 49
+    assert fast_prof.ticked == 1 + 49 + 2
+    assert fast_prof.ticked + fast_prof.skipped == fast_prof.cycles == 350
+    assert "49 batched" in fast_prof.render()
+    fast.reset()
+    assert fast.profile().batched == 0
+    assert fast.profile().ticked == fast.profile().skipped == 0
 
 
 def test_waveform_probe_disables_skipping():

@@ -11,7 +11,7 @@ from repro.rac.scale import PassthroughRac
 from repro.sim.errors import DriverError
 from repro.sw.baremetal import BaremetalRuntime
 from repro.sw.driver import OuessantDriver
-from repro.sw.library import OuessantLibrary
+from repro.sw.library import HEAP_BASE_OFFSET, OuessantLibrary
 from repro.sw.linux import LinuxCosts, LinuxRuntime
 from repro.system import RAM_BASE, SoC
 from repro.utils import fixedpoint as fp
@@ -225,3 +225,13 @@ def test_library_repeated_calls_allocate_fresh_buffers(soc_dft64, q15_signal):
     first = library.dft(re, im)
     second = library.dft(re, im)
     assert first == second
+
+
+def test_library_heap_is_reclaimed_between_calls(coef_block):
+    """A call's buffers are freed once its outputs are read back: a heap
+    with room for only a few calls' buffers serves a long session."""
+    soc = SoC(racs=[IDCTRac()], ram_size=HEAP_BASE_OFFSET + 4096)
+    library = OuessantLibrary(soc, environment="baremetal")
+    golden = fp.idct2_q15(coef_block)
+    for _ in range(100):
+        assert library.idct(coef_block) == golden
