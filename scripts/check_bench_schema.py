@@ -6,13 +6,15 @@ downstream dashboards, so its shape is checked field by field:
 
 * top level: ``bench == "simulator"`` plus a ``workloads`` list whose
   rows carry the :class:`repro.bench.BenchResult` fields (kernel
-  counters as non-negative integers; attribution, when present,
+  counters as non-negative integers with ``ticked + skipped ==
+  cycles`` and ``batched <= ticked``; attribution, when present,
   satisfying transfer+compute+control == total; perfbound check, when
   present, sound: measured cycles inside the statically predicted
   ``[lo, hi]``);
 * the optional ``mpsoc`` section: sweep parameters plus a scaling
   curve of per-OCP-count points, strictly increasing in OCP count,
-  with the smallest point pinned at ``speedup_vs_1 == 1.0``;
+  each with ``batched <= ticked <= cycles``, and the smallest point
+  pinned at ``speedup_vs_1 == 1.0``;
 * ``--require-mpsoc`` makes the section mandatory and
   ``--min-mpsoc-speedup X`` fails the gate if the largest point's
   aggregate throughput regresses below ``X`` times the 1-OCP baseline;
@@ -76,10 +78,25 @@ def check_workload(row: object, label: str) -> list:
     problems = _check_fields(row, WORKLOAD_FIELDS, label)
     if not isinstance(row.get("workload"), str):
         problems.append(f"{label}: workload is not a string")
+    counters_ok = True
     for field in COUNTER_FIELDS:
         value = row.get(field)
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             problems.append(f"{label}: {field} is {value!r}")
+            counters_ok = False
+    if counters_ok:
+        # a batch lane counted once per lane instead of once per cycle
+        # would break these
+        if row["ticked"] + row["skipped"] != row["cycles"]:
+            problems.append(
+                f"{label}: ticked {row['ticked']} + skipped "
+                f"{row['skipped']} != cycles {row['cycles']}"
+            )
+        if row["batched"] > row["ticked"]:
+            problems.append(
+                f"{label}: batched {row['batched']} exceeds ticked "
+                f"{row['ticked']}"
+            )
     if "skip_ratio" in row and not _is_number(row["skip_ratio"]):
         problems.append(f"{label}: skip_ratio is not a number")
     attribution = row.get("attribution")
@@ -154,6 +171,15 @@ def check_mpsoc(section: object, min_speedup: float | None) -> list:
         cycles = point.get("cycles")
         if _is_number(cycles) and cycles <= 0:
             problems.append(f"{plabel}: cycles {cycles!r} not positive")
+        ticked = point.get("ticked")
+        batched = point.get("batched")
+        if (_is_number(cycles) and _is_number(ticked)
+                and _is_number(batched)
+                and not batched <= ticked <= cycles):
+            problems.append(
+                f"{plabel}: expected batched <= ticked <= cycles, got "
+                f"{batched} / {ticked} / {cycles}"
+            )
     if problems:
         return problems
     if abs(points[0]["speedup_vs_1"] - 1.0) > 1e-9:

@@ -14,7 +14,7 @@ HLS-wrapper generator (:mod:`repro.rac.hls`).
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..sim.errors import ConfigurationError, RACError
 from ..sim.kernel import Component
@@ -313,15 +313,22 @@ class StreamingRAC(RAC):
         return (phase is _Phase.COLLECT and self._single_stream
                 and len(self._collected[0]) < self.items_in[0])
 
+    def batch_span(self, budget: int) -> int:
+        """Cycles :meth:`tick_batch` would consume: the same crossing
+        arithmetic, without moving a word."""
+        if self._phase is _Phase.COLLECT:
+            return self._collect_slab(budget)[0]
+        return self._emit_slab(budget)[0]
+
     def tick_batch(self, budget: int) -> int:
         """Fast-forward up to ``budget`` consecutive streaming ticks.
 
         Granted only in hot mode (no trace) while :attr:`can_batch`
-        holds and this RAC is the sole due component, so nothing can
-        observe the intermediate per-cycle FIFO states; the aggregate
-        state after ``consumed`` cycles is bit-identical to ``consumed``
-        naive ticks and commits.  Batches are bounded by the armed FIFO
-        stall watches (:meth:`FIFO.pop_crossing` /
+        holds and every due component is a lane driving its own FIFOs,
+        so nothing can observe the intermediate per-cycle FIFO states;
+        the aggregate state after ``consumed`` cycles is bit-identical
+        to ``consumed`` naive ticks and commits.  Batches are bounded by
+        the armed FIFO stall watches (:meth:`FIFO.pop_crossing` /
         :meth:`FIFO.push_crossing`) so a stalled controller resumes on
         exactly the naive cycle.
         """
@@ -329,18 +336,23 @@ class StreamingRAC(RAC):
             return self._batch_collect(budget)
         return self._batch_emit(budget)
 
-    def _batch_collect(self, budget: int) -> int:
+    def _collect_slab(self, budget: int) -> Tuple[int, int]:
+        """``(cycles, words)`` of a collect slab within ``budget``."""
         fifo = self.inputs[0]
-        need = self.items_in[0] - len(self._collected[0])
-        avail = min(need, fifo.occupancy)
-        rate = self.input_rate
-        cycles = -(-avail // rate)
-        crossing = fifo.pop_crossing()
-        if crossing is not None:
-            cycles = min(cycles, -(-crossing // rate))
-        cycles = min(cycles, budget)
-        words = min(avail, cycles * rate)
-        self._collected[0].extend(fifo.slab_pop_now(words))
+        ready = min(self.items_in[0] - len(self._collected[0]),
+                    fifo.occupancy)
+        return _slab(ready, self.input_rate, fifo.pop_crossing(), budget)
+
+    def _emit_slab(self, budget: int) -> Tuple[int, int]:
+        """``(cycles, words)`` of an emit slab within ``budget``."""
+        fifo = self.outputs[0]
+        ready = min(self.items_out[0] - self._emitted[0],
+                    fifo.free_push_words)
+        return _slab(ready, self.output_rate, fifo.push_crossing(), budget)
+
+    def _batch_collect(self, budget: int) -> int:
+        cycles, words = self._collect_slab(budget)
+        self._collected[0].extend(self.inputs[0].slab_pop_now(words))
         self.stats.incr("words_in", words)
         if len(self._collected[0]) >= self.items_in[0]:
             # the tick that takes the last word also transitions
@@ -350,16 +362,8 @@ class StreamingRAC(RAC):
         return cycles
 
     def _batch_emit(self, budget: int) -> int:
+        cycles, words = self._emit_slab(budget)
         fifo = self.outputs[0]
-        remaining = self.items_out[0] - self._emitted[0]
-        room = min(remaining, fifo.free_push_words)
-        rate = self.output_rate
-        cycles = -(-room // rate)
-        crossing = fifo.push_crossing()
-        if crossing is not None:
-            cycles = min(cycles, -(-crossing // rate))
-        cycles = min(cycles, budget)
-        words = min(room, cycles * rate)
         sent = self._emitted[0]
         fifo.slab_push_now(self._to_emit[0][sent:sent + words])
         fifo.note_high_water()
@@ -379,3 +383,16 @@ class StreamingRAC(RAC):
         self._to_emit = []
         self._emitted = []
         self._compute_timer = 0
+
+
+def _slab(ready: int, rate: int, crossing: Optional[int],
+          budget: int) -> Tuple[int, int]:
+    """``(cycles, words)`` of a one-port slab: move the ``ready`` words
+    at ``rate`` per cycle, but end on the cycle an armed stall watch
+    crosses (``crossing`` words, see :meth:`FIFO.pop_crossing`) and
+    within ``budget`` cycles."""
+    cycles = -(-ready // rate)
+    if crossing is not None:
+        cycles = min(cycles, -(-crossing // rate))
+    cycles = min(cycles, budget)
+    return cycles, min(ready, cycles * rate)

@@ -291,10 +291,10 @@ class FIFO(Component):
     def slab_push_now(self, values: List[int]) -> None:
         """Publish a slab directly (hot batch lane only; no staging).
 
-        Only legal while the pushing component is the sole component
-        executing (the kernel's batch grant): nothing else can observe
-        the intermediate states, so skipping the stage/commit round
-        trip is unobservable.  High-water marks are reconciled by the
+        Only legal inside a batch-lane slab: every component executing
+        is a lane, and no other lane drives this FIFO (the kernel's
+        batch grant), so nothing can observe the intermediate states
+        and skipping the stage/commit round trip is unobservable.  High-water marks are reconciled by the
         caller via :meth:`note_high_water` at batch end (occupancy is
         monotone within one batch direction).
         """

@@ -7,10 +7,10 @@ checks each of them against the naive oracle while it runs:
   the dispatch scan trusts it;
 * :func:`replay` executes a window the scan declared idle through the
   naive stepper and asserts that nothing happened in it;
-* :func:`audit_batch` runs a ``tick_batch`` slab on a copy of the
-  batching component and the components it drives, replays the same
-  cycles naively on the real system, and requires both to end in the
-  same state (:func:`state_diff`).
+* :func:`audit_batch` runs every lane's ``tick_batch`` slab on a copy
+  of the lanes and the components they drive, replays the same cycles
+  naively on the real system, and requires both to end in the same
+  state (:func:`state_diff`).
 
 The real system therefore always follows the naive schedule in strict
 mode; the fast paths only run to be checked.
@@ -21,7 +21,8 @@ from __future__ import annotations
 import copy
 from collections import deque
 from types import MethodType
-from typing import TYPE_CHECKING, Any, Dict, List, Optional, Set, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .errors import SimulationError
 
@@ -56,18 +57,19 @@ def audit_claims(sim: "Simulator") -> None:
 
 
 def replay(sim: "Simulator", cycles: int,
-           sole: Optional["Component"] = None) -> None:
+           lanes: Sequence["Component"] = ()) -> None:
     """Tick naively through ``cycles`` cycles the fast schedule would
-    have skipped (or, with ``sole``, batched) and assert that the claims
-    held: no component other than ``sole`` due, no trace events or
-    activity outside it."""
+    have skipped (or, with ``lanes``, batched) and assert that the
+    claims held: no component other than the lanes due, no trace events
+    or activity outside them."""
     events_before = len(sim.trace) if sim.trace is not None else None
-    allowed = {sim.last_active, sole.name if sole is not None else None}
-    window = "batched" if sole is not None else "declared-idle"
+    allowed = {sim.last_active}
+    allowed.update(lane.name for lane in lanes)
+    window = "batched" if lanes else "declared-idle"
     sim._settle()
     for offset in range(cycles):
         for comp in sim._components:
-            if comp is sole:
+            if comp in lanes:
                 continue
             wake = comp.next_activity()
             if wake is not None and wake <= sim.cycle:
@@ -90,40 +92,77 @@ def replay(sim: "Simulator", cycles: int,
         )
 
 
-def audit_batch(sim: "Simulator", sole: "Component", horizon: int) -> None:
-    """Check one ``tick_batch`` slab against its naive replay.
-
-    The slab runs on a deep copy of ``sole`` and of the registered
-    components it references (its FIFOs); every other component and the
-    simulator are shared with the copy, not copied.  The real system
-    then ticks the same number of cycles naively, and the two must
-    agree on every field of every copied component.
-    """
-    sim._settle()
-    now = sim.cycle
+def driven(sim: "Simulator", lane: "Component") -> List["Component"]:
+    """``lane`` plus the registered components it references (a RAC's
+    FIFOs): everything its ``tick_batch`` may touch.  Lanes batch
+    together only while these sets are pairwise disjoint."""
     registered = {id(comp) for comp in sim._components}
-    driven = [sole]
-    for name, value in vars(sole).items():
+    found = [lane]
+    for name, value in vars(lane).items():
         if name == "_watchers":
             continue
         for item in value if isinstance(value, (list, tuple)) else (value,):
-            if id(item) in registered and item not in driven:
-                driven.append(item)
+            if id(item) in registered and item not in found:
+                found.append(item)
+    return found
+
+
+def audit_batch(sim: "Simulator", lanes: Sequence["Component"],
+                horizon: int) -> None:
+    """Check one batch-lane span against its naive replay.
+
+    The lanes' driven sets are re-derived (they must be pairwise
+    disjoint) and deep-copied together; every other component and the
+    simulator are shared with the copies, not copied.  The span is computed on
+    the copies, which must not change under ``batch_span``; each copied
+    lane then runs its slab, which must consume the span exactly.  The
+    real system ticks the same cycles naively, with only the lanes
+    allowed to act, and the two must agree on every field of every
+    copied component.
+    """
+    sim._settle()
+    now = sim.cycle
+    reals: List["Component"] = []
+    owner: Dict[int, "Component"] = {}
+    for lane in lanes:
+        own = driven(sim, lane)
+        for comp in own:
+            other = owner.setdefault(id(comp), lane)
+            if other is not lane:
+                raise SimulationError(
+                    f"strict dispatch: lanes {other.name!r} and "
+                    f"{lane.name!r} both drive {comp.name!r} at cycle "
+                    f"{now}; they cannot batch together"
+                )
+        reals.extend(own)
     memo: Dict[int, object] = {id(sim): sim}
     for comp in sim._components:
-        if comp not in driven:
+        if comp not in reals:
             memo[id(comp)] = comp
-    shadows = copy.deepcopy(driven, memo)
-    consumed = max(1, shadows[0].tick_batch(horizon - now))
-    for shadow in shadows[1:]:
-        shadow.on_skip(consumed)
-    replay(sim, consumed, sole)
-    for real, shadow in zip(driven, shadows):
+    shadows = copy.deepcopy(reals, memo)
+    twin = {id(real): shadow for real, shadow in zip(reals, shadows)}
+    shadow_lanes = [twin[id(lane)] for lane in lanes]
+    span = sim._lane_span(shadow_lanes, horizon - now)
+    names = ", ".join(repr(lane.name) for lane in lanes)
+    for real, shadow in zip(reals, shadows):
         where = state_diff(real, shadow, real.name)
         if where is not None:
             raise SimulationError(
-                f"strict dispatch: {sole.name!r} tick_batch slab of "
-                f"{consumed} cycles from cycle {now} diverged from the "
+                f"strict dispatch: batch_span of {names} changed state "
+                f"at {where} (it must be side-effect-free)"
+            )
+    for shadow in shadow_lanes:
+        sim._run_lane(shadow, span)
+    for shadow in shadows:
+        if shadow not in shadow_lanes:
+            shadow.on_skip(span)
+    replay(sim, span, lanes)
+    for real, shadow in zip(reals, shadows):
+        where = state_diff(real, shadow, real.name)
+        if where is not None:
+            raise SimulationError(
+                f"strict dispatch: {names} tick_batch slab of "
+                f"{span} cycles from cycle {now} diverged from the "
                 f"naive replay at {where}"
             )
 

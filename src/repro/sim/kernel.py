@@ -33,9 +33,12 @@ cache once per event, and
 
 * fast-forwards the clock over windows in which no component is due,
 * ticks only the due components on the other cycles, and
-* -- when no trace is attached and a single component is due -- lets
-  that component consume a whole run of cycles in one host call
-  (:meth:`Component.tick_batch`, the FIFO slab transfers).
+* -- when no trace is attached and every due component can batch --
+  advances each of those *lanes* by one common span of cycles in one
+  host call per lane (:meth:`Component.batch_span` /
+  :meth:`Component.tick_batch`, the FIFO slab transfers).  Lanes run
+  together only while they drive pairwise disjoint sets of registered
+  components, so no lane can observe another's intermediate states.
 
 A quiescent component's per-cycle counters are reconciled lazily via
 :meth:`Component.on_skip`, just before its next tick or at the end of
@@ -56,7 +59,8 @@ rules are documented in ``docs/SIMULATION.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+                    Tuple)
 
 from . import audit
 from .errors import DeadlockError, SimulationError
@@ -152,18 +156,31 @@ class Component:
         wait-timer decrements) -- nothing observable.
         """
 
+    def batch_span(self, budget: int) -> int:
+        """Cycles :meth:`tick_batch` would consume given ``budget``.
+
+        Side-effect-free twin of :meth:`tick_batch`: the kernel asks
+        every lane first and grants all of them the smallest answer,
+        so a lane must offer at least 1 and never more cycles than its
+        ``tick_batch(budget)`` would consume.  The base answer matches
+        the base :meth:`tick_batch` (one cycle).
+        """
+        return 1
+
     def tick_batch(self, budget: int) -> int:
         """Execute up to ``budget`` consecutive ticks in one host call.
 
         Batch-lane hook: called only while :attr:`can_batch` holds,
-        this component is the *sole* active one, tracing is off, and
-        no other component wakes for at least ``budget`` cycles.  No
-        commit phase follows, so the implementation must be
-        cycle-for-cycle equivalent to that many naive ticks *and
-        commits* and must return early (the count actually
-        consumed, at least 1) at any tick whose effects could wake
-        another component -- poking it so the kernel re-polls at the
-        exact naive cycle.
+        tracing is off, every component due this cycle is a lane
+        (can batch), the lanes drive pairwise disjoint sets of
+        registered components, and no other component wakes for at
+        least ``budget`` cycles.  No commit phase follows, so the
+        implementation must be cycle-for-cycle equivalent to that many
+        naive ticks *and commits* and must return early (the count
+        actually consumed, at least 1) at any tick whose effects could
+        wake another component -- poking it so the kernel re-polls at
+        the exact naive cycle.  The kernel passes the span granted by
+        :meth:`batch_span` and requires it consumed exactly.
         """
         self.tick()
         self.commit()
@@ -248,7 +265,8 @@ class SimProfile:
     counts cycles fast-forwarded over declared idle windows; the two
     always sum to ``cycles``.  ``batched`` counts the cycles of
     ``ticked`` that the batch lane consumed in
-    :meth:`Component.tick_batch` slabs.
+    :meth:`Component.tick_batch` slabs; a span that several lanes run
+    together counts once, so ``batched <= ticked``.
     Host time is not the kernel's business: hostbench's tracer
     attributes it per layer from outside.
     """
@@ -293,9 +311,9 @@ class Simulator:
         re-polled before it is trusted, every declared-idle window is
         executed through the naive stepper (asserting that no component
         emitted a trace event or woke earlier than declared), and every
-        ``tick_batch`` slab runs on a copy that must match the naive
-        replay of its cycles.  Used by the equivalence tests; costs
-        naive speed plus the checks.
+        batch-lane span runs its ``tick_batch`` slabs on copies that
+        must match the naive replay of its cycles.  Used by the
+        equivalence tests; costs naive speed plus the checks.
     """
 
     #: predicate re-check granularity inside a declared-idle window --
@@ -324,6 +342,9 @@ class Simulator:
         self.last_active: Optional[str] = None
         self._components: List[Component] = []
         self._names = set()
+        #: per batch lane, the ids of the registered components it
+        #: drives (:func:`audit.driven`); cleared on add/remove
+        self._driven: Dict[Component, FrozenSet[int]] = {}
         # accounting for profile()
         self._ticked = 0
         self._skipped = 0
@@ -339,6 +360,7 @@ class Simulator:
             )
         self._names.add(component.name)
         self._components.append(component)
+        self._driven.clear()
         if component.requires_full_dispatch:
             self._full_dispatch += 1
         # a newcomer has no skipped cycles to reconcile
@@ -365,6 +387,7 @@ class Simulator:
             )
         self._components.remove(component)
         self._names.discard(component.name)
+        self._driven.clear()
         if component.requires_full_dispatch:
             self._full_dispatch -= 1
         if self.last_active == component.name:
@@ -453,7 +476,6 @@ class Simulator:
             # trust no cached claim from a previous call
             self._settle()
             self._dispatching = True
-        batch = self.trace is None
         try:
             while True:
                 now = self.cycle
@@ -468,14 +490,15 @@ class Simulator:
                         self._raise_deadlock(bound - start, what)
                     limit = min(bound, now + self.max_skip_chunk)
                 if plain:
-                    due, sole, horizon = self._dispatch_scan(limit)
-                    if due == 0:
+                    lanes, horizon = self._dispatch_scan(limit)
+                    if lanes is None:
+                        self._dispatch_cycle()
+                    elif not lanes:
                         self.cycle = horizon
                         self._skipped += horizon - now
                         self._skip_windows += 1
-                    elif (batch and due == 1 and sole.can_batch
-                            and horizon - now >= 2):
-                        self._dispatch_batch(sole, horizon)
+                    elif self._grants(lanes, horizon):
+                        self._dispatch_batch(lanes, horizon)
                     else:
                         self._dispatch_cycle()
                 elif fast:
@@ -529,12 +552,13 @@ class Simulator:
         :mod:`repro.sim.audit` (the real system always ticks naively)."""
         audit.audit_claims(self)
         now = self.cycle
-        due, sole, horizon = self._dispatch_scan(bound)
-        if due == 0:
+        lanes, horizon = self._dispatch_scan(bound)
+        if lanes is None:
+            self._dispatch_cycle()
+        elif not lanes:
             audit.replay(self, horizon - now)
-        elif (self.trace is None and due == 1 and sole.can_batch
-                and horizon - now >= 2):
-            audit.audit_batch(self, sole, horizon)
+        elif self._grants(lanes, horizon):
+            audit.audit_batch(self, lanes, horizon)
         else:
             self._dispatch_cycle()
 
@@ -568,20 +592,20 @@ class Simulator:
 
     def _dispatch_scan(
         self, bound: int
-    ) -> Tuple[int, Optional[Component], int]:
+    ) -> Tuple[Optional[List[Component]], int]:
         """One pass over the cached quiescence claims.
 
-        Returns ``(due, sole, horizon)``: how many components are due
-        this cycle, the single due component when there is exactly one
-        (the batch candidate), and the earliest strictly-future wake
-        clamped to ``bound``.  The scan stops as soon as a second due
-        component turns up -- a full cycle has to run then and the
-        horizon is irrelevant (later components keep their caches and
-        are re-polled by :meth:`_dispatch_cycle` where needed).
+        Returns ``(lanes, horizon)``: the due components in
+        registration order (empty when none is due), and the earliest
+        strictly-future wake clamped to ``bound``.  The scan keeps
+        going past a due component only while every due component so
+        far can batch; at the first one that cannot, a dispatched cycle
+        has to run, the horizon is irrelevant, and it returns ``None``
+        for the lanes (later components keep their caches and are
+        re-polled by :meth:`_dispatch_cycle` where needed).
         """
         now = self.cycle
-        due = 0
-        sole: Optional[Component] = None
+        lanes: List[Component] = []
         horizon = bound
         for comp in self._components:
             if comp._wake_valid:
@@ -596,13 +620,32 @@ class Simulator:
             if wake is None:
                 continue
             if wake <= now:
-                due += 1
-                if due > 1:
-                    break
-                sole = comp
+                if not comp.can_batch:
+                    return None, horizon
+                lanes.append(comp)
             elif wake < horizon:
                 horizon = wake
-        return due, sole, horizon
+        return lanes, horizon
+
+    def _grants(self, lanes: List[Component], horizon: int) -> bool:
+        """The batch-lane decision for a scan whose due components can
+        all batch: tracing off, a window of at least two cycles, and
+        lanes that drive pairwise disjoint sets of registered
+        components (so no lane sees another's intermediate states)."""
+        if self.trace is not None or horizon - self.cycle < 2:
+            return False
+        if len(lanes) == 1:
+            return True
+        claimed: set = set()
+        for lane in lanes:
+            driven = self._driven.get(lane)
+            if driven is None:
+                driven = frozenset(map(id, audit.driven(self, lane)))
+                self._driven[lane] = driven
+            if not claimed.isdisjoint(driven):
+                return False
+            claimed.update(driven)
+        return True
 
     def _dispatch_cycle(self) -> None:
         """Execute one cycle touching only the components that are due.
@@ -650,27 +693,58 @@ class Simulator:
         self.cycle = now + 1
         self._ticked += 1
 
-    def _dispatch_batch(self, sole: Component, horizon: int) -> None:
-        """Run the batch lane for a sole due component.
+    def _dispatch_batch(self, lanes: List[Component], horizon: int) -> None:
+        """Advance every lane by one common span in one event.
 
         Preconditions established by the caller from a
-        :meth:`_dispatch_scan`: tracing off, exactly one component due
-        this cycle, that component opts in via ``can_batch``, and every
-        other component either sleeps past ``horizon`` or is poke-wired
-        (indefinitely idle).  The batch itself is additionally bounded
-        inside ``tick_batch`` by FIFO stall-watch thresholds so stalled
-        consumers wake on the exact naive cycle.
+        :meth:`_dispatch_scan` and :meth:`_grants`: tracing off, every
+        due component is a lane (``can_batch``), the lanes drive
+        disjoint component sets, and every other component either
+        sleeps past ``horizon`` or is poke-wired (indefinitely idle).
+        The span is the smallest :meth:`Component.batch_span` offer, so
+        it ends at the first tick where any lane could wake another
+        component (FIFO stall-watch thresholds, an operation's end);
+        each lane's ``tick_batch`` must consume it exactly.
         """
         now = self.cycle
-        pending = now - sole._synced
-        if pending > 0:
-            sole.on_skip(pending)
-        consumed = max(1, sole.tick_batch(horizon - now))
-        sole._synced = now + consumed
-        sole._wake_valid = False
-        self.cycle = now + consumed
-        self._ticked += consumed
-        self._batched += consumed
+        span = self._lane_span(lanes, horizon - now)
+        for lane in lanes:
+            self._run_lane(lane, span)
+            lane._synced = now + span
+            lane._wake_valid = False
+        self.cycle = now + span
+        self._ticked += span
+        self._batched += span
+
+    def _lane_span(self, lanes: List[Component], budget: int) -> int:
+        """Flush each lane's deferred ``on_skip`` and return the common
+        span: the smallest ``batch_span`` offer within ``budget``."""
+        now = self.cycle
+        span = budget
+        for lane in lanes:
+            pending = now - lane._synced
+            if pending > 0:
+                lane.on_skip(pending)
+                lane._synced = now
+            offer = lane.batch_span(span)
+            if offer < span:
+                if offer < 1:
+                    raise SimulationError(
+                        f"batch lane {lane.name!r} offered a {offer}-cycle "
+                        f"span at cycle {now}"
+                    )
+                span = offer
+        return span
+
+    def _run_lane(self, lane: Component, span: int) -> None:
+        """One lane's slab, which must consume exactly ``span``."""
+        consumed = lane.tick_batch(span)
+        if consumed != span:
+            raise SimulationError(
+                f"batch lane {lane.name!r}: tick_batch consumed {consumed} "
+                f"of the {span}-cycle lane span granted at cycle "
+                f"{self.cycle} (batch_span and tick_batch disagree)"
+            )
 
     # -- introspection ----------------------------------------------------
     def profile(self) -> SimProfile:

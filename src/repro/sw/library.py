@@ -10,10 +10,11 @@ either the baremetal or the Linux runtime.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..core.firmware import plan_streaming_run
+from ..core.firmware import FirmwarePlan, plan_streaming_run
 from ..core.program import OuProgram
+from ..rac.base import StreamingRAC
 from ..rac.dft import DFTRac
 from ..rac.fir import FIRRac
 from ..rac.idct import IDCTRac
@@ -71,6 +72,9 @@ class OuessantLibrary:
         self.soc = soc
         self.allocator = _BankAllocator(soc)
         self.last_result: Optional[RunResult] = None
+        #: verified firmware plans per (RAC object, operations); a DPR
+        #: swap installs a new RAC object and therefore re-plans
+        self._plans: Dict[Tuple[StreamingRAC, int], FirmwarePlan] = {}
         if environment == "baremetal":
             self._runtimes = {
                 i: BaremetalRuntime(soc, ocp_index=i, use_interrupt=use_interrupt)
@@ -94,6 +98,20 @@ class OuessantLibrary:
             if isinstance(ocp.rac, rac_type):
                 return index
         raise DriverError(f"no OCP hosts a {rac_type.__name__}")
+
+    def _plan(self, rac: StreamingRAC, operations: int = 1) -> FirmwarePlan:
+        """The verified plan for ``operations`` runs on ``rac``.
+
+        Planning and verification are static (no simulated cycle), and
+        a plan depends only on the RAC's port specification, so it is
+        built once per RAC object and operation count.
+        """
+        key = (rac, operations)
+        plan = self._plans.get(key)
+        if plan is None:
+            plan = self._plans[key] = plan_streaming_run(
+                rac, operations=operations)
+        return plan
 
     def _run(self, index: int, program: OuProgram, banks: dict) -> RunResult:
         runtime = self._runtimes[index]
@@ -148,7 +166,7 @@ class OuessantLibrary:
             raise DriverError(
                 f"this DFT RAC is configured for {n} points, got {len(re)}"
             )
-        plan = plan_streaming_run(rac)
+        plan = self._plan(rac)
         words = fp.interleave_complex(list(re), list(im))
         outputs = self._run_plan(index, plan, [words])
         return fp.deinterleave_complex(outputs[0])
@@ -157,7 +175,7 @@ class OuessantLibrary:
         """2-D 8x8 IDCT of a coefficient block on the IDCT RAC."""
         index = self._find_ocp(IDCTRac)
         rac: IDCTRac = self.soc.ocps[index].rac  # type: ignore[assignment]
-        plan = plan_streaming_run(rac)
+        plan = self._plan(rac)
         outputs = self._run_plan(index, plan, [fp.block_to_words(block)])
         return fp.words_to_block(outputs[0])
 
@@ -178,7 +196,7 @@ class OuessantLibrary:
         n_blocks = len(blocks)
         if n_blocks < 1:
             raise DriverError("empty batch")
-        plan = plan_streaming_run(rac, operations=n_blocks)
+        plan = self._plan(rac, operations=n_blocks)
         words: List[int] = []
         for block in blocks:
             words.extend(fp.block_to_words(block))
@@ -202,7 +220,7 @@ class OuessantLibrary:
             raise DriverError(
                 f"FIR RAC expects {rac.n_taps} taps, got {len(taps)}"
             )
-        plan = plan_streaming_run(rac)
+        plan = self._plan(rac)
         outputs = self._run_plan(index, plan, [
             [int(v) & 0xFFFFFFFF for v in samples],
             [int(v) & 0xFFFFFFFF for v in taps],
@@ -220,7 +238,7 @@ class OuessantLibrary:
             raise DriverError(f"this MatMul RAC is configured for {n}x{n}")
         flat_a = [int(v) & 0xFFFFFFFF for row in a for v in row]
         flat_b = [int(v) & 0xFFFFFFFF for row in b for v in row]
-        plan = plan_streaming_run(rac)
+        plan = self._plan(rac)
         outputs = self._run_plan(index, plan, [flat_a, flat_b])
         signed = [w - (1 << 32) if w & (1 << 31) else w for w in outputs[0]]
         return [signed[i * n : (i + 1) * n] for i in range(n)]

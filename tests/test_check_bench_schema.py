@@ -7,6 +7,7 @@ the fresh artifact to equal the committed one exactly.
 import copy
 import importlib.util
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -71,3 +72,38 @@ def test_missing_baseline_fails(tmp_path, capsys):
     assert schema.main(["check", str(COMMITTED),
                         "--baseline", str(missing)]) == 1
     assert "not found" in capsys.readouterr().err
+
+
+def test_counter_invariants_hold_on_the_committed_artifact(artifact):
+    for row in artifact["workloads"]:
+        assert schema.check_workload(row, row["workload"]) == []
+    assert schema.check_mpsoc(artifact["mpsoc"], 5.0) == []
+
+
+@pytest.mark.parametrize("field, delta, message", [
+    ("ticked", 1, "ticked .* != cycles"),
+    ("skipped", -1, "ticked .* != cycles"),
+    ("batched", None, "batched .* exceeds ticked"),
+])
+def test_workload_counter_invariants_fail(artifact, field, delta, message):
+    row = copy.deepcopy(artifact["workloads"][0])
+    row[field] = row["ticked"] + 1 if delta is None else row[field] + delta
+    problems = schema.check_workload(row, "w")
+    assert len(problems) == 1
+    assert re.search(message, problems[0])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batched", "ticked+1"),
+    ("ticked", "cycles+1"),
+])
+def test_mpsoc_point_counter_invariants_fail(artifact, field, value):
+    """A lane counted once per lane, not once per cycle, would push
+    ``batched`` past ``ticked`` on the multi-OCP points."""
+    section = copy.deepcopy(artifact["mpsoc"])
+    point = section["points"][-1]
+    base, _ = value.split("+")
+    point[field] = point[base] + 1
+    problems = schema.check_mpsoc(section, None)
+    assert len(problems) == 1
+    assert "batched <= ticked <= cycles" in problems[0]

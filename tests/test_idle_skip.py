@@ -257,6 +257,9 @@ class Streamer(Component):
     def tick(self):
         self.count += 1
 
+    def batch_span(self, budget):
+        return budget
+
     def tick_batch(self, budget):
         self.count += budget + self.skew
         return budget
@@ -296,6 +299,9 @@ class Burst(Streamer):
         if self.count < self.limit:
             self.count += 1
 
+    def batch_span(self, budget):
+        return min(budget, self.limit - self.count)
+
     def tick_batch(self, budget):
         consumed = min(budget, self.limit - self.count)
         self.count += consumed
@@ -328,6 +334,137 @@ def test_profile_counts_batched_cycles():
     fast.reset()
     assert fast.profile().batched == 0
     assert fast.profile().ticked == fast.profile().skipped == 0
+
+
+class Overreporter(Burst):
+    """Offers one cycle more than its slab can consume."""
+
+    def batch_span(self, budget):
+        return min(budget, self.limit - self.count + 1)
+
+
+class Meddler(Burst):
+    """Moves state in ``batch_span``, which must be side-effect-free."""
+
+    def batch_span(self, budget):
+        self.count += 0 if self.count >= self.limit else 1
+        return 1
+
+
+class Stingy(Burst):
+    """Offers no cycle although it is due and can batch."""
+
+    def batch_span(self, budget):
+        return 0
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("lane, message", [
+    (Overreporter, "consumed 50 of the 51-cycle lane span"),
+    (Stingy, "offered a 0-cycle span"),
+])
+def test_batch_span_that_tick_batch_cannot_honour_is_caught(lane, message,
+                                                           strict):
+    """Every lane must offer at least one cycle and consume the granted
+    span exactly: a bad offer fails loudly in the shipping schedule and
+    under strict audit."""
+    sim = Simulator(strict=strict)
+    sim.add(lane())
+    with pytest.raises(SimulationError, match=message):
+        sim.step(100)
+
+
+def test_strict_mode_catches_a_batch_span_with_side_effects():
+    sim = Simulator(strict=True)
+    sim.add(Meddler())
+    with pytest.raises(SimulationError, match="batch_span of 'streamer' "
+                                              "changed state"):
+        sim.step(100)
+
+
+class Tally(Component):
+    """A registered log that writers append to; never due itself."""
+
+    def __init__(self, name):
+        super().__init__(name)
+        self.log = []
+
+    def next_activity(self):
+        return None
+
+
+class Writer(Component):
+    """Appends its name to a tally once per cycle, ``limit`` times, and
+    batches the appends."""
+
+    can_batch = True
+
+    def __init__(self, name, tally, limit):
+        super().__init__(name)
+        self.tally = tally
+        self.limit = limit
+        self.count = 0
+
+    def next_activity(self):
+        return self.now if self.count < self.limit else None
+
+    def tick(self):
+        if self.count < self.limit:
+            self.count += 1
+            self.tally.log.append(self.name)
+
+    def batch_span(self, budget):
+        return min(budget, self.limit - self.count)
+
+    def tick_batch(self, budget):
+        span = self.batch_span(budget)
+        self.count += span
+        self.tally.log.extend([self.name] * span)
+        return span
+
+
+def _writers_run(shared, idle_skip=True, strict=False):
+    sim = Simulator(idle_skip=idle_skip, strict=strict)
+    first = sim.add(Tally("tally_a"))
+    second = first if shared else sim.add(Tally("tally_b"))
+    sim.add(Writer("a", first, 30))
+    sim.add(Writer("b", second, 60))
+    sim.step(100)
+    return (list(first.log), list(second.log)), sim.profile()
+
+
+def test_lanes_sharing_a_registered_component_are_never_batched_together():
+    """Two batchable writers due on the same cycles but appending to one
+    shared tally interleave their writes cycle by cycle; laning them
+    together would group the writes.  The kernel takes dispatched
+    cycles while both are due, and strict mode agrees."""
+    naive, _ = _writers_run(shared=True, idle_skip=False)
+    fast, fast_prof = _writers_run(shared=True)
+    strict, _ = _writers_run(shared=True, strict=True)
+    assert naive[0][:4] == ["a", "b", "a", "b"]
+    assert fast == strict == naive
+    # cycles 0-29 are dispatched; "b" alone batches cycles 30-59
+    assert fast_prof.batched == 30
+    assert fast_prof.ticked == 60
+
+
+def test_independent_lanes_batch_together_counting_cycles_once():
+    """Writers on separate tallies are independent lanes: one two-lane
+    span covers cycles 0-29, then "b" batches 30-59 alone.  ``batched``
+    counts cycles, not lane-cycles."""
+    naive, _ = _writers_run(shared=False, idle_skip=False)
+    fast, fast_prof = _writers_run(shared=False)
+    strict, _ = _writers_run(shared=False, strict=True)
+    assert fast == strict == naive
+    assert fast_prof.batched == fast_prof.ticked == 60
+
+
+def test_strict_mode_rejects_lanes_that_share_a_component(monkeypatch):
+    """Strict mode re-checks the independence of the lanes it audits."""
+    monkeypatch.setattr(Simulator, "_grants",
+                        lambda self, lanes, horizon: True)
+    with pytest.raises(SimulationError, match="both drive 'tally_a'"):
+        _writers_run(shared=True, strict=True)
 
 
 def test_waveform_probe_disables_skipping():
@@ -932,6 +1069,96 @@ def test_equivalence_multi_ocp_strict_audits_scheduler_idle_claims():
     strict, _ = _run_sched_case(idle_skip=True, strict=True, n_ocps=6,
                                 seed=515151)
     assert strict == naive
+
+
+# -- batch lanes across OCPs -------------------------------------------------
+
+#: OCP count and RAC kind of each lane-equivalence configuration
+LANE_CONFIGS = {
+    "pt2": (2, "passthrough"),
+    "pt4": (4, "passthrough"),
+    "pt8": (8, "passthrough"),
+    "idct2": (2, "idct"),
+}
+N_LANE_SEEDS = 20
+
+
+def _run_lane_stream(config, seed, **soc_kw):
+    """A seeded scheduler stream over several identical OCPs, whose RACs
+    stream on the same cycles (the batch lanes); returns the outputs,
+    the final cycle and every component's statistics."""
+    from repro.rac.idct import IDCTRac
+    from repro.rac.scale import PassthroughRac
+    from repro.sched import Job, ThroughputScheduler
+    from repro.sim.tracing import Stats
+    from repro.system import build_mpsoc
+    from repro.utils import fixedpoint as fp
+
+    n_ocps, kind = LANE_CONFIGS[config]
+    rng = random.Random(seed)
+    if kind == "passthrough":
+        block = rng.choice((8, 16))
+        blocks_per_fifo = rng.choice((1, 2))
+        racs = [
+            PassthroughRac(name=f"pt{index}", block_size=block,
+                           fifo_depth=blocks_per_fifo * block,
+                           compute_latency=rng.randrange(1, 120))
+            for index in range(n_ocps)
+        ]
+
+        def payload():
+            # a job's output must fit the OCP's output FIFO
+            size = block * rng.randint(1, blocks_per_fifo)
+            return [rng.getrandbits(32) for _ in range(size)]
+    else:
+        racs = [IDCTRac(name=f"idct{index}") for index in range(n_ocps)]
+
+        def payload():
+            return fp.block_to_words(
+                [[rng.randint(-400, 400) for _ in range(8)]
+                 for _ in range(8)])
+    soc = build_mpsoc(racs, **soc_kw)
+    sched = ThroughputScheduler(soc, batch_jobs=rng.choice((1, 2, 4)),
+                                queue_bound=rng.choice((2, 8)))
+    jobs = [Job(f"lj{index}", racs[0].kind, payload())
+            for index in range(2 * n_ocps + rng.randrange(4))]
+    results = sched.run_stream(jobs)
+    return {
+        "outputs": {r.job.job_id: r.outputs for r in results},
+        "cycle": soc.sim.cycle,
+        "stats": {comp.name: comp.stats.as_dict()
+                  for comp in soc.sim.components
+                  if isinstance(getattr(comp, "stats", None), Stats)},
+    }, soc.sim.profile()
+
+
+@pytest.mark.parametrize("index", range(N_LANE_SEEDS))
+@pytest.mark.parametrize("config", sorted(LANE_CONFIGS))
+def test_equivalence_batch_lanes_across_ocps(config, index):
+    """Naive, fast and strict schedules agree on multi-OCP streams where
+    several RACs collect or emit on the same cycles: outputs, cycles
+    and every component's statistics.  Strict mode audits each
+    multi-lane span against its naive replay."""
+    seed = SEED_BASE + 300_000 + 1000 * LANE_CONFIGS[config][0] + index
+    naive, naive_prof = _run_lane_stream(config, seed, idle_skip=False)
+    fast, fast_prof = _run_lane_stream(config, seed)
+    strict, _ = _run_lane_stream(config, seed, strict=True)
+    assert fast == naive, f"fast schedule diverged at seed {seed}"
+    assert strict == naive, f"strict schedule diverged at seed {seed}"
+    assert naive_prof.batched == 0
+    assert 0 < fast_prof.batched <= fast_prof.ticked
+    assert fast_prof.ticked + fast_prof.skipped == fast_prof.cycles
+
+
+def test_lanes_batch_the_8_ocp_sweep_point():
+    """The bench's 8-OCP, 192-job point: with independent RACs laned
+    together the batch lane covers more cycles than the 2999 of the
+    sole-component lane, at the same simulated cycles."""
+    from repro.bench import run_mpsoc_sweep
+
+    point, = run_mpsoc_sweep(ocp_counts=(8,), verify_naive=False).points
+    assert point.cycles == 13_184
+    assert point.batched > 2999
 
 
 def test_profiler_surfaces_kernel_and_truncation_counters():

@@ -1,7 +1,9 @@
 """Tests for the software stack: driver, baremetal, Linux model, library."""
 
+import numpy as np
 import pytest
 
+from repro.apps import jpeg
 from repro.core.program import OuProgram
 from repro.core.registers import CTRL_D, CTRL_S, REG_CTRL
 from repro.rac.dft import DFTRac
@@ -11,6 +13,7 @@ from repro.rac.scale import PassthroughRac
 from repro.sim.errors import DriverError
 from repro.sw.baremetal import BaremetalRuntime
 from repro.sw.driver import OuessantDriver
+from repro.sw import library as library_module
 from repro.sw.library import HEAP_BASE_OFFSET, OuessantLibrary
 from repro.sw.linux import LinuxCosts, LinuxRuntime
 from repro.system import RAM_BASE, SoC
@@ -235,3 +238,65 @@ def test_library_heap_is_reclaimed_between_calls(coef_block):
     golden = fp.idct2_q15(coef_block)
     for _ in range(100):
         assert library.idct(coef_block) == golden
+
+
+@pytest.fixture
+def plan_calls(monkeypatch):
+    """Records the RAC of every firmware plan the library builds."""
+    calls = []
+    real = library_module.plan_streaming_run
+
+    def counting(rac, **kwargs):
+        calls.append(rac)
+        return real(rac, **kwargs)
+
+    monkeypatch.setattr(library_module, "plan_streaming_run", counting)
+    return calls
+
+
+def test_library_plans_once_per_rac_and_operation_count(coef_block,
+                                                        plan_calls):
+    soc = SoC(racs=[IDCTRac()])
+    library = OuessantLibrary(soc, environment="baremetal")
+    golden = fp.idct2_q15(coef_block)
+    cycles = []
+    for _ in range(3):
+        begin = soc.sim.cycle
+        assert library.idct(coef_block) == golden
+        cycles.append(soc.sim.cycle - begin)
+    assert library.idct_batch([coef_block] * 2) == [golden] * 2
+    assert library.idct_batch([coef_block] * 2) == [golden] * 2
+    assert cycles[1] == cycles[2]
+    assert plan_calls == [soc.ocp.rac, soc.ocp.rac]
+
+
+def test_library_replans_for_a_swapped_rac(q15_signal, plan_calls):
+    """A DPR swap installs a new RAC object, which gets its own plan:
+    here a 32-point DFT in place of a 16-point one."""
+    soc = SoC(racs=[DFTRac(n_points=16)])
+    library = OuessantLibrary(soc, environment="baremetal")
+    re, im = q15_signal(16)
+    assert library.dft(re, im) == fp.fft_q15(re, im)
+    old = soc.ocp.rac
+    soc.ocp.swap_rac(DFTRac(n_points=32))
+    re, im = q15_signal(32)
+    assert library.dft(re, im) == fp.fft_q15(re, im)
+    assert library.dft(re, im) == fp.fft_q15(re, im)
+    assert plan_calls == [old, soc.ocp.rac]
+
+
+def test_linux_jpeg_decode_is_unchanged_by_the_plan_memo(plan_calls):
+    """Each Linux session plans once for its 256 IDCT calls, and every
+    image still decodes to the golden image in 256 x 3293 cycles plus
+    the 2500-cycle open/mmap."""
+    image = np.random.default_rng(7).integers(-128, 128, size=(128, 128))
+    encoded = jpeg.encode(image)
+    golden = jpeg.JPEGDecoder().decode(encoded).tolist()
+    soc = SoC(racs=[IDCTRac()])
+    for session in range(2):
+        begin = soc.sim.cycle
+        library = OuessantLibrary(soc, environment="linux")
+        decoded = jpeg.JPEGDecoder(library).decode(encoded)
+        assert decoded.tolist() == golden
+        assert soc.sim.cycle - begin == 256 * 3293 + 2500
+        assert len(plan_calls) == session + 1
