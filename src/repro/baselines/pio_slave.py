@@ -100,6 +100,9 @@ class SlaveAccelerator(Component, BusSlave):
                 f"{self.name}: started with {len(self._in)} of "
                 f"{self.items_in} input words"
             )
+        # charge the cycles deferred so far to the idle state before
+        # the timer starts, and re-poll our claim
+        self.sync_skips()
         self._running = True
         self._ctrl = CTRL_START
         self._timer = self.compute_latency

@@ -166,15 +166,17 @@ class SystemBus(Component):
             region, offset = self.memmap.lookup(
                 request.address, span_bytes=4 * request.burst
             )
+        # the completion rule: the waiting master is unblocked, and a
+        # clocked slave (a register window) may change state its own
+        # claim or its watchers' claims depend on -- re-poll exactly
+        # those.  A raw submit (no waiter) from outside the clock is
+        # awaited by a run_until predicate, which needs no poke.
         waiter = transfer.waiter
         if waiter is not None:
-            # completion unblocks the master: re-poll its quiescence
             waiter.poke()
-        elif self.sim is not None:
-            # unknown master (raw submit): conservatively re-poll
-            # everyone rather than risk a stale quiescence claim
-            for comp in self.sim._components:
-                comp._wake_valid = False
+        slave = region.slave
+        if isinstance(slave, Component):
+            slave.wake_watchers()
         try:
             if request.kind is AccessKind.READ:
                 transfer.data = region.slave.read_burst(offset, request.burst)

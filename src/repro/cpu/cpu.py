@@ -218,6 +218,8 @@ class CPU(Component):
             self._decoded[program.text_base + 4 * index] = decode(word)
         self.pc = program.entry
         self.halted = False
+        # a halted CPU claims indefinite idleness: re-poll it
+        self.poke()
 
     def reset(self) -> None:
         self.regs = [0] * 32

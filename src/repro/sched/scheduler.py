@@ -20,7 +20,7 @@ backoff.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from ..bus.types import AccessKind, BusRequest, BusTransfer
 from ..core.registers import (
@@ -310,6 +310,8 @@ class ThroughputScheduler(Component):
             )
         self._chains: Dict[str, int] = {}
         self._pending_meta: Dict[str, Tuple[int, int]] = {}
+        #: ids of the jobs waiting in any slot queue
+        self._queued_ids: Set[str] = set()
         self._next_batch_id = 0
         self.submitted = 0
         self.completed: Dict[str, JobResult] = {}
@@ -501,10 +503,8 @@ class ThroughputScheduler(Component):
         """
         # an id is taken while queued, in flight or completed
         job_id = job.job_id
-        if job_id in self.completed or job_id in self._pending_meta or any(
-            queued.job_id == job_id
-            for slot in self._slots.values() for queued, _ in slot.queue
-        ):
+        if (job_id in self.completed or job_id in self._pending_meta
+                or job_id in self._queued_ids):
             raise ConfigurationError(f"duplicate job id {job_id!r}")
         if self.racecheck != "off":
             findings = self.racecheck_job(job)
@@ -526,10 +526,13 @@ class ThroughputScheduler(Component):
         if job.chain is not None and job.chain not in self._chains:
             self._chains[job.chain] = target.index
         target.queue.append((job, self.now))
+        self._queued_ids.add(job_id)
         target.queue_high_water = max(
             target.queue_high_water, len(target.queue)
         )
         self.submitted += 1
+        # an idle slot sleeps until a job is queued: re-poll it
+        self.poke()
         return True
 
     def submit_blocking(self, job: Job, max_cycles: int = 5_000_000) -> None:
@@ -631,6 +634,7 @@ class ThroughputScheduler(Component):
             if jobs and total + job.size > ARENA_WORDS:
                 break
             slot.queue.popleft()
+            self._queued_ids.discard(job.job_id)
             jobs.append(job)
             dispatch_cycles.append(submitted)
             total += job.size

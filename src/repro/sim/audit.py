@@ -66,7 +66,7 @@ def replay(sim: "Simulator", cycles: int,
     allowed = {sim.last_active}
     allowed.update(lane.name for lane in lanes)
     window = "batched" if lanes else "declared-idle"
-    sim._settle()
+    sim._flush()
     for offset in range(cycles):
         for comp in sim._components:
             if comp in lanes:
@@ -120,7 +120,7 @@ def audit_batch(sim: "Simulator", lanes: Sequence["Component"],
     allowed to act, and the two must agree on every field of every
     copied component.
     """
-    sim._settle()
+    sim._flush()
     now = sim.cycle
     reals: List["Component"] = []
     owner: Dict[int, "Component"] = {}

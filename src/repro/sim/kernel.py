@@ -41,18 +41,24 @@ cache once per event, and
   components, so no lane can observe another's intermediate states.
 
 A quiescent component's per-cycle counters are reconciled lazily via
-:meth:`Component.on_skip`, just before its next tick or at the end of
-the public ``step``/``run_until`` call.  Anything that changes state a
-quiescent component's claim depends on pokes it -- fault injectors
-included -- so faulted runs take the same schedule.  Only a component
-that samples live per-cycle state (a waveform probe) sets
+:meth:`Component.on_skip`, just before its next tick or in the one
+flush that ends each public ``step``/``run_until`` call.  That flush
+keeps every cached claim: a claim outlives the call that computed it.
+Anything that changes state a quiescent component's claim depends on
+pokes it -- fault injectors, bus completions and the mutators called
+between public calls (a program load, a queued job, a soft reset)
+included -- so faulted and multi-call runs take the same schedule.
+Only a registration change, :meth:`Simulator.reset` and the end of a
+naive epoch drop every claim.  Only a component that samples live
+per-cycle state (a waveform probe) sets
 :attr:`Component.requires_full_dispatch`; while one is registered the
 kernel runs the naive stepper.
 
 ``Simulator(strict=True)`` audits the fast schedule while it runs
 (:mod:`repro.sim.audit`): it checks each cached claim against a fresh
-one before trusting it, and re-executes each window it would skip or
-batch through the naive stepper.  The protocol and its correctness
+one before trusting it -- claims carried over from a previous call
+included -- and re-executes each window it would skip or batch through
+the naive stepper.  The protocol and its correctness
 rules are documented in ``docs/SIMULATION.md``.
 """
 
@@ -192,7 +198,9 @@ class Component:
 
         Any code that changes state a *quiescent* component's
         ``next_activity`` answer depends on must poke it, or the
-        fast schedule would trust a stale claim.
+        fast schedule would trust a stale claim.  That includes code
+        running between public ``step``/``run_until`` calls: a cached
+        claim outlives the call that computed it.
         """
         self._wake_valid = False
 
@@ -213,8 +221,9 @@ class Component:
         Used before externally-driven state mutation (a CTRL register
         write flipping the controller's FSM): pending quiescent cycles
         must be charged to the *old* state before it changes.  Also
-        invalidates the wake cache.  No-op outside a fast-schedule
-        ``step``/``run_until``.
+        invalidates the wake cache.  Between public calls only the
+        invalidation is left to do: every fast-schedule call ends with
+        all deferred skips flushed.
         """
         sim = self.sim
         if sim is not None and sim._dispatching:
@@ -363,9 +372,11 @@ class Simulator:
         self._driven.clear()
         if component.requires_full_dispatch:
             self._full_dispatch += 1
-        # a newcomer has no skipped cycles to reconcile
+        # a newcomer has no skipped cycles to reconcile, and may be
+        # state another component's cached claim depends on
         component._synced = self.cycle
         component.attach(self)
+        self._invalidate()
         return component
 
     def add_all(self, components: Iterable[Component]) -> None:
@@ -390,6 +401,7 @@ class Simulator:
         self._driven.clear()
         if component.requires_full_dispatch:
             self._full_dispatch -= 1
+        self._invalidate()
         if self.last_active == component.name:
             # never let DeadlockError diagnostics name a component
             # that is no longer in the system
@@ -419,7 +431,11 @@ class Simulator:
 
     # -- execution ---------------------------------------------------------
     def reset(self) -> None:
-        """Reset the clock, the profile counters and every component."""
+        """Reset the clock, the profile counters and every component.
+
+        Every cached claim is dropped and every component restarts its
+        skip accounting at cycle 0.
+        """
         self.cycle = 0
         self._ticked = 0
         self._skipped = 0
@@ -427,6 +443,8 @@ class Simulator:
         self._batched = 0
         for comp in self._components:
             comp.reset()
+            comp._wake_valid = False
+            comp._synced = 0
 
     def step(self, cycles: int = 1) -> None:
         """Advance the clock by ``cycles`` cycles."""
@@ -470,12 +488,10 @@ class Simulator:
         fast = self.idle_skip and not self._full_dispatch
         # the shipping schedule; strict mode audits the same decisions
         plain = fast and not self.strict
-        if fast:
-            # anything may have mutated component state between public
-            # calls (register backdoors, FIFO drains in test harnesses):
-            # trust no cached claim from a previous call
-            self._settle()
-            self._dispatching = True
+        # cached claims carry over from the previous call: whatever
+        # mutated component state in between (a register backdoor, a
+        # program load, a queued job) poked what it changed
+        self._dispatching = fast
         try:
             while True:
                 now = self.cycle
@@ -506,14 +522,18 @@ class Simulator:
                 else:
                     self._tick_all()
         finally:
+            self._dispatching = False
             if fast:
-                self._settle()
-                self._dispatching = False
+                # stats read between calls are naive-exact; the claims
+                # stay valid for the next call
+                self._flush()
             else:
-                # every cycle was ticked: nothing is left for a later
-                # fast epoch to reconcile through on_skip
+                # every cycle was ticked, so nothing is left to
+                # reconcile, but the naive ticks never re-polled: no
+                # cached claim survives a naive epoch
                 for comp in self._components:
                     comp._synced = self.cycle
+                    comp._wake_valid = False
 
     def _tick_all(self) -> None:
         """One naive two-phase cycle."""
@@ -533,8 +553,13 @@ class Simulator:
         )
 
     # -- the fast schedule -------------------------------------------------
-    def _settle(self) -> None:
-        """Flush every deferred ``on_skip`` and drop every cached wake.
+    def _invalidate(self) -> None:
+        """Drop every cached claim (the component set changed)."""
+        for comp in self._components:
+            comp._wake_valid = False
+
+    def _flush(self) -> None:
+        """Run every deferred ``on_skip``, keeping the cached claims.
 
         Afterwards, stats and timers are exactly what the naive
         schedule would show at this cycle.
@@ -544,8 +569,7 @@ class Simulator:
             pending = now - comp._synced
             if pending > 0:
                 comp.on_skip(pending)
-            comp._synced = now
-            comp._wake_valid = False
+                comp._synced = now
 
     def _audited_event(self, bound: int) -> None:
         """Strict mode: take the dispatch scan's decision, audited by
@@ -553,14 +577,19 @@ class Simulator:
         audit.audit_claims(self)
         now = self.cycle
         lanes, horizon = self._dispatch_scan(bound)
-        if lanes is None:
+        if lanes is None or (lanes and not self._grants(lanes, horizon)):
             self._dispatch_cycle()
-        elif not lanes:
-            audit.replay(self, horizon - now)
-        elif self._grants(lanes, horizon):
+            return
+        if lanes:
             audit.audit_batch(self, lanes, horizon)
         else:
-            self._dispatch_cycle()
+            audit.replay(self, horizon - now)
+        # the skip or slab a replay stands for leaves the claims cached:
+        # poll them afresh, so the claims carried past it (into the
+        # next public call, too) are audited like the fast schedule's
+        now = self.cycle
+        for comp in self._components:
+            self._poll(comp, now)
 
     def _tick_settled(self) -> None:
         """One naive cycle inside a fast epoch: flush deferred skips,

@@ -1,5 +1,7 @@
 """Tests for the experiment drivers (fast variants of the benchmarks)."""
 
+import random
+
 import pytest
 
 from repro.analysis import (
@@ -11,6 +13,9 @@ from repro.analysis import (
     render_table_one,
     table_one,
 )
+from repro.rac.idct import IDCTRac
+from repro.sw.library import OuessantLibrary
+from repro.system import SoC
 
 
 def test_table_row_gain():
@@ -75,3 +80,33 @@ def test_table_one_full_size_rows_match_experiments():
         ("DFT", 2485, 6935, 1_511_186),
     ]
     assert [round(r.gain, 2) for r in rows] == [1.61, 217.91]
+
+
+def test_linux_overhead_and_transfer_cycles_match_experiments():
+    """The EXPERIMENTS.md numbers measured through the driver and the
+    Linux model, exactly: C1 (DFT-256 baremetal 3935, Linux 6935,
+    overhead 3000) and C2 (1024 words in 1433 cycles)."""
+    bare, ok_b = measure_dft_hw(256, environment="baremetal")
+    linux, ok_l = measure_dft_hw(256, environment="linux")
+    assert ok_b and ok_l
+    assert (bare.total_cycles, linux.total_cycles) == (3935, 6935)
+    assert linux.total_cycles - bare.total_cycles == 3000
+    transfer = measure_transfer_efficiency(1024)
+    assert (transfer.words, transfer.cycles) == (1024, 1433)
+
+
+def test_idct_batch_totals_match_experiments():
+    """A8: one Linux ``idct_batch`` call over 1 / 4 / 16 / 64 blocks
+    (the seed-9 blocks of ``benchmarks/test_bench_batching.py``) costs
+    exactly the totals behind the EXPERIMENTS.md cycles-per-block
+    column (3293, 1020, 452, 310)."""
+    totals = {}
+    for batch in (1, 4, 16, 64):
+        rng = random.Random(9)
+        blocks = [[[rng.randint(-300, 300) for _ in range(8)]
+                   for _ in range(8)] for _ in range(batch)]
+        library = OuessantLibrary(SoC(racs=[IDCTRac(fifo_depth=128)]),
+                                  environment="linux")
+        library.idct_batch(blocks)
+        totals[batch] = library.last_result.total_cycles
+    assert totals == {1: 3293, 4: 4079, 16: 7229, 64: 19_858}

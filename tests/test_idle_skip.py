@@ -1185,3 +1185,347 @@ def test_profiler_surfaces_kernel_and_truncation_counters():
     assert profile.kernel_skipped == soc.sim.profile().skipped
     assert profile.kernel_ticked + profile.kernel_skipped == soc.sim.cycle
     assert "TRACE TRUNCATED" in profile.render()
+
+
+# -- claims carried across public calls --------------------------------------
+#
+# A cached claim outlives the step/run_until call that computed it, so
+# every mutator called between calls must poke what it changes.  Each
+# scenario below runs under the fast and the strict schedule and must
+# reproduce the naive oracle's observables; strict mode audits every
+# carried claim, so a missing poke fails it by name.
+
+
+@pytest.fixture(params=[{}, {"strict": True}], ids=["fast", "strict"])
+def schedule(request):
+    """Simulator keywords of the schedule under test."""
+    return request.param
+
+
+def _agrees_with_naive(scenario, schedule):
+    """Run ``scenario`` under ``schedule`` and under the naive oracle;
+    the observables must be equal.  Returns them."""
+    naive = scenario(idle_skip=False)
+    assert scenario(**schedule) == naive
+    return naive
+
+
+def _reload_after_halt(**sim_kw):
+    from repro.cpu.assembler import assemble
+    from repro.cpu.cpu import CPU
+    from repro.mem.memory import Memory
+
+    program = assemble("""
+        addi r1, r0, 0
+        addi r3, r0, 12
+    loop:
+        addi r1, r1, 3
+        addi r3, r3, -1
+        bne  r3, r0, loop
+        halt
+    """, text_base=0, data_base=0x1000)
+    sim = Simulator(**sim_kw)
+    cpu = sim.add(CPU(memory=Memory("ram", 1 << 14)))
+    cpu.load(program)
+    sim.run_until(lambda: cpu.halted, max_cycles=1_000)
+    first = sim.cycle
+    sim.step(10)
+    cpu.load(program)
+    sim.run_until(lambda: cpu.halted, max_cycles=1_000)
+    return first, sim.cycle, cpu.cycles, cpu.instret, cpu.reg(1)
+
+
+def test_cross_call_cpu_reload_after_halt(schedule):
+    """A halted CPU's indefinite-idle claim carries past the step that
+    follows; reloading it must poke the claim, or the second
+    ``run_until`` deadlocks on a CPU the kernel thinks is asleep."""
+    first, last, _, instret, r1 = _agrees_with_naive(
+        _reload_after_halt, schedule)
+    assert r1 == 36
+    assert last - first - 10 == first
+    assert instret == 2 * 39
+
+
+def _second_stream_on_drained_scheduler(**soc_kw):
+    from repro.rac.scale import PassthroughRac
+    from repro.sched import Job, ThroughputScheduler
+    from repro.system import build_mpsoc
+
+    racs = [PassthroughRac(name=f"pt{index}", block_size=8)
+            for index in range(2)]
+    soc = build_mpsoc(racs, **soc_kw)
+    sched = ThroughputScheduler(soc, batch_jobs=2, queue_bound=4)
+    rng = random.Random(SEED_BASE + 700_000)
+    outputs = []
+    for wave in range(2):
+        jobs = [Job(f"w{wave}j{index}", "passthrough",
+                    [rng.getrandbits(32) for _ in range(8)])
+                for index in range(6)]
+        outputs.append([r.outputs for r in sched.run_stream(jobs)])
+        soc.sim.step(50)
+    return (outputs, soc.sim.cycle, list(sched.completion_order),
+            [slot.busy_cycles for slot in sched.slots],
+            soc.bus.stats.as_dict())
+
+
+def test_cross_call_second_stream_on_a_drained_scheduler(schedule):
+    """A drained scheduler sleeps indefinitely; ``submit`` from outside
+    the clock must poke it, or the second stream never dispatches."""
+    outputs, *_ = _agrees_with_naive(
+        _second_stream_on_drained_scheduler, schedule)
+    assert len(outputs) == 2 and all(len(wave) == 6 for wave in outputs)
+
+
+def _loopback_observables(soc):
+    ocp = soc.ocp
+    return {
+        "memory": soc.read_ram(OUT, 16),
+        "cycle": soc.sim.cycle,
+        "controller": ocp.controller.stats.as_dict(),
+        "rac": ocp.rac.stats.as_dict(),
+        "fifos": [f.stats.as_dict() for f in ocp.fifos_in + ocp.fifos_out],
+        "bus": soc.bus.stats.as_dict(),
+    }
+
+
+def _loopback_program():
+    return OuProgram().stream_to(1, 16).execs().stream_from(2, 16).eop()
+
+
+class Metronome(Component):
+    """Wakes every ``period`` cycles from cycle ``period`` on and counts
+    every cycle it sat through, ticked or skipped."""
+
+    def __init__(self, period=100):
+        super().__init__("metronome")
+        self.period = period
+        self.reset()
+
+    def reset(self):
+        self.wakes = []
+        self.seen = 0
+        self._due = self.period
+
+    def next_activity(self):
+        return max(self._due, self.now)
+
+    def on_skip(self, cycles):
+        self.seen += cycles
+
+    def tick(self):
+        self.seen += 1
+        if self.now >= self._due:
+            self.wakes.append(self.now)
+            self._due = self.now + self.period
+
+
+def _rerun_after_reset(**soc_kw):
+    from repro.rac.scale import PassthroughRac
+    from repro.sw.driver import OuessantDriver
+
+    soc = SoC(racs=[PassthroughRac(block_size=16)], **soc_kw)
+    metronome = soc.sim.add(Metronome())
+    driver = OuessantDriver(soc)
+    runs = []
+    for offset in (0, 100):
+        soc.write_ram(IN, [offset + v for v in range(16)])
+        result = driver.run(_loopback_program().words(),
+                            banks={0: PROG, 1: IN, 2: OUT})
+        runs.append((result.total_cycles, _loopback_observables(soc),
+                     list(metronome.wakes), metronome.seen))
+        soc.sim.reset()
+    return runs
+
+
+def test_cross_call_rerun_after_sim_reset(schedule):
+    """``Simulator.reset`` drops every claim (the metronome's next wake
+    moves back to cycle 100) and restarts skip accounting at cycle 0,
+    so the rerun's statistics are naive-exact."""
+    runs = _agrees_with_naive(_rerun_after_reset, schedule)
+    (first, _, wakes, seen), (second, observed, _, _) = runs
+    assert first == second
+    assert observed["memory"] == [100 + v for v in range(16)]
+    assert wakes and wakes[0] == 100 and seen == observed["cycle"]
+
+
+def _retry_after_abort(**soc_kw):
+    from repro.rac.scale import PassthroughRac
+    from repro.sw.driver import OuessantDriver
+
+    soc = SoC(racs=[PassthroughRac(block_size=16)], **soc_kw)
+    driver = OuessantDriver(soc)
+    soc.write_ram(IN, list(range(16)))
+    # half a block: the RAC sits starved mid-collect, words in flight
+    stuck = OuProgram().stream_to(1, 8).wait(5_000).eop().words()
+    driver.place_program(stuck, PROG)
+    driver.configure({0: PROG, 1: IN}, len(stuck))
+    driver.start()
+    soc.sim.step(200)
+    driver.abort()
+    result = driver.run(_loopback_program().words(),
+                        banks={0: PROG, 1: IN, 2: OUT})
+    return result.total_cycles, _loopback_observables(soc)
+
+
+def test_cross_call_retry_after_driver_abort(schedule):
+    """``abort`` soft-resets the FIFOs and the RAC outside the clock;
+    the retry after it runs the same schedule under every kernel."""
+    _, observed = _agrees_with_naive(_retry_after_abort, schedule)
+    assert observed["memory"] == list(range(16))
+
+
+def _library_calls_around_a_reconfigure(**soc_kw):
+    from repro.core.dpr import DPRManager, PartialBitstream
+    from repro.rac.dft import DFTRac
+    from repro.sw.library import OuessantLibrary
+    from repro.utils import fixedpoint as fp
+
+    rng = random.Random(SEED_BASE + 710_000)
+
+    def signal(n):
+        return ([fp.float_to_q15(rng.uniform(-0.4, 0.4)) for _ in range(n)],
+                [fp.float_to_q15(rng.uniform(-0.4, 0.4)) for _ in range(n)])
+
+    soc = SoC(racs=[DFTRac(n_points=16)], **soc_kw)
+    library = OuessantLibrary(soc, environment="baremetal")
+    outputs = [library.dft(*signal(16))]
+    DPRManager(soc.sim, soc.ocp).reconfigure(
+        PartialBitstream(DFTRac(n_points=32), size_words=64))
+    outputs.append(library.dft(*signal(32)))
+    return outputs, soc.sim.cycle, soc.bus.stats.as_dict()
+
+
+def test_cross_call_dpr_reconfigure_between_library_calls(schedule):
+    """A DPR swap removes and adds components between two library
+    calls; the registration changes drop every carried claim."""
+    outputs, _, _ = _agrees_with_naive(
+        _library_calls_around_a_reconfigure, schedule)
+    assert [len(re) for re, _ in outputs] == [16, 32]
+
+
+def _probe_added_and_removed_between_steps(**soc_kw):
+    from repro.sim import VCDWriter, WaveformProbe
+    from repro.sim.waveform import ocp_probe
+
+    case = Case(random.Random(SEED_BASE + 720_000))
+    soc = SoC(racs=[case.rac()], trace=Trace(), **soc_kw)
+    soc.write_ram(IN, case.inputs)
+    soc.write_ram(PROG, case.program.words())
+    ocp = soc.ocp
+    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
+        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
+    ocp.interface.write_word(REG_PROG_SIZE, len(case.program))
+    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    soc.sim.step(30)
+    vcd = VCDWriter()
+    probe = soc.sim.add(ocp_probe("probe", vcd, ocp))
+    soc.sim.step(40)
+    soc.sim.remove(probe)
+    soc.sim.step(30)
+    soc.run_until(lambda: ocp.done, max_cycles=50_000)
+    soc.sim.step(50)
+    return {
+        "vcd": vcd.render(),
+        "memory": soc.read_ram(OUT, case.total),
+        "cycle": soc.sim.cycle,
+        "trace": soc.sim.trace.dump(),
+        "controller": ocp.controller.stats.as_dict(),
+        "bus": soc.bus.stats.as_dict(),
+    }
+
+
+def test_cross_call_waveform_probe_added_then_removed(schedule):
+    """The probe's naive epoch ticks without re-polling, so no claim
+    cached before it survives it."""
+    observed = _agrees_with_naive(
+        _probe_added_and_removed_between_steps, schedule)
+    assert observed["vcd"]
+
+
+def _raw_submits_to_register_slaves(**sim_kw):
+    from repro.baselines.dma_slave import (
+        SLAVE_WINDOW_BYTES,
+        BurstSlaveAccelerator,
+        DMAHarness,
+    )
+    from repro.baselines.pio_slave import PIOHarness, SlaveAccelerator
+    from repro.bus.bus import SystemBus
+    from repro.mem.dma import DMAEngine
+    from repro.mem.memory import Memory
+
+    sim = Simulator(**sim_kw)
+    bus = sim.add(SystemBus())
+    mem = Memory("ram", 1 << 16, access_latency=1)
+    bus.attach_slave("ram", 0x0, 1 << 16, mem)
+    pio = sim.add(SlaveAccelerator(
+        "pio", compute_fn=lambda ws: [w ^ 0xFF for w in ws],
+        items_in=8, items_out=8, compute_latency=10))
+    bus.attach_slave("pio", 0x9000_0000, 64, pio)
+    burst = sim.add(BurstSlaveAccelerator(
+        "burst", compute_fn=lambda ws: [(w + 1) & 0xFFFFFFFF for w in ws],
+        items_in=16, items_out=16, compute_latency=20))
+    bus.attach_slave("burst", 0x9200_0000, SLAVE_WINDOW_BYTES, burst)
+    dma = sim.add(DMAEngine("dma", bus=bus, buffer_words=8))
+    bus.attach_slave("dma", 0x9100_0000, 64, dma)
+    pio_runs = [PIOHarness(sim, bus, 0x9000_0000).run(
+        list(range(base, base + 8)), 8) for base in (0, 50)]
+    mem.load_words(0x100, list(range(16)))
+    dma_cycles = DMAHarness(sim, bus, dma, 0x9100_0000, 0x9200_0000).run(
+        0x100, 0x800, 16, 16)
+    return (pio_runs, dma_cycles, mem.dump_words(0x800, 16), sim.cycle,
+            bus.stats.as_dict(), pio.stats.as_dict(), burst.stats.as_dict())
+
+
+def test_cross_call_raw_bus_submits_to_pio_and_dma_slaves(schedule):
+    """Harness register accesses are raw submits with no waiter: the
+    completion pokes the clocked slave they target, which is all that
+    can change."""
+    pio_runs, _, moved, *_ = _agrees_with_naive(
+        _raw_submits_to_register_slaves, schedule)
+    assert pio_runs[1][0] == [v ^ 0xFF for v in range(50, 58)]
+    assert moved == [v + 1 for v in range(16)]
+
+
+def _doorbell_rung_over_the_bus(**sim_kw):
+    from repro.bus.bus import SystemBus
+    from repro.bus.types import AccessKind, BusRequest, BusSlave
+
+    class Doorbell(Alarm, BusSlave):
+        """A register window whose write arms the alarm, unpoked: only
+        the bus completion re-polls it."""
+
+        def read_word(self, offset):
+            return 0
+
+        def write_word(self, offset, value):
+            self.armed_at = self.now + value
+
+    sim = Simulator(**sim_kw)
+    bus = sim.add(SystemBus())
+    bell = sim.add(Doorbell())
+    bus.attach_slave("bell", 0x100, 4, bell)
+    for delay in (3, 7):
+        transfer = bus.submit(BusRequest(
+            master="test", kind=AccessKind.WRITE, address=0x100, burst=1,
+            data=[delay]))
+        sim.run_until(lambda: transfer.done, max_cycles=100)
+        sim.step(20)
+    return bell.rang, sim.cycle
+
+
+def test_cross_call_completion_pokes_a_clocked_slave(schedule):
+    """A completed transfer re-polls the clocked slave it targeted, so a
+    register write that moves the slave's wake lands on time."""
+    rang, _ = _agrees_with_naive(_doorbell_rung_over_the_bus, schedule)
+    assert len(rang) == 2
+
+
+def test_cross_call_unpoked_mutation_is_caught_by_strict_mode():
+    """A toy component mutated between calls without a poke: strict
+    mode audits the claim it carried out of the previous call."""
+    sim = Simulator(strict=True)
+    alarm = sim.add(Alarm())
+    sim.step(5)
+    alarm.armed_at = sim.cycle + 3  # no poke
+    with pytest.raises(SimulationError, match="without being poked"):
+        sim.step(10)

@@ -169,6 +169,19 @@ def test_duplicate_of_an_in_flight_job_id_is_rejected():
     assert sched.completed["a"].outputs == first
 
 
+def test_duplicate_of_a_completed_job_id_is_rejected():
+    """A completed id stays taken after it has left both the queue and
+    the in-flight set."""
+    soc = _soc(2)
+    sched = ThroughputScheduler(soc)
+    sched.run_stream([Job(f"c{index}", "passthrough", list(range(BLOCK)))
+                      for index in range(3)])
+    for job_id in ("c0", "c2"):
+        with pytest.raises(ConfigurationError, match="duplicate job id"):
+            sched.submit(Job(job_id, "passthrough", [7] * BLOCK))
+    assert sched.submit(Job("c3", "passthrough", list(range(BLOCK))))
+
+
 def test_unknown_kind_is_rejected():
     sched = ThroughputScheduler(_soc(2))
     with pytest.raises(ConfigurationError, match="no OCP serves"):
