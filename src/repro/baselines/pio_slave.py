@@ -72,7 +72,8 @@ class SlaveAccelerator(Component, BusSlave):
         self._in: List[int] = []
         self._out: List[int] = []
         self._ctrl = 0
-        self._timer = 0
+        #: the cycle the datapath delivers its results
+        self._done_at = 0
         self._running = False
 
     # -- slave interface --------------------------------------------------
@@ -100,28 +101,19 @@ class SlaveAccelerator(Component, BusSlave):
                 f"{self.name}: started with {len(self._in)} of "
                 f"{self.items_in} input words"
             )
-        # charge the cycles deferred so far to the idle state before
-        # the timer starts, and re-poll our claim
-        self.sync_skips()
         self._running = True
         self._ctrl = CTRL_START
-        self._timer = self.compute_latency
+        self._done_at = self.now + self.compute_latency
+        self.poke()
 
     def next_activity(self):
         if not self._running:
             return None  # woken by a CTRL write over the bus
-        # datapath latency burn-down; the compute fires at expiry
-        return self.now + self._timer
-
-    def on_skip(self, cycles: int) -> None:
-        if self._running:
-            self._timer -= cycles
+        # datapath latency: the compute fires at the deadline
+        return self._done_at
 
     def tick(self) -> None:
-        if not self._running:
-            return
-        if self._timer > 0:
-            self._timer -= 1
+        if not self._running or self.now < self._done_at:
             return
         inputs = self._in[: self.items_in]
         self._in = self._in[self.items_in:]
@@ -139,7 +131,7 @@ class SlaveAccelerator(Component, BusSlave):
         self._in = []
         self._out = []
         self._ctrl = 0
-        self._timer = 0
+        self._done_at = 0
         self._running = False
 
 

@@ -47,7 +47,7 @@ class SystemBus(Component):
         self.protocol = protocol
         self.arbiter = arbiter or FixedPriorityArbiter()
         self.memmap = MemoryMap()
-        self.stats = Stats()
+        self._stats = Stats()
         self._pending: List[BusTransfer] = []
         self._current: Optional[BusTransfer] = None
         self._busy_until = 0
@@ -77,8 +77,8 @@ class SystemBus(Component):
             request=request, issue_cycle=self.now, waiter=waiter, route=route
         )
         self._pending.append(transfer)
-        self.stats.incr("requests")
-        self.stats.incr(f"requests.{request.master}")
+        self._stats.incr("requests")
+        self._stats.incr(f"requests.{request.master}")
         # a new request makes the bus due (grant) this very cycle if
         # idle -- drop its cached quiescence claim
         self.poke()
@@ -100,30 +100,24 @@ class SystemBus(Component):
         self._pending.clear()
         self._current = None
         self._busy_until = 0
-        self.stats = Stats()
+        self._stats = Stats()
 
     def tick(self) -> None:
-        if self._current is not None:
-            self.stats.incr("busy_cycles")
-            if self.now >= self._busy_until:
-                self._finish(self._current)
-                self._current = None
+        if self._current is not None and self.now >= self._busy_until:
+            self._finish(self._current)
+            self._current = None
         if self._current is None and self._pending:
             self._grant(self.arbiter.pick(self._pending))
 
     def next_activity(self):
         # an in-flight transfer occupies the bus until _busy_until; the
-        # intervening ticks only count busy cycles (reconciled in
-        # on_skip), so the completion cycle is the next real work
+        # ticks in between are no-ops, so the completion cycle is the
+        # next real work
         if self._current is not None:
             return max(self._busy_until, self.now)
         if self._pending:
             return self.now  # a grant is due this cycle
         return None  # idle until a master submits a request
-
-    def on_skip(self, cycles: int) -> None:
-        if self._current is not None:
-            self.stats.incr("busy_cycles", cycles)
 
     # -- internals -----------------------------------------------------------
     def _grant(self, transfer: BusTransfer) -> None:
@@ -146,9 +140,11 @@ class SystemBus(Component):
         transfer.grant_cycle = self.now
         self._busy_until = self.now + occupancy
         self._current = transfer
-        self.stats.incr("grants")
-        self.stats.incr("beats", request.burst)
-        self.stats.incr(f"beats.{request.master}", request.burst)
+        # the bus is busy from the next cycle through the finishing one
+        self._stats.start("busy_cycles", self.now + 1)
+        self._stats.incr("grants")
+        self._stats.incr("beats", request.burst)
+        self._stats.incr(f"beats.{request.master}", request.burst)
         self.trace_event(
             "grant",
             master=request.master,
@@ -159,6 +155,7 @@ class SystemBus(Component):
         )
 
     def _finish(self, transfer: BusTransfer) -> None:
+        self._stats.stop("busy_cycles", self.now + 1)
         request = transfer.request
         if transfer.route is not None:
             region, offset = transfer.route
@@ -196,7 +193,7 @@ class SystemBus(Component):
             if request.kind is AccessKind.READ:
                 transfer.data = [0] * request.burst
             transfer.complete(self.now)
-            self.stats.incr("slave_errors")
+            self._stats.incr("slave_errors")
             self.trace_event(
                 "slave_error",
                 master=request.master,
@@ -215,6 +212,12 @@ class SystemBus(Component):
         )
 
     # -- introspection ----------------------------------------------------
+    @property
+    def stats(self) -> Stats:
+        """Statistics as of now, the cycle intervals still open
+        included."""
+        return self._stats.at(self.now)
+
     @property
     def idle(self) -> bool:
         return self._current is None and not self._pending

@@ -53,6 +53,13 @@ class _State(enum.Enum):
     ERROR = "error"
 
 
+_PARKED = (_State.IDLE, _State.HALTED, _State.ERROR)
+
+#: the ``cycles.<state>`` statistic of each state that ticks
+_CYCLE_KEYS = {state: f"cycles.{state.value}"
+               for state in _State if state not in _PARKED}
+
+
 class OuessantController(Component):
     """Fetch/decode/execute FSM of the OCP.
 
@@ -91,12 +98,14 @@ class OuessantController(Component):
         self.prefetch = prefetch
         self.ibuf_size = ibuf_size
         self.watchdog_cycles = watchdog_cycles
-        self._watchdog = 0
         self.rac: Optional[RAC] = None
         self.fifos_in: List[FIFO] = []
         self.fifos_out: List[FIFO] = []
-        self.stats = Stats()
+        self._stats = Stats()
         self._state = _State.IDLE
+        #: the first cycle charged to the current state (the exec
+        #: watchdog counts EXEC_WAIT cycles from it)
+        self._entered = 0
         self._pc = 0
         self._ibuf: List[int] = []
         self._pending: Optional[BusTransfer] = None
@@ -107,13 +116,11 @@ class OuessantController(Component):
         self._xfer_remaining = 0
         self._xfer_fifo = 0
         # extension registers
-        self._wait_timer = 0
+        self._resume_at = 0
         self._loop_count = 0
         self._loop_body = 0
         self._loop_active = False
         self._ofr = 0
-        #: consecutive FIFO-stall cycles not yet flushed as one event
-        self._stall_run = 0
         #: hardware performance counters, readable through the slave
         #: window after the configuration registers
         self.perf = PerfCounterBlock(self)
@@ -150,9 +157,14 @@ class OuessantController(Component):
         return self._state.value
 
     @property
+    def stats(self) -> Stats:
+        """Statistics as of now, the cycle intervals still open
+        included."""
+        return self._stats.at(self.now)
+
+    @property
     def running(self) -> bool:
-        return self._state not in (_State.IDLE, _State.HALTED,
-                                   _State.ERROR)
+        return self._state not in _PARKED
 
     @property
     def halted(self) -> bool:
@@ -178,67 +190,81 @@ class OuessantController(Component):
         if self.sim is not None and self.sim.trace is not None:
             self.sim.trace.record(self.sim.cycle, self.name, event, data)
 
-    def _phase(self, at: int) -> None:
-        """Record a state-machine boundary for span reconstruction.
+    def _phase(self, at: int, old: _State) -> None:
+        """Cross a state-machine boundary from state ``old``.
 
         ``at`` is the first cycle charged to the new state (the
         *boundary*): transitions taken inside :meth:`tick` at cycle C
         take effect at C+1 (the current tick already charged the old
         state), while external CTRL-write transitions take effect at C
         (the bus ticks before the controller, so the new state is
-        charged from the very same cycle).
+        charged from the very same cycle).  The old state's
+        ``cycles.<state>`` interval closes here and the new one's
+        opens; the boundary is also traced for span reconstruction.
         """
-        self._record("phase", state=self._state.value, at=at)
+        state = self._state
+        if old in _CYCLE_KEYS:
+            self._stats.stop(_CYCLE_KEYS[old], at)
+        if state in _CYCLE_KEYS:
+            self._stats.start(_CYCLE_KEYS[state], at)
+        self._entered = at
+        self._record("phase", state=state.value, at=at)
 
     def _flush_stall(self, at: int) -> None:
-        """Emit the aggregated ``stall`` event ending a stall run.
+        """End the FIFO-stall interval (if one is open) at ``at``.
 
-        One event per run (not per cycle) keeps declared-idle windows
-        event-free, as the strict idle-skip audit requires; the span
-        covers ``[at - cycles, at)``.
+        Its cycles are charged to ``cycles.fifo_stall`` and emitted as
+        one aggregated ``stall`` event covering ``[at - cycles, at)``:
+        one event per run (not per cycle) keeps declared-idle windows
+        event-free, as the strict idle-skip audit requires.
         """
-        if self._stall_run:
-            self._record("stall", cycles=self._stall_run, at=at)
-            self._stall_run = 0
+        cycles = self._stats.stop("cycles.fifo_stall", at)
+        if cycles:
+            self._record("stall", cycles=cycles, at=at)
+
+    def _open_stall(self) -> None:
+        """The transfer engine has no bus transfer in flight from the
+        next cycle on: every cycle until it issues one is a FIFO stall
+        (an unstalled engine issues at once, closing the interval
+        empty)."""
+        self._stats.start("cycles.fifo_stall", self.now + 1)
 
     def _on_start(self) -> None:
-        # settle deferred skip accounting *before* the state change so
-        # the quiet cycles are charged to the state that sat through
-        # them, then invalidate the cached quiescence claim
-        self.sync_skips()
         if self.interface.registers.prog_size < 1:
             raise ControllerError("S set with PROG_SIZE == 0")
+        old = self._state
         self._pc = 0
         self._ibuf = []
         self._pending = None
         self._instr = None
         self._loop_active = False
         self._ofr = 0
-        self._watchdog = 0
-        self._stall_run = 0
+        # a restart drops the open stall run's event, not its cycles
+        self._stats.stop("cycles.fifo_stall", self.now)
         self._state = _State.PREFETCH if self.prefetch else _State.FETCH
         self.perf.clear()
         self.trace_event("start", prog_size=self.interface.registers.prog_size)
-        self._phase(at=self.now)
+        self._phase(at=self.now, old=old)
+        self.poke()
 
     def _on_stop(self) -> None:
         # clearing S is also the recovery path: abort whatever run is
         # in flight (hung exec, trapped state, ...) back to IDLE so the
         # driver can retry.  An in-flight bus transfer simply completes
         # with nobody waiting on its handle.
-        self.sync_skips()
-        if self._state is _State.IDLE:
+        old = self._state
+        if old is _State.IDLE:
             return
-        if self._state not in (_State.HALTED, _State.ERROR):
-            self.trace_event("abort", state=self._state.value, pc=self._pc)
+        if old not in (_State.HALTED, _State.ERROR):
+            self.trace_event("abort", state=old.value, pc=self._pc)
         self._flush_stall(at=self.now)
         self._clear_fifo_watches()
         self._state = _State.IDLE
         self._pending = None
         self._instr = None
         self._loop_active = False
-        self._watchdog = 0
-        self._phase(at=self.now)
+        self._phase(at=self.now, old=old)
+        self.poke()
 
     def reset(self) -> None:
         self._state = _State.IDLE
@@ -248,9 +274,7 @@ class OuessantController(Component):
         self._instr = None
         self._loop_active = False
         self._ofr = 0
-        self._watchdog = 0
-        self._stall_run = 0
-        self.stats = Stats()
+        self._stats = Stats()
         self.perf.clear()
 
     # -- traps ---------------------------------------------------------------
@@ -265,17 +289,15 @@ class OuessantController(Component):
         self._state = _State.ERROR
         self._pending = None
         self._instr = None
-        self._watchdog = 0
-        self.stats.incr("traps")
+        self._stats.incr("traps")
         self.trace_event("trap", code=code, reason=reason, pc=self._pc)
         self.interface.signal_error(code)
 
     # -- per-cycle behaviour ----------------------------------------------
     def tick(self) -> None:
         state = self._state
-        if state in (_State.IDLE, _State.HALTED, _State.ERROR):
+        if state in _PARKED:
             return
-        self.stats.incr(f"cycles.{state.value}")
         if state is _State.PREFETCH:
             self._tick_prefetch()
         elif state is _State.FETCH:
@@ -288,18 +310,15 @@ class OuessantController(Component):
             self._tick_xfer_from()
         elif state is _State.EXEC_WAIT:
             if self.rac is not None and self.rac.end_op:
-                self._watchdog = 0
                 self._state = _State.FETCH
             elif self.watchdog_cycles > 0:
-                self._watchdog += 1
-                if self._watchdog >= self.watchdog_cycles:
-                    self._trap(
-                        ERR_WATCHDOG,
-                        f"exec hung for {self._watchdog} cycles",
-                    )
+                # consecutive EXEC_WAIT cycles, this one included
+                hung = self.now + 1 - self._entered
+                if hung >= self.watchdog_cycles:
+                    self._trap(ERR_WATCHDOG,
+                               f"exec hung for {hung} cycles")
         elif state is _State.WAITING:
-            self._wait_timer -= 1
-            if self._wait_timer <= 0:
+            if self.now >= self._resume_at:
                 self._state = _State.FETCH
         elif state is _State.WAITF:
             if self._waitf_satisfied():
@@ -308,7 +327,7 @@ class OuessantController(Component):
         if self._state is not state:
             # internal transition: the new state is charged from the
             # next cycle (this tick already charged the old one)
-            self._phase(at=self.now + 1)
+            self._phase(at=self.now + 1, old=state)
 
     # -- quiescence protocol --------------------------------------------------
     def next_activity(self):
@@ -322,19 +341,17 @@ class OuessantController(Component):
         exec watchdog) declare their expiry cycle instead.
         """
         state = self._state
-        if state in (_State.IDLE, _State.HALTED, _State.ERROR):
+        if state in _PARKED:
             return None
         if state is _State.EXEC_WAIT:
             if self.rac is not None and self.rac.end_op:
                 return self.now
             if self.watchdog_cycles > 0:
-                # the trap fires on the tick that takes _watchdog to
-                # the limit: remaining ticks - 1 cycles from now
-                return self.now + (self.watchdog_cycles - self._watchdog) - 1
+                # the trap fires on the watchdog_cycles-th EXEC_WAIT tick
+                return self._entered + self.watchdog_cycles - 1
             return None
         if state is _State.WAITING:
-            # the tick that decrements _wait_timer to zero resumes
-            return self.now + self._wait_timer - 1
+            return self._resume_at
         if state is _State.WAITF:
             return self.now if self._waitf_satisfied() else None
         if state in (_State.XFER_TO, _State.XFER_FROM):
@@ -360,21 +377,6 @@ class OuessantController(Component):
                 return None  # the bus completion wakes us
             return self.now
         return self.now  # DECODE and anything else: always active
-
-    def on_skip(self, cycles: int) -> None:
-        state = self._state
-        if state in (_State.IDLE, _State.HALTED, _State.ERROR):
-            return
-        # every skipped tick would have charged the state counter
-        self.stats.incr(f"cycles.{state.value}", cycles)
-        if state is _State.EXEC_WAIT and self.watchdog_cycles > 0:
-            self._watchdog += cycles
-        elif state is _State.WAITING:
-            self._wait_timer -= cycles
-        elif (state in (_State.XFER_TO, _State.XFER_FROM)
-              and self._pending is None):
-            self.stats.incr("cycles.fifo_stall", cycles)
-            self._stall_run += cycles
 
     # -- fetch path ---------------------------------------------------------
     def _tick_prefetch(self) -> None:
@@ -444,8 +446,8 @@ class OuessantController(Component):
         instr = self._instr
         if instr is None:  # pragma: no cover - fetch always latches one
             raise ControllerError("decode without fetched instruction")
-        self.stats.incr("instructions")
-        self.stats.incr(f"instr.{instr.mnemonic()}")
+        self._stats.incr("instructions")
+        self._stats.incr(f"instr.{instr.mnemonic()}")
         self._record("instr", pc=self._pc - 1, mnemonic=instr.mnemonic())
         self._execute(instr)
 
@@ -470,7 +472,8 @@ class OuessantController(Component):
             if instr.imm == 0:
                 self._state = _State.FETCH
             else:
-                self._wait_timer = instr.imm
+                # WAITING ticks imm times; the last one resumes
+                self._resume_at = self.now + instr.imm
                 self._state = _State.WAITING
         elif op is OuOp.WAITF:
             self._instr = instr
@@ -546,6 +549,7 @@ class OuessantController(Component):
         self._state = (
             _State.XFER_TO if instr.to_coprocessor() else _State.XFER_FROM
         )
+        self._open_stall()
 
     def _tick_xfer_to(self) -> None:
         fifo = self.fifos_in[self._xfer_fifo]
@@ -565,14 +569,14 @@ class OuessantController(Component):
             except FIFOError as exc:
                 self._trap(ERR_FIFO, f"mvtc push: {exc}")
                 return
-            self.stats.incr("words_to_rac", len(data))
+            self._stats.incr("words_to_rac", len(data))
             if self._xfer_remaining == 0:
                 self._state = _State.FETCH
+            else:
+                self._open_stall()
             return
         chunk = min(self._xfer_remaining, fifo.free_push_words)
         if chunk < 1:
-            self.stats.incr("cycles.fifo_stall")
-            self._stall_run += 1
             # bound any consumer-side batch at the cycle one word frees
             fifo.set_free_watch(1)
             return
@@ -598,6 +602,8 @@ class OuessantController(Component):
             self._pending = None
             if self._xfer_remaining == 0:
                 self._state = _State.FETCH
+            else:
+                self._open_stall()
             return
         if self.bus_burst_threshold < 1:
             raise ControllerError("bus burst threshold must be >= 1")
@@ -605,8 +611,6 @@ class OuessantController(Component):
         chunk = min(self._xfer_remaining, self.bus_burst_threshold,
                     fifo.depth)
         if fifo.occupancy < chunk:
-            self.stats.incr("cycles.fifo_stall")
-            self._stall_run += 1
             # bound any producer-side batch at the cycle the chunk fills
             fifo.set_occ_watch(chunk)
             return
@@ -617,7 +621,7 @@ class OuessantController(Component):
         except FIFOError as exc:
             self._trap(ERR_FIFO, f"mvfc pop: {exc}")
             return
-        self.stats.incr("words_from_rac", len(data))
+        self._stats.incr("words_from_rac", len(data))
         self._pending = self.interface.submit_write(
             self._xfer_bank, self._xfer_offset, data, waiter=self
         )

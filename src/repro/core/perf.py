@@ -31,7 +31,9 @@ window occupies ``4 * N_PERF_REGISTERS`` bytes; ``soclint`` warns
 Implementation note: the counters are *views* over the controller's
 cumulative :class:`~repro.sim.tracing.Stats` (snapshot-at-start
 baselines), because the profiler contract requires the cumulative
-statistics to survive across runs.
+statistics to survive across runs.  Those statistics read live (the
+open state interval included), so a bus read at cycle C sees exactly
+the cycles before C: the bus ticks before every OCP.
 """
 
 from __future__ import annotations
@@ -92,29 +94,26 @@ class PerfCounterBlock:
         for fifo in self._controller.fifos_out:
             fifo.clear_high_water()
 
-    def _delta(self, key: str) -> int:
-        return self._controller.stats.get(key) - self._baseline.get(key, 0)
-
     def value(self, index: int) -> int:
         """Current value of counter ``index`` (word index, unmasked)."""
         ctrl = self._controller
-        # under the fast schedule the controller's per-state cycle
-        # counters are reconciled lazily; settle them before sampling
-        ctrl.sync_skips()
+        stats = ctrl.stats
+
+        def delta(key: str) -> int:
+            return stats.get(key) - self._baseline.get(key, 0)
+
         if index == PERF_BUSY:
             return sum(
-                self._delta(key)
-                for key, _ in ctrl.stats.items()
+                delta(key)
+                for key, _ in stats.items()
                 if key.startswith("cycles.") and key != "cycles.fifo_stall"
             )
         if index == PERF_XFER:
-            return self._delta("cycles.xfer_to") + self._delta(
-                "cycles.xfer_from"
-            )
+            return delta("cycles.xfer_to") + delta("cycles.xfer_from")
         if index == PERF_EXECW:
-            return self._delta("cycles.exec_wait")
+            return delta("cycles.exec_wait")
         if index == PERF_STALL:
-            return self._delta("cycles.fifo_stall")
+            return delta("cycles.fifo_stall")
         if index == PERF_FIFO_IN_HW:
             return max(
                 (f.high_water_atoms for f in ctrl.fifos_in), default=0

@@ -43,7 +43,7 @@ from ..bus.types import AccessKind, BusRequest, BusTransfer
 from ..mem.memory import Memory
 from ..sim.errors import SimulationError
 from ..sim.kernel import Component
-from ..sim.tracing import Stats
+from ..sim.tracing import Stats, elapsed
 from ..utils import bits
 from .assembler import AssembledProgram
 from .isa import BRANCH_OPS, CostModel, Instruction, Op, decode
@@ -187,15 +187,19 @@ class CPU(Component):
         self.regs: List[int] = [0] * 32
         self.pc = 0
         self.halted = True
-        self.cycles = 0
+        #: cycles charged so far; :attr:`cycles` adds the open run
+        self._cycles = 0
+        #: the cycle the current ticked run began (the last load)
+        self._since = 0
         self.instret = 0
-        self.stats = Stats()
+        self._stats = Stats()
         self._decoded: Dict[int, Instruction] = {}
         #: translated blocks by entry pc: whole blocks (fast mode) and
         #: single instructions (ticked mode, and fast mode at its limit)
         self._blocks: Dict[int, _Block] = {}
         self._steps: Dict[int, _Block] = {}
-        self._stall = 0
+        #: the cycle the next instruction issues (multi-cycle costs)
+        self._stall_until = 0
         self._pending: Optional[BusTransfer] = None
         self._pending_rd: Optional[int] = None
 
@@ -217,19 +221,39 @@ class CPU(Component):
         for index, word in enumerate(program.text):
             self._decoded[program.text_base + 4 * index] = decode(word)
         self.pc = program.entry
+        self._cycles = self.cycles
+        self._since = self.now
+        self._stats.stop("wfi_cycles", self.now)
+        self._reach(self.now)
         self.halted = False
         # a halted CPU claims indefinite idleness: re-poll it
         self.poke()
 
     def reset(self) -> None:
+        # the statistics survive a reset; an open wfi interval does not
+        self._stats.stop("wfi_cycles", self.now)
         self.regs = [0] * 32
         self.pc = 0
         self.halted = True
-        self.cycles = 0
+        self._cycles = 0
         self.instret = 0
-        self._stall = 0
+        self._stall_until = 0
         self._pending = None
         self._pending_rd = None
+
+    @property
+    def cycles(self) -> int:
+        """Cycles executed: every fast-mode block's cost, plus each
+        ticked cycle from a load to the ``halt`` (live while running)."""
+        if self.halted:
+            return self._cycles
+        return self._cycles + elapsed(self._since, self.now)
+
+    @property
+    def stats(self) -> Stats:
+        """Statistics as of now, the cycle intervals still open
+        included."""
+        return self._stats.at(self.now)
 
     # -- register access -----------------------------------------------
     def reg(self, index: int) -> int:
@@ -251,7 +275,9 @@ class CPU(Component):
         :class:`SimulationError` -- fast mode is for pure-software
         kernels only.
         """
-        start_cycles = self.cycles
+        # charge the ticked cycles so far; the clock stands still here
+        self._cycles = start_cycles = self.cycles
+        self._since = self.now
         executed = 0
         blocks = self._blocks
         regs = self.regs
@@ -278,40 +304,50 @@ class CPU(Component):
             else:
                 pc = function(self, regs, words, False)
             self.pc = pc
-            self.cycles += cycles
+            self._cycles += cycles
             executed += count
         self.instret += executed
-        return self.cycles - start_cycles
+        return self._cycles - start_cycles
 
     # -- ticked mode -------------------------------------------------------
     def tick(self) -> None:
         if self.halted:
             return
         if self._pending is not None:
-            self.cycles += 1
             if not self._pending.done:
                 return
             if self._pending_rd is not None:
                 self.set_reg(self._pending_rd, self._pending.data[0])
             self._pending = None
             self._pending_rd = None
+            self._reach(self.now + 1)
             return
-        if self._stall > 0:
-            self._stall -= 1
-            self.cycles += 1
+        now = self.now
+        if now < self._stall_until:
             return
         pc = self.pc
         function, _, cost, _ = self._steps.get(pc) or self._translate(pc, 1)
-        if (self._decoded[pc].op is Op.WFI
-                and (self.irq is None or not self.irq.any_pending())):
-            self.cycles += 1
-            self.stats.incr("wfi_cycles")
-            return  # stay on the wfi until an interrupt arrives
+        if self._decoded[pc].op is Op.WFI:
+            if self.irq is None or not self.irq.any_pending():
+                self._stats.start("wfi_cycles", now)
+                return  # stay on the wfi until an interrupt arrives
+            self._stats.stop("wfi_cycles", now)
         self.pc = function(self, self.regs, self.memory.words, True)
-        self.cycles += 1
         self.instret += 1
-        if self._pending is None:
-            self._stall = cost - 1
+        if self.halted:
+            self._cycles += now + 1 - self._since
+        elif self._pending is None:
+            self._stall_until = now + cost
+            self._reach(now + cost)
+
+    def _reach(self, at: int) -> None:
+        """The instruction at pc issues at cycle ``at``.  A predecoded
+        ``wfi`` waits from then on -- :meth:`next_activity` sleeps
+        through it without a tick -- until an interrupt lets it
+        execute (one already pending ends the wait empty)."""
+        instr = self._decoded.get(self.pc)
+        if instr is not None and instr.op is Op.WFI:
+            self._stats.start("wfi_cycles", at)
 
     def next_activity(self):
         if self.halted:
@@ -319,9 +355,9 @@ class CPU(Component):
         if self._pending is not None:
             # waiting on an MMIO bus transfer; the bus wakes the system
             return self.now if self._pending.done else None
-        if self._stall > 0:
-            # multi-cycle instruction cost: pure counter burn-down
-            return self.now + self._stall
+        if self._stall_until > self.now:
+            # multi-cycle instruction cost
+            return self._stall_until
         # consult only the predecoded map -- next_activity must not
         # fault where the naive tick would (a bad pc faults in tick)
         instr = self._decoded.get(self.pc)
@@ -329,20 +365,6 @@ class CPU(Component):
                 and (self.irq is None or not self.irq.any_pending())):
             return None  # asleep until an interrupt is raised
         return self.now
-
-    def on_skip(self, cycles: int) -> None:
-        if self.halted:
-            return
-        if self._pending is not None:
-            self.cycles += cycles
-            return
-        if self._stall > 0:
-            self._stall -= cycles
-            self.cycles += cycles
-            return
-        # skippable only while parked on wfi with no pending interrupt
-        self.cycles += cycles
-        self.stats.incr("wfi_cycles", cycles)
 
     # -- core ------------------------------------------------------------
     def _fetch(self, pc: int) -> Instruction:
@@ -443,7 +465,7 @@ class CPU(Component):
     def _fault(self, pc: int, cycles: int, message: str) -> None:
         """Stop a block at ``pc`` with ``cycles`` of it charged, and raise."""
         self.pc = pc
-        self.cycles += cycles
+        self._cycles += cycles
         raise SimulationError(message)
 
     def _stray(
@@ -470,4 +492,4 @@ class CPU(Component):
                                  burst=1, data=[value], priority=0)
             self._pending_rd = None
         self._pending = self.bus.submit(request, waiter=self)
-        self.stats.incr("mmio")
+        self._stats.incr("mmio")

@@ -180,7 +180,9 @@ class StreamingRAC(RAC):
         self._collected: List[List[int]] = []
         self._to_emit: List[List[int]] = []
         self._emitted: List[int] = []
-        self._compute_timer = 0
+        #: the cycle the compute fires: ``compute_latency`` cycles after
+        #: the tick that completes collection
+        self._compute_at = 0
         #: one input and one output port, stock collect/compute/emit
         #: behaviour: the shape the batch lane handles
         self._single_stream = (n_in == 1 and n_out == 1
@@ -215,17 +217,13 @@ class StreamingRAC(RAC):
             # otherwise starved until a FIFO fills
             return self.now if complete else None
         if self._phase is _Phase.COMPUTE:
-            # pure pipeline-latency burn-down; compute fires at expiry
-            return self.now + self._compute_timer
+            # pipeline latency: nothing happens until the deadline
+            return self._compute_at
         # EMIT: progress whenever any unfinished port has FIFO space
         for port, fifo in enumerate(self.outputs):
             if self._emitted[port] < self.items_out[port] and fifo.can_push():
                 return self.now
         return None  # all remaining output FIFOs are full
-
-    def on_skip(self, cycles: int) -> None:
-        if self._phase is _Phase.COMPUTE:
-            self._compute_timer -= cycles
 
     # -- per-cycle behaviour -----------------------------------------------
     def tick(self) -> None:
@@ -253,12 +251,11 @@ class StreamingRAC(RAC):
                 done = False
         if done:
             self._phase = _Phase.COMPUTE
-            self._compute_timer = self.compute_latency
+            self._compute_at = self.now + 1 + self.compute_latency
             self.trace_event("collect_done")
 
     def _tick_compute(self) -> None:
-        if self._compute_timer > 0:
-            self._compute_timer -= 1
+        if self.now < self._compute_at:
             return
         outputs = self.compute_fn(self._collected)
         if len(outputs) != len(self.items_out):
@@ -357,7 +354,7 @@ class StreamingRAC(RAC):
         if len(self._collected[0]) >= self.items_in[0]:
             # the tick that takes the last word also transitions
             self._phase = _Phase.COMPUTE
-            self._compute_timer = self.compute_latency
+            self._compute_at = self.now + cycles + self.compute_latency
             self.trace_event("collect_done")
         return cycles
 
@@ -382,7 +379,7 @@ class StreamingRAC(RAC):
         self._collected = []
         self._to_emit = []
         self._emitted = []
-        self._compute_timer = 0
+        self._compute_at = 0
 
 
 def _slab(ready: int, rate: int, crossing: Optional[int],

@@ -35,6 +35,7 @@ from ..core.registers import (
 )
 from ..sim.errors import ConfigurationError, ReproError
 from ..sim.kernel import Component
+from ..sim.tracing import elapsed
 from ..verify.diagnostics import (
     Finding,
     VerifyReport,
@@ -84,8 +85,8 @@ class _OcpSlot:
     __slots__ = (
         "index", "ocp", "reg_base", "prog_base", "in_base", "out_base",
         "max_job_words", "queue", "state", "batch", "writes", "transfer",
-        "resume_at", "jobs_done", "batches_done", "retries", "busy_cycles",
-        "queue_high_water", "master",
+        "resume_at", "jobs_done", "batches_done", "retries", "_busy",
+        "_busy_since", "queue_high_water", "master",
     )
 
     def __init__(self, index: int, ocp, reg_base: int, arena: int) -> None:
@@ -108,9 +109,19 @@ class _OcpSlot:
         self.jobs_done = 0
         self.batches_done = 0
         self.retries = 0
-        self.busy_cycles = 0
+        #: busy cycles of finished batches, and the cycle the batch in
+        #: flight made the slot busy (None while idle)
+        self._busy = 0
+        self._busy_since: Optional[int] = None
         self.queue_high_water = 0
         self.master = f"sched{index}"
+
+    @property
+    def busy_cycles(self) -> int:
+        """Cycles spent outside ``idle``, the open batch included (the
+        OCP runs on the scheduler's clock)."""
+        return self._busy + elapsed(self._busy_since,
+                                    self.ocp.controller.now)
 
 
 class SchedulingPolicy:
@@ -312,6 +323,10 @@ class ThroughputScheduler(Component):
         self._pending_meta: Dict[str, Tuple[int, int]] = {}
         #: ids of the jobs waiting in any slot queue
         self._queued_ids: Set[str] = set()
+        #: the slots a blocked submission waits on, and whether one of
+        #: them has dispatched (popped its queue) since the wait began
+        self._awaited: Set[_OcpSlot] = set()
+        self._freed = False
         self._next_batch_id = 0
         self.submitted = 0
         self.completed: Dict[str, JobResult] = {}
@@ -539,13 +554,15 @@ class ThroughputScheduler(Component):
         """Submit, advancing the simulation until space frees up.
 
         The job is routed once per wait: the clock cannot pin a chain,
-        so the wait only watches the candidates' queue lengths.
+        and a refused submit means every candidate queue is full.  Only
+        a dispatch shortens a queue, so the wait ends at the first
+        dispatch from a candidate.
         """
         while not self.submit(job):
-            candidates = self._candidates(job)
-            bound = self.queue_bound
+            self._awaited = set(self._candidates(job))
+            self._freed = False
             self._soc.run_until(
-                lambda: any(len(s.queue) < bound for s in candidates),
+                lambda: self._freed,
                 max_cycles=max_cycles,
                 what=f"queue space for job {job.job_id}",
             )
@@ -584,16 +601,7 @@ class ThroughputScheduler(Component):
     # -- dispatch state machine (inside the clock) ------------------------
     def tick(self) -> None:
         for slot in self._slots.values():
-            if slot.state != "idle":
-                slot.busy_cycles += 1
             self._step_slot(slot)
-
-    def on_skip(self, cycles: int) -> None:
-        # busy accounting must match the naive stepper: states are
-        # frozen across a declared-idle window, so a flat add suffices
-        for slot in self._slots.values():
-            if slot.state != "idle":
-                slot.busy_cycles += cycles
 
     def next_activity(self) -> Optional[int]:
         wake: Optional[int] = None
@@ -634,6 +642,8 @@ class ThroughputScheduler(Component):
             if jobs and total + job.size > ARENA_WORDS:
                 break
             slot.queue.popleft()
+            if slot in self._awaited:
+                self._freed = True
             self._queued_ids.discard(job.job_id)
             jobs.append(job)
             dispatch_cycles.append(submitted)
@@ -642,6 +652,8 @@ class ThroughputScheduler(Component):
         self._next_batch_id += 1
         batch.attempts = 1
         slot.batch = batch
+        # busy from the next cycle: this tick saw the slot idle
+        slot._busy_since = self.now + 1
         self._place_batch(slot, batch)
         # remember submit cycles for the results (dispatch == now)
         for job, submitted in zip(jobs, dispatch_cycles):
@@ -805,3 +817,5 @@ class ThroughputScheduler(Component):
         slot.transfer = None
         slot.batch = None
         slot.state = "idle"
+        slot._busy += elapsed(slot._busy_since, self.now + 1)
+        slot._busy_since = None

@@ -30,8 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Component, Simulator
 
 #: kernel bookkeeping that legitimately differs between a slab and its
-#: naive replay (cached wakes, deferred-skip markers)
-_KERNEL_FIELDS = frozenset(("_wake", "_wake_valid", "_synced", "_ran_at"))
+#: naive replay (cached wakes, the last-tick marker)
+_KERNEL_FIELDS = frozenset(("_wake", "_wake_valid", "_ran_at"))
 
 
 def audit_claims(sim: "Simulator") -> None:
@@ -47,7 +47,7 @@ def audit_claims(sim: "Simulator") -> None:
         if not comp._wake_valid:
             continue
         cached = comp._wake
-        fresh = sim._poll(comp, now)
+        fresh = sim._poll(comp)
         if fresh is not None and (cached is None or fresh < cached):
             raise SimulationError(
                 f"strict dispatch: component {comp.name!r} moved its "
@@ -66,7 +66,6 @@ def replay(sim: "Simulator", cycles: int,
     allowed = {sim.last_active}
     allowed.update(lane.name for lane in lanes)
     window = "batched" if lanes else "declared-idle"
-    sim._flush()
     for offset in range(cycles):
         for comp in sim._components:
             if comp in lanes:
@@ -120,7 +119,6 @@ def audit_batch(sim: "Simulator", lanes: Sequence["Component"],
     allowed to act, and the two must agree on every field of every
     copied component.
     """
-    sim._flush()
     now = sim.cycle
     reals: List["Component"] = []
     owner: Dict[int, "Component"] = {}
@@ -153,9 +151,6 @@ def audit_batch(sim: "Simulator", lanes: Sequence["Component"],
             )
     for shadow in shadow_lanes:
         sim._run_lane(shadow, span)
-    for shadow in shadows:
-        if shadow not in shadow_lanes:
-            shadow.on_skip(span)
     replay(sim, span, lanes)
     for real, shadow in zip(reals, shadows):
         where = state_diff(real, shadow, real.name)

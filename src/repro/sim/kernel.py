@@ -40,19 +40,20 @@ cache once per event, and
   together only while they drive pairwise disjoint sets of registered
   components, so no lane can observe another's intermediate states.
 
-A quiescent component's per-cycle counters are reconciled lazily via
-:meth:`Component.on_skip`, just before its next tick or in the one
-flush that ends each public ``step``/``run_until`` call.  That flush
-keeps every cached claim: a claim outlives the call that computed it.
+A skipped cycle leaves no accounting behind: components keep their
+self-timed values as absolute cycles (a compute deadline, a ``wait``
+resume cycle) and charge each cycle statistic at the transition that
+ends it, from the cycle its interval began; a live read adds the open
+interval (:func:`repro.sim.tracing.elapsed`).  So a cached claim
+outlives the public ``step``/``run_until`` call that computed it.
 Anything that changes state a quiescent component's claim depends on
 pokes it -- fault injectors, bus completions and the mutators called
 between public calls (a program load, a queued job, a soft reset)
 included -- so faulted and multi-call runs take the same schedule.
 Only a registration change, :meth:`Simulator.reset` and the end of a
-naive epoch drop every claim.  Only a component that samples live
-per-cycle state (a waveform probe) sets
-:attr:`Component.requires_full_dispatch`; while one is registered the
-kernel runs the naive stepper.
+naive epoch drop every claim.  A component that samples other
+components every cycle (a waveform probe) is simply always due, so
+every cycle is dispatched while it is registered.
 
 ``Simulator(strict=True)`` audits the fast schedule while it runs
 (:mod:`repro.sim.audit`): it checks each cached claim against a fresh
@@ -78,15 +79,10 @@ class Component:
 
     Subclasses override :meth:`tick` (compute phase) and optionally
     :meth:`commit` (publish phase) and :meth:`reset`.  Components that
-    can stall override :meth:`next_activity` (and, when they keep
-    per-cycle counters, :meth:`on_skip`) to take part in idle skipping.
+    can stall override :meth:`next_activity` to take part in idle
+    skipping; they keep timers as absolute cycles and charge cycle
+    statistics from entry stamps, so a skipped cycle needs no hook.
     """
-
-    #: set True on components that sample other components' live
-    #: per-cycle state (waveform probes): while one is registered the
-    #: kernel runs the naive stepper, since the fast schedule reconciles
-    #: quiescent counters lazily
-    requires_full_dispatch = False
 
     #: True while :meth:`tick_batch` may run (a class attribute or a
     #: state-dependent property)
@@ -100,12 +96,10 @@ class Component:
         #: state; poked (wake-cache invalidated) whenever it changes
         self._watchers: List["Component"] = []
         # fast-schedule bookkeeping (owned by the Simulator): cached
-        # next_activity() answer, its validity, the first cycle whose
-        # tick/on_skip has not been accounted yet, and the cycle of the
+        # next_activity() answer, its validity, and the cycle of the
         # last real tick (commit-phase membership marker)
         self._wake: Optional[int] = None
         self._wake_valid = False
-        self._synced = 0
         self._ran_at = -1
 
     # -- lifecycle -----------------------------------------------------
@@ -139,9 +133,9 @@ class Component:
         * any cycle ``<= self.now`` -- *active*: the component needs
           its tick this cycle; no skipping may happen.
         * a cycle ``N > self.now`` -- quiescent until ``N``: every
-          tick/commit strictly before ``N`` is an observable no-op
-          (no trace events, no cross-component effects) provided no
-          *other* component acts either.
+          tick/commit strictly before ``N`` is a no-op (no state
+          change, no trace events, no cross-component effects)
+          provided no *other* component acts either.
         * ``None`` -- indefinitely idle: only an external poke (another
           component's activity, a register write between steps) can
           make its ticks matter again.
@@ -151,16 +145,6 @@ class Component:
         nothing about.
         """
         return self.now
-
-    def on_skip(self, cycles: int) -> None:
-        """Reconcile internal per-cycle counters after a skipped gap.
-
-        Called with the number of fast-forwarded cycles whenever the
-        simulator jumps over a window this component declared idle.
-        Implementations must apply exactly the state changes ``cycles``
-        consecutive no-op ticks would have applied (stat counters,
-        wait-timer decrements) -- nothing observable.
-        """
 
     def batch_span(self, budget: int) -> int:
         """Cycles :meth:`tick_batch` would consume given ``budget``.
@@ -214,24 +198,6 @@ class Component:
         self._wake_valid = False
         for watcher in self._watchers:
             watcher._wake_valid = False
-
-    def sync_skips(self) -> None:
-        """Apply any deferred ``on_skip`` reconciliation *now*.
-
-        Used before externally-driven state mutation (a CTRL register
-        write flipping the controller's FSM): pending quiescent cycles
-        must be charged to the *old* state before it changes.  Also
-        invalidates the wake cache.  Between public calls only the
-        invalidation is left to do: every fast-schedule call ends with
-        all deferred skips flushed.
-        """
-        sim = self.sim
-        if sim is not None and sim._dispatching:
-            pending = sim.cycle - self._synced
-            if pending > 0:
-                self.on_skip(pending)
-                self._synced = sim.cycle
-        self._wake_valid = False
 
     # -- helpers -------------------------------------------------------
     @property
@@ -311,10 +277,9 @@ class Simulator:
         Without one, the fast schedule may batch (see
         :meth:`Component.tick_batch`).
     idle_skip:
-        Run the fast schedule (default True).  With it off -- or while a
-        component that requires full dispatch is registered -- the
-        kernel is the naive two-phase stepper; results must be
-        bit-identical either way.
+        Run the fast schedule (default True).  With it off the kernel
+        is the naive two-phase stepper; results must be bit-identical
+        either way.
     strict:
         Audit the fast schedule: every cached quiescence claim is
         re-polled before it is trusted, every declared-idle window is
@@ -342,11 +307,6 @@ class Simulator:
         self.trace = trace
         self.idle_skip = idle_skip
         self.strict = strict
-        #: registered components that require full dispatch (naive)
-        self._full_dispatch = 0
-        #: True while inside a fast-schedule step/run_until (skip
-        #: reconciliation is deferred per component during this time)
-        self._dispatching = False
         #: name of the component that most recently emitted an event
         self.last_active: Optional[str] = None
         self._components: List[Component] = []
@@ -370,11 +330,8 @@ class Simulator:
         self._names.add(component.name)
         self._components.append(component)
         self._driven.clear()
-        if component.requires_full_dispatch:
-            self._full_dispatch += 1
-        # a newcomer has no skipped cycles to reconcile, and may be
-        # state another component's cached claim depends on
-        component._synced = self.cycle
+        # a newcomer may be state another component's cached claim
+        # depends on
         component.attach(self)
         self._invalidate()
         return component
@@ -399,8 +356,6 @@ class Simulator:
         self._components.remove(component)
         self._names.discard(component.name)
         self._driven.clear()
-        if component.requires_full_dispatch:
-            self._full_dispatch -= 1
         self._invalidate()
         if self.last_active == component.name:
             # never let DeadlockError diagnostics name a component
@@ -426,15 +381,13 @@ class Simulator:
         record no trace events, so span reconstruction is impossible
         for them (``repro.obs`` refuses loudly).
         """
-        return (self.trace is None and self.idle_skip and not self.strict
-                and not self._full_dispatch)
+        return self.trace is None and self.idle_skip and not self.strict
 
     # -- execution ---------------------------------------------------------
     def reset(self) -> None:
         """Reset the clock, the profile counters and every component.
 
-        Every cached claim is dropped and every component restarts its
-        skip accounting at cycle 0.
+        Every cached claim is dropped.
         """
         self.cycle = 0
         self._ticked = 0
@@ -444,7 +397,6 @@ class Simulator:
         for comp in self._components:
             comp.reset()
             comp._wake_valid = False
-            comp._synced = 0
 
     def step(self, cycles: int = 1) -> None:
         """Advance the clock by ``cycles`` cycles."""
@@ -485,13 +437,12 @@ class Simulator:
         ``bound`` first is a deadlock.
         """
         start = self.cycle
-        fast = self.idle_skip and not self._full_dispatch
+        fast = self.idle_skip
         # the shipping schedule; strict mode audits the same decisions
         plain = fast and not self.strict
         # cached claims carry over from the previous call: whatever
         # mutated component state in between (a register backdoor, a
         # program load, a queued job) poked what it changed
-        self._dispatching = fast
         try:
             while True:
                 now = self.cycle
@@ -522,18 +473,10 @@ class Simulator:
                 else:
                     self._tick_all()
         finally:
-            self._dispatching = False
-            if fast:
-                # stats read between calls are naive-exact; the claims
-                # stay valid for the next call
-                self._flush()
-            else:
-                # every cycle was ticked, so nothing is left to
-                # reconcile, but the naive ticks never re-polled: no
-                # cached claim survives a naive epoch
-                for comp in self._components:
-                    comp._synced = self.cycle
-                    comp._wake_valid = False
+            if not fast:
+                # the naive ticks never re-polled: no cached claim
+                # survives a naive epoch
+                self._invalidate()
 
     def _tick_all(self) -> None:
         """One naive two-phase cycle."""
@@ -554,22 +497,9 @@ class Simulator:
 
     # -- the fast schedule -------------------------------------------------
     def _invalidate(self) -> None:
-        """Drop every cached claim (the component set changed)."""
+        """Drop every cached claim."""
         for comp in self._components:
             comp._wake_valid = False
-
-    def _flush(self) -> None:
-        """Run every deferred ``on_skip``, keeping the cached claims.
-
-        Afterwards, stats and timers are exactly what the naive
-        schedule would show at this cycle.
-        """
-        now = self.cycle
-        for comp in self._components:
-            pending = now - comp._synced
-            if pending > 0:
-                comp.on_skip(pending)
-                comp._synced = now
 
     def _audited_event(self, bound: int) -> None:
         """Strict mode: take the dispatch scan's decision, audited by
@@ -587,34 +517,17 @@ class Simulator:
         # the skip or slab a replay stands for leaves the claims cached:
         # poll them afresh, so the claims carried past it (into the
         # next public call, too) are audited like the fast schedule's
-        now = self.cycle
         for comp in self._components:
-            self._poll(comp, now)
+            self._poll(comp)
 
     def _tick_settled(self) -> None:
-        """One naive cycle inside a fast epoch: flush deferred skips,
-        drop cached wakes, tick everything."""
-        now = self.cycle
-        for comp in self._components:
-            pending = now - comp._synced
-            if pending > 0:
-                comp.on_skip(pending)
-            comp._synced = now + 1
-            comp._wake_valid = False
+        """One naive cycle inside a fast epoch: drop cached wakes, tick
+        everything."""
+        self._invalidate()
         self._tick_all()
 
-    def _poll(self, comp: Component, now: int) -> Optional[int]:
-        """Re-poll a component's quiescence claim with settled accounting.
-
-        ``next_activity`` implementations read self-timed counters
-        (``wait`` timers, watchdogs) that deferred-skip accounting
-        leaves stale; flushing the pending ``on_skip`` first makes the
-        claim exactly what the naive schedule would compute at ``now``.
-        """
-        pending = now - comp._synced
-        if pending > 0:
-            comp.on_skip(pending)
-            comp._synced = now
+    def _poll(self, comp: Component) -> Optional[int]:
+        """Re-poll a component's quiescence claim and cache it."""
         comp._wake = wake = comp.next_activity()
         comp._wake_valid = True
         return wake
@@ -640,10 +553,6 @@ class Simulator:
             if comp._wake_valid:
                 wake = comp._wake
             else:  # inlined _poll: this loop runs before every event
-                pending = now - comp._synced
-                if pending > 0:
-                    comp.on_skip(pending)
-                    comp._synced = now
                 comp._wake = wake = comp.next_activity()
                 comp._wake_valid = True
             if wake is None:
@@ -696,18 +605,10 @@ class Simulator:
             if comp._wake_valid:
                 wake = comp._wake
             else:  # inlined _poll (hot loop)
-                pending = now - comp._synced
-                if pending > 0:
-                    comp.on_skip(pending)
-                    comp._synced = now
                 comp._wake = wake = comp.next_activity()
                 comp._wake_valid = True
             if wake is None or wake > now:
                 continue
-            pending = now - comp._synced
-            if pending > 0:
-                comp.on_skip(pending)
-            comp._synced = now + 1
             comp._ran_at = now
             comp.tick()
             comp._wake_valid = False
@@ -715,7 +616,7 @@ class Simulator:
             if comp._ran_at == now:
                 comp.commit()
             elif not comp._wake_valid:
-                wake = self._poll(comp, now)
+                wake = self._poll(comp)
                 if wake is not None and wake <= now:
                     comp.commit()
                     comp._wake_valid = False
@@ -739,28 +640,22 @@ class Simulator:
         span = self._lane_span(lanes, horizon - now)
         for lane in lanes:
             self._run_lane(lane, span)
-            lane._synced = now + span
             lane._wake_valid = False
         self.cycle = now + span
         self._ticked += span
         self._batched += span
 
     def _lane_span(self, lanes: List[Component], budget: int) -> int:
-        """Flush each lane's deferred ``on_skip`` and return the common
-        span: the smallest ``batch_span`` offer within ``budget``."""
-        now = self.cycle
+        """The common span of ``lanes``: the smallest ``batch_span``
+        offer within ``budget``."""
         span = budget
         for lane in lanes:
-            pending = now - lane._synced
-            if pending > 0:
-                lane.on_skip(pending)
-                lane._synced = now
             offer = lane.batch_span(span)
             if offer < span:
                 if offer < 1:
                     raise SimulationError(
                         f"batch lane {lane.name!r} offered a {offer}-cycle "
-                        f"span at cycle {now}"
+                        f"span at cycle {self.cycle}"
                     )
                 span = offer
         return span

@@ -105,6 +105,22 @@ class Trace:
         return "\n".join(str(e) for e in self._events)
 
 
+def elapsed(since: Optional[int], now: int) -> int:
+    """Cycles an interval that began at cycle ``since`` holds at ``now``.
+
+    Cycle statistics are charged at the transition that ends their
+    interval, from the cycle it began; a live read adds the open
+    interval through this helper.  It covers the cycles ``since`` to
+    ``now - 1``, exactly those the naive schedule has ticked before
+    cycle ``now``.  A stamp taken inside a tick may name the next
+    cycle, which reads as 0 until that cycle begins; ``None`` means no
+    interval is open.
+    """
+    if since is None or now <= since:
+        return 0
+    return now - since
+
+
 class Stats:
     """Named counters with categories.
 
@@ -114,14 +130,46 @@ class Stats:
     (:meth:`maximize`).  Merging sums the former and takes the maximum
     of the latter -- summing two FIFOs' ``max_occupancy_atoms`` would
     fabricate an occupancy neither ever reached.
+
+    A sum may also hold one open cycle interval (:meth:`start` /
+    :meth:`stop`): a component charges the cycles it spends in a state
+    when it leaves the state, and publishes the copy :meth:`at` its
+    clock, which counts the intervals still open.
     """
 
     def __init__(self) -> None:
         self._counters: Counter = Counter()
         self._gauges: set = set()
+        #: cycle intervals still open, by counter: the cycle each began
+        self._open: Dict[str, int] = {}
 
     def incr(self, name: str, amount: int = 1) -> None:
         self._counters[name] += amount
+
+    def start(self, name: str, at: int) -> None:
+        """Open a cycle interval of ``name`` at cycle ``at`` (kept if
+        one is open already); :meth:`at` counts it until :meth:`stop`."""
+        self._open.setdefault(name, at)
+
+    def stop(self, name: str, at: int) -> int:
+        """Close ``name``'s open interval at cycle ``at``: charge its
+        cycles and return them (0 when none was open)."""
+        cycles = elapsed(self._open.pop(name, None), at)
+        if cycles:
+            self._counters[name] += cycles
+        return cycles
+
+    def at(self, now: int) -> "Stats":
+        """A copy as read at cycle ``now``: every open interval is
+        charged up to ``now`` and closed."""
+        live = Stats()
+        live._gauges = set(self._gauges)
+        live._counters = self._counters.copy()
+        for name, since in self._open.items():
+            cycles = elapsed(since, now)
+            if cycles:
+                live._counters[name] += cycles
+        return live
 
     def maximize(self, name: str, value: int) -> None:
         """Keep the running maximum of a gauge-style statistic."""

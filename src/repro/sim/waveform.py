@@ -29,12 +29,14 @@ Signal = Callable[[], int]
 
 
 class WaveformProbe(Component):
-    """Samples named signals into a :class:`VCDWriter` every cycle."""
+    """Samples named signals into a :class:`VCDWriter` every cycle.
 
-    #: a probe samples live per-cycle state (FIFO levels, bus counters)
-    #: that the fast schedule reconciles lazily: while one is
-    #: registered the kernel runs the naive stepper
-    requires_full_dispatch = True
+    A probe never declares quiescence, so every cycle is dispatched
+    while one is registered; the components it samples keep their own
+    claims, and their cycle statistics read live.  A cycle statistic
+    sampled after its owner's tick counts the cycles before the
+    current one.
+    """
 
     def __init__(
         self,

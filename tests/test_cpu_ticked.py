@@ -11,8 +11,8 @@ from repro.mem.memory import Memory
 from repro.sim.kernel import Simulator
 
 
-def ticked_cpu(source, mem_bytes=1 << 20):
-    sim = Simulator()
+def ticked_cpu(source, mem_bytes=1 << 20, **sim_kw):
+    sim = Simulator(**sim_kw)
     memory = Memory("ram", mem_bytes)
     irqc = IRQController()
     cpu = CPU(memory=memory, memory_base=0, irq=irqc)
@@ -111,3 +111,21 @@ def test_wfi_wakes_only_on_irq():
     sim.run_until(lambda: cpu.halted, max_cycles=50)
     assert cpu.reg(1) == 7
     assert cpu.stats["wfi_cycles"] >= 49
+
+
+@pytest.mark.parametrize("idle_skip", [False, True], ids=["naive", "fast"])
+def test_wfi_cycles_count_from_the_cycle_the_wfi_is_reached(idle_skip):
+    """A ``wfi`` behind a 35-cycle ``div`` and an ``addi`` waits from
+    cycle 36.  The fast schedule sleeps through it without ever ticking
+    the ``wfi``, so the wait is stamped where the ``addi`` issues; a
+    read mid-wait counts the open interval."""
+    sim, cpu, irqc = ticked_cpu(
+        "div r2, r1, r1\naddi r1, r0, 1\nwfi\naddi r1, r0, 7\nhalt",
+        idle_skip=idle_skip)
+    line = IRQLine("ext")
+    irqc.register(line)
+    sim.step(50)
+    assert (cpu.cycles, cpu.stats["wfi_cycles"]) == (50, 14)
+    line.assert_()
+    sim.run_until(lambda: cpu.halted, max_cycles=50)
+    assert (sim.cycle, cpu.cycles, cpu.stats["wfi_cycles"]) == (53, 53, 14)

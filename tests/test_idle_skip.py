@@ -12,8 +12,10 @@ faults and under plans mixing every fault kind, traced and trace-free
 (batch lane).
 """
 
+import json
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -482,9 +484,9 @@ def test_waveform_probe_disables_skipping():
 
 def _probed_run(idle_skip, remove_at=None):
     """A SoC workload captured into a VCD: the standard OCP probe set
-    plus the bus's busy-cycle counter, a per-cycle statistic the fast
-    schedule reconciles lazily.  With ``remove_at`` the probe is
-    unregistered at that cycle and the run continues without it."""
+    plus the bus's busy-cycle counter, a cycle statistic read live from
+    its entry stamp.  With ``remove_at`` the probe is unregistered at
+    that cycle and the run continues without it."""
     from repro.sim import VCDWriter, WaveformProbe
     from repro.sim.waveform import ocp_probe
 
@@ -518,9 +520,10 @@ def _probed_run(idle_skip, remove_at=None):
 
 
 def test_waveform_capture_is_byte_identical_to_naive():
-    """A probe steps the kernel naively, so the VCD it captures --
-    including a lazily reconciled bus counter -- is byte-identical with
-    and without idle skipping."""
+    """A probe is always due, so the fast schedule dispatches every
+    cycle while it is registered, ticking only the components that are
+    due; the VCD it captures -- including the live bus counter -- is
+    byte-identical to the naive schedule's."""
     naive, _ = _probed_run(idle_skip=False)
     fast, fast_prof = _probed_run(idle_skip=True)
     assert fast == naive
@@ -529,8 +532,8 @@ def test_waveform_capture_is_byte_identical_to_naive():
 
 
 def test_waveform_probe_removed_mid_run_then_fast_matches_naive():
-    """After the probe leaves, the fast schedule takes over without
-    replaying on_skip for the cycles the probe had ticked."""
+    """After the probe leaves, the fast schedule skips again, with
+    nothing to settle for the cycles the probe had dispatched."""
     naive, _ = _probed_run(idle_skip=False, remove_at=40)
     fast, fast_prof = _probed_run(idle_skip=True, remove_at=40)
     assert fast == naive
@@ -1294,7 +1297,8 @@ def _loopback_program():
 
 class Metronome(Component):
     """Wakes every ``period`` cycles from cycle ``period`` on and counts
-    every cycle it sat through, ticked or skipped."""
+    every cycle it sat through, ticked or skipped, from the stamp its
+    reset takes."""
 
     def __init__(self, period=100):
         super().__init__("metronome")
@@ -1303,17 +1307,17 @@ class Metronome(Component):
 
     def reset(self):
         self.wakes = []
-        self.seen = 0
         self._due = self.period
+        self._since = self.now
+
+    @property
+    def seen(self):
+        return self.now - self._since
 
     def next_activity(self):
         return max(self._due, self.now)
 
-    def on_skip(self, cycles):
-        self.seen += cycles
-
     def tick(self):
-        self.seen += 1
         if self.now >= self._due:
             self.wakes.append(self.now)
             self._due = self.now + self.period
@@ -1339,8 +1343,9 @@ def _rerun_after_reset(**soc_kw):
 
 def test_cross_call_rerun_after_sim_reset(schedule):
     """``Simulator.reset`` drops every claim (the metronome's next wake
-    moves back to cycle 100) and restarts skip accounting at cycle 0,
-    so the rerun's statistics are naive-exact."""
+    moves back to cycle 100) and resets every component on the rewound
+    clock, so accounting stamped at the reset restarts at cycle 0 and
+    the rerun's statistics are naive-exact."""
     runs = _agrees_with_naive(_rerun_after_reset, schedule)
     (first, _, wakes, seen), (second, observed, _, _) = runs
     assert first == second
@@ -1435,8 +1440,8 @@ def _probe_added_and_removed_between_steps(**soc_kw):
 
 
 def test_cross_call_waveform_probe_added_then_removed(schedule):
-    """The probe's naive epoch ticks without re-polling, so no claim
-    cached before it survives it."""
+    """Claims cached before the probe joins, and those carried past its
+    removal, reproduce the naive run; strict mode audits them."""
     observed = _agrees_with_naive(
         _probe_added_and_removed_between_steps, schedule)
     assert observed["vcd"]
@@ -1529,3 +1534,206 @@ def test_cross_call_unpoked_mutation_is_caught_by_strict_mode():
     alarm.armed_at = sim.cycle + 3  # no poke
     with pytest.raises(SimulationError, match="without being poked"):
         sim.step(10)
+
+
+# -- live reads mid-interval -------------------------------------------------
+#
+# The equivalence suites compare two schedules of the same code, so they
+# cannot see a changed read semantic.  These scenarios stop seeded runs
+# at irregular ``step(k)`` boundaries -- mid-transfer, mid-FIFO-stall
+# (before and between chunks), mid-``wait``, mid-RAC-compute,
+# mid-watchdog, mid-PIO-timer, mid-CPU stall and on ``wfi`` -- and read
+# every cycle statistic live, the PERF
+# registers over the bus.  The golden was recorded with the deferred
+# skip accounting these statistics used to take, and holds under every
+# schedule.  Its seeds are fixed, not shifted by ``REPRO_DIFF_SEED``.
+
+LIVE_READ_GOLDEN = Path(__file__).with_name("live_read_golden.json")
+
+
+def _perf_over_bus(soc, index):
+    """OCP ``index``'s six PERF registers, read in one bus burst."""
+    from repro.bus.types import AccessKind, BusRequest
+    from repro.core.perf import N_PERF_REGISTERS, PERF_BASE
+
+    transfer = soc.bus.submit(BusRequest(
+        master="test", kind=AccessKind.READ,
+        address=soc.ocp_base(index) + PERF_BASE, burst=N_PERF_REGISTERS))
+    soc.sim.run_until(lambda: transfer.done, max_cycles=1_000)
+    return transfer.data
+
+
+def _live_reads(soc, sched=None, slave=None):
+    """Every live cycle statistic of ``soc``, then its PERF registers
+    (the bus reads advance the clock, so they come last)."""
+    observed = {
+        "cycle": soc.sim.cycle,
+        "controllers": [ocp.controller.stats.as_dict() for ocp in soc.ocps],
+        "bus": soc.bus.stats.as_dict(),
+    }
+    if soc.cpu is not None:
+        observed["cpu"] = [soc.cpu.cycles, soc.cpu.stats.as_dict()]
+    if sched is not None:
+        observed["slots"] = [slot.busy_cycles for slot in sched.slots]
+    if slave is not None:
+        observed["slave"] = [slave.read_word(0), slave.stats.as_dict()]
+    observed["perf"] = [_perf_over_bus(soc, index)
+                        for index in range(len(soc.ocps))]
+    return observed
+
+
+def _stepped(soc, done, seed, longest, **reads):
+    """Step ``soc`` by seeded irregular amounts until ``done()``, then
+    twice more, reading live after every step."""
+    rng = random.Random(seed)
+    stops = []
+    tail = 2
+    while tail:
+        if done():
+            tail -= 1
+        soc.sim.step(rng.randint(1, longest))
+        stops.append(_live_reads(soc, **reads))
+    return stops
+
+
+def _live_cpu_driver(**soc_kw):
+    """A CPU drives the Figure 4 DFT-64 and sleeps on ``wfi``; two
+    ``div`` instructions stall it 35 cycles each."""
+    from repro.core.program import figure4_program
+    from repro.cpu.assembler import assemble
+    from repro.rac.dft import DFTRac
+    from repro.system import OCP_BASE
+    from repro.utils import fixedpoint as fp
+
+    soc = SoC(racs=[DFTRac(n_points=64)], **soc_kw)
+    rng = random.Random(820_240)
+    soc.write_ram(IN, fp.interleave_complex(
+        *[[fp.float_to_q15(rng.uniform(-0.4, 0.4)) for _ in range(64)]
+          for _ in range(2)]))
+    program = figure4_program(64)
+    soc.write_ram(PROG, program.words())
+    soc.cpu.load(assemble(f"""
+        li   r1, {OCP_BASE}
+        li   r2, {PROG}
+        sw   r2, 8(r1)
+        li   r2, {IN}
+        div  r6, r2, r1
+        sw   r2, 12(r1)
+        li   r2, {OUT}
+        sw   r2, 16(r1)
+        div  r6, r6, r2
+        addi r3, r0, {len(program)}
+        sw   r3, 4(r1)
+        addi r3, r0, {CTRL_S | CTRL_IE}
+        sw   r3, 0(r1)
+    spin:
+        wfi
+        lw   r4, 0(r1)
+        andi r5, r4, 4
+        beq  r5, r0, spin
+        sw   r0, 0(r1)
+        halt
+    """, text_base=PROG + 0x1_0000, data_base=PROG + 0x2_0000))
+    return _stepped(soc, lambda: soc.cpu.halted, 1, 40)
+
+
+def _live_wait_and_watchdog(**soc_kw):
+    """Register-booted microcode that sits in ``wait``, then in an
+    ``exec`` whose 500-cycle compute outlasts a 300-cycle watchdog."""
+    from repro.rac.scale import PassthroughRac
+
+    soc = SoC(racs=[], **soc_kw)
+    ocp = soc.add_ocp(PassthroughRac(block_size=16, compute_latency=500),
+                      watchdog_cycles=300)
+    soc.write_ram(IN, list(range(16)))
+    program = OuProgram().stream_to(1, 16).wait(90).exec_() \
+        .stream_from(2, 16).eop()
+    soc.write_ram(PROG, program.words())
+    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
+        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
+    ocp.interface.write_word(REG_PROG_SIZE, len(program))
+    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    return _stepped(soc, lambda: ocp.controller.errored, 2, 45)
+
+
+def _live_two_block_drain(**soc_kw):
+    """One ``mvfc`` drains two RAC blocks: the transfer engine stalls
+    between chunks while the second block computes."""
+    from repro.rac.scale import PassthroughRac
+
+    soc = SoC(racs=[PassthroughRac(block_size=32, compute_latency=120)],
+              with_cpu=False, **soc_kw)
+    ocp = soc.ocp
+    soc.write_ram(IN, list(range(64)))
+    program = OuProgram().stream_to(1, 64).execs().stream_from(2, 64).eop()
+    soc.write_ram(PROG, program.words())
+    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
+        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
+    ocp.interface.write_word(REG_PROG_SIZE, len(program))
+    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    return _stepped(soc, lambda: ocp.done, 5, 37)
+
+
+def _live_pio_slave(**soc_kw):
+    """A PIO slave's datapath timer, started over the bus beside an
+    idle OCP."""
+    from repro.baselines.pio_slave import (
+        CTRL_START,
+        REG_DATA_IN,
+        SlaveAccelerator,
+    )
+    from repro.bus.types import AccessKind, BusRequest
+    from repro.rac.scale import PassthroughRac
+
+    soc = SoC(racs=[PassthroughRac(block_size=16)], with_cpu=False,
+              **soc_kw)
+    pio = soc.sim.add(SlaveAccelerator(
+        "pio", compute_fn=lambda ws: [w ^ 0xFF for w in ws], items_in=4,
+        items_out=4, compute_latency=150))
+    soc.bus.attach_slave("pio", 0x9000_0000, 64, pio)
+    for offset, value in [(REG_DATA_IN, v) for v in range(4)] + \
+            [(0, CTRL_START)]:
+        transfer = soc.bus.submit(BusRequest(
+            master="test", kind=AccessKind.WRITE,
+            address=0x9000_0000 + offset, burst=1, data=[value]))
+        soc.sim.run_until(lambda: transfer.done, max_cycles=100)
+    return _stepped(soc, lambda: pio.read_word(0) != CTRL_START, 3, 23,
+                    slave=pio)
+
+
+def _live_scheduler(**soc_kw):
+    """Three OCPs behind the throughput scheduler, read mid-batch."""
+    from repro.rac.scale import PassthroughRac
+    from repro.sched import Job, ThroughputScheduler
+    from repro.system import build_mpsoc
+
+    soc = build_mpsoc([PassthroughRac(name=f"pt{index}", block_size=8,
+                                      compute_latency=30)
+                       for index in range(3)], **soc_kw)
+    sched = ThroughputScheduler(soc, batch_jobs=2, queue_bound=4)
+    rng = random.Random(830_240)
+    for index in range(8):
+        assert sched.submit(Job(f"j{index}", "passthrough",
+                                [rng.getrandbits(32) for _ in range(8)]))
+    return _stepped(soc, lambda: sched.idle, 4, 70, sched=sched)
+
+
+LIVE_READ_SCENARIOS = {
+    "cpu_driver": _live_cpu_driver,
+    "wait_and_watchdog": _live_wait_and_watchdog,
+    "pio_slave": _live_pio_slave,
+    "scheduler": _live_scheduler,
+    "two_block_drain": _live_two_block_drain,
+}
+
+
+@pytest.mark.parametrize("kernel", [
+    {"idle_skip": False}, {}, {"strict": True}],
+    ids=["naive", "fast", "strict"])
+@pytest.mark.parametrize("scenario", sorted(LIVE_READ_SCENARIOS))
+def test_live_read_mid_interval_matches_golden(scenario, kernel):
+    """Every statistic read between steps, and every PERF register read
+    over the bus, equals the recorded golden under each schedule."""
+    stops = LIVE_READ_SCENARIOS[scenario](**kernel)
+    golden = json.loads(LIVE_READ_GOLDEN.read_text())[scenario]
+    assert json.loads(json.dumps(stops)) == golden
