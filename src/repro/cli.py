@@ -57,7 +57,12 @@ from .sim.errors import ReproError
 def _make_rac(spec: str) -> RAC:
     """Parse ``idct`` / ``dft:256`` / ``fir:128,16`` / ... into a RAC."""
     name, _, args = spec.partition(":")
-    values = [int(v) for v in args.split(",") if v] if args else []
+    try:
+        values = [int(v) for v in args.split(",") if v]
+    except ValueError:
+        raise ReproError(
+            f"bad RAC spec {spec!r}: parameters must be integers"
+        ) from None
     name = name.lower()
     if name == "idct":
         return IDCTRac()

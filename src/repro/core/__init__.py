@@ -2,13 +2,7 @@
 
 from .assembler import assemble_microcode, disassemble
 from .binary import FirmwareImage, pack, unpack
-from .codegen import (
-    CycleEstimate,
-    as_program,
-    compress_program,
-    estimate_program_cycles,
-    expand_program,
-)
+from .codegen import as_program, compress_program, expand_program
 from .controller import OuessantController
 from .coprocessor import OuessantCoprocessor
 from .dpr import DPRManager, PartialBitstream
@@ -48,7 +42,6 @@ from .standalone import StandaloneSequencer
 
 __all__ = [
     "BASE_SET",
-    "CycleEstimate",
     "FirmwareImage",
     "FirmwarePlan",
     "pack",
@@ -56,7 +49,6 @@ __all__ = [
     "unpack",
     "as_program",
     "compress_program",
-    "estimate_program_cycles",
     "expand_program",
     "ReferenceMemory",
     "ReferenceRAC",

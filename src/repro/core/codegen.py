@@ -1,6 +1,6 @@
 """Microcode transformation and planning.
 
-Three tools around the instruction set:
+Two tools around the instruction set:
 
 * :func:`compress_program` -- rewrite unrolled Figure-4-style transfer
   runs using the extension ISA's hardware loop (``loop``/``mvtcx``/
@@ -11,26 +11,16 @@ Three tools around the instruction set:
   extension-ISA program to the paper's base set (plus ``nop`` for
   waits), so firmware written for the extended controller still runs
   on a base-set-only build.
-* :func:`estimate_program_cycles` -- a static cycle estimator for
-  design exploration: predicts a program's run time from the bus
-  protocol and accelerator parameters without simulating.
+
+Static cycle prediction is :func:`repro.perfbound.bound_program`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..bus.protocol import AHB, BusProtocol
-from ..rac.base import StreamingRAC
 from ..sim.errors import ConfigurationError, ControllerError
-from .isa import (
-    FROM_COPROCESSOR_OPS,
-    OuInstruction,
-    OuOp,
-    TO_COPROCESSOR_OPS,
-    TRANSFER_OPS,
-)
+from .isa import OuInstruction, OuOp
 from .program import OuProgram
 
 #: rewrite runs at least this long -- the loop form costs 5 words
@@ -251,84 +241,3 @@ def concat_programs(
         batched.eop()
     return batched
 
-
-# ---------------------------------------------------------------------------
-# static cycle estimation
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CycleEstimate:
-    """Output of :func:`estimate_program_cycles`."""
-
-    total: int
-    fetch_decode: int
-    transfer: int
-    compute_exposed: int
-
-    def __str__(self) -> str:
-        return (
-            f"{self.total} cycles (fetch/decode {self.fetch_decode}, "
-            f"transfer {self.transfer}, exposed compute "
-            f"{self.compute_exposed})"
-        )
-
-
-def estimate_program_cycles(
-    program: Sequence[OuInstruction],
-    rac: Optional[StreamingRAC] = None,
-    protocol: BusProtocol = AHB,
-    memory_latency: int = 1,
-    prefetch: bool = True,
-) -> CycleEstimate:
-    """Predict a program's run time without simulating.
-
-    Model assumptions (documented, deliberately simple):
-
-    * 2 cycles fetch+decode per executed instruction (buffered fetch),
-      plus the prefetch burst when enabled;
-    * each transfer instruction occupies the bus for the protocol's
-      burst time plus ~2 cycles of engine turnaround per chunk;
-    * with an autostart streaming RAC, input transfers overlap
-      collection, so only the compute latency plus the output drain
-      are exposed after the last input word (``exec`` wait time);
-    * loops/jumps are resolved by expansion first.
-
-    Accuracy against simulation is typically within ~15% (pinned by a
-    test); the point is trend-correct design exploration.
-    """
-    flat = expand_program(program) if any(
-        instr.op not in (OuOp.MVTC, OuOp.MVFC, OuOp.EXEC, OuOp.EXECS,
-                         OuOp.EOP)
-        for instr in program
-    ) else list(program)
-
-    executed = len(flat)
-    fetch_decode = 2 * executed
-    if prefetch:
-        fetch_decode += protocol.transfer_cycles(
-            max(1, len(program)), memory_latency
-        )
-
-    transfer = 0
-    words_in = 0
-    words_out = 0
-    for instr in flat:
-        if instr.op in TRANSFER_OPS:
-            transfer += protocol.transfer_cycles(instr.count, memory_latency)
-            transfer += 2  # engine turnaround
-            if instr.op in TO_COPROCESSOR_OPS:
-                words_in += instr.count
-            else:
-                words_out += instr.count
-
-    compute_exposed = 0
-    if rac is not None and words_in:
-        ops = max(1, words_in // max(1, rac.items_in[0]))
-        # per operation: the accelerator collects its input words at
-        # input_rate (exposed, since burst completion is lumpy), then
-        # the compute latency; output emission overlaps the mvfc bursts
-        collect = rac.items_in[0] // max(1, rac.input_rate)
-        compute_exposed = ops * (collect + rac.compute_latency)
-
-    total = fetch_decode + transfer + compute_exposed
-    return CycleEstimate(total, fetch_decode, transfer, compute_exposed)

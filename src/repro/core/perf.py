@@ -29,11 +29,12 @@ window occupies ``4 * N_PERF_REGISTERS`` bytes; ``soclint`` warns
 (``OU113``) when an OCP's bus window truncates it.
 
 Implementation note: the counters are *views* over the controller's
-cumulative :class:`~repro.sim.tracing.Stats` (snapshot-at-start
-baselines), because the profiler contract requires the cumulative
-statistics to survive across runs.  Those statistics read live (the
-open state interval included), so a bus read at cycle C sees exactly
-the cycles before C: the bus ticks before every OCP.
+cumulative :class:`~repro.sim.tracing.Stats`, less a snapshot taken at
+run start (:meth:`PerfCounterBlock.window`), because the controller's
+``stats`` stay cumulative across runs like every other component's.
+Those statistics read live (the open state interval included), so a
+bus read at cycle C sees exactly the cycles before C: the bus ticks
+before every OCP.
 """
 
 from __future__ import annotations
@@ -82,38 +83,24 @@ class PerfCounterBlock:
         self._baseline: Dict[str, int] = {}
 
     def clear(self) -> None:
-        """Run start: re-baseline every counter at the current totals."""
-        stats = self._controller.stats
-        self._baseline = {
-            key: value
-            for key, value in stats.items()
-            if key.startswith("cycles.")
-        }
+        """Run start: re-baseline every statistic at the current totals."""
+        self._baseline = dict(self._controller.stats.items())
         for fifo in self._controller.fifos_in:
             fifo.clear_high_water()
         for fifo in self._controller.fifos_out:
             fifo.clear_high_water()
 
+    def window(self) -> Dict[str, int]:
+        """The controller's statistics since run start, by key."""
+        baseline = self._baseline
+        return {
+            key: value - baseline.get(key, 0)
+            for key, value in self._controller.stats.items()
+        }
+
     def value(self, index: int) -> int:
         """Current value of counter ``index`` (word index, unmasked)."""
         ctrl = self._controller
-        stats = ctrl.stats
-
-        def delta(key: str) -> int:
-            return stats.get(key) - self._baseline.get(key, 0)
-
-        if index == PERF_BUSY:
-            return sum(
-                delta(key)
-                for key, _ in stats.items()
-                if key.startswith("cycles.") and key != "cycles.fifo_stall"
-            )
-        if index == PERF_XFER:
-            return delta("cycles.xfer_to") + delta("cycles.xfer_from")
-        if index == PERF_EXECW:
-            return delta("cycles.exec_wait")
-        if index == PERF_STALL:
-            return delta("cycles.fifo_stall")
         if index == PERF_FIFO_IN_HW:
             return max(
                 (f.high_water_atoms for f in ctrl.fifos_in), default=0
@@ -122,6 +109,20 @@ class PerfCounterBlock:
             return max(
                 (f.high_water_atoms for f in ctrl.fifos_out), default=0
             )
+        window = self.window()
+        if index == PERF_BUSY:
+            return sum(
+                value
+                for key, value in window.items()
+                if key.startswith("cycles.") and key != "cycles.fifo_stall"
+            )
+        if index == PERF_XFER:
+            return (window.get("cycles.xfer_to", 0)
+                    + window.get("cycles.xfer_from", 0))
+        if index == PERF_EXECW:
+            return window.get("cycles.exec_wait", 0)
+        if index == PERF_STALL:
+            return window.get("cycles.fifo_stall", 0)
         return 0
 
     def read_word(self, offset: int) -> int:

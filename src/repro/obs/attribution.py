@@ -104,14 +104,18 @@ def attribute_run(
 ) -> AttributionReport:
     """Build the attribution of the most recent run on ``soc``.
 
-    Reads the OCP's performance-counter block (cleared at run start,
-    hence windowed to the last run); ``total_cycles`` defaults to the
-    simulator's current cycle.  Passing the reconstructed ``spans``
-    additionally fills :attr:`AttributionReport.overlap_cycles`.
+    Every figure is windowed to that run: the OCP's performance-counter
+    block and the controller statistics are both read since run start
+    (:meth:`~repro.core.perf.PerfCounterBlock.window`).
+    ``total_cycles`` defaults to the simulator's current cycle, which
+    is the run's own total only on a SoC that ran nothing before it;
+    pass the run's total otherwise.  Passing the reconstructed
+    ``spans`` additionally fills
+    :attr:`AttributionReport.overlap_cycles`.
     """
     ocp = soc.ocps[ocp_index]
     perf = ocp.controller.perf
-    stats = ocp.controller.stats
+    window = perf.window()
     total = soc.sim.cycle if total_cycles is None else total_cycles
     transfer = perf.value(PERF_XFER)
     compute = perf.value(PERF_EXECW)
@@ -127,10 +131,12 @@ def attribute_run(
                                 component=ocp.rac.name if ocp.rac else None)
         overlap = spans.overlap_cycles(xfer_spans, rac_spans)
 
+    # a state an earlier run entered but this one did not reads 0:
+    # leave it out, as a fresh SoC's report would
     breakdown = {
         key.split(".", 1)[1]: value
-        for key, value in stats.items()
-        if key.startswith("cycles.")
+        for key, value in window.items()
+        if key.startswith("cycles.") and value
     }
     return AttributionReport(
         workload=workload,
@@ -140,9 +146,9 @@ def attribute_run(
         control_cycles=total - transfer - compute,
         stall_cycles=perf.value(PERF_STALL),
         overlap_cycles=overlap,
-        words_moved=stats.get("words_to_rac")
-        + stats.get("words_from_rac"),
-        instructions=stats.get("instructions"),
+        words_moved=window.get("words_to_rac", 0)
+        + window.get("words_from_rac", 0),
+        instructions=window.get("instructions", 0),
         fifo_in_high_water=perf.value(PERF_FIFO_IN_HW),
         fifo_out_high_water=perf.value(PERF_FIFO_OUT_HW),
         breakdown=breakdown,

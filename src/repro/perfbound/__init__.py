@@ -7,7 +7,7 @@ verifier's interval interpreter with a cost semantics.  Diagnostics
 use the shared OU3xx catalog range.  See ``docs/ANALYSIS.md``.
 """
 
-from .engine import CostBound, bound_cycles_hi, bound_program
+from .engine import CostBound, bound_program
 from .model import BUCKETS, COMPUTE, CONTROL, CostModel, RacTiming, TRANSFER
 
 __all__ = [
@@ -18,6 +18,5 @@ __all__ = [
     "CostModel",
     "RacTiming",
     "TRANSFER",
-    "bound_cycles_hi",
     "bound_program",
 ]

@@ -338,12 +338,3 @@ def bound_program(
         control=control, ops=ops, report=report,
     ))
 
-
-def bound_cycles_hi(
-    program: Sequence[OuInstruction],
-    rac: Optional[RAC] = None,
-    model: Optional[CostModel] = None,
-) -> Optional[int]:
-    """Worst-case cycle count, or None when the program is unbounded."""
-    bound = bound_program(program, rac, model=model)
-    return int(bound.total.hi) if bound.bounded else None

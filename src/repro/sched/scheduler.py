@@ -208,8 +208,7 @@ class ThroughputScheduler(Component):
         registers itself as a simulation component.
     capability:
         Kind-to-OCP routing table; derived from the SoC when omitted.
-        Validated through soclint (OU170/OU171) unless ``validate``
-        is off.
+        Always validated through soclint (OU170/OU171).
     policy:
         ``"round-robin"``, ``"shortest-queue"``, or a
         :class:`SchedulingPolicy` instance.
@@ -229,8 +228,8 @@ class ThroughputScheduler(Component):
         the configuration ``racecheck`` exists to vet.
     racecheck:
         Validate-on-submit concurrency checking through
-        :mod:`repro.racelint`.  ``"off"``/``False`` (default)
-        disables it; ``"submit"``/``True`` makes :meth:`submit` raise
+        :mod:`repro.racelint`.  ``"off"`` (default) disables it;
+        ``"submit"`` makes :meth:`submit` raise
         :class:`RaceHazardError` when the new job may race a pending
         one; ``"warn"`` only records findings in
         :attr:`racecheck_report`.
@@ -252,10 +251,9 @@ class ThroughputScheduler(Component):
         chunk: int = 64,
         max_retries: int = 2,
         backoff_cycles: int = 64,
-        validate: bool = True,
         arena_base: Optional[int] = None,
         arena_stride: Optional[int] = None,
-        racecheck: "bool | str" = False,
+        racecheck: str = "off",
         sla_cycles: Optional[int] = None,
         name: str = "sched",
     ) -> None:
@@ -268,13 +266,12 @@ class ThroughputScheduler(Component):
             raise ConfigurationError("batch_jobs must be >= 1")
         self._soc = soc
         self.capability = capability or CapabilityTable.from_soc(soc)
-        if validate:
-            report = self.capability.validate(soc)
-            if report.errors:
-                raise ConfigurationError(
-                    "capability table failed soclint validation:\n"
-                    + report.render()
-                )
+        report = self.capability.validate(soc)
+        if report.errors:
+            raise ConfigurationError(
+                "capability table failed soclint validation:\n"
+                + report.render()
+            )
         if isinstance(policy, str):
             try:
                 policy = _POLICIES[policy]()
@@ -301,13 +298,12 @@ class ThroughputScheduler(Component):
                            if arena_base is None else arena_base)
         self.arena_stride = (SCHED_ARENA_STRIDE if arena_stride is None
                              else arena_stride)
-        mode = {False: "off", True: "submit"}.get(racecheck, racecheck)
-        if mode not in ("off", "submit", "warn"):
+        if racecheck not in ("off", "submit", "warn"):
             raise ConfigurationError(
-                "racecheck must be False, True, 'off', 'submit' or "
-                f"'warn', not {racecheck!r}"
+                "racecheck must be 'off', 'submit' or 'warn', "
+                f"not {racecheck!r}"
             )
-        self.racecheck = mode
+        self.racecheck = racecheck
         self.racecheck_report = VerifyReport()
         self._racechecker = None
         self._racechecked: Dict[

@@ -41,7 +41,7 @@ class Trace:
     it never *silently* loses history: every rejected event bumps
     :attr:`dropped`, and :attr:`truncated` tells consumers the log they
     are about to analyse is incomplete.  Anything that treats the trace
-    as a record (the run profiler, fault-history diffing) must check it.
+    as a record (span reconstruction, fault-history diffing) must check it.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:

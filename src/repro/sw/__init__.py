@@ -5,7 +5,6 @@ from .driver import DRIVER_MASTER, OuessantDriver, RunResult
 from .jobs import JobClient
 from .library import OuessantLibrary
 from .linux import LinuxCosts, LinuxRuntime
-from .profiler import RunProfile, profile_run
 
 __all__ = [
     "BaremetalRuntime",
@@ -15,7 +14,5 @@ __all__ = [
     "LinuxRuntime",
     "OuessantDriver",
     "OuessantLibrary",
-    "RunProfile",
     "RunResult",
-    "profile_run",
 ]

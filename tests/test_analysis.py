@@ -98,6 +98,15 @@ def test_table_one_full_size_rows_match_experiments():
     assert [round(r.gain, 2) for r in rows] == [1.61, 217.91]
 
 
+def test_table_one_fft_software_ablation_matches_experiments():
+    """The T1 bracket from below: the radix-2 FFT kernel's 68 282
+    cycles against the 6935-cycle Linux DFT row, gain 9.8."""
+    rows = table_one(dft_points=256, environment="linux",
+                     sw_dft_algorithm="fft")
+    assert (rows[1].name, rows[1].hw, rows[1].sw) == ("DFT", 6935, 68_282)
+    assert round(rows[1].gain, 1) == 9.8
+
+
 def test_linux_overhead_and_transfer_cycles_match_experiments():
     """The EXPERIMENTS.md numbers measured through the driver and the
     Linux model, exactly: C1 (DFT-256 baremetal 3935, Linux 6935,
@@ -183,6 +192,16 @@ def test_a1_protocol_sweep_cycles_match_experiments():
         "AXI4": 3815, "Wishbone-B4": 3815, "AHB": 3912, "PLB": 3957,
         "Wishbone": 4791, "AXI4-Lite": 8824,
     }
+
+
+def test_a7_zynq_port_matches_experiments():
+    """The Figure 4 DFT on the Zynq/AXI4 port vs the Leon3/AHB SoC."""
+    from repro.zynq import ZynqSoC
+
+    cycles = {name: _figure4_cycles(soc_class(racs=[DFTRac(n_points=256)]))
+              for name, soc_class in (("Leon3/AHB", SoC),
+                                      ("Zynq/AXI4", ZynqSoC))}
+    assert cycles == {"Leon3/AHB": 3912, "Zynq/AXI4": 3973}
 
 
 def _a2_ouessant():

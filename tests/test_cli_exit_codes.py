@@ -53,9 +53,13 @@ def test_verify_findings_exit_1(truncated):
     assert main(["verify", truncated, "--rac", "passthrough:16"]) == 1
 
 
-def test_verify_usage_error_exits_2(prog16):
+def test_verify_usage_error_exits_2(prog16, capsys):
     assert main(["verify", prog16, "--rac", "nosuchrac:9"]) == 2
     assert main(["verify", "/nonexistent.ouasm"]) == 2
+    capsys.readouterr()
+    # a non-integer RAC parameter is a bad spec, not a crash
+    assert main(["verify", prog16, "--rac", "dft:x"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad RAC spec 'dft:x'")
 
 
 # -- lint -----------------------------------------------------------------
@@ -71,6 +75,7 @@ def test_lint_findings_exit_1():
 
 def test_lint_usage_error_exits_2():
     assert main(["lint", "--bank", "one=2"]) == 2
+    assert main(["lint", "--rac", "fir:x,3"]) == 2
     # a throughput budget needs firmware to bound
     assert main(["lint", "--rac", "scale:16",
                  "--budget-cycles", "5000"]) == 2
@@ -129,6 +134,7 @@ def test_perfbound_usage_error_exits_2(prog16):
                  "--mem-latency", "3:1"]) == 2
     assert main(["perfbound", prog16, "--rac", "passthrough:16",
                  "--masters", "0"]) == 2
+    assert main(["perfbound", prog16, "--rac", "passthrough:1.5"]) == 2
     assert main(["perfbound", "/nonexistent.ouasm"]) == 2
 
 

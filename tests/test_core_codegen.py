@@ -1,15 +1,11 @@
-"""Tests for microcode compression, expansion and static estimation."""
+"""Tests for microcode compression and expansion, and the static cycle
+bounds of the programs they produce."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.codegen import (
-    as_program,
-    compress_program,
-    estimate_program_cycles,
-    expand_program,
-)
+from repro.core.codegen import as_program, compress_program, expand_program
 from repro.core.isa import OuInstruction, OuOp
 from repro.core.program import (
     OuProgram,
@@ -18,6 +14,7 @@ from repro.core.program import (
 )
 from repro.core.refmodel import ReferenceMemory, ReferenceRAC, execute_reference
 from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
+from repro.perfbound import bound_program
 from repro.rac.dft import DFTRac
 from repro.rac.scale import PassthroughRac
 from repro.sim.errors import ControllerError
@@ -137,7 +134,7 @@ def test_expanded_program_runs_on_base_controller():
 
 
 # ---------------------------------------------------------------------------
-# static cycle estimation
+# static cycle bounds (repro.perfbound)
 # ---------------------------------------------------------------------------
 
 def _simulated_cycles(program, rac):
@@ -153,40 +150,40 @@ def _simulated_cycles(program, rac):
 
 
 def test_estimate_within_tolerance_of_simulation():
+    """The static bound of a chunked stream brackets the simulated run."""
     for total, latency in ((64, 10), (256, 500), (512, 2485)):
         rac = PassthroughRac(block_size=total, fifo_depth=128,
                              compute_latency=latency)
         program = (OuProgram().stream_to(1, total, chunk=64).execs()
                    .stream_from(2, total, chunk=64).eop())
+        bound = bound_program(program.instructions, rac)
         simulated = _simulated_cycles(program, rac)
-        estimate = estimate_program_cycles(
-            program.instructions, rac=rac)
-        error = abs(estimate.total - simulated) / simulated
-        assert error < 0.30, (
-            f"total={total} latency={latency}: estimate {estimate.total} "
-            f"vs simulated {simulated} ({100 * error:.0f}%)"
+        assert bound.bounded
+        assert bound.total.lo <= simulated <= bound.total.hi, (
+            f"total={total} latency={latency}: simulated {simulated} "
+            f"outside {bound.total}"
         )
 
 
 def test_estimate_handles_extension_programs():
-    looped = figure4_looped_program(256)
-    unrolled = figure4_program(256)
-    rac = DFTRac(n_points=256)
-    e_loop = estimate_program_cycles(looped.instructions, rac=rac)
-    e_flat = estimate_program_cycles(unrolled.instructions, rac=rac)
-    # same data plan: estimates agree closely (prefetch size differs)
-    assert abs(e_loop.total - e_flat.total) < 0.1 * e_flat.total
+    """The looped form is bounded too, and each bound holds its run."""
+    for program in (figure4_program(256), figure4_looped_program(256)):
+        bound = bound_program(program.instructions, DFTRac(n_points=256))
+        simulated = _simulated_cycles(program, DFTRac(n_points=256))
+        assert bound.bounded
+        assert bound.total.lo <= simulated <= bound.total.hi
 
 
 def test_estimate_reports_breakdown():
     program = figure4_program(256)
-    estimate = estimate_program_cycles(
-        program.instructions, rac=DFTRac(n_points=256))
-    assert estimate.total == (estimate.fetch_decode + estimate.transfer
-                              + estimate.compute_exposed)
-    # collection (512 words at 1/cycle) + the 2485-cycle core latency
-    assert estimate.compute_exposed == 512 + 2485
-    assert "cycles" in str(estimate)
+    bound = bound_program(program.instructions, DFTRac(n_points=256))
+    buckets = (bound.transfer, bound.compute, bound.control)
+    assert bound.total.lo == sum(b.lo for b in buckets)
+    assert bound.total.hi == sum(b.hi for b in buckets)
+    # Figure 4 uses execs: no blocking compute, one DFT operation
+    assert (bound.compute.lo, bound.compute.hi) == (0, 0)
+    assert (bound.ops.lo, bound.ops.hi) == (1, 1)
+    assert "cycles" in bound.render()
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,21 @@
 import pytest
 
 from repro.analysis import measure_dft_sw, render_table_one, TableOneRow
-from repro.core.codegen import estimate_program_cycles
 from repro.core.program import figure4_program
+from repro.core.registers import (
+    CTRL_IE,
+    CTRL_S,
+    REG_BANK_BASE,
+    REG_CTRL,
+    REG_PROG_SIZE,
+)
+from repro.perfbound import CostModel, bound_program
 from repro.rac.hls import HLSInterfaceSpec, wrap_function
 from repro.rac.dft import DFTRac
 from repro.rac.scale import PassthroughRac
 from repro.sim.errors import DriverError
 from repro.sw.library import OuessantLibrary
-from repro.system import SoC
+from repro.system import RAM_BASE, SoC
 from repro.zynq import ZynqSoC
 
 
@@ -49,13 +56,34 @@ def test_library_run_plan_checks_input_lengths():
 
 
 def test_estimate_without_prefetch():
-    program = figure4_program(64)
-    rac = DFTRac(n_points=64)
-    with_prefetch = estimate_program_cycles(program.instructions, rac=rac,
-                                            prefetch=True)
-    without = estimate_program_cycles(program.instructions, rac=rac,
-                                      prefetch=False)
-    assert without.fetch_decode < with_prefetch.fetch_decode
+    """Switching prefetch off costs Figure 4 cycles (one bus fetch per
+    instruction instead of one burst), and the static bound says so:
+    neither end of its interval drops, and each holds its run."""
+    for n in (64, 256):
+        program = figure4_program(n)
+        bounds, simulated = {}, {}
+        for prefetch in (True, False):
+            bounds[prefetch] = bound_program(
+                program.instructions, DFTRac(n_points=n),
+                model=CostModel(prefetch=prefetch)).total
+            soc = SoC(racs=[DFTRac(n_points=n)], prefetch=prefetch)
+            prog, data, out = (RAM_BASE + 0x1000, RAM_BASE + 0x2000,
+                               RAM_BASE + 0x8000)
+            soc.write_ram(data, list(range(2 * n)))
+            soc.write_ram(prog, program.words())
+            ocp = soc.ocp
+            for bank, base in {0: prog, 1: data, 2: out}.items():
+                ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
+            ocp.interface.write_word(REG_PROG_SIZE, len(program))
+            ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+            simulated[prefetch] = soc.run_until(lambda: ocp.done,
+                                                max_cycles=500_000)
+        assert simulated[False] > simulated[True]
+        assert bounds[False].lo >= bounds[True].lo
+        assert bounds[False].hi >= bounds[True].hi
+        for prefetch in (True, False):
+            total = bounds[prefetch]
+            assert total.lo <= simulated[prefetch] <= total.hi
 
 
 def test_interface_window_size():

@@ -14,7 +14,6 @@ faults and under plans mixing every fault kind, traced and trace-free
 
 import json
 import random
-import warnings
 from pathlib import Path
 
 import pytest
@@ -1165,12 +1164,14 @@ def test_lanes_batch_the_8_ocp_sweep_point():
 
 
 def test_profiler_surfaces_kernel_and_truncation_counters():
-    """profile_run carries skip accounting and warns on truncated
-    traces (satellite: no silent analysis of incomplete logs)."""
+    """The kernel profile carries the skip accounting of a run whose
+    trace overflowed, and span reconstruction refuses that trace
+    rather than analyse an incomplete log."""
     from repro.core.program import OuProgram
+    from repro.obs import reconstruct_spans
     from repro.rac.scale import PassthroughRac
+    from repro.sim.errors import SimulationError
     from repro.sw.driver import OuessantDriver
-    from repro.sw.profiler import profile_run
 
     trace = Trace(capacity=5)  # deliberately far too small
     soc = SoC(racs=[PassthroughRac(block_size=4)], trace=trace)
@@ -1178,16 +1179,14 @@ def test_profiler_surfaces_kernel_and_truncation_counters():
                .stream_from(2, 4).eop())
     soc.write_ram(IN, [1, 2, 3, 4])
     driver = OuessantDriver(soc)
-    result = driver.run(program.words(), banks={0: PROG, 1: IN, 2: OUT})
-    assert trace.truncated
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        profile = profile_run(soc, result)
-    assert any("dropped" in str(w.message) for w in caught)
-    assert profile.trace_dropped == trace.dropped
-    assert profile.kernel_skipped == soc.sim.profile().skipped
-    assert profile.kernel_ticked + profile.kernel_skipped == soc.sim.cycle
-    assert "TRACE TRUNCATED" in profile.render()
+    driver.run(program.words(), banks={0: PROG, 1: IN, 2: OUT})
+    assert trace.truncated and trace.dropped > 0
+    kernel = soc.sim.profile()
+    assert kernel.skipped > 0 and kernel.skip_windows > 0
+    assert kernel.ticked + kernel.skipped == kernel.cycles == soc.sim.cycle
+    assert "skipped" in kernel.render()
+    with pytest.raises(SimulationError, match="truncated"):
+        reconstruct_spans(trace)
 
 
 # -- claims carried across public calls --------------------------------------

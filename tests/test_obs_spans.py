@@ -12,12 +12,11 @@ from repro.core.registers import (
     REG_PROG_SIZE,
 )
 from repro.core.program import OuProgram
-from repro.obs import reconstruct_spans
+from repro.obs import attribute_run, reconstruct_spans
 from repro.obs.spans import Span, SpanTrace
 from repro.rac.scale import PassthroughRac
 from repro.sim.errors import SimulationError
 from repro.sim.tracing import Trace
-from repro.sw.profiler import profile_run
 from repro.system import RAM_BASE, SoC
 
 PROG = RAM_BASE + 0x1000
@@ -160,26 +159,11 @@ def test_span_reconstruction_refuses_truncated_trace():
         reconstruct_spans(soc.sim.trace)
 
 
-def test_profiler_warns_on_truncated_trace():
-    from repro.sw.driver import RunResult
-
-    soc = _capacity_limited_run(capacity=5)
-    result = RunResult(total_cycles=soc.sim.cycle, config_cycles=0,
-                       compute_cycles=0, ack_cycles=0)
-    with pytest.warns(RuntimeWarning, match="dropped"):
-        profile = profile_run(soc, result)
-    assert profile.trace_dropped == soc.sim.trace.dropped
-    assert "TRACE TRUNCATED" in profile.render()
-
-
 def test_profiler_quiet_on_complete_trace():
-    from repro.sw.driver import RunResult
-
     soc = _capacity_limited_run(capacity=None)
     assert not soc.sim.trace.truncated
-    result = RunResult(total_cycles=soc.sim.cycle, config_cycles=0,
-                       compute_cycles=0, ack_cycles=0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        profile_run(soc, result)
-    reconstruct_spans(soc.sim.trace)  # and spans build fine
+        spans = reconstruct_spans(soc.sim.trace)  # and spans build fine
+        report = attribute_run(soc, spans=spans)
+    assert report.consistent

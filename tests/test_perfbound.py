@@ -18,7 +18,6 @@ import pytest
 from repro.core.program import OuProgram
 from repro.obs import compare_attribution
 from repro.perfbound import CostModel, RacTiming, bound_program
-from repro.perfbound.engine import bound_cycles_hi
 from repro.rac.scale import PassthroughRac
 from repro.soclint import lint_soc
 from repro.system import RAM_BASE, SoC
@@ -90,11 +89,13 @@ def test_unstructured_flow_is_refused():
     assert "OU300" in codes(bound)
 
 
-def test_bound_cycles_hi_mirrors_refusal():
+def test_bounded_total_hi_mirrors_refusal():
     p = OuProgram()
     _block(p).eop()
-    assert bound_cycles_hi(list(p.instructions), None) is None
-    assert bound_cycles_hi(list(p.instructions), _rac()) is not None
+    refused = _bound(p, None)
+    assert not refused.bounded and refused.total.hi == INF
+    bound = _bound(p, _rac())
+    assert bound.bounded and bound.total.hi < INF
 
 
 # -- OU301..OU304: advisory diagnostics ----------------------------------

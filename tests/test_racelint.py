@@ -224,12 +224,6 @@ def test_racecheck_submit_mode_rejects_racy_submission():
     assert not sched.racecheck_report.clean
 
 
-def test_racecheck_true_is_submit_mode():
-    soc = build_mpsoc(_two_passthrough())
-    sched = ThroughputScheduler(soc, arena_stride=0, racecheck=True)
-    assert sched.racecheck == "submit"
-
-
 def test_racecheck_warn_mode_records_but_accepts():
     soc = build_mpsoc(_two_passthrough())
     sched = ThroughputScheduler(soc, arena_stride=0, racecheck="warn")
@@ -251,8 +245,10 @@ def test_racecheck_off_runs_clean_stream_bit_exact():
 
 def test_racecheck_bad_mode_rejected():
     soc = build_mpsoc(_two_passthrough())
-    with pytest.raises(ConfigurationError):
-        ThroughputScheduler(soc, racecheck="audit")
+    # three modes, spelled one way each: booleans are not aliases
+    for mode in ("audit", True, False):
+        with pytest.raises(ConfigurationError):
+            ThroughputScheduler(soc, racecheck=mode)
 
 
 def test_jobclient_precheck_dry_runs_without_submitting():

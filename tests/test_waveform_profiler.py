@@ -1,12 +1,12 @@
-"""Waveform probe (VCD) and run profiler coverage."""
+"""Waveform probe (VCD) and per-run attribution coverage."""
 
 from repro.core.program import OuProgram
+from repro.obs import attribute_run
 from repro.rac.scale import PassthroughRac
 from repro.sim.kernel import Component, Simulator
 from repro.sim.tracing import VCDWriter
 from repro.sim.waveform import WaveformProbe, ocp_probe
 from repro.sw.driver import OuessantDriver
-from repro.sw.profiler import profile_run
 from repro.system import RAM_BASE, SoC
 
 PROG = RAM_BASE + 0x1000
@@ -100,32 +100,42 @@ def test_profile_breakdown_sums_to_total():
             + result.ack_cycles) == result.total_cycles
     assert result.hardware_cycles == result.total_cycles  # no OS model here
 
-    profile = profile_run(soc, result)
-    assert profile.total_cycles == result.total_cycles
-    assert profile.words_to_rac == BLOCK
-    assert profile.words_from_rac == BLOCK
-    assert profile.words_total == 2 * BLOCK
+    report = attribute_run(soc, total_cycles=result.total_cycles)
+    assert report.consistent
+    assert report.words_moved == 2 * BLOCK
     # the controller accounts its cycles by state; those states all fit
     # inside the measured window
-    assert profile.transfer_cycles > 0
-    assert 0 < sum(profile.controller_states.values()) <= result.total_cycles
-    assert profile.cycles_per_word > 0
-    assert 0.0 < profile.bus_utilization <= 1.0
-    assert profile.max_fifo_in_atoms > 0
+    assert report.transfer_cycles > 0
+    busy = sum(cycles for state, cycles in report.breakdown.items()
+               if state != "fifo_stall")
+    assert 0 < busy <= result.total_cycles
+    assert report.fifo_in_high_water > 0
+    assert f" {2 * BLOCK} words in 4 instructions" in report.render()
 
-    rendered = profile.render()
-    assert f"({BLOCK} in / {BLOCK} out)" in rendered
-    assert "cycles/word" in rendered
+
+def test_attribution_covers_only_the_last_run():
+    """A second identical run on the same SoC reports that run alone:
+    its words, instructions and state breakdown, like its counters."""
+    soc = SoC(racs=[PassthroughRac(block_size=BLOCK)])
+    first_run = _run_loopback(soc)
+    first = attribute_run(soc, total_cycles=first_run.total_cycles)
+    second_run = _run_loopback(soc)
+    second = attribute_run(soc, total_cycles=second_run.total_cycles)
+    assert second_run.total_cycles == first_run.total_cycles
+    assert second.as_dict() == first.as_dict()
+    assert (second.words_moved, second.instructions) == (2 * BLOCK, 4)
+    assert second.breakdown["fifo_stall"] == second.stall_cycles
+    assert sum(cycles for state, cycles in second.breakdown.items()
+               if state != "fifo_stall") <= second.total_cycles
+    assert f" {2 * BLOCK} words in 4 instructions" in second.render()
 
 
 def test_profile_handles_empty_run():
-    from repro.sw.driver import RunResult
-
+    """A SoC that never ran reports all-zero figures."""
     soc = SoC(racs=[PassthroughRac(block_size=BLOCK)])
-    profile = profile_run(
-        soc, RunResult(total_cycles=0, config_cycles=0,
-                       compute_cycles=0, ack_cycles=0)
-    )
-    assert profile.words_total == 0
-    assert profile.cycles_per_word == 0.0
-    profile.render()  # must not raise on all-zero stats
+    report = attribute_run(soc)
+    assert report.consistent
+    assert report.total_cycles == 0
+    assert (report.words_moved, report.instructions) == (0, 0)
+    assert report.breakdown == {}
+    report.render()  # must not raise on all-zero stats

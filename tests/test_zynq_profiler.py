@@ -1,15 +1,15 @@
-"""Tests for the Zynq system model and the run profiler."""
+"""Tests for the Zynq system model and the per-run attribution report."""
 
 import pytest
 
 from repro.core.program import OuProgram, figure4_program
+from repro.obs import attribute_run
 from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
 from repro.rac.dft import DFTRac
 from repro.rac.scale import PassthroughRac
 from repro.sim.errors import ConfigurationError
 from repro.sw.baremetal import BaremetalRuntime
 from repro.sw.driver import OuessantDriver
-from repro.sw.profiler import profile_run
 from repro.system import RAM_BASE, SoC
 from repro.utils import fixedpoint as fp
 from repro.zynq import ZynqSoC, molen_portability_note
@@ -94,26 +94,27 @@ def test_zynq_has_no_iss_cpu():
 
 
 # ---------------------------------------------------------------------------
-# profiler
+# attribution (repro.obs.attribute_run)
 # ---------------------------------------------------------------------------
 
-def test_profile_run_accounts_cycles(q15_signal):
+def test_attribute_run_accounts_cycles(q15_signal):
     n = 64
     soc = SoC(racs=[DFTRac(n_points=n)])
     runtime = BaremetalRuntime(soc)
     re, im = q15_signal(n)
     soc.write_ram(IN, fp.interleave_complex(re, im))
-    result = runtime.run(figure4_program(n).words(),
-                         {0: PROG, 1: IN, 2: OUT})
-    profile = profile_run(soc, result)
-    assert profile.total_cycles == result.total_cycles
-    assert profile.instructions == 18 if n == 256 else profile.instructions > 0
-    assert profile.words_to_rac == 2 * n
-    assert profile.words_from_rac == 2 * n
-    assert 0.5 < profile.cycles_per_word < 3.0
-    assert profile.exec_wait_cycles == 0  # Figure 4 uses execs
-    assert 0.0 < profile.bus_utilization <= 1.0
-    assert profile.max_fifo_in_atoms > 0
+    program = figure4_program(n)
+    result = runtime.run(program.words(), {0: PROG, 1: IN, 2: OUT})
+    report = attribute_run(soc, total_cycles=result.total_cycles)
+    assert report.consistent
+    assert report.total_cycles == result.total_cycles
+    assert report.instructions == len(program)  # straight-line
+    assert report.words_moved == 4 * n  # 2n words in, 2n out
+    # pure data movement per word, FIFO stalls excluded
+    busy = report.transfer_cycles - report.stall_cycles
+    assert 0.5 < busy / report.words_moved < 3.0
+    assert report.compute_cycles == 0  # Figure 4 uses execs
+    assert report.fifo_in_high_water > 0
 
 
 def test_profile_render_is_readable(q15_signal):
@@ -123,10 +124,12 @@ def test_profile_render_is_readable(q15_signal):
     program = (OuProgram().stream_to(1, 16).execs()
                .stream_from(2, 16).eop())
     result = runtime.run(program.words(), {0: PROG, 1: IN, 2: OUT})
-    text = profile_run(soc, result).render()
-    assert "cycles/word" in text
-    assert "bus utilization" in text
-    assert "GPP config" in text
+    text = attribute_run(soc, workload="loopback",
+                         total_cycles=result.total_cycles).render()
+    assert text.startswith(f"loopback: {result.total_cycles} cycles")
+    for label in ("transfer", "compute", "control", "stalls"):
+        assert label in text
+    assert "moved              32 words in 4 instructions" in text
 
 
 def test_profile_transfer_cycles_match_controller_states(q15_signal):
@@ -136,9 +139,9 @@ def test_profile_transfer_cycles_match_controller_states(q15_signal):
     program = (OuProgram().stream_to(1, 64).execs()
                .stream_from(2, 64).eop())
     result = runtime.run(program.words(), {0: PROG, 1: IN, 2: OUT})
-    profile = profile_run(soc, result)
+    report = attribute_run(soc, total_cycles=result.total_cycles)
     stats = soc.ocp.controller.stats
-    assert profile.transfer_cycles == (
+    assert report.transfer_cycles == (
         stats["cycles.xfer_to"] + stats["cycles.xfer_from"]
     )
-    assert profile.fifo_stall_cycles == stats["cycles.fifo_stall"]
+    assert report.stall_cycles == stats["cycles.fifo_stall"]
