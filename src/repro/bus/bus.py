@@ -15,7 +15,7 @@ measures).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..sim.errors import BusError, BusFaultError
 from ..sim.kernel import Component
@@ -51,6 +51,9 @@ class SystemBus(Component):
         self._pending: List[BusTransfer] = []
         self._current: Optional[BusTransfer] = None
         self._busy_until = 0
+        #: per master, its ``requests.<master>`` and ``beats.<master>``
+        #: statistic keys (formatted once, not per transfer)
+        self._master_keys: Dict[str, Tuple[str, str]] = {}
 
     # -- topology ------------------------------------------------------
     def attach_slave(
@@ -78,7 +81,7 @@ class SystemBus(Component):
         )
         self._pending.append(transfer)
         self._stats.incr("requests")
-        self._stats.incr(f"requests.{request.master}")
+        self._stats.incr(self._keys(request.master)[0])
         # a new request makes the bus due (grant) this very cycle if
         # idle -- drop its cached quiescence claim
         self.poke()
@@ -103,24 +106,33 @@ class SystemBus(Component):
         self._stats = Stats()
 
     def tick(self) -> None:
-        if self._current is not None and self.now >= self._busy_until:
-            self._finish(self._current)
+        now = self.sim.cycle
+        if self._current is not None and now >= self._busy_until:
+            self._finish(self._current, now)
             self._current = None
         if self._current is None and self._pending:
-            self._grant(self.arbiter.pick(self._pending))
+            self._grant(self.arbiter.pick(self._pending), now)
 
     def next_activity(self):
         # an in-flight transfer occupies the bus until _busy_until; the
         # ticks in between are no-ops, so the completion cycle is the
         # next real work
+        now = self.sim.cycle
         if self._current is not None:
-            return max(self._busy_until, self.now)
+            return max(self._busy_until, now)
         if self._pending:
-            return self.now  # a grant is due this cycle
+            return now  # a grant is due this cycle
         return None  # idle until a master submits a request
 
     # -- internals -----------------------------------------------------------
-    def _grant(self, transfer: BusTransfer) -> None:
+    def _keys(self, master: str) -> Tuple[str, str]:
+        keys = self._master_keys.get(master)
+        if keys is None:
+            keys = (f"requests.{master}", f"beats.{master}")
+            self._master_keys[master] = keys
+        return keys
+
+    def _grant(self, transfer: BusTransfer, now: int) -> None:
         self._pending.remove(transfer)
         request = transfer.request
         if transfer.route is not None:
@@ -137,25 +149,26 @@ class SystemBus(Component):
         else:
             latency = region.slave.access_latency
         occupancy = self.protocol.transfer_cycles(request.burst, latency)
-        transfer.grant_cycle = self.now
-        self._busy_until = self.now + occupancy
+        transfer.grant_cycle = now
+        self._busy_until = now + occupancy
         self._current = transfer
         # the bus is busy from the next cycle through the finishing one
-        self._stats.start("busy_cycles", self.now + 1)
+        self._stats.start("busy_cycles", now + 1)
         self._stats.incr("grants")
         self._stats.incr("beats", request.burst)
-        self._stats.incr(f"beats.{request.master}", request.burst)
-        self.trace_event(
-            "grant",
-            master=request.master,
-            kind=request.kind.value,
-            address=hex(request.address),
-            burst=request.burst,
-            occupancy=occupancy,
-        )
+        self._stats.incr(self._keys(request.master)[1], request.burst)
+        if self.note_activity():
+            self.trace_event(
+                "grant",
+                master=request.master,
+                kind=request.kind.value,
+                address=hex(request.address),
+                burst=request.burst,
+                occupancy=occupancy,
+            )
 
-    def _finish(self, transfer: BusTransfer) -> None:
-        self._stats.stop("busy_cycles", self.now + 1)
+    def _finish(self, transfer: BusTransfer, now: int) -> None:
+        self._stats.stop("busy_cycles", now + 1)
         request = transfer.request
         if transfer.route is not None:
             region, offset = transfer.route
@@ -192,7 +205,7 @@ class SystemBus(Component):
             transfer.error_reason = str(exc)
             if request.kind is AccessKind.READ:
                 transfer.data = [0] * request.burst
-            transfer.complete(self.now)
+            transfer.complete(now)
             self._stats.incr("slave_errors")
             self.trace_event(
                 "slave_error",
@@ -202,14 +215,15 @@ class SystemBus(Component):
                 reason=str(exc),
             )
             return
-        transfer.complete(self.now)
-        self.trace_event(
-            "complete",
-            master=request.master,
-            kind=request.kind.value,
-            address=hex(request.address),
-            latency=transfer.latency,
-        )
+        transfer.complete(now)
+        if self.note_activity():
+            self.trace_event(
+                "complete",
+                master=request.master,
+                kind=request.kind.value,
+                address=hex(request.address),
+                latency=transfer.latency,
+            )
 
     # -- introspection ----------------------------------------------------
     @property

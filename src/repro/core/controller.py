@@ -40,6 +40,8 @@ from .registers import PROGRAM_BANK
 
 
 class _State(enum.Enum):
+    """FSM states; each one that ticks charges ``cycles.<value>``."""
+
     IDLE = "idle"
     PREFETCH = "prefetch"
     FETCH = "fetch"
@@ -52,12 +54,27 @@ class _State(enum.Enum):
     HALTED = "halted"
     ERROR = "error"
 
+    def __init__(self, value: str) -> None:
+        #: the state's cycle statistic, None for a parked state (an
+        #: attribute, because a plain Enum hashes in Python)
+        self.cycle_key: Optional[str] = (
+            None if value in ("idle", "halted", "error")
+            else f"cycles.{value}")
 
-_PARKED = (_State.IDLE, _State.HALTED, _State.ERROR)
 
-#: the ``cycles.<state>`` statistic of each state that ticks
-_CYCLE_KEYS = {state: f"cycles.{state.value}"
-               for state in _State if state not in _PARKED}
+#: the states that never tick
+_PARKED = tuple(state for state in _State if state.cycle_key is None)
+
+#: the ``instr.<mnemonic>`` statistic of each opcode
+_INSTR_KEYS = {op: f"instr.{op.name.lower()}" for op in OuOp}
+
+
+def _decode_defined(word: int) -> Optional[OuInstruction]:
+    """Decode one microcode word, or None if its opcode is undefined."""
+    try:
+        return decode(word)
+    except EncodingError:
+        return None
 
 
 class OuessantController(Component):
@@ -108,6 +125,8 @@ class OuessantController(Component):
         self._entered = 0
         self._pc = 0
         self._ibuf: List[int] = []
+        #: ``_ibuf`` decoded once at prefetch (None: undefined word)
+        self._decoded: List[Optional[OuInstruction]] = []
         self._pending: Optional[BusTransfer] = None
         self._instr: Optional[OuInstruction] = None
         # transfer engine state
@@ -121,6 +140,12 @@ class OuessantController(Component):
         self._loop_body = 0
         self._loop_active = False
         self._ofr = 0
+        #: words to accumulate before an outbound burst: the bus
+        #: protocol's maximum burst, read when the controller registers
+        #: (the OCP wires the bus first, and a protocol is frozen)
+        self.bus_burst_threshold = 16
+        #: runs started (S set) since power-on or the last reset
+        self.runs_started = 0
         #: hardware performance counters, readable through the slave
         #: window after the configuration registers
         self.perf = PerfCounterBlock(self)
@@ -130,6 +155,14 @@ class OuessantController(Component):
         self.interface.registers.on_stop = self._on_stop
 
     # -- wiring ------------------------------------------------------------
+    def attach(self, sim) -> None:
+        super().attach(sim)
+        # matching the protocol's maximum burst keeps outbound
+        # cycles/word near the paper's 1.5 while bounding FIFO latency
+        bus = self.interface.bus
+        if bus is not None:
+            self.bus_burst_threshold = bus.protocol.max_burst_beats
+
     def bind_fabric(
         self, fifos_in: List[FIFO], fifos_out: List[FIFO], rac: RAC
     ) -> None:
@@ -203,12 +236,13 @@ class OuessantController(Component):
         opens; the boundary is also traced for span reconstruction.
         """
         state = self._state
-        if old in _CYCLE_KEYS:
-            self._stats.stop(_CYCLE_KEYS[old], at)
-        if state in _CYCLE_KEYS:
-            self._stats.start(_CYCLE_KEYS[state], at)
+        if old.cycle_key is not None:
+            self._stats.stop(old.cycle_key, at)
+        if state.cycle_key is not None:
+            self._stats.start(state.cycle_key, at)
         self._entered = at
-        self._record("phase", state=state.value, at=at)
+        if self.sim is not None and self.sim.trace is not None:
+            self._record("phase", state=state.value, at=at)
 
     def _flush_stall(self, at: int) -> None:
         """End the FIFO-stall interval (if one is open) at ``at``.
@@ -227,7 +261,7 @@ class OuessantController(Component):
         next cycle on: every cycle until it issues one is a FIFO stall
         (an unstalled engine issues at once, closing the interval
         empty)."""
-        self._stats.start("cycles.fifo_stall", self.now + 1)
+        self._stats.start("cycles.fifo_stall", self.sim.cycle + 1)
 
     def _on_start(self) -> None:
         if self.interface.registers.prog_size < 1:
@@ -235,6 +269,7 @@ class OuessantController(Component):
         old = self._state
         self._pc = 0
         self._ibuf = []
+        self._decoded = []
         self._pending = None
         self._instr = None
         self._loop_active = False
@@ -243,6 +278,7 @@ class OuessantController(Component):
         self._stats.stop("cycles.fifo_stall", self.now)
         self._state = _State.PREFETCH if self.prefetch else _State.FETCH
         self.perf.clear()
+        self.runs_started += 1
         self.trace_event("start", prog_size=self.interface.registers.prog_size)
         self._phase(at=self.now, old=old)
         self.poke()
@@ -270,11 +306,13 @@ class OuessantController(Component):
         self._state = _State.IDLE
         self._pc = 0
         self._ibuf = []
+        self._decoded = []
         self._pending = None
         self._instr = None
         self._loop_active = False
         self._ofr = 0
         self._stats = Stats()
+        self.runs_started = 0
         self.perf.clear()
 
     # -- traps ---------------------------------------------------------------
@@ -313,12 +351,12 @@ class OuessantController(Component):
                 self._state = _State.FETCH
             elif self.watchdog_cycles > 0:
                 # consecutive EXEC_WAIT cycles, this one included
-                hung = self.now + 1 - self._entered
+                hung = self.sim.cycle + 1 - self._entered
                 if hung >= self.watchdog_cycles:
                     self._trap(ERR_WATCHDOG,
                                f"exec hung for {hung} cycles")
         elif state is _State.WAITING:
-            if self.now >= self._resume_at:
+            if self.sim.cycle >= self._resume_at:
                 self._state = _State.FETCH
         elif state is _State.WAITF:
             if self._waitf_satisfied():
@@ -327,7 +365,7 @@ class OuessantController(Component):
         if self._state is not state:
             # internal transition: the new state is charged from the
             # next cycle (this tick already charged the old one)
-            self._phase(at=self.now + 1, old=state)
+            self._phase(at=self.sim.cycle + 1, old=state)
 
     # -- quiescence protocol --------------------------------------------------
     def next_activity(self):
@@ -343,9 +381,10 @@ class OuessantController(Component):
         state = self._state
         if state in _PARKED:
             return None
+        now = self.sim.cycle
         if state is _State.EXEC_WAIT:
             if self.rac is not None and self.rac.end_op:
-                return self.now
+                return now
             if self.watchdog_cycles > 0:
                 # the trap fires on the watchdog_cycles-th EXEC_WAIT tick
                 return self._entered + self.watchdog_cycles - 1
@@ -353,10 +392,10 @@ class OuessantController(Component):
         if state is _State.WAITING:
             return self._resume_at
         if state is _State.WAITF:
-            return self.now if self._waitf_satisfied() else None
+            return now if self._waitf_satisfied() else None
         if state in (_State.XFER_TO, _State.XFER_FROM):
             if self._pending is not None:
-                return self.now if self._pending.done else None
+                return now if self._pending.done else None
             if state is _State.XFER_TO:
                 fifo = self.fifos_in[self._xfer_fifo]
                 stalled = fifo.free_push_words < 1
@@ -371,12 +410,12 @@ class OuessantController(Component):
                             fifo.depth)
                 stalled = fifo.occupancy < chunk
                 fifo.set_occ_watch(chunk if stalled else None)
-            return None if stalled else self.now
+            return None if stalled else now
         if state in (_State.PREFETCH, _State.FETCH):
             if self._pending is not None and not self._pending.done:
                 return None  # the bus completion wakes us
-            return self.now
-        return self.now  # DECODE and anything else: always active
+            return now
+        return now  # DECODE and anything else: always active
 
     # -- fetch path ---------------------------------------------------------
     def _tick_prefetch(self) -> None:
@@ -394,6 +433,9 @@ class OuessantController(Component):
                 )
                 return
             self._ibuf = list(self._pending.data)
+            # decode once; an undefined word still traps at the fetch
+            # that reaches it
+            self._decoded = [_decode_defined(word) for word in self._ibuf]
             self._pending = None
             self._state = _State.FETCH
 
@@ -413,8 +455,9 @@ class OuessantController(Component):
                 "(missing eop/halt?)"
             )
         if self._pc < len(self._ibuf):
-            instr = self._decode_or_trap(self._ibuf[self._pc])
+            instr = self._decoded[self._pc]
             if instr is None:
+                self._decode_or_trap(self._ibuf[self._pc])  # traps
                 return
             self._instr = instr
             self._pc += 1
@@ -447,8 +490,9 @@ class OuessantController(Component):
         if instr is None:  # pragma: no cover - fetch always latches one
             raise ControllerError("decode without fetched instruction")
         self._stats.incr("instructions")
-        self._stats.incr(f"instr.{instr.mnemonic()}")
-        self._record("instr", pc=self._pc - 1, mnemonic=instr.mnemonic())
+        self._stats.incr(_INSTR_KEYS[instr.op])
+        if self.sim.trace is not None:
+            self._record("instr", pc=self._pc - 1, mnemonic=instr.mnemonic())
         self._execute(instr)
 
     # -- execute -------------------------------------------------------------
@@ -473,7 +517,7 @@ class OuessantController(Component):
                 self._state = _State.FETCH
             else:
                 # WAITING ticks imm times; the last one resumes
-                self._resume_at = self.now + instr.imm
+                self._resume_at = self.sim.cycle + instr.imm
                 self._state = _State.WAITING
         elif op is OuOp.WAITF:
             self._instr = instr
@@ -580,7 +624,7 @@ class OuessantController(Component):
             # bound any consumer-side batch at the cycle one word frees
             fifo.set_free_watch(1)
             return
-        self._flush_stall(at=self.now)
+        self._flush_stall(at=self.sim.cycle)
         fifo.set_free_watch(None)
         self._pending = self.interface.submit_read(
             self._xfer_bank, self._xfer_offset, chunk, waiter=self
@@ -614,7 +658,7 @@ class OuessantController(Component):
             # bound any producer-side batch at the cycle the chunk fills
             fifo.set_occ_watch(chunk)
             return
-        self._flush_stall(at=self.now)
+        self._flush_stall(at=self.sim.cycle)
         fifo.set_occ_watch(None)
         try:
             data = fifo.pop_many(chunk)
@@ -627,18 +671,6 @@ class OuessantController(Component):
         )
         self._xfer_offset += chunk
         self._xfer_remaining -= chunk
-
-    @property
-    def bus_burst_threshold(self) -> int:
-        """Words to accumulate before issuing an outbound burst.
-
-        Matching the bus protocol's maximum burst keeps outbound
-        cycles/word near the paper's 1.5 while bounding FIFO latency.
-        """
-        bus = self.interface.bus
-        if bus is None:
-            return 16
-        return bus.protocol.max_burst_beats
 
     # -- waitf ---------------------------------------------------------------
     def _arm_waitf_watch(self, instr: OuInstruction) -> None:

@@ -31,6 +31,7 @@ from ..core.perf import (
     PERF_STALL,
     PERF_XFER,
 )
+from ..sim.errors import ReproError
 from .spans import SpanTrace
 
 #: JSON schema (informal) of :meth:`AttributionReport.as_dict`; the CI
@@ -108,15 +109,25 @@ def attribute_run(
     block and the controller statistics are both read since run start
     (:meth:`~repro.core.perf.PerfCounterBlock.window`).
     ``total_cycles`` defaults to the simulator's current cycle, which
-    is the run's own total only on a SoC that ran nothing before it;
-    pass the run's total otherwise.  Passing the reconstructed
-    ``spans`` additionally fills
-    :attr:`AttributionReport.overlap_cycles`.
+    is the run's own total only while the OCP has started at most one
+    run; after a second start the default would count the earlier runs
+    too, so it raises :class:`ReproError` and the caller must pass the
+    run's total.  Passing the reconstructed ``spans`` additionally
+    fills :attr:`AttributionReport.overlap_cycles`.
     """
     ocp = soc.ocps[ocp_index]
     perf = ocp.controller.perf
     window = perf.window()
-    total = soc.sim.cycle if total_cycles is None else total_cycles
+    if total_cycles is not None:
+        total = total_cycles
+    elif ocp.controller.runs_started > 1:
+        raise ReproError(
+            f"OCP {ocp_index} has started {ocp.controller.runs_started} "
+            f"runs; the simulator's cycle {soc.sim.cycle} counts all of "
+            "them: pass the last run's total_cycles"
+        )
+    else:
+        total = soc.sim.cycle
     transfer = perf.value(PERF_XFER)
     compute = perf.value(PERF_EXECW)
 

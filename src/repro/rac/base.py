@@ -202,27 +202,29 @@ class StreamingRAC(RAC):
 
     # -- quiescence protocol -------------------------------------------------
     def next_activity(self):
-        if self._phase is _Phase.DONE:
+        phase = self._phase
+        if phase is _Phase.COMPUTE:
+            # pipeline latency: nothing happens until the deadline
+            return self._compute_at
+        now = self.sim.cycle
+        if phase is _Phase.DONE:
             if self.autostart and any(not f.empty for f in self.inputs):
-                return self.now
+                return now
             return None  # woken by data arriving or by start_op
-        if self._phase is _Phase.COLLECT:
+        if phase is _Phase.COLLECT:
             complete = True
             for port, fifo in enumerate(self.inputs):
                 if len(self._collected[port]) < self.items_in[port]:
                     complete = False
                     if fifo.occupancy > 0:
-                        return self.now  # words to take this cycle
+                        return now  # words to take this cycle
             # complete: the transition to COMPUTE is due this cycle;
             # otherwise starved until a FIFO fills
-            return self.now if complete else None
-        if self._phase is _Phase.COMPUTE:
-            # pipeline latency: nothing happens until the deadline
-            return self._compute_at
+            return now if complete else None
         # EMIT: progress whenever any unfinished port has FIFO space
         for port, fifo in enumerate(self.outputs):
             if self._emitted[port] < self.items_out[port] and fifo.can_push():
-                return self.now
+                return now
         return None  # all remaining output FIFOs are full
 
     # -- per-cycle behaviour -----------------------------------------------
@@ -251,11 +253,11 @@ class StreamingRAC(RAC):
                 done = False
         if done:
             self._phase = _Phase.COMPUTE
-            self._compute_at = self.now + 1 + self.compute_latency
+            self._compute_at = self.sim.cycle + 1 + self.compute_latency
             self.trace_event("collect_done")
 
     def _tick_compute(self) -> None:
-        if self.now < self._compute_at:
+        if self.sim.cycle < self._compute_at:
             return
         outputs = self.compute_fn(self._collected)
         if len(outputs) != len(self.items_out):
@@ -354,7 +356,8 @@ class StreamingRAC(RAC):
         if len(self._collected[0]) >= self.items_in[0]:
             # the tick that takes the last word also transitions
             self._phase = _Phase.COMPUTE
-            self._compute_at = self.now + cycles + self.compute_latency
+            self._compute_at = (self.sim.cycle + cycles
+                                + self.compute_latency)
             self.trace_event("collect_done")
         return cycles
 

@@ -328,14 +328,18 @@ class FIFO(Component):
         # or a pop awaits its trace flush this cycle; otherwise it is
         # idle until some other component pushes or pops (which makes
         # that component active anyway)
-        return self.now if (self._staged or self._pops_pending) else None
+        return self.sim.cycle if (self._staged or self._pops_pending) else None
 
     def commit(self) -> None:
+        # the payloads below are built only under a trace (a FIFO is
+        # also committed by hand, outside any simulator)
+        traced = self.sim is not None and self.sim.trace is not None
         if self._pops_pending:
             # pops only happen inside an *active* consumer's tick, so
             # flushing here never records during a declared-idle window
-            self._record("pop", words=self._pops_pending,
-                         occupancy_atoms=self.occupancy_atoms)
+            if traced:
+                self._record("pop", words=self._pops_pending,
+                             occupancy_atoms=self.occupancy_atoms)
             self._pops_pending = 0
         if self._staged:
             staged = len(self._staged)
@@ -345,8 +349,9 @@ class FIFO(Component):
             self.stats.maximize("max_occupancy_atoms", occupancy)
             if occupancy > self.high_water_atoms:
                 self.high_water_atoms = occupancy
-            self._record("commit", atoms=staged,
-                         occupancy_atoms=occupancy)
+            if traced:
+                self._record("commit", atoms=staged,
+                             occupancy_atoms=occupancy)
             # newly published words may unstall a watching consumer
             self.wake_watchers()
 

@@ -596,31 +596,33 @@ class ThroughputScheduler(Component):
 
     # -- dispatch state machine (inside the clock) ------------------------
     def tick(self) -> None:
+        steps = _STEPS
         for slot in self._slots.values():
-            self._step_slot(slot)
+            steps[slot.state](self, slot)
 
     def next_activity(self) -> Optional[int]:
+        now = self.sim.cycle
         wake: Optional[int] = None
         for slot in self._slots.values():
-            slot_wake = self._slot_wake(slot)
+            slot_wake = self._slot_wake(slot, now)
             if slot_wake is not None:
+                if slot_wake <= now:
+                    return now  # no slot wakes earlier than the clock
                 wake = slot_wake if wake is None else min(wake, slot_wake)
         return wake
 
-    def _slot_wake(self, slot: _OcpSlot) -> Optional[int]:
-        if slot.state == "idle":
-            return self.now if slot.queue else None
-        if slot.state == "running":
+    @staticmethod
+    def _slot_wake(slot: _OcpSlot, now: int) -> Optional[int]:
+        state = slot.state
+        if state == "idle":
+            return now if slot.queue else None
+        if state == "running":
             # the IRQ line can only flip during a ticked cycle
-            return self.now if slot.ocp.irq.pending else None
-        if slot.state == "backoff":
-            return max(slot.resume_at, self.now)
+            return now if slot.ocp.irq.pending else None
+        if state == "backoff":
+            return max(slot.resume_at, now)
         transfer = slot.transfer
-        return self.now if transfer is not None and transfer.done else None
-
-    def _step_slot(self, slot: _OcpSlot) -> None:
-        handler = getattr(self, f"_step_{slot.state}")
-        handler(slot)
+        return now if transfer is not None and transfer.done else None
 
     def _step_idle(self, slot: _OcpSlot) -> None:
         if not slot.queue:
@@ -648,12 +650,13 @@ class ThroughputScheduler(Component):
         self._next_batch_id += 1
         batch.attempts = 1
         slot.batch = batch
+        now = self.sim.cycle
         # busy from the next cycle: this tick saw the slot idle
-        slot._busy_since = self.now + 1
+        slot._busy_since = now + 1
         self._place_batch(slot, batch)
         # remember submit cycles for the results (dispatch == now)
         for job, submitted in zip(jobs, dispatch_cycles):
-            self._pending_meta[job.job_id] = (submitted, self.now)
+            self._pending_meta[job.job_id] = (submitted, now)
         self._arm(slot)
         self.trace_event(
             "dispatch", ocp=slot.index, batch=batch.batch_id,
@@ -762,11 +765,11 @@ class ThroughputScheduler(Component):
             self.backoff_cycles * (1 << (batch.attempts - 1)),
             MAX_BACKOFF_CYCLES,
         )
-        slot.resume_at = self.now + backoff
+        slot.resume_at = self.sim.cycle + backoff
         slot.state = "backoff"
 
     def _step_backoff(self, slot: _OcpSlot) -> None:
-        if self.now < slot.resume_at:
+        if self.sim.cycle < slot.resume_at:
             return
         batch = slot.batch
         assert batch is not None
@@ -790,7 +793,7 @@ class ThroughputScheduler(Component):
             self.completed[job.job_id] = JobResult(
                 job=job, ocp_index=slot.index, outputs=outputs,
                 submit_cycle=submitted, dispatch_cycle=dispatched,
-                complete_cycle=self.now, attempts=batch.attempts,
+                complete_cycle=self.sim.cycle, attempts=batch.attempts,
                 batch_id=batch.batch_id,
             )
             self.completion_order.append(job.job_id)
@@ -813,5 +816,17 @@ class ThroughputScheduler(Component):
         slot.transfer = None
         slot.batch = None
         slot.state = "idle"
-        slot._busy += elapsed(slot._busy_since, self.now + 1)
+        slot._busy += elapsed(slot._busy_since, self.sim.cycle + 1)
         slot._busy_since = None
+
+
+#: the slot FSM's step of each state
+_STEPS = {
+    "idle": ThroughputScheduler._step_idle,
+    "config": ThroughputScheduler._step_config,
+    "running": ThroughputScheduler._step_running,
+    "status": ThroughputScheduler._step_status,
+    "abort": ThroughputScheduler._step_abort,
+    "backoff": ThroughputScheduler._step_backoff,
+    "ack": ThroughputScheduler._step_ack,
+}

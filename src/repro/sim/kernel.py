@@ -140,11 +140,11 @@ class Component:
           component's activity, a register write between steps) can
           make its ticks matter again.
 
-        The base implementation returns ``self.now`` (always active),
-        which is the safe default for components the kernel knows
-        nothing about.
+        The base implementation returns the current cycle (always
+        active), which is the safe default for components the kernel
+        knows nothing about.
         """
-        return self.now
+        return self.sim.cycle
 
     def batch_span(self, budget: int) -> int:
         """Cycles :meth:`tick_batch` would consume given ``budget``.
@@ -218,6 +218,19 @@ class Component:
                 )
             return 0
         return self.sim.cycle
+
+    def note_activity(self) -> bool:
+        """Name this component in deadlock diagnostics, as
+        :meth:`trace_event` does, and return True when a trace is
+        attached.  For hooks the kernel calls: a hot call site builds an
+        event's payload only when a trace will record it::
+
+            if self.note_activity():
+                self.trace_event("grant", address=hex(address))
+        """
+        sim = self.sim
+        sim.last_active = self.name
+        return sim.trace is not None
 
     def trace_event(self, event: str, **data: object) -> None:
         """Record an event in the simulator trace, if tracing is on."""
@@ -310,6 +323,10 @@ class Simulator:
         #: name of the component that most recently emitted an event
         self.last_active: Optional[str] = None
         self._components: List[Component] = []
+        #: the registered components whose class overrides
+        #: :meth:`Component.commit`, in registration order: the only
+        #: ones the commit sweep of a dispatched cycle visits
+        self._committers: List[Component] = []
         self._names = set()
         #: per batch lane, the ids of the registered components it
         #: drives (:func:`audit.driven`); cleared on add/remove
@@ -329,7 +346,7 @@ class Simulator:
             )
         self._names.add(component.name)
         self._components.append(component)
-        self._driven.clear()
+        self._registered()
         # a newcomer may be state another component's cached claim
         # depends on
         component.attach(self)
@@ -355,13 +372,22 @@ class Simulator:
             )
         self._components.remove(component)
         self._names.discard(component.name)
-        self._driven.clear()
+        self._registered()
         self._invalidate()
         if self.last_active == component.name:
             # never let DeadlockError diagnostics name a component
             # that is no longer in the system
             self.last_active = None
         component.detach()
+
+    def _registered(self) -> None:
+        """Rebuild what the fast schedule derives from the component
+        list.  Commit-phase membership is decided by the class, so an
+        instance-level wrapper around a base ``commit`` (a profiler's)
+        cannot change the schedule."""
+        self._driven.clear()
+        self._committers = [comp for comp in self._components
+                            if type(comp).commit is not Component.commit]
 
     @property
     def components(self) -> List[Component]:
@@ -594,14 +620,15 @@ class Simulator:
         component waking a later one) lands the same cycle, while a
         *backward* poke takes effect next cycle, which is precisely
         when the naive two-phase schedule would surface it.  The commit
-        sweep again walks registration order so same-cycle trace events
-        keep their naive order, and picks up components whose commit
-        phase can still observe a backward poke (a FIFO staged into by
-        a later producer).
+        sweep visits only the components whose class overrides
+        ``commit`` (every other commit is the base no-op), again in
+        registration order so same-cycle trace events keep their naive
+        order, and picks up those whose commit phase can still observe
+        a backward poke (a FIFO staged into by a later producer).  A
+        claim the sweep leaves invalid is polled by the next scan.
         """
         now = self.cycle
-        components = self._components
-        for comp in components:
+        for comp in self._components:
             if comp._wake_valid:
                 wake = comp._wake
             else:  # inlined _poll (hot loop)
@@ -612,7 +639,7 @@ class Simulator:
             comp._ran_at = now
             comp.tick()
             comp._wake_valid = False
-        for comp in components:
+        for comp in self._committers:
             if comp._ran_at == now:
                 comp.commit()
             elif not comp._wake_valid:

@@ -377,3 +377,55 @@ def test_a6_extensions_match_experiments():
                                        {0: PROG, 1: IN, 2: out})
     assert soc.read_ram(out, 64) == list(range(1, 65))
     assert result.total_cycles == 287
+
+
+def test_a3_dft_size_sweep_matches_experiments():
+    """A3: Linux HW against direct software DFT cycles at N = 16, 64 and
+    256, and the gains 1.8, 23 and 218 EXPERIMENTS.md quotes."""
+    from repro.analysis import measure_dft_sw
+
+    rows = {}
+    for n in (16, 64, 256):
+        hw, ok = measure_dft_hw(n, environment="linux")
+        assert ok
+        rows[n] = (hw.total_cycles,
+                   measure_dft_sw(n, algorithm="direct").cycles)
+    assert rows == {16: (3450, 6146), 64: (4140, 95_186),
+                    256: (6935, 1_511_186)}
+    assert [round(sw / hw, 1) for hw, sw in rows.values()] == \
+        [1.8, 23.0, 217.9]
+
+
+def _concurrent_loopback_cycles(n_ocps, words=256):
+    """Cycles until ``n_ocps`` OCPs sharing one AHB each finish one
+    ``words``-word loopback (the A7 bus-sharing bench's workload)."""
+    soc = SoC(racs=[PassthroughRac(name=f"loop{i}", block_size=words,
+                                   fifo_depth=128, compute_latency=100)
+                    for i in range(n_ocps)])
+    program = _loopback_program(words, chunk=64)
+    for index, ocp in enumerate(soc.ocps):
+        base = RAM_BASE + 0x10_0000 * (index + 1)
+        soc.write_ram(base, program.words())
+        soc.write_ram(base + 0x1000, list(range(words)))
+        banks = {0: base, 1: base + 0x1000, 2: base + 0x4000}
+        for bank, address in banks.items():
+            ocp.interface.write_word(REG_BANK_BASE + 4 * bank, address)
+        ocp.interface.write_word(REG_PROG_SIZE, len(program))
+        ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    soc.run_until(lambda: all(ocp.done for ocp in soc.ocps),
+                  max_cycles=1_000_000)
+    for index in range(n_ocps):
+        base = RAM_BASE + 0x10_0000 * (index + 1)
+        assert soc.read_ram(base + 0x4000, words) == list(range(words))
+    return soc.sim.cycle
+
+
+def test_a7_bus_sharing_matches_experiments():
+    """A7: 1, 2 and 4 OCPs on one bus finish one 256-word loopback each
+    in exactly 847 / 1343 / 2444 cycles (4 operations in ~2.9x the
+    single-OCP time, aggregate 0.60 -> 0.84 words/cycle)."""
+    cycles = {n: _concurrent_loopback_cycles(n) for n in (1, 2, 4)}
+    assert cycles == {1: 847, 2: 1343, 4: 2444}
+    assert round(cycles[4] / cycles[1], 1) == 2.9
+    assert [round(2 * 256 * n / c, 2) for n, c in cycles.items()] == \
+        [0.6, 0.76, 0.84]

@@ -416,3 +416,30 @@ def test_soft_reset_preserves_configuration():
     ocp.soft_reset()
     assert ocp.fifos_in[0].empty
     assert ocp.registers.bank_base(0) == RAM_BASE
+
+
+@pytest.mark.parametrize("kernel", [{"idle_skip": False}, {}],
+                         ids=["naive", "fast"])
+def test_untraced_deadlock_names_the_traced_last_active(kernel):
+    """``sim.last_active`` is kept without a trace: a hung ``exec`` that
+    times out names the same last active component, at the same cycle,
+    as the same run with a trace attached."""
+    plan = FaultPlan(events=[
+        FaultEvent(FaultKind.HANG_EXEC, "rac", index=0, duration=0),
+    ])
+    messages = []
+    for trace in (None, Trace()):
+        # build_faulty_soc always traces: interpose by hand
+        soc = SoC(racs=[PassthroughRac(block_size=BLOCK)], with_cpu=False,
+                  trace=trace, **kernel)
+        inject_faults(soc, plan)
+        soc.write_ram(IN, list(range(BLOCK)))
+        with pytest.raises(DriverTimeout) as excinfo:
+            OuessantDriver(soc).run(
+                loopback_program(use_exec=True).words(),
+                {0: PROG, 1: IN, 2: OUT}, max_wait_cycles=400)
+        messages.append(str(excinfo.value))
+    untraced, traced = messages
+    # the RAC's end_op is the last event before the hang swallows it
+    assert "last active component: loopback)" in traced
+    assert untraced == traced

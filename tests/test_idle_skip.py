@@ -1036,6 +1036,10 @@ def _run_sched_case(idle_skip, strict=False, n_ocps=4, seed=424242):
 
     schedule = attribute_schedule(sched)
     assert schedule.consistent
+    # each OCP ran several batches: attribute its last one, dispatch to
+    # completion
+    last_batch = {r.ocp_index: r.complete_cycle - r.dispatch_cycle
+                  for r in sorted(results, key=lambda r: r.complete_cycle)}
     return {
         "outputs": {r.job.job_id: r.outputs for r in results},
         "cycle": soc.sim.cycle,
@@ -1044,7 +1048,8 @@ def _run_sched_case(idle_skip, strict=False, n_ocps=4, seed=424242):
         "busy": [slot.busy_cycles for slot in sched.slots],
         "bus_stats": soc.bus.stats.as_dict(),
         "per_ocp_attribution": [
-            attribute_run(soc, ocp_index=index).as_dict()
+            attribute_run(soc, ocp_index=index,
+                          total_cycles=last_batch[index]).as_dict()
             for index in range(n_ocps)
         ],
         "schedule": schedule.as_dict(),

@@ -226,3 +226,125 @@ def test_partial_reconfiguration_swap_rac_detaches_cleanly():
     # the reconfigured system still advances
     soc.sim.step(5)
     assert soc.ocp.rac.now == 8
+
+
+# -- the commit sweep --------------------------------------------------------
+#
+# A dispatched cycle commits only the components whose *class* overrides
+# ``Component.commit``; every other commit is the base no-op.
+
+def test_commit_sweep_skips_classes_without_a_commit_override():
+    from repro.rac.fifo import FIFO
+
+    sim = Simulator()
+    counter = sim.add(Counter("a"))
+    observer = sim.add(TwoPhase(counter))
+    fifo = sim.add(FIFO("f"))
+    assert sim._committers == [observer, fifo]
+
+
+def test_commit_sweep_keeps_registration_order_through_add_and_remove():
+    from repro.rac.fifo import FIFO
+
+    sim = Simulator()
+    first, second, third = (sim.add(FIFO(name)) for name in "xyz")
+    sim.add(Counter())
+    assert sim._committers == [first, second, third]
+    sim.remove(second)
+    assert sim._committers == [first, third]
+    sim.add(second)
+    assert sim._committers == [first, third, second]
+    sim.remove(first)
+    sim.remove(third)
+    assert sim._committers == [second]
+
+
+class LateProducer(Component):
+    """Pushes one word into ``fifo`` at each listed cycle; sleeps in
+    between (so its pushes are the only poke the FIFO gets)."""
+
+    def __init__(self, fifo, cycles):
+        super().__init__("producer")
+        self.fifo = fifo
+        self.cycles = list(cycles)
+
+    def next_activity(self):
+        later = [c for c in self.cycles if c >= self.sim.cycle]
+        return min(later) if later else None
+
+    def tick(self):
+        if self.sim.cycle in self.cycles:
+            self.fifo.push(self.sim.cycle)
+
+
+@pytest.mark.parametrize("idle_skip", [False, True],
+                         ids=["naive", "fast"])
+def test_fifo_staged_by_a_later_producer_commits_the_same_cycle(idle_skip):
+    """The FIFO is registered before its producer, so the push pokes it
+    backwards: the commit sweep must still publish the word at the end
+    of the pushing cycle."""
+    from repro.rac.fifo import FIFO
+
+    sim = Simulator(idle_skip=idle_skip)
+    fifo = sim.add(FIFO("f"))
+    sim.add(LateProducer(fifo, [3, 7, 8]))
+    occupancy = []
+    for _ in range(10):
+        sim.step()
+        occupancy.append(fifo.occupancy)
+    assert occupancy == [0, 0, 0, 1, 1, 1, 1, 2, 3, 3]
+    assert fifo.stats["max_occupancy_atoms"] == 3
+
+
+class Sleeper(Component):
+    """Registered, never due."""
+
+    def __init__(self):
+        super().__init__("sleeper")
+
+    def next_activity(self):
+        return None
+
+
+def test_instance_commit_wrappers_leave_fast_and_naive_identical():
+    """A pass-through wrapper around an instance's ``commit`` (what a
+    host profiler installs) neither enters the commit sweep nor changes
+    a result: fast and naive runs agree on cycles, data and stats."""
+    from repro.core.program import OuProgram
+    from repro.rac.scale import PassthroughRac
+    from repro.system import RAM_BASE, SoC
+    from repro.sw.baremetal import BaremetalRuntime
+
+    def run(idle_skip):
+        soc = SoC(racs=[PassthroughRac(block_size=32)], with_cpu=False,
+                  idle_skip=idle_skip)
+        calls = []
+        for comp in soc.sim.components:
+            def wrapped(comp=comp, inner=comp.commit):
+                calls.append(comp.name)
+                inner()
+            comp.commit = wrapped
+        # the sweep is rebuilt at the next registration, after the
+        # wrapping, and must not pick the wrappers up
+        soc.sim.add(Sleeper())
+        committers = soc.sim._committers
+        soc.write_ram(RAM_BASE + 0x2000, list(range(32)))
+        program = OuProgram().stream_to(1, 32).execs() \
+            .stream_from(2, 32).eop()
+        result = BaremetalRuntime(soc).run(
+            program.words(), {0: RAM_BASE + 0x1000, 1: RAM_BASE + 0x2000,
+                              2: RAM_BASE + 0x3000})
+        stats = [soc.bus.stats.as_dict(),
+                 soc.ocp.controller.stats.as_dict()]
+        stats += [fifo.stats.as_dict()
+                  for fifo in soc.ocp.fifos_in + soc.ocp.fifos_out]
+        return (result.total_cycles, soc.sim.cycle,
+                soc.read_ram(RAM_BASE + 0x3000, 32), stats), committers, calls
+
+    naive, _, naive_calls = run(False)
+    fast, committers, fast_calls = run(True)
+    assert fast == naive
+    assert naive[2] == list(range(32))
+    assert [type(comp).__name__ for comp in committers] == ["FIFO", "FIFO"]
+    # the naive stepper still calls every commit, wrapped ones included
+    assert set(naive_calls) > set(fast_calls)

@@ -1,5 +1,12 @@
 """Unit tests for tracing, stats and the VCD writer."""
 
+import hashlib
+import json
+import random
+from pathlib import Path
+
+import pytest
+
 from repro.sim.tracing import Stats, Trace, VCDWriter
 
 
@@ -180,3 +187,77 @@ def test_vcd_write_to_file(tmp_path):
     path = tmp_path / "out.vcd"
     vcd.write(str(path))
     assert path.read_text().startswith("$timescale")
+
+
+# -- the trace stream, pinned ------------------------------------------------
+#
+# Every component builds its trace payloads at its own call sites.  These
+# two traced runs pin the whole stream -- event count and the sha256 of
+# ``Trace.dump()`` -- so an edit to a call site cannot drop, reorder or
+# reformat an event.  The golden was recorded before the call sites were
+# guarded by ``sim.trace is not None``.
+
+TRACE_GOLDEN = Path(__file__).with_name("trace_golden.json")
+
+
+def _traced_figure4(**kernel):
+    """The Figure 4 DFT-256 on an AHB SoC through ``BaremetalRuntime``."""
+    from repro.core.program import figure4_program
+    from repro.rac.dft import DFTRac
+    from repro.sw.baremetal import BaremetalRuntime
+    from repro.system import RAM_BASE, SoC
+    from repro.utils import fixedpoint as fp
+
+    trace = Trace()
+    soc = SoC(racs=[DFTRac(n_points=256)], trace=trace, **kernel)
+    rng = random.Random(2016)
+    re, im = ([fp.float_to_q15(rng.uniform(-0.4, 0.4)) for _ in range(256)]
+              for _ in range(2))
+    banks = {0: RAM_BASE + 0x1000, 1: RAM_BASE + 0x2000,
+             2: RAM_BASE + 0x8000}
+    soc.write_ram(banks[1], fp.interleave_complex(re, im))
+    result = BaremetalRuntime(soc).run(figure4_program(256).words(), banks)
+    assert result.total_cycles == 3935
+    assert fp.deinterleave_complex(soc.read_ram(banks[2], 512)) == \
+        fp.fft_q15(re, im)
+    return trace
+
+
+def _traced_scheduler(**kernel):
+    """A 16-job ``ThroughputScheduler`` stream on two passthrough OCPs."""
+    from repro.rac.scale import PassthroughRac
+    from repro.sched import Job, ThroughputScheduler
+    from repro.system import build_mpsoc
+
+    trace = Trace()
+    soc = build_mpsoc([PassthroughRac(name=f"pt{index}", block_size=8,
+                                      compute_latency=40)
+                       for index in range(2)], trace=trace, **kernel)
+    sched = ThroughputScheduler(soc, batch_jobs=2, queue_bound=4)
+    rng = random.Random(230)
+    jobs = [Job(f"j{index}", "passthrough",
+                [rng.getrandbits(32) for _ in range(8)])
+            for index in range(16)]
+    results = sched.run_stream(jobs)
+    assert [result.outputs for result in results] == \
+        [job.words for job in jobs]
+    return trace
+
+
+TRACED_RUNS = {"figure4": _traced_figure4, "scheduler": _traced_scheduler}
+
+
+def _trace_digest(trace):
+    assert not trace.truncated
+    return {"events": len(trace),
+            "sha256": hashlib.sha256(trace.dump().encode()).hexdigest()}
+
+
+@pytest.mark.parametrize("kernel", [{"idle_skip": False}, {}],
+                         ids=["naive", "fast"])
+@pytest.mark.parametrize("run", sorted(TRACED_RUNS))
+def test_trace_stream_matches_golden(run, kernel):
+    """The whole traced event stream of each run equals the golden,
+    under the naive and the fast schedule."""
+    golden = json.loads(TRACE_GOLDEN.read_text())[run]
+    assert _trace_digest(TRACED_RUNS[run](**kernel)) == golden

@@ -1,8 +1,11 @@
 """Waveform probe (VCD) and per-run attribution coverage."""
 
+import pytest
+
 from repro.core.program import OuProgram
 from repro.obs import attribute_run
 from repro.rac.scale import PassthroughRac
+from repro.sim.errors import ReproError
 from repro.sim.kernel import Component, Simulator
 from repro.sim.tracing import VCDWriter
 from repro.sim.waveform import WaveformProbe, ocp_probe
@@ -128,6 +131,22 @@ def test_attribution_covers_only_the_last_run():
     assert sum(cycles for state, cycles in second.breakdown.items()
                if state != "fifo_stall") <= second.total_cycles
     assert f" {2 * BLOCK} words in 4 instructions" in second.render()
+
+
+def test_attribution_refuses_a_cumulative_default_total():
+    """After a second run on one SoC the simulator's cycle counts both
+    runs, so omitting ``total_cycles`` raises instead of reporting the
+    first run's cycles as the second's control."""
+    soc = SoC(racs=[PassthroughRac(block_size=BLOCK)])
+    first_run = _run_loopback(soc)
+    assert attribute_run(soc).total_cycles == soc.sim.cycle
+    second_run = _run_loopback(soc)
+    assert soc.sim.cycle > second_run.total_cycles
+    with pytest.raises(ReproError, match="started 2 runs.*total_cycles"):
+        attribute_run(soc)
+    report = attribute_run(soc, total_cycles=second_run.total_cycles)
+    assert report.total_cycles == first_run.total_cycles
+    assert report.consistent
 
 
 def test_profile_handles_empty_run():
