@@ -236,10 +236,6 @@ class SystemBus(Component):
     def idle(self) -> bool:
         return self._current is None and not self._pending
 
-    @property
-    def pending_count(self) -> int:
-        return len(self._pending) + (1 if self._current else 0)
-
     def utilization(self) -> float:
         """Fraction of elapsed cycles the bus was occupied."""
         if self.now == 0:

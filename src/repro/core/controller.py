@@ -207,10 +207,6 @@ class OuessantController(Component):
     def errored(self) -> bool:
         return self._state is _State.ERROR
 
-    @property
-    def offset_register(self) -> int:
-        return self._ofr
-
     def _record(self, event: str, **data: object) -> None:
         """Trace an observability event without claiming activity.
 

@@ -18,7 +18,6 @@ from ..rac.base import RAC
 from ..rac.fifo import FIFO
 from ..sim.errors import ConfigurationError, ReconfigurationError
 from ..sim.kernel import Component, Simulator
-from ..utils import bits
 from .controller import OuessantController
 from .interface import OuessantInterface
 
@@ -148,14 +147,6 @@ class OuessantCoprocessor:
     @property
     def done(self) -> bool:
         return self.registers.done
-
-    def load_program(self, memory_write, bank0_base: int, words: List[int]) -> None:
-        """Write microcode at ``bank0_base`` using ``memory_write(addr, words)``.
-
-        Thin helper used by drivers; kept here so the bank-0 convention
-        lives next to the hardware that assumes it.
-        """
-        memory_write(bank0_base, [w & bits.WORD_MASK for w in words])
 
     def soft_reset(self) -> None:
         """Recover from a hung or trapped run without reconfiguring.

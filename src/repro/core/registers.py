@@ -113,9 +113,6 @@ class OuessantRegisters:
             (code & 0xF) << ERR_SHIFT
         )
 
-    def clear_start(self) -> None:
-        self.ctrl &= ~CTRL_S
-
     # -- bank access -----------------------------------------------------
     def bank_base(self, bank: int) -> int:
         """Byte base address of a bank; raises if never configured."""

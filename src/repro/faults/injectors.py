@@ -144,8 +144,10 @@ class FaultyFIFO(FIFO):
     unless given explicitly.
 
     Faulted words take the staging path, whose commit wakes the FIFO's
-    watchers; :meth:`FIFO.push_many` and the streaming RAC's emit slab
-    push word by word into a FIFO that overrides :meth:`push`.
+    watchers.  :meth:`push_many` is overridden to walk the words one at
+    a time, so every push (the controller's bursts and the RAC's emit
+    alike) meets the plan at its own index; a streaming RAC keeps its
+    emit into such a FIFO off the batch lane.
     """
 
     def __init__(
@@ -160,8 +162,13 @@ class FaultyFIFO(FIFO):
         self._events = plan.at_site(self.site) if plan and self.site else []
         self._push_index = -1
 
-    def push(self, value: int) -> None:
+    def push_many(self, values: List[int]) -> None:
+        for value in values:
+            self._push_one(value)
+
+    def _push_one(self, value: int) -> None:
         self._push_index += 1
+        stage = super().push_many
         for event in self._events:
             if event.index != self._push_index:
                 continue
@@ -177,15 +184,15 @@ class FaultyFIFO(FIFO):
                     bit=event.bit % self.width_push,
                 )
             elif event.kind is FaultKind.DUP_WORD:
-                super().push(value)
+                stage([value])
                 if self.can_push():
                     self.stats.incr("faults.duplicated")
                     self.trace_event(
                         "fault.dup_word", index=self._push_index
                     )
-                    super().push(value)
+                    stage([value])
                 return
-        super().push(value)
+        stage([value])
 
 
 class MicrocodeCorruptor(Component):

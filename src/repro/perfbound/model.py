@@ -27,7 +27,6 @@ soundness suite exercises "stall-faulted" runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bus.protocol import AHB, BusProtocol
@@ -91,8 +90,6 @@ class RacTiming:
     items_in: Sequence[int]
     items_out: Sequence[int]
     compute_latency: int
-    input_rate: int
-    output_rate: int
     fifo_depth: int
 
     @staticmethod
@@ -101,22 +98,15 @@ class RacTiming:
             items_in=tuple(rac.items_in),
             items_out=tuple(rac.items_out),
             compute_latency=rac.compute_latency,
-            input_rate=rac.input_rate,
-            output_rate=rac.output_rate,
             fifo_depth=rac.ports.fifo_depth,
         )
 
     @property
     def op_ticks(self) -> int:
-        """Ceiling on one op's RAC progress ticks (collect..emit)."""
-        collect = max(
-            (ceil(n / self.input_rate) for n in self.items_in if n > 0),
-            default=0,
-        )
-        emit = max(
-            (ceil(n / self.output_rate) for n in self.items_out if n > 0),
-            default=0,
-        )
+        """Ceiling on one op's RAC progress ticks (collect..emit): one
+        word per port per tick."""
+        collect = max([0, *self.items_in])
+        emit = max([0, *self.items_out])
         return (collect + self.compute_latency + 1 + emit
                 + OP_SLACK_CYCLES)
 

@@ -14,7 +14,7 @@ HLS-wrapper generator (:mod:`repro.rac.hls`).
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence
 
 from ..sim.errors import ConfigurationError, RACError
 from ..sim.kernel import Component
@@ -135,13 +135,16 @@ class StreamingRAC(RAC):
     compute_latency:
         Cycles between the last input word and the first output word
         (the paper's ``Lat.`` column).
-    input_rate / output_rate:
-        Port words moved per cycle while streaming.
     autostart:
         When True (default) the accelerator consumes input as soon as
         it appears in the FIFOs -- the behaviour Figure 4's microcode
         relies on (eight ``mvtc`` fill transfers before ``execs``).
         When False, collection begins only at ``start_op``.
+
+    Each port moves one word per cycle while streaming.  :meth:`tick`
+    and the hot batch lane's :meth:`tick_batch` share one body,
+    :meth:`_collect` / :meth:`_emit`, which runs a given number of
+    those cycles at once.
     """
 
     kind = "streaming"
@@ -153,8 +156,6 @@ class StreamingRAC(RAC):
         items_out: Sequence[int],
         compute_fn: ComputeFn,
         compute_latency: int = 1,
-        input_rate: int = 1,
-        output_rate: int = 1,
         autostart: bool = True,
         ports: Optional[RACPortSpec] = None,
     ) -> None:
@@ -166,15 +167,11 @@ class StreamingRAC(RAC):
             raise ConfigurationError(f"{name}: port/item count mismatch")
         if compute_latency < 0:
             raise ConfigurationError("compute_latency must be >= 0")
-        if input_rate < 1 or output_rate < 1:
-            raise ConfigurationError("streaming rates must be >= 1")
         super().__init__(name, ports)
         self.items_in = list(items_in)
         self.items_out = list(items_out)
         self.compute_fn = compute_fn
         self.compute_latency = compute_latency
-        self.input_rate = input_rate
-        self.output_rate = output_rate
         self.autostart = autostart
         self._phase = _Phase.DONE
         self._collected: List[List[int]] = []
@@ -235,25 +232,30 @@ class StreamingRAC(RAC):
             else:
                 return
         if self._phase is _Phase.COLLECT:
-            self._tick_collect()
+            self._collect(1)
         elif self._phase is _Phase.COMPUTE:
             self._tick_compute()
         if self._phase is _Phase.EMIT:
-            self._tick_emit()
+            self._emit(1)
 
-    def _tick_collect(self) -> None:
+    def _collect(self, cycles: int) -> None:
+        """``cycles`` collect ticks: each takes one word per input port
+        that still needs one; the tick that takes the last word
+        schedules the compute."""
         done = True
         for port, fifo in enumerate(self.inputs):
-            need = self.items_in[port] - len(self._collected[port])
-            take = min(need, self.input_rate, fifo.occupancy)
+            collected = self._collected[port]
+            take = min(self.items_in[port] - len(collected), cycles,
+                       fifo.occupancy)
             if take:
-                self._collected[port].extend(fifo.pop_many(take))
+                collected.extend(fifo.pop_many(take))
                 self.stats.incr("words_in", take)
-            if len(self._collected[port]) < self.items_in[port]:
+            if len(collected) < self.items_in[port]:
                 done = False
         if done:
             self._phase = _Phase.COMPUTE
-            self._compute_at = self.sim.cycle + 1 + self.compute_latency
+            self._compute_at = (self.sim.cycle + cycles
+                                + self.compute_latency)
             self.trace_event("collect_done")
 
     def _tick_compute(self) -> None:
@@ -276,18 +278,19 @@ class StreamingRAC(RAC):
         self._phase = _Phase.EMIT
         self.trace_event("compute_done")
 
-    def _tick_emit(self) -> None:
+    def _emit(self, cycles: int) -> None:
+        """``cycles`` emit ticks: each pushes one word per output port
+        that has one left and FIFO space; the op ends on the tick of
+        the last push."""
         all_done = True
         for port, fifo in enumerate(self.outputs):
             sent = self._emitted[port]
             total = self.items_out[port]
-            budget = self.output_rate
-            while sent < total and budget and fifo.can_push():
-                fifo.push(self._to_emit[port][sent])
-                sent += 1
-                budget -= 1
-                self.stats.incr("words_out")
-            self._emitted[port] = sent
+            words = min(total - sent, cycles, fifo.free_push_words)
+            if words:
+                fifo.push_many(self._to_emit[port][sent:sent + words])
+                self._emitted[port] = sent = sent + words
+                self.stats.incr("words_out", words)
             if sent < total:
                 all_done = False
         if all_done:
@@ -297,83 +300,59 @@ class StreamingRAC(RAC):
     # -- hot-mode batch lane -------------------------------------------------
     @property
     def can_batch(self) -> bool:  # type: ignore[override]
-        """True while :meth:`tick_batch` would move a slab: a
+        """True while :meth:`tick_batch` would move words: a
         single-stream RAC with input still to collect, or emitting.
 
         Phase transitions (autostart pickup, compute expiry, a tick
-        that completes collection) stay single dispatched cycles: their
-        pushes are staged and need the kernel's commit phase.  A FIFO
-        overriding ``push`` gets no emit slab (as in ``push_many``).
+        that completes collection) stay single dispatched cycles.  An
+        output FIFO overriding ``push_many`` (fault injection) keeps
+        the emit on single ticks, where it sees every word on its
+        naive cycle.
         """
         phase = self._phase
         if phase is _Phase.EMIT:
             return (self._single_stream
-                    and type(self.outputs[0]).push is FIFO.push)
+                    and type(self.outputs[0]).push_many is FIFO.push_many)
         return (phase is _Phase.COLLECT and self._single_stream
                 and len(self._collected[0]) < self.items_in[0])
 
     def batch_span(self, budget: int) -> int:
-        """Cycles :meth:`tick_batch` would consume: the same crossing
-        arithmetic, without moving a word."""
+        """Cycles :meth:`tick_batch` would consume: one per word it can
+        move, ending on the cycle an armed FIFO stall watch crosses
+        (:meth:`FIFO.pop_crossing` / :meth:`FIFO.push_crossing`)."""
         if self._phase is _Phase.COLLECT:
-            return self._collect_slab(budget)[0]
-        return self._emit_slab(budget)[0]
+            fifo = self.inputs[0]
+            ready = min(self.items_in[0] - len(self._collected[0]),
+                        fifo.occupancy)
+            crossing = fifo.pop_crossing()
+        else:
+            fifo = self.outputs[0]
+            ready = min(self.items_out[0] - self._emitted[0],
+                        fifo.free_push_words)
+            crossing = fifo.push_crossing()
+        if crossing is not None and crossing < ready:
+            ready = crossing
+        return min(ready, budget)
 
     def tick_batch(self, budget: int) -> int:
-        """Fast-forward up to ``budget`` consecutive streaming ticks.
+        """Fast-forward :meth:`batch_span` consecutive streaming ticks.
 
-        Granted only in hot mode (no trace) while :attr:`can_batch`
-        holds and every due component is a lane driving its own FIFOs,
-        so nothing can observe the intermediate per-cycle FIFO states;
-        the aggregate state after ``consumed`` cycles is bit-identical
-        to ``consumed`` naive ticks and commits.  Batches are bounded by
-        the armed FIFO stall watches (:meth:`FIFO.pop_crossing` /
-        :meth:`FIFO.push_crossing`) so a stalled controller resumes on
-        exactly the naive cycle.
+        The span runs through the same :meth:`_collect` / :meth:`_emit`
+        body as :meth:`tick`, then commits the one FIFO it moved words
+        through -- exactly the commit a naive cycle would run.  Granted
+        only in hot mode (no trace) while :attr:`can_batch` holds and
+        every due component is a lane driving its own FIFOs, so
+        nothing observes the intermediate per-cycle FIFO states; the
+        span ends where an armed stall watch crosses, so a stalled
+        controller resumes on exactly the naive cycle.
         """
+        cycles = self.batch_span(budget)
         if self._phase is _Phase.COLLECT:
-            return self._batch_collect(budget)
-        return self._batch_emit(budget)
-
-    def _collect_slab(self, budget: int) -> Tuple[int, int]:
-        """``(cycles, words)`` of a collect slab within ``budget``."""
-        fifo = self.inputs[0]
-        ready = min(self.items_in[0] - len(self._collected[0]),
-                    fifo.occupancy)
-        return _slab(ready, self.input_rate, fifo.pop_crossing(), budget)
-
-    def _emit_slab(self, budget: int) -> Tuple[int, int]:
-        """``(cycles, words)`` of an emit slab within ``budget``."""
-        fifo = self.outputs[0]
-        ready = min(self.items_out[0] - self._emitted[0],
-                    fifo.free_push_words)
-        return _slab(ready, self.output_rate, fifo.push_crossing(), budget)
-
-    def _batch_collect(self, budget: int) -> int:
-        cycles, words = self._collect_slab(budget)
-        self._collected[0].extend(self.inputs[0].slab_pop_now(words))
-        self.stats.incr("words_in", words)
-        if len(self._collected[0]) >= self.items_in[0]:
-            # the tick that takes the last word also transitions
-            self._phase = _Phase.COMPUTE
-            self._compute_at = (self.sim.cycle + cycles
-                                + self.compute_latency)
-            self.trace_event("collect_done")
-        return cycles
-
-    def _batch_emit(self, budget: int) -> int:
-        cycles, words = self._emit_slab(budget)
-        fifo = self.outputs[0]
-        sent = self._emitted[0]
-        fifo.slab_push_now(self._to_emit[0][sent:sent + words])
-        fifo.note_high_water()
-        self._emitted[0] = sent + words
-        self.stats.incr("words_out", words)
-        if self._emitted[0] >= self.items_out[0]:
-            # finish on the same tick as the last push, like the
-            # naive emit loop
-            self._phase = _Phase.DONE
-            self._finish_op()
+            self._collect(cycles)
+            self.inputs[0].commit()
+        else:
+            self._emit(cycles)
+            self.outputs[0].commit()
         return cycles
 
     def reset(self) -> None:
@@ -383,16 +362,3 @@ class StreamingRAC(RAC):
         self._to_emit = []
         self._emitted = []
         self._compute_at = 0
-
-
-def _slab(ready: int, rate: int, crossing: Optional[int],
-          budget: int) -> Tuple[int, int]:
-    """``(cycles, words)`` of a one-port slab: move the ``ready`` words
-    at ``rate`` per cycle, but end on the cycle an armed stall watch
-    crosses (``crossing`` words, see :meth:`FIFO.pop_crossing`) and
-    within ``budget`` cycles."""
-    cycles = -(-ready // rate)
-    if crossing is not None:
-        cycles = min(cycles, -(-crossing // rate))
-    cycles = min(cycles, budget)
-    return cycles, min(ready, cycles * rate)

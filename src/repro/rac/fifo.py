@@ -39,6 +39,11 @@ class FIFO(Component):
     Data is re-chunked least-significant-atom first: pushing 32-bit
     words ``w0, w1, w2`` into a 96-bit pop port yields the single word
     ``w2 << 64 | w1 << 32 | w0``.
+
+    One push port and one pop port: every word enters through
+    :meth:`push_many` and leaves through :meth:`pop_many`
+    (:meth:`push` and :meth:`pop` wrap them for single words).  A
+    subclass interposing on the push side overrides :meth:`push_many`.
     """
 
     def __init__(
@@ -112,117 +117,79 @@ class FIFO(Component):
     # -- data --------------------------------------------------------------
     def push(self, value: int) -> None:
         """Stage one push-side word (visible to pop side next cycle)."""
-        if not self.can_push():
-            raise FIFOError(f"push to full FIFO {self.name}")
-        if value < 0 or value >> self.width_push:
-            raise FIFOError(
-                f"value {value:#x} does not fit {self.width_push} bits"
-            )
-        atom_mask = (1 << self._atom_bits) - 1
-        for i in range(self._push_ratio):
-            self._staged.append((value >> (i * self._atom_bits)) & atom_mask)
-        self.stats.incr("pushes")
-        self.poke()
+        self.push_many([value])
 
     def push_many(self, values: List[int]) -> None:
-        """Stage a slab of push-side words in one array operation.
+        """Stage push-side words, visible to the pop side next cycle.
 
-        Semantics are identical to pushing the words one at a time: the
-        accepted prefix stays staged when a later word fails, and the
-        exception raised is the one the per-word loop would raise for
-        the first offending word.
+        The words that fit are staged in order.  A malformed word among
+        them stages the valid prefix and raises naming that word; words
+        past the free space raise "full" once the rest is staged.
         """
-        if type(self).push is not FIFO.push:
-            # a subclass interposes on push (fault injection) -- keep
-            # the per-word path so it sees every word
-            for value in values:
-                self.push(value)
-            return
         n = len(values)
-        if n == 0:
-            return
         fit = min(n, self.free_push_words)
         accepted = values if fit == n else values[:fit]
-        if accepted and (
-            min(accepted) < 0 or max(accepted) >> self.width_push
-        ):
-            # rare slow path: stage the valid prefix and raise at the
-            # first offender, exactly like the per-word loop
-            for value in accepted:
-                self.push(value)  # raises at the offender
-            raise AssertionError("unreachable")  # pragma: no cover
-        if self._push_ratio == 1:
-            self._staged.extend(accepted)
-        else:
-            atom_mask = (1 << self._atom_bits) - 1
-            staged = self._staged
-            for value in accepted:
-                for i in range(self._push_ratio):
-                    staged.append((value >> (i * self._atom_bits)) & atom_mask)
-        self.stats.incr("pushes", fit)
-        self.poke()
+        width = self.width_push
+        if accepted and (min(accepted) < 0 or max(accepted) >> width):
+            bad = next(i for i, value in enumerate(accepted)
+                       if value < 0 or value >> width)
+            self._stage(accepted[:bad])
+            raise FIFOError(
+                f"value {accepted[bad]:#x} does not fit {width} bits"
+            )
+        self._stage(accepted)
         if fit < n:
             raise FIFOError(f"push to full FIFO {self.name}")
 
-    def pop(self) -> int:
-        """Remove and return one pop-side word."""
-        if not self.can_pop():
-            raise FIFOError(f"pop from empty FIFO {self.name}")
-        head = self._head
-        if self._pop_ratio == 1:
-            value = self._atoms[head]
-        else:
-            value = 0
-            for i in range(self._pop_ratio):
-                value |= self._atoms[head + i] << (i * self._atom_bits)
-        self._head = head + self._pop_ratio
-        self._maybe_compact()
-        self.stats.incr("pops")
-        self._pops_pending += 1
-        self.wake_watchers()
-        return value
-
-    def pop_many(self, count: int) -> List[int]:
-        """Remove a slab of pop-side words in one array operation.
-
-        Identical to popping one at a time: if fewer than ``count``
-        words are available the available ones are consumed, then the
-        per-word empty-FIFO error is raised.
-        """
-        if type(self).pop is not FIFO.pop:
-            return [self.pop() for _ in range(count)]
-        if count <= 0:
-            return []
-        avail = self.occupancy
-        take = min(count, avail)
-        values = self._take_words(take)
-        if take < count:
-            raise FIFOError(f"pop from empty FIFO {self.name}")
-        return values
-
-    def _take_words(self, count: int) -> List[int]:
-        """Slab-remove ``count`` available pop-side words (no checks)."""
-        if count <= 0:
-            return []
-        head = self._head
-        ratio = self._pop_ratio
-        end = head + count * ratio
-        if ratio == 1:
-            values = self._atoms[head:end]
+    def _stage(self, values: List[int]) -> None:
+        """Stage well-formed words that fit (split into atoms)."""
+        if not values:
+            return
+        if self._push_ratio == 1:
+            self._staged.extend(values)
         else:
             bits = self._atom_bits
-            atoms = self._atoms
-            values = []
-            for base in range(head, end, ratio):
-                value = 0
-                for i in range(ratio):
-                    value |= atoms[base + i] << (i * bits)
-                values.append(value)
-        self._head = end
-        self._maybe_compact()
-        self.stats.incr("pops", count)
-        self._pops_pending += count
-        self.wake_watchers()
+            atom_mask = (1 << bits) - 1
+            staged = self._staged
+            for value in values:
+                for i in range(self._push_ratio):
+                    staged.append((value >> (i * bits)) & atom_mask)
+        self.stats.incr("pushes", len(values))
+        self.poke()
+
+    def pop(self) -> int:
+        """Remove and return one pop-side word."""
+        return self.pop_many(1)[0]
+
+    def pop_many(self, count: int) -> List[int]:
+        """Remove ``count`` pop-side words in order.
+
+        If fewer are available, the available ones are consumed (and
+        counted), then the empty-FIFO error is raised.
+        """
+        take = min(count, self.occupancy)
+        values: List[int] = []
+        if take > 0:
+            head = self._head
+            ratio = self._pop_ratio
+            end = head + take * ratio
+            if ratio == 1:
+                values = self._atoms[head:end]
+            else:
+                bits = self._atom_bits
+                atoms = self._atoms
+                for base in range(head, end, ratio):
+                    value = 0
+                    for i in range(ratio):
+                        value |= atoms[base + i] << (i * bits)
+                    values.append(value)
+            self._head = end
+            self._maybe_compact()
+            self.stats.incr("pops", take)
+            self._pops_pending += take
+            self.wake_watchers()
+        if take < count:
+            raise FIFOError(f"pop from empty FIFO {self.name}")
         return values
 
     def _maybe_compact(self) -> None:
@@ -286,41 +253,6 @@ class FIFO(Component):
         if need <= 0:
             return 1
         return max(1, -(-need // self._push_ratio))
-
-    # -- hot-mode slab transfers -------------------------------------------
-    def slab_push_now(self, values: List[int]) -> None:
-        """Publish a slab directly (hot batch lane only; no staging).
-
-        Only legal inside a batch-lane slab: every component executing
-        is a lane, and no other lane drives this FIFO (the kernel's
-        batch grant), so nothing can observe the intermediate states
-        and skipping the stage/commit round trip is unobservable.  High-water marks are reconciled by the
-        caller via :meth:`note_high_water` at batch end (occupancy is
-        monotone within one batch direction).
-        """
-        atoms = self._atoms
-        if self._push_ratio == 1:
-            atoms.extend(values)
-        else:
-            atom_mask = (1 << self._atom_bits) - 1
-            for value in values:
-                for i in range(self._push_ratio):
-                    atoms.append((value >> (i * self._atom_bits)) & atom_mask)
-        self.stats.incr("pushes", len(values))
-        self.wake_watchers()
-
-    def slab_pop_now(self, count: int) -> List[int]:
-        """Slab-remove without the trace round trip (hot batch lane)."""
-        values = self._take_words(count)
-        self._pops_pending = 0  # hot mode: no trace flush to schedule
-        return values
-
-    def note_high_water(self) -> None:
-        """Fold the current occupancy into the high-water gauges."""
-        occupancy = self.occupancy_atoms
-        self.stats.maximize("max_occupancy_atoms", occupancy)
-        if occupancy > self.high_water_atoms:
-            self.high_water_atoms = occupancy
 
     # -- clocked behaviour ------------------------------------------------
     def next_activity(self):

@@ -36,9 +36,10 @@ cache once per event, and
 * -- when no trace is attached and every due component can batch --
   advances each of those *lanes* by one common span of cycles in one
   host call per lane (:meth:`Component.batch_span` /
-  :meth:`Component.tick_batch`, the FIFO slab transfers).  Lanes run
-  together only while they drive pairwise disjoint sets of registered
-  components, so no lane can observe another's intermediate states.
+  :meth:`Component.tick_batch`: a streaming RAC moving a span's FIFO
+  words in one call).  Lanes run together only while they drive
+  pairwise disjoint sets of registered components, so no lane can
+  observe another's intermediate states.
 
 A skipped cycle leaves no accounting behind: components keep their
 self-timed values as absolute cycles (a compute deadline, a ``wait``
@@ -165,11 +166,12 @@ class Component:
         (can batch), the lanes drive pairwise disjoint sets of
         registered components, and no other component wakes for at
         least ``budget`` cycles.  No commit phase follows, so the
-        implementation must be cycle-for-cycle equivalent to that many
-        naive ticks *and commits* and must return early (the count
-        actually consumed, at least 1) at any tick whose effects could
-        wake another component -- poking it so the kernel re-polls at
-        the exact naive cycle.  The kernel passes the span granted by
+        lane commits what it touched itself (a streaming RAC commits
+        the one FIFO it moved words through): the result must equal
+        that many naive ticks *and commits*, and the span must end
+        (at least 1 cycle) at any tick whose effects could wake
+        another component -- poking it so the kernel re-polls at the
+        exact naive cycle.  The kernel passes the span granted by
         :meth:`batch_span` and requires it consumed exactly.
         """
         self.tick()

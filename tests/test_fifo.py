@@ -188,3 +188,45 @@ def test_random_push_pop_interleaving_is_fifo(data):
     fifo.commit()
     remaining = fifo.drain()
     assert remaining == list(range(popped, pushed))
+
+
+def test_push_many_stages_the_valid_prefix_then_names_the_malformed_word():
+    fifo = FIFO("f", width_push=16, width_pop=16, depth=8)
+    with pytest.raises(FIFOError, match="0x10000"):
+        fifo.push_many([1, 2, 1 << 16, 4])
+    assert fifo.stats["pushes"] == 2
+    fifo.commit()
+    assert fifo.drain() == [1, 2]
+
+
+def test_malformed_word_inside_the_fitting_part_wins_over_full():
+    fifo = FIFO("f", width_push=16, width_pop=16, depth=2)
+    with pytest.raises(FIFOError, match="does not fit"):
+        fifo.push_many([1, -1, 3])
+    fifo.commit()
+    assert fifo.drain() == [1]
+    # past the part that fits, "full" is what the caller hears
+    fifo.push_many([5, 6])
+    with pytest.raises(FIFOError, match="full"):
+        fifo.push_many([1 << 16])
+
+
+def test_push_on_a_full_fifo_raises_full():
+    fifo = FIFO("f", depth=1)
+    fifo.push(1)
+    with pytest.raises(FIFOError, match="push to full FIFO f"):
+        fifo.push(2)
+    assert fifo.stats["pushes"] == 1
+
+
+def test_pop_many_short_consumes_counts_then_raises():
+    fifo = FIFO("f", depth=8)
+    fifo.push_many([1, 2, 3])
+    fifo.commit()
+    with pytest.raises(FIFOError, match="pop from empty FIFO f"):
+        fifo.pop_many(5)
+    assert fifo.empty
+    assert fifo.stats["pops"] == 3
+    fifo.push(4)
+    fifo.commit()
+    assert fifo.pop() == 4

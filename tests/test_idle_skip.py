@@ -880,6 +880,52 @@ def test_hang_fault_eats_a_completion_raised_by_a_batch_slab():
     assert delayed  # some windows really held a completion back
 
 
+
+def _run_dup_out(idle_skip, index, depth):
+    """A loopback block whose output FIFO duplicates its ``index``-th
+    push: the fault lands mid-emit, where a plain FIFO would let the
+    hot batch lane move the whole emit in one slab."""
+    from repro.rac.scale import PassthroughRac
+
+    plan = FaultPlan(events=[
+        FaultEvent(FaultKind.DUP_WORD, "fifo.out0", index=index),
+    ])
+    soc = SoC(idle_skip=idle_skip)
+    rac = PassthroughRac(block_size=16, fifo_depth=depth)
+    ocp = soc.add_ocp(rac, fifo_factory=faulty_fifo_factory(plan))
+    program = OuProgram().stream_to(1, 16).execs().stream_from(2, 16).eop()
+    soc.write_ram(IN, list(range(100, 116)))
+    soc.write_ram(PROG, program.words())
+    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
+        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
+    ocp.interface.write_word(REG_PROG_SIZE, len(program))
+    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    soc.run_until(lambda: ocp.done, max_cycles=5_000)
+    return {
+        "cycle": soc.sim.cycle,
+        "memory": soc.read_ram(OUT, 16),
+        "residual": ocp.fifos_out[0].drain(),
+        "controller_stats": ocp.controller.stats.as_dict(),
+        "bus_stats": soc.bus.stats.as_dict(),
+        "rac_stats": rac.stats.as_dict(),
+        "fifo_stats": [fifo.stats.as_dict()
+                       for fifo in ocp.fifos_in + ocp.fifos_out],
+    }, soc.sim.profile()
+
+
+@pytest.mark.parametrize("depth", [4, 64])
+@pytest.mark.parametrize("index", [1, 9])
+def test_dup_word_mid_emit_matches_naive(index, depth):
+    """A ``DUP_WORD`` on ``fifo.out0`` in the middle of the RAC's emit:
+    a FIFO that interposes on its pushes keeps the emit off the batch
+    lane, so hot runs match naive in outputs, statistics and cycles."""
+    naive, _ = _run_dup_out(False, index, depth)
+    hot, hot_prof = _run_dup_out(True, index, depth)
+    assert naive["fifo_stats"][1]["faults.duplicated"] == 1
+    assert naive["memory"][index:index + 2] == [100 + index] * 2
+    assert hot == naive
+    assert hot_prof.batched > 0  # the collect side still batches
+
 # -- trace-free hot mode (tentpole: spans compile down to counters) ---------
 
 def test_hot_mode_counters_match_trace_derived_values():

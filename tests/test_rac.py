@@ -144,8 +144,6 @@ def test_streaming_rac_parameter_validation():
     with pytest.raises(ConfigurationError):
         StreamingRAC("x", [1], [1], lambda c: c, compute_latency=-1)
     with pytest.raises(ConfigurationError):
-        StreamingRAC("x", [1], [1], lambda c: c, input_rate=0)
-    with pytest.raises(ConfigurationError):
         StreamingRAC("x", [1], [1], lambda c: c,
                      ports=RACPortSpec([32, 32], [32]))
 
