@@ -156,8 +156,8 @@ def _run_ocp(
     from .perfbound.model import CostModel
 
     report = attribute_run(soc)
-    bound = bound_program(list(program.instructions), ocp.rac,
-                          model=CostModel(protocol=protocol))
+    model = CostModel.of_ocp(ocp, protocol, soc.memory.access_latency)
+    bound = bound_program(list(program.instructions), ocp.rac, model=model)
     check = compare_attribution(report, bound)
     perfbound = {
         "predicted_lo": int(bound.total.lo),

@@ -283,17 +283,15 @@ def _cmd_racecheck(args: argparse.Namespace) -> int:
                     "'size'"
                 )
             words = [0] * size
-        elif not _is_int_list(words):
-            raise ReproError(
-                f"job #{position}: 'words' must be a list of integers, "
-                f"got {words!r}"
-            )
-        jobs.append(Job(
-            str(entry.get("id", f"job{position}")),
-            str(entry["kind"]),
-            words,
-            chain=entry.get("chain"),
-        ))
+        try:
+            jobs.append(Job(
+                str(entry.get("id", f"job{position}")),
+                str(entry["kind"]),
+                words,
+                chain=entry.get("chain"),
+            ))
+        except ReproError as exc:
+            raise ReproError(f"job #{position}: {exc}") from None
     if not jobs:
         raise ReproError("stream file has no jobs")
     batch_jobs = (args.batch_jobs if args.batch_jobs is not None

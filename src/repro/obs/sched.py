@@ -110,16 +110,14 @@ def attribute_schedule(scheduler) -> ScheduleReport:
     waits: Dict[int, List[int]] = {}
     for result in scheduler.completed.values():
         waits.setdefault(result.ocp_index, []).append(result.wait_cycles)
-    predict = getattr(scheduler, "predicted_job_cycles", None)
-    pending = getattr(scheduler, "pending_cycles", None)
     done_cycles: Dict[int, int] = {}
-    if predict is not None:
-        slot_by_index = {slot.index: slot for slot in scheduler.slots}
-        for result in scheduler.completed.values():
-            done_cycles[result.ocp_index] = (
-                done_cycles.get(result.ocp_index, 0)
-                + predict(result.job, slot_by_index[result.ocp_index])
-            )
+    slot_by_index = {slot.index: slot for slot in scheduler.slots}
+    for result in scheduler.completed.values():
+        done_cycles[result.ocp_index] = (
+            done_cycles.get(result.ocp_index, 0)
+            + scheduler.predicted_job_cycles(
+                result.job, slot_by_index[result.ocp_index])
+        )
     for slot in scheduler.slots:
         slot_waits = waits.get(slot.index, [])
         in_flight = len(slot.batch.jobs) if slot.batch else 0
@@ -139,8 +137,7 @@ def attribute_schedule(scheduler) -> ScheduleReport:
             mean_wait=(sum(slot_waits) / len(slot_waits)
                        if slot_waits else 0.0),
             pending_jobs=len(slot.queue) + in_flight,
-            est_pending_cycles=(pending(slot.index)
-                                if pending is not None else 0),
+            est_pending_cycles=scheduler.pending_cycles(slot.index),
             predicted_done_cycles=done_cycles.get(slot.index, 0),
         ))
     return ScheduleReport(

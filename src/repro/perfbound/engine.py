@@ -20,7 +20,7 @@ timing contract) are *refused* with OU300 rather than mis-bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import ceil
 from typing import Dict, Iterable, Optional, Sequence
 
@@ -227,11 +227,7 @@ def bound_program(
     if model is None:
         model = CostModel(rac=timing)
     elif model.rac is None and timing is not None:
-        model = CostModel(
-            protocol=model.protocol, mem_latency=model.mem_latency,
-            rac=timing, ibuf_size=model.ibuf_size,
-            prefetch=model.prefetch, masters=model.masters,
-        )
+        model = replace(model, rac=timing)
 
     if timing is not None:
         for index, instr in enumerate(program):

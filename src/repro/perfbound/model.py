@@ -27,7 +27,7 @@ soundness suite exercises "stall-faulted" runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..bus.protocol import AHB, BusProtocol
 from ..core.isa import (
@@ -38,6 +38,9 @@ from ..core.isa import (
 )
 from ..rac.base import StreamingRAC
 from ..verify.domain import INF, Interval
+
+if TYPE_CHECKING:
+    from ..core.coprocessor import OuessantCoprocessor
 
 #: cost buckets, matching Fig. 4 / ``repro.obs.attribution``
 TRANSFER = "transfer"
@@ -131,6 +134,25 @@ class CostModel:
         if self.mem_latency.lo < 0 or self.mem_latency.hi == INF:
             raise ValueError(
                 "mem_latency must be a bounded non-negative interval")
+
+    @staticmethod
+    def of_ocp(
+        ocp: "OuessantCoprocessor", protocol: BusProtocol, mem_latency: int
+    ) -> "CostModel":
+        """The model of an elaborated OCP behind ``protocol`` and a
+        memory of latency ``mem_latency``: its streaming RAC's timing
+        contract (``None`` for any other RAC) and its controller's
+        instruction-buffer size and prefetch policy."""
+        rac = ocp.rac
+        controller = ocp.controller
+        return CostModel(
+            protocol=protocol,
+            mem_latency=Interval.point(mem_latency),
+            rac=(RacTiming.of(rac) if isinstance(rac, StreamingRAC)
+                 else None),
+            ibuf_size=controller.ibuf_size,
+            prefetch=controller.prefetch,
+        )
 
     # -- per-site costs ---------------------------------------------------
     def _lat(self) -> Tuple[int, int]:

@@ -15,11 +15,14 @@ Entry points:
 * :class:`RaceChecker` -- the incremental core, driven per submission
   by :class:`~repro.sched.scheduler.ThroughputScheduler` when
   ``racecheck=`` is enabled;
-* :class:`StreamModel` / :class:`SlotPlan` -- the placement model.
+* :class:`StreamModel` -- the placement model, over the scheduler's
+  own slot plans (:class:`SlotPlan` and ``ARENA_REGION_BYTES`` are
+  re-exported here).
 """
 
+from ..sched.scheduler import ARENA_REGION_BYTES, SlotPlan
 from .engine import ProgramFactory, RaceChecker, check_stream
-from .model import ARENA_REGION_BYTES, SlotPlan, StreamModel
+from .model import StreamModel
 
 __all__ = [
     "ARENA_REGION_BYTES",

@@ -48,10 +48,10 @@ from ..core.program import OuProgram
 from ..sched.batch import IN_BANK, OUT_BANK, PROG_BANK, job_program
 from ..sched.capability import CapabilityTable
 from ..sched.job import Job
-from ..sched.scheduler import ARENA_WORDS
+from ..sched.scheduler import ARENA_WORDS, SlotPlan
 from ..verify.diagnostics import Finding, VerifyReport, make_finding
 from ..verify.footprint import ByteRange, program_footprint
-from .model import SlotPlan, StreamModel
+from .model import StreamModel
 
 #: builds the microcode racelint analyzes for one job (offset 0: the
 #: widening below accounts for batch-relative placement)

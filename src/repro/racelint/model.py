@@ -4,10 +4,13 @@
 needs to know about *where* a job's bytes can land, without running a
 single cycle:
 
-* one :class:`SlotPlan` per OCP the capability table can route to --
-  its arena bases (the scheduler's program/input/output staging
-  regions), its register window and its feasibility limits (RAC
-  appetite, output-FIFO depth);
+* one :class:`~repro.sched.scheduler.SlotPlan` per OCP the capability
+  table can route to -- its arena bases (the scheduler's
+  program/input/output staging regions), its register window and its
+  feasibility limits (RAC appetite, output-FIFO depth).  The plans are
+  the scheduler's own: :meth:`SlotPlan.of
+  <repro.sched.scheduler.SlotPlan.of>` lays them out for both, and
+  :func:`~repro.sched.scheduler.feasible_slots` is the one fit rule;
 * the capability table itself (kind -> serving OCP indices);
 * the batching degree (``batch_jobs``) that widens per-job arena
   offsets;
@@ -22,47 +25,18 @@ list plus the default memory-map layout, before any elaboration
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..core.coprocessor import OuessantCoprocessor
 from ..sched.capability import CapabilityTable
 from ..sched.job import Job
 from ..sched.scheduler import (
-    ARENA_WORDS,
     SCHED_ARENA_BASE_OFFSET,
     SCHED_ARENA_STRIDE,
+    SlotPlan,
+    feasible_slots,
 )
 from ..sim.errors import ConfigurationError
 from ..verify.footprint import ByteRange
-
-#: byte size of each per-slot arena region (program, input, output)
-ARENA_REGION_BYTES = 4 * ARENA_WORDS
-
-
-@dataclass(frozen=True)
-class SlotPlan:
-    """Placement facts for one OCP the scheduler can dispatch to."""
-
-    index: int
-    kind: str
-    appetite: int
-    max_job_words: int
-    prog_base: int
-    in_base: int
-    out_base: int
-    reg_base: int
-    reg_bytes: int
-
-    def feasible(self, job: Job) -> bool:
-        """Mirror of the scheduler's physical-fit test for ``job``."""
-        return (job.size % max(1, self.appetite) == 0
-                and job.size <= self.max_job_words)
-
-
-def _rac_appetite(rac: Any) -> int:
-    items_in = getattr(rac, "items_in", None)
-    return int(items_in[0]) if items_in else 1
 
 
 class StreamModel:
@@ -92,20 +66,8 @@ class StreamModel:
     @classmethod
     def from_scheduler(cls, scheduler: Any) -> "StreamModel":
         """Extract the model from a live :class:`ThroughputScheduler`."""
-        slots: Dict[int, SlotPlan] = {}
-        for slot in scheduler.slots:
-            rac = slot.ocp.rac
-            slots[slot.index] = SlotPlan(
-                index=slot.index,
-                kind=str(rac.kind),
-                appetite=_rac_appetite(rac),
-                max_job_words=int(slot.max_job_words),
-                prog_base=int(slot.prog_base),
-                in_base=int(slot.in_base),
-                out_base=int(slot.out_base),
-                reg_base=int(slot.reg_base),
-                reg_bytes=OuessantCoprocessor.WINDOW_BYTES,
-            )
+        slots: Dict[int, SlotPlan] = {
+            slot.index: slot.plan for slot in scheduler.slots}
         soc = scheduler.soc
         from ..system import RAM_BASE
         ram = ByteRange(RAM_BASE, RAM_BASE + int(soc.memory.size_bytes),
@@ -147,11 +109,12 @@ class StreamModel:
         """Model a *planned* (unelaborated) SoC: a RAC list plus the
         default memory-map layout.
 
-        Mirrors the geometry :func:`repro.system.build_mpsoc` and the
-        scheduler would produce, so hazards are caught before spending
-        any elaboration or simulation time.
+        Each slot is the plan the scheduler would build over
+        :func:`repro.system.build_mpsoc` of ``racs`` -- the same
+        :meth:`SlotPlan.of` lays out both -- so hazards are caught
+        before spending any elaboration or simulation time.
         """
-        from ..system import OCP_BASE, RAM_BASE, RAM_SIZE
+        from ..system import RAM_BASE, RAM_SIZE
         if not racs:
             raise ConfigurationError(
                 "cannot model a stream with no planned RACs")
@@ -159,12 +122,9 @@ class StreamModel:
                 if arena_base is None else arena_base)
         stride = (SCHED_ARENA_STRIDE if arena_stride is None
                   else arena_stride)
-        kinds = [str(rac.kind) for rac in racs]
         if capability is None:
-            table: Dict[str, List[int]] = {}
-            for index, kind in enumerate(kinds):
-                table.setdefault(kind, []).append(index)
-            capability = CapabilityTable(table)
+            capability = CapabilityTable.of_kinds(
+                [str(rac.kind) for rac in racs])
         slots: Dict[int, SlotPlan] = {}
         for index in capability.indices():
             if not 0 <= index < len(racs):
@@ -172,21 +132,8 @@ class StreamModel:
                     f"capability table routes to OCP {index}, but only "
                     f"{len(racs)} RAC(s) are planned"
                 )
-            rac = racs[index]
-            arena = base + index * stride
-            depth = int(rac.ports.fifo_depth)
-            slots[index] = SlotPlan(
-                index=index,
-                kind=kinds[index],
-                appetite=_rac_appetite(rac),
-                max_job_words=min(depth, ARENA_WORDS),
-                prog_base=arena,
-                in_base=arena + ARENA_REGION_BYTES,
-                out_base=arena + 2 * ARENA_REGION_BYTES,
-                reg_base=(OCP_BASE
-                          + index * OuessantCoprocessor.WINDOW_BYTES),
-                reg_bytes=OuessantCoprocessor.WINDOW_BYTES,
-            )
+            slots[index] = SlotPlan.of(
+                index, racs[index], base + index * stride)
         size = RAM_SIZE if ram_size is None else ram_size
         ram = ByteRange(RAM_BASE, RAM_BASE + size, "ram")
         return cls(slots, capability, batch_jobs=batch_jobs,
@@ -201,18 +148,7 @@ class StreamModel:
         any serving slot with queue space, so the may-happen-in-
         parallel relation must consider them all.
         """
-        out: List[int] = []
-        for index in self.capability.serving(job.kind):
-            slot = self.slots.get(index)
-            if slot is not None and slot.feasible(job):
-                out.append(index)
-        if not out:
-            raise ConfigurationError(
-                f"job {job.job_id} ({job.kind}, {job.size} words) fits "
-                "no serving OCP (size must be a multiple of the RAC "
-                "block size and fit its output FIFO)"
-            )
-        return tuple(out)
+        return feasible_slots(job, self.capability, self.slots)
 
     def in_ram(self, span: ByteRange) -> bool:
         return any(region.contains(span) for region in self.ram_ranges)

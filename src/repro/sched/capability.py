@@ -33,16 +33,22 @@ class CapabilityTable:
             self._table[kind] = tuple(dict.fromkeys(int(i) for i in indices))
 
     @classmethod
-    def from_soc(cls, soc) -> "CapabilityTable":
-        """Derive the full table from an elaborated SoC."""
+    def of_kinds(cls, kinds: Sequence[str]) -> "CapabilityTable":
+        """The full table of a lineup where OCP ``i`` serves
+        ``kinds[i]``."""
         table: Dict[str, List[int]] = {}
-        for index, ocp in enumerate(soc.ocps):
-            table.setdefault(ocp.rac.kind, []).append(index)
+        for index, kind in enumerate(kinds):
+            table.setdefault(kind, []).append(index)
         if not table:
             raise ConfigurationError(
                 "cannot build a capability table: the SoC has no OCPs"
             )
         return cls(table)
+
+    @classmethod
+    def from_soc(cls, soc) -> "CapabilityTable":
+        """Derive the full table from an elaborated SoC."""
+        return cls.of_kinds([ocp.rac.kind for ocp in soc.ocps])
 
     @property
     def kinds(self) -> Tuple[str, ...]:

@@ -2,10 +2,11 @@
 
 A :class:`Job` is one accelerator invocation: a kernel kind (matched
 against RAC ``kind`` strings through the capability table), a block of
-input words, and an optional *chain* tag.  Jobs sharing a chain form a
-dependency sequence: the scheduler pins the chain to one OCP and never
-reorders its members, so chained outputs are produced in submission
-order even under batching.
+unsigned 32-bit input words (checked when the job is built, so every
+submission path refuses a bad word), and an optional *chain* tag.
+Jobs sharing a chain form a dependency sequence: the scheduler pins
+the chain to one OCP and never reorders its members, so chained
+outputs are produced in submission order even under batching.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from ..sim.errors import ConfigurationError
+from ..utils.bits import WORD_MASK
 
 
 @dataclass(frozen=True)
@@ -26,8 +28,20 @@ class Job:
     chain: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if not self.words:
-            raise ConfigurationError(f"job {self.job_id} has no input words")
+        words = self.words
+        if not isinstance(words, list) or not words:
+            raise ConfigurationError(
+                f"job {self.job_id}: words must be a non-empty list of "
+                f"integers, got {words!r}"
+            )
+        for position, word in enumerate(words):
+            # a bus word is an unsigned 32-bit int (a bool is not one)
+            if (isinstance(word, bool) or not isinstance(word, int)
+                    or not 0 <= word <= WORD_MASK):
+                raise ConfigurationError(
+                    f"job {self.job_id}: word #{position} ({word!r}) is "
+                    "not an unsigned 32-bit integer"
+                )
 
     @property
     def size(self) -> int:

@@ -20,9 +20,11 @@ backoff.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..bus.types import AccessKind, BusRequest, BusTransfer
+from ..core.coprocessor import OuessantCoprocessor
 from ..core.registers import (
     CTRL_E,
     CTRL_IE,
@@ -36,6 +38,7 @@ from ..core.registers import (
 from ..sim.errors import ConfigurationError, ReproError
 from ..sim.kernel import Component
 from ..sim.tracing import elapsed
+from ..system import RAM_BASE, ocp_base
 from ..verify.diagnostics import (
     Finding,
     VerifyReport,
@@ -50,6 +53,8 @@ from .job import Job, JobResult
 SCHED_ARENA_BASE_OFFSET = 0x0020_0000
 SCHED_ARENA_STRIDE = 0x0004_0000
 ARENA_WORDS = 0x0001_0000 // 4
+#: byte size of each per-slot arena region (program, input, output)
+ARENA_REGION_BYTES = 4 * ARENA_WORDS
 
 #: back-off growth cap: retries never sleep longer than this
 MAX_BACKOFF_CYCLES = 1 << 14
@@ -79,27 +84,83 @@ class SlaRejectionError(SchedulerError):
     """
 
 
+@dataclass(frozen=True)
+class SlotPlan:
+    """Placement facts for one OCP the scheduler can dispatch to.
+
+    The one owner of an OCP's arena layout, register window and job
+    fit: the scheduler dispatches by it and :mod:`repro.racelint`
+    analyzes by it.
+    """
+
+    index: int
+    kind: str
+    appetite: int
+    max_job_words: int
+    prog_base: int
+    in_base: int
+    out_base: int
+    reg_base: int
+    reg_bytes: int
+
+    @classmethod
+    def of(cls, index: int, rac: Any, arena: int) -> "SlotPlan":
+        """The plan of OCP ``index`` hosting ``rac``, with its program,
+        input and output arenas laid out from ``arena`` upwards."""
+        items_in = getattr(rac, "items_in", None)
+        return cls(
+            index=index,
+            kind=str(rac.kind),
+            appetite=int(items_in[0]) if items_in else 1,
+            # a whole job's output must fit in the out FIFO: the batched
+            # program interleaves push/start/drain per job, so a job
+            # larger than the drainless FIFO capacity could deadlock
+            max_job_words=min(int(rac.ports.fifo_depth), ARENA_WORDS),
+            prog_base=arena,
+            in_base=arena + ARENA_REGION_BYTES,
+            out_base=arena + 2 * ARENA_REGION_BYTES,
+            reg_base=ocp_base(index),
+            reg_bytes=OuessantCoprocessor.WINDOW_BYTES,
+        )
+
+    def feasible(self, job: Job) -> bool:
+        """Can this OCP physically run ``job``?"""
+        return (job.size % max(1, self.appetite) == 0
+                and job.size <= self.max_job_words)
+
+
+def feasible_slots(
+    job: Job, capability: CapabilityTable, plans: Mapping[int, SlotPlan],
+) -> Tuple[int, ...]:
+    """Indices of the serving OCPs whose plan fits ``job``.
+
+    Raises :class:`ConfigurationError` when none does.
+    """
+    fits = tuple(index for index in capability.serving(job.kind)
+                 if index in plans and plans[index].feasible(job))
+    if not fits:
+        raise ConfigurationError(
+            f"job {job.job_id} ({job.kind}, {job.size} words) fits "
+            "no serving OCP (size must be a multiple of the RAC "
+            "block size and fit its output FIFO)"
+        )
+    return fits
+
+
 class _OcpSlot:
     """Per-OCP dispatch state (queue + in-flight batch FSM)."""
 
     __slots__ = (
-        "index", "ocp", "reg_base", "prog_base", "in_base", "out_base",
-        "max_job_words", "queue", "state", "batch", "writes", "transfer",
-        "resume_at", "jobs_done", "batches_done", "retries", "_busy",
-        "_busy_since", "queue_high_water", "master",
+        "index", "ocp", "plan", "queue", "state", "batch", "writes",
+        "transfer", "resume_at", "jobs_done", "batches_done", "retries",
+        "_busy", "_busy_since", "queue_high_water", "master",
     )
 
-    def __init__(self, index: int, ocp, reg_base: int, arena: int) -> None:
+    def __init__(self, ocp, plan: SlotPlan) -> None:
+        index = plan.index
         self.index = index
         self.ocp = ocp
-        self.reg_base = reg_base
-        self.prog_base = arena
-        self.in_base = arena + 0x1_0000
-        self.out_base = arena + 0x2_0000
-        # a whole job's output must fit in the out FIFO: the batched
-        # program interleaves push/start/drain per job, so a job larger
-        # than the drainless FIFO capacity could deadlock the engine
-        self.max_job_words = min(ocp.fifos_out[0].depth, ARENA_WORDS)
+        self.plan = plan
         self.queue: Deque[Tuple[Job, int]] = deque()
         self.state = "idle"
         self.batch: Optional[Batch] = None
@@ -293,11 +354,10 @@ class ThroughputScheduler(Component):
         self.max_retries = max_retries
         self.backoff_cycles = backoff_cycles
 
-        from ..system import RAM_BASE
-        self.arena_base = (RAM_BASE + SCHED_ARENA_BASE_OFFSET
-                           if arena_base is None else arena_base)
-        self.arena_stride = (SCHED_ARENA_STRIDE if arena_stride is None
-                             else arena_stride)
+        if arena_base is None:
+            arena_base = RAM_BASE + SCHED_ARENA_BASE_OFFSET
+        if arena_stride is None:
+            arena_stride = SCHED_ARENA_STRIDE
         if racecheck not in ("off", "submit", "warn"):
             raise ConfigurationError(
                 "racecheck must be 'off', 'submit' or 'warn', "
@@ -309,12 +369,14 @@ class ThroughputScheduler(Component):
         self._racechecked: Dict[
             Tuple[str, str, int, Optional[str]], List[Finding]
         ] = {}
+        self._plans: Dict[int, SlotPlan] = {}
         self._slots: Dict[int, _OcpSlot] = {}
         for index in self.capability.indices():
-            arena = self.arena_base + index * self.arena_stride
-            self._slots[index] = _OcpSlot(
-                index, soc.ocps[index], soc.ocp_base(index), arena
-            )
+            ocp = soc.ocps[index]
+            plan = SlotPlan.of(index, ocp.rac,
+                               arena_base + index * arena_stride)
+            self._plans[index] = plan
+            self._slots[index] = _OcpSlot(ocp, plan)
         self._chains: Dict[str, int] = {}
         self._pending_meta: Dict[str, Tuple[int, int]] = {}
         #: ids of the jobs waiting in any slot queue
@@ -336,21 +398,9 @@ class ThroughputScheduler(Component):
     # -- submission (called from outside the clock) -----------------------
     def _feasible(self, job: Job) -> List[_OcpSlot]:
         """Slots whose RAC can physically run this job."""
-        slots = []
-        for index in self.capability.serving(job.kind):
-            slot = self._slots[index]
-            rac = slot.ocp.rac
-            appetite = rac.items_in[0] if rac.items_in else 1
-            if job.size % max(1, appetite) == 0 and \
-                    job.size <= slot.max_job_words:
-                slots.append(slot)
-        if not slots:
-            raise ConfigurationError(
-                f"job {job.job_id} ({job.kind}, {job.size} words) fits "
-                "no serving OCP (size must be a multiple of the RAC "
-                "block size and fit its output FIFO)"
-            )
-        return slots
+        slots = self._slots
+        return [slots[index] for index in
+                feasible_slots(job, self.capability, self._plans)]
 
     def _candidates(self, job: Job) -> List[_OcpSlot]:
         """Slots that may take this job, queue space aside.
@@ -382,8 +432,8 @@ class ThroughputScheduler(Component):
     # -- static race checking ---------------------------------------------
     def _race_checker(self):
         if self._racechecker is None:
-            # local import: racelint imports this module for the arena
-            # geometry constants
+            # local import: racelint imports this module for the slot
+            # plans
             from ..racelint import RaceChecker, StreamModel
             self._racechecker = RaceChecker(
                 StreamModel.from_scheduler(self))
@@ -433,29 +483,19 @@ class ThroughputScheduler(Component):
         key = (job.kind, job.size, slot.index)
         if key in self._cost_cache:
             return self._cost_cache[key]
-        from ..perfbound import CostModel, RacTiming, bound_program
-        from ..rac.base import StreamingRAC
-        from ..verify.domain import Interval
+        from ..perfbound import CostModel, bound_program
         from .batch import job_program
 
         bounds: Optional[Tuple[int, int]] = None
-        rac = slot.ocp.rac
-        if isinstance(rac, StreamingRAC):
-            controller = slot.ocp.controller
-            model = CostModel(
-                protocol=self._soc.bus.protocol,
-                mem_latency=Interval.point(
-                    getattr(self._soc.memory, "access_latency", 1)),
-                rac=RacTiming.of(rac),
-                ibuf_size=controller.ibuf_size,
-                prefetch=controller.prefetch,
-            )
-            program = job_program(job, 0, 0, chunk=self.chunk)
-            bound = bound_program(
-                list(program.instructions), rac, model=model)
-            if bound.bounded:
-                lo, hi = int(bound.total.lo), int(bound.total.hi)
-                bounds = ((lo + hi) // 2, hi)
+        model = CostModel.of_ocp(
+            slot.ocp, self._soc.bus.protocol,
+            getattr(self._soc.memory, "access_latency", 1))
+        program = job_program(job, 0, 0, chunk=self.chunk)
+        bound = bound_program(
+            list(program.instructions), slot.ocp.rac, model=model)
+        if bound.bounded:
+            lo, hi = int(bound.total.lo), int(bound.total.hi)
+            bounds = ((lo + hi) // 2, hi)
         self._cost_cache[key] = bounds
         return bounds
 
@@ -671,20 +711,23 @@ class ThroughputScheduler(Component):
         ahead of time; the traffic the simulation measures is the
         OCP's own mvtc/mvfc stream.
         """
-        self._soc.write_ram(slot.prog_base, batch.program.words())
+        plan = slot.plan
+        self._soc.write_ram(plan.prog_base, batch.program.words())
         flat: List[int] = []
         for job in batch.jobs:
             flat.extend(job.words)
-        self._soc.write_ram(slot.in_base, flat)
+        self._soc.write_ram(plan.in_base, flat)
 
     def _arm(self, slot: _OcpSlot) -> None:
         assert slot.batch is not None
+        plan = slot.plan
+        reg_base = plan.reg_base
         slot.writes = [
-            (slot.reg_base + REG_BANK_BASE + 0, slot.prog_base),
-            (slot.reg_base + REG_BANK_BASE + 4, slot.in_base),
-            (slot.reg_base + REG_BANK_BASE + 8, slot.out_base),
-            (slot.reg_base + REG_PROG_SIZE, len(slot.batch.program)),
-            (slot.reg_base + REG_CTRL, CTRL_S | CTRL_IE),
+            (reg_base + REG_BANK_BASE + 0, plan.prog_base),
+            (reg_base + REG_BANK_BASE + 4, plan.in_base),
+            (reg_base + REG_BANK_BASE + 8, plan.out_base),
+            (reg_base + REG_PROG_SIZE, len(slot.batch.program)),
+            (reg_base + REG_CTRL, CTRL_S | CTRL_IE),
         ]
         slot.state = "config"
         self._issue_write(slot)
@@ -717,7 +760,7 @@ class ThroughputScheduler(Component):
         slot.ocp.irq.clear()
         slot.transfer = self._soc.bus.submit(waiter=self, request=BusRequest(
             master=slot.master, kind=AccessKind.READ,
-            address=slot.reg_base + REG_CTRL, burst=1, priority=0,
+            address=slot.plan.reg_base + REG_CTRL, burst=1, priority=0,
         ))
         slot.state = "status"
 
@@ -747,7 +790,8 @@ class ThroughputScheduler(Component):
             )
         slot.transfer = self._soc.bus.submit(waiter=self, request=BusRequest(
             master=slot.master, kind=AccessKind.WRITE,
-            address=slot.reg_base + REG_CTRL, burst=1, data=[0], priority=0,
+            address=slot.plan.reg_base + REG_CTRL, burst=1, data=[0],
+            priority=0,
         ))
         slot.state = "abort"
 
@@ -787,7 +831,7 @@ class ThroughputScheduler(Component):
         assert batch is not None
         for job, offset in zip(batch.jobs, batch.out_offsets):
             outputs = self._soc.read_ram(
-                slot.out_base + 4 * offset, job.size
+                slot.plan.out_base + 4 * offset, job.size
             )
             submitted, dispatched = self._pending_meta.pop(job.job_id)
             self.completed[job.job_id] = JobResult(
@@ -805,7 +849,8 @@ class ThroughputScheduler(Component):
         )
         slot.transfer = self._soc.bus.submit(waiter=self, request=BusRequest(
             master=slot.master, kind=AccessKind.WRITE,
-            address=slot.reg_base + REG_CTRL, burst=1, data=[0], priority=0,
+            address=slot.plan.reg_base + REG_CTRL, burst=1, data=[0],
+            priority=0,
         ))
         slot.state = "ack"
 

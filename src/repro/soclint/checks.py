@@ -309,9 +309,8 @@ def check_throughput(
     firmware, on the RAC actually hosted by the target OCP and over
     the elaborated bus/memory timing, must fit ``budget_cycles``.
     """
-    from ..perfbound import CostModel, RacTiming, bound_program
-    from ..rac.base import StreamingRAC
-    from ..verify.domain import Interval
+    from ..bus.protocol import AHB
+    from ..perfbound import CostModel, bound_program
 
     if budget_cycles < 1:
         raise ValueError(f"budget_cycles must be >= 1: {budget_cycles}")
@@ -319,18 +318,9 @@ def check_throughput(
         return
     ocp_model = model.ocps[ocp_index]
     ocp = ocp_model.ocp
-    timing = (RacTiming.of(ocp.rac)
-              if isinstance(ocp.rac, StreamingRAC) else None)
-    extra = {}
-    if model.bus_protocol is not None:
-        extra["protocol"] = model.bus_protocol
-    cost_model = CostModel(
-        mem_latency=Interval.point(model.mem_latency),
-        rac=timing,
-        ibuf_size=ocp.controller.ibuf_size,
-        prefetch=ocp.controller.prefetch,
-        **extra,
-    )
+    protocol = (AHB if model.bus_protocol is None
+                else model.bus_protocol)
+    cost_model = CostModel.of_ocp(ocp, protocol, model.mem_latency)
     bound = bound_program(program, ocp.rac, model=cost_model)
     if not bound.bounded:
         refusals = ", ".join(sorted(set(bound.report.codes()))) or "?"

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..bus.memmap import MemoryMap, Region
+from ..bus.protocol import BusProtocol
 from ..bus.types import BusSlave
 from ..core.coprocessor import OuessantCoprocessor
-from ..core.interface import OuessantInterface
 from ..core.registers import N_REGISTERS
 from ..mem.cache import Cache
 from ..mem.memory import Memory
@@ -98,7 +98,7 @@ class SystemModel:
     writeback_masters: List[str] = field(default_factory=list)
     clock_mhz: float = 50.0
     #: bus burst protocol, for cost-bound checks (None when no bus)
-    bus_protocol: Optional[object] = None
+    bus_protocol: Optional[BusProtocol] = None
     #: main-memory access latency in cycles (1 when unknown)
     mem_latency: int = 1
 
@@ -219,13 +219,6 @@ def planned_regions(regions: Sequence) -> List[PlannedRegion]:
 def is_memory_slave(slave: BusSlave) -> bool:
     """True for plain storage (transfers through it are data moves)."""
     return isinstance(slave, Memory)
-
-
-def is_register_slave(slave: BusSlave) -> bool:
-    """True for register-file slaves a data bank must never target."""
-    return isinstance(slave, OuessantInterface) or not is_memory_slave(
-        slave
-    )
 
 
 #: byte size of the OCP register file (the minimum usable window)

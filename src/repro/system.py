@@ -40,6 +40,11 @@ DMA_BASE = 0x8001_0000
 TIMER_BASE = 0x8002_0000
 
 
+def ocp_base(index: int) -> int:
+    """Base address of OCP ``index``'s register window."""
+    return OCP_BASE + index * OuessantCoprocessor.WINDOW_BYTES
+
+
 class CycleTimer(BusSlave):
     """Free-running cycle counter readable over the bus.
 
@@ -155,8 +160,7 @@ class SoC:
         name = f"ocp{index}" if index else "ocp"
         kwargs.setdefault("prefetch", self._prefetch)
         ocp = OuessantCoprocessor(rac, name=name, bus=self.bus, **kwargs)
-        base = OCP_BASE + index * OuessantCoprocessor.WINDOW_BYTES
-        ocp.attach(self.sim, self.bus, base)
+        ocp.attach(self.sim, self.bus, ocp_base(index))
         self.irqc.register(ocp.irq)
         self.ocps.append(ocp)
         if self.strict and self._elaborated:
@@ -195,7 +199,7 @@ class SoC:
         return self.ocps[0]
 
     def ocp_base(self, index: int = 0) -> int:
-        return OCP_BASE + index * OuessantCoprocessor.WINDOW_BYTES
+        return ocp_base(index)
 
     # -- memory helpers (backdoor, zero simulated time) ----------------------
     def write_ram(self, address: int, words: List[int]) -> None:

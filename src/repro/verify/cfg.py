@@ -105,12 +105,6 @@ class CFG:
             ranges.append((start, len(self.program) - 1))
         return ranges
 
-    def loop_for(self, index: int) -> Optional[LoopRegion]:
-        for region in self.loops:
-            if region.covers(index):
-                return region
-        return None
-
     @property
     def structured(self) -> bool:
         """True when no structural/control-flow problem was found."""

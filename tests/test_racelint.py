@@ -105,7 +105,7 @@ def test_armed_dma_window_aliasing_arena_is_flagged():
     sched = ThroughputScheduler(soc)
     # arm a DMA copy whose destination lands inside slot 0's arenas
     soc.dma.write_word(REG_SRC, RAM_BASE)
-    soc.dma.write_word(REG_DST, sched.slots[0].in_base)
+    soc.dma.write_word(REG_DST, sched.slots[0].plan.in_base)
     soc.dma.write_word(REG_COUNT, 64)
     report = check_stream(_jobs(1), scheduler=sched)
     assert any(f.code == "OU202" for f in report.findings)
@@ -210,6 +210,61 @@ def test_model_from_scheduler_matches_from_plan():
     assert sorted(live.slots) == sorted(planned.slots)
     for index in live.slots:
         assert live.slots[index] == planned.slots[index]
+
+
+def _mixed_racs():
+    return [PassthroughRac(block_size=8, fifo_depth=16),
+            ScaleRac(block_size=4, fifo_depth=32),
+            PassthroughRac(block_size=8, fifo_depth=64)]
+
+
+@pytest.mark.parametrize("racs, arena_base, arena_stride, batch_jobs", [
+    (_two_passthrough, RAM_BASE + 0x0030_0000, None, 1),
+    (_two_passthrough, None, 0, 2),
+    (_mixed_racs, None, None, 3),
+    (_mixed_racs, RAM_BASE + 0x0010_0000, 0x0005_0000, 4),
+    (_mixed_racs, RAM_BASE + 0x0040_0000, 0, 1),
+], ids=["base", "stride0", "mixed", "mixed-base-stride", "mixed-stride0"])
+def test_model_from_scheduler_matches_from_plan_geometry(
+        racs, arena_base, arena_stride, batch_jobs):
+    racs = racs()
+    sched = ThroughputScheduler(
+        build_mpsoc(racs), batch_jobs=batch_jobs,
+        arena_base=arena_base, arena_stride=arena_stride)
+    live = StreamModel.from_scheduler(sched)
+    planned = StreamModel.from_plan(
+        racs, batch_jobs=batch_jobs, arena_base=arena_base,
+        arena_stride=arena_stride)
+    assert live.slots == planned.slots
+    assert live.batch_jobs == planned.batch_jobs == batch_jobs
+    assert live.capability.as_dict() == planned.capability.as_dict()
+
+
+def test_dispatched_batch_lands_where_the_model_says():
+    from repro.core.registers import REG_BANK_BASE, REG_PROG_SIZE
+    from repro.sched import compose_batch
+
+    soc = build_mpsoc(_two_passthrough())
+    # route to OCP 1 so the window and arena offsets are not zero
+    sched = ThroughputScheduler(
+        soc, capability=CapabilityTable({"passthrough": [1]}),
+        arena_base=RAM_BASE + 0x0030_0000, arena_stride=0x0005_0000)
+    plan = StreamModel.from_scheduler(sched).slots[1]
+    job = Job("a", "passthrough", [0xDEAD0000 + i for i in range(8)])
+    [result] = sched.run_stream([job])
+    assert result.ocp_index == 1
+    region = soc.bus.memmap.find(plan.reg_base)
+    assert region.slave is soc.ocps[1].interface
+    assert (region.base, region.size) == (plan.reg_base, plan.reg_bytes)
+    regs = soc.ocps[1].interface
+    assert [regs.read_word(REG_BANK_BASE + 4 * bank)
+            for bank in range(3)] == [plan.prog_base, plan.in_base,
+                                      plan.out_base]
+    program = compose_batch([job], 0, chunk=sched.chunk).program
+    assert regs.read_word(REG_PROG_SIZE) == len(program)
+    assert soc.read_ram(plan.prog_base, len(program)) == program.words()
+    assert soc.read_ram(plan.in_base, job.size) == job.words
+    assert soc.read_ram(plan.out_base, job.size) == result.outputs
 
 
 # -- scheduler validate-on-submit -----------------------------------------

@@ -19,11 +19,17 @@ from typing import List
 
 import pytest
 
+from repro.bus.protocol import AXI4
+from repro.mem.memory import Memory
 from repro.obs import attribute_schedule
+from repro.perfbound import CostModel, RacTiming, bound_program
 from repro.rac.scale import PassthroughRac, ScaleRac
 from repro.sched import Job, ThroughputScheduler, run_sequential_reference
+from repro.sched.batch import job_program
 from repro.sched.scheduler import SlaRejectionError
-from repro.system import build_mpsoc
+from repro.soclint import lint_soc
+from repro.system import RAM_SIZE, build_mpsoc
+from repro.verify.domain import Interval
 
 SKEWED = (Path(__file__).resolve().parent.parent
           / "examples" / "streams" / "cost_skewed.json")
@@ -140,3 +146,32 @@ def test_attribute_schedule_reports_predicted_work():
     assert all(s.est_pending_cycles == 0 for s in report.per_ocp)
     assert all(s.predicted_done_cycles > 0 for s in report.per_ocp)
     assert "work(pred)" in report.render()
+
+
+@pytest.mark.parametrize("prefetch", [False, True])
+def test_cost_bound_follows_the_elaborated_ocp(prefetch):
+    """The scheduler's admission bound and soclint's OU162 budget check
+    both read the OCP as elaborated: bus protocol, memory latency,
+    prefetch and instruction-buffer size, not the defaults."""
+    rac = _rac("pt0")
+    soc = build_mpsoc(
+        [rac], ocp_kwargs={"ibuf_size": 2}, protocol=AXI4,
+        prefetch=prefetch, memory=Memory("ram", RAM_SIZE, access_latency=3))
+    sched = ThroughputScheduler(soc)
+    job = Job("j", "passthrough", list(range(2 * BLOCK)))
+    program = list(job_program(job, 0, 0, chunk=sched.chunk).instructions)
+    spelled_out = CostModel(
+        protocol=AXI4, mem_latency=Interval.point(3),
+        rac=RacTiming.of(rac), ibuf_size=2, prefetch=prefetch)
+    bound = bound_program(program, rac, model=spelled_out)
+    assert bound.bounded
+    lo, hi = int(bound.total.lo), int(bound.total.hi)
+    # the non-default SoC really costs something else than the defaults
+    assert hi != int(bound_program(program, rac).total.hi)
+
+    assert sched._job_cost_bounds(job, sched.slots[0]) == ((lo + hi) // 2, hi)
+    fits = lint_soc(soc, firmware=program, budget_cycles=hi)
+    assert "OU162" not in fits.codes()
+    over = lint_soc(soc, firmware=program, budget_cycles=hi - 1)
+    [finding] = [f for f in over.findings if f.code == "OU162"]
+    assert f"worst-case firmware cost {hi} cycles" in finding.message

@@ -201,6 +201,15 @@ def test_empty_job_is_rejected():
         Job("empty", "passthrough", [])
 
 
+@pytest.mark.parametrize("word", [1 << 32, -1, True, 1.0],
+                         ids=["out-of-range", "negative", "bool", "float"])
+def test_job_words_must_be_unsigned_32_bit(word):
+    # a bad word is refused when the job is built, naming the job and
+    # the word's position -- not truncated or failing inside the clock
+    with pytest.raises(ConfigurationError, match=r"job w: word #2"):
+        Job("w", "passthrough", [0, 0xFFFF_FFFF, word, 7])
+
+
 def test_unknown_policy_is_rejected():
     with pytest.raises(ConfigurationError, match="choose from"):
         ThroughputScheduler(_soc(2), policy="lottery")
