@@ -29,12 +29,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..sched.capability import CapabilityTable
 from ..sched.job import Job
-from ..sched.scheduler import (
-    SCHED_ARENA_BASE_OFFSET,
-    SCHED_ARENA_STRIDE,
-    SlotPlan,
-    feasible_slots,
-)
+from ..sched.scheduler import SlotPlan, feasible_slots, slot_arena
 from ..sim.errors import ConfigurationError
 from ..verify.footprint import ByteRange
 
@@ -118,10 +113,6 @@ class StreamModel:
         if not racs:
             raise ConfigurationError(
                 "cannot model a stream with no planned RACs")
-        base = (RAM_BASE + SCHED_ARENA_BASE_OFFSET
-                if arena_base is None else arena_base)
-        stride = (SCHED_ARENA_STRIDE if arena_stride is None
-                  else arena_stride)
         if capability is None:
             capability = CapabilityTable.of_kinds(
                 [str(rac.kind) for rac in racs])
@@ -133,7 +124,8 @@ class StreamModel:
                     f"{len(racs)} RAC(s) are planned"
                 )
             slots[index] = SlotPlan.of(
-                index, racs[index], base + index * stride)
+                index, racs[index],
+                slot_arena(index, arena_base, arena_stride))
         size = RAM_SIZE if ram_size is None else ram_size
         ram = ByteRange(RAM_BASE, RAM_BASE + size, "ram")
         return cls(slots, capability, batch_jobs=batch_jobs,

@@ -4,13 +4,16 @@ Each job contributes the canonical Figure-4 shape (stream in, start,
 stream out) at a distinct offset inside the batch's shared input and
 output arenas; :func:`repro.core.codegen.concat_programs` fuses the
 per-job programs into one image that raises a single end-of-program
-interrupt for the whole batch.
+interrupt for the whole batch.  That program depends only on the
+jobs' sizes and the transfer chunk, so each size shape is built and
+encoded once and shared by every batch of that shape.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
 from ..core.codegen import concat_programs
 from ..core.isa import MAX_OFFSET, MAX_TRANSFER_WORDS
@@ -33,7 +36,11 @@ def job_program(
     batched execution is differentially comparable instruction by
     instruction.
     """
-    chunk = min(chunk, MAX_TRANSFER_WORDS)
+    _check_offsets(job, in_offset, out_offset)
+    return _transfer_program(job.size, in_offset, out_offset, chunk)
+
+
+def _check_offsets(job: Job, in_offset: int, out_offset: int) -> None:
     if in_offset + job.size - 1 > MAX_OFFSET:
         raise ConfigurationError(
             f"job {job.job_id}: input offset {in_offset}+{job.size} "
@@ -44,22 +51,49 @@ def job_program(
             f"job {job.job_id}: output offset {out_offset}+{job.size} "
             f"exceeds the ISA offset field (max {MAX_OFFSET})"
         )
+
+
+def _transfer_program(size: int, in_offset: int, out_offset: int,
+                      chunk: int) -> OuProgram:
+    """Stream ``size`` words in, start, stream them out, ``eop``."""
+    chunk = min(chunk, MAX_TRANSFER_WORDS)
     return (
         OuProgram()
-        .stream_to(IN_BANK, job.size, chunk=chunk, base_offset=in_offset)
+        .stream_to(IN_BANK, size, chunk=chunk, base_offset=in_offset)
         .execs()
-        .stream_from(OUT_BANK, job.size, chunk=chunk, base_offset=out_offset)
+        .stream_from(OUT_BANK, size, chunk=chunk, base_offset=out_offset)
         .eop()
     )
 
 
+@functools.lru_cache(maxsize=256)
+def _shape_program(
+    sizes: Tuple[int, ...], chunk: int,
+) -> Tuple[OuProgram, Tuple[int, ...]]:
+    """The batched program of jobs of ``sizes`` laid out back to back,
+    and its encoding.  Cached per shape; the program is shared by every
+    batch of that shape and never mutated."""
+    programs: List[OuProgram] = []
+    offset = 0
+    for size in sizes:
+        programs.append(_transfer_program(size, offset, offset, chunk))
+        offset += size
+    program = concat_programs(programs)
+    return program, tuple(program.words())
+
+
 @dataclass
 class Batch:
-    """A group of jobs fused into one dispatch."""
+    """A group of jobs fused into one dispatch.
+
+    ``program`` is shared by every batch of the same job sizes and
+    chunk and must not be mutated; ``words`` is its encoding.
+    """
 
     batch_id: int
     jobs: List[Job]
     program: OuProgram
+    words: Tuple[int, ...]
     in_offsets: List[int] = field(default_factory=list)
     out_offsets: List[int] = field(default_factory=list)
     attempts: int = 0
@@ -78,16 +112,12 @@ def compose_batch(jobs: List[Job], batch_id: int, chunk: int = 64) -> Batch:
     """
     if not jobs:
         raise ConfigurationError("cannot compose an empty batch")
-    programs: List[OuProgram] = []
-    in_offsets: List[int] = []
-    out_offsets: List[int] = []
+    offsets: List[int] = []
     offset = 0
     for job in jobs:
-        in_offsets.append(offset)
-        out_offsets.append(offset)
-        programs.append(job_program(job, offset, offset, chunk=chunk))
+        _check_offsets(job, offset, offset)
+        offsets.append(offset)
         offset += job.size
-    program = concat_programs(
-        programs, names=[f"job {job.job_id}" for job in jobs]
-    )
-    return Batch(batch_id, list(jobs), program, in_offsets, out_offsets)
+    program, words = _shape_program(tuple(job.size for job in jobs), chunk)
+    return Batch(batch_id, list(jobs), program, words, offsets,
+                 list(offsets))

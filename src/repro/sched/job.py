@@ -42,6 +42,11 @@ class Job:
                     f"job {self.job_id}: word #{position} ({word!r}) is "
                     "not an unsigned 32-bit integer"
                 )
+        if self.chain is not None and not isinstance(self.chain, str):
+            raise ConfigurationError(
+                f"job {self.job_id}: chain must be a string or None, got "
+                f"{self.chain!r}"
+            )
 
     @property
     def size(self) -> int:

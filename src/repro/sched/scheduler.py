@@ -129,6 +129,19 @@ class SlotPlan:
                 and job.size <= self.max_job_words)
 
 
+def slot_arena(index: int, arena_base: Optional[int] = None,
+               arena_stride: Optional[int] = None) -> int:
+    """Where OCP ``index``'s arenas start: ``arena_base`` plus ``index``
+    strides of ``arena_stride``, defaulting to the scheduler-owned
+    region at :data:`SCHED_ARENA_BASE_OFFSET` into RAM and
+    :data:`SCHED_ARENA_STRIDE`."""
+    if arena_base is None:
+        arena_base = RAM_BASE + SCHED_ARENA_BASE_OFFSET
+    if arena_stride is None:
+        arena_stride = SCHED_ARENA_STRIDE
+    return arena_base + index * arena_stride
+
+
 def feasible_slots(
     job: Job, capability: CapabilityTable, plans: Mapping[int, SlotPlan],
 ) -> Tuple[int, ...]:
@@ -354,10 +367,6 @@ class ThroughputScheduler(Component):
         self.max_retries = max_retries
         self.backoff_cycles = backoff_cycles
 
-        if arena_base is None:
-            arena_base = RAM_BASE + SCHED_ARENA_BASE_OFFSET
-        if arena_stride is None:
-            arena_stride = SCHED_ARENA_STRIDE
         if racecheck not in ("off", "submit", "warn"):
             raise ConfigurationError(
                 "racecheck must be 'off', 'submit' or 'warn', "
@@ -374,7 +383,7 @@ class ThroughputScheduler(Component):
         for index in self.capability.indices():
             ocp = soc.ocps[index]
             plan = SlotPlan.of(index, ocp.rac,
-                               arena_base + index * arena_stride)
+                               slot_arena(index, arena_base, arena_stride))
             self._plans[index] = plan
             self._slots[index] = _OcpSlot(ocp, plan)
         self._chains: Dict[str, int] = {}
@@ -712,7 +721,7 @@ class ThroughputScheduler(Component):
         OCP's own mvtc/mvfc stream.
         """
         plan = slot.plan
-        self._soc.write_ram(plan.prog_base, batch.program.words())
+        self._soc.write_ram(plan.prog_base, batch.words)
         flat: List[int] = []
         for job in batch.jobs:
             flat.extend(job.words)
@@ -726,7 +735,7 @@ class ThroughputScheduler(Component):
             (reg_base + REG_BANK_BASE + 0, plan.prog_base),
             (reg_base + REG_BANK_BASE + 4, plan.in_base),
             (reg_base + REG_BANK_BASE + 8, plan.out_base),
-            (reg_base + REG_PROG_SIZE, len(slot.batch.program)),
+            (reg_base + REG_PROG_SIZE, len(slot.batch.words)),
             (reg_base + REG_CTRL, CTRL_S | CTRL_IE),
         ]
         slot.state = "config"

@@ -3,8 +3,8 @@
 ``Simulator(strict=True)`` keeps the fast schedule's decisions but
 checks each of them against the naive oracle while it runs:
 
-* :func:`audit_claims` re-polls every cached quiescence claim before
-  the dispatch scan trusts it;
+* :func:`audit_claims` re-polls every cached quiescence claim, a
+  cluster's included, before the dispatch scan trusts it;
 * :func:`replay` executes a window the scan declared idle through the
   naive stepper and asserts that nothing happened in it;
 * :func:`audit_batch` runs every lane's ``tick_batch`` slab on a copy
@@ -30,8 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from .kernel import Component, Simulator
 
 #: kernel bookkeeping that legitimately differs between a slab and its
-#: naive replay (cached wakes, the last-tick marker)
-_KERNEL_FIELDS = frozenset(("_wake", "_wake_valid", "_ran_at"))
+#: naive replay (cached wakes, the last-tick marker, the cluster)
+_KERNEL_FIELDS = frozenset(("_wake", "_wake_valid", "_ran_at", "_cluster"))
 
 
 def audit_claims(sim: "Simulator") -> None:
@@ -40,9 +40,26 @@ def audit_claims(sim: "Simulator") -> None:
     A claim may only move *later* on its own (rule 3 of the protocol);
     one that moved earlier without a poke means the component's wake
     wiring is missing a path, and the fast schedule would have slept
-    through its wake-up.
+    through its wake-up.  A cached cluster claim must be no later than
+    any member's fresh claim: a later one means a member lost its claim
+    without its cluster, and the walk would skip the member's wake.
     """
     now = sim.cycle
+    for cluster in sim._clusters or ():
+        if not cluster._wake_valid:
+            continue
+        for comp in cluster.members:
+            fresh = comp.next_activity()
+            if fresh is not None and fresh < cluster._wake:
+                first = cluster.members[0].name
+                raise SimulationError(
+                    f"strict dispatch: component {comp.name!r} wakes at "
+                    f"{fresh} at cycle {now}, before the claim cached for "
+                    f"its cluster (from {first!r}, "
+                    f"{len(cluster.members)} components): stale cluster "
+                    "claim, a member's claim was dropped without its "
+                    "cluster's"
+                )
     for comp in sim._components:
         if not comp._wake_valid:
             continue

@@ -41,6 +41,11 @@ cache once per event, and
   pairwise disjoint sets of registered components, so no lane can
   observe another's intermediate states.
 
+With several OCPs registered, the scan and the dispatched cycle walk
+*clusters* (one per :meth:`Simulator.add_all` group, i.e. per OCP)
+instead of single components: a cluster whose members all sleep costs
+one check of its cached claim, their earliest wake.
+
 A skipped cycle leaves no accounting behind: components keep their
 self-timed values as absolute cycles (a compute deadline, a ``wait``
 resume cycle) and charge each cycle statistic at the transition that
@@ -102,6 +107,9 @@ class Component:
         self._wake: Optional[int] = None
         self._wake_valid = False
         self._ran_at = -1
+        #: the cluster whose cached claim covers this component's
+        #: (owned by the Simulator; see :meth:`Simulator.add_all`)
+        self._cluster: _Cluster = _NO_CLUSTER
 
     # -- lifecycle -----------------------------------------------------
     def attach(self, sim: "Simulator") -> None:
@@ -186,9 +194,11 @@ class Component:
         ``next_activity`` answer depends on must poke it, or the
         fast schedule would trust a stale claim.  That includes code
         running between public ``step``/``run_until`` calls: a cached
-        claim outlives the call that computed it.
+        claim outlives the call that computed it.  The claim of the
+        cluster it belongs to goes with it.
         """
         self._wake_valid = False
+        self._cluster._wake_valid = False
 
     def watch(self, component: "Component") -> None:
         """Register ``component`` to be poked by :meth:`wake_watchers`."""
@@ -198,8 +208,10 @@ class Component:
     def wake_watchers(self) -> None:
         """Poke this component and everything watching it."""
         self._wake_valid = False
+        self._cluster._wake_valid = False
         for watcher in self._watchers:
             watcher._wake_valid = False
+            watcher._cluster._wake_valid = False
 
     # -- helpers -------------------------------------------------------
     @property
@@ -245,6 +257,47 @@ class Component:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+#: a cluster claim's "no member wakes": later than any cycle a run reaches
+_NEVER = 1 << 62
+
+
+def _commits(comp: Component) -> bool:
+    """Whether the commit sweep visits ``comp``: its class overrides
+    :meth:`Component.commit`.  Decided by the class, so an
+    instance-level wrapper around a base ``commit`` (a profiler's)
+    cannot change the schedule."""
+    return type(comp).commit is not Component.commit
+
+
+class _Cluster:
+    """A contiguous run of registered components that the fast schedule
+    walks as one: the components of one :meth:`Simulator.add_all` (an
+    OCP's interface, controller, FIFOs and RAC), or one component
+    registered alone.
+
+    Its claim is the earliest cached wake of its members
+    (:data:`_NEVER` when none will wake on its own), cached only while
+    no member is due.  It is valid only while every member's claim is
+    valid: whatever drops a member's claim -- :meth:`Component.poke`,
+    :meth:`Component.wake_watchers`, a tick, a lane -- drops the
+    cluster's too, and nothing else may drop a member's claim.
+    """
+
+    __slots__ = ("members", "committers", "_wake", "_wake_valid")
+
+    def __init__(self, members: List[Component]) -> None:
+        self.members = members
+        #: the members the commit sweep visits
+        self.committers = [comp for comp in members if _commits(comp)]
+        self._wake = _NEVER
+        self._wake_valid = False
+
+
+#: the cluster of every component outside the cluster walk: pokes drop
+#: its claim unconditionally, and nothing ever reads it
+_NO_CLUSTER = _Cluster([])
 
 
 @dataclass
@@ -329,6 +382,14 @@ class Simulator:
         #: :meth:`Component.commit`, in registration order: the only
         #: ones the commit sweep of a dispatched cycle visits
         self._committers: List[Component] = []
+        #: each component registered by :meth:`add_all`, to its group
+        self._group_of: Dict[Component, List[Component]] = {}
+        #: the walk in clusters (registration order) while at least two
+        #: groups of several components are registered, else None (the
+        #: flat walk over ``_components``)
+        self._clusters: Optional[List[_Cluster]] = None
+        #: the clusters with a member in ``_committers``
+        self._commit_clusters: List[_Cluster] = []
         self._names = set()
         #: per batch lane, the ids of the registered components it
         #: drives (:func:`audit.driven`); cleared on add/remove
@@ -338,6 +399,12 @@ class Simulator:
         self._skipped = 0
         self._skip_windows = 0
         self._batched = 0
+        #: the walk's dispatch scan and dispatched cycle, chosen on every
+        #: registration change (:meth:`_registered`), so an event pays
+        #: for no choice
+        self._dispatch_scan: Callable[
+            [int], Tuple[Optional[List[Component]], int]] = self._flat_scan
+        self._dispatch_cycle: Callable[[], None] = self._flat_cycle
 
     # -- registration ----------------------------------------------------
     def add(self, component: Component) -> Component:
@@ -356,8 +423,20 @@ class Simulator:
         return component
 
     def add_all(self, components: Iterable[Component]) -> None:
-        for component in components:
+        """Register components in order, as one group.
+
+        While two or more groups of several components are registered
+        (an MPSoC: one group per OCP), the fast schedule walks each
+        group as one *cluster* whose cached claim, the earliest wake
+        of its members, lets a quiescent group cost one check.  The
+        grouping never changes a result: it is only how the walk is
+        cut, and the members keep their registration order.
+        """
+        group = list(components)
+        for component in group:
             self.add(component)
+            self._group_of[component] = group
+        self._registered()
 
     def remove(self, component: Component) -> None:
         """Unregister a component (used by partial reconfiguration).
@@ -374,6 +453,8 @@ class Simulator:
             )
         self._components.remove(component)
         self._names.discard(component.name)
+        self._group_of.pop(component, None)
+        component._cluster = _NO_CLUSTER
         self._registered()
         self._invalidate()
         if self.last_active == component.name:
@@ -384,12 +465,40 @@ class Simulator:
 
     def _registered(self) -> None:
         """Rebuild what the fast schedule derives from the component
-        list.  Commit-phase membership is decided by the class, so an
-        instance-level wrapper around a base ``commit`` (a profiler's)
-        cannot change the schedule."""
+        list: the commit sweep, the clusters and the walk.  A cluster
+        is a contiguous run of one :meth:`add_all` group (a DPR swap
+        re-registers an OCP's FIFOs and RAC at the end, outside it) or
+        one other component."""
         self._driven.clear()
         self._committers = [comp for comp in self._components
-                            if type(comp).commit is not Component.commit]
+                            if _commits(comp)]
+        runs: List[List[Component]] = []
+        previous = None
+        for comp in self._components:
+            group = self._group_of.get(comp)
+            if group is None or group is not previous:
+                runs.append([comp])
+            else:
+                runs[-1].append(comp)
+            previous = group
+        if sum(len(run) > 1 for run in runs) < 2:
+            # a single OCP is due on most events: walking it as a
+            # cluster would only add a check to each of them
+            self._clusters = None
+            self._commit_clusters = []
+            for comp in self._components:
+                comp._cluster = _NO_CLUSTER
+            self._dispatch_scan = self._flat_scan
+            self._dispatch_cycle = self._flat_cycle
+            return
+        self._clusters = [_Cluster(run) for run in runs]
+        self._commit_clusters = [cluster for cluster in self._clusters
+                                 if cluster.committers]
+        for cluster in self._clusters:
+            for comp in cluster.members:
+                comp._cluster = cluster
+        self._dispatch_scan = self._cluster_scan
+        self._dispatch_cycle = self._cluster_cycle
 
     @property
     def components(self) -> List[Component]:
@@ -424,7 +533,7 @@ class Simulator:
         self._batched = 0
         for comp in self._components:
             comp.reset()
-            comp._wake_valid = False
+        self._invalidate()
 
     def step(self, cycles: int = 1) -> None:
         """Advance the clock by ``cycles`` cycles."""
@@ -528,6 +637,7 @@ class Simulator:
         """Drop every cached claim."""
         for comp in self._components:
             comp._wake_valid = False
+            comp._cluster._wake_valid = False
 
     def _audited_event(self, bound: int) -> None:
         """Strict mode: take the dispatch scan's decision, audited by
@@ -560,10 +670,11 @@ class Simulator:
         comp._wake_valid = True
         return wake
 
-    def _dispatch_scan(
+    def _flat_scan(
         self, bound: int
     ) -> Tuple[Optional[List[Component]], int]:
-        """One pass over the cached quiescence claims.
+        """One pass over the cached quiescence claims (the flat walk's
+        ``_dispatch_scan``).
 
         Returns ``(lanes, horizon)``: the due components in
         registration order (empty when none is due), and the earliest
@@ -572,7 +683,7 @@ class Simulator:
         far can batch; at the first one that cannot, a dispatched cycle
         has to run, the horizon is irrelevant, and it returns ``None``
         for the lanes (later components keep their caches and are
-        re-polled by :meth:`_dispatch_cycle` where needed).
+        re-polled by the dispatched cycle where needed).
         """
         now = self.cycle
         lanes: List[Component] = []
@@ -591,6 +702,47 @@ class Simulator:
                 lanes.append(comp)
             elif wake < horizon:
                 horizon = wake
+        return lanes, horizon
+
+    def _cluster_scan(
+        self, bound: int
+    ) -> Tuple[Optional[List[Component]], int]:
+        """:meth:`_flat_scan` over clusters (the cluster walk's
+        ``_dispatch_scan``): a cluster whose cached claim lies in the
+        future costs one check; any other is scanned member by member
+        and, when none of them is due, caches their earliest wake as
+        its claim."""
+        now = self.cycle
+        lanes: List[Component] = []
+        horizon = bound
+        for cluster in self._clusters:
+            if cluster._wake_valid:
+                wake = cluster._wake
+                if wake > now:
+                    if wake < horizon:
+                        horizon = wake
+                    continue
+            due = len(lanes)
+            low = _NEVER
+            for comp in cluster.members:
+                if comp._wake_valid:
+                    wake = comp._wake
+                else:
+                    comp._wake = wake = comp.next_activity()
+                    comp._wake_valid = True
+                if wake is None:
+                    continue
+                if wake <= now:
+                    if not comp.can_batch:
+                        return None, horizon
+                    lanes.append(comp)
+                elif wake < low:
+                    low = wake
+            if low < horizon:
+                horizon = low
+            if len(lanes) == due:
+                cluster._wake = low
+                cluster._wake_valid = True
         return lanes, horizon
 
     def _grants(self, lanes: List[Component], horizon: int) -> bool:
@@ -613,8 +765,9 @@ class Simulator:
             claimed.update(driven)
         return True
 
-    def _dispatch_cycle(self) -> None:
-        """Execute one cycle touching only the components that are due.
+    def _flat_cycle(self) -> None:
+        """Execute one cycle touching only the components that are due
+        (the flat walk's ``_dispatch_cycle``).
 
         Visibility matches the naive schedule exactly: the single tick
         pass runs in registration order, re-polling each component when
@@ -652,6 +805,42 @@ class Simulator:
         self.cycle = now + 1
         self._ticked += 1
 
+    def _cluster_cycle(self) -> None:
+        """:meth:`_flat_cycle` over clusters (the cluster walk's
+        ``_dispatch_cycle``): the tick pass skips a cluster whose valid
+        claim lies in the future, and the commit sweep every cluster
+        whose claim is valid (a member that ticked or was poked dropped
+        it)."""
+        now = self.cycle
+        for cluster in self._clusters:
+            if cluster._wake_valid and cluster._wake > now:
+                continue
+            for comp in cluster.members:
+                if comp._wake_valid:
+                    wake = comp._wake
+                else:
+                    comp._wake = wake = comp.next_activity()
+                    comp._wake_valid = True
+                if wake is None or wake > now:
+                    continue
+                comp._ran_at = now
+                comp.tick()
+                comp._wake_valid = False
+                cluster._wake_valid = False
+        for cluster in self._commit_clusters:
+            if cluster._wake_valid:
+                continue
+            for comp in cluster.committers:
+                if comp._ran_at == now:
+                    comp.commit()
+                elif not comp._wake_valid:
+                    wake = self._poll(comp)
+                    if wake is not None and wake <= now:
+                        comp.commit()
+                        comp._wake_valid = False
+        self.cycle = now + 1
+        self._ticked += 1
+
     def _dispatch_batch(self, lanes: List[Component], horizon: int) -> None:
         """Advance every lane by one common span in one event.
 
@@ -670,6 +859,7 @@ class Simulator:
         for lane in lanes:
             self._run_lane(lane, span)
             lane._wake_valid = False
+            lane._cluster._wake_valid = False
         self.cycle = now + span
         self._ticked += span
         self._batched += span

@@ -30,6 +30,7 @@ from .cpu.isa import CostModel
 from .mem.dma import DMAEngine
 from .mem.memory import Memory
 from .rac.base import RAC
+from .sim.errors import ConfigurationError
 from .sim.kernel import Simulator
 from .sim.tracing import Trace
 
@@ -154,9 +155,20 @@ class SoC:
 
     # -- construction -----------------------------------------------------
     def add_ocp(self, rac: RAC, index: Optional[int] = None, **kwargs) -> OuessantCoprocessor:
-        """Build an OCP around ``rac`` and map it on the bus."""
+        """Build an OCP around ``rac`` and map it on the bus.
+
+        ``index``, when given, must be the next free one
+        (``len(self.ocps)``): an OCP's window (:func:`ocp_base`), its
+        slot in :attr:`ocps` and its registration order follow one
+        order.
+        """
         if index is None:
             index = len(self.ocps)
+        elif index != len(self.ocps):
+            raise ConfigurationError(
+                f"OCP index {index} is not the next free one "
+                f"({len(self.ocps)}): OCPs are added in window order"
+            )
         name = f"ocp{index}" if index else "ocp"
         kwargs.setdefault("prefetch", self._prefetch)
         ocp = OuessantCoprocessor(rac, name=name, bus=self.bus, **kwargs)
@@ -182,8 +194,6 @@ class SoC:
 
     def check_integrity(self) -> None:
         """Lint the elaborated system; raise on any error finding."""
-        from .sim.errors import ConfigurationError
-
         report = self.lint()
         if not report.clean:
             raise ConfigurationError(

@@ -102,8 +102,9 @@ def test_racecheck_usage_error_exits_2():
     ({"kind": "passthrough", "words": 5}, None),
     ({"kind": "passthrough", "size": 16}, {"passthrough": 3}),
     ({"kind": "passthrough", "words": [4294967296]}, None),
+    ({"kind": "passthrough", "size": 16, "chain": ["a"]}, None),
 ], ids=["words-not-integers", "words-not-a-list", "capability-not-a-list",
-        "words-out-of-range"])
+        "words-out-of-range", "chain-not-a-string"])
 def test_racecheck_malformed_stream_exits_2(tmp_path, capsys, job,
                                             capability):
     doc = {"ocps": ["passthrough:16"], "jobs": [job]}

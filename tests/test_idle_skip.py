@@ -1586,6 +1586,157 @@ def test_cross_call_unpoked_mutation_is_caught_by_strict_mode():
         sim.step(10)
 
 
+# -- cluster claims ----------------------------------------------------------
+#
+# With two or more groups of components registered by ``add_all`` (one
+# per OCP), the fast schedule walks each group as a cluster whose cached
+# claim is its members' earliest wake.  Whatever drops a member's claim
+# must drop the cluster's, and a cluster needs no contiguity with the
+# OCP it came from.
+
+class Arming(Component):
+    """Arms ``alarm`` at cycle 5 and pokes it -- or, ``hand_rolled``,
+    drops only the alarm's own cached claim, as a poke that forgot the
+    cluster would."""
+
+    def __init__(self, alarm, hand_rolled=False):
+        super().__init__("arming")
+        self.alarm = alarm
+        self.hand_rolled = hand_rolled
+        self.fired = False
+
+    def next_activity(self):
+        return None if self.fired else 5
+
+    def tick(self):
+        if not self.fired and self.sim.cycle >= 5:
+            self.alarm.armed_at = self.sim.cycle + 3
+            self.fired = True
+            if self.hand_rolled:
+                self.alarm._wake_valid = False
+            else:
+                self.alarm.poke()
+
+
+def _armed_clusters(hand_rolled=False, **sim_kw):
+    """The alarm's cluster is registered before the arming one's, so
+    the poke lands backwards, on a cluster the walk skipped."""
+    sim = Simulator(**sim_kw)
+    alarm = Alarm()
+    sim.add_all([alarm, Sleeper("idle0", limit=0)])
+    sim.add_all([Arming(alarm, hand_rolled), Sleeper("idle1", limit=0)])
+    assert sim._clusters is not None
+    sim.step(20)
+    return alarm.rang
+
+
+@pytest.mark.parametrize("sim_kw", [{"idle_skip": False}, {},
+                                    {"strict": True}],
+                         ids=["naive", "fast", "strict"])
+def test_cluster_claim_drops_with_a_member_poke(sim_kw):
+    assert _armed_clusters(**sim_kw) == [8]
+
+
+def test_cluster_strict_mode_names_a_stale_cluster_claim():
+    with pytest.raises(SimulationError, match="stale cluster claim"):
+        _armed_clusters(hand_rolled=True, strict=True)
+
+
+class Latch(Component):
+    """Stages the cycle it ticks at (from ``at`` on) and publishes it in
+    ``commit``."""
+
+    def __init__(self, name, at):
+        super().__init__(name)
+        self.at = at
+        self.staged = None
+        self.published = []
+
+    def next_activity(self):
+        return None if self.published else max(self.at, self.sim.cycle)
+
+    def tick(self):
+        if (not self.published and self.staged is None
+                and self.sim.cycle >= self.at):
+            self.staged = self.sim.cycle
+
+    def commit(self):
+        if self.staged is not None:
+            self.published.append(self.staged)
+            self.staged = None
+
+
+@pytest.mark.parametrize("sim_kw", [{"idle_skip": False}, {},
+                                    {"strict": True}],
+                         ids=["naive", "fast", "strict"])
+def test_cluster_commit_sweep_sees_a_member_that_ticked(sim_kw):
+    """At cycle 5 the alarm ends the scan before it reaches the latch's
+    cluster, whose claim (cached at cycle 0) has come due: the latch's
+    tick must drop that claim, or the commit sweep skips its commit."""
+    sim = Simulator(**sim_kw)
+    alarm = sim.add(Alarm())
+    alarm.armed_at = 5
+    latch = Latch("latch", 5)
+    sim.add_all([latch, Sleeper("idle0", limit=0)])
+    sim.add_all([Sleeper("idle1", limit=0), Sleeper("idle2", limit=0)])
+    sim.step(20)
+    assert (alarm.rang, latch.published) == ([5], [5])
+
+
+def test_cluster_walk_needs_two_groups():
+    """One OCP is due on most events, so a single group keeps the flat
+    walk; a second group switches the walk to clusters."""
+    from repro.rac.scale import PassthroughRac
+
+    soc = SoC(racs=[PassthroughRac(block_size=8)])
+    assert soc.sim._clusters is None
+    soc.add_ocp(PassthroughRac(name="second", block_size=8))
+    clusters = soc.sim._clusters
+    assert [len(cluster.members) for cluster in clusters] == [1, 1, 5, 5]
+    assert [comp for cluster in clusters for comp in cluster.members] \
+        == soc.sim.components
+
+
+def _scheduler_streams_around_a_dpr_swap(**soc_kw):
+    from repro.rac.scale import PassthroughRac
+    from repro.sched import Job, ThroughputScheduler
+    from repro.system import build_mpsoc
+
+    trace = Trace()
+    racs = [PassthroughRac(name=f"pt{index}", block_size=8,
+                           compute_latency=20) for index in range(2)]
+    soc = build_mpsoc(racs, trace=trace, **soc_kw)
+    sched = ThroughputScheduler(soc, batch_jobs=2, queue_bound=3)
+    rng = random.Random(SEED_BASE + 720_000)
+    outputs = []
+    for wave in range(2):
+        if wave:
+            ocp = soc.ocps[0]
+            ocp.swap_rac(PassthroughRac(name="pt0b", block_size=8,
+                                        compute_latency=45))
+            # the new FIFOs and RAC register after the scheduler: OCP
+            # 0's cluster keeps only its interface and controller
+            assert ocp.rac._cluster is not ocp.interface._cluster
+            assert soc.sim.components[-1] is ocp.rac
+        jobs = [Job(f"w{wave}j{index}", "passthrough",
+                    [rng.getrandbits(32) for _ in range(8)])
+                for index in range(10)]
+        outputs.append([r.outputs for r in sched.run_stream(jobs)])
+    return (outputs, soc.sim.cycle, trace.dump(),
+            list(sched.completion_order),
+            [slot.busy_cycles for slot in sched.slots],
+            soc.bus.stats.as_dict())
+
+
+def test_cluster_dpr_swap_between_scheduler_streams(schedule):
+    """A DPR swap on OCP 0 of a two-OCP scheduler splits its cluster
+    (the swapped parts re-register at the end); the second stream runs
+    the same under every schedule."""
+    outputs, *_ = _agrees_with_naive(
+        _scheduler_streams_around_a_dpr_swap, schedule)
+    assert [len(wave) for wave in outputs] == [10, 10]
+
+
 # -- live reads mid-interval -------------------------------------------------
 #
 # The equivalence suites compare two schedules of the same code, so they

@@ -28,9 +28,15 @@ from typing import Callable, Dict, List
 
 import pytest
 
+from repro.core.codegen import concat_programs
 from repro.faults import FaultEvent, FaultKind, FaultPlan, inject_faults
 from repro.rac.scale import PassthroughRac, ScaleRac
-from repro.sched import Job, ThroughputScheduler, run_sequential_reference
+from repro.sched import (
+    Job,
+    ThroughputScheduler,
+    job_program,
+    run_sequential_reference,
+)
 from repro.sched.scheduler import SCHED_ARENA_BASE_OFFSET
 from repro.system import RAM_BASE, build_mpsoc
 
@@ -161,6 +167,58 @@ def test_corrupted_batch_traps_watchdog_and_retries_bit_exact():
     scheduled = {r.job.job_id: r.outputs for r in results}
     reference = run_sequential_reference(jobs, _factories(n_ocps, seed))
     assert scheduled == reference
+
+
+def _fresh_batch_words(jobs: List[Job], chunk: int) -> List[int]:
+    """The batch program of ``jobs`` built from scratch, job by job."""
+    programs, offset = [], 0
+    for job in jobs:
+        programs.append(job_program(job, offset, offset, chunk=chunk))
+        offset += job.size
+    return concat_programs(programs).words()
+
+
+def test_batch_programs_are_shared_per_shape_and_stay_intact():
+    """Batches of one size shape share one composed program.  Each
+    dispatch must still stage, word for word, what a fresh composition
+    of its own jobs gives, and a corruption of the staged copy (healed
+    by the retry) must leave the shared program as it was."""
+    seed = SEED_BASE + 99
+    n_ocps = 2
+    jobs = _stream(seed, n_ocps, n_jobs=24)
+    assert len({job.size for job in jobs}) > 2
+    plan = FaultPlan(seed=seed, events=[
+        FaultEvent(
+            FaultKind.CORRUPT_MICROCODE, "mc", index=2, bit=28,
+            word=RAM_BASE + SCHED_ARENA_BASE_OFFSET,
+        ),
+    ])
+    soc = _build_soc(n_ocps, seed, watchdog_cycles=2000)
+    inject_faults(soc, plan)
+    sched = ThroughputScheduler(soc, batch_jobs=2, backoff_cycles=64)
+    staged = []
+    place = sched._place_batch
+
+    def spy(slot, batch):
+        place(slot, batch)
+        staged.append((batch, soc.read_ram(slot.plan.prog_base,
+                                           len(batch.words))))
+
+    sched._place_batch = spy
+    results = sched.run_stream(jobs)
+    assert any(result.attempts > 1 for result in results)
+    shared = {}
+    for batch, words in staged:
+        assert words == _fresh_batch_words(batch.jobs, sched.chunk)
+        shape = tuple(job.size for job in batch.jobs)
+        assert shared.setdefault(shape, batch.program) is batch.program
+    assert len(shared) < len({batch.batch_id for batch, _ in staged})
+    for batch, _ in staged:
+        assert batch.program.words() == list(batch.words) \
+            == _fresh_batch_words(batch.jobs, sched.chunk)
+    scheduled = {r.job.job_id: r.outputs for r in results}
+    assert scheduled == run_sequential_reference(
+        jobs, _factories(n_ocps, seed))
 
 
 def test_chained_jobs_bit_exact_with_batching():

@@ -210,6 +210,16 @@ def test_job_words_must_be_unsigned_32_bit(word):
         Job("w", "passthrough", [0, 0xFFFF_FFFF, word, 7])
 
 
+@pytest.mark.parametrize("chain", [["a"], 3, ("a",)],
+                         ids=["list", "int", "tuple"])
+def test_job_chain_must_be_a_string(chain):
+    # a chain tag keys dicts and sets downstream (chain pinning,
+    # racecheck's candidate slots): refuse an unhashable or non-string
+    # one when the job is built
+    with pytest.raises(ConfigurationError, match="job c: chain must be"):
+        Job("c", "passthrough", [1, 2], chain=chain)
+
+
 def test_unknown_policy_is_rejected():
     with pytest.raises(ConfigurationError, match="choose from"):
         ThroughputScheduler(_soc(2), policy="lottery")

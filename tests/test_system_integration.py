@@ -163,6 +163,23 @@ def test_two_ocps_operate_concurrently():
     assert soc.read_ram(out1, 8) == list(range(50, 58))
 
 
+def test_add_ocp_takes_only_the_next_index():
+    # the window sits at ocp_base(index) and the OCP lands in
+    # soc.ocps[len(soc.ocps)]: any other index would put them apart
+    from repro.rac.scale import PassthroughRac
+    from repro.sim.errors import ConfigurationError
+    from repro.system import ocp_base
+
+    soc = SoC(racs=[])
+    with pytest.raises(ConfigurationError, match="OCP index 3"):
+        soc.add_ocp(PassthroughRac(block_size=8), 3)
+    assert soc.ocps == []
+    soc.add_ocp(PassthroughRac(name="a", block_size=8), 0)
+    ocp = soc.add_ocp(PassthroughRac(name="b", block_size=8))
+    assert soc.ocps[1] is ocp
+    assert soc.bus.memmap.find(ocp_base(1)).slave is ocp.interface
+
+
 def test_ocp_slave_window_reachable_via_bus():
     soc = build_soc()
     assert soc.bus.read_now(OCP_BASE + 4, 1) == [0]  # PROG_SIZE reset
