@@ -29,6 +29,8 @@ class FixedPriorityArbiter(Arbiter):
     name = "fixed-priority"
 
     def pick(self, pending: List[BusTransfer]) -> BusTransfer:
+        if len(pending) == 1:
+            return pending[0]
         return min(
             pending,
             key=lambda t: (t.request.priority, t.issue_cycle),

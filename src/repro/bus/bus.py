@@ -80,8 +80,11 @@ class SystemBus(Component):
             request=request, issue_cycle=self.now, waiter=waiter, route=route
         )
         self._pending.append(transfer)
-        self._stats.incr("requests")
-        self._stats.incr(self._keys(request.master)[0])
+        counts = self._stats.counts
+        counts["requests"] += 1
+        keys = (self._master_keys.get(request.master)
+                or self._keys(request.master))
+        counts[keys[0]] += 1
         # a new request makes the bus due (grant) this very cycle if
         # idle -- drop its cached quiescence claim
         self.poke()
@@ -119,17 +122,17 @@ class SystemBus(Component):
         # next real work
         now = self.sim.cycle
         if self._current is not None:
-            return max(self._busy_until, now)
+            return self._busy_until if self._busy_until > now else now
         if self._pending:
             return now  # a grant is due this cycle
         return None  # idle until a master submits a request
 
     # -- internals -----------------------------------------------------------
     def _keys(self, master: str) -> Tuple[str, str]:
-        keys = self._master_keys.get(master)
-        if keys is None:
-            keys = (f"requests.{master}", f"beats.{master}")
-            self._master_keys[master] = keys
+        """Format and keep ``master``'s statistic keys (its first
+        request; later ones read ``_master_keys``)."""
+        keys = (f"requests.{master}", f"beats.{master}")
+        self._master_keys[master] = keys
         return keys
 
     def _grant(self, transfer: BusTransfer, now: int) -> None:
@@ -141,7 +144,7 @@ class SystemBus(Component):
             region, offset = self.memmap.lookup(
                 request.address, span_bytes=4 * request.burst
             )
-        latency_for = getattr(region.slave, "latency_for", None)
+        latency_for = region.latency_for
         if latency_for is not None:
             # address-aware slaves (e.g. SDRAM open-row model) charge
             # a latency that depends on where the burst lands
@@ -154,9 +157,10 @@ class SystemBus(Component):
         self._current = transfer
         # the bus is busy from the next cycle through the finishing one
         self._stats.start("busy_cycles", now + 1)
-        self._stats.incr("grants")
-        self._stats.incr("beats", request.burst)
-        self._stats.incr(self._keys(request.master)[1], request.burst)
+        counts = self._stats.counts
+        counts["grants"] += 1
+        counts["beats"] += request.burst
+        counts[self._master_keys[request.master][1]] += request.burst
         if self.note_activity():
             self.trace_event(
                 "grant",
@@ -206,7 +210,7 @@ class SystemBus(Component):
             if request.kind is AccessKind.READ:
                 transfer.data = [0] * request.burst
             transfer.complete(now)
-            self._stats.incr("slave_errors")
+            self._stats.counts["slave_errors"] += 1
             self.trace_event(
                 "slave_error",
                 master=request.master,

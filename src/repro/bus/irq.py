@@ -17,7 +17,9 @@ class IRQLine:
 
     def __init__(self, name: str) -> None:
         self.name = name
-        self._pending = False
+        #: the line's level (True: asserted); a field, because a driver
+        #: waiting on the line reads it before every simulated event
+        self.pending = False
         self.raise_count = 0
         #: components whose quiescence claim depends on this line
         #: (CPU in WFI, scheduler slots); poked on every edge
@@ -32,24 +34,20 @@ class IRQLine:
         for watcher in self._watchers:
             watcher.poke()
 
-    @property
-    def pending(self) -> bool:
-        return self._pending
-
     def assert_(self) -> None:
         """Drive the line high (idempotent)."""
-        if not self._pending:
+        if not self.pending:
             self.raise_count += 1
-        self._pending = True
+        self.pending = True
         self._notify()
 
     def clear(self) -> None:
         """Acknowledge: drive the line low."""
-        self._pending = False
+        self.pending = False
         self._notify()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        state = "pending" if self._pending else "idle"
+        state = "pending" if self.pending else "idle"
         return f"<IRQLine {self.name} {state}>"
 
 

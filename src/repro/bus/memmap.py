@@ -7,8 +7,8 @@ region plus the offset inside it, which the bus passes to the slave.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional, Tuple
 
 from ..sim.errors import AddressError, ConfigurationError
 from .types import BusSlave
@@ -16,12 +16,24 @@ from .types import BusSlave
 
 @dataclass(frozen=True)
 class Region:
-    """One decoded window of the address space."""
+    """One decoded window of the address space.
+
+    ``latency_for`` is the slave's address-aware latency method (an
+    SDRAM open-row model, a fault injector), or None when the slave
+    charges its fixed ``access_latency``; it is looked up once, when
+    the region is made, not on every grant.
+    """
 
     name: str
     base: int
     size: int
     slave: BusSlave
+    latency_for: Optional[Callable[[int, int], int]] = field(
+        init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "latency_for",
+                           getattr(self.slave, "latency_for", None))
 
     @property
     def end(self) -> int:
@@ -84,7 +96,8 @@ class MemoryMap:
 
     def find(self, address: int) -> Optional[Region]:
         for region in self._regions:
-            if region.contains(address):
+            # ``contains``, inlined: every bus submit decodes here
+            if region.base <= address < region.base + region.size:
                 return region
         return None
 
@@ -108,7 +121,7 @@ class MemoryMap:
         region = self.find(address)
         if region is None:
             raise AddressError(f"no slave decodes address {address:#010x}")
-        if address + span_bytes > region.end:
+        if address + span_bytes > region.base + region.size:
             raise AddressError(
                 f"access [{address:#x}+{span_bytes}] crosses the end of "
                 f"region {region}"

@@ -17,7 +17,7 @@ Static cycle prediction is :func:`repro.perfbound.bound_program`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..sim.errors import ConfigurationError, ControllerError
 from .isa import OuInstruction, OuOp
@@ -180,7 +180,6 @@ def as_program(instructions: Sequence[OuInstruction]) -> OuProgram:
 def concat_programs(
     programs: Sequence[OuProgram],
     terminate: bool = True,
-    names: Optional[Sequence[str]] = None,
 ) -> OuProgram:
     """Concatenate terminated programs into one batched program.
 
@@ -196,9 +195,8 @@ def concat_programs(
     the verifier can bound their execution: a constituent whose
     worst-case step count is unbounded (malformed loop nest,
     unstructured control flow) raises :class:`ValueError` naming the
-    offending program (``names``, when given, labels each constituent,
-    e.g. with its job id).  Concatenating such a program would hang
-    the whole batch -- and every innocent job fused with it.
+    offending program by its position.  Concatenating such a program
+    would hang the whole batch -- and every innocent job fused with it.
     """
     batched = OuProgram()
     for position, program in enumerate(programs):
@@ -211,11 +209,8 @@ def concat_programs(
             from ..verify.engine import verify_program
 
             if verify_program(body).max_steps is None:
-                label = (names[position]
-                         if names is not None and position < len(names)
-                         else f"program {position}")
                 raise ValueError(
-                    f"{label}: the verifier cannot bound this "
+                    f"program {position}: the verifier cannot bound this "
                     "program's execution; concatenating it would let "
                     "one runaway job hang the whole batch"
                 )

@@ -23,7 +23,7 @@ This class is that FSM, cycle by cycle:
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from ..bus.types import BusTransfer
 from ..rac.base import RAC
@@ -40,7 +40,13 @@ from .registers import PROGRAM_BANK
 
 
 class _State(enum.Enum):
-    """FSM states; each one that ticks charges ``cycles.<value>``."""
+    """FSM states; each one that ticks charges ``cycles.<value>``.
+
+    A ticking state's ``step`` and ``claim`` are its entries in the
+    controller's dispatch table (:data:`_TABLE`): the controller method
+    its tick runs and the one that answers ``next_activity``.  A parked
+    state has neither.
+    """
 
     IDLE = "idle"
     PREFETCH = "prefetch"
@@ -60,6 +66,9 @@ class _State(enum.Enum):
         self.cycle_key: Optional[str] = (
             None if value in ("idle", "halted", "error")
             else f"cycles.{value}")
+        self.step: Optional[Callable[["OuessantController"], None]] = None
+        self.claim: Optional[
+            Callable[["OuessantController"], Optional[int]]] = None
 
 
 #: the states that never tick
@@ -323,45 +332,39 @@ class OuessantController(Component):
         self._state = _State.ERROR
         self._pending = None
         self._instr = None
-        self._stats.incr("traps")
+        self._stats.counts["traps"] += 1
         self.trace_event("trap", code=code, reason=reason, pc=self._pc)
         self.interface.signal_error(code)
 
     # -- per-cycle behaviour ----------------------------------------------
     def tick(self) -> None:
         state = self._state
-        if state in _PARKED:
+        step = state.step
+        if step is None:  # parked
             return
-        if state is _State.PREFETCH:
-            self._tick_prefetch()
-        elif state is _State.FETCH:
-            self._tick_fetch()
-        elif state is _State.DECODE:
-            self._tick_decode()
-        elif state is _State.XFER_TO:
-            self._tick_xfer_to()
-        elif state is _State.XFER_FROM:
-            self._tick_xfer_from()
-        elif state is _State.EXEC_WAIT:
-            if self.rac is not None and self.rac.end_op:
-                self._state = _State.FETCH
-            elif self.watchdog_cycles > 0:
-                # consecutive EXEC_WAIT cycles, this one included
-                hung = self.sim.cycle + 1 - self._entered
-                if hung >= self.watchdog_cycles:
-                    self._trap(ERR_WATCHDOG,
-                               f"exec hung for {hung} cycles")
-        elif state is _State.WAITING:
-            if self.sim.cycle >= self._resume_at:
-                self._state = _State.FETCH
-        elif state is _State.WAITF:
-            if self._waitf_satisfied():
-                self._disarm_waitf_watch()
-                self._state = _State.FETCH
+        step(self)
         if self._state is not state:
             # internal transition: the new state is charged from the
             # next cycle (this tick already charged the old one)
             self._phase(at=self.sim.cycle + 1, old=state)
+
+    def _tick_exec_wait(self) -> None:
+        if self.rac is not None and self.rac.end_op:
+            self._state = _State.FETCH
+        elif self.watchdog_cycles > 0:
+            # consecutive EXEC_WAIT cycles, this one included
+            hung = self.sim.cycle + 1 - self._entered
+            if hung >= self.watchdog_cycles:
+                self._trap(ERR_WATCHDOG, f"exec hung for {hung} cycles")
+
+    def _tick_waiting(self) -> None:
+        if self.sim.cycle >= self._resume_at:
+            self._state = _State.FETCH
+
+    def _tick_waitf(self) -> None:
+        if self._waitf_satisfied():
+            self._disarm_waitf_watch()
+            self._state = _State.FETCH
 
     # -- quiescence protocol --------------------------------------------------
     def next_activity(self):
@@ -372,46 +375,59 @@ class OuessantController(Component):
         conditions only change when *another* component ticks, so the
         controller may declare indefinite idleness and rely on the
         global quiescence rule.  Self-timed waits (``wait`` imm, the
-        exec watchdog) declare their expiry cycle instead.
+        exec watchdog) declare their expiry cycle instead.  The
+        state's ``claim`` answers; a parked state is idle.
         """
-        state = self._state
-        if state in _PARKED:
-            return None
-        now = self.sim.cycle
-        if state is _State.EXEC_WAIT:
-            if self.rac is not None and self.rac.end_op:
-                return now
-            if self.watchdog_cycles > 0:
-                # the trap fires on the watchdog_cycles-th EXEC_WAIT tick
-                return self._entered + self.watchdog_cycles - 1
-            return None
-        if state is _State.WAITING:
-            return self._resume_at
-        if state is _State.WAITF:
-            return now if self._waitf_satisfied() else None
-        if state in (_State.XFER_TO, _State.XFER_FROM):
-            if self._pending is not None:
-                return now if self._pending.done else None
-            if state is _State.XFER_TO:
-                fifo = self.fifos_in[self._xfer_fifo]
-                stalled = fifo.free_push_words < 1
-                # under idle skipping the stalled tick branch (which
-                # arms the watch on the naive path) never runs: declare
-                # the resume threshold here so a hot-mode batch on the
-                # other side of the FIFO stops at the crossing cycle
-                fifo.set_free_watch(1 if stalled else None)
-            else:
-                fifo = self.fifos_out[self._xfer_fifo]
-                chunk = min(self._xfer_remaining, self.bus_burst_threshold,
-                            fifo.depth)
-                stalled = fifo.occupancy < chunk
-                fifo.set_occ_watch(chunk if stalled else None)
-            return None if stalled else now
-        if state in (_State.PREFETCH, _State.FETCH):
-            if self._pending is not None and not self._pending.done:
-                return None  # the bus completion wakes us
-            return now
-        return now  # DECODE and anything else: always active
+        claim = self._state.claim
+        return None if claim is None else claim(self)
+
+    def _claim_due(self) -> int:
+        return self.sim.cycle  # DECODE: always active
+
+    def _claim_fetch(self) -> Optional[int]:
+        pending = self._pending
+        if pending is not None and not pending.done:
+            return None  # the bus completion wakes us
+        return self.sim.cycle
+
+    def _claim_xfer_to(self) -> Optional[int]:
+        if self._pending is not None:
+            return self.sim.cycle if self._pending.done else None
+        fifo = self.fifos_in[self._xfer_fifo]
+        stalled = fifo.free_push_words < 1
+        # under idle skipping the stalled tick branch (which arms the
+        # watch on the naive path) never runs: declare the resume
+        # threshold here so a hot-mode batch on the other side of the
+        # FIFO stops at the crossing cycle
+        fifo.set_free_watch(1 if stalled else None)
+        return None if stalled else self.sim.cycle
+
+    def _claim_xfer_from(self) -> Optional[int]:
+        if self._pending is not None:
+            return self.sim.cycle if self._pending.done else None
+        fifo = self.fifos_out[self._xfer_fifo]
+        chunk = self._xfer_remaining
+        if self.bus_burst_threshold < chunk:
+            chunk = self.bus_burst_threshold
+        if fifo.depth < chunk:
+            chunk = fifo.depth
+        stalled = fifo.occupancy < chunk
+        fifo.set_occ_watch(chunk if stalled else None)
+        return None if stalled else self.sim.cycle
+
+    def _claim_exec_wait(self) -> Optional[int]:
+        if self.rac is not None and self.rac.end_op:
+            return self.sim.cycle
+        if self.watchdog_cycles > 0:
+            # the trap fires on the watchdog_cycles-th EXEC_WAIT tick
+            return self._entered + self.watchdog_cycles - 1
+        return None
+
+    def _claim_waiting(self) -> int:
+        return self._resume_at
+
+    def _claim_waitf(self) -> Optional[int]:
+        return self.sim.cycle if self._waitf_satisfied() else None
 
     # -- fetch path ---------------------------------------------------------
     def _tick_prefetch(self) -> None:
@@ -485,8 +501,9 @@ class OuessantController(Component):
         instr = self._instr
         if instr is None:  # pragma: no cover - fetch always latches one
             raise ControllerError("decode without fetched instruction")
-        self._stats.incr("instructions")
-        self._stats.incr(_INSTR_KEYS[instr.op])
+        counts = self._stats.counts
+        counts["instructions"] += 1
+        counts[_INSTR_KEYS[instr.op]] += 1
         if self.sim.trace is not None:
             self._record("instr", pc=self._pc - 1, mnemonic=instr.mnemonic())
         self._execute(instr)
@@ -609,13 +626,15 @@ class OuessantController(Component):
             except FIFOError as exc:
                 self._trap(ERR_FIFO, f"mvtc push: {exc}")
                 return
-            self._stats.incr("words_to_rac", len(data))
+            self._stats.counts["words_to_rac"] += len(data)
             if self._xfer_remaining == 0:
                 self._state = _State.FETCH
             else:
                 self._open_stall()
             return
-        chunk = min(self._xfer_remaining, fifo.free_push_words)
+        chunk = self._xfer_remaining
+        if fifo.free_push_words < chunk:
+            chunk = fifo.free_push_words
         if chunk < 1:
             # bound any consumer-side batch at the cycle one word frees
             fifo.set_free_watch(1)
@@ -648,8 +667,11 @@ class OuessantController(Component):
         if self.bus_burst_threshold < 1:
             raise ControllerError("bus burst threshold must be >= 1")
         # never wait for more words than the FIFO can physically hold
-        chunk = min(self._xfer_remaining, self.bus_burst_threshold,
-                    fifo.depth)
+        chunk = self._xfer_remaining
+        if self.bus_burst_threshold < chunk:
+            chunk = self.bus_burst_threshold
+        if fifo.depth < chunk:
+            chunk = fifo.depth
         if fifo.occupancy < chunk:
             # bound any producer-side batch at the cycle the chunk fills
             fifo.set_occ_watch(chunk)
@@ -661,7 +683,7 @@ class OuessantController(Component):
         except FIFOError as exc:
             self._trap(ERR_FIFO, f"mvfc pop: {exc}")
             return
-        self._stats.incr("words_from_rac", len(data))
+        self._stats.counts["words_from_rac"] += len(data)
         self._pending = self.interface.submit_write(
             self._xfer_bank, self._xfer_offset, data, waiter=self
         )
@@ -700,3 +722,28 @@ class OuessantController(Component):
         if instr.fifo >= len(fifos):
             raise ControllerError(f"waitf: no output FIFO{instr.fifo}")
         return fifos[instr.fifo].occupancy >= instr.count
+
+
+#: the controller's dispatch table: each ticking state's tick step and
+#: quiescence claim, kept on the state itself (a dict keyed by a plain
+#: Enum would hash in Python on every event)
+_TABLE = {
+    _State.PREFETCH: (OuessantController._tick_prefetch,
+                      OuessantController._claim_fetch),
+    _State.FETCH: (OuessantController._tick_fetch,
+                   OuessantController._claim_fetch),
+    _State.DECODE: (OuessantController._tick_decode,
+                    OuessantController._claim_due),
+    _State.XFER_TO: (OuessantController._tick_xfer_to,
+                     OuessantController._claim_xfer_to),
+    _State.XFER_FROM: (OuessantController._tick_xfer_from,
+                       OuessantController._claim_xfer_from),
+    _State.EXEC_WAIT: (OuessantController._tick_exec_wait,
+                       OuessantController._claim_exec_wait),
+    _State.WAITING: (OuessantController._tick_waiting,
+                     OuessantController._claim_waiting),
+    _State.WAITF: (OuessantController._tick_waitf,
+                   OuessantController._claim_waitf),
+}
+for _state, _entry in _TABLE.items():
+    _state.step, _state.claim = _entry

@@ -123,8 +123,9 @@ class OuessantInterface(Component, BusSlave):
         if self.bus is None:
             raise ControllerError(f"{self.name} has no bus attached")
         address = self.translate(bank, word_offset, words)
-        self.stats.incr("master_reads")
-        self.stats.incr("words_read", words)
+        counts = self.stats.counts
+        counts["master_reads"] += 1
+        counts["words_read"] += words
         return self.bus.submit(
             BusRequest(
                 master=self.name,
@@ -149,8 +150,9 @@ class OuessantInterface(Component, BusSlave):
         address = self.translate(bank, word_offset, len(data))
         for cache in self.snooped_caches:
             cache.snoop_write_burst(address, len(data))
-        self.stats.incr("master_writes")
-        self.stats.incr("words_written", len(data))
+        counts = self.stats.counts
+        counts["master_writes"] += 1
+        counts["words_written"] += len(data)
         return self.bus.submit(
             BusRequest(
                 master=self.name,
@@ -190,7 +192,7 @@ class OuessantInterface(Component, BusSlave):
         self.registers.set_done()
         if self.registers.interrupt_enabled:
             self.irq.assert_()
-        self.stats.incr("errors")
+        self.stats.counts["errors"] += 1
         self.trace_event(
             "error",
             code=code,

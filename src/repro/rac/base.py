@@ -90,7 +90,7 @@ class RAC(Component):
         """Pulse from the controller's ``exec``/``execs`` instruction."""
         self.end_op = False
         self.busy = True
-        self.stats.incr("start_ops")
+        self.stats.counts["start_ops"] += 1
         self.trace_event("start_op", op=self.ops_completed + 1)
         # the handshake gates both our own wake and the controller's
         # EXEC_WAIT claim
@@ -205,8 +205,10 @@ class StreamingRAC(RAC):
             return self._compute_at
         now = self.sim.cycle
         if phase is _Phase.DONE:
-            if self.autostart and any(not f.empty for f in self.inputs):
-                return now
+            if self.autostart:
+                for fifo in self.inputs:
+                    if fifo.occupancy:
+                        return now
             return None  # woken by data arriving or by start_op
         if phase is _Phase.COLLECT:
             complete = True
@@ -220,14 +222,15 @@ class StreamingRAC(RAC):
             return now if complete else None
         # EMIT: progress whenever any unfinished port has FIFO space
         for port, fifo in enumerate(self.outputs):
-            if self._emitted[port] < self.items_out[port] and fifo.can_push():
+            if (self._emitted[port] < self.items_out[port]
+                    and fifo.free_push_words):
                 return now
         return None  # all remaining output FIFOs are full
 
     # -- per-cycle behaviour -----------------------------------------------
     def tick(self) -> None:
         if self._phase is _Phase.DONE:
-            if self.autostart and any(not f.empty for f in self.inputs):
+            if self.autostart and any(f.occupancy for f in self.inputs):
                 self._begin_collect()
             else:
                 return
@@ -245,11 +248,14 @@ class StreamingRAC(RAC):
         done = True
         for port, fifo in enumerate(self.inputs):
             collected = self._collected[port]
-            take = min(self.items_in[port] - len(collected), cycles,
-                       fifo.occupancy)
+            take = self.items_in[port] - len(collected)
+            if cycles < take:
+                take = cycles
+            if fifo.occupancy < take:
+                take = fifo.occupancy
             if take:
                 collected.extend(fifo.pop_many(take))
-                self.stats.incr("words_in", take)
+                self.stats.counts["words_in"] += take
             if len(collected) < self.items_in[port]:
                 done = False
         if done:
@@ -286,11 +292,15 @@ class StreamingRAC(RAC):
         for port, fifo in enumerate(self.outputs):
             sent = self._emitted[port]
             total = self.items_out[port]
-            words = min(total - sent, cycles, fifo.free_push_words)
+            words = total - sent
+            if cycles < words:
+                words = cycles
+            if fifo.free_push_words < words:
+                words = fifo.free_push_words
             if words:
                 fifo.push_many(self._to_emit[port][sent:sent + words])
                 self._emitted[port] = sent = sent + words
-                self.stats.incr("words_out", words)
+                self.stats.counts["words_out"] += words
             if sent < total:
                 all_done = False
         if all_done:
@@ -322,17 +332,19 @@ class StreamingRAC(RAC):
         (:meth:`FIFO.pop_crossing` / :meth:`FIFO.push_crossing`)."""
         if self._phase is _Phase.COLLECT:
             fifo = self.inputs[0]
-            ready = min(self.items_in[0] - len(self._collected[0]),
-                        fifo.occupancy)
+            ready = self.items_in[0] - len(self._collected[0])
+            if fifo.occupancy < ready:
+                ready = fifo.occupancy
             crossing = fifo.pop_crossing()
         else:
             fifo = self.outputs[0]
-            ready = min(self.items_out[0] - self._emitted[0],
-                        fifo.free_push_words)
+            ready = self.items_out[0] - self._emitted[0]
+            if fifo.free_push_words < ready:
+                ready = fifo.free_push_words
             crossing = fifo.push_crossing()
         if crossing is not None and crossing < ready:
             ready = crossing
-        return min(ready, budget)
+        return ready if ready < budget else budget
 
     def tick_batch(self, budget: int) -> int:
         """Fast-forward :meth:`batch_span` consecutive streaming ticks.

@@ -43,7 +43,13 @@ class FIFO(Component):
     One push port and one pop port: every word enters through
     :meth:`push_many` and leaves through :meth:`pop_many`
     (:meth:`push` and :meth:`pop` wrap them for single words).  A
-    subclass interposing on the push side overrides :meth:`push_many`.
+    subclass interposing on the push side overrides :meth:`push_many`
+    and stages what it accepts through :meth:`_stage`.
+
+    The levels :attr:`occupancy`, :attr:`occupancy_atoms` and
+    :attr:`free_push_words` are fields, kept current by the only code
+    that changes the contents (:meth:`_stage`, :meth:`pop_many`,
+    :meth:`commit` and :meth:`reset`), so reading one costs no call.
     """
 
     def __init__(
@@ -72,6 +78,12 @@ class FIFO(Component):
         self._head = 0
         self._staged: List[int] = []
         self._pops_pending = 0
+        #: complete pop-side words available to pop
+        self.occupancy = 0
+        #: atoms available to pop
+        self.occupancy_atoms = 0
+        #: push-side words that fit right now (staged words included)
+        self.free_push_words = self._capacity_atoms // self._push_ratio
         # stall watches: a producer stalled until ``free_push_words >=
         # _min_free_watch`` / a consumer stalled until ``occupancy >=
         # _min_occ_watch``.  They bound the hot-mode batch lane (the
@@ -85,21 +97,6 @@ class FIFO(Component):
         self.stats = Stats()
 
     # -- capacity ----------------------------------------------------------
-    @property
-    def occupancy(self) -> int:
-        """Complete pop-side words currently available."""
-        return (len(self._atoms) - self._head) // self._pop_ratio
-
-    @property
-    def occupancy_atoms(self) -> int:
-        return len(self._atoms) - self._head
-
-    @property
-    def free_push_words(self) -> int:
-        """How many push-side words fit right now (staged included)."""
-        used = len(self._atoms) - self._head + len(self._staged)
-        return (self._capacity_atoms - used) // self._push_ratio
-
     @property
     def empty(self) -> bool:
         return self.occupancy == 0
@@ -127,7 +124,9 @@ class FIFO(Component):
         past the free space raise "full" once the rest is staged.
         """
         n = len(values)
-        fit = min(n, self.free_push_words)
+        fit = self.free_push_words
+        if n < fit:
+            fit = n
         accepted = values if fit == n else values[:fit]
         width = self.width_push
         if accepted and (min(accepted) < 0 or max(accepted) >> width):
@@ -145,16 +144,18 @@ class FIFO(Component):
         """Stage well-formed words that fit (split into atoms)."""
         if not values:
             return
-        if self._push_ratio == 1:
+        ratio = self._push_ratio
+        if ratio == 1:
             self._staged.extend(values)
         else:
             bits = self._atom_bits
             atom_mask = (1 << bits) - 1
             staged = self._staged
             for value in values:
-                for i in range(self._push_ratio):
+                for i in range(ratio):
                     staged.append((value >> (i * bits)) & atom_mask)
-        self.stats.incr("pushes", len(values))
+        self.free_push_words -= len(values)
+        self.stats.counts["pushes"] += len(values)
         self.poke()
 
     def pop(self) -> int:
@@ -167,7 +168,9 @@ class FIFO(Component):
         If fewer are available, the available ones are consumed (and
         counted), then the empty-FIFO error is raised.
         """
-        take = min(count, self.occupancy)
+        take = self.occupancy
+        if count < take:
+            take = count
         values: List[int] = []
         if take > 0:
             head = self._head
@@ -184,19 +187,21 @@ class FIFO(Component):
                         value |= atoms[base + i] << (i * bits)
                     values.append(value)
             self._head = end
-            self._maybe_compact()
-            self.stats.incr("pops", take)
+            if end > 512 and end * 2 > len(self._atoms):
+                # compact the dead prefix away
+                del self._atoms[:end]
+                self._head = 0
+            self.occupancy -= take
+            self.occupancy_atoms -= take * ratio
+            self.free_push_words = (
+                (self._capacity_atoms - self.occupancy_atoms
+                 - len(self._staged)) // self._push_ratio)
+            self.stats.counts["pops"] += take
             self._pops_pending += take
             self.wake_watchers()
         if take < count:
             raise FIFOError(f"pop from empty FIFO {self.name}")
         return values
-
-    def _maybe_compact(self) -> None:
-        head = self._head
-        if head > 512 and head * 2 > len(self._atoms):
-            del self._atoms[:head]
-            self._head = 0
 
     def peek(self) -> int:
         """Next pop-side word without removing it."""
@@ -277,8 +282,10 @@ class FIFO(Component):
             staged = len(self._staged)
             self._atoms.extend(self._staged)
             self._staged.clear()
-            occupancy = self.occupancy_atoms
-            self.stats.maximize("max_occupancy_atoms", occupancy)
+            self.occupancy_atoms = occupancy = self.occupancy_atoms + staged
+            self.occupancy = occupancy // self._pop_ratio
+            if occupancy > self.stats.counts["max_occupancy_atoms"]:
+                self.stats.maximize("max_occupancy_atoms", occupancy)
             if occupancy > self.high_water_atoms:
                 self.high_water_atoms = occupancy
             if traced:
@@ -314,6 +321,9 @@ class FIFO(Component):
         self._head = 0
         self._staged.clear()
         self._pops_pending = 0
+        self.occupancy = 0
+        self.occupancy_atoms = 0
+        self.free_push_words = self._capacity_atoms // self._push_ratio
         self._min_free_watch = None
         self._min_occ_watch = None
         self.high_water_atoms = 0

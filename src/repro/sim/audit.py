@@ -115,7 +115,7 @@ def driven(sim: "Simulator", lane: "Component") -> List["Component"]:
     registered = {id(comp) for comp in sim._components}
     found = [lane]
     for name, value in vars(lane).items():
-        if name == "_watchers":
+        if name in ("_watchers", "_watching"):
             continue
         for item in value if isinstance(value, (list, tuple)) else (value,):
             if id(item) in registered and item not in found:
@@ -154,6 +154,9 @@ def audit_batch(sim: "Simulator", lanes: Sequence["Component"],
     for comp in sim._components:
         if comp not in reals:
             memo[id(comp)] = comp
+    # the clusters in ``_watchers`` lists are the kernel's, not state
+    for cluster in sim._clusters or ():
+        memo[id(cluster)] = cluster
     shadows = copy.deepcopy(reals, memo)
     twin = {id(real): shadow for real, shadow in zip(reals, shadows)}
     shadow_lanes = [twin[id(lane)] for lane in lanes]

@@ -72,7 +72,7 @@ rules are documented in ``docs/SIMULATION.md``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import (Callable, Dict, FrozenSet, Iterable, List, Optional,
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Tuple)
 
 from . import audit
@@ -99,8 +99,15 @@ class Component:
         self.sim: Optional["Simulator"] = None
         self._detached = False
         #: components whose quiescence claim depends on this one's
-        #: state; poked (wake-cache invalidated) whenever it changes
-        self._watchers: List["Component"] = []
+        #: state; poked (wake-cache invalidated) whenever it changes.
+        #: While the cluster walk runs, the Simulator appends the
+        #: clusters whose claims cover this component and its watchers
+        #: (see :meth:`Simulator._wire_watchers`)
+        self._watchers: List[Any] = []
+        #: the components this one watches (the reverse of
+        #: ``_watchers``), so the Simulator finds watched components
+        #: that are not registered
+        self._watching: List["Component"] = []
         # fast-schedule bookkeeping (owned by the Simulator): cached
         # next_activity() answer, its validity, and the cycle of the
         # last real tick (commit-phase membership marker)
@@ -204,14 +211,21 @@ class Component:
         """Register ``component`` to be poked by :meth:`wake_watchers`."""
         if component not in self._watchers:
             self._watchers.append(component)
+            component._watching.append(self)
+            cluster = component._cluster
+            if cluster is not _NO_CLUSTER and cluster not in self._watchers:
+                self._watchers.append(cluster)
 
     def wake_watchers(self) -> None:
-        """Poke this component and everything watching it."""
+        """Poke this component and everything watching it.
+
+        One loop drops every claim involved: ``_watchers`` also lists
+        the clusters of this component and of its watchers while the
+        cluster walk runs.
+        """
         self._wake_valid = False
-        self._cluster._wake_valid = False
         for watcher in self._watchers:
             watcher._wake_valid = False
-            watcher._cluster._wake_valid = False
 
     # -- helpers -------------------------------------------------------
     @property
@@ -282,7 +296,10 @@ class _Cluster:
     no member is due.  It is valid only while every member's claim is
     valid: whatever drops a member's claim -- :meth:`Component.poke`,
     :meth:`Component.wake_watchers`, a tick, a lane -- drops the
-    cluster's too, and nothing else may drop a member's claim.
+    cluster's too, and nothing else may drop a member's claim.  For
+    :meth:`Component.wake_watchers`, the cluster sits in the
+    ``_watchers`` list of each member and of each component a member
+    watches.
     """
 
     __slots__ = ("members", "committers", "_wake", "_wake_valid")
@@ -490,15 +507,38 @@ class Simulator:
                 comp._cluster = _NO_CLUSTER
             self._dispatch_scan = self._flat_scan
             self._dispatch_cycle = self._flat_cycle
+        else:
+            self._clusters = [_Cluster(run) for run in runs]
+            self._commit_clusters = [cluster for cluster in self._clusters
+                                     if cluster.committers]
+            for cluster in self._clusters:
+                for comp in cluster.members:
+                    comp._cluster = cluster
+            self._dispatch_scan = self._cluster_scan
+            self._dispatch_cycle = self._cluster_cycle
+        self._wire_watchers()
+
+    def _wire_watchers(self) -> None:
+        """Rebuild the clusters in the ``_watchers`` lists: none for the
+        flat walk; for the cluster walk, each registered component's
+        cluster goes into its own list and into the list of every
+        component it watches, registered or not, so that
+        :meth:`Component.wake_watchers` drops each claim it must in
+        one loop."""
+        touched = {id(comp): comp for comp in self._components}
+        for comp in self._components:
+            for watched in comp._watching:
+                touched[id(watched)] = watched
+        for comp in touched.values():
+            comp._watchers = [watcher for watcher in comp._watchers
+                              if not isinstance(watcher, _Cluster)]
+        if self._clusters is None:
             return
-        self._clusters = [_Cluster(run) for run in runs]
-        self._commit_clusters = [cluster for cluster in self._clusters
-                                 if cluster.committers]
-        for cluster in self._clusters:
-            for comp in cluster.members:
-                comp._cluster = cluster
-        self._dispatch_scan = self._cluster_scan
-        self._dispatch_cycle = self._cluster_cycle
+        for comp in self._components:
+            cluster = comp._cluster
+            for target in (comp, *comp._watching):
+                if cluster not in target._watchers:
+                    target._watchers.append(cluster)
 
     @property
     def components(self) -> List[Component]:

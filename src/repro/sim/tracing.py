@@ -135,16 +135,21 @@ class Stats:
     :meth:`stop`): a component charges the cycles it spends in a state
     when it leaves the state, and publishes the copy :meth:`at` its
     clock, which counts the intervals still open.
+
+    A hook the simulation kernel calls per event counts through the
+    public mapping, ``stats.counts[name] += amount``, which creates a
+    key exactly when :meth:`incr` would and costs no Python call.
     """
 
     def __init__(self) -> None:
-        self._counters: Counter = Counter()
+        #: the counters by name; a missing one reads 0
+        self.counts: Counter = Counter()
         self._gauges: set = set()
         #: cycle intervals still open, by counter: the cycle each began
         self._open: Dict[str, int] = {}
 
     def incr(self, name: str, amount: int = 1) -> None:
-        self._counters[name] += amount
+        self.counts[name] += amount
 
     def start(self, name: str, at: int) -> None:
         """Open a cycle interval of ``name`` at cycle ``at`` (kept if
@@ -154,9 +159,11 @@ class Stats:
     def stop(self, name: str, at: int) -> int:
         """Close ``name``'s open interval at cycle ``at``: charge its
         cycles and return them (0 when none was open)."""
-        cycles = elapsed(self._open.pop(name, None), at)
-        if cycles:
-            self._counters[name] += cycles
+        since = self._open.pop(name, None)
+        if since is None or at <= since:
+            return 0
+        cycles = at - since
+        self.counts[name] += cycles
         return cycles
 
     def at(self, now: int) -> "Stats":
@@ -164,27 +171,27 @@ class Stats:
         charged up to ``now`` and closed."""
         live = Stats()
         live._gauges = set(self._gauges)
-        live._counters = self._counters.copy()
+        live.counts = self.counts.copy()
         for name, since in self._open.items():
             cycles = elapsed(since, now)
             if cycles:
-                live._counters[name] += cycles
+                live.counts[name] += cycles
         return live
 
     def maximize(self, name: str, value: int) -> None:
         """Keep the running maximum of a gauge-style statistic."""
         self._gauges.add(name)
-        if value > self._counters.get(name, 0):
-            self._counters[name] = value
+        if value > self.counts.get(name, 0):
+            self.counts[name] = value
 
     def get(self, name: str) -> int:
-        return self._counters.get(name, 0)
+        return self.counts.get(name, 0)
 
     def __getitem__(self, name: str) -> int:
         return self.get(name)
 
     def items(self) -> Iterable[Tuple[str, int]]:
-        return sorted(self._counters.items())
+        return sorted(self.counts.items())
 
     def is_gauge(self, name: str) -> bool:
         """True if ``name`` was ever updated through :meth:`maximize`."""
@@ -193,19 +200,19 @@ class Stats:
     def __add__(self, other: "Stats") -> "Stats":
         merged = Stats()
         merged._gauges = self._gauges | other._gauges
-        merged._counters = self._counters + other._counters
+        merged.counts = self.counts + other.counts
         for name in merged._gauges:
-            merged._counters[name] = max(
-                self._counters.get(name, 0), other._counters.get(name, 0)
+            merged.counts[name] = max(
+                self.counts.get(name, 0), other.counts.get(name, 0)
             )
         return merged
 
     def as_dict(self) -> Dict[str, int]:
-        return dict(self._counters)
+        return dict(self.counts)
 
     def report(self, title: str = "stats") -> str:
         lines = [title]
-        width = max((len(k) for k in self._counters), default=0)
+        width = max((len(k) for k in self.counts), default=0)
         for key, value in self.items():
             lines.append(f"  {key:<{width}} {value}")
         return "\n".join(lines)

@@ -182,15 +182,18 @@ class OuessantDriver:
         """
         start = self.soc.sim.cycle
         if self.use_interrupt:
+            # the predicate runs before every simulated event: bind the
+            # line once
+            irq = self.ocp.irq
             try:
                 self.soc.run_until(
-                    lambda: self.ocp.irq.pending,
+                    lambda: irq.pending,
                     max_cycles=max_cycles,
                     what="OCP interrupt",
                 )
             except DeadlockError as exc:
                 raise DriverTimeout(str(exc)) from exc
-            self.ocp.irq.clear()
+            irq.clear()
         else:
             self.poll_count = 0
             while True:

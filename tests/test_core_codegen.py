@@ -219,13 +219,3 @@ def test_concat_rejects_unboundable_constituent_loudly():
     ])
     with pytest.raises(ValueError, match="program 1"):
         concat_programs([figure4_looped_program(64), runaway])
-
-
-def test_concat_bounds_gate_names_the_job():
-    from repro.core.codegen import concat_programs
-
-    runaway = _terminated([OuInstruction(OuOp.JMP, imm=0)])
-    with pytest.raises(ValueError, match="job alpha"):
-        concat_programs(
-            [runaway], names=["job alpha"]
-        )

@@ -295,3 +295,19 @@ def test_restart_after_completion(soc_passthrough):
     ocp.interface.write_word(REG_CTRL, CTRL_S)
     soc.run_until(lambda: ocp.done, max_cycles=100_000)
     assert soc.read_ram(OUT, 16) == list(range(50, 66))
+
+
+def test_every_state_is_parked_or_has_a_dispatch_entry():
+    """``tick`` and ``next_activity`` dispatch on each state's table
+    entry: a state the table missed would silently never tick."""
+    from repro.core.controller import (_PARKED, _TABLE, OuessantController,
+                                       _State)
+
+    for state in _State:
+        if state in _PARKED:
+            assert state.step is None and state.claim is None
+            assert state not in _TABLE
+        else:
+            assert (state.step, state.claim) == _TABLE[state]
+            for hook in (state.step, state.claim):
+                assert getattr(OuessantController, hook.__name__) is hook

@@ -230,3 +230,77 @@ def test_pop_many_short_consumes_counts_then_raises():
     fifo.push(4)
     fifo.commit()
     assert fifo.pop() == 4
+
+
+# -- the maintained levels ----------------------------------------------------
+#
+# ``occupancy``, ``occupancy_atoms`` and ``free_push_words`` are fields
+# that the FIFO keeps current as its contents change; after any mix of
+# port calls they must equal what the raw storage says.
+
+LEVEL_WIDTHS = [(32, 32), (32, 96), (96, 32), (8, 32)]
+
+
+def _recomputed_levels(fifo):
+    atoms = len(fifo._atoms) - fifo._head
+    used = atoms + len(fifo._staged)
+    return (atoms // fifo._pop_ratio, atoms,
+            (fifo._capacity_atoms - used) // fifo._push_ratio)
+
+
+def _levels(fifo):
+    return fifo.occupancy, fifo.occupancy_atoms, fifo.free_push_words
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+@pytest.mark.parametrize("widths", LEVEL_WIDTHS,
+                         ids=[f"{p}to{q}" for p, q in LEVEL_WIDTHS])
+@pytest.mark.parametrize("faulty", [False, True], ids=["plain", "faulty"])
+def test_maintained_levels_equal_recomputed_levels(widths, faulty, data):
+    """After any sequence of ``push_many`` (short, overfull or with a
+    malformed word), ``pop_many`` (short or overlong), ``commit`` and
+    ``reset`` -- through a ``FaultyFIFO``'s per-word push path, too --
+    the level fields equal the levels recomputed from the storage."""
+    from repro.faults import FaultEvent, FaultKind, FaultPlan
+    from repro.faults.injectors import FaultyFIFO
+
+    width_push, width_pop = widths
+    depth = data.draw(st.sampled_from([1, 4, 16, 64]))
+    if faulty:
+        events = data.draw(st.lists(st.builds(
+            FaultEvent,
+            kind=st.sampled_from([FaultKind.DROP_WORD, FaultKind.DUP_WORD,
+                                  FaultKind.BIT_FLIP]),
+            site=st.just("fifo.in0"), index=st.integers(0, 40),
+            bit=st.integers(0, 95)), max_size=6))
+        fifo = FaultyFIFO("ocp.fin0", plan=FaultPlan(events=events),
+                          width_push=width_push, width_pop=width_pop,
+                          depth=depth)
+    else:
+        fifo = FIFO("f", width_push=width_push, width_pop=width_pop,
+                    depth=depth)
+    word = st.integers(0, (1 << width_push) - 1)
+    assert _levels(fifo) == _recomputed_levels(fifo)
+    for _ in range(data.draw(st.integers(1, 80))):
+        action = data.draw(st.sampled_from(
+            ["push", "push", "pop", "pop", "commit", "commit", "reset"]))
+        if action == "push":
+            values = data.draw(st.lists(word, max_size=2 * depth + 2))
+            if values and data.draw(st.booleans()):
+                values[data.draw(st.integers(0, len(values) - 1))] = \
+                    1 << width_push
+            try:
+                fifo.push_many(values)
+            except FIFOError:
+                pass
+        elif action == "pop":
+            try:
+                fifo.pop_many(data.draw(st.integers(0, 2 * depth + 2)))
+            except FIFOError:
+                pass
+        elif action == "commit":
+            fifo.commit()
+        else:
+            fifo.reset()
+        assert _levels(fifo) == _recomputed_levels(fifo), action

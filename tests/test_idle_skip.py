@@ -1642,6 +1642,73 @@ def test_cluster_strict_mode_names_a_stale_cluster_claim():
         _armed_clusters(hand_rolled=True, strict=True)
 
 
+class Flag(Component):
+    """A watched component that is never registered: raising it only
+    wakes its watchers."""
+
+    def __init__(self):
+        super().__init__("flag")
+        self.up = False
+
+    def raise_(self):
+        self.up = True
+        self.wake_watchers()
+
+
+class FlagWaiter(Component):
+    """Records the first cycle it sees ``flag`` up; sleeps until then."""
+
+    def __init__(self, flag):
+        super().__init__("waiter")
+        self.flag = flag
+        self.seen = []
+
+    def next_activity(self):
+        return self.sim.cycle if self.flag.up and not self.seen else None
+
+    def tick(self):
+        if self.flag.up and not self.seen:
+            self.seen.append(self.sim.cycle)
+
+
+class FlagRaiser(Component):
+    def __init__(self, flag, at):
+        super().__init__("raiser")
+        self.flag = flag
+        self.at = at
+
+    def next_activity(self):
+        return None if self.flag.up else self.at
+
+    def tick(self):
+        if not self.flag.up and self.sim.cycle >= self.at:
+            self.flag.raise_()
+
+
+@pytest.mark.parametrize("sim_kw", [{"idle_skip": False}, {},
+                                    {"strict": True}],
+                         ids=["naive", "fast", "strict"])
+@pytest.mark.parametrize("late", [False, True], ids=["early", "late"])
+def test_cluster_claim_drops_with_an_unregistered_watched_component(
+        sim_kw, late):
+    """``wake_watchers`` on a component that is not registered drops its
+    watcher's cluster claim too, whether the watch was made before the
+    watcher registered or after.  The raise lands backwards, on a
+    cluster the walk would otherwise skip for good."""
+    flag = Flag()
+    waiter = FlagWaiter(flag)
+    if not late:
+        flag.watch(waiter)
+    sim = Simulator(**sim_kw)
+    sim.add_all([waiter, Sleeper("idle0", limit=0)])
+    sim.add_all([FlagRaiser(flag, at=5), Sleeper("idle1", limit=0)])
+    assert sim._clusters is not None
+    if late:
+        flag.watch(waiter)
+    sim.step(20)
+    assert waiter.seen == [6]
+
+
 class Latch(Component):
     """Stages the cycle it ticks at (from ``at`` on) and publishes it in
     ``commit``."""
