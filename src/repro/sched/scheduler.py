@@ -390,6 +390,9 @@ class ThroughputScheduler(Component):
         self._pending_meta: Dict[str, Tuple[int, int]] = {}
         #: ids of the jobs waiting in any slot queue
         self._queued_ids: Set[str] = set()
+        #: slots outside ``"idle"``: ``_dispatch`` leaves it, the ack
+        #: completion (``_step_ack``) returns to it
+        self._busy_slots = 0
         #: the slots a blocked submission waits on, and whether one of
         #: them has dispatched (popped its queue) since the wait began
         self._awaited: Set[_OcpSlot] = set()
@@ -630,10 +633,8 @@ class ThroughputScheduler(Component):
 
     @property
     def idle(self) -> bool:
-        return all(
-            slot.state == "idle" and not slot.queue
-            for slot in self._slots.values()
-        )
+        """No job queued and every slot ``"idle"``."""
+        return not self._queued_ids and not self._busy_slots
 
     @property
     def slots(self) -> List[_OcpSlot]:
@@ -699,6 +700,7 @@ class ThroughputScheduler(Component):
         self._next_batch_id += 1
         batch.attempts = 1
         slot.batch = batch
+        self._busy_slots += 1
         now = self.sim.cycle
         # busy from the next cycle: this tick saw the slot idle
         slot._busy_since = now + 1
@@ -870,6 +872,7 @@ class ThroughputScheduler(Component):
         slot.transfer = None
         slot.batch = None
         slot.state = "idle"
+        self._busy_slots -= 1
         slot._busy += elapsed(slot._busy_since, self.sim.cycle + 1)
         slot._busy_since = None
 

@@ -48,9 +48,10 @@ def audit_claims(sim: "Simulator") -> None:
     for cluster in sim._clusters or ():
         if not cluster._wake_valid:
             continue
+        claim = cluster._wake
         for comp in cluster.members:
             fresh = comp.next_activity()
-            if fresh is not None and fresh < cluster._wake:
+            if fresh is not None and (claim is None or fresh < claim):
                 first = cluster.members[0].name
                 raise SimulationError(
                     f"strict dispatch: component {comp.name!r} wakes at "

@@ -44,7 +44,10 @@ cache once per event, and
 With several OCPs registered, the scan and the dispatched cycle walk
 *clusters* (one per :meth:`Simulator.add_all` group, i.e. per OCP)
 instead of single components: a cluster whose members all sleep costs
-one check of its cached claim, their earliest wake.
+one check of its cached claim, their earliest wake.  Both walks are
+straight-line code generated and compiled once per shape of the
+component list (:func:`_walk_source`), bound per simulator at the first
+event after a registration change.
 
 A skipped cycle leaves no accounting behind: components keep their
 self-timed values as absolute cycles (a compute deadline, a ``wait``
@@ -71,7 +74,10 @@ rules are documented in ``docs/SIMULATION.md``.
 
 from __future__ import annotations
 
+import linecache
+import zlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Tuple)
 
@@ -273,28 +279,16 @@ class Component:
         return f"<{type(self).__name__} {self.name!r}>"
 
 
-#: a cluster claim's "no member wakes": later than any cycle a run reaches
-_NEVER = 1 << 62
-
-
-def _commits(comp: Component) -> bool:
-    """Whether the commit sweep visits ``comp``: its class overrides
-    :meth:`Component.commit`.  Decided by the class, so an
-    instance-level wrapper around a base ``commit`` (a profiler's)
-    cannot change the schedule."""
-    return type(comp).commit is not Component.commit
-
-
 class _Cluster:
     """A contiguous run of registered components that the fast schedule
     walks as one: the components of one :meth:`Simulator.add_all` (an
     OCP's interface, controller, FIFOs and RAC), or one component
     registered alone.
 
-    Its claim is the earliest cached wake of its members
-    (:data:`_NEVER` when none will wake on its own), cached only while
-    no member is due.  It is valid only while every member's claim is
-    valid: whatever drops a member's claim -- :meth:`Component.poke`,
+    Its claim is the earliest cached wake of its members (None when
+    none will wake on its own), cached only while no member is due.
+    It is valid only while every member's claim is valid: whatever
+    drops a member's claim -- :meth:`Component.poke`,
     :meth:`Component.wake_watchers`, a tick, a lane -- drops the
     cluster's too, and nothing else may drop a member's claim.  For
     :meth:`Component.wake_watchers`, the cluster sits in the
@@ -302,19 +296,195 @@ class _Cluster:
     watches.
     """
 
-    __slots__ = ("members", "committers", "_wake", "_wake_valid")
+    __slots__ = ("members", "_wake", "_wake_valid")
 
     def __init__(self, members: List[Component]) -> None:
         self.members = members
-        #: the members the commit sweep visits
-        self.committers = [comp for comp in members if _commits(comp)]
-        self._wake = _NEVER
+        self._wake: Optional[int] = None
         self._wake_valid = False
 
 
 #: the cluster of every component outside the cluster walk: pokes drop
 #: its claim unconditionally, and nothing ever reads it
 _NO_CLUSTER = _Cluster([])
+
+
+# -- the compiled walk --------------------------------------------------------
+#
+# The fast schedule's dispatch scan and dispatched cycle are straight-line
+# Python with one block per registered component (the flat walk) or per
+# cluster and member (the cluster walk), so each attribute site sees one
+# component class.  The source depends only on the *shape* of the
+# component list: one role digit per component (:func:`_role`), one
+# string per cluster.  :func:`_walk` compiles a shape once per process;
+# :meth:`Simulator._bind_walk` binds its components per simulator.
+
+#: how many compiled walk shapes :func:`_walk` keeps
+_WALK_SHAPES = 64
+
+
+def _role(comp: Component) -> str:
+    """``comp``'s digit in a walk shape: 1 when its class overrides
+    :meth:`Component.tick`, plus 2 when it overrides
+    :meth:`Component.commit`.  Decided by the class, so an
+    instance-level wrapper (a profiler's) cannot change the schedule:
+    the walk calls no ``tick`` on a class that keeps the base no-op (a
+    FIFO) and sweeps no ``commit`` that is the base no-op."""
+    cls = type(comp)
+    return "0123"[(cls.tick is not Component.tick)
+                  + 2 * (cls.commit is not Component.commit)]
+
+
+def _polled(comp: str, pad: str) -> List[str]:
+    """Read ``comp``'s cached claim into ``wake``, polling it if stale."""
+    return [f"{pad}if {comp}._wake_valid:",
+            f"{pad}    wake = {comp}._wake",
+            f"{pad}else:",
+            f"{pad}    {comp}._wake = wake = {comp}.next_activity()",
+            f"{pad}    {comp}._wake_valid = True"]
+
+
+def _walk_source(shape: Tuple[str, ...],
+                 clustered: bool) -> Tuple[str, str]:
+    """The sources of one shape's two ``bind(sim, *components,
+    *clusters)`` factories, returning its ``dispatch_scan`` and its
+    ``dispatch_cycle``.  They compile separately: the compiler's
+    transient memory grows faster than linearly with the source.
+
+    ``dispatch_scan(bound)`` is one pass over the cached quiescence
+    claims.  It returns ``(lanes, horizon)``: the due components in
+    registration order (empty when none is due) and the earliest
+    strictly-future wake clamped to ``bound``.  It keeps going past a
+    due component only while every due component so far can batch; at
+    the first one that cannot, a dispatched cycle has to run, the
+    horizon is irrelevant, and the lanes are ``None``.
+
+    ``dispatch_cycle()`` executes one cycle touching only the due
+    components.  Visibility matches the naive schedule exactly: the
+    tick pass runs in registration order and reads each claim when it
+    reaches the component, so a *forward* poke (an earlier component
+    waking a later one) lands the same cycle, while a *backward* poke
+    takes effect next cycle, precisely when the naive two-phase
+    schedule would surface it.  The commit sweep visits only the
+    components whose class overrides ``commit``, again in registration
+    order so same-cycle trace events keep their naive order, and picks
+    up those whose commit phase can still observe a backward poke (a
+    FIFO staged into by a later producer).  A claim the sweep leaves
+    invalid is polled by the next scan.
+
+    On the cluster walk a cluster whose valid claim lies in the future
+    costs one check in the scan and the tick pass; the scan caches a
+    cluster's claim (its members' earliest wake) when none of them is
+    due, and the sweep skips every cluster whose claim is valid (a
+    member that ticked or was poked dropped it).
+    """
+    first = 0
+    runs: List[List[str]] = []
+    for codes in shape:
+        runs.append([f"c{first + i}" for i in range(len(codes))])
+        first += len(codes)
+    claims = [f"k{j}" for j in range(len(shape))] if clustered else []
+    params = ", ".join(["sim"] + [c for run in runs for c in run] + claims)
+    scan = ["    def dispatch_scan(bound):",
+            "        now = sim.cycle",
+            "        lanes = []",
+            "        horizon = bound"]
+    cycle = ["    def dispatch_cycle():",
+             "        now = sim.cycle"]
+    sweep: List[str] = []
+    for j, (codes, run) in enumerate(zip(shape, runs)):
+        pad = "        "
+        if clustered:
+            k = claims[j]
+            members = run[0] if len(run) == 1 else f"{run[0]}..{run[-1]}"
+            # a sleeping cluster: its claim is valid and None (no
+            # member wakes on its own) or in the future
+            asleep = (f"{k}._wake_valid and "
+                      f"((wake := {k}._wake) is None or wake > now)")
+            scan += [f"        # cluster {j}: {members}",
+                     f"        if {asleep}:",
+                     "            if wake is not None and wake < horizon:",
+                     "                horizon = wake",
+                     "        else:",
+                     "            low = None",
+                     "            quiet = True"]
+            cycle += [f"        # cluster {j}: {members}",
+                      f"        if not ({asleep}):"]
+            pad = "            "
+        committers: List[str] = []
+        for code, c in zip(codes, run):
+            scan += _polled(c, pad) + [
+                f"{pad}if wake is not None:",
+                f"{pad}    if wake <= now:",
+                f"{pad}        if not {c}.can_batch:",
+                f"{pad}            return None, horizon",
+                f"{pad}        lanes.append({c})"]
+            if clustered:
+                scan += [f"{pad}        quiet = False",
+                         f"{pad}    elif low is None or wake < low:",
+                         f"{pad}        low = wake"]
+            else:
+                scan += [f"{pad}    elif wake < horizon:",
+                         f"{pad}        horizon = wake"]
+            cycle += _polled(c, pad) + [
+                f"{pad}if wake is not None and wake <= now:",
+                f"{pad}    {c}._ran_at = now"]
+            if code in "13":
+                cycle.append(f"{pad}    {c}.tick()")
+            cycle.append(f"{pad}    {c}._wake_valid = False")
+            if clustered:
+                cycle.append(f"{pad}    {k}._wake_valid = False")
+            if code in "23":
+                committers.append(c)
+        if clustered:
+            scan += ["            if low is not None and low < horizon:",
+                     "                horizon = low",
+                     "            if quiet:",
+                     f"                {k}._wake = low",
+                     f"                {k}._wake_valid = True"]
+            if committers:
+                sweep.append(f"        if not {k}._wake_valid:")
+        for c in committers:
+            sweep += [f"{pad}if {c}._ran_at == now:",
+                      f"{pad}    {c}.commit()",
+                      f"{pad}elif not {c}._wake_valid:",
+                      f"{pad}    {c}._wake = wake = {c}.next_activity()",
+                      f"{pad}    {c}._wake_valid = True",
+                      f"{pad}    if wake is not None and wake <= now:",
+                      f"{pad}        {c}.commit()",
+                      f"{pad}        {c}._wake_valid = False"]
+    scan += ["        return lanes, horizon",
+             "    return dispatch_scan"]
+    cycle += sweep + ["        sim.cycle = now + 1",
+                      "        sim._ticked += 1",
+                      "    return dispatch_cycle"]
+    head = f"def bind({params}):"
+    return ("\n".join([head, *scan, ""]), "\n".join([head, *cycle, ""]))
+
+
+@lru_cache(maxsize=_WALK_SHAPES)
+def _walk(shape: Tuple[str, ...],
+          clustered: bool) -> Tuple[Callable[..., Any], ...]:
+    """The compiled ``bind`` factories of one walk shape's scan and
+    cycle (see :func:`_walk_source`), shared by every simulator of
+    that shape.
+
+    Each source is registered in :mod:`linecache` under a synthetic
+    filename that depends only on the shape, so tracebacks and
+    :func:`inspect.getsource` show the generated lines.
+    """
+    key = ("cluster " if clustered else "flat ") + ".".join(shape)
+    tag = f"{zlib.crc32(key.encode()):08x}"
+    binds = []
+    for part, source in zip(("scan", "cycle"),
+                            _walk_source(shape, clustered)):
+        filename = f"<sim walk {tag} {part}>"
+        linecache.cache[filename] = (len(source), None,
+                                     source.splitlines(True), filename)
+        namespace: Dict[str, Any] = {}
+        exec(compile(source, filename, "exec"), namespace)
+        binds.append(namespace["bind"])
+    return tuple(binds)
 
 
 @dataclass
@@ -395,18 +565,12 @@ class Simulator:
         #: name of the component that most recently emitted an event
         self.last_active: Optional[str] = None
         self._components: List[Component] = []
-        #: the registered components whose class overrides
-        #: :meth:`Component.commit`, in registration order: the only
-        #: ones the commit sweep of a dispatched cycle visits
-        self._committers: List[Component] = []
         #: each component registered by :meth:`add_all`, to its group
         self._group_of: Dict[Component, List[Component]] = {}
         #: the walk in clusters (registration order) while at least two
         #: groups of several components are registered, else None (the
         #: flat walk over ``_components``)
         self._clusters: Optional[List[_Cluster]] = None
-        #: the clusters with a member in ``_committers``
-        self._commit_clusters: List[_Cluster] = []
         self._names = set()
         #: per batch lane, the ids of the registered components it
         #: drives (:func:`audit.driven`); cleared on add/remove
@@ -416,12 +580,12 @@ class Simulator:
         self._skipped = 0
         self._skip_windows = 0
         self._batched = 0
-        #: the walk's dispatch scan and dispatched cycle, chosen on every
-        #: registration change (:meth:`_registered`), so an event pays
-        #: for no choice
+        #: the compiled walk's dispatch scan and dispatched cycle (see
+        #: :func:`_walk_source`); until the first event after a
+        #: registration change, trampolines that bind them
         self._dispatch_scan: Callable[
-            [int], Tuple[Optional[List[Component]], int]] = self._flat_scan
-        self._dispatch_cycle: Callable[[], None] = self._flat_cycle
+            [int], Tuple[Optional[List[Component]], int]] = self._bind_scan
+        self._dispatch_cycle: Callable[[], None] = self._bind_cycle
 
     # -- registration ----------------------------------------------------
     def add(self, component: Component) -> Component:
@@ -482,13 +646,13 @@ class Simulator:
 
     def _registered(self) -> None:
         """Rebuild what the fast schedule derives from the component
-        list: the commit sweep, the clusters and the walk.  A cluster
-        is a contiguous run of one :meth:`add_all` group (a DPR swap
+        list, the clusters, and unbind the walk.  A cluster is a
+        contiguous run of one :meth:`add_all` group (a DPR swap
         re-registers an OCP's FIFOs and RAC at the end, outside it) or
-        one other component."""
+        one other component.  The walk is bound at the next event
+        (:meth:`_bind_walk`), so building a system compiles and binds
+        nothing."""
         self._driven.clear()
-        self._committers = [comp for comp in self._components
-                            if _commits(comp)]
         runs: List[List[Component]] = []
         previous = None
         for comp in self._components:
@@ -502,21 +666,41 @@ class Simulator:
             # a single OCP is due on most events: walking it as a
             # cluster would only add a check to each of them
             self._clusters = None
-            self._commit_clusters = []
             for comp in self._components:
                 comp._cluster = _NO_CLUSTER
-            self._dispatch_scan = self._flat_scan
-            self._dispatch_cycle = self._flat_cycle
         else:
             self._clusters = [_Cluster(run) for run in runs]
-            self._commit_clusters = [cluster for cluster in self._clusters
-                                     if cluster.committers]
             for cluster in self._clusters:
                 for comp in cluster.members:
                     comp._cluster = cluster
-            self._dispatch_scan = self._cluster_scan
-            self._dispatch_cycle = self._cluster_cycle
+        self._dispatch_scan = self._bind_scan
+        self._dispatch_cycle = self._bind_cycle
         self._wire_watchers()
+
+    def _bind_walk(self) -> None:
+        """Bind the compiled walk of the registered components' shape
+        (compiling it on the shape's first use in the process)."""
+        clusters = self._clusters
+        runs = ([self._components] if clusters is None
+                else [cluster.members for cluster in clusters])
+        shape = tuple("".join(map(_role, run)) for run in runs)
+        bind_scan, bind_cycle = _walk(shape, clusters is not None)
+        parts = (self, *self._components, *(clusters or ()))
+        self._dispatch_scan = bind_scan(*parts)
+        self._dispatch_cycle = bind_cycle(*parts)
+
+    def _bind_scan(
+        self, bound: int
+    ) -> Tuple[Optional[List[Component]], int]:
+        """The dispatch scan while the walk is unbound: bind, then scan."""
+        self._bind_walk()
+        return self._dispatch_scan(bound)
+
+    def _bind_cycle(self) -> None:
+        """The dispatched cycle while the walk is unbound: bind, then
+        dispatch."""
+        self._bind_walk()
+        self._dispatch_cycle()
 
     def _wire_watchers(self) -> None:
         """Rebuild the clusters in the ``_watchers`` lists: none for the
@@ -710,81 +894,6 @@ class Simulator:
         comp._wake_valid = True
         return wake
 
-    def _flat_scan(
-        self, bound: int
-    ) -> Tuple[Optional[List[Component]], int]:
-        """One pass over the cached quiescence claims (the flat walk's
-        ``_dispatch_scan``).
-
-        Returns ``(lanes, horizon)``: the due components in
-        registration order (empty when none is due), and the earliest
-        strictly-future wake clamped to ``bound``.  The scan keeps
-        going past a due component only while every due component so
-        far can batch; at the first one that cannot, a dispatched cycle
-        has to run, the horizon is irrelevant, and it returns ``None``
-        for the lanes (later components keep their caches and are
-        re-polled by the dispatched cycle where needed).
-        """
-        now = self.cycle
-        lanes: List[Component] = []
-        horizon = bound
-        for comp in self._components:
-            if comp._wake_valid:
-                wake = comp._wake
-            else:  # inlined _poll: this loop runs before every event
-                comp._wake = wake = comp.next_activity()
-                comp._wake_valid = True
-            if wake is None:
-                continue
-            if wake <= now:
-                if not comp.can_batch:
-                    return None, horizon
-                lanes.append(comp)
-            elif wake < horizon:
-                horizon = wake
-        return lanes, horizon
-
-    def _cluster_scan(
-        self, bound: int
-    ) -> Tuple[Optional[List[Component]], int]:
-        """:meth:`_flat_scan` over clusters (the cluster walk's
-        ``_dispatch_scan``): a cluster whose cached claim lies in the
-        future costs one check; any other is scanned member by member
-        and, when none of them is due, caches their earliest wake as
-        its claim."""
-        now = self.cycle
-        lanes: List[Component] = []
-        horizon = bound
-        for cluster in self._clusters:
-            if cluster._wake_valid:
-                wake = cluster._wake
-                if wake > now:
-                    if wake < horizon:
-                        horizon = wake
-                    continue
-            due = len(lanes)
-            low = _NEVER
-            for comp in cluster.members:
-                if comp._wake_valid:
-                    wake = comp._wake
-                else:
-                    comp._wake = wake = comp.next_activity()
-                    comp._wake_valid = True
-                if wake is None:
-                    continue
-                if wake <= now:
-                    if not comp.can_batch:
-                        return None, horizon
-                    lanes.append(comp)
-                elif wake < low:
-                    low = wake
-            if low < horizon:
-                horizon = low
-            if len(lanes) == due:
-                cluster._wake = low
-                cluster._wake_valid = True
-        return lanes, horizon
-
     def _grants(self, lanes: List[Component], horizon: int) -> bool:
         """The batch-lane decision for a scan whose due components can
         all batch: tracing off, a window of at least two cycles, and
@@ -804,82 +913,6 @@ class Simulator:
                 return False
             claimed.update(driven)
         return True
-
-    def _flat_cycle(self) -> None:
-        """Execute one cycle touching only the components that are due
-        (the flat walk's ``_dispatch_cycle``).
-
-        Visibility matches the naive schedule exactly: the single tick
-        pass runs in registration order, re-polling each component when
-        the pass reaches it -- so a *forward* poke (an earlier
-        component waking a later one) lands the same cycle, while a
-        *backward* poke takes effect next cycle, which is precisely
-        when the naive two-phase schedule would surface it.  The commit
-        sweep visits only the components whose class overrides
-        ``commit`` (every other commit is the base no-op), again in
-        registration order so same-cycle trace events keep their naive
-        order, and picks up those whose commit phase can still observe
-        a backward poke (a FIFO staged into by a later producer).  A
-        claim the sweep leaves invalid is polled by the next scan.
-        """
-        now = self.cycle
-        for comp in self._components:
-            if comp._wake_valid:
-                wake = comp._wake
-            else:  # inlined _poll (hot loop)
-                comp._wake = wake = comp.next_activity()
-                comp._wake_valid = True
-            if wake is None or wake > now:
-                continue
-            comp._ran_at = now
-            comp.tick()
-            comp._wake_valid = False
-        for comp in self._committers:
-            if comp._ran_at == now:
-                comp.commit()
-            elif not comp._wake_valid:
-                wake = self._poll(comp)
-                if wake is not None and wake <= now:
-                    comp.commit()
-                    comp._wake_valid = False
-        self.cycle = now + 1
-        self._ticked += 1
-
-    def _cluster_cycle(self) -> None:
-        """:meth:`_flat_cycle` over clusters (the cluster walk's
-        ``_dispatch_cycle``): the tick pass skips a cluster whose valid
-        claim lies in the future, and the commit sweep every cluster
-        whose claim is valid (a member that ticked or was poked dropped
-        it)."""
-        now = self.cycle
-        for cluster in self._clusters:
-            if cluster._wake_valid and cluster._wake > now:
-                continue
-            for comp in cluster.members:
-                if comp._wake_valid:
-                    wake = comp._wake
-                else:
-                    comp._wake = wake = comp.next_activity()
-                    comp._wake_valid = True
-                if wake is None or wake > now:
-                    continue
-                comp._ran_at = now
-                comp.tick()
-                comp._wake_valid = False
-                cluster._wake_valid = False
-        for cluster in self._commit_clusters:
-            if cluster._wake_valid:
-                continue
-            for comp in cluster.committers:
-                if comp._ran_at == now:
-                    comp.commit()
-                elif not comp._wake_valid:
-                    wake = self._poll(comp)
-                    if wake is not None and wake <= now:
-                        comp.commit()
-                        comp._wake_valid = False
-        self.cycle = now + 1
-        self._ticked += 1
 
     def _dispatch_batch(self, lanes: List[Component], horizon: int) -> None:
         """Advance every lane by one common span in one event.

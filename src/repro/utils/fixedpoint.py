@@ -315,6 +315,17 @@ def complex_to_words(re: Sequence[int], im: Sequence[int]) -> List[int]:
             for r, i in zip(re, im)]
 
 
+def _int_array(values: object) -> "np.ndarray | None":
+    """``values`` as an int64 array when NumPy infers an integer (or
+    bool) array for it, else None: a value outside int64 (NumPy infers
+    float or object) or a non-integer element keeps the scalar path,
+    so the vectorised callers raise exactly what it raises."""
+    array = np.array(values)
+    if array.dtype.kind not in "iub":
+        return None
+    return array.astype(np.int64)
+
+
 def interleave_complex(re: Sequence[int], im: Sequence[int]) -> List[int]:
     """Interleave (re, im) into separate sign-extended 32-bit words.
 
@@ -324,25 +335,28 @@ def interleave_complex(re: Sequence[int], im: Sequence[int]) -> List[int]:
     """
     if len(re) != len(im):
         raise ValueError("re/im length mismatch")
-    words: List[int] = []
-    for r, i in zip(re, im):
-        words.append(int(r) & 0xFFFFFFFF)
-        words.append(int(i) & 0xFFFFFFFF)
-    return words
+    pairs = _int_array((re, im))
+    if pairs is None:
+        return [int(value) & 0xFFFFFFFF
+                for pair in zip(re, im) for value in pair]
+    return (pairs.T & 0xFFFFFFFF).ravel().tolist()
 
 
 def deinterleave_complex(words: Sequence[int]) -> Tuple[List[int], List[int]]:
     """Inverse of :func:`interleave_complex` (values re-signed)."""
     if len(words) % 2:
         raise ValueError("interleaved stream must have even length")
+    array = _int_array(words)
+    if array is None:
+        def resign(word: int) -> int:
+            word &= 0xFFFFFFFF
+            return word - (1 << 32) if word & (1 << 31) else word
 
-    def resign(word: int) -> int:
-        word &= 0xFFFFFFFF
-        return word - (1 << 32) if word & (1 << 31) else word
-
-    re = [resign(w) for w in words[0::2]]
-    im = [resign(w) for w in words[1::2]]
-    return re, im
+        return ([resign(w) for w in words[0::2]],
+                [resign(w) for w in words[1::2]])
+    array &= 0xFFFFFFFF
+    array -= (array & 0x80000000) << 1
+    return array[0::2].tolist(), array[1::2].tolist()
 
 
 def words_to_complex(words: Sequence[int]) -> Tuple[List[int], List[int]]:

@@ -150,6 +150,63 @@ def test_interleave_rejects_mismatch():
         fp.deinterleave_complex([1, 2, 3])
 
 
+def _interleave_oracle(re, im):
+    """The scalar definition of :func:`fp.interleave_complex`."""
+    words = []
+    for r, i in zip(re, im):
+        words += [int(r) & 0xFFFFFFFF, int(i) & 0xFFFFFFFF]
+    return words
+
+
+def _deinterleave_oracle(words):
+    """The scalar definition of :func:`fp.deinterleave_complex`."""
+    def resign(word):
+        word &= 0xFFFFFFFF
+        return word - (1 << 32) if word & (1 << 31) else word
+
+    return ([resign(w) for w in words[0::2]],
+            [resign(w) for w in words[1::2]])
+
+
+#: the sign boundaries of Q15 samples, 32-bit words and int64
+BOUNDARIES = [0, 1, -1, 1 << 15, -(1 << 15), (1 << 15) - 1, (1 << 31) - 1,
+              1 << 31, -(1 << 31), (1 << 32) - 1, 1 << 32, -(1 << 32),
+              (1 << 63) - 1, -(1 << 63)]
+
+
+@pytest.mark.parametrize("extra", [[], [1 << 63], [-(1 << 63) - 1],
+                                   [1 << 70], [True]],
+                         ids=["int64", "2^63", "below-int64", "2^70",
+                              "bool"])
+def test_complex_interleaving_matches_the_scalar_oracle(extra):
+    """The vectorised marshalling equals the scalar definition at every
+    sign boundary, on values outside int64 (the scalar path) included,
+    and returns Python ints."""
+    values = BOUNDARIES + extra
+    re, im = values, values[::-1]
+    words = fp.interleave_complex(re, im)
+    assert words == _interleave_oracle(re, im)
+    assert fp.interleave_complex(np.array(re[:4]), im[:4]) \
+        == _interleave_oracle(re[:4], im[:4])
+    for stream in (words, values + values[:len(values) % 2]):
+        halves = fp.deinterleave_complex(stream)
+        assert halves == _deinterleave_oracle(stream)
+        assert all(type(v) is int for half in halves for v in half)
+    assert all(type(word) is int for word in words)
+    assert fp.interleave_complex([], []) == []
+    assert fp.deinterleave_complex([]) == ([], [])
+
+
+def test_complex_interleaving_keeps_scalar_errors():
+    """Elements the scalar path rejects are rejected the same way."""
+    with pytest.raises(TypeError):
+        fp.deinterleave_complex([1.5, 2])
+    with pytest.raises(OverflowError):
+        fp.interleave_complex([float("inf")], [0])
+    assert fp.interleave_complex([1.7, -1.7], [2, -2]) \
+        == _interleave_oracle([1.7, -1.7], [2, -2])
+
+
 # -- vectorized datapath vs scalar reference (hot-path bit-exactness) -------
 
 def fft_q15_scalar(re, im):

@@ -1804,6 +1804,69 @@ def test_cluster_dpr_swap_between_scheduler_streams(schedule):
     assert [len(wave) for wave in outputs] == [10, 10]
 
 
+def _walk_components(sim):
+    """The components the bound compiled walk holds."""
+    cycle = sim._dispatch_cycle
+    bound = {name: cell.cell_contents for name, cell in zip(
+        cycle.__code__.co_freevars, cycle.__closure__)}
+    return [bound[f"c{index}"] for index in range(
+        sum(name[0] == "c" for name in bound))]
+
+
+def _stepped_dpr_reconfigure(ocps, **soc_kw):
+    """A passthrough job stream over ``ocps`` OCPs, stepped; OCP 0 is
+    reconfigured through :class:`DPRManager` between ``step`` calls;
+    then a second stream.  The fast walk must rebind to the new RAC
+    and FIFOs at the first event after the swap."""
+    from repro.core.dpr import DPRManager, PartialBitstream
+    from repro.rac.scale import PassthroughRac
+    from repro.sched import Job, ThroughputScheduler
+    from repro.system import build_mpsoc
+
+    trace = Trace()
+    soc = build_mpsoc([PassthroughRac(name=f"pt{index}", block_size=8,
+                                      compute_latency=20)
+                       for index in range(ocps)], trace=trace, **soc_kw)
+    sched = ThroughputScheduler(soc, batch_jobs=2, queue_bound=3)
+    fast = soc.sim.idle_skip
+    assert (soc.sim._clusters is None) == (ocps == 1)
+    rng = random.Random(SEED_BASE + 730_000 + ocps)
+    outputs = []
+    for wave in range(2):
+        if wave:
+            old = soc.ocps[0].rac
+            if fast:
+                assert old in _walk_components(soc.sim)
+            DPRManager(soc.sim, soc.ocps[0]).reconfigure(PartialBitstream(
+                PassthroughRac(name="pt0b", block_size=8,
+                               compute_latency=45), size_words=64))
+            soc.sim.step(7)
+            if fast:
+                bound = _walk_components(soc.sim)
+                assert bound == soc.sim.components
+                assert old not in bound and soc.ocps[0].rac in bound
+        jobs = [Job(f"w{wave}j{index}", "passthrough",
+                    [rng.getrandbits(32) for _ in range(8)])
+                for index in range(6)]
+        waiting = list(jobs)
+        while waiting or not sched.idle:
+            if not (waiting and sched.submit(waiting[0])):
+                soc.sim.step(rng.randint(1, 40))
+            else:
+                waiting.pop(0)
+        outputs.append([sched.completed[job.job_id].outputs
+                        for job in jobs])
+    return (outputs, soc.sim.cycle, trace.dump(),
+            list(sched.completion_order), soc.bus.stats.as_dict())
+
+
+@pytest.mark.parametrize("ocps", [1, 2], ids=["flat", "cluster"])
+def test_compiled_walk_rebinds_across_a_dpr_reconfigure(schedule, ocps):
+    outputs, *_ = _agrees_with_naive(
+        lambda **kw: _stepped_dpr_reconfigure(ocps, **kw), schedule)
+    assert [len(wave) for wave in outputs] == [6, 6]
+
+
 # -- live reads mid-interval -------------------------------------------------
 #
 # The equivalence suites compare two schedules of the same code, so they

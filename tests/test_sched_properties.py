@@ -11,7 +11,9 @@ the differential (bit-exactness) gate:
 * batching never reorders jobs within a dependency chain, and a chain
   never migrates between OCPs;
 * malformed submissions (duplicate ids, unknown kinds, infeasible
-  sizes) are rejected loudly at submit time, not lost at dispatch.
+  sizes) are rejected loudly at submit time, not lost at dispatch;
+* ``idle``, read from the queued-job set and the busy-slot count, is
+  what every slot's state and queue say, through faulted retries.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from typing import List
 
 import pytest
 
+from repro.faults import FaultEvent, FaultKind, FaultPlan, inject_faults
 from repro.rac.scale import PassthroughRac, ScaleRac
 from repro.sched import (
     CapabilityTable,
@@ -28,8 +31,9 @@ from repro.sched import (
     RoundRobinPolicy,
     ThroughputScheduler,
 )
+from repro.sched.scheduler import SCHED_ARENA_BASE_OFFSET
 from repro.sim.errors import ConfigurationError
-from repro.system import build_mpsoc
+from repro.system import RAM_BASE, build_mpsoc
 
 BLOCK = 8
 
@@ -235,3 +239,48 @@ def test_capability_table_round_trip():
     assert table.as_dict() == {"passthrough": [0, 2], "scale": [1]}
     assert table.serving("scale") == (1,)
     assert not table.validate(soc).errors
+
+
+@pytest.mark.parametrize("seed", [11, 12, 13])
+def test_idle_matches_every_slot_after_every_tick(seed):
+    """The busy-slot count behind ``idle`` agrees with the slots after
+    every scheduler tick and every submit of a random stream, whose
+    first batch traps on corrupted microcode and is retried after a
+    backoff."""
+    soc = build_mpsoc([PassthroughRac(name=f"pt{i}", block_size=BLOCK)
+                       for i in range(3)],
+                      ocp_kwargs={"watchdog_cycles": 2000})
+    # bit 28 of the first staged instruction turns mvtc into a blocking
+    # exec: the watchdog traps, the scheduler aborts and backs off
+    inject_faults(soc, FaultPlan(seed=seed, events=[FaultEvent(
+        FaultKind.CORRUPT_MICROCODE, "mc", index=2, bit=28,
+        word=RAM_BASE + SCHED_ARENA_BASE_OFFSET)]))
+    sched = ThroughputScheduler(soc, batch_jobs=2, queue_bound=2,
+                                backoff_cycles=64)
+    checks = []
+
+    def check():
+        busy = sum(slot.state != "idle" for slot in sched.slots)
+        assert sched._busy_slots == busy
+        assert sched.idle == all(slot.state == "idle" and not slot.queue
+                                 for slot in sched.slots)
+        checks.append(sched.idle)
+
+    tick = sched.tick
+
+    def checked_tick():
+        tick()
+        check()
+
+    sched.tick = checked_tick
+    rng = random.Random(seed)
+    waiting = _jobs(seed, 24)
+    while waiting or not sched.idle:
+        if waiting and rng.random() < 0.5 and sched.submit(waiting[0]):
+            waiting.pop(0)
+            check()
+        else:
+            soc.sim.step(rng.randint(1, 60))
+    assert sum(slot.retries for slot in sched.slots) >= 1
+    assert len(sched.completed) == 24
+    assert True in checks and False in checks

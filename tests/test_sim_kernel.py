@@ -1,8 +1,13 @@
 """Unit tests for the simulation kernel."""
 
+import inspect
+import re
+import traceback
+
 import pytest
 
 from repro.sim import Component, DeadlockError, SimulationError, Simulator, Trace
+from repro.sim import kernel
 
 
 class Counter(Component):
@@ -233,6 +238,23 @@ def test_partial_reconfiguration_swap_rac_detaches_cleanly():
 # A dispatched cycle commits only the components whose *class* overrides
 # ``Component.commit``; every other commit is the base no-op.
 
+def _bound(sim):
+    """The compiled walk's dispatched cycle, bound, and its parameters
+    by name (``c<i>`` the components, ``k<j>`` the clusters)."""
+    sim._bind_walk()
+    cycle = sim._dispatch_cycle
+    return cycle, dict(zip(cycle.__code__.co_freevars,
+                           (cell.cell_contents for cell in cycle.__closure__)))
+
+
+def _swept(sim):
+    """The components the compiled commit sweep visits, in order, read
+    from the generated source of the bound dispatched cycle."""
+    cycle, bound = _bound(sim)
+    names = re.findall(r"\b(c\d+)\.commit\(\)", inspect.getsource(cycle))
+    return [bound[name] for name in dict.fromkeys(names)]
+
+
 def test_commit_sweep_skips_classes_without_a_commit_override():
     from repro.rac.fifo import FIFO
 
@@ -240,7 +262,7 @@ def test_commit_sweep_skips_classes_without_a_commit_override():
     counter = sim.add(Counter("a"))
     observer = sim.add(TwoPhase(counter))
     fifo = sim.add(FIFO("f"))
-    assert sim._committers == [observer, fifo]
+    assert _swept(sim) == [observer, fifo]
 
 
 def test_commit_sweep_keeps_registration_order_through_add_and_remove():
@@ -249,14 +271,14 @@ def test_commit_sweep_keeps_registration_order_through_add_and_remove():
     sim = Simulator()
     first, second, third = (sim.add(FIFO(name)) for name in "xyz")
     sim.add(Counter())
-    assert sim._committers == [first, second, third]
+    assert _swept(sim) == [first, second, third]
     sim.remove(second)
-    assert sim._committers == [first, third]
+    assert _swept(sim) == [first, third]
     sim.add(second)
-    assert sim._committers == [first, third, second]
+    assert _swept(sim) == [first, third, second]
     sim.remove(first)
     sim.remove(third)
-    assert sim._committers == [second]
+    assert _swept(sim) == [second]
 
 
 class LateProducer(Component):
@@ -327,7 +349,7 @@ def test_instance_commit_wrappers_leave_fast_and_naive_identical():
         # the sweep is rebuilt at the next registration, after the
         # wrapping, and must not pick the wrappers up
         soc.sim.add(Sleeper())
-        committers = soc.sim._committers
+        committers = _swept(soc.sim)
         soc.write_ram(RAM_BASE + 0x2000, list(range(32)))
         program = OuProgram().stream_to(1, 32).execs() \
             .stream_from(2, 32).eop()
@@ -348,3 +370,141 @@ def test_instance_commit_wrappers_leave_fast_and_naive_identical():
     assert [type(comp).__name__ for comp in committers] == ["FIFO", "FIFO"]
     # the naive stepper still calls every commit, wrapped ones included
     assert set(naive_calls) > set(fast_calls)
+
+
+# -- the compiled walk -------------------------------------------------------
+#
+# The fast schedule's scan and dispatched cycle are generated per shape
+# of the component list, compiled once per process and bound per
+# simulator at the first event after a registration change.
+
+def _passthrough_socs(count, ocps):
+    from repro.rac.scale import PassthroughRac
+    from repro.system import build_mpsoc
+
+    return [build_mpsoc([PassthroughRac(name=f"pt{index}", block_size=8)
+                         for index in range(ocps)])
+            for _ in range(count)]
+
+
+@pytest.mark.parametrize("ocps", [1, 2], ids=["flat", "cluster"])
+def test_compiled_walk_is_shared_by_two_socs_of_one_shape(ocps):
+    first, second = _passthrough_socs(2, ocps)
+    for soc in (first, second):
+        soc.sim.step(3)
+    assert (first.sim._clusters is None) == (ocps == 1)
+    for hook in ("_dispatch_scan", "_dispatch_cycle"):
+        one = getattr(first.sim, hook)
+        other = getattr(second.sim, hook)
+        assert one.__code__ is other.__code__
+        assert one is not other
+    # each is bound to its own simulator's components
+    _, bound = _bound(second.sim)
+    assert bound["sim"] is second.sim
+    assert [bound[f"c{index}"] for index in range(
+        len(second.sim.components))] == second.sim.components
+
+
+def test_compiled_walk_registrations_compile_nothing():
+    """Building a 43-component MPSoC registers one component at a time;
+    no intermediate shape is compiled or even looked up.  The first
+    event binds the walk once."""
+    from repro.sched import ThroughputScheduler
+
+    before = kernel._walk.cache_info()
+    (soc,) = _passthrough_socs(1, 8)
+    ThroughputScheduler(soc)
+    assert len(soc.sim.components) == 43
+    assert kernel._walk.cache_info() == before
+    assert soc.sim._dispatch_scan == soc.sim._bind_scan
+    assert soc.sim._dispatch_cycle == soc.sim._bind_cycle
+    soc.sim.step(5)
+    after = kernel._walk.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
+    assert soc.sim._dispatch_scan != soc.sim._bind_scan
+
+
+class Faulty(Component):
+    """Raises from its tick at cycle ``at``."""
+
+    def __init__(self, name="faulty", at=2):
+        super().__init__(name)
+        self.at = at
+
+    def next_activity(self):
+        return max(self.at, self.sim.cycle)
+
+    def tick(self):
+        if self.sim.cycle >= self.at:
+            raise RuntimeError("tick failed")
+
+
+class Idle(Component):
+    def next_activity(self):
+        return None
+
+
+@pytest.mark.parametrize("clustered", [False, True],
+                         ids=["flat", "cluster"])
+def test_compiled_walk_shows_its_lines_in_a_traceback(clustered):
+    sim = Simulator()
+    sim.add(Counter())
+    if clustered:
+        sim.add_all([Idle("idle0"), Idle("idle1")])
+        sim.add_all([Faulty(), Idle("idle2")])
+    else:
+        sim.add(Faulty())
+    assert (sim._clusters is not None) == clustered
+    with pytest.raises(RuntimeError, match="tick failed") as raised:
+        sim.step(10)
+    frames = [frame for frame in traceback.extract_tb(raised.tb)
+              if frame.filename.startswith("<sim walk ")]
+    faulty = "c3" if clustered else "c1"
+    assert [(frame.name, frame.line) for frame in frames] \
+        == [("dispatch_cycle", f"{faulty}.tick()")]
+    assert inspect.getsource(sim._dispatch_scan).startswith(
+        "    def dispatch_scan(bound):\n")
+
+
+def _loopback_run(idle_skip, wrap_fifo_ticks):
+    """A 32-word loopback on one OCP; optionally wraps every FIFO's
+    ``tick`` on the instance.  Returns the observables and the wrapped
+    calls."""
+    from repro.core.program import OuProgram
+    from repro.rac.scale import PassthroughRac
+    from repro.system import RAM_BASE, SoC
+    from repro.sw.baremetal import BaremetalRuntime
+
+    soc = SoC(racs=[PassthroughRac(block_size=32)], with_cpu=False,
+              idle_skip=idle_skip)
+    calls = []
+    fifos = soc.ocp.fifos_in + soc.ocp.fifos_out
+    if wrap_fifo_ticks:
+        for fifo in fifos:
+            def wrapped(fifo=fifo, inner=fifo.tick):
+                calls.append(fifo.name)
+                inner()
+            fifo.tick = wrapped
+    soc.write_ram(RAM_BASE + 0x2000, list(range(32)))
+    program = OuProgram().stream_to(1, 32).execs().stream_from(2, 32).eop()
+    result = BaremetalRuntime(soc).run(
+        program.words(), {0: RAM_BASE + 0x1000, 1: RAM_BASE + 0x2000,
+                          2: RAM_BASE + 0x3000})
+    stats = [soc.bus.stats.as_dict(), soc.ocp.controller.stats.as_dict()]
+    stats += [fifo.stats.as_dict() for fifo in fifos]
+    return (result.total_cycles, soc.sim.cycle, soc.sim.profile(),
+            soc.read_ram(RAM_BASE + 0x3000, 32), stats), calls
+
+
+def test_compiled_walk_elides_base_ticks_by_class():
+    """A FIFO keeps the base no-op ``tick``, so the compiled cycle calls
+    none; a wrapper on an instance's ``tick`` (a host profiler's) does
+    not change that or any result.  The naive stepper calls it."""
+    plain, _ = _loopback_run(True, wrap_fifo_ticks=False)
+    wrapped, fast_calls = _loopback_run(True, wrap_fifo_ticks=True)
+    naive, naive_calls = _loopback_run(False, wrap_fifo_ticks=True)
+    assert wrapped == plain
+    assert fast_calls == []
+    assert naive[:2] == plain[:2] and naive[3:] == plain[3:]
+    assert plain[3] == list(range(32))
+    assert len(naive_calls) == 2 * naive[1]
