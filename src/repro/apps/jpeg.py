@@ -46,6 +46,9 @@ def zigzag_order() -> List[Tuple[int, int]]:
 
 _ZIGZAG = zigzag_order()
 
+#: per block row, the zig-zag index of each of its entries
+_UNZIGZAG = [[_ZIGZAG.index((r, c)) for c in range(8)] for r in range(8)]
+
 
 def to_zigzag(block: Sequence[Sequence[int]]) -> List[int]:
     """8x8 block -> 64-entry zig-zag vector."""
@@ -56,10 +59,7 @@ def from_zigzag(vector: Sequence[int]) -> List[List[int]]:
     """64-entry zig-zag vector -> 8x8 block."""
     if len(vector) != 64:
         raise ConfigurationError(f"expected 64 coefficients, got {len(vector)}")
-    block = [[0] * 8 for _ in range(8)]
-    for value, (r, c) in zip(vector, _ZIGZAG):
-        block[r][c] = int(value)
-    return block
+    return [[int(vector[index]) for index in row] for row in _UNZIGZAG]
 
 
 def _dct_basis() -> np.ndarray:

@@ -17,6 +17,10 @@ class Arbiter:
     """Arbitration policy interface."""
 
     name = "abstract"
+    #: whether :meth:`pick` updates the policy's state; a policy that
+    #: keeps none is not asked about a sole pending request, which the
+    #: bus grants directly
+    stateful = True
 
     def pick(self, pending: List[BusTransfer]) -> BusTransfer:
         """Choose one of the pending transfers (list is non-empty)."""
@@ -27,10 +31,9 @@ class FixedPriorityArbiter(Arbiter):
     """Lowest ``priority`` value wins; ties broken by submission order."""
 
     name = "fixed-priority"
+    stateful = False
 
     def pick(self, pending: List[BusTransfer]) -> BusTransfer:
-        if len(pending) == 1:
-            return pending[0]
         return min(
             pending,
             key=lambda t: (t.request.priority, t.issue_cycle),

@@ -19,11 +19,15 @@ from typing import Dict, List, Optional, Tuple
 
 from ..sim.errors import BusError, BusFaultError
 from ..sim.kernel import Component
-from ..sim.tracing import Stats
+from ..sim.tracing import Stats, elapsed
 from .arbiter import Arbiter, FixedPriorityArbiter
 from .memmap import MemoryMap, Region
 from .protocol import AHB, BusProtocol
 from .types import AccessKind, BusRequest, BusSlave, BusTransfer
+
+#: entries the occupancy memo holds before it starts afresh; a system
+#: uses a handful of (burst, latency) pairs
+OCCUPANCY_MEMO_SIZE = 1024
 
 
 class SystemBus(Component):
@@ -49,11 +53,27 @@ class SystemBus(Component):
         self.memmap = MemoryMap()
         self._stats = Stats()
         self._pending: List[BusTransfer] = []
+        #: the granted transfer; the bus is busy from the cycle after
+        #: its grant through the cycle it finishes (``busy_cycles``)
         self._current: Optional[BusTransfer] = None
         self._busy_until = 0
         #: per master, its ``requests.<master>`` and ``beats.<master>``
         #: statistic keys (formatted once, not per transfer)
         self._master_keys: Dict[str, Tuple[str, str]] = {}
+
+    @property
+    def protocol(self) -> BusProtocol:
+        """The timing model; assigning one starts a fresh occupancy
+        memo, so the memo always answers for the current protocol."""
+        return self._protocol
+
+    @protocol.setter
+    def protocol(self, protocol: BusProtocol) -> None:
+        self._protocol = protocol
+        #: ``protocol.transfer_cycles(burst, latency)`` by ``(burst,
+        #: latency)``: exact, because a protocol is frozen and the
+        #: formula reads nothing else
+        self._occupancy: Dict[Tuple[int, int], int] = {}
 
     # -- topology ------------------------------------------------------
     def attach_slave(
@@ -75,10 +95,8 @@ class SystemBus(Component):
         movement skip the memory-map walk.  ``waiter``, if given, is
         poked when the transfer completes (fast schedule).
         """
-        route = self.memmap.lookup(request.address, span_bytes=4 * request.burst)
-        transfer = BusTransfer(
-            request=request, issue_cycle=self.now, waiter=waiter, route=route
-        )
+        route = self.memmap.lookup(request.address, 4 * request.burst)
+        transfer = BusTransfer(request, self.now, waiter, route)
         self._pending.append(transfer)
         counts = self._stats.counts
         counts["requests"] += 1
@@ -110,11 +128,13 @@ class SystemBus(Component):
 
     def tick(self) -> None:
         now = self.sim.cycle
-        if self._current is not None and now >= self._busy_until:
-            self._finish(self._current, now)
-            self._current = None
-        if self._current is None and self._pending:
-            self._grant(self.arbiter.pick(self._pending), now)
+        current = self._current
+        if current is not None:
+            if now < self._busy_until:
+                return
+            self._finish(current, now)
+        if self._pending:
+            self._grant(now)
 
     def next_activity(self):
         # an in-flight transfer occupies the bus until _busy_until; the
@@ -135,51 +155,58 @@ class SystemBus(Component):
         self._master_keys[master] = keys
         return keys
 
-    def _grant(self, transfer: BusTransfer, now: int) -> None:
-        self._pending.remove(transfer)
-        request = transfer.request
-        if transfer.route is not None:
-            region, offset = transfer.route
+    def _occupy(self, key: Tuple[int, int]) -> int:
+        """A miss of the occupancy memo: compute and keep ``key``'s
+        occupancy (the memo starts afresh when it is full)."""
+        memo = self._occupancy
+        if len(memo) >= OCCUPANCY_MEMO_SIZE:
+            memo.clear()
+        occupancy = memo[key] = self._protocol.transfer_cycles(*key)
+        return occupancy
+
+    def _grant(self, now: int) -> None:
+        pending = self._pending
+        if len(pending) == 1 and not self.arbiter.stateful:
+            transfer = pending.pop()
         else:
-            region, offset = self.memmap.lookup(
-                request.address, span_bytes=4 * request.burst
-            )
+            transfer = self.arbiter.pick(pending)
+            pending.remove(transfer)
+        request = transfer.request
+        burst = request.burst
+        region, offset = transfer.route
         latency_for = region.latency_for
         if latency_for is not None:
             # address-aware slaves (e.g. SDRAM open-row model) charge
             # a latency that depends on where the burst lands
-            latency = latency_for(offset, request.burst)
+            key = (burst, latency_for(offset, burst))
         else:
-            latency = region.slave.access_latency
-        occupancy = self.protocol.transfer_cycles(request.burst, latency)
+            key = (burst, region.slave.access_latency)
+        occupancy = self._occupancy.get(key) or self._occupy(key)
         transfer.grant_cycle = now
         self._busy_until = now + occupancy
         self._current = transfer
-        # the bus is busy from the next cycle through the finishing one
-        self._stats.start("busy_cycles", now + 1)
         counts = self._stats.counts
         counts["grants"] += 1
-        counts["beats"] += request.burst
-        counts[self._master_keys[request.master][1]] += request.burst
-        if self.note_activity():
+        counts["beats"] += burst
+        counts[self._master_keys[request.master][1]] += burst
+        # named in deadlock diagnostics; a payload only under a trace
+        sim = self.sim
+        sim.last_active = self.name
+        if sim.trace is not None:
             self.trace_event(
                 "grant",
                 master=request.master,
                 kind=request.kind.value,
                 address=hex(request.address),
-                burst=request.burst,
+                burst=burst,
                 occupancy=occupancy,
             )
 
     def _finish(self, transfer: BusTransfer, now: int) -> None:
-        self._stats.stop("busy_cycles", now + 1)
+        self._current = None
+        self._stats.counts["busy_cycles"] += now - transfer.grant_cycle
         request = transfer.request
-        if transfer.route is not None:
-            region, offset = transfer.route
-        else:
-            region, offset = self.memmap.lookup(
-                request.address, span_bytes=4 * request.burst
-            )
+        region, offset = transfer.route
         # the completion rule: the waiting master is unblocked, and a
         # clocked slave (a register window) may change state its own
         # claim or its watchers' claims depend on -- re-poll exactly
@@ -189,38 +216,46 @@ class SystemBus(Component):
         if waiter is not None:
             waiter.poke()
         slave = region.slave
-        if isinstance(slave, Component):
+        if region.clocked:
             slave.wake_watchers()
+        fault = None
         try:
             if request.kind is AccessKind.READ:
-                transfer.data = region.slave.read_burst(offset, request.burst)
-                if len(transfer.data) != request.burst:
+                data = transfer.data = slave.read_burst(offset, request.burst)
+                if len(data) != request.burst:
                     raise BusError(
                         f"slave {region.name!r} returned "
-                        f"{len(transfer.data)} words for a "
+                        f"{len(data)} words for a "
                         f"{request.burst}-beat read"
                     )
             else:
-                region.slave.write_burst(offset, list(request.data or []))
+                slave.write_burst(offset, list(request.data))
         except BusFaultError as exc:
             # ERROR response: the transfer terminates, the master must
             # check the handle -- the rest of the SoC keeps running.
+            fault = exc
             transfer.error = True
             transfer.error_reason = str(exc)
             if request.kind is AccessKind.READ:
                 transfer.data = [0] * request.burst
-            transfer.complete(now)
+        transfer.done = True
+        transfer.complete_cycle = now
+        if transfer.on_complete is not None:
+            transfer.on_complete(transfer)
+        if fault is not None:
             self._stats.counts["slave_errors"] += 1
             self.trace_event(
                 "slave_error",
                 master=request.master,
                 kind=request.kind.value,
                 address=hex(request.address),
-                reason=str(exc),
+                reason=str(fault),
             )
             return
-        transfer.complete(now)
-        if self.note_activity():
+        # named in deadlock diagnostics; a payload only under a trace
+        sim = self.sim
+        sim.last_active = self.name
+        if sim.trace is not None:
             self.trace_event(
                 "complete",
                 master=request.master,
@@ -234,7 +269,14 @@ class SystemBus(Component):
     def stats(self) -> Stats:
         """Statistics as of now, the cycle intervals still open
         included."""
-        return self._stats.at(self.now)
+        now = self.now
+        live = self._stats.at(now)
+        current = self._current
+        if current is not None:
+            busy = elapsed(current.grant_cycle + 1, now)
+            if busy:
+                live.counts["busy_cycles"] += busy
+        return live
 
     @property
     def idle(self) -> bool:

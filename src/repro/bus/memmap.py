@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from ..sim.errors import AddressError, ConfigurationError
+from ..sim.kernel import Component
 from .types import BusSlave
 
 
@@ -20,8 +21,10 @@ class Region:
 
     ``latency_for`` is the slave's address-aware latency method (an
     SDRAM open-row model, a fault injector), or None when the slave
-    charges its fixed ``access_latency``; it is looked up once, when
-    the region is made, not on every grant.
+    charges its fixed ``access_latency``.  ``clocked`` says whether
+    the slave is a clocked component (a register window), whose
+    watchers a finished transfer re-polls.  Both are resolved once,
+    when the region is made, not on every grant or finish.
     """
 
     name: str
@@ -30,10 +33,13 @@ class Region:
     slave: BusSlave
     latency_for: Optional[Callable[[int, int], int]] = field(
         init=False, repr=False, compare=False)
+    clocked: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "latency_for",
                            getattr(self.slave, "latency_for", None))
+        object.__setattr__(self, "clocked",
+                           isinstance(self.slave, Component))
 
     @property
     def end(self) -> int:

@@ -13,7 +13,6 @@ burst behaviour) without modelling individual bus wires.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
 
@@ -24,37 +23,51 @@ class AccessKind(enum.Enum):
     WRITE = "write"
 
 
-@dataclass
 class BusRequest:
     """A master's wish: move ``burst`` words starting at ``address``.
 
     ``address`` is a byte address and must be word aligned.  For writes,
     ``data`` must hold exactly ``burst`` 32-bit words.  ``priority`` only
     matters under the fixed-priority arbiter (lower value wins).
+
+    A slotted class with a hand-written constructor: every register
+    access and every burst builds one, so its checks run inline.
     """
 
-    master: str
-    kind: AccessKind
-    address: int
-    burst: int = 1
-    data: Optional[List[int]] = None
-    priority: int = 0
+    __slots__ = ("master", "kind", "address", "burst", "data", "priority")
 
-    def __post_init__(self) -> None:
-        if self.address % 4 != 0:
-            raise ValueError(f"unaligned bus address {self.address:#x}")
-        if self.burst < 1:
-            raise ValueError(f"burst must be >= 1, got {self.burst}")
-        if self.kind is AccessKind.WRITE:
-            if self.data is None or len(self.data) != self.burst:
+    def __init__(
+        self,
+        master: str,
+        kind: AccessKind,
+        address: int,
+        burst: int = 1,
+        data: Optional[List[int]] = None,
+        priority: int = 0,
+    ) -> None:
+        if address % 4 != 0:
+            raise ValueError(f"unaligned bus address {address:#x}")
+        if burst < 1:
+            raise ValueError(f"burst must be >= 1, got {burst}")
+        if kind is AccessKind.WRITE:
+            if data is None or len(data) != burst:
                 raise ValueError(
                     "write request needs exactly `burst` data words"
                 )
-        elif self.data is not None:
+        elif data is not None:
             raise ValueError("read request must not carry data")
+        self.master = master
+        self.kind = kind
+        self.address = address
+        self.burst = burst
+        self.data = data
+        self.priority = priority
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return (f"BusRequest({self.master!r}, {self.kind.value}, "
+                f"{self.address:#x}, burst={self.burst})")
 
 
-@dataclass
 class BusTransfer:
     """Completion handle returned by :meth:`SystemBus.submit`.
 
@@ -64,30 +77,50 @@ class BusTransfer:
         True once the transaction has fully completed on the bus.
     data:
         For reads, the words read (filled at completion).
-    issue_cycle / complete_cycle:
+    issue_cycle / grant_cycle / complete_cycle:
         Cycle accounting for latency measurements.
+    on_complete:
+        Called with the handle when the transfer completes.
     error:
         The slave terminated the transfer with an ERROR response
         (AMBA-style).  The transfer still counts as ``done`` -- masters
         must check ``error`` before trusting ``data``.
+    waiter:
+        Component blocked on this transfer; the bus pokes it (wake-cache
+        invalidation for the fast schedule) when the transfer finishes.
+    route:
+        Decode result cached at submit, so the grant and the data
+        movement skip the memory-map walk: ``(region, byte offset of
+        address in the region)``.
+
+    Handles compare by identity: two transfers with equal fields are
+    still two bus transactions.
     """
 
-    request: BusRequest
-    issue_cycle: int
-    done: bool = False
-    data: List[int] = field(default_factory=list)
-    grant_cycle: Optional[int] = None
-    complete_cycle: Optional[int] = None
-    on_complete: Optional[Callable[["BusTransfer"], None]] = None
-    #: the slave answered with an ERROR response; ``data`` is garbage
-    error: bool = False
-    error_reason: Optional[str] = None
-    #: component blocked on this transfer; the bus pokes it (wake-cache
-    #: invalidation for the fast schedule) when the transfer finishes
-    waiter: Optional[object] = None
-    #: decode result cached at submit so grant/data beats skip the
-    #: memory-map walk: (slave, byte offset of ``address`` in its region)
-    route: Optional[tuple] = None
+    __slots__ = (
+        "request", "issue_cycle", "done", "data", "grant_cycle",
+        "complete_cycle", "on_complete", "error", "error_reason",
+        "waiter", "route",
+    )
+
+    def __init__(
+        self,
+        request: BusRequest,
+        issue_cycle: int,
+        waiter: Optional[object] = None,
+        route: Optional[tuple] = None,
+    ) -> None:
+        self.request = request
+        self.issue_cycle = issue_cycle
+        self.done = False
+        self.data: List[int] = []
+        self.grant_cycle: Optional[int] = None
+        self.complete_cycle: Optional[int] = None
+        self.on_complete: Optional[Callable[["BusTransfer"], None]] = None
+        self.error = False
+        self.error_reason: Optional[str] = None
+        self.waiter = waiter
+        self.route = route
 
     @property
     def latency(self) -> int:
@@ -96,11 +129,9 @@ class BusTransfer:
             raise RuntimeError("transfer not complete")
         return self.complete_cycle - self.issue_cycle
 
-    def complete(self, cycle: int) -> None:
-        self.done = True
-        self.complete_cycle = cycle
-        if self.on_complete is not None:
-            self.on_complete(self)
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        state = "done" if self.done else "pending"
+        return f"<BusTransfer {self.request!r} {state}>"
 
 
 class BusSlave:

@@ -23,6 +23,7 @@ This class is that FSM, cycle by cycle:
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from typing import Callable, List, Optional
 
 from ..bus.types import BusTransfer
@@ -78,8 +79,18 @@ _PARKED = tuple(state for state in _State if state.cycle_key is None)
 _INSTR_KEYS = {op: f"instr.{op.name.lower()}" for op in OuOp}
 
 
+#: microcode words :func:`_decode_defined` remembers; a program is at
+#: most ``ibuf_size`` words, and a stream reuses a few programs
+DECODE_MEMO_SIZE = 4096
+
+
+@lru_cache(maxsize=DECODE_MEMO_SIZE)
 def _decode_defined(word: int) -> Optional[OuInstruction]:
-    """Decode one microcode word, or None if its opcode is undefined."""
+    """Decode one microcode word, or None if its opcode is undefined.
+
+    Memoized per word: an :class:`OuInstruction` is frozen, so every
+    prefetch of a word may share one decode of it.
+    """
     try:
         return decode(word)
     except EncodingError:

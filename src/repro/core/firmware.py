@@ -18,6 +18,7 @@ Canonical bank layout:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List
 
 from ..rac.base import StreamingRAC
@@ -40,6 +41,10 @@ class FirmwarePlan:
     words_in / words_out:
         Total words the caller must place / will receive per port
         (= operations x items per operation).
+    words:
+        The program's 32-bit instruction words, encoded at first use
+        and kept: a plan is not edited once made, and a library that
+        memoizes plans runs each one many times.
     """
 
     program: OuProgram
@@ -48,6 +53,10 @@ class FirmwarePlan:
     words_in: List[int]
     words_out: List[int]
     operations: int
+
+    @cached_property
+    def words(self) -> List[int]:
+        return self.program.words()
 
     @property
     def banks_used(self) -> List[int]:

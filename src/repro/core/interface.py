@@ -28,7 +28,7 @@ from ..mem.cache import Cache
 from ..sim.errors import ControllerError
 from ..sim.kernel import Component
 from ..sim.tracing import Stats
-from .isa import MAX_OFFSET
+from .isa import MAX_OFFSET, N_BANKS
 from .perf import PERF_WINDOW_BYTES, PerfCounterBlock
 from .registers import N_REGISTERS, OuessantRegisters
 
@@ -96,15 +96,19 @@ class OuessantInterface(Component, BusSlave):
         """Resolve ``(bank, offset)`` to an absolute byte address.
 
         The transfer must stay inside the 14-bit offset window of the
-        bank (the hardware adder width of Figure 3).
+        bank (the hardware adder width of Figure 3), and the bank must
+        be configured (the errors of
+        :meth:`~repro.core.registers.OuessantRegisters.bank_base`).
         """
         if word_offset < 0 or word_offset + words - 1 > MAX_OFFSET:
             raise ControllerError(
                 f"transfer [{word_offset}+{words}] exceeds the "
                 f"{MAX_OFFSET + 1}-word bank window"
             )
-        base = self.registers.bank_base(bank)
-        return base + 4 * word_offset
+        registers = self.registers
+        if 0 <= bank < N_BANKS and registers.configured[bank]:
+            return registers.banks[bank] + 4 * word_offset
+        return registers.bank_base(bank)  # raises
 
     # -- master side (burst engine) ---------------------------------------
     def submit_read(

@@ -74,7 +74,8 @@ class OuessantRegisters:
         self.ctrl = 0
         self.prog_size = 0
         self.banks: List[int] = [0] * N_BANKS
-        self._configured = [False] * N_BANKS
+        #: per bank, whether software has written its base register
+        self.configured = [False] * N_BANKS
         self.on_start: Optional[Callable[[], None]] = None
         self.on_stop: Optional[Callable[[], None]] = None
 
@@ -118,7 +119,7 @@ class OuessantRegisters:
         """Byte base address of a bank; raises if never configured."""
         if not 0 <= bank < N_BANKS:
             raise ControllerError(f"bank {bank} out of range")
-        if not self._configured[bank]:
+        if not self.configured[bank]:
             raise ControllerError(
                 f"bank {bank} used by microcode but never configured"
             )
@@ -130,10 +131,10 @@ class OuessantRegisters:
         if base % 4:
             raise ControllerError(f"bank base {base:#x} must be word aligned")
         self.banks[bank] = base & bits.WORD_MASK
-        self._configured[bank] = True
+        self.configured[bank] = True
 
     def is_configured(self, bank: int) -> bool:
-        return 0 <= bank < N_BANKS and self._configured[bank]
+        return 0 <= bank < N_BANKS and self.configured[bank]
 
     # -- register-file access (byte offsets) -------------------------------
     def read(self, offset: int) -> int:
@@ -175,4 +176,4 @@ class OuessantRegisters:
         self.ctrl = 0
         self.prog_size = 0
         self.banks = [0] * N_BANKS
-        self._configured = [False] * N_BANKS
+        self.configured = [False] * N_BANKS

@@ -26,6 +26,9 @@ class Job:
     kind: str
     words: List[int]
     chain: Optional[str] = None
+    #: ``len(words)``, a field: the scheduler reads it per dispatch
+    #: decision and per arena fit
+    size: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         words = self.words
@@ -34,6 +37,7 @@ class Job:
                 f"job {self.job_id}: words must be a non-empty list of "
                 f"integers, got {words!r}"
             )
+        object.__setattr__(self, "size", len(words))
         for position, word in enumerate(words):
             # a bus word is an unsigned 32-bit int (a bool is not one)
             if (isinstance(word, bool) or not isinstance(word, int)
@@ -47,10 +51,6 @@ class Job:
                 f"job {self.job_id}: chain must be a string or None, got "
                 f"{self.chain!r}"
             )
-
-    @property
-    def size(self) -> int:
-        return len(self.words)
 
 
 @dataclass

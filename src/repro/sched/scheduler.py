@@ -166,7 +166,7 @@ class _OcpSlot:
     __slots__ = (
         "index", "ocp", "plan", "queue", "state", "batch", "writes",
         "transfer", "resume_at", "jobs_done", "batches_done", "retries",
-        "_busy", "_busy_since", "queue_high_water", "master",
+        "_busy", "_busy_since", "queue_high_water", "master", "irq",
     )
 
     def __init__(self, ocp, plan: SlotPlan) -> None:
@@ -189,6 +189,9 @@ class _OcpSlot:
         self._busy_since: Optional[int] = None
         self.queue_high_water = 0
         self.master = f"sched{index}"
+        #: the OCP's interrupt line, bound once (the scheduler reads it
+        #: before every simulated event while the slot runs)
+        self.irq = ocp.irq
 
     @property
     def busy_cycles(self) -> int:
@@ -404,7 +407,7 @@ class ThroughputScheduler(Component):
         # a running slot sleeps on its OCP's IRQ line: the edge must
         # re-poll the scheduler under the fast schedule
         for slot in self._slots.values():
-            slot.ocp.irq.watch(self)
+            slot.irq.watch(self)
         soc.sim.add(self)
 
     # -- submission (called from outside the clock) -----------------------
@@ -654,25 +657,25 @@ class ThroughputScheduler(Component):
         now = self.sim.cycle
         wake: Optional[int] = None
         for slot in self._slots.values():
-            slot_wake = self._slot_wake(slot, now)
-            if slot_wake is not None:
-                if slot_wake <= now:
-                    return now  # no slot wakes earlier than the clock
-                wake = slot_wake if wake is None else min(wake, slot_wake)
+            state = slot.state
+            if state == "idle":
+                if slot.queue:
+                    return now
+            elif state == "running":
+                # the IRQ line can only flip during a ticked cycle
+                if slot.irq.pending:
+                    return now
+            elif state == "backoff":
+                # no slot wakes earlier than the clock
+                if slot.resume_at <= now:
+                    return now
+                if wake is None or slot.resume_at < wake:
+                    wake = slot.resume_at
+            else:
+                transfer = slot.transfer
+                if transfer is not None and transfer.done:
+                    return now
         return wake
-
-    @staticmethod
-    def _slot_wake(slot: _OcpSlot, now: int) -> Optional[int]:
-        state = slot.state
-        if state == "idle":
-            return now if slot.queue else None
-        if state == "running":
-            # the IRQ line can only flip during a ticked cycle
-            return now if slot.ocp.irq.pending else None
-        if state == "backoff":
-            return max(slot.resume_at, now)
-        transfer = slot.transfer
-        return now if transfer is not None and transfer.done else None
 
     def _step_idle(self, slot: _OcpSlot) -> None:
         if not slot.queue:
@@ -766,9 +769,10 @@ class ThroughputScheduler(Component):
             slot.state = "running"
 
     def _step_running(self, slot: _OcpSlot) -> None:
-        if not slot.ocp.irq.pending:
+        irq = slot.irq
+        if not irq.pending:
             return
-        slot.ocp.irq.clear()
+        irq.clear()
         slot.transfer = self._soc.bus.submit(waiter=self, request=BusRequest(
             master=slot.master, kind=AccessKind.READ,
             address=slot.plan.reg_base + REG_CTRL, burst=1, priority=0,
@@ -814,7 +818,7 @@ class ThroughputScheduler(Component):
         assert batch is not None
         slot.transfer = None
         slot.ocp.soft_reset()
-        slot.ocp.irq.clear()
+        slot.irq.clear()
         slot.retries += 1
         backoff = min(
             self.backoff_cycles * (1 << (batch.attempts - 1)),

@@ -253,19 +253,6 @@ class Component:
             return 0
         return self.sim.cycle
 
-    def note_activity(self) -> bool:
-        """Name this component in deadlock diagnostics, as
-        :meth:`trace_event` does, and return True when a trace is
-        attached.  For hooks the kernel calls: a hot call site builds an
-        event's payload only when a trace will record it::
-
-            if self.note_activity():
-                self.trace_event("grant", address=hex(address))
-        """
-        sim = self.sim
-        sim.last_active = self.name
-        return sim.trace is not None
-
     def trace_event(self, event: str, **data: object) -> None:
         """Record an event in the simulator trace, if tracing is on."""
         if self.sim is not None:
@@ -816,7 +803,9 @@ class Simulator:
                         break
                     if now >= bound:
                         self._raise_deadlock(bound - start, what)
-                    limit = min(bound, now + self.max_skip_chunk)
+                    limit = now + self.max_skip_chunk
+                    if limit > bound:
+                        limit = bound
                 if plain:
                     lanes, horizon = self._dispatch_scan(limit)
                     if lanes is None:

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.firmware import FirmwarePlan, plan_streaming_run
-from ..core.program import OuProgram
 from ..rac.base import StreamingRAC
 from ..rac.dft import DFTRac
 from ..rac.fir import FIRRac
@@ -113,12 +112,6 @@ class OuessantLibrary:
                 rac, operations=operations)
         return plan
 
-    def _run(self, index: int, program: OuProgram, banks: dict) -> RunResult:
-        runtime = self._runtimes[index]
-        result = runtime.run(program.words(), banks)
-        self.last_result = result
-        return result
-
     def _run_plan(
         self, index: int, plan, inputs: List[List[int]]
     ) -> List[List[int]]:
@@ -137,14 +130,15 @@ class OuessantLibrary:
                     f"got {len(words)}"
                 )
         self.allocator.reset()
-        addresses = {0: self.allocator.alloc(len(plan.program) + 4)}
-        for bank, words in zip(plan.input_banks, plan.words_in):
-            addresses[bank] = self.allocator.alloc(words)
-        for bank, words in zip(plan.output_banks, plan.words_out):
-            addresses[bank] = self.allocator.alloc(words)
-        for bank, words in zip(plan.input_banks, inputs):
-            self.soc.write_ram(addresses[bank], list(words))
-        self._run(index, plan.program, addresses)
+        words = plan.words
+        addresses = {0: self.allocator.alloc(len(words) + 4)}
+        for bank, count in zip(plan.input_banks, plan.words_in):
+            addresses[bank] = self.allocator.alloc(count)
+        for bank, count in zip(plan.output_banks, plan.words_out):
+            addresses[bank] = self.allocator.alloc(count)
+        for bank, values in zip(plan.input_banks, inputs):
+            self.soc.write_ram(addresses[bank], list(values))
+        self.last_result = self._runtimes[index].run(words, addresses)
         return [
             self.soc.read_ram(addresses[bank], count)
             for bank, count in zip(plan.output_banks, plan.words_out)

@@ -282,25 +282,18 @@ def idct2_reference(block: Sequence[Sequence[int]]) -> np.ndarray:
 
 def block_to_words(block: Sequence[Sequence[int]]) -> List[int]:
     """Flatten an 8x8 block row-major into 64 sign-extended 32-bit words."""
-    words: List[int] = []
-    for row in block:
-        for value in row:
-            words.append(int(value) & 0xFFFFFFFF)
-    return words
+    return [int(value) & 0xFFFFFFFF for row in block for value in row]
 
 
 def words_to_block(words: Sequence[int]) -> List[List[int]]:
     """Inverse of :func:`block_to_words` (values re-signed from 32 bits)."""
     if len(words) != IDCT_SIZE * IDCT_SIZE:
         raise ValueError(f"expected 64 words, got {len(words)}")
-    out: List[List[int]] = []
-    for r in range(IDCT_SIZE):
-        row = []
-        for c in range(IDCT_SIZE):
-            raw = words[r * IDCT_SIZE + c] & 0xFFFFFFFF
-            row.append(raw - (1 << 32) if raw & (1 << 31) else raw)
-        out.append(row)
-    return out
+    # (raw ^ 2**31) - 2**31 re-signs a 32-bit word
+    signed = [((word & 0xFFFFFFFF) ^ 0x80000000) - 0x80000000
+              for word in words]
+    return [signed[start:start + IDCT_SIZE]
+            for start in range(0, IDCT_SIZE * IDCT_SIZE, IDCT_SIZE)]
 
 
 def complex_to_words(re: Sequence[int], im: Sequence[int]) -> List[int]:

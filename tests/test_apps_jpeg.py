@@ -93,3 +93,23 @@ def test_backend_exclusivity():
 def test_psnr_of_identical_images_is_infinite():
     image = jpeg.test_card(16)
     assert jpeg.psnr(image, image) == float("inf")
+
+
+def _from_zigzag_oracle(vector):
+    """The scalar ``from_zigzag`` it replaced, kept as its oracle."""
+    if len(vector) != 64:
+        raise ConfigurationError(f"expected 64 coefficients, got {len(vector)}")
+    block = [[0] * 8 for _ in range(8)]
+    for value, (r, c) in zip(vector, jpeg.zigzag_order()):
+        block[r][c] = int(value)
+    return block
+
+
+@pytest.mark.parametrize("kind", ["list", "tuple", "numpy"])
+def test_from_zigzag_matches_scalar_oracle(rng, kind):
+    values = [rng.randint(-2048, 2047) for _ in range(60)] + [
+        -(1 << 31), (1 << 31) - 1, -1, 0]
+    vector = {"list": list, "tuple": tuple, "numpy": np.array}[kind](values)
+    block = jpeg.from_zigzag(vector)
+    assert block == _from_zigzag_oracle(vector)
+    assert all(type(v) is int for row in block for v in row)

@@ -311,3 +311,43 @@ def test_every_state_is_parked_or_has_a_dispatch_entry():
             assert (state.step, state.claim) == _TABLE[state]
             for hook in (state.step, state.claim):
                 assert getattr(OuessantController, hook.__name__) is hook
+
+
+def test_prefetch_decode_memo_still_traps_undefined_words():
+    """Prefetch decodes through a bounded per-word memo.  A clean
+    program runs; a program whose instruction buffer holds an undefined
+    opcode traps ERR_ILLEGAL_OP at the fetch that reaches the word (not
+    at the prefetch), every time it is run, memo hit or not."""
+    from repro.core.controller import DECODE_MEMO_SIZE, _decode_defined
+    from repro.core.registers import ERR_ILLEGAL_OP
+    from repro.sim.tracing import Trace
+
+    undefined = 0x15 << 27  # opcode 0x15 is outside the defined set
+    soc = SoC(racs=[PassthroughRac(block_size=16)], trace=Trace())
+    ocp = soc.ocp
+    clean = simple_program()
+    soc.write_ram(IN, list(range(16)))
+    boot(soc, clean, {1: IN, 2: OUT})
+    run_to_done(soc)
+    assert not ocp.registers.error
+    assert soc.read_ram(OUT, 16) == list(range(16))
+    words = OuProgram().nop().nop().words() + [undefined] + \
+        OuProgram().eop().words()
+    for attempt in range(2):
+        ocp.interface.write_word(REG_CTRL, 0)
+        soc.write_ram(PROG, words)
+        ocp.interface.write_word(REG_PROG_SIZE, len(words))
+        ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+        run_to_done(soc)
+        assert ocp.registers.error
+        assert ocp.registers.error_code == ERR_ILLEGAL_OP
+        (trap,) = soc.sim.trace.events(event="trap")[attempt:]
+        assert trap.data["pc"] == 2, attempt
+        # the two nops before it were fetched and executed
+        instrs = soc.sim.trace.events(event="instr")
+        assert [e.data["mnemonic"] for e in instrs[-2:]] == ["nop", "nop"]
+        assert instrs[-1].cycle < trap.cycle
+    info = _decode_defined.cache_info()
+    assert info.maxsize == DECODE_MEMO_SIZE
+    assert info.currsize <= DECODE_MEMO_SIZE
+    assert _decode_defined(undefined) is None

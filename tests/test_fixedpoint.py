@@ -284,3 +284,69 @@ def test_idct2_q15_vectorized_matches_scalar_at_extremes():
     for fill in (-(1 << 15), (1 << 15) - 1):
         block = [[fill] * 8 for _ in range(8)]
         assert fp.idct2_q15(block) == idct2_q15_scalar(block)
+
+
+# The scalar block marshalling that ``block_to_words`` /
+# ``words_to_block`` replaced, kept here as their oracles.
+
+def _block_to_words_oracle(block):
+    words = []
+    for row in block:
+        for value in row:
+            words.append(int(value) & 0xFFFFFFFF)
+    return words
+
+
+def _words_to_block_oracle(words):
+    if len(words) != fp.IDCT_SIZE * fp.IDCT_SIZE:
+        raise ValueError(f"expected 64 words, got {len(words)}")
+    out = []
+    for r in range(fp.IDCT_SIZE):
+        row = []
+        for c in range(fp.IDCT_SIZE):
+            raw = words[r * fp.IDCT_SIZE + c] & 0xFFFFFFFF
+            row.append(raw - (1 << 32) if raw & (1 << 31) else raw)
+        out.append(row)
+    return out
+
+
+#: the 32-bit sign boundaries, and their neighbours
+_BOUNDARY_WORDS = [0, 1, 0x7FFFFFFE, 0x7FFFFFFF, 0x80000000, 0x80000001,
+                   0xFFFFFFFE, 0xFFFFFFFF]
+
+
+@pytest.mark.parametrize("word", _BOUNDARY_WORDS + [
+    0x1_0000_0000, 0x1_8000_0000, -1, -(1 << 31), -(1 << 31) - 1])
+def test_words_to_block_matches_scalar_oracle_at_sign_boundaries(word):
+    words = [word] * 32 + _BOUNDARY_WORDS * 4
+    assert fp.words_to_block(words) == _words_to_block_oracle(words)
+
+
+@given(st.lists(st.integers(-(1 << 40), 1 << 40), min_size=64,
+                max_size=64))
+def test_words_to_block_matches_scalar_oracle(words):
+    assert fp.words_to_block(words) == _words_to_block_oracle(words)
+
+
+@given(st.lists(st.lists(st.integers(-(1 << 33), 1 << 33), min_size=8,
+                         max_size=8), min_size=8, max_size=8))
+def test_block_to_words_matches_scalar_oracle(block):
+    assert fp.block_to_words(block) == _block_to_words_oracle(block)
+
+
+def test_block_marshalling_negative_values_and_numpy_input():
+    block = [[-(1 << 31), -1, 0, 1, (1 << 31) - 1, -32768, 32767, -2]] * 8
+    words = fp.block_to_words(block)
+    assert words == _block_to_words_oracle(block)
+    assert words[:2] == [0x80000000, 0xFFFFFFFF]
+    assert fp.words_to_block(words) == block
+    array = np.array(block, dtype=np.int64)
+    assert fp.block_to_words(array) == _block_to_words_oracle(array)
+    assert all(type(w) is int for w in fp.block_to_words(array))
+
+
+@pytest.mark.parametrize("count", [0, 63, 65])
+def test_words_to_block_rejects_wrong_lengths_like_its_oracle(count):
+    for convert in (fp.words_to_block, _words_to_block_oracle):
+        with pytest.raises(ValueError, match=f"got {count}"):
+            convert([0] * count)
