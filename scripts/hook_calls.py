@@ -52,9 +52,9 @@ from repro.system import RAM_BASE, SoC, build_mpsoc
 from repro.utils import fixedpoint as fp
 
 #: calls per op allowed by ``--check``: 3% above the counts measured
-#: with CPython 3.11 when the budget was set (5597, 505.2 and 943), for
+#: with CPython 3.11 when the budget was set (5539, 501.2 and 931), for
 #: the interpreter differences between CPython versions
-BUDGET = {"fig4_op": 5765, "sched_job": 521, "jpeg_block": 972}
+BUDGET = {"fig4_op": 5706, "sched_job": 517, "jpeg_block": 959}
 
 #: frames that CPython 3.12 inlines into their caller
 _INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Callable, List
 
 from ..bus.bus import SystemBus
-from ..bus.types import AccessKind, BusRequest
 from ..mem.dma import (
     CTRL_IE as DMA_IE,
     CTRL_START as DMA_START,
@@ -86,23 +85,10 @@ class DMAHarness:
         self.master = master
 
     def _write(self, address: int, value: int) -> None:
-        transfer = self.bus.submit(
-            BusRequest(
-                master=self.master, kind=AccessKind.WRITE, address=address,
-                burst=1, data=[value & 0xFFFFFFFF], priority=0,
-            )
-        )
-        self.sim.run_until(lambda: transfer.done, what="harness write")
+        self.bus.access(self.master, address, value, what="harness write")
 
     def _read(self, address: int) -> int:
-        transfer = self.bus.submit(
-            BusRequest(
-                master=self.master, kind=AccessKind.READ, address=address,
-                burst=1, priority=0,
-            )
-        )
-        self.sim.run_until(lambda: transfer.done, what="harness read")
-        return transfer.data[0]
+        return self.bus.access(self.master, address, what="harness read")
 
     def _dma_move(self, src: int, dst: int, words: int) -> None:
         self._write(self.dma_base + DMA_SRC, src)

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Callable, List, Optional
 
 from ..bus.bus import SystemBus
-from ..bus.types import AccessKind, BusRequest, BusSlave
+from ..bus.types import BusSlave
 from ..sim.errors import DriverError
 from ..sim.kernel import Component, Simulator
 from ..sim.tracing import Stats
@@ -153,24 +153,12 @@ class PIOHarness:
         self.stats = Stats()
 
     def _write(self, offset: int, value: int) -> None:
-        transfer = self.bus.submit(
-            BusRequest(
-                master=self.master, kind=AccessKind.WRITE,
-                address=self.base + offset, burst=1,
-                data=[value & 0xFFFFFFFF], priority=0,
-            )
-        )
-        self.sim.run_until(lambda: transfer.done, what="PIO write")
+        self.bus.access(self.master, self.base + offset, value,
+                        what="PIO write")
 
     def _read(self, offset: int) -> int:
-        transfer = self.bus.submit(
-            BusRequest(
-                master=self.master, kind=AccessKind.READ,
-                address=self.base + offset, burst=1, priority=0,
-            )
-        )
-        self.sim.run_until(lambda: transfer.done, what="PIO read")
-        return transfer.data[0]
+        return self.bus.access(self.master, self.base + offset,
+                               what="PIO read")
 
     def run(self, inputs: List[int], n_outputs: int) -> "tuple[List[int], int]":
         """Push inputs, start, poll, pull outputs; returns (out, cycles)."""

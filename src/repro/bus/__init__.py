@@ -15,7 +15,7 @@ from .protocol import (
     BusProtocol,
     protocol_by_name,
 )
-from .types import AccessKind, BusRequest, BusSlave, BusTransfer
+from .types import AccessKind, BusSlave, BusTransfer
 
 __all__ = [
     "AHB",
@@ -25,7 +25,6 @@ __all__ = [
     "AccessKind",
     "Arbiter",
     "BusProtocol",
-    "BusRequest",
     "BusSlave",
     "BusTransfer",
     "FixedPriorityArbiter",

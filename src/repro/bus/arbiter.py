@@ -36,7 +36,7 @@ class FixedPriorityArbiter(Arbiter):
     def pick(self, pending: List[BusTransfer]) -> BusTransfer:
         return min(
             pending,
-            key=lambda t: (t.request.priority, t.issue_cycle),
+            key=lambda t: (t.priority, t.issue_cycle),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -57,20 +57,24 @@ class RoundRobinArbiter(Arbiter):
         self._order: List[str] = []
 
     def _rank(self, master: str) -> int:
-        if master not in self._order:
-            self._order.append(master)
         rank = self._order.index(master)
-        if self._last_grant is not None and self._last_grant in self._order:
+        if self._last_grant is not None:
             pivot = self._order.index(self._last_grant)
             rank = (rank - pivot - 1) % len(self._order)
         return rank
 
     def pick(self, pending: List[BusTransfer]) -> BusTransfer:
+        # register every unseen master before ranking any of them, so
+        # all ranks of one pick rotate over the same list
+        order = self._order
+        for transfer in pending:
+            if transfer.master not in order:
+                order.append(transfer.master)
         choice = min(
             pending,
-            key=lambda t: (self._rank(t.request.master), t.issue_cycle),
+            key=lambda t: (self._rank(t.master), t.issue_cycle),
         )
-        self._last_grant = choice.request.master
+        self._last_grant = choice.master
         return choice
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

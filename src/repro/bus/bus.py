@@ -1,10 +1,11 @@
 """The system bus component.
 
 :class:`SystemBus` is the spine of the simulated SoC: every master
-(CPU, Ouessant master engine, DMA peripheral) submits
-:class:`~repro.bus.types.BusRequest` objects, the arbiter picks among
-pending transfers whenever the bus is idle, and the selected protocol's
-timing model decides how many cycles the transfer occupies.
+(CPU, Ouessant master engine, DMA peripheral) submits transactions,
+each one a :class:`~repro.bus.types.BusTransfer` handle, the arbiter
+picks among pending transfers whenever the bus is idle, and the
+selected protocol's timing model decides how many cycles the transfer
+occupies.
 
 Data movement happens atomically at completion time -- the words of a
 read burst appear in the transfer handle on the cycle the burst would
@@ -23,7 +24,7 @@ from ..sim.tracing import Stats, elapsed
 from .arbiter import Arbiter, FixedPriorityArbiter
 from .memmap import MemoryMap, Region
 from .protocol import AHB, BusProtocol
-from .types import AccessKind, BusRequest, BusSlave, BusTransfer
+from .types import AccessKind, BusSlave, BusTransfer
 
 #: entries the occupancy memo holds before it starts afresh; a system
 #: uses a handful of (burst, latency) pairs
@@ -84,9 +85,21 @@ class SystemBus(Component):
 
     # -- master API ------------------------------------------------------
     def submit(
-        self, request: BusRequest, waiter: Optional[Component] = None
+        self,
+        master: str,
+        kind: AccessKind,
+        address: int,
+        burst: int = 1,
+        data: Optional[List[int]] = None,
+        priority: int = 0,
+        waiter: Optional[Component] = None,
     ) -> BusTransfer:
-        """Queue a transaction; returns its completion handle.
+        """Queue a transaction of ``burst`` words; returns its handle.
+
+        ``address`` is a byte address and must be word aligned.  A
+        write carries exactly ``burst`` words in ``data``; a read
+        carries none.  ``priority`` only matters under the
+        fixed-priority arbiter (lower value wins).
 
         The address span is validated eagerly so that software bugs
         (unmapped banks, bursts running off the end of a region) surface
@@ -95,18 +108,65 @@ class SystemBus(Component):
         movement skip the memory-map walk.  ``waiter``, if given, is
         poked when the transfer completes (fast schedule).
         """
-        route = self.memmap.lookup(request.address, 4 * request.burst)
-        transfer = BusTransfer(request, self.now, waiter, route)
+        if address % 4 != 0:
+            raise ValueError(f"unaligned bus address {address:#x}")
+        if burst < 1:
+            raise ValueError(f"burst must be >= 1, got {burst}")
+        if kind is AccessKind.WRITE:
+            if data is None or len(data) != burst:
+                raise ValueError(
+                    "write request needs exactly `burst` data words"
+                )
+        elif data is not None:
+            raise ValueError("read request must not carry data")
+        route = self.memmap.lookup(address, 4 * burst)
+        transfer = BusTransfer(master, kind, address, burst, data, priority,
+                               self.now, waiter, route)
         self._pending.append(transfer)
         counts = self._stats.counts
         counts["requests"] += 1
-        keys = (self._master_keys.get(request.master)
-                or self._keys(request.master))
+        keys = self._master_keys.get(master) or self._keys(master)
         counts[keys[0]] += 1
         # a new request makes the bus due (grant) this very cycle if
         # idle -- drop its cached quiescence claim
         self.poke()
         return transfer
+
+    def access(
+        self,
+        master: str,
+        address: int,
+        value: Optional[int] = None,
+        what: str = "bus access",
+        max_cycles: int = 1_000_000,
+    ) -> int:
+        """One blocking single-beat access, for software that runs
+        outside the clock (a driver, a test harness).
+
+        Reads the word at ``address``, or writes ``value`` there when
+        one is given, and runs the simulation until the transfer
+        completes; returns the word read (a write returns the word
+        written).  ``what`` names the wait in the
+        :class:`~repro.sim.errors.DeadlockError` raised when the
+        transfer does not complete within ``max_cycles``.
+
+        Raises
+        ------
+        BusError
+            If the slave answers with an ERROR response.
+        """
+        if value is None:
+            transfer = self.submit(master, AccessKind.READ, address)
+        else:
+            transfer = self.submit(master, AccessKind.WRITE, address,
+                                   data=[value & 0xFFFFFFFF])
+        self.sim.run_until(lambda: transfer.done, max_cycles, what)
+        if transfer.error:
+            raise BusError(
+                f"{what} by {master!r} at {address:#x} failed: "
+                f"{transfer.error_reason}"
+            )
+        return transfer.data[0]
 
     # -- zero-time debug access -------------------------------------------
     def read_now(self, address: int, count: int = 1) -> List[int]:
@@ -171,8 +231,7 @@ class SystemBus(Component):
         else:
             transfer = self.arbiter.pick(pending)
             pending.remove(transfer)
-        request = transfer.request
-        burst = request.burst
+        burst = transfer.burst
         region, offset = transfer.route
         latency_for = region.latency_for
         if latency_for is not None:
@@ -188,16 +247,16 @@ class SystemBus(Component):
         counts = self._stats.counts
         counts["grants"] += 1
         counts["beats"] += burst
-        counts[self._master_keys[request.master][1]] += burst
+        counts[self._master_keys[transfer.master][1]] += burst
         # named in deadlock diagnostics; a payload only under a trace
         sim = self.sim
         sim.last_active = self.name
         if sim.trace is not None:
             self.trace_event(
                 "grant",
-                master=request.master,
-                kind=request.kind.value,
-                address=hex(request.address),
+                master=transfer.master,
+                kind=transfer.kind.value,
+                address=hex(transfer.address),
                 burst=burst,
                 occupancy=occupancy,
             )
@@ -205,13 +264,13 @@ class SystemBus(Component):
     def _finish(self, transfer: BusTransfer, now: int) -> None:
         self._current = None
         self._stats.counts["busy_cycles"] += now - transfer.grant_cycle
-        request = transfer.request
         region, offset = transfer.route
         # the completion rule: the waiting master is unblocked, and a
         # clocked slave (a register window) may change state its own
         # claim or its watchers' claims depend on -- re-poll exactly
-        # those.  A raw submit (no waiter) from outside the clock is
-        # awaited by a run_until predicate, which needs no poke.
+        # those.  A submit with no waiter comes from outside the clock
+        # (``access``) and is awaited by a run_until predicate, which
+        # needs no poke.
         waiter = transfer.waiter
         if waiter is not None:
             waiter.poke()
@@ -219,36 +278,35 @@ class SystemBus(Component):
         if region.clocked:
             slave.wake_watchers()
         fault = None
+        burst = transfer.burst
         try:
-            if request.kind is AccessKind.READ:
-                data = transfer.data = slave.read_burst(offset, request.burst)
-                if len(data) != request.burst:
+            if transfer.kind is AccessKind.READ:
+                data = transfer.data = slave.read_burst(offset, burst)
+                if len(data) != burst:
                     raise BusError(
                         f"slave {region.name!r} returned "
                         f"{len(data)} words for a "
-                        f"{request.burst}-beat read"
+                        f"{burst}-beat read"
                     )
             else:
-                slave.write_burst(offset, list(request.data))
+                slave.write_burst(offset, transfer.data)
         except BusFaultError as exc:
             # ERROR response: the transfer terminates, the master must
             # check the handle -- the rest of the SoC keeps running.
             fault = exc
             transfer.error = True
             transfer.error_reason = str(exc)
-            if request.kind is AccessKind.READ:
-                transfer.data = [0] * request.burst
+            if transfer.kind is AccessKind.READ:
+                transfer.data = [0] * burst
         transfer.done = True
         transfer.complete_cycle = now
-        if transfer.on_complete is not None:
-            transfer.on_complete(transfer)
         if fault is not None:
             self._stats.counts["slave_errors"] += 1
             self.trace_event(
                 "slave_error",
-                master=request.master,
-                kind=request.kind.value,
-                address=hex(request.address),
+                master=transfer.master,
+                kind=transfer.kind.value,
+                address=hex(transfer.address),
                 reason=str(fault),
             )
             return
@@ -258,9 +316,9 @@ class SystemBus(Component):
         if sim.trace is not None:
             self.trace_event(
                 "complete",
-                master=request.master,
-                kind=request.kind.value,
-                address=hex(request.address),
+                master=transfer.master,
+                kind=transfer.kind.value,
+                address=hex(transfer.address),
                 latency=transfer.latency,
             )
 

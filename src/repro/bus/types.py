@@ -1,19 +1,19 @@
 """Bus transaction types shared by masters, slaves and the bus itself.
 
 The reproduction models the system interconnect at *transaction level
-with cycle accounting*: a master submits a :class:`BusRequest` (single
-word or burst), the bus arbitrates, charges the protocol-defined number
-of cycles, performs the data movement against the selected slave, and
-completes the associated :class:`BusTransfer` handle.  This is the
-standard fidelity used by architecture simulators and is sufficient to
-reproduce the paper's transfer-efficiency numbers (cycles per word,
-burst behaviour) without modelling individual bus wires.
+with cycle accounting*: a master submits a transaction (single word or
+burst) and gets its :class:`BusTransfer` handle; the bus arbitrates,
+charges the protocol-defined number of cycles, performs the data
+movement against the selected slave, and completes the handle.  This
+is the standard fidelity used by architecture simulators and is
+sufficient to reproduce the paper's transfer-efficiency numbers (cycles
+per word, burst behaviour) without modelling individual bus wires.
 """
 
 from __future__ import annotations
 
 import enum
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 
 class AccessKind(enum.Enum):
@@ -23,64 +23,23 @@ class AccessKind(enum.Enum):
     WRITE = "write"
 
 
-class BusRequest:
-    """A master's wish: move ``burst`` words starting at ``address``.
-
-    ``address`` is a byte address and must be word aligned.  For writes,
-    ``data`` must hold exactly ``burst`` 32-bit words.  ``priority`` only
-    matters under the fixed-priority arbiter (lower value wins).
-
-    A slotted class with a hand-written constructor: every register
-    access and every burst builds one, so its checks run inline.
-    """
-
-    __slots__ = ("master", "kind", "address", "burst", "data", "priority")
-
-    def __init__(
-        self,
-        master: str,
-        kind: AccessKind,
-        address: int,
-        burst: int = 1,
-        data: Optional[List[int]] = None,
-        priority: int = 0,
-    ) -> None:
-        if address % 4 != 0:
-            raise ValueError(f"unaligned bus address {address:#x}")
-        if burst < 1:
-            raise ValueError(f"burst must be >= 1, got {burst}")
-        if kind is AccessKind.WRITE:
-            if data is None or len(data) != burst:
-                raise ValueError(
-                    "write request needs exactly `burst` data words"
-                )
-        elif data is not None:
-            raise ValueError("read request must not carry data")
-        self.master = master
-        self.kind = kind
-        self.address = address
-        self.burst = burst
-        self.data = data
-        self.priority = priority
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (f"BusRequest({self.master!r}, {self.kind.value}, "
-                f"{self.address:#x}, burst={self.burst})")
-
-
 class BusTransfer:
-    """Completion handle returned by :meth:`SystemBus.submit`.
+    """One bus transaction: the master's request and its completion.
+
+    Made only by :meth:`SystemBus.submit`, which checks the request and
+    returns the handle.  ``address`` is a byte address, word aligned;
+    the transaction moves ``burst`` words.  ``priority`` only matters
+    under the fixed-priority arbiter (lower value wins).
 
     Attributes
     ----------
     done:
         True once the transaction has fully completed on the bus.
     data:
-        For reads, the words read (filled at completion).
+        For writes, the ``burst`` words to write (given at submit); for
+        reads, ``None`` until completion, then the words read.
     issue_cycle / grant_cycle / complete_cycle:
         Cycle accounting for latency measurements.
-    on_complete:
-        Called with the handle when the transfer completes.
     error:
         The slave terminated the transfer with an ERROR response
         (AMBA-style).  The transfer still counts as ``done`` -- masters
@@ -98,25 +57,33 @@ class BusTransfer:
     """
 
     __slots__ = (
-        "request", "issue_cycle", "done", "data", "grant_cycle",
-        "complete_cycle", "on_complete", "error", "error_reason",
-        "waiter", "route",
+        "master", "kind", "address", "burst", "data", "priority",
+        "issue_cycle", "done", "grant_cycle", "complete_cycle", "error",
+        "error_reason", "waiter", "route",
     )
 
     def __init__(
         self,
-        request: BusRequest,
+        master: str,
+        kind: AccessKind,
+        address: int,
+        burst: int,
+        data: Optional[List[int]],
+        priority: int,
         issue_cycle: int,
         waiter: Optional[object] = None,
         route: Optional[tuple] = None,
     ) -> None:
-        self.request = request
+        self.master = master
+        self.kind = kind
+        self.address = address
+        self.burst = burst
+        self.data = data
+        self.priority = priority
         self.issue_cycle = issue_cycle
         self.done = False
-        self.data: List[int] = []
         self.grant_cycle: Optional[int] = None
         self.complete_cycle: Optional[int] = None
-        self.on_complete: Optional[Callable[["BusTransfer"], None]] = None
         self.error = False
         self.error_reason: Optional[str] = None
         self.waiter = waiter
@@ -131,7 +98,8 @@ class BusTransfer:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "done" if self.done else "pending"
-        return f"<BusTransfer {self.request!r} {state}>"
+        return (f"<BusTransfer {self.master!r} {self.kind.value} "
+                f"{self.address:#x} burst={self.burst} {state}>")
 
 
 class BusSlave:

@@ -23,7 +23,7 @@ from typing import List, Optional
 
 from ..bus.bus import SystemBus
 from ..bus.irq import IRQLine
-from ..bus.types import AccessKind, BusRequest, BusSlave, BusTransfer
+from ..bus.types import AccessKind, BusSlave, BusTransfer
 from ..mem.cache import Cache
 from ..sim.errors import ControllerError
 from ..sim.kernel import Component
@@ -130,16 +130,8 @@ class OuessantInterface(Component, BusSlave):
         counts = self.stats.counts
         counts["master_reads"] += 1
         counts["words_read"] += words
-        return self.bus.submit(
-            BusRequest(
-                master=self.name,
-                kind=AccessKind.READ,
-                address=address,
-                burst=words,
-                priority=self.master_priority,
-            ),
-            waiter=waiter,
-        )
+        return self.bus.submit(self.name, AccessKind.READ, address, words,
+                               None, self.master_priority, waiter)
 
     def submit_write(
         self,
@@ -157,17 +149,9 @@ class OuessantInterface(Component, BusSlave):
         counts = self.stats.counts
         counts["master_writes"] += 1
         counts["words_written"] += len(data)
-        return self.bus.submit(
-            BusRequest(
-                master=self.name,
-                kind=AccessKind.WRITE,
-                address=address,
-                burst=len(data),
-                data=list(data),
-                priority=self.master_priority,
-            ),
-            waiter=waiter,
-        )
+        return self.bus.submit(self.name, AccessKind.WRITE, address,
+                               len(data), list(data), self.master_priority,
+                               waiter)
 
     # -- done / interrupt signalling ----------------------------------------
     def signal_done(self) -> None:

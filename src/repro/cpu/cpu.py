@@ -39,7 +39,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..bus.bus import SystemBus
 from ..bus.irq import IRQController
-from ..bus.types import AccessKind, BusRequest, BusTransfer
+from ..bus.types import AccessKind, BusTransfer
 from ..mem.memory import Memory
 from ..sim.errors import SimulationError
 from ..sim.kernel import Component
@@ -483,13 +483,11 @@ class CPU(Component):
             self._fault(pc, cycles, f"{self.name}: MMIO access to "
                                     f"{address:#x} outside fast-mode memory")
         if kind is AccessKind.READ:
-            request = BusRequest(master=self.name, kind=kind,
-                                 address=address, priority=0)
+            data = None
             self._pending_rd = reg
         else:
-            value = 0 if reg == 0 else self.regs[reg]
-            request = BusRequest(master=self.name, kind=kind, address=address,
-                                 burst=1, data=[value], priority=0)
+            data = [0 if reg == 0 else self.regs[reg]]
             self._pending_rd = None
-        self._pending = self.bus.submit(request, waiter=self)
+        self._pending = self.bus.submit(self.name, kind, address, data=data,
+                                        waiter=self)
         self._stats.incr("mmio")

@@ -25,7 +25,7 @@ from typing import Optional
 
 from ..bus.bus import SystemBus
 from ..bus.irq import IRQLine
-from ..bus.types import AccessKind, BusRequest, BusSlave, BusTransfer
+from ..bus.types import AccessKind, BusSlave, BusTransfer
 from ..sim.errors import ConfigurationError
 from ..sim.kernel import Component
 from ..utils import bits
@@ -168,28 +168,19 @@ class DMAEngine(Component, BusSlave):
 
     def _issue(self) -> None:
         if self._state is _State.READ:
-            chunk = min(self._remaining, self.buffer_words)
-            request = BusRequest(
-                master=self.name,
-                kind=AccessKind.READ,
-                address=self._src,
-                burst=chunk,
-                priority=self.priority,
-            )
+            kind, address = AccessKind.READ, self._src
+            burst = min(self._remaining, self.buffer_words)
+            data = None
         else:
-            request = BusRequest(
-                master=self.name,
-                kind=AccessKind.WRITE,
-                address=self._dst,
-                burst=len(self._buffer),
-                data=list(self._buffer),
-                priority=self.priority,
-            )
+            kind, address = AccessKind.WRITE, self._dst
+            burst = len(self._buffer)
+            data = list(self._buffer)
         self.trace_event(
-            "burst", kind=request.kind.name.lower(),
-            address=hex(request.address), words=request.burst,
+            "burst", kind=kind.name.lower(), address=hex(address),
+            words=burst,
         )
-        self._transfer = self.bus.submit(request, waiter=self)
+        self._transfer = self.bus.submit(self.name, kind, address, burst,
+                                         data, self.priority, self)
 
     def reset(self) -> None:
         self._ctrl = 0

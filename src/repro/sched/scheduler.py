@@ -23,7 +23,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
-from ..bus.types import AccessKind, BusRequest, BusTransfer
+from ..bus.types import AccessKind, BusTransfer
 from ..core.coprocessor import OuessantCoprocessor
 from ..core.registers import (
     CTRL_E,
@@ -748,10 +748,8 @@ class ThroughputScheduler(Component):
 
     def _issue_write(self, slot: _OcpSlot) -> None:
         address, value = slot.writes.pop(0)
-        slot.transfer = self._soc.bus.submit(waiter=self, request=BusRequest(
-            master=slot.master, kind=AccessKind.WRITE, address=address,
-            burst=1, data=[value], priority=0,
-        ))
+        slot.transfer = self._soc.bus.submit(
+            slot.master, AccessKind.WRITE, address, data=[value], waiter=self)
 
     def _step_config(self, slot: _OcpSlot) -> None:
         transfer = slot.transfer
@@ -773,10 +771,9 @@ class ThroughputScheduler(Component):
         if not irq.pending:
             return
         irq.clear()
-        slot.transfer = self._soc.bus.submit(waiter=self, request=BusRequest(
-            master=slot.master, kind=AccessKind.READ,
-            address=slot.plan.reg_base + REG_CTRL, burst=1, priority=0,
-        ))
+        slot.transfer = self._soc.bus.submit(
+            slot.master, AccessKind.READ, slot.plan.reg_base + REG_CTRL,
+            waiter=self)
         slot.state = "status"
 
     def _step_status(self, slot: _OcpSlot) -> None:
@@ -803,11 +800,9 @@ class ThroughputScheduler(Component):
                 f"error code {code} after {batch.attempts} attempts "
                 f"(jobs {[job.job_id for job in batch.jobs]})"
             )
-        slot.transfer = self._soc.bus.submit(waiter=self, request=BusRequest(
-            master=slot.master, kind=AccessKind.WRITE,
-            address=slot.plan.reg_base + REG_CTRL, burst=1, data=[0],
-            priority=0,
-        ))
+        slot.transfer = self._soc.bus.submit(
+            slot.master, AccessKind.WRITE, slot.plan.reg_base + REG_CTRL,
+            data=[0], waiter=self)
         slot.state = "abort"
 
     def _step_abort(self, slot: _OcpSlot) -> None:
@@ -862,11 +857,9 @@ class ThroughputScheduler(Component):
             "complete", ocp=slot.index, batch=batch.batch_id,
             jobs=len(batch.jobs),
         )
-        slot.transfer = self._soc.bus.submit(waiter=self, request=BusRequest(
-            master=slot.master, kind=AccessKind.WRITE,
-            address=slot.plan.reg_base + REG_CTRL, burst=1, data=[0],
-            priority=0,
-        ))
+        slot.transfer = self._soc.bus.submit(
+            slot.master, AccessKind.WRITE, slot.plan.reg_base + REG_CTRL,
+            data=[0], waiter=self)
         slot.state = "ack"
 
     def _step_ack(self, slot: _OcpSlot) -> None:

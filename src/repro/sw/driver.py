@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
-from ..bus.types import AccessKind, BusRequest
 from ..core.registers import (
     CTRL_D,
     CTRL_E,
@@ -43,6 +42,10 @@ from ..system import RAM_BASE, SoC
 
 #: bus master name used for driver-originated accesses
 DRIVER_MASTER = "cpu"
+
+#: cycles one register access may take before it counts as a deadlock
+#: (the bound of :meth:`SoC.run_until`)
+DRIVER_ACCESS_CYCLES = 5_000_000
 
 
 @dataclass
@@ -111,35 +114,24 @@ class OuessantDriver:
 
     # -- raw register access (cycle-accurate) -------------------------------
     def write_register(self, offset: int, value: int) -> int:
-        """One register write over the bus; returns cycles consumed."""
+        """One register write over the bus; returns cycles consumed.
+
+        Raises :class:`~repro.sim.errors.BusError` if the slave answers
+        with an ERROR response (so does :meth:`read_register`).
+        """
         start = self.soc.sim.cycle
-        transfer = self.soc.bus.submit(
-            BusRequest(
-                master=DRIVER_MASTER,
-                kind=AccessKind.WRITE,
-                address=self.base + offset,
-                burst=1,
-                data=[value & 0xFFFFFFFF],
-                priority=0,
-            )
-        )
-        self.soc.run_until(lambda: transfer.done, what="register write")
+        self.soc.bus.access(DRIVER_MASTER, self.base + offset, value,
+                            what="register write",
+                            max_cycles=DRIVER_ACCESS_CYCLES)
         return self.soc.sim.cycle - start
 
     def read_register(self, offset: int) -> "tuple[int, int]":
         """One register read; returns ``(value, cycles)``."""
         start = self.soc.sim.cycle
-        transfer = self.soc.bus.submit(
-            BusRequest(
-                master=DRIVER_MASTER,
-                kind=AccessKind.READ,
-                address=self.base + offset,
-                burst=1,
-                priority=0,
-            )
-        )
-        self.soc.run_until(lambda: transfer.done, what="register read")
-        return transfer.data[0], self.soc.sim.cycle - start
+        value = self.soc.bus.access(DRIVER_MASTER, self.base + offset,
+                                    what="register read",
+                                    max_cycles=DRIVER_ACCESS_CYCLES)
+        return value, self.soc.sim.cycle - start
 
     # -- program/data placement (application-owned memory) ------------------
     def place_program(self, words: List[int], address: int) -> None:

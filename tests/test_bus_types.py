@@ -1,19 +1,24 @@
-"""The bus transaction types and the per-transfer bookkeeping of
-:class:`~repro.bus.bus.SystemBus`: request checks, completion
-callbacks, the clocked-slave flag of a region and the occupancy memo."""
+"""The bus transaction handle and the per-transfer bookkeeping of
+:class:`~repro.bus.bus.SystemBus`: request checks, completion, the
+blocking single-beat access, round-robin rotation, the clocked-slave
+flag of a region and the occupancy memo."""
 
 import pytest
 
+from repro.baselines.dma_slave import DMAHarness
+from repro.baselines.pio_slave import PIOHarness
 from repro.bus.arbiter import RoundRobinArbiter
 from repro.bus.bus import OCCUPANCY_MEMO_SIZE, SystemBus
 from repro.bus.protocol import AHB, ALL_PROTOCOLS
-from repro.bus.types import AccessKind, BusRequest, BusSlave
+from repro.bus.types import AccessKind, BusSlave
 from repro.faults import FaultEvent, FaultKind, FaultPlan, build_faulty_soc
 from repro.mem.memory import Memory
 from repro.rac.idct import IDCTRac
 from repro.rac.scale import PassthroughRac
+from repro.sim.errors import BusError, BusFaultError, DeadlockError
 from repro.sim.kernel import Simulator
 from repro.sim.tracing import Trace
+from repro.sw.driver import OuessantDriver
 from repro.sw.library import OuessantLibrary
 from repro.system import RAM_BASE, SoC
 
@@ -24,8 +29,17 @@ MODES = {
 }
 
 
+def _ram_bus(protocol=AHB, latency=1, arbiter=None):
+    sim = Simulator()
+    bus = SystemBus(protocol=protocol, arbiter=arbiter)
+    sim.add(bus)
+    mem = Memory("ram", 1 << 12, access_latency=latency)
+    bus.attach_slave("ram", 0x1000, 1 << 12, mem)
+    return sim, bus, mem
+
+
 # ---------------------------------------------------------------------------
-# BusRequest checks
+# submit checks
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -41,59 +55,42 @@ MODES = {
      "read request must not carry data"),
 ])
 def test_bus_request_rejects_malformed_requests(kwargs, message):
+    sim, bus, mem = _ram_bus()
     with pytest.raises(ValueError) as excinfo:
-        BusRequest(master="m", **kwargs)
+        bus.submit(master="m", **kwargs)
     assert str(excinfo.value) == message
+    assert bus.idle and bus.stats["requests"] == 0
 
 
 def test_bus_request_keeps_its_fields():
-    request = BusRequest("m", AccessKind.WRITE, 0x40, 2, [7, 8], 3)
-    assert (request.master, request.kind, request.address, request.burst,
-            request.data, request.priority) == (
-        "m", AccessKind.WRITE, 0x40, 2, [7, 8], 3)
-    read = BusRequest(master="m", kind=AccessKind.READ, address=0x40)
+    sim, bus, mem = _ram_bus()
+    write = bus.submit("m", AccessKind.WRITE, 0x1040, 2, [7, 8], 3)
+    assert (write.master, write.kind, write.address, write.burst,
+            write.data, write.priority, write.issue_cycle) == (
+        "m", AccessKind.WRITE, 0x1040, 2, [7, 8], 3, 0)
+    sim.run_until(lambda: write.done)
+    read = bus.submit(master="m", kind=AccessKind.READ, address=0x1040)
     assert (read.burst, read.data, read.priority) == (1, None, 0)
     with pytest.raises(AttributeError):
         read.extra = 1  # slotted
+    sim.run_until(lambda: read.done)
+    # the payload at submit, the words read at completion
+    assert (write.data, read.data) == ([7, 8], [7])
+    assert read.latency == read.complete_cycle - read.issue_cycle
 
 
 # ---------------------------------------------------------------------------
 # completion
 # ---------------------------------------------------------------------------
 
-def _ram_bus(protocol=AHB, latency=1):
-    sim = Simulator()
-    bus = SystemBus(protocol=protocol)
-    sim.add(bus)
-    mem = Memory("ram", 1 << 12, access_latency=latency)
-    bus.attach_slave("ram", 0x1000, 1 << 12, mem)
-    return sim, bus, mem
-
-
-def test_on_complete_sees_the_finished_transfer():
-    sim, bus, mem = _ram_bus()
-    mem.load_words(0, [11, 22])
-    transfer = bus.submit(BusRequest("m", AccessKind.READ, 0x1000, 2))
-    seen = []
-    transfer.on_complete = lambda t: seen.append(
-        (t is transfer, t.done, t.data, t.complete_cycle, sim.cycle))
-    sim.run_until(lambda: transfer.done)
-    assert seen == [(True, True, [11, 22], transfer.complete_cycle,
-                     transfer.complete_cycle)]
-    assert transfer.latency == transfer.complete_cycle - transfer.issue_cycle
-
-
-def test_on_complete_fires_once_on_a_slave_error():
+def test_a_slave_error_completes_the_transfer_with_zeros():
     plan = FaultPlan(events=[
         FaultEvent(FaultKind.SLAVE_ERROR, "ram", index=0),
     ])
     soc = build_faulty_soc(PassthroughRac(block_size=16), plan)
-    transfer = soc.bus.submit(
-        BusRequest("m", AccessKind.READ, RAM_BASE, 4))
-    seen = []
-    transfer.on_complete = lambda t: seen.append((t.error, list(t.data)))
+    transfer = soc.bus.submit("m", AccessKind.READ, RAM_BASE, 4)
     soc.run_until(lambda: transfer.done)
-    assert seen == [(True, [0, 0, 0, 0])]
+    assert (transfer.error, transfer.data) == (True, [0, 0, 0, 0])
     assert transfer.error_reason
     assert soc.bus.stats["slave_errors"] == 1
 
@@ -102,8 +99,8 @@ def test_transfers_with_equal_fields_stay_distinct():
     """Two identical requests in one cycle are two transactions: each
     is granted and completed once."""
     sim, bus, mem = _ram_bus()
-    first = bus.submit(BusRequest("m", AccessKind.READ, 0x1000))
-    second = bus.submit(BusRequest("m", AccessKind.READ, 0x1000))
+    first = bus.submit("m", AccessKind.READ, 0x1000)
+    second = bus.submit("m", AccessKind.READ, 0x1000)
     assert first != second
     sim.run_until(lambda: first.done and second.done)
     assert first.grant_cycle < second.grant_cycle
@@ -112,7 +109,7 @@ def test_transfers_with_equal_fields_stay_distinct():
 
 def test_busy_cycles_read_live_and_after_the_finish():
     sim, bus, mem = _ram_bus(latency=0)
-    transfer = bus.submit(BusRequest("m", AccessKind.READ, 0x1000, 8))
+    transfer = bus.submit("m", AccessKind.READ, 0x1000, 8)
     sim.step(1)  # granted in cycle 0
     occupancy = AHB.transfer_cycles(8, 0)
     sim.step(3)
@@ -133,8 +130,8 @@ def test_round_robin_arbiter_sees_a_sole_request():
     bus.attach_slave("ram", 0x1000, 1 << 12, Memory("ram", 1 << 12))
 
     def contend():
-        a = bus.submit(BusRequest("a", AccessKind.READ, 0x1000))
-        b = bus.submit(BusRequest("b", AccessKind.READ, 0x1000))
+        a = bus.submit("a", AccessKind.READ, 0x1000)
+        b = bus.submit("b", AccessKind.READ, 0x1000)
         sim.run_until(lambda: a.done and b.done)
         return a.grant_cycle < b.grant_cycle
 
@@ -142,6 +139,80 @@ def test_round_robin_arbiter_sees_a_sole_request():
     # again (b would, had the sole grant bypassed the rotation)
     assert contend()
     assert contend()
+
+
+def test_round_robin_ranks_a_new_master_against_the_last_grant():
+    """A lone "a" is granted; then "a" and a master the arbiter has not
+    seen submit in the same cycle: "a" was granted last, so "b" wins."""
+    sim, bus, mem = _ram_bus(arbiter=RoundRobinArbiter())
+    first = bus.submit("a", AccessKind.READ, 0x1000)
+    sim.run_until(lambda: first.done)
+    a = bus.submit("a", AccessKind.READ, 0x1000)
+    b = bus.submit("b", AccessKind.READ, 0x1000)
+    sim.run_until(lambda: a.done and b.done)
+    assert b.grant_cycle < a.grant_cycle
+
+
+# ---------------------------------------------------------------------------
+# the blocking single-beat access
+# ---------------------------------------------------------------------------
+
+class _StubWindow(BusSlave):
+    """A register window that answers every access with an ERROR
+    response, after ``access_latency`` wait states."""
+
+    def __init__(self, access_latency=0):
+        self.access_latency = access_latency
+
+    def read_word(self, offset):
+        raise BusFaultError(f"stub: ERROR on read at {offset:#x}")
+
+    def write_word(self, offset, value):
+        raise BusFaultError(f"stub: ERROR on write at {offset:#x}")
+
+
+#: each software master's blocking access to the OCP register window at
+#: ``base``, by the ``what`` text it names its wait with: (the cycles it
+#: waits before it reports a deadlock, the access)
+_ACCESSES = {
+    "register write": (5_000_000, lambda soc, base: OuessantDriver(
+        soc).write_register(0, 1)),
+    "register read": (5_000_000, lambda soc, base: OuessantDriver(
+        soc).read_register(0)),
+    "PIO write": (1_000_000, lambda soc, base: PIOHarness(
+        soc.sim, soc.bus, base)._write(0, 1)),
+    "PIO read": (1_000_000, lambda soc, base: PIOHarness(
+        soc.sim, soc.bus, base)._read(0)),
+    "harness write": (1_000_000, lambda soc, base: DMAHarness(
+        soc.sim, soc.bus, None, 0, base)._write(base, 1)),
+    "harness read": (1_000_000, lambda soc, base: DMAHarness(
+        soc.sim, soc.bus, None, 0, base)._read(base)),
+}
+
+
+def _stub_soc(latency):
+    soc = SoC(racs=[PassthroughRac(block_size=16)], with_cpu=False)
+    soc.bus.memmap.replace_slave("ocp", _StubWindow(latency))
+    return soc, soc.ocp_base(0)
+
+
+@pytest.mark.parametrize("what", list(_ACCESSES))
+def test_blocking_access_raises_bus_error_and_keeps_its_wait_name(what):
+    bound, access = _ACCESSES[what]
+    soc, base = _stub_soc(latency=0)
+    with pytest.raises(BusError) as excinfo:
+        access(soc, base)
+    assert type(excinfo.value) is BusError
+    message = str(excinfo.value)
+    assert message.startswith(f"{what} by 'cpu' at {base:#x} failed: ")
+    assert "stub: ERROR" in message
+    # a slave slower than any access bound: the wait times out under
+    # the caller's own name and bound
+    soc, base = _stub_soc(latency=10_000_000)
+    with pytest.raises(DeadlockError) as excinfo:
+        access(soc, base)
+    assert str(excinfo.value).startswith(
+        f"{what} not reached within {bound} cycles ")
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +291,7 @@ def _occupancy_bus():
 
 
 def _occupancy(sim, bus, burst, latency):
-    transfer = bus.submit(
-        BusRequest("m", AccessKind.READ, 0x10000 * (latency + 1), burst))
+    transfer = bus.submit("m", AccessKind.READ, 0x10000 * (latency + 1), burst)
     sim.run_until(lambda: transfer.done)
     assert len(bus._occupancy) <= OCCUPANCY_MEMO_SIZE
     return transfer.complete_cycle - transfer.grant_cycle

@@ -121,29 +121,20 @@ def test_cycle_timer_ignores_writes():
 
 def test_round_robin_rank_unseen_master():
     from repro.bus.arbiter import RoundRobinArbiter
-    from repro.bus.types import AccessKind, BusRequest, BusTransfer
+    from repro.bus.types import AccessKind, BusTransfer
 
     arbiter = RoundRobinArbiter()
-    t1 = BusTransfer(
-        BusRequest(master="a", kind=AccessKind.READ, address=0x1000),
-        issue_cycle=0,
-    )
-    t2 = BusTransfer(
-        BusRequest(master="b", kind=AccessKind.READ, address=0x1000),
-        issue_cycle=0,
-    )
+    t1 = BusTransfer("a", AccessKind.READ, 0x1000, 1, None, 0, 0)
+    t2 = BusTransfer("b", AccessKind.READ, 0x1000, 1, None, 0, 0)
     first = arbiter.pick([t1, t2])
     second = arbiter.pick([t1, t2])
     assert first is not second  # rotation after a grant
 
 
 def test_transfer_latency_before_completion_raises():
-    from repro.bus.types import AccessKind, BusRequest, BusTransfer
+    from repro.bus.types import AccessKind, BusTransfer
 
-    transfer = BusTransfer(
-        BusRequest(master="m", kind=AccessKind.READ, address=0x0),
-        issue_cycle=0,
-    )
+    transfer = BusTransfer("m", AccessKind.READ, 0x0, 1, None, 0, 0)
     with pytest.raises(RuntimeError):
         transfer.latency
 

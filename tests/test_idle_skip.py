@@ -1543,7 +1543,7 @@ def test_cross_call_raw_bus_submits_to_pio_and_dma_slaves(schedule):
 
 def _doorbell_rung_over_the_bus(**sim_kw):
     from repro.bus.bus import SystemBus
-    from repro.bus.types import AccessKind, BusRequest, BusSlave
+    from repro.bus.types import AccessKind, BusSlave
 
     class Doorbell(Alarm, BusSlave):
         """A register window whose write arms the alarm, unpoked: only
@@ -1560,9 +1560,7 @@ def _doorbell_rung_over_the_bus(**sim_kw):
     bell = sim.add(Doorbell())
     bus.attach_slave("bell", 0x100, 4, bell)
     for delay in (3, 7):
-        transfer = bus.submit(BusRequest(
-            master="test", kind=AccessKind.WRITE, address=0x100, burst=1,
-            data=[delay]))
+        transfer = bus.submit("test", AccessKind.WRITE, 0x100, data=[delay])
         sim.run_until(lambda: transfer.done, max_cycles=100)
         sim.step(20)
     return bell.rang, sim.cycle
@@ -1884,12 +1882,12 @@ LIVE_READ_GOLDEN = Path(__file__).with_name("live_read_golden.json")
 
 def _perf_over_bus(soc, index):
     """OCP ``index``'s six PERF registers, read in one bus burst."""
-    from repro.bus.types import AccessKind, BusRequest
+    from repro.bus.types import AccessKind
     from repro.core.perf import N_PERF_REGISTERS, PERF_BASE
 
-    transfer = soc.bus.submit(BusRequest(
-        master="test", kind=AccessKind.READ,
-        address=soc.ocp_base(index) + PERF_BASE, burst=N_PERF_REGISTERS))
+    transfer = soc.bus.submit("test", AccessKind.READ,
+                              soc.ocp_base(index) + PERF_BASE,
+                              N_PERF_REGISTERS)
     soc.sim.run_until(lambda: transfer.done, max_cycles=1_000)
     return transfer.data
 
@@ -2013,7 +2011,7 @@ def _live_pio_slave(**soc_kw):
         REG_DATA_IN,
         SlaveAccelerator,
     )
-    from repro.bus.types import AccessKind, BusRequest
+    from repro.bus.types import AccessKind
     from repro.rac.scale import PassthroughRac
 
     soc = SoC(racs=[PassthroughRac(block_size=16)], with_cpu=False,
@@ -2024,9 +2022,8 @@ def _live_pio_slave(**soc_kw):
     soc.bus.attach_slave("pio", 0x9000_0000, 64, pio)
     for offset, value in [(REG_DATA_IN, v) for v in range(4)] + \
             [(0, CTRL_START)]:
-        transfer = soc.bus.submit(BusRequest(
-            master="test", kind=AccessKind.WRITE,
-            address=0x9000_0000 + offset, burst=1, data=[value]))
+        transfer = soc.bus.submit("test", AccessKind.WRITE,
+                                  0x9000_0000 + offset, data=[value])
         soc.sim.run_until(lambda: transfer.done, max_cycles=100)
     return _stepped(soc, lambda: pio.read_word(0) != CTRL_START, 3, 23,
                     slave=pio)

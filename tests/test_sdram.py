@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bus.bus import SystemBus
-from repro.bus.types import AccessKind, BusRequest
+from repro.bus.types import AccessKind
 from repro.core.program import OuProgram
 from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
 from repro.mem.sdram import SDRAM
@@ -22,8 +22,7 @@ def make_bus(sdram):
 
 
 def read_latency(sim, bus, address, burst=1):
-    transfer = bus.submit(BusRequest(master="m", kind=AccessKind.READ,
-                                     address=address, burst=burst))
+    transfer = bus.submit("m", AccessKind.READ, address, burst)
     sim.run_until(lambda: transfer.done, max_cycles=1000)
     return transfer.latency
 
