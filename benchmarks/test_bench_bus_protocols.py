@@ -31,7 +31,7 @@ def _run(protocol, q15_signal, n=256):
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(figure4_program(n)))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    cycles = soc.run_until(lambda: ocp.done, max_cycles=500_000)
+    cycles = soc.sim.run_until(lambda: ocp.done, max_cycles=500_000)
     out = fp.deinterleave_complex(soc.read_ram(OUT, 2 * n))
     return cycles, out == fp.fft_q15(re, im)
 

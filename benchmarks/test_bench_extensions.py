@@ -48,7 +48,7 @@ def test_dpr_swap_idct_to_dft(benchmark, q15_signal):
         program = (OuProgram().stream_to(1, 64).execs()
                    .stream_from(2, 64).eop())
         _boot(soc, program, {1: IN, 2: OUT})
-        soc.run_until(lambda: soc.ocp.done, max_cycles=100_000)
+        soc.sim.run_until(lambda: soc.ocp.done, max_cycles=100_000)
         assert fp.words_to_block(soc.read_ram(OUT, 64)) == fp.idct2_q15(block)
         soc.ocp.interface.write_word(REG_CTRL, 0)
 
@@ -60,7 +60,7 @@ def test_dpr_swap_idct_to_dft(benchmark, q15_signal):
         re, im = q15_signal(64)
         soc.write_ram(IN, fp.interleave_complex(re, im))
         _boot(soc, figure4_program(64), {1: IN, 2: OUT})
-        soc.run_until(lambda: soc.ocp.done, max_cycles=100_000)
+        soc.sim.run_until(lambda: soc.ocp.done, max_cycles=100_000)
         out = fp.deinterleave_complex(soc.read_ram(OUT, 128))
         assert out == fp.fft_q15(re, im)
         return reconf_cycles
@@ -85,8 +85,8 @@ def test_standalone_throughput(benchmark):
             prog_size=len(program), restart=True, max_runs=10,
         )
         soc.sim.add(sequencer)
-        soc.run_until(lambda: sequencer.runs_completed >= 10,
-                      max_cycles=500_000)
+        soc.sim.run_until(lambda: sequencer.runs_completed >= 10,
+                          max_cycles=500_000)
         return soc.sim.cycle / 10
 
     cycles_per_run = once(benchmark, measure)
@@ -107,7 +107,8 @@ def test_looped_isa_compresses_microcode(benchmark, q15_signal):
             re, im = q15_signal(256)
             soc.write_ram(IN, fp.interleave_complex(re, im))
             _boot(soc, program, {1: IN, 2: OUT})
-            cycles = soc.run_until(lambda: soc.ocp.done, max_cycles=100_000)
+            cycles = soc.sim.run_until(lambda: soc.ocp.done,
+                                       max_cycles=100_000)
             assert (fp.deinterleave_complex(soc.read_ram(OUT, 512))
                     == fp.fft_q15(re, im))
             out[label] = (len(program), cycles)

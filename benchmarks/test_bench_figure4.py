@@ -39,7 +39,7 @@ def _run_figure4(q15_signal):
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(words))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    cycles = soc.run_until(lambda: ocp.done, max_cycles=100_000)
+    cycles = soc.sim.run_until(lambda: ocp.done, max_cycles=100_000)
     out = fp.deinterleave_complex(soc.read_ram(OUT, 2 * n))
     return soc, cycles, (re, im), out
 

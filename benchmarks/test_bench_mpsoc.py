@@ -41,8 +41,8 @@ def _concurrent_run(n_ocps: int) -> float:
         base = RAM_BASE + 0x10_0000 * (index + 1)
         soc.write_ram(base + 0x1000, list(range(WORDS)))
         _boot(soc, ocp, base, base + 0x1000, base + 0x4000, program)
-    soc.run_until(lambda: all(o.done for o in soc.ocps),
-                  max_cycles=1_000_000)
+    soc.sim.run_until(lambda: all(o.done for o in soc.ocps),
+                      max_cycles=1_000_000)
     for index, ocp in enumerate(soc.ocps):
         base = RAM_BASE + 0x10_0000 * (index + 1)
         assert soc.read_ram(base + 0x4000, WORDS) == list(range(WORDS))
@@ -87,8 +87,8 @@ def test_zynq_port_comparison(benchmark, q15_signal):
             soc.write_ram(in_addr, fp.interleave_complex(re, im))
             _boot(soc, soc.ocp, RAM_BASE + 0x1000, in_addr, out_addr,
                   figure4_program(n))
-            cycles = soc.run_until(lambda: soc.ocp.done,
-                                   max_cycles=500_000)
+            cycles = soc.sim.run_until(lambda: soc.ocp.done,
+                                       max_cycles=500_000)
             spectrum = fp.deinterleave_complex(
                 soc.read_ram(out_addr, 2 * n))
             assert spectrum == fp.fft_q15(re, im)

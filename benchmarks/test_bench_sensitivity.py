@@ -31,7 +31,7 @@ def _dft_run(soc, q15_signal, n=256):
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(figure4_program(n)))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    cycles = soc.run_until(lambda: ocp.done, max_cycles=500_000)
+    cycles = soc.sim.run_until(lambda: ocp.done, max_cycles=500_000)
     assert (fp.deinterleave_complex(soc.read_ram(OUT, 2 * n))
             == fp.fft_q15(re, im))
     return cycles
@@ -170,7 +170,7 @@ def test_bus_contention_from_polling_cpu(benchmark, q15_signal):
         program = assemble(source, text_base=RAM_BASE,
                            data_base=RAM_BASE + 0x10_0000)
         soc.cpu.load(program)
-        soc.run_until(lambda: soc.cpu.halted, max_cycles=500_000)
+        soc.sim.run_until(lambda: soc.cpu.halted, max_cycles=500_000)
         out = fp.deinterleave_complex(soc.read_ram(OUT, 2 * n))
         assert out == fp.fft_q15(re, im)
         return soc.sim.cycle

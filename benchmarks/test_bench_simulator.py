@@ -76,7 +76,7 @@ def test_ocp_loopback_cycles_per_second(benchmark):
             ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
         ocp.interface.write_word(REG_PROG_SIZE, len(program))
         ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-        return soc.run_until(lambda: ocp.done, max_cycles=50_000)
+        return soc.sim.run_until(lambda: ocp.done, max_cycles=50_000)
 
     cycles = benchmark(run)
     assert cycles < 1000

@@ -73,7 +73,7 @@ def _figure4_cycles(prefetch: bool, q15_signal) -> int:
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(figure4_program(n)))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    return soc.run_until(lambda: ocp.done, max_cycles=100_000)
+    return soc.sim.run_until(lambda: ocp.done, max_cycles=100_000)
 
 
 def test_prefetch_ablation(benchmark, q15_signal):

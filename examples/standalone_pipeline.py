@@ -42,7 +42,8 @@ def main() -> None:
         restart=True, max_runs=8,
     )
     soc.sim.add(sequencer)
-    soc.run_until(lambda: sequencer.runs_completed >= 8, max_cycles=500_000)
+    soc.sim.run_until(lambda: sequencer.runs_completed >= 8,
+                      max_cycles=500_000)
     per_run = soc.sim.cycle / sequencer.runs_completed
     print("standalone (processor-free) mode:")
     print(f"    {sequencer.runs_completed} back-to-back runs, "
@@ -70,7 +71,7 @@ def main() -> None:
         prog_size=len(program),
     )
     soc.sim.add(restart)
-    soc.run_until(lambda: restart.runs_completed >= 1, max_cycles=100_000)
+    soc.sim.run_until(lambda: restart.runs_completed >= 1, max_cycles=100_000)
     decoded = fp.words_to_block(soc.read_ram(OUT, 64))
     assert decoded == fp.idct2_q15(block)
     print("    IDCT now runs behind the unchanged interface/controller --")

@@ -13,8 +13,6 @@ GPP-side scheduling code.
 
 from __future__ import annotations
 
-from typing import Callable, List
-
 from ..bus.bus import SystemBus
 from ..mem.dma import (
     CTRL_IE as DMA_IE,
@@ -25,7 +23,6 @@ from ..mem.dma import (
     REG_DST as DMA_DST,
     REG_SRC as DMA_SRC,
 )
-from ..sim.errors import DriverError
 from ..sim.kernel import Simulator
 from .pio_slave import CTRL_DONE, CTRL_START, REG_CTRL, SlaveAccelerator
 
@@ -87,9 +84,6 @@ class DMAHarness:
     def _write(self, address: int, value: int) -> None:
         self.bus.access(self.master, address, value, what="harness write")
 
-    def _read(self, address: int) -> int:
-        return self.bus.access(self.master, address, what="harness read")
-
     def _dma_move(self, src: int, dst: int, words: int) -> None:
         self._write(self.dma_base + DMA_SRC, src)
         self._write(self.dma_base + DMA_DST, dst)
@@ -108,11 +102,8 @@ class DMAHarness:
         begin = self.sim.cycle
         self._dma_move(in_addr, self.accel_base + IN_WINDOW, n_in)
         self._write(self.accel_base + REG_CTRL, CTRL_START)
-        polls = 0
-        while not self._read(self.accel_base + REG_CTRL) & CTRL_DONE:
-            polls += 1
-            if polls > 1_000_000:
-                raise DriverError("accelerator poll timeout")
+        self.bus.poll(self.master, self.accel_base + REG_CTRL, CTRL_DONE,
+                      "accelerator done bit")
         self._dma_move(self.accel_base + OUT_WINDOW, out_addr, n_out)
         self._write(self.accel_base + REG_CTRL, 0)
         return self.sim.cycle - begin

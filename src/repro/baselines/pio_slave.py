@@ -22,7 +22,7 @@ Register map (byte offsets):
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List
 
 from ..bus.bus import SystemBus
 from ..bus.types import BusSlave
@@ -166,11 +166,9 @@ class PIOHarness:
         for word in inputs:
             self._write(REG_DATA_IN, word)
         self._write(REG_CTRL, CTRL_START)
-        polls = 0
-        while not self._read(REG_CTRL) & CTRL_DONE:
-            polls += 1
-            if polls > 1_000_000:
-                raise DriverError("PIO poll timeout")
+        # the polls that found DONE clear
+        polls = self.bus.poll(self.master, self.base + REG_CTRL, CTRL_DONE,
+                              "PIO done bit") - 1
         outputs = [self._read(REG_DATA_OUT) for _ in range(n_outputs)]
         self._write(REG_CTRL, 0)
         cycles = self.sim.cycle - begin

@@ -148,7 +148,7 @@ def _run_ocp(
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(program))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    soc.run_until(lambda: ocp.done, max_cycles=max_cycles)
+    soc.sim.run_until(lambda: ocp.done, max_cycles=max_cycles)
     if soc.read_ram(OUT, words) != expected:
         raise SimulationError("bench workload produced wrong data")
     from .obs import attribute_run, compare_attribution
@@ -267,7 +267,7 @@ def _idle_timeout(mode: str):
     """
     soc = SoC(racs=[PassthroughRac(block_size=16)], **_MODE_KW[mode])
     try:
-        soc.run_until(lambda: False, max_cycles=200_000, what="bench timeout")
+        soc.sim.run_until(lambda: False, 200_000, "bench timeout")
     except DeadlockError:
         pass
     else:  # pragma: no cover - the predicate above is constant
@@ -422,7 +422,6 @@ def run_mpsoc_sweep(
     batch_jobs: int = 4,
     queue_bound: int = 8,
     clock_mhz: float = 50.0,
-    verify_naive: bool = True,
 ) -> MpsocSweep:
     """Throughput-scheduler scaling curve on the passthrough workload.
 
@@ -485,7 +484,7 @@ def run_mpsoc_sweep(
     for count in ocp_counts:
         profile, utilization = run_one(count, idle_skip=True)
         cycles = profile.cycles
-        if count == min(ocp_counts) and verify_naive:
+        if count == min(ocp_counts):
             naive, _ = run_one(count, idle_skip=False)
             if naive.cycles != cycles:
                 raise SimulationError(

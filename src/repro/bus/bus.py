@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..sim.errors import BusError, BusFaultError
-from ..sim.kernel import Component
+from ..sim.kernel import MAX_WAIT_CYCLES, Component
 from ..sim.tracing import Stats, elapsed
 from .arbiter import Arbiter, FixedPriorityArbiter
 from .memmap import MemoryMap, Region
@@ -29,6 +29,14 @@ from .types import AccessKind, BusSlave, BusTransfer
 #: entries the occupancy memo holds before it starts afresh; a system
 #: uses a handful of (burst, latency) pairs
 OCCUPANCY_MEMO_SIZE = 1024
+
+
+def _failed(transfer: BusTransfer, what: str) -> BusError:
+    """The error of a blocking access answered with an ERROR response."""
+    return BusError(
+        f"{what} by {transfer.master!r} at {transfer.address:#x} failed: "
+        f"{transfer.error_reason}"
+    )
 
 
 class SystemBus(Component):
@@ -138,35 +146,60 @@ class SystemBus(Component):
         address: int,
         value: Optional[int] = None,
         what: str = "bus access",
-        max_cycles: int = 1_000_000,
     ) -> int:
         """One blocking single-beat access, for software that runs
-        outside the clock (a driver, a test harness).
+        outside the clock (a driver, a test harness): reads the word at
+        ``address``, or writes ``value`` there, and returns the word
+        read or written.
 
-        Reads the word at ``address``, or writes ``value`` there when
-        one is given, and runs the simulation until the transfer
-        completes; returns the word read (a write returns the word
-        written).  ``what`` names the wait in the
-        :class:`~repro.sim.errors.DeadlockError` raised when the
-        transfer does not complete within ``max_cycles``.
-
-        Raises
-        ------
-        BusError
-            If the slave answers with an ERROR response.
+        ``what`` names the wait in the
+        :class:`~repro.sim.errors.DeadlockError` of a transfer that
+        does not complete within the kernel's wait bound; an ERROR
+        response raises :class:`BusError`.
         """
         if value is None:
             transfer = self.submit(master, AccessKind.READ, address)
         else:
             transfer = self.submit(master, AccessKind.WRITE, address,
                                    data=[value & 0xFFFFFFFF])
-        self.sim.run_until(lambda: transfer.done, max_cycles, what)
+        self.sim.run_until(lambda: transfer.done, what=what)
         if transfer.error:
-            raise BusError(
-                f"{what} by {master!r} at {address:#x} failed: "
-                f"{transfer.error_reason}"
-            )
+            raise _failed(transfer, what)
         return transfer.data[0]
+
+    def poll(
+        self,
+        master: str,
+        address: int,
+        mask: int,
+        what: str,
+        max_cycles: int = MAX_WAIT_CYCLES,
+    ) -> int:
+        """The poll loop of software outside the clock: read ``address``
+        until a word has a bit of ``mask`` set; returns the reads made.
+
+        Each read is submitted in the cycle the one before completed,
+        as a loop of :meth:`access` calls would, but all of them share
+        one wait named ``what`` of at most ``max_cycles`` cycles.  An
+        ERROR response raises :class:`BusError`, as in :meth:`access`.
+        """
+        transfer = self.submit(master, AccessKind.READ, address)
+        reads = 1
+
+        def found() -> bool:
+            nonlocal transfer, reads
+            if not transfer.done:
+                return False
+            if transfer.error:
+                raise _failed(transfer, what)
+            if transfer.data[0] & mask:
+                return True
+            transfer = self.submit(master, AccessKind.READ, address)
+            reads += 1
+            return False
+
+        self.sim.run_until(found, max_cycles, what)
+        return reads
 
     # -- zero-time debug access -------------------------------------------
     def read_now(self, address: int, count: int = 1) -> List[int]:
@@ -269,8 +302,8 @@ class SystemBus(Component):
         # clocked slave (a register window) may change state its own
         # claim or its watchers' claims depend on -- re-poll exactly
         # those.  A submit with no waiter comes from outside the clock
-        # (``access``) and is awaited by a run_until predicate, which
-        # needs no poke.
+        # (``access``, ``poll``) and is awaited by a run_until
+        # predicate, which needs no poke.
         waiter = transfer.waiter
         if waiter is not None:
             waiter.poke()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import enum
 from functools import lru_cache
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..bus.types import BusTransfer
 from ..rac.base import RAC
@@ -74,6 +74,14 @@ class _State(enum.Enum):
 
 #: the states that never tick
 _PARKED = tuple(state for state in _State if state.cycle_key is None)
+
+#: the states that tick, each charged to ``cycles.<state>``
+ACTIVE_STATES = tuple(s.value for s in _State if s not in _PARKED)
+
+#: the waveform code of every state: 1.. in ``ACTIVE_STATES`` order,
+#: 0 for a parked one
+STATE_CODES: Dict[str, int] = {s.value: 0 for s in _PARKED}
+STATE_CODES.update(zip(ACTIVE_STATES, range(1, len(ACTIVE_STATES) + 1)))
 
 #: the ``instr.<mnemonic>`` statistic of each opcode
 _INSTR_KEYS = {op: f"instr.{op.name.lower()}" for op in OuOp}

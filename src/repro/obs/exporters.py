@@ -21,13 +21,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from ..core.controller import STATE_CODES
 from ..sim.tracing import Trace, VCDWriter
-from .spans import ACTIVE_STATES, Span, SpanTrace
-
-#: numeric VCD encoding of the controller FSM states (0 = parked)
-STATE_CODES: Dict[str, int] = {
-    state: index + 1 for index, state in enumerate(ACTIVE_STATES)
-}
+from .spans import Span, SpanTrace
 
 #: microseconds per cycle used for the Perfetto ``ts`` axis; one unit
 #: per cycle keeps durations readable (the UI labels them "us")

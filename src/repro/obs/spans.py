@@ -28,15 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from ..core.controller import ACTIVE_STATES
 from ..sim.errors import SimulationError
 from ..sim.tracing import Trace, TraceEvent
-
-#: controller FSM states that are charged to ``cycles.<state>`` (spans
-#: are built for these; idle/halted/error are uncharged parking states)
-ACTIVE_STATES = (
-    "prefetch", "fetch", "decode", "xfer_to", "xfer_from",
-    "exec_wait", "waiting", "waitf",
-)
 
 #: states that end an instruction span when entered
 _INSTR_END_STATES = ("fetch", "prefetch", "idle", "halted", "error")

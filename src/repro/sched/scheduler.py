@@ -36,7 +36,7 @@ from ..core.registers import (
     REG_PROG_SIZE,
 )
 from ..sim.errors import ConfigurationError, ReproError
-from ..sim.kernel import Component
+from ..sim.kernel import MAX_WAIT_CYCLES, Component
 from ..sim.tracing import elapsed
 from ..system import RAM_BASE, ocp_base
 from ..verify.diagnostics import (
@@ -601,7 +601,8 @@ class ThroughputScheduler(Component):
         self.poke()
         return True
 
-    def submit_blocking(self, job: Job, max_cycles: int = 5_000_000) -> None:
+    def submit_blocking(self, job: Job,
+                        max_cycles: int = MAX_WAIT_CYCLES) -> None:
         """Submit, advancing the simulation until space frees up.
 
         The job is routed once per wait: the clock cannot pin a chain,
@@ -612,14 +613,14 @@ class ThroughputScheduler(Component):
         while not self.submit(job):
             self._awaited = set(self._candidates(job))
             self._freed = False
-            self._soc.run_until(
+            self.sim.run_until(
                 lambda: self._freed,
                 max_cycles=max_cycles,
                 what=f"queue space for job {job.job_id}",
             )
 
     def run_stream(
-        self, jobs: List[Job], max_cycles: int = 5_000_000,
+        self, jobs: List[Job], max_cycles: int = MAX_WAIT_CYCLES,
     ) -> List[JobResult]:
         """Submit a whole stream, drain it, return results in order."""
         for job in jobs:
@@ -627,12 +628,9 @@ class ThroughputScheduler(Component):
         self.drain(max_cycles=max_cycles)
         return [self.completed[job.job_id] for job in jobs]
 
-    def drain(self, max_cycles: int = 5_000_000) -> None:
+    def drain(self, max_cycles: int = MAX_WAIT_CYCLES) -> None:
         """Advance the simulation until every queued job completed."""
-        self._soc.run_until(
-            lambda: self.idle, max_cycles=max_cycles,
-            what="scheduler drain",
-        )
+        self.sim.run_until(lambda: self.idle, max_cycles, "scheduler drain")
 
     @property
     def idle(self) -> bool:

@@ -85,6 +85,10 @@ from . import audit
 from .errors import DeadlockError, SimulationError
 from .tracing import Trace
 
+#: the one deadlock bound of a wait from outside the clock: the default
+#: ``max_cycles`` of :meth:`Simulator.run_until` and every wait on it
+MAX_WAIT_CYCLES = 5_000_000
+
 
 class Component:
     """Base class for everything that lives on the simulated clock.
@@ -753,7 +757,7 @@ class Simulator:
     def run_until(
         self,
         predicate: Callable[[], bool],
-        max_cycles: int = 1_000_000,
+        max_cycles: int = MAX_WAIT_CYCLES,
         what: str = "condition",
     ) -> int:
         """Step until ``predicate()`` is true; return elapsed cycles.

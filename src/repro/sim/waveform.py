@@ -5,11 +5,11 @@ workflow here is a :class:`WaveformProbe` that samples chosen signals
 (any zero-argument callables returning ints) every cycle and emits a
 value-change dump viewable in GTKWave.
 
-Example::
+Example, with :data:`repro.core.controller.STATE_CODES`::
 
     vcd = VCDWriter(timescale="20ns")   # 50 MHz
     probe = WaveformProbe("probe", vcd, {
-        "ctrl_state": lambda: hash(ocp.controller.state) & 0xF,
+        "ctrl_state": lambda: STATE_CODES[ocp.controller.state],
         "fifo_in_level": lambda: ocp.fifos_in[0].occupancy,
         "irq": lambda: int(ocp.irq.pending),
     })
@@ -65,13 +65,9 @@ def ocp_probe(name: str, vcd: VCDWriter, ocp) -> WaveformProbe:
     input/output FIFO levels, the busy/done handshake and the IRQ line
     -- the signals one watches when bringing up an OCP.
     """
-    state_codes = {
-        "idle": 0, "prefetch": 1, "fetch": 2, "decode": 3,
-        "xfer_to": 4, "xfer_from": 5, "exec_wait": 6, "waiting": 7,
-        "waitf": 8, "halted": 9,
-    }
+    from ..core.controller import STATE_CODES  # core imports sim
     signals: Dict[str, Signal] = {
-        "ctrl_state": lambda: state_codes.get(ocp.controller.state, 15),
+        "ctrl_state": lambda: STATE_CODES[ocp.controller.state],
         "irq": lambda: int(ocp.irq.pending),
         "done": lambda: int(ocp.done),
     }

@@ -38,14 +38,11 @@ from ..sim.errors import (
     DriverTimeout,
     OcpRunError,
 )
+from ..sim.kernel import MAX_WAIT_CYCLES
 from ..system import RAM_BASE, SoC
 
 #: bus master name used for driver-originated accesses
 DRIVER_MASTER = "cpu"
-
-#: cycles one register access may take before it counts as a deadlock
-#: (the bound of :meth:`SoC.run_until`)
-DRIVER_ACCESS_CYCLES = 5_000_000
 
 
 @dataclass
@@ -121,16 +118,14 @@ class OuessantDriver:
         """
         start = self.soc.sim.cycle
         self.soc.bus.access(DRIVER_MASTER, self.base + offset, value,
-                            what="register write",
-                            max_cycles=DRIVER_ACCESS_CYCLES)
+                            what="register write")
         return self.soc.sim.cycle - start
 
     def read_register(self, offset: int) -> "tuple[int, int]":
         """One register read; returns ``(value, cycles)``."""
         start = self.soc.sim.cycle
         value = self.soc.bus.access(DRIVER_MASTER, self.base + offset,
-                                    what="register read",
-                                    max_cycles=DRIVER_ACCESS_CYCLES)
+                                    what="register read")
         return value, self.soc.sim.cycle - start
 
     # -- program/data placement (application-owned memory) ------------------
@@ -161,43 +156,32 @@ class OuessantDriver:
         ctrl = CTRL_S | (CTRL_IE if self.use_interrupt else 0)
         return self.write_register(REG_CTRL, ctrl)
 
-    def wait_done(self, max_cycles: int = 5_000_000) -> int:
+    def wait_done(self, max_cycles: int = MAX_WAIT_CYCLES) -> int:
         """Block until the program signals completion; returns cycles.
 
         Interrupt mode sleeps until the IRQ line asserts; polling mode
         repeatedly reads CTRL until ``D`` is set (each poll is a real
         bus read, stealing bus bandwidth exactly like the classical
-        integration style does).
+        integration style does; :attr:`poll_count` counts them).
 
         Raises :class:`~repro.sim.errors.DriverTimeout` when the OCP
         does not complete within ``max_cycles``.
         """
         start = self.soc.sim.cycle
-        if self.use_interrupt:
-            # the predicate runs before every simulated event: bind the
-            # line once
-            irq = self.ocp.irq
-            try:
-                self.soc.run_until(
-                    lambda: irq.pending,
-                    max_cycles=max_cycles,
-                    what="OCP interrupt",
-                )
-            except DeadlockError as exc:
-                raise DriverTimeout(str(exc)) from exc
-            irq.clear()
-        else:
-            self.poll_count = 0
-            while True:
-                value, _ = self.read_register(REG_CTRL)
-                self.poll_count += 1
-                if value & CTRL_D:
-                    break
-                if self.soc.sim.cycle - start > max_cycles:
-                    raise DriverTimeout(
-                        f"poll timeout waiting for D after "
-                        f"{max_cycles} cycles"
-                    )
+        try:
+            if self.use_interrupt:
+                # the predicate runs before every simulated event: bind
+                # the line once
+                irq = self.ocp.irq
+                self.soc.sim.run_until(lambda: irq.pending, max_cycles,
+                                       "OCP interrupt")
+                irq.clear()
+            else:
+                self.poll_count = self.soc.bus.poll(
+                    DRIVER_MASTER, self.base + REG_CTRL, CTRL_D,
+                    "OCP done bit", max_cycles)
+        except DeadlockError as exc:
+            raise DriverTimeout(str(exc)) from exc
         return self.soc.sim.cycle - start
 
     def check_status(self) -> int:
@@ -289,7 +273,7 @@ class OuessantDriver:
         banks: Dict[int, int],
         program_address: Optional[int] = None,
         check_status: bool = False,
-        max_wait_cycles: int = 5_000_000,
+        max_wait_cycles: int = MAX_WAIT_CYCLES,
         verify: bool = False,
     ) -> RunResult:
         """Full sequence: place microcode, configure, start, wait, ack.

@@ -29,18 +29,17 @@ class JobClient:
         kind: str,
         words: Sequence[int],
         chain: Optional[str] = None,
-        max_cycles: int = 5_000_000,
     ) -> Job:
         """Submit one job, blocking on back-pressure; returns the Job."""
         self._serial += 1
         job = Job(f"job{self._serial}", kind, list(words), chain=chain)
-        self.scheduler.submit_blocking(job, max_cycles=max_cycles)
+        self.scheduler.submit_blocking(job)
         self._order.append(job.job_id)
         return job
 
-    def drain(self, max_cycles: int = 5_000_000) -> List[JobResult]:
+    def drain(self) -> List[JobResult]:
         """Run the stream to completion; results in submission order."""
-        self.scheduler.drain(max_cycles=max_cycles)
+        self.scheduler.drain()
         completed = self.scheduler.completed
         return [completed[job_id] for job_id in self._order]
 

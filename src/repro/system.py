@@ -218,10 +218,6 @@ class SoC:
     def read_ram(self, address: int, count: int) -> List[int]:
         return self.memory.dump_words(address - RAM_BASE, count)
 
-    # -- execution -----------------------------------------------------------
-    def run_until(self, predicate, max_cycles: int = 5_000_000, what: str = "condition") -> int:
-        return self.sim.run_until(predicate, max_cycles=max_cycles, what=what)
-
 
 # ---------------------------------------------------------------------------
 # MPSoC elaboration helpers

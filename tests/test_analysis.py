@@ -169,7 +169,7 @@ def _figure4_cycles(soc, out=RAM_BASE + 0x8000, n=256, program=None):
     re, im = _q15_signal(n)
     soc.write_ram(IN, fp.interleave_complex(re, im))
     ocp = _boot(soc, program or figure4_program(n), {1: IN, 2: out})
-    cycles = soc.run_until(lambda: ocp.done, max_cycles=500_000)
+    cycles = soc.sim.run_until(lambda: ocp.done, max_cycles=500_000)
     assert fp.deinterleave_complex(soc.read_ram(out, 2 * n)) == \
         fp.fft_q15(re, im)
     return cycles
@@ -318,7 +318,7 @@ def test_a9_wfi_vs_polling_and_sw_idct_cost_models_match_experiments():
             sw   r0, 0(r1)
             halt
         """, text_base=RAM_BASE, data_base=RAM_BASE + 0x10_0000))
-        soc.run_until(lambda: soc.cpu.halted, max_cycles=500_000)
+        soc.sim.run_until(lambda: soc.cpu.halted, max_cycles=500_000)
         assert fp.deinterleave_complex(soc.read_ram(out, 512)) == \
             fp.fft_q15(re, im)
         return soc.sim.cycle
@@ -354,8 +354,8 @@ def test_a6_extensions_match_experiments():
     sequencer = soc.sim.add(StandaloneSequencer(
         "straps", soc.ocp, bank_bases={0: PROG, 1: IN, 2: out},
         prog_size=len(program), restart=True, max_runs=10))
-    soc.run_until(lambda: sequencer.runs_completed >= 10,
-                  max_cycles=500_000)
+    soc.sim.run_until(lambda: sequencer.runs_completed >= 10,
+                      max_cycles=500_000)
     assert soc.sim.cycle == 2540  # 254 cycles per block
 
     isa = {label: (len(program),
@@ -412,8 +412,8 @@ def _concurrent_loopback_cycles(n_ocps, words=256):
             ocp.interface.write_word(REG_BANK_BASE + 4 * bank, address)
         ocp.interface.write_word(REG_PROG_SIZE, len(program))
         ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    soc.run_until(lambda: all(ocp.done for ocp in soc.ocps),
-                  max_cycles=1_000_000)
+    soc.sim.run_until(lambda: all(ocp.done for ocp in soc.ocps),
+                      max_cycles=1_000_000)
     for index in range(n_ocps):
         base = RAM_BASE + 0x10_0000 * (index + 1)
         assert soc.read_ram(base + 0x4000, words) == list(range(words))

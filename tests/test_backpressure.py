@@ -71,7 +71,7 @@ def test_figure4_order_deadlocks_past_fifo_capacity():
                .stream_from(2, 32, chunk=16).eop())
     boot(soc, program, {1: inp, 2: out})
     with pytest.raises(DeadlockError):
-        soc.run_until(lambda: soc.ocp.done, max_cycles=20_000)
+        soc.sim.run_until(lambda: soc.ocp.done, max_cycles=20_000)
 
 
 def test_interleaved_microcode_streams_through_tiny_fifos():
@@ -88,7 +88,7 @@ def test_interleaved_microcode_streams_through_tiny_fifos():
         program.mvfc(2, 8 * chunk_no, 8)
     program.eop()
     boot(soc, program, {1: inp, 2: out})
-    cycles = soc.run_until(lambda: soc.ocp.done, max_cycles=50_000)
+    cycles = soc.sim.run_until(lambda: soc.ocp.done, max_cycles=50_000)
     assert soc.read_ram(out, 32) == list(range(900, 932))
     # throughput limited by the RAC (1 word / 7 cycles), not by the bus
     assert cycles > 32 * 7
@@ -147,8 +147,8 @@ def test_chained_ocps_overlap_when_started_together():
         ocp.interface.write_word(REG_PROG_SIZE, len(words))
     for ocp in soc.ocps:
         ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    both = soc.run_until(lambda: all(o.done for o in soc.ocps),
-                         max_cycles=100_000)
+    both = soc.sim.run_until(lambda: all(o.done for o in soc.ocps),
+                             max_cycles=100_000)
 
     solo_soc = SoC(racs=[ScaleRac("s0", block_size=256, factor=1, shift=0,
                                   fifo_depth=128)])
@@ -161,6 +161,6 @@ def test_chained_ocps_overlap_when_started_together():
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, addr)
     ocp.interface.write_word(REG_PROG_SIZE, len(words))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    solo = solo_soc.run_until(lambda: ocp.done, max_cycles=100_000)
+    solo = solo_soc.sim.run_until(lambda: ocp.done, max_cycles=100_000)
 
     assert both < 2 * solo

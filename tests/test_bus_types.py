@@ -1,7 +1,10 @@
 """The bus transaction handle and the per-transfer bookkeeping of
 :class:`~repro.bus.bus.SystemBus`: request checks, completion, the
-blocking single-beat access, round-robin rotation, the clocked-slave
-flag of a region and the occupancy memo."""
+blocking single-beat access, the one bound of every blocking wait,
+round-robin rotation, the clocked-slave flag of a region and the
+occupancy memo."""
+
+from inspect import signature
 
 import pytest
 
@@ -15,12 +18,14 @@ from repro.faults import FaultEvent, FaultKind, FaultPlan, build_faulty_soc
 from repro.mem.memory import Memory
 from repro.rac.idct import IDCTRac
 from repro.rac.scale import PassthroughRac
-from repro.sim.errors import BusError, BusFaultError, DeadlockError
-from repro.sim.kernel import Simulator
+from repro.sched import ThroughputScheduler
+from repro.sim.errors import (BusError, BusFaultError, DeadlockError,
+                              DriverTimeout)
+from repro.sim.kernel import MAX_WAIT_CYCLES, Simulator
 from repro.sim.tracing import Trace
 from repro.sw.driver import OuessantDriver
 from repro.sw.library import OuessantLibrary
-from repro.system import RAM_BASE, SoC
+from repro.system import DMA_BASE, RAM_BASE, SoC
 
 MODES = {
     "naive": {"idle_skip": False},
@@ -89,7 +94,7 @@ def test_a_slave_error_completes_the_transfer_with_zeros():
     ])
     soc = build_faulty_soc(PassthroughRac(block_size=16), plan)
     transfer = soc.bus.submit("m", AccessKind.READ, RAM_BASE, 4)
-    soc.run_until(lambda: transfer.done)
+    soc.sim.run_until(lambda: transfer.done)
     assert (transfer.error, transfer.data) == (True, [0, 0, 0, 0])
     assert transfer.error_reason
     assert soc.bus.stats["slave_errors"] == 1
@@ -172,21 +177,19 @@ class _StubWindow(BusSlave):
 
 
 #: each software master's blocking access to the OCP register window at
-#: ``base``, by the ``what`` text it names its wait with: (the cycles it
-#: waits before it reports a deadlock, the access)
+#: ``base``, and a bare poll, by the ``what`` text it names its wait with
 _ACCESSES = {
-    "register write": (5_000_000, lambda soc, base: OuessantDriver(
-        soc).write_register(0, 1)),
-    "register read": (5_000_000, lambda soc, base: OuessantDriver(
-        soc).read_register(0)),
-    "PIO write": (1_000_000, lambda soc, base: PIOHarness(
-        soc.sim, soc.bus, base)._write(0, 1)),
-    "PIO read": (1_000_000, lambda soc, base: PIOHarness(
-        soc.sim, soc.bus, base)._read(0)),
-    "harness write": (1_000_000, lambda soc, base: DMAHarness(
-        soc.sim, soc.bus, None, 0, base)._write(base, 1)),
-    "harness read": (1_000_000, lambda soc, base: DMAHarness(
-        soc.sim, soc.bus, None, 0, base)._read(base)),
+    "register write": lambda soc, base: OuessantDriver(
+        soc).write_register(0, 1),
+    "register read": lambda soc, base: OuessantDriver(
+        soc).read_register(0),
+    "PIO write": lambda soc, base: PIOHarness(
+        soc.sim, soc.bus, base)._write(0, 1),
+    "PIO read": lambda soc, base: PIOHarness(
+        soc.sim, soc.bus, base)._read(0),
+    "harness write": lambda soc, base: DMAHarness(
+        soc.sim, soc.bus, None, 0, base)._write(base, 1),
+    "done bit": lambda soc, base: soc.bus.poll("cpu", base, 1, "done bit"),
 }
 
 
@@ -198,7 +201,7 @@ def _stub_soc(latency):
 
 @pytest.mark.parametrize("what", list(_ACCESSES))
 def test_blocking_access_raises_bus_error_and_keeps_its_wait_name(what):
-    bound, access = _ACCESSES[what]
+    access = _ACCESSES[what]
     soc, base = _stub_soc(latency=0)
     with pytest.raises(BusError) as excinfo:
         access(soc, base)
@@ -206,13 +209,75 @@ def test_blocking_access_raises_bus_error_and_keeps_its_wait_name(what):
     message = str(excinfo.value)
     assert message.startswith(f"{what} by 'cpu' at {base:#x} failed: ")
     assert "stub: ERROR" in message
-    # a slave slower than any access bound: the wait times out under
-    # the caller's own name and bound
+    # a slave slower than the wait bound: the wait times out under the
+    # caller's own name, at the kernel's bound
     soc, base = _stub_soc(latency=10_000_000)
     with pytest.raises(DeadlockError) as excinfo:
         access(soc, base)
     assert str(excinfo.value).startswith(
-        f"{what} not reached within {bound} cycles ")
+        f"{what} not reached within {MAX_WAIT_CYCLES} cycles ")
+
+
+class _IdleWindow(BusSlave):
+    """A register window whose done bits never rise: reads answer 0
+    and writes are dropped, after ``access_latency`` wait states."""
+
+    def __init__(self, access_latency):
+        self.access_latency = access_latency
+
+    def read_word(self, offset):
+        return 0
+
+    def write_word(self, offset, value):
+        pass
+
+
+def _dma(soc, base):
+    return DMAHarness(soc.sim, soc.bus, soc.dma, DMA_BASE, base)
+
+
+#: each wait for a done bit or an interrupt, by its ``what`` text: (the
+#: error it raises, the region the idle window replaces, the wait)
+_WAITS = {
+    "OCP done bit": (DriverTimeout, "ocp", lambda soc, base:
+                     OuessantDriver(soc, use_interrupt=False).wait_done()),
+    "PIO done bit": (DeadlockError, "ocp", lambda soc, base:
+                     PIOHarness(soc.sim, soc.bus, base).run([], 0)),
+    "accelerator done bit": (DeadlockError, "ocp", lambda soc, base:
+                             _dma(soc, base).run(RAM_BASE, RAM_BASE, 0, 0)),
+    "OCP interrupt": (DriverTimeout, "ocp", lambda soc, base:
+                      OuessantDriver(soc).wait_done()),
+    "DMA interrupt": (DeadlockError, "dma", lambda soc, base:
+                      _dma(soc, base).run(RAM_BASE, RAM_BASE, 1, 1)),
+}
+
+
+@pytest.mark.parametrize("what", list(_WAITS))
+def test_every_wait_gives_up_at_the_kernel_bound(what):
+    """Each wait gives up at the kernel's bound under its own name.  A
+    poll is one wait: its reads (a million cycles each here) share the
+    bound instead of each getting their own."""
+    error, region, wait = _WAITS[what]
+    soc = SoC(racs=[PassthroughRac(block_size=16)], with_cpu=False,
+              with_dma=True)
+    soc.bus.memmap.replace_slave(region, _IdleWindow(1_000_000))
+    with pytest.raises(error) as excinfo:
+        wait(soc, soc.ocp_base(0))
+    assert type(excinfo.value) is error
+    assert str(excinfo.value).startswith(
+        f"{what} not reached within {MAX_WAIT_CYCLES} cycles ")
+
+
+@pytest.mark.parametrize("wait", [
+    Simulator.run_until, SystemBus.poll, OuessantDriver.wait_done,
+    OuessantDriver.run, ThroughputScheduler.submit_blocking,
+    ThroughputScheduler.run_stream, ThroughputScheduler.drain,
+], ids=lambda wait: wait.__qualname__)
+def test_every_wait_bound_defaults_to_the_kernel_bound(wait):
+    bounds = [parameter.default
+              for name, parameter in signature(wait).parameters.items()
+              if name in ("max_cycles", "max_wait_cycles")]
+    assert bounds == [MAX_WAIT_CYCLES]
 
 
 # ---------------------------------------------------------------------------

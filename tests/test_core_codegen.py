@@ -128,7 +128,7 @@ def test_expanded_program_runs_on_base_controller():
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(base_words))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    soc.run_until(lambda: ocp.done, max_cycles=100_000)
+    soc.sim.run_until(lambda: ocp.done, max_cycles=100_000)
     assert fp.deinterleave_complex(soc.read_ram(OUT, 128)) == \
         fp.fft_q15(re, im)
 
@@ -146,7 +146,7 @@ def _simulated_cycles(program, rac):
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(program))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    return soc.run_until(lambda: ocp.done, max_cycles=500_000)
+    return soc.sim.run_until(lambda: ocp.done, max_cycles=500_000)
 
 
 def test_estimate_within_tolerance_of_simulation():

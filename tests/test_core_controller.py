@@ -30,8 +30,8 @@ def boot(soc, program, banks):
 
 
 def run_to_done(soc, max_cycles=200_000):
-    return soc.run_until(lambda: soc.ocp.done, max_cycles=max_cycles,
-                         what="OCP done")
+    return soc.sim.run_until(lambda: soc.ocp.done, max_cycles=max_cycles,
+                             what="OCP done")
 
 
 def simple_program(n=16):
@@ -110,7 +110,7 @@ def test_wait_instruction_adds_cycles(soc_passthrough):
     slow_prog = (OuProgram().wait(500).stream_to(1, 16).execs()
                  .stream_from(2, 16).eop())
     boot(soc2, slow_prog, {1: IN, 2: OUT})
-    slow_cycles = soc2.run_until(lambda: soc2.ocp.done, max_cycles=100_000)
+    slow_cycles = soc2.sim.run_until(lambda: soc2.ocp.done, max_cycles=100_000)
     assert slow_cycles - base_cycles == pytest.approx(500, abs=20)
 
 
@@ -131,7 +131,7 @@ def test_irq_instruction_interrupts_without_ending():
     program = (OuProgram().irq().wait(50).stream_to(1, 16).execs()
                .stream_from(2, 16).eop())
     ocp = boot(soc, program, {1: IN, 2: OUT})
-    soc.run_until(lambda: ocp.irq.pending, max_cycles=1000)
+    soc.sim.run_until(lambda: ocp.irq.pending, max_cycles=1000)
     assert not ocp.done  # interrupted but still running
     ocp.irq.clear()
     run_to_done(soc)
@@ -293,7 +293,7 @@ def test_restart_after_completion(soc_passthrough):
     ocp.interface.write_word(REG_CTRL, 0)
     soc.write_ram(IN, list(range(50, 66)))
     ocp.interface.write_word(REG_CTRL, CTRL_S)
-    soc.run_until(lambda: ocp.done, max_cycles=100_000)
+    soc.sim.run_until(lambda: ocp.done, max_cycles=100_000)
     assert soc.read_ram(OUT, 16) == list(range(50, 66))
 
 

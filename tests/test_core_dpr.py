@@ -40,7 +40,7 @@ def test_dpr_swaps_accelerator_and_preserves_ocp():
     # run once with the loopback
     soc.write_ram(IN, list(range(16)))
     boot(soc, simple_program(), {1: IN, 2: OUT})
-    soc.run_until(lambda: soc.ocp.done, max_cycles=50_000)
+    soc.sim.run_until(lambda: soc.ocp.done, max_cycles=50_000)
     soc.ocp.interface.write_word(REG_CTRL, 0)  # release
 
     # swap in a scaler
@@ -54,7 +54,7 @@ def test_dpr_swaps_accelerator_and_preserves_ocp():
     # run again through the SAME interface/controller
     soc.write_ram(IN, list(range(16)))
     boot(soc, simple_program(), {1: IN, 2: OUT})
-    soc.run_until(lambda: soc.ocp.done, max_cycles=50_000)
+    soc.sim.run_until(lambda: soc.ocp.done, max_cycles=50_000)
     assert soc.read_ram(OUT, 16) == [2 * v for v in range(16)]
 
 
@@ -83,7 +83,7 @@ def test_dpr_refuses_with_s_set():
     manager = DPRManager(soc.sim, soc.ocp)
     soc.write_ram(IN, list(range(16)))
     ocp = boot(soc, simple_program(), {1: IN, 2: OUT})
-    soc.run_until(lambda: ocp.done, max_cycles=50_000)
+    soc.sim.run_until(lambda: ocp.done, max_cycles=50_000)
     # done, but software has not released S yet
     with pytest.raises(ReconfigurationError):
         manager.reconfigure(PartialBitstream(ScaleRac(), size_words=10))
@@ -117,7 +117,7 @@ def test_standalone_boots_and_runs_without_any_bus_master():
         prog_size=len(program),
     )
     soc.sim.add(sequencer)
-    soc.run_until(lambda: sequencer.runs_completed >= 1, max_cycles=50_000)
+    soc.sim.run_until(lambda: sequencer.runs_completed >= 1, max_cycles=50_000)
     assert soc.read_ram(OUT, 16) == list(range(16))
 
 
@@ -134,7 +134,8 @@ def test_standalone_free_running_restarts():
         max_runs=3,
     )
     soc.sim.add(sequencer)
-    soc.run_until(lambda: sequencer.runs_completed >= 3, max_cycles=200_000)
+    soc.sim.run_until(lambda: sequencer.runs_completed >= 3,
+                      max_cycles=200_000)
     assert sequencer.stats["restarts"] >= 2
     assert soc.read_ram(OUT, 4) == [9, 8, 7, 6]
 

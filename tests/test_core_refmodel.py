@@ -34,7 +34,7 @@ def run_both(rac_factory, ref_rac_factory, program, input_words,
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(program))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    soc.run_until(lambda: ocp.done, max_cycles=500_000)
+    soc.sim.run_until(lambda: ocp.done, max_cycles=500_000)
     simulated = soc.read_ram(OUT, out_words_count)
 
     # --- reference ---
@@ -204,7 +204,7 @@ def test_lint_clean_programs_complete(block, n_blocks, chunk,
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(program))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    soc.run_until(lambda: ocp.done, max_cycles=200_000)
+    soc.sim.run_until(lambda: ocp.done, max_cycles=200_000)
     if drained:
         assert soc.read_ram(OUT, drained) == list(range(drained))
 

@@ -140,7 +140,7 @@ def run_soc(case: Case, plan=None):
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(case.program))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    soc.run_until(lambda: ocp.done, max_cycles=500_000)
+    soc.sim.run_until(lambda: ocp.done, max_cycles=500_000)
     assert not ocp.registers.error, "no trap expected in these runs"
     # under-drained cases: eop can fire while the accelerator is still
     # emitting its last words -- settle before reading residuals

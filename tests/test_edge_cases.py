@@ -76,8 +76,8 @@ def test_estimate_without_prefetch():
                 ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
             ocp.interface.write_word(REG_PROG_SIZE, len(program))
             ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-            simulated[prefetch] = soc.run_until(lambda: ocp.done,
-                                                max_cycles=500_000)
+            simulated[prefetch] = soc.sim.run_until(lambda: ocp.done,
+                                                    max_cycles=500_000)
         assert simulated[False] > simulated[True]
         assert bounds[False].lo >= bounds[True].lo
         assert bounds[False].hi >= bounds[True].hi

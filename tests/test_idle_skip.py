@@ -506,7 +506,7 @@ def _probed_run(idle_skip, remove_at=None):
     if remove_at is not None:
         soc.sim.step(remove_at)
         soc.sim.remove(probe)
-    soc.run_until(lambda: ocp.done, max_cycles=50_000)
+    soc.sim.run_until(lambda: ocp.done, max_cycles=50_000)
     soc.sim.step(50)
     return {
         "vcd": vcd.render(),
@@ -575,7 +575,7 @@ def _execute(case, plan=None, trace=None, **soc_kw):
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(case.program))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    soc.run_until(lambda: ocp.done, max_cycles=500_000)
+    soc.sim.run_until(lambda: ocp.done, max_cycles=500_000)
     previous = -1
     while ocp.fifos_out[0].occupancy != previous:
         previous = ocp.fifos_out[0].occupancy
@@ -678,7 +678,7 @@ def test_strict_mode_audits_long_transfer_slabs(monkeypatch):
             ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
         ocp.interface.write_word(REG_PROG_SIZE, len(program))
         ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-        soc.run_until(lambda: ocp.done, max_cycles=100_000)
+        soc.sim.run_until(lambda: ocp.done, max_cycles=100_000)
         return (soc.sim.cycle, soc.read_ram(OUT, 512),
                 ocp.controller.stats.as_dict(), soc.bus.stats.as_dict())
 
@@ -775,8 +775,8 @@ def _run_faulted(case, program, plan, prefetch, idle_skip, strict=False,
     ocp.interface.write_word(REG_PROG_SIZE, len(program))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
     try:
-        soc.run_until(lambda: ocp.done or ocp.registers.error,
-                      max_cycles=FAULTED_BUDGET)
+        soc.sim.run_until(lambda: ocp.done or ocp.registers.error,
+                          max_cycles=FAULTED_BUDGET)
         outcome = ocp.registers.error_name if ocp.registers.error else "done"
     except DeadlockError:
         outcome = "deadlock"
@@ -861,7 +861,7 @@ def _run_hang(idle_skip, start, duration):
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(program))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    soc.run_until(lambda: ocp.done, max_cycles=5_000)
+    soc.sim.run_until(lambda: ocp.done, max_cycles=5_000)
     return (soc.sim.cycle, soc.read_ram(OUT, 16),
             ocp.controller.stats.as_dict())
 
@@ -900,7 +900,7 @@ def _run_dup_out(idle_skip, index, depth):
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(program))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    soc.run_until(lambda: ocp.done, max_cycles=5_000)
+    soc.sim.run_until(lambda: ocp.done, max_cycles=5_000)
     return {
         "cycle": soc.sim.cycle,
         "memory": soc.read_ram(OUT, 16),
@@ -1010,7 +1010,7 @@ def _run_dma_overlap(idle_skip, seed):
     soc.dma.write_word(DMA_COUNT, dma_words)
     soc.dma.write_word(DMA_CTRL, DMA_START)
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    soc.run_until(lambda: ocp.done and soc.dma.done, max_cycles=500_000)
+    soc.sim.run_until(lambda: ocp.done and soc.dma.done, max_cycles=500_000)
     previous = -1
     while ocp.fifos_out[0].occupancy != previous:
         previous = ocp.fifos_out[0].occupancy
@@ -1209,7 +1209,7 @@ def test_lanes_batch_the_8_ocp_sweep_point():
     sole-component lane, at the same simulated cycles."""
     from repro.bench import run_mpsoc_sweep
 
-    point, = run_mpsoc_sweep(ocp_counts=(8,), verify_naive=False).points
+    point, = run_mpsoc_sweep(ocp_counts=(8,)).points
     assert point.cycles == 13_184
     assert point.batched > 2999
 
@@ -1477,7 +1477,7 @@ def _probe_added_and_removed_between_steps(**soc_kw):
     soc.sim.step(40)
     soc.sim.remove(probe)
     soc.sim.step(30)
-    soc.run_until(lambda: ocp.done, max_cycles=50_000)
+    soc.sim.run_until(lambda: ocp.done, max_cycles=50_000)
     soc.sim.step(50)
     return {
         "vcd": vcd.render(),

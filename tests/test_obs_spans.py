@@ -148,7 +148,7 @@ def _capacity_limited_run(capacity):
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(program))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    soc.run_until(lambda: ocp.done, max_cycles=50_000)
+    soc.sim.run_until(lambda: ocp.done, max_cycles=50_000)
     return soc
 
 

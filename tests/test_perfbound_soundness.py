@@ -108,7 +108,7 @@ def measure(program: OuProgram, rac, mem_latency: int,
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(program))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    soc.run_until(lambda: ocp.done, max_cycles=max_cycles)
+    soc.sim.run_until(lambda: ocp.done, max_cycles=max_cycles)
     return attribute_run(soc)
 
 

@@ -113,7 +113,7 @@ def test_ocp_probe_traces_a_real_run(rng, tmp_path):
         soc.ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     soc.ocp.interface.write_word(REG_PROG_SIZE, len(program))
     soc.ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    soc.run_until(lambda: soc.ocp.done, max_cycles=50_000)
+    soc.sim.run_until(lambda: soc.ocp.done, max_cycles=50_000)
 
     path = tmp_path / "run.vcd"
     vcd.write(str(path))

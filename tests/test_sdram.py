@@ -105,7 +105,7 @@ def test_ouessant_runs_from_sdram():
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(program))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    soc.run_until(lambda: ocp.done, max_cycles=100_000)
+    soc.sim.run_until(lambda: ocp.done, max_cycles=100_000)
     assert soc.read_ram(out, 32) == list(range(32))
     assert sdram.dram_stats["row_hits"] > 0
 

@@ -73,8 +73,8 @@ def test_cpu_programs_ocp_via_mmio_and_takes_interrupt():
     program = assemble(DRIVER_ASM, text_base=RAM_BASE,
                        data_base=RAM_BASE + 0x8000)
     soc.cpu.load(program)
-    soc.run_until(lambda: soc.cpu.halted, max_cycles=100_000,
-                  what="CPU halt")
+    soc.sim.run_until(lambda: soc.cpu.halted, max_cycles=100_000,
+                      what="CPU halt")
     assert soc.read_ram(RESULT_FLAG, 1) == [1]  # CPU verified the result
     assert soc.read_ram(OUT, 16) == [2 * v for v in range(1, 17)]
     assert soc.cpu.stats["mmio"] >= 7  # register writes went over the bus
@@ -85,7 +85,7 @@ def test_cpu_wfi_actually_sleeps_until_irq():
     program = assemble(DRIVER_ASM, text_base=RAM_BASE,
                        data_base=RAM_BASE + 0x8000)
     soc.cpu.load(program)
-    soc.run_until(lambda: soc.cpu.halted, max_cycles=100_000)
+    soc.sim.run_until(lambda: soc.cpu.halted, max_cycles=100_000)
     assert soc.cpu.stats["wfi_cycles"] > 10  # slept during the microcode run
 
 
@@ -102,7 +102,7 @@ def test_cycle_timer_readable_over_bus():
     """
     soc.cpu.load(assemble(source, text_base=RAM_BASE,
                           data_base=RAM_BASE + 0x8000))
-    soc.run_until(lambda: soc.cpu.halted, max_cycles=10_000)
+    soc.sim.run_until(lambda: soc.cpu.halted, max_cycles=10_000)
     delta = soc.read_ram(RESULT_FLAG, 1)[0]
     assert delta > 0  # time passed between the two reads
 
@@ -131,7 +131,7 @@ def test_cpu_and_ocp_share_bus_fairly():
     """
     soc.cpu.load(assemble(source, text_base=RAM_BASE,
                           data_base=RAM_BASE + 0x8000))
-    soc.run_until(lambda: soc.cpu.halted, max_cycles=200_000)
+    soc.sim.run_until(lambda: soc.cpu.halted, max_cycles=200_000)
     assert soc.read_ram(OUT, 16) == [2 * v for v in range(1, 17)]
     # both masters used the bus
     assert soc.bus.stats["requests.cpu"] > 0
@@ -157,8 +157,8 @@ def test_two_ocps_operate_concurrently():
     d1.configure({0: RAM_BASE + 0x6000, 1: in1, 2: out1}, len(microcode))
     d0.start()
     d1.start()
-    soc.run_until(lambda: soc.ocps[0].done and soc.ocps[1].done,
-                  max_cycles=100_000)
+    soc.sim.run_until(lambda: soc.ocps[0].done and soc.ocps[1].done,
+                      max_cycles=100_000)
     assert soc.read_ram(out0, 8) == [3 * v for v in range(8)]
     assert soc.read_ram(out1, 8) == list(range(50, 58))
 

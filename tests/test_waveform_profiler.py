@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.core.controller import _State
 from repro.core.program import OuProgram
 from repro.obs import attribute_run
+from repro.obs.exporters import STATE_CODES
+from repro.obs.spans import ACTIVE_STATES
 from repro.rac.scale import PassthroughRac
 from repro.sim.errors import ReproError
 from repro.sim.kernel import Component, Simulator
@@ -93,6 +96,21 @@ def test_ocp_probe_captures_a_run():
         assert f"$var wire 8 " in text and signal in text
     # ...and the FSM actually moved through transfer states
     assert text.count("#") > 4
+
+
+@pytest.mark.parametrize("state", list(_State), ids=lambda state: state.value)
+def test_every_controller_state_has_one_code(state):
+    """The probe's ``ctrl_state``, the VCD exporter and the span builder
+    read one encoding: 1.. for the charged states, in span order, and 0
+    for a parked one (an errored controller included)."""
+    soc = SoC(racs=[PassthroughRac(block_size=BLOCK)], with_cpu=False)
+    probe = ocp_probe("probe", VCDWriter(), soc.ocp)
+    soc.ocp.controller._state = state
+    charged = state.cycle_key is not None
+    assert (state.value in ACTIVE_STATES) is charged
+    code = ACTIVE_STATES.index(state.value) + 1 if charged else 0
+    assert probe.signals["ctrl_state"]() == code
+    assert STATE_CODES.get(state.value, 0) == code
 
 
 def test_profile_breakdown_sums_to_total():

@@ -26,7 +26,7 @@ def boot_and_run(soc, program, banks, max_cycles=500_000):
         ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
     ocp.interface.write_word(REG_PROG_SIZE, len(program))
     ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
-    return soc.run_until(lambda: ocp.done, max_cycles=max_cycles)
+    return soc.sim.run_until(lambda: ocp.done, max_cycles=max_cycles)
 
 
 # ---------------------------------------------------------------------------
