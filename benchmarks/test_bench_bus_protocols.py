@@ -11,7 +11,6 @@ from conftest import once
 
 from repro.bus.protocol import ALL_PROTOCOLS, protocol_by_name
 from repro.core.program import figure4_program
-from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
 from repro.rac.dft import DFTRac
 from repro.system import RAM_BASE, SoC
 from repro.utils import fixedpoint as fp
@@ -27,10 +26,7 @@ def _run(protocol, q15_signal, n=256):
     soc.write_ram(IN, fp.interleave_complex(re, im))
     soc.write_ram(PROG, figure4_program(n).words())
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(figure4_program(n)))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(figure4_program(n)))
     cycles = soc.sim.run_until(lambda: ocp.done, max_cycles=500_000)
     out = fp.deinterleave_complex(soc.read_ram(OUT, 2 * n))
     return cycles, out == fp.fft_q15(re, im)

@@ -10,7 +10,7 @@ from conftest import once
 
 from repro.core.dpr import DPRManager, PartialBitstream
 from repro.core.program import OuProgram, figure4_looped_program, figure4_program
-from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
+from repro.core.registers import REG_CTRL
 from repro.core.standalone import StandaloneSequencer
 from repro.rac.dft import DFTRac
 from repro.rac.hls import HLSInterfaceSpec, wrap_function
@@ -28,12 +28,7 @@ OUT = RAM_BASE + 0x4000
 def _boot(soc, program, banks):
     ocp = soc.ocp
     soc.write_ram(PROG, program.words())
-    all_banks = {0: PROG}
-    all_banks.update(banks)
-    for bank, base in all_banks.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, **banks}, len(program))
     return ocp
 
 

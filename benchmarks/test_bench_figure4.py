@@ -10,7 +10,6 @@ from conftest import once
 
 from repro.core.assembler import assemble_microcode
 from repro.core.program import figure4_program
-from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
 from repro.rac.dft import DFTRac
 from repro.system import RAM_BASE, SoC
 from repro.utils import fixedpoint as fp
@@ -35,10 +34,7 @@ def _run_figure4(q15_signal):
     soc.write_ram(IN, fp.interleave_complex(re, im))
     soc.write_ram(PROG, words)
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(words))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(words))
     cycles = soc.sim.run_until(lambda: ocp.done, max_cycles=100_000)
     out = fp.deinterleave_complex(soc.read_ram(OUT, 2 * n))
     return soc, cycles, (re, im), out

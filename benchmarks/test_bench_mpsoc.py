@@ -11,7 +11,6 @@ comparison quantifies the future-work AXI4 port.
 from conftest import once
 
 from repro.core.program import OuProgram
-from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
 from repro.rac.dft import DFTRac
 from repro.rac.scale import PassthroughRac
 from repro.system import RAM_BASE, SoC
@@ -23,10 +22,7 @@ WORDS = 256
 
 def _boot(soc, ocp, prog_addr, in_addr, out_addr, program):
     soc.write_ram(prog_addr, program.words())
-    for bank, base in {0: prog_addr, 1: in_addr, 2: out_addr}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: prog_addr, 1: in_addr, 2: out_addr}, len(program))
 
 
 def _concurrent_run(n_ocps: int) -> float:

@@ -14,7 +14,6 @@ the ``BENCH_simulator.json`` artifact.
 
 from repro.bench import run_benchmarks
 from repro.core.program import OuProgram
-from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
 from repro.cpu.assembler import assemble
 from repro.cpu.cpu import CPU
 from repro.mem.memory import Memory
@@ -72,10 +71,7 @@ def test_ocp_loopback_cycles_per_second(benchmark):
         soc.write_ram(IN, list(range(64)))
         soc.write_ram(PROG, program.words())
         ocp = soc.ocp
-        for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-            ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-        ocp.interface.write_word(REG_PROG_SIZE, len(program))
-        ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+        ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
         return soc.sim.run_until(lambda: ocp.done, max_cycles=50_000)
 
     cycles = benchmark(run)

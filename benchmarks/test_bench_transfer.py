@@ -12,7 +12,6 @@ from conftest import once
 
 from repro.analysis import measure_transfer_efficiency
 from repro.core.program import OuProgram, figure4_program
-from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
 from repro.rac.dft import DFTRac
 from repro.rac.scale import PassthroughRac
 from repro.sw.baremetal import BaremetalRuntime
@@ -69,10 +68,7 @@ def _figure4_cycles(prefetch: bool, q15_signal) -> int:
     soc.write_ram(IN, fp.interleave_complex(re, im))
     soc.write_ram(PROG, figure4_program(n).words())
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(figure4_program(n)))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(figure4_program(n)))
     return soc.sim.run_until(lambda: ocp.done, max_cycles=100_000)
 
 

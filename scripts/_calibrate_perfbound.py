@@ -4,9 +4,6 @@ import sys
 sys.path.insert(0, "src")
 
 from repro.core.program import OuProgram
-from repro.core.registers import (
-    CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE,
-)
 from repro.mem.memory import Memory
 from repro.obs.attribution import attribute_run
 from repro.perfbound import CostModel, RacTiming, bound_program
@@ -25,10 +22,7 @@ def measure(program, rac, mem_latency=1, max_cycles=2_000_000):
     soc.write_ram(IN, list(range(512)))
     soc.write_ram(PROG, program.words())
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
     soc.sim.run_until(lambda: ocp.done, max_cycles=max_cycles)
     return attribute_run(soc)
 

@@ -48,13 +48,6 @@ from typing import Callable, Dict, List, Optional, Tuple
 from .bus.protocol import AHB, AXI4, BusProtocol
 from .core.program import OuProgram
 from .faults import FaultPlan, inject_faults
-from .core.registers import (
-    CTRL_IE,
-    CTRL_S,
-    REG_BANK_BASE,
-    REG_CTRL,
-    REG_PROG_SIZE,
-)
 from .rac.dft import DFTRac
 from .rac.idct import IDCTRac
 from .rac.scale import PassthroughRac
@@ -144,10 +137,7 @@ def _run_ocp(
     soc.write_ram(IN, data)
     soc.write_ram(PROG, program.words())
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
     soc.sim.run_until(lambda: ocp.done, max_cycles=max_cycles)
     if soc.read_ram(OUT, words) != expected:
         raise SimulationError("bench workload produced wrong data")

@@ -235,18 +235,6 @@ class OuessantController(Component):
     def errored(self) -> bool:
         return self._state is _State.ERROR
 
-    def _record(self, event: str, **data: object) -> None:
-        """Trace an observability event without claiming activity.
-
-        Span-reconstruction events (``phase`` / ``instr`` / ``stall``)
-        fire on cycles where the controller -- or the bus transaction
-        poking its registers -- is active anyway; leaving
-        ``sim.last_active`` untouched keeps deadlock diagnostics naming
-        the component that actually *did* something.
-        """
-        if self.sim is not None and self.sim.trace is not None:
-            self.sim.trace.record(self.sim.cycle, self.name, event, data)
-
     def _phase(self, at: int, old: _State) -> None:
         """Cross a state-machine boundary from state ``old``.
 
@@ -266,7 +254,7 @@ class OuessantController(Component):
             self._stats.start(state.cycle_key, at)
         self._entered = at
         if self.sim is not None and self.sim.trace is not None:
-            self._record("phase", state=state.value, at=at)
+            self.trace_quiet("phase", state=state.value, at=at)
 
     def _flush_stall(self, at: int) -> None:
         """End the FIFO-stall interval (if one is open) at ``at``.
@@ -278,7 +266,7 @@ class OuessantController(Component):
         """
         cycles = self._stats.stop("cycles.fifo_stall", at)
         if cycles:
-            self._record("stall", cycles=cycles, at=at)
+            self.trace_quiet("stall", cycles=cycles, at=at)
 
     def _open_stall(self) -> None:
         """The transfer engine has no bus transfer in flight from the
@@ -524,7 +512,8 @@ class OuessantController(Component):
         counts["instructions"] += 1
         counts[_INSTR_KEYS[instr.op]] += 1
         if self.sim.trace is not None:
-            self._record("instr", pc=self._pc - 1, mnemonic=instr.mnemonic())
+            self.trace_quiet("instr", pc=self._pc - 1,
+                             mnemonic=instr.mnemonic())
         self._execute(instr)
 
     # -- execute -------------------------------------------------------------

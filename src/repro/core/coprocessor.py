@@ -10,7 +10,7 @@ system bus.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Mapping, Optional
 
 from ..bus.bus import SystemBus
 from ..bus.memmap import Region
@@ -20,6 +20,7 @@ from ..sim.errors import ConfigurationError, ReconfigurationError
 from ..sim.kernel import Component, Simulator
 from .controller import OuessantController
 from .interface import OuessantInterface
+from .registers import REG_CTRL, config_writes, start_word
 
 
 class OuessantCoprocessor:
@@ -148,19 +149,29 @@ class OuessantCoprocessor:
     def done(self) -> bool:
         return self.registers.done
 
+    def start(self, banks: Mapping[int, int], prog_size: int,
+              interrupt: bool = True) -> None:
+        """Configure and start a run through the slave port, in zero
+        time: the driver's register recipe without bus cycles."""
+        write = self.interface.write_word
+        for offset, value in config_writes(banks, prog_size):
+            write(offset, value)
+        write(REG_CTRL, start_word(interrupt))
+
     def soft_reset(self) -> None:
         """Recover from a hung or trapped run without reconfiguring.
 
         Clears S (aborting any in-flight run via the controller's stop
-        hook), empties the FIFO fabric and clears the RAC handshake.
-        Bank bases and PROG_SIZE are preserved so a driver can retry
-        the run immediately.
+        hook), empties the FIFO fabric, clears the RAC handshake and
+        drops the IRQ line.  Bank bases and PROG_SIZE are preserved so
+        a driver can retry the run immediately.
         """
-        self.registers.write(0x00, 0)  # clear S -> controller aborts
+        self.registers.write(REG_CTRL, 0)  # clear S -> controller aborts
         for fifo in self.fifos_in + self.fifos_out:
             fifo.reset()
         if self.rac is not None:
             self.rac.reset()
+        self.irq.clear()
 
     # -- dynamic partial reconfiguration hook ------------------------------
     def swap_rac(self, new_rac: RAC) -> RAC:

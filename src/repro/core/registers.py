@@ -23,7 +23,7 @@ for the program).
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Callable, List, Mapping, Optional, Tuple
 
 from ..sim.errors import ControllerError
 from ..utils import bits
@@ -63,6 +63,35 @@ PROGRAM_BANK = 0
 N_REGISTERS = 2 + N_BANKS
 
 
+# -- the command recipe: every master (the driver's bus accesses, the
+# scheduler's transfers, OuessantCoprocessor.start's zero-time writes)
+# configures, starts, checks and stops an OCP with these -----------------
+
+def config_writes(
+    banks: Mapping[int, int], prog_size: int
+) -> List[Tuple[int, int]]:
+    """``(offset, value)`` writes that configure a run: each bank base
+    in bank order, then PROG_SIZE."""
+    writes = [(REG_BANK_BASE + 4 * bank, base)
+              for bank, base in sorted(banks.items())]
+    writes.append((REG_PROG_SIZE, prog_size))
+    return writes
+
+
+def start_word(interrupt: bool) -> int:
+    """The CTRL value that starts a run; writing 0 stops it."""
+    return CTRL_S | CTRL_IE if interrupt else CTRL_S
+
+
+def trap_code(ctrl: int) -> Optional[int]:
+    """The error code latched in a CTRL word, or None while E is clear."""
+    return (ctrl & ERR_MASK) >> ERR_SHIFT if ctrl & CTRL_E else None
+
+
+def trap_name(code: int) -> str:
+    return ERROR_NAMES.get(code, f"code{code}")
+
+
 class OuessantRegisters:
     """State + access logic of the configuration registers.
 
@@ -98,12 +127,12 @@ class OuessantRegisters:
 
     @property
     def error_code(self) -> int:
-        """4-bit error code; meaningful only while :attr:`error`."""
-        return (self.ctrl & ERR_MASK) >> ERR_SHIFT
+        """4-bit error code; ``ERR_NONE`` while :attr:`error` is clear."""
+        return trap_code(self.ctrl) or ERR_NONE
 
     @property
     def error_name(self) -> str:
-        return ERROR_NAMES.get(self.error_code, f"code{self.error_code}")
+        return trap_name(self.error_code)
 
     def set_done(self) -> None:
         self.ctrl |= CTRL_D

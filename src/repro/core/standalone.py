@@ -19,7 +19,7 @@ from ..sim.errors import ConfigurationError
 from ..sim.kernel import Component
 from ..sim.tracing import Stats
 from .coprocessor import OuessantCoprocessor
-from .registers import CTRL_IE, CTRL_S, REG_CTRL, REG_PROG_SIZE, REG_BANK_BASE
+from .registers import REG_CTRL
 
 
 class StandaloneSequencer(Component):
@@ -68,12 +68,6 @@ class StandaloneSequencer(Component):
         # its watchers whenever D is raised
         ocp.interface.watch(self)
 
-    def _program_registers(self) -> None:
-        interface = self.ocp.interface
-        for bank, base in self.bank_bases.items():
-            interface.write_word(REG_BANK_BASE + 4 * bank, base)
-        interface.write_word(REG_PROG_SIZE, self.prog_size)
-
     def next_activity(self):
         if not self._booted or self._rearm:
             return self.now  # boot / re-arm writes are due this cycle
@@ -85,8 +79,7 @@ class StandaloneSequencer(Component):
 
     def tick(self) -> None:
         if not self._booted:
-            self._program_registers()
-            self.ocp.interface.write_word(REG_CTRL, CTRL_S)
+            self.ocp.start(self.bank_bases, self.prog_size, interrupt=False)
             self._booted = True
             self.stats.incr("boots")
             self.trace_event("boot", prog_size=self.prog_size)
@@ -94,7 +87,7 @@ class StandaloneSequencer(Component):
         if self._rearm:
             # one idle cycle between clearing and re-setting S, like a
             # real strap FSM would insert
-            self.ocp.interface.write_word(REG_CTRL, CTRL_S)
+            self.ocp.start(self.bank_bases, self.prog_size, interrupt=False)
             self._rearm = False
             self.stats.incr("restarts")
             return
@@ -102,11 +95,8 @@ class StandaloneSequencer(Component):
             self.runs_completed += 1
             self.trace_event("run_done", runs=self.runs_completed)
             more = self.max_runs is None or self.runs_completed < self.max_runs
-            if self.restart and more:
-                self.ocp.interface.write_word(REG_CTRL, 0)
-                self._rearm = True
-            else:
-                self.ocp.interface.write_word(REG_CTRL, 0)
+            self.ocp.interface.write_word(REG_CTRL, 0)
+            self._rearm = self.restart and more
 
     def reset(self) -> None:
         self._booted = False

@@ -275,8 +275,8 @@ class FIFO(Component):
             # pops only happen inside an *active* consumer's tick, so
             # flushing here never records during a declared-idle window
             if traced:
-                self._record("pop", words=self._pops_pending,
-                             occupancy_atoms=self.occupancy_atoms)
+                self.trace_quiet("pop", words=self._pops_pending,
+                                 occupancy_atoms=self.occupancy_atoms)
             self._pops_pending = 0
         if self._staged:
             staged = len(self._staged)
@@ -289,20 +289,10 @@ class FIFO(Component):
             if occupancy > self.high_water_atoms:
                 self.high_water_atoms = occupancy
             if traced:
-                self._record("commit", atoms=staged,
-                             occupancy_atoms=occupancy)
+                self.trace_quiet("commit", atoms=staged,
+                                 occupancy_atoms=occupancy)
             # newly published words may unstall a watching consumer
             self.wake_watchers()
-
-    def _record(self, event: str, **data: object) -> None:
-        """Trace without claiming activity.
-
-        Unlike :meth:`Component.trace_event` this leaves
-        ``sim.last_active`` alone: FIFO plumbing events should not
-        displace the component a deadlock diagnostic would name.
-        """
-        if self.sim is not None and self.sim.trace is not None:
-            self.sim.trace.record(self.sim.cycle, self.name, event, data)
 
     def audit_state(self) -> Dict[str, object]:
         """Fields a strict-mode slab audit compares: the live contents

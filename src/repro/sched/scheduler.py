@@ -13,8 +13,9 @@ OCPs) and a pluggable fairness policy; per-OCP queues are bounded and
 ``submit`` exerts back-pressure by returning ``False`` when every
 eligible queue is full.  Trapped batches (e.g. a watchdog timeout under
 an injected execution hang) are aborted with the driver recipe --
-CTRL=0, soft reset, IRQ clear -- and retried after an exponential
-backoff.
+CTRL=0, then the coprocessor's soft reset -- and retried after an
+exponential backoff.  The register writes and the status decode are
+the shared recipe of :mod:`repro.core.registers`.
 """
 
 from __future__ import annotations
@@ -25,16 +26,7 @@ from typing import Any, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..bus.types import AccessKind, BusTransfer
 from ..core.coprocessor import OuessantCoprocessor
-from ..core.registers import (
-    CTRL_E,
-    CTRL_IE,
-    CTRL_S,
-    ERR_MASK,
-    ERR_SHIFT,
-    REG_BANK_BASE,
-    REG_CTRL,
-    REG_PROG_SIZE,
-)
+from ..core.registers import REG_CTRL, config_writes, start_word, trap_code
 from ..sim.errors import ConfigurationError, ReproError
 from ..sim.kernel import MAX_WAIT_CYCLES, Component
 from ..sim.tracing import elapsed
@@ -58,6 +50,9 @@ ARENA_REGION_BYTES = 4 * ARENA_WORDS
 
 #: back-off growth cap: retries never sleep longer than this
 MAX_BACKOFF_CYCLES = 1 << 14
+
+#: CTRL value that arms a slot's run (the slot sleeps on the IRQ)
+_START = start_word(True)
 
 
 class SchedulerError(ReproError):
@@ -394,7 +389,7 @@ class ThroughputScheduler(Component):
         #: ids of the jobs waiting in any slot queue
         self._queued_ids: Set[str] = set()
         #: slots outside ``"idle"``: ``_dispatch`` leaves it, the ack
-        #: completion (``_step_ack``) returns to it
+        #: completion (``_acked``) returns to it
         self._busy_slots = 0
         #: the slots a blocked submission waits on, and whether one of
         #: them has dispatched (popped its queue) since the wait began
@@ -733,35 +728,44 @@ class ThroughputScheduler(Component):
     def _arm(self, slot: _OcpSlot) -> None:
         assert slot.batch is not None
         plan = slot.plan
-        reg_base = plan.reg_base
-        slot.writes = [
-            (reg_base + REG_BANK_BASE + 0, plan.prog_base),
-            (reg_base + REG_BANK_BASE + 4, plan.in_base),
-            (reg_base + REG_BANK_BASE + 8, plan.out_base),
-            (reg_base + REG_PROG_SIZE, len(slot.batch.words)),
-            (reg_base + REG_CTRL, CTRL_S | CTRL_IE),
-        ]
+        slot.writes = config_writes(
+            {0: plan.prog_base, 1: plan.in_base, 2: plan.out_base},
+            len(slot.batch.words))
+        slot.writes.append((REG_CTRL, _START))
         slot.state = "config"
-        self._issue_write(slot)
+        self._next_write(slot)
 
-    def _issue_write(self, slot: _OcpSlot) -> None:
-        address, value = slot.writes.pop(0)
+    def _write_ctrl(self, slot: _OcpSlot, state: str) -> None:
+        """Clear S (abort or acknowledge) and wait for it in ``state``."""
         slot.transfer = self._soc.bus.submit(
-            slot.master, AccessKind.WRITE, address, data=[value], waiter=self)
+            slot.master, AccessKind.WRITE, slot.plan.reg_base + REG_CTRL,
+            data=[0], waiter=self)
+        slot.state = state
 
-    def _step_config(self, slot: _OcpSlot) -> None:
+    def _step_bus(self, slot: _OcpSlot) -> None:
+        """Wait out the slot's single-beat transfer, then run its
+        state's continuation in the same tick."""
         transfer = slot.transfer
         if transfer is None or not transfer.done:
             return
+        what, after = _AFTER_BUS[slot.state]
         if transfer.error:
             raise SchedulerError(
-                f"OCP {slot.index}: config write failed: "
-                f"{transfer.error_reason}"
+                f"OCP {slot.index}: {what} failed: {transfer.error_reason}"
             )
+        slot.transfer = None
+        after(self, slot, transfer)
+
+    def _next_write(self, slot: _OcpSlot,
+                    transfer: Optional[BusTransfer] = None) -> None:
+        """Issue the next configuration write; after the last one,
+        sleep on the IRQ."""
         if slot.writes:
-            self._issue_write(slot)
+            offset, value = slot.writes.pop(0)
+            slot.transfer = self._soc.bus.submit(
+                slot.master, AccessKind.WRITE, slot.plan.reg_base + offset,
+                data=[value], waiter=self)
         else:
-            slot.transfer = None
             slot.state = "running"
 
     def _step_running(self, slot: _OcpSlot) -> None:
@@ -774,16 +778,12 @@ class ThroughputScheduler(Component):
             waiter=self)
         slot.state = "status"
 
-    def _step_status(self, slot: _OcpSlot) -> None:
-        transfer = slot.transfer
-        if transfer is None or not transfer.done:
-            return
-        status = transfer.data[0]
-        slot.transfer = None
-        if status & CTRL_E:
-            self._trap(slot, (status & ERR_MASK) >> ERR_SHIFT)
-        else:
+    def _status(self, slot: _OcpSlot, transfer: BusTransfer) -> None:
+        code = trap_code(transfer.data[0])
+        if code is None:
             self._harvest(slot)
+        else:
+            self._trap(slot, code)
 
     def _trap(self, slot: _OcpSlot, code: int) -> None:
         batch = slot.batch
@@ -798,20 +798,12 @@ class ThroughputScheduler(Component):
                 f"error code {code} after {batch.attempts} attempts "
                 f"(jobs {[job.job_id for job in batch.jobs]})"
             )
-        slot.transfer = self._soc.bus.submit(
-            slot.master, AccessKind.WRITE, slot.plan.reg_base + REG_CTRL,
-            data=[0], waiter=self)
-        slot.state = "abort"
+        self._write_ctrl(slot, "abort")
 
-    def _step_abort(self, slot: _OcpSlot) -> None:
-        transfer = slot.transfer
-        if transfer is None or not transfer.done:
-            return
+    def _aborted(self, slot: _OcpSlot, transfer: BusTransfer) -> None:
         batch = slot.batch
         assert batch is not None
-        slot.transfer = None
         slot.ocp.soft_reset()
-        slot.irq.clear()
         slot.retries += 1
         backoff = min(
             self.backoff_cycles * (1 << (batch.attempts - 1)),
@@ -855,16 +847,9 @@ class ThroughputScheduler(Component):
             "complete", ocp=slot.index, batch=batch.batch_id,
             jobs=len(batch.jobs),
         )
-        slot.transfer = self._soc.bus.submit(
-            slot.master, AccessKind.WRITE, slot.plan.reg_base + REG_CTRL,
-            data=[0], waiter=self)
-        slot.state = "ack"
+        self._write_ctrl(slot, "ack")
 
-    def _step_ack(self, slot: _OcpSlot) -> None:
-        transfer = slot.transfer
-        if transfer is None or not transfer.done:
-            return
-        slot.transfer = None
+    def _acked(self, slot: _OcpSlot, transfer: BusTransfer) -> None:
         slot.batch = None
         slot.state = "idle"
         self._busy_slots -= 1
@@ -872,13 +857,18 @@ class ThroughputScheduler(Component):
         slot._busy_since = None
 
 
+#: per bus-wait state: the transfer it waits on, and what follows it
+_AFTER_BUS = {
+    "config": ("config write", ThroughputScheduler._next_write),
+    "status": ("status read", ThroughputScheduler._status),
+    "abort": ("abort write", ThroughputScheduler._aborted),
+    "ack": ("ack write", ThroughputScheduler._acked),
+}
+
 #: the slot FSM's step of each state
 _STEPS = {
     "idle": ThroughputScheduler._step_idle,
-    "config": ThroughputScheduler._step_config,
     "running": ThroughputScheduler._step_running,
-    "status": ThroughputScheduler._step_status,
-    "abort": ThroughputScheduler._step_abort,
     "backoff": ThroughputScheduler._step_backoff,
-    "ack": ThroughputScheduler._step_ack,
+    **dict.fromkeys(_AFTER_BUS, ThroughputScheduler._step_bus),
 }

@@ -266,6 +266,13 @@ class Component:
             if self.sim.trace is not None:
                 self.sim.trace.record(self.sim.cycle, self.name, event, data)
 
+    def trace_quiet(self, event: str, **data: object) -> None:
+        """:meth:`trace_event` without claiming activity: FIFO plumbing
+        and controller span events leave ``sim.last_active`` to the
+        component a deadlock diagnostic should name."""
+        if self.sim is not None and self.sim.trace is not None:
+            self.sim.trace.record(self.sim.cycle, self.name, event, data)
+
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name!r}>"
 

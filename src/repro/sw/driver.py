@@ -11,6 +11,8 @@ configuration overhead is measured, not assumed) and sequences:
 4. wait for completion by polling ``D`` or sleeping until the IRQ,
 5. acknowledge (clear ``S``).
 
+The register recipe itself lives in :mod:`repro.core.registers`.
+
 The baremetal runtime uses it directly; the Linux model wraps each
 driver entry point in syscall costs.
 """
@@ -22,15 +24,11 @@ from typing import Callable, Dict, List, Optional
 
 from ..core.registers import (
     CTRL_D,
-    CTRL_E,
-    CTRL_IE,
-    CTRL_S,
-    ERR_MASK,
-    ERR_SHIFT,
-    ERROR_NAMES,
-    REG_BANK_BASE,
     REG_CTRL,
-    REG_PROG_SIZE,
+    config_writes,
+    start_word,
+    trap_code,
+    trap_name,
 )
 from ..sim.errors import (
     DeadlockError,
@@ -146,15 +144,13 @@ class OuessantDriver:
         if prog_size < 1:
             raise DriverError("empty program")
         cycles = 0
-        for bank, addr in sorted(banks.items()):
-            cycles += self.write_register(REG_BANK_BASE + 4 * bank, addr)
-        cycles += self.write_register(REG_PROG_SIZE, prog_size)
+        for offset, value in config_writes(banks, prog_size):
+            cycles += self.write_register(offset, value)
         return cycles
 
     def start(self) -> int:
         """Set S (and IE in interrupt mode); returns cycles consumed."""
-        ctrl = CTRL_S | (CTRL_IE if self.use_interrupt else 0)
-        return self.write_register(REG_CTRL, ctrl)
+        return self.write_register(REG_CTRL, start_word(self.use_interrupt))
 
     def wait_done(self, max_cycles: int = MAX_WAIT_CYCLES) -> int:
         """Block until the program signals completion; returns cycles.
@@ -191,11 +187,11 @@ class OuessantDriver:
         :meth:`run` when ``check_status=True`` (the recovery path).
         """
         value, cycles = self.read_register(REG_CTRL)
-        if value & CTRL_E:
-            code = (value & ERR_MASK) >> ERR_SHIFT
-            name = ERROR_NAMES.get(code, f"code{code}")
+        code = trap_code(value)
+        if code is not None:
             raise OcpRunError(
-                f"OCP run trapped with error {code} ({name})", code=code
+                f"OCP run trapped with error {code} ({trap_name(code)})",
+                code=code,
             )
         return cycles
 
@@ -207,13 +203,12 @@ class OuessantDriver:
         """Force a hung or trapped OCP back to idle; returns cycles.
 
         A real bus write clears S (the controller abort path); the
-        coprocessor-level soft reset then drains the FIFO fabric and
-        clears the RAC handshake, exactly what a dedicated reset line
-        would do in hardware.
+        coprocessor-level soft reset then drains the FIFO fabric,
+        clears the RAC handshake and drops the IRQ line, exactly what a
+        dedicated reset line would do in hardware.
         """
         cycles = self.write_register(REG_CTRL, 0)
         self.ocp.soft_reset()
-        self.ocp.irq.clear()
         self._trace("abort")
         return cycles
 

@@ -18,13 +18,7 @@ from repro.core.program import (
     figure4_looped_program,
     figure4_program,
 )
-from repro.core.registers import (
-    CTRL_IE,
-    CTRL_S,
-    REG_BANK_BASE,
-    REG_CTRL,
-    REG_PROG_SIZE,
-)
+from repro.core.registers import CTRL_IE, CTRL_S
 from repro.rac.dft import DFTRac
 from repro.rac.idct import IDCTRac
 from repro.rac.scale import PassthroughRac
@@ -157,10 +151,7 @@ def _boot(soc, program, banks):
     backdoor and set S: the benches' register-level boot."""
     ocp = soc.ocp
     soc.write_ram(PROG, program.words())
-    for bank, base in {0: PROG, **banks}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, **banks}, len(program))
     return ocp
 
 
@@ -408,10 +399,7 @@ def _concurrent_loopback_cycles(n_ocps, words=256):
         soc.write_ram(base, program.words())
         soc.write_ram(base + 0x1000, list(range(words)))
         banks = {0: base, 1: base + 0x1000, 2: base + 0x4000}
-        for bank, address in banks.items():
-            ocp.interface.write_word(REG_BANK_BASE + 4 * bank, address)
-        ocp.interface.write_word(REG_PROG_SIZE, len(program))
-        ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+        ocp.start(banks, len(program))
     soc.sim.run_until(lambda: all(ocp.done for ocp in soc.ocps),
                       max_cycles=1_000_000)
     for index in range(n_ocps):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.program import OuProgram
-from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
 from repro.rac.base import RAC, RACPortSpec
 from repro.rac.idct import IDCTRac
 from repro.rac.scale import ScaleRac
@@ -51,10 +50,7 @@ def boot(soc, program, banks):
     ocp = soc.ocp
     prog = RAM_BASE + 0x1000
     soc.write_ram(prog, program.words())
-    for bank, base in {**{0: prog}, **banks}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: prog, **banks}, len(program))
     return ocp
 
 
@@ -140,13 +136,8 @@ def test_chained_ocps_overlap_when_started_together():
         base = RAM_BASE + 0x10_0000 * (index + 1)
         soc.write_ram(base, words)
         soc.write_ram(base + 0x4000, list(range(256)))
-        ocp = soc.ocps[index]
-        for bank, addr in {0: base, 1: base + 0x4000,
-                           2: base + 0x8000}.items():
-            ocp.interface.write_word(REG_BANK_BASE + 4 * bank, addr)
-        ocp.interface.write_word(REG_PROG_SIZE, len(words))
-    for ocp in soc.ocps:
-        ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+        soc.ocps[index].start(
+            {0: base, 1: base + 0x4000, 2: base + 0x8000}, len(words))
     both = soc.sim.run_until(lambda: all(o.done for o in soc.ocps),
                              max_cycles=100_000)
 
@@ -155,12 +146,8 @@ def test_chained_ocps_overlap_when_started_together():
     solo_soc.write_ram(RAM_BASE + 0x10_0000, words)
     solo_soc.write_ram(RAM_BASE + 0x10_4000, list(range(256)))
     ocp = solo_soc.ocp
-    for bank, addr in {0: RAM_BASE + 0x10_0000,
-                       1: RAM_BASE + 0x10_4000,
-                       2: RAM_BASE + 0x10_8000}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, addr)
-    ocp.interface.write_word(REG_PROG_SIZE, len(words))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: RAM_BASE + 0x10_0000, 1: RAM_BASE + 0x10_4000,
+               2: RAM_BASE + 0x10_8000}, len(words))
     solo = solo_soc.sim.run_until(lambda: ocp.done, max_cycles=100_000)
 
     assert both < 2 * solo

@@ -13,7 +13,6 @@ from repro.core.program import (
     figure4_program,
 )
 from repro.core.refmodel import ReferenceMemory, ReferenceRAC, execute_reference
-from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
 from repro.perfbound import bound_program
 from repro.rac.dft import DFTRac
 from repro.rac.scale import PassthroughRac
@@ -124,10 +123,7 @@ def test_expanded_program_runs_on_base_controller():
     soc.write_ram(IN, fp.interleave_complex(re, im))
     soc.write_ram(PROG, base_words)
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(base_words))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(base_words))
     soc.sim.run_until(lambda: ocp.done, max_cycles=100_000)
     assert fp.deinterleave_complex(soc.read_ram(OUT, 128)) == \
         fp.fft_q15(re, im)
@@ -142,10 +138,7 @@ def _simulated_cycles(program, rac):
     soc.write_ram(IN, list(range(4096)))
     soc.write_ram(PROG, program.words())
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
     return soc.sim.run_until(lambda: ocp.done, max_cycles=500_000)
 
 

@@ -20,12 +20,7 @@ def boot(soc, program, banks):
     """Configure registers directly (zero-cycle) and set S."""
     ocp = soc.ocp
     soc.write_ram(PROG, program.words())
-    all_banks = {0: PROG}
-    all_banks.update(banks)
-    for bank, base in all_banks.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, **banks}, len(program))
     return ocp
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.dpr import DPRManager, ICAP_WORDS_PER_CYCLE, PartialBitstream
 from repro.core.program import OuProgram
-from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
+from repro.core.registers import REG_CTRL
 from repro.core.standalone import StandaloneSequencer
 from repro.rac.idct import IDCTRac
 from repro.rac.scale import PassthroughRac, ScaleRac
@@ -20,12 +20,7 @@ OUT = RAM_BASE + 0x3000
 def boot(soc, program, banks):
     ocp = soc.ocp
     soc.write_ram(PROG, program.words())
-    all_banks = {0: PROG}
-    all_banks.update(banks)
-    for bank, base in all_banks.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, **banks}, len(program))
     return ocp
 
 

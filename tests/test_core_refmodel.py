@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from repro.core.program import OuProgram
 from repro.core.refmodel import ReferenceMemory, ReferenceRAC, execute_reference
-from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
 from repro.rac.scale import PassthroughRac, ScaleRac
 from repro.sim.errors import ControllerError
 from repro.system import RAM_BASE, SoC
@@ -30,10 +29,7 @@ def run_both(rac_factory, ref_rac_factory, program, input_words,
     soc.write_ram(IN, input_words)
     soc.write_ram(PROG, program.words())
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
     soc.sim.run_until(lambda: ocp.done, max_cycles=500_000)
     simulated = soc.read_ram(OUT, out_words_count)
 
@@ -200,10 +196,7 @@ def test_lint_clean_programs_complete(block, n_blocks, chunk,
     soc.write_ram(IN, list(range(total)))
     soc.write_ram(PROG, program.words())
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
     soc.sim.run_until(lambda: ocp.done, max_cycles=200_000)
     if drained:
         assert soc.read_ram(OUT, drained) == list(range(drained))

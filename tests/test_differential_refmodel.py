@@ -34,13 +34,6 @@ from repro.core.refmodel import (
     ReferenceRAC,
     execute_reference,
 )
-from repro.core.registers import (
-    CTRL_IE,
-    CTRL_S,
-    REG_BANK_BASE,
-    REG_CTRL,
-    REG_PROG_SIZE,
-)
 from repro.faults import FaultPlan, inject_faults
 from repro.rac.scale import ScaleRac
 from repro.system import RAM_BASE, SoC
@@ -136,10 +129,7 @@ def run_soc(case: Case, plan=None):
     soc.write_ram(IN, case.inputs)
     soc.write_ram(PROG, case.program.words())
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(case.program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(case.program))
     soc.sim.run_until(lambda: ocp.done, max_cycles=500_000)
     assert not ocp.registers.error, "no trap expected in these runs"
     # under-drained cases: eop can fire while the accelerator is still

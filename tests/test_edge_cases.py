@@ -4,13 +4,6 @@ import pytest
 
 from repro.analysis import measure_dft_sw, render_table_one, TableOneRow
 from repro.core.program import figure4_program
-from repro.core.registers import (
-    CTRL_IE,
-    CTRL_S,
-    REG_BANK_BASE,
-    REG_CTRL,
-    REG_PROG_SIZE,
-)
 from repro.perfbound import CostModel, bound_program
 from repro.rac.hls import HLSInterfaceSpec, wrap_function
 from repro.rac.dft import DFTRac
@@ -72,10 +65,7 @@ def test_estimate_without_prefetch():
             soc.write_ram(data, list(range(2 * n)))
             soc.write_ram(prog, program.words())
             ocp = soc.ocp
-            for bank, base in {0: prog, 1: data, 2: out}.items():
-                ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-            ocp.interface.write_word(REG_PROG_SIZE, len(program))
-            ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+            ocp.start({0: prog, 1: data, 2: out}, len(program))
             simulated[prefetch] = soc.sim.run_until(lambda: ocp.done,
                                                     max_cycles=500_000)
         assert simulated[False] > simulated[True]

@@ -413,8 +413,10 @@ def test_soft_reset_preserves_configuration():
     ocp.registers.write(0x08, RAM_BASE)  # bank 0
     ocp.fifos_in[0].push(42)
     ocp.fifos_in[0].commit()
+    ocp.irq.assert_()
     ocp.soft_reset()
     assert ocp.fifos_in[0].empty
+    assert not ocp.irq.pending
     assert ocp.registers.bank_base(0) == RAM_BASE
 
 

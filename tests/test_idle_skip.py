@@ -43,13 +43,7 @@ from tests.test_differential_refmodel import (
     SEED_BASE,
     Case,
 )
-from repro.core.registers import (
-    CTRL_IE,
-    CTRL_S,
-    REG_BANK_BASE,
-    REG_CTRL,
-    REG_PROG_SIZE,
-)
+from repro.core.registers import CTRL_IE, CTRL_S
 
 N_EQUIVALENCE = 60
 N_STRICT = 8
@@ -499,10 +493,7 @@ def _probed_run(idle_skip, remove_at=None):
     soc.write_ram(IN, case.inputs)
     soc.write_ram(PROG, case.program.words())
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(case.program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(case.program))
     if remove_at is not None:
         soc.sim.step(remove_at)
         soc.sim.remove(probe)
@@ -571,10 +562,7 @@ def _execute(case, plan=None, trace=None, **soc_kw):
     soc.write_ram(IN, case.inputs)
     soc.write_ram(PROG, case.program.words())
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(case.program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(case.program))
     soc.sim.run_until(lambda: ocp.done, max_cycles=500_000)
     previous = -1
     while ocp.fifos_out[0].occupancy != previous:
@@ -674,10 +662,7 @@ def test_strict_mode_audits_long_transfer_slabs(monkeypatch):
         soc.write_ram(IN, data)
         soc.write_ram(PROG, program.words())
         ocp = soc.ocp
-        for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-            ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-        ocp.interface.write_word(REG_PROG_SIZE, len(program))
-        ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+        ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
         soc.sim.run_until(lambda: ocp.done, max_cycles=100_000)
         return (soc.sim.cycle, soc.read_ram(OUT, 512),
                 ocp.controller.stats.as_dict(), soc.bus.stats.as_dict())
@@ -770,10 +755,7 @@ def _run_faulted(case, program, plan, prefetch, idle_skip, strict=False,
         inject_faults(soc, plan)
     soc.write_ram(IN, case.inputs)
     soc.write_ram(PROG, program.words())
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
     try:
         soc.sim.run_until(lambda: ocp.done or ocp.registers.error,
                           max_cycles=FAULTED_BUDGET)
@@ -857,10 +839,7 @@ def _run_hang(idle_skip, start, duration):
     soc.write_ram(IN, list(range(16)))
     soc.write_ram(PROG, program.words())
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
     soc.sim.run_until(lambda: ocp.done, max_cycles=5_000)
     return (soc.sim.cycle, soc.read_ram(OUT, 16),
             ocp.controller.stats.as_dict())
@@ -896,10 +875,7 @@ def _run_dup_out(idle_skip, index, depth):
     program = OuProgram().stream_to(1, 16).execs().stream_from(2, 16).eop()
     soc.write_ram(IN, list(range(100, 116)))
     soc.write_ram(PROG, program.words())
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
     soc.sim.run_until(lambda: ocp.done, max_cycles=5_000)
     return {
         "cycle": soc.sim.cycle,
@@ -1000,16 +976,13 @@ def _run_dma_overlap(idle_skip, seed):
     soc.write_ram(PROG, case.program.words())
     soc.write_ram(dma_src, payload)
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(case.program))
     # kick both masters in the same cycle: the DMA's first read burst
     # races the controller's microcode prefetch for the bus
     soc.dma.write_word(DMA_SRC, dma_src)
     soc.dma.write_word(DMA_DST, dma_dst)
     soc.dma.write_word(DMA_COUNT, dma_words)
     soc.dma.write_word(DMA_CTRL, DMA_START)
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(case.program))
     soc.sim.run_until(lambda: ocp.done and soc.dma.done, max_cycles=500_000)
     previous = -1
     while ocp.fifos_out[0].occupancy != previous:
@@ -1467,10 +1440,7 @@ def _probe_added_and_removed_between_steps(**soc_kw):
     soc.write_ram(IN, case.inputs)
     soc.write_ram(PROG, case.program.words())
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(case.program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(case.program))
     soc.sim.step(30)
     vcd = VCDWriter()
     probe = soc.sim.add(ocp_probe("probe", vcd, ocp))
@@ -1978,10 +1948,7 @@ def _live_wait_and_watchdog(**soc_kw):
     program = OuProgram().stream_to(1, 16).wait(90).exec_() \
         .stream_from(2, 16).eop()
     soc.write_ram(PROG, program.words())
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
     return _stepped(soc, lambda: ocp.controller.errored, 2, 45)
 
 
@@ -1996,10 +1963,7 @@ def _live_two_block_drain(**soc_kw):
     soc.write_ram(IN, list(range(64)))
     program = OuProgram().stream_to(1, 64).execs().stream_from(2, 64).eop()
     soc.write_ram(PROG, program.words())
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
     return _stepped(soc, lambda: ocp.done, 5, 37)
 
 

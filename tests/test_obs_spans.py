@@ -4,13 +4,6 @@ import warnings
 
 import pytest
 
-from repro.core.registers import (
-    CTRL_IE,
-    CTRL_S,
-    REG_BANK_BASE,
-    REG_CTRL,
-    REG_PROG_SIZE,
-)
 from repro.core.program import OuProgram
 from repro.obs import attribute_run, reconstruct_spans
 from repro.obs.spans import Span, SpanTrace
@@ -144,10 +137,7 @@ def _capacity_limited_run(capacity):
     soc.write_ram(IN, list(range(8)))
     soc.write_ram(PROG, program.words())
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
     soc.sim.run_until(lambda: ocp.done, max_cycles=50_000)
     return soc
 

@@ -21,13 +21,6 @@ from typing import Callable, List, Tuple
 import pytest
 
 from repro.core.program import OuProgram
-from repro.core.registers import (
-    CTRL_IE,
-    CTRL_S,
-    REG_BANK_BASE,
-    REG_CTRL,
-    REG_PROG_SIZE,
-)
 from repro.mem.memory import Memory
 from repro.obs import attribute_run, compare_attribution
 from repro.perfbound import CostModel, RacTiming, bound_program
@@ -104,10 +97,7 @@ def measure(program: OuProgram, rac, mem_latency: int,
     soc.write_ram(IN, list(range(512)))
     soc.write_ram(PROG, program.words())
     ocp = soc.ocp
-    for bank, base in {0: PROG, 1: IN, 2: OUT}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
     soc.sim.run_until(lambda: ocp.done, max_cycles=max_cycles)
     return attribute_run(soc)
 

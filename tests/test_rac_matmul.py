@@ -96,7 +96,6 @@ def test_waveform_probe_samples_signals():
 
 def test_ocp_probe_traces_a_real_run(rng, tmp_path):
     from repro.core.program import OuProgram
-    from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
     from repro.rac.scale import PassthroughRac
     from repro.system import RAM_BASE
 
@@ -109,10 +108,7 @@ def test_ocp_probe_traces_a_real_run(rng, tmp_path):
     prog, inp, out = RAM_BASE + 0x1000, RAM_BASE + 0x2000, RAM_BASE + 0x3000
     soc.write_ram(inp, list(range(16)))
     soc.write_ram(prog, program.words())
-    for bank, base in {0: prog, 1: inp, 2: out}.items():
-        soc.ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    soc.ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    soc.ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    soc.ocp.start({0: prog, 1: inp, 2: out}, len(program))
     soc.sim.run_until(lambda: soc.ocp.done, max_cycles=50_000)
 
     path = tmp_path / "run.vcd"

@@ -23,16 +23,19 @@ from typing import List
 
 import pytest
 
+from repro.bus.types import BusSlave
+from repro.core.registers import REG_CTRL, REG_PROG_SIZE
 from repro.faults import FaultEvent, FaultKind, FaultPlan, inject_faults
 from repro.rac.scale import PassthroughRac, ScaleRac
 from repro.sched import (
     CapabilityTable,
     Job,
     RoundRobinPolicy,
+    SchedulerError,
     ThroughputScheduler,
 )
 from repro.sched.scheduler import SCHED_ARENA_BASE_OFFSET
-from repro.sim.errors import ConfigurationError
+from repro.sim.errors import BusFaultError, ConfigurationError
 from repro.system import RAM_BASE, build_mpsoc
 
 BLOCK = 8
@@ -284,3 +287,59 @@ def test_idle_matches_every_slot_after_every_tick(seed):
     assert sum(slot.retries for slot in sched.slots) >= 1
     assert len(sched.completed) == 24
     assert True in checks and False in checks
+
+
+class _FailingWindow(BusSlave):
+    """An OCP's register window that answers the accesses ``fails``
+    picks with an ERROR response and forwards every other one."""
+
+    def __init__(self, interface, fails):
+        self.interface = interface
+        self.fails = fails
+
+    def read_word(self, offset):
+        if self.fails("read", offset, None):
+            raise BusFaultError(f"stub: ERROR on read at {offset:#x}")
+        return self.interface.read_word(offset)
+
+    def write_word(self, offset, value):
+        if self.fails("write", offset, value):
+            raise BusFaultError(f"stub: ERROR on write at {offset:#x}")
+        self.interface.write_word(offset, value)
+
+
+#: each of the slot FSM's bus waits, and the register access that makes
+#: it fail (CTRL = 0 is the ack of a clean batch, the abort of a trap)
+_FAILING = {
+    "config write": lambda kind, offset, value: offset == REG_PROG_SIZE,
+    "status read": lambda kind, offset, value: (
+        kind == "read" and offset == REG_CTRL),
+    "ack write": lambda kind, offset, value: (
+        kind == "write" and offset == REG_CTRL and value == 0),
+    "abort write": lambda kind, offset, value: (
+        kind == "write" and offset == REG_CTRL and value == 0),
+}
+
+
+@pytest.mark.parametrize("what", list(_FAILING))
+def test_every_error_response_stops_the_scheduler(what):
+    """An ERROR response to any of the slot's register accesses raises
+    :class:`SchedulerError` naming that access: an errored status read
+    is not a clean status, and an errored ack or abort does not
+    release the OCP."""
+    soc = build_mpsoc([PassthroughRac(name="pt0", block_size=BLOCK)],
+                      ocp_kwargs={"watchdog_cycles": 2000})
+    if what == "abort write":
+        # the first batch traps (see above), so its CTRL = 0 is an abort
+        inject_faults(soc, FaultPlan(events=[FaultEvent(
+            FaultKind.CORRUPT_MICROCODE, "mc", index=2, bit=28,
+            word=RAM_BASE + SCHED_ARENA_BASE_OFFSET)]))
+    sched = ThroughputScheduler(soc, batch_jobs=2, backoff_cycles=64)
+    soc.bus.memmap.replace_slave(
+        "ocp", _FailingWindow(soc.ocp.interface, _FAILING[what]))
+    with pytest.raises(SchedulerError,
+                       match=f"^OCP 0: {what} failed: stub: ERROR"):
+        sched.run_stream(_jobs(7, 4))
+    assert soc.bus.stats["slave_errors"] == 1
+    # only the ack follows a harvest
+    assert bool(sched.completed) == (what == "ack write")

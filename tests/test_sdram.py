@@ -5,7 +5,6 @@ import pytest
 from repro.bus.bus import SystemBus
 from repro.bus.types import AccessKind
 from repro.core.program import OuProgram
-from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
 from repro.mem.sdram import SDRAM
 from repro.rac.scale import PassthroughRac
 from repro.sim.errors import AddressError, ConfigurationError, RACError
@@ -101,10 +100,7 @@ def test_ouessant_runs_from_sdram():
     soc.write_ram(inp, list(range(32)))
     soc.write_ram(prog, program.words())
     ocp = soc.ocp
-    for bank, base in {0: prog, 1: inp, 2: out}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: prog, 1: inp, 2: out}, len(program))
     soc.sim.run_until(lambda: ocp.done, max_cycles=100_000)
     assert soc.read_ram(out, 32) == list(range(32))
     assert sdram.dram_stats["row_hits"] > 0
@@ -120,10 +116,8 @@ def test_bank_pointing_at_unmapped_address_faults():
     prog = RAM_BASE + 0x1000
     soc.write_ram(prog, program.words())
     ocp = soc.ocp
-    ocp.interface.write_word(REG_BANK_BASE, prog)
-    ocp.interface.write_word(REG_BANK_BASE + 4, 0x7000_0000)  # unmapped!
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S)
+    ocp.start({0: prog, 1: 0x7000_0000},  # bank 1 unmapped!
+              len(program), interrupt=False)
     with pytest.raises(AddressError):
         soc.sim.step(200)
 
@@ -141,9 +135,7 @@ def test_rac_compute_failure_propagates():
     soc.write_ram(prog, program.words())
     soc.write_ram(inp, [1, 2, 3, 4])
     ocp = soc.ocp
-    for bank, base in {0: prog, 1: inp, 2: RAM_BASE + 0x3000}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S)
+    ocp.start({0: prog, 1: inp, 2: RAM_BASE + 0x3000}, len(program),
+              interrupt=False)
     with pytest.raises(RACError):
         soc.sim.step(500)

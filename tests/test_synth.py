@@ -135,6 +135,33 @@ def test_whole_ocp_fits_artix7():
         assert util["luts"] < 0.10  # "very low footprint"
 
 
+#: EXPERIMENTS.md R1/C3: total LUT utilization of each OCP on Artix7,
+#: to 4 places; every other cell is the same for both RACs
+_R1_C3_LUT_UTILIZATION = {"IDCT": 0.0208, "DFT": 0.0169}
+
+
+@pytest.mark.parametrize("name", list(_R1_C3_LUT_UTILIZATION))
+def test_r1_c3_numbers_are_pinned(name):
+    """Every R1/C3 cell of EXPERIMENTS.md, exactly: 504 LUT / 555 FF of
+    OCP overhead, 2 BRAM18 and 0 LUT of FIFO memory, 142.9 MHz fmax on
+    Artix7 with 13.0 ns slack at 50 MHz, and under 3% LUT
+    utilization."""
+    from repro.synth.timing import timing_report
+
+    rac = IDCTRac() if name == "IDCT" else DFTRac(256)
+    ocp = SoC(racs=[rac]).ocp
+    estimate = estimate_ocp(ocp)
+    overhead = estimate.ocp_overhead
+    assert (overhead.luts, overhead.ffs) == (504, 555)
+    assert (estimate.fifo_memory.bram18, estimate.fifo_memory.luts) == (2, 0)
+    report = timing_report(ocp, clock_mhz=50.0)
+    # the report rounds fmax to 0.1 MHz and slack to 1 ps
+    assert (report.fmax_mhz, report.slack_ns) == (142.9, 13.0)
+    util = ARTIX7_100T.utilization(estimate.total)["luts"]
+    assert round(util, 4) == _R1_C3_LUT_UTILIZATION[name]
+    assert util < 0.03
+
+
 def test_devices_catalogue():
     assert device_by_name("xc7a100t") is ARTIX7_100T
     with pytest.raises(ConfigurationError):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.program import OuProgram, figure4_program
 from repro.obs import attribute_run
-from repro.core.registers import CTRL_IE, CTRL_S, REG_BANK_BASE, REG_CTRL, REG_PROG_SIZE
+from repro.core.registers import REG_PROG_SIZE
 from repro.rac.dft import DFTRac
 from repro.rac.scale import PassthroughRac
 from repro.sim.errors import ConfigurationError
@@ -22,10 +22,7 @@ OUT = RAM_BASE + 0x8000
 def boot_and_run(soc, program, banks, max_cycles=500_000):
     soc.write_ram(PROG, program.words())
     ocp = soc.ocp
-    for bank, base in {**{0: PROG}, **banks}.items():
-        ocp.interface.write_word(REG_BANK_BASE + 4 * bank, base)
-    ocp.interface.write_word(REG_PROG_SIZE, len(program))
-    ocp.interface.write_word(REG_CTRL, CTRL_S | CTRL_IE)
+    ocp.start({0: PROG, **banks}, len(program))
     return soc.sim.run_until(lambda: ocp.done, max_cycles=max_cycles)
 
 
