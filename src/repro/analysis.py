@@ -168,7 +168,7 @@ def measure_transfer_efficiency(
     transfer, and 1024 32-bits words to transfer ... around 1.5 cycles
     per word".
     """
-    from .core.program import OuProgram
+    from .core.program import bank_addresses, streaming_program
     from .rac.scale import PassthroughRac
     from .sw.baremetal import BaremetalRuntime
     from .system import RAM_BASE
@@ -183,15 +183,9 @@ def measure_transfer_efficiency(
     out_addr = RAM_BASE + 0x20_0000
     prog_addr = RAM_BASE + 0x30_0000
     soc.write_ram(in_addr, list(range(half)))
-    program = (
-        OuProgram()
-        .stream_to(1, half, chunk=chunk)
-        .execs()
-        .stream_from(2, half, chunk=chunk)
-        .eop()
-    )
+    program = streaming_program([half], [half], chunk=chunk)
     result = runtime.run(
-        program.words(), {0: prog_addr, 1: in_addr, 2: out_addr}
+        program.words(), bank_addresses(prog_addr, [in_addr], [out_addr])
     )
     if soc.read_ram(out_addr, half) != list(range(half)):
         raise SimulationError("loopback transfer corrupted data")

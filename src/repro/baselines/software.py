@@ -17,6 +17,7 @@ from ..cpu.cpu import CPU
 from ..cpu.isa import CostModel
 from ..cpu import kernels
 from ..mem.memory import Memory
+from ..utils.bits import to_signed
 
 _TEXT_BASE = 0x0000_0000
 _DATA_BASE = 0x0008_0000
@@ -37,10 +38,6 @@ def _fresh_cpu(cost_model: "CostModel | None" = None) -> CPU:
     return CPU(memory=memory, memory_base=0, cost_model=cost_model)
 
 
-def _resign(words: Sequence[int]) -> List[int]:
-    return [w - (1 << 32) if w & (1 << 31) else w for w in words]
-
-
 def software_idct(
     block: Sequence[Sequence[int]],
     cost_model: "CostModel | None" = None,
@@ -55,7 +52,7 @@ def software_idct(
     cpu.memory.load_words(program.address_of("idct_in"), flat)
     cycles = cpu.run()
     raw = cpu.memory.dump_words(program.address_of("idct_out"), 64)
-    signed = _resign(raw)
+    signed = [to_signed(w) for w in raw]
     result = [signed[8 * r : 8 * r + 8] for r in range(8)]
     return result, SoftwareRun(cycles, cpu.instret, {"block": result})
 
@@ -79,8 +76,10 @@ def software_dft_direct(
         program.address_of("xi"), [int(v) & 0xFFFFFFFF for v in im]
     )
     cycles = cpu.run()
-    yr = _resign(cpu.memory.dump_words(program.address_of("yr"), n))
-    yi = _resign(cpu.memory.dump_words(program.address_of("yi"), n))
+    yr = [to_signed(w) for w in
+          cpu.memory.dump_words(program.address_of("yr"), n)]
+    yi = [to_signed(w) for w in
+          cpu.memory.dump_words(program.address_of("yi"), n)]
     return (yr, yi), SoftwareRun(cycles, cpu.instret, {"re": yr, "im": yi})
 
 
@@ -103,8 +102,10 @@ def software_fft(
         program.address_of("xi"), [int(v) & 0xFFFFFFFF for v in im]
     )
     cycles = cpu.run()
-    yr = _resign(cpu.memory.dump_words(program.address_of("xr"), n))
-    yi = _resign(cpu.memory.dump_words(program.address_of("xi"), n))
+    yr = [to_signed(w) for w in
+          cpu.memory.dump_words(program.address_of("xr"), n)]
+    yi = [to_signed(w) for w in
+          cpu.memory.dump_words(program.address_of("xi"), n)]
     return (yr, yi), SoftwareRun(cycles, cpu.instret, {"re": yr, "im": yi})
 
 

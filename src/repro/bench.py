@@ -46,7 +46,7 @@ from functools import lru_cache
 from typing import Callable, Dict, List, Optional, Tuple
 
 from .bus.protocol import AHB, AXI4, BusProtocol
-from .core.program import OuProgram
+from .core.program import OuProgram, bank_addresses, streaming_program
 from .faults import FaultPlan, inject_faults
 from .rac.dft import DFTRac
 from .rac.idct import IDCTRac
@@ -57,7 +57,8 @@ from .system import RAM_BASE, SoC
 
 PROG = RAM_BASE + 0x1000
 IN = RAM_BASE + 0x2000
-OUT = RAM_BASE + 0x3000
+#: clear of the largest input bank (12 x 512 words)
+OUT = RAM_BASE + 0x4_0000
 
 #: kernel configurations each workload runs under
 _MODE_KW: Dict[str, Dict[str, bool]] = {
@@ -103,14 +104,9 @@ class BenchResult:
 
 @lru_cache(maxsize=None)
 def _stream_program(words: int, repeats: int, chunk: int) -> OuProgram:
-    """``repeats`` x (stream in, exec, stream out); built once, reused
-    by every mode run (the program is immutable after ``eop``)."""
-    program = OuProgram()
-    for _ in range(repeats):
-        (program.stream_to(1, words, chunk=chunk).execs()
-                .stream_from(2, words, chunk=chunk))
-    program.eop()
-    return program
+    """The streaming recipe over ``repeats`` operations of ``words``;
+    built once, reused by every mode run (never mutated)."""
+    return streaming_program([words], [words], repeats, chunk)
 
 
 def _run_ocp(
@@ -125,7 +121,9 @@ def _run_ocp(
     protocol: BusProtocol = AHB,
     plan: Optional[FaultPlan] = None,
 ) -> WorkloadRun:
-    """One OCP program: ``repeats`` x (stream in, exec, stream out)."""
+    """One OCP program: ``repeats`` x (stream in, exec, stream out),
+    operation ``k`` at offset ``k x words``; ``data`` / ``expected``
+    are the first operation's input / output."""
     soc = SoC(racs=[rac_factory()], protocol=protocol, **_MODE_KW[mode])
     if plan is not None:
         inject_faults(soc, plan)
@@ -137,7 +135,7 @@ def _run_ocp(
     soc.write_ram(IN, data)
     soc.write_ram(PROG, program.words())
     ocp = soc.ocp
-    ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
+    ocp.start(bank_addresses(PROG, [IN], [OUT]), len(program))
     soc.sim.run_until(lambda: ocp.done, max_cycles=max_cycles)
     if soc.read_ram(OUT, words) != expected:
         raise SimulationError("bench workload produced wrong data")

@@ -34,10 +34,14 @@ class FixedPriorityArbiter(Arbiter):
     stateful = False
 
     def pick(self, pending: List[BusTransfer]) -> BusTransfer:
-        return min(
-            pending,
-            key=lambda t: (t.priority, t.issue_cycle),
-        )
+        # the first of equal (priority, issue_cycle) in list order wins
+        best = pending[0]
+        for transfer in pending:
+            if transfer.priority < best.priority or (
+                    transfer.priority == best.priority
+                    and transfer.issue_cycle < best.issue_cycle):
+                best = transfer
+        return best
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return "<FixedPriorityArbiter>"

@@ -27,6 +27,7 @@ from .program import (
     figure4_looped_program,
     figure4_program,
     idct_program,
+    streaming_program,
 )
 from .registers import (
     CTRL_D,
@@ -80,4 +81,5 @@ __all__ = [
     "figure4_looped_program",
     "figure4_program",
     "idct_program",
+    "streaming_program",
 ]

@@ -3,16 +3,11 @@
 Every accelerated call follows the same shape — stream each input
 port's words in, start, drain each output port — and getting the word
 counts wrong is the main way to hang an OCP.  :func:`plan_streaming_run`
-derives the whole program from the accelerator's own port
-specification, assigns a canonical bank layout, and runs the static
-verifier over the result before returning it, so drivers and the user
-library never hand-count words.
-
-Canonical bank layout:
-
-* bank 0 — microcode (the controller's fetch convention),
-* banks 1..k — input port 0..k-1 data,
-* banks k+1..k+m — output port 0..m-1 data.
+emits that shape from the accelerator's own port specification through
+the one recipe, :func:`repro.core.program.streaming_program` (which
+also owns the canonical bank layout), and runs the static verifier
+over the result before returning it, so drivers and the user library
+never hand-count words.
 """
 
 from __future__ import annotations
@@ -24,8 +19,7 @@ from typing import Dict, List
 from ..rac.base import StreamingRAC
 from ..sim.errors import ConfigurationError
 from ..verify.engine import verify_program
-from .isa import MAX_OFFSET, N_BANKS
-from .program import OuProgram
+from .program import OuProgram, data_banks, streaming_program
 
 
 @dataclass
@@ -78,21 +72,16 @@ def plan_streaming_run(
     chunk: int = 64,
     blocking_exec: bool = False,
 ) -> FirmwarePlan:
-    """Generate the canonical program for ``operations`` back-to-back runs.
-
-    Per operation: configuration ports (all input ports except 0) are
-    streamed first, then the main data port, then ``execs`` (or a
-    blocking ``exec``), then every output port is drained.  The result
-    is statically checked against the RAC before being returned.
+    """The canonical program for ``operations`` back-to-back runs of
+    ``rac`` (:func:`~repro.core.program.streaming_program` over its
+    port specification), statically checked against the RAC.
 
     Raises
     ------
     ConfigurationError
-        If the plan cannot fit (too many ports for the bank file, data
-        volume beyond the 14-bit bank window) or fails lint.
+        If the program cannot be built (see ``streaming_program``), a
+        blocking ``exec`` would deadlock, or it fails verification.
     """
-    if operations < 1:
-        raise ConfigurationError("need at least one operation")
     if blocking_exec and any(
         items > rac.ports.fifo_depth for items in rac.items_out
     ):
@@ -100,47 +89,10 @@ def plan_streaming_run(
             "blocking exec would deadlock: an output block exceeds the "
             "FIFO depth, so end_op cannot assert before mvfc drains"
         )
-    n_in = len(rac.items_in)
-    n_out = len(rac.items_out)
-    if 1 + n_in + n_out > N_BANKS:
-        raise ConfigurationError(
-            f"RAC needs {n_in}+{n_out} data banks; only {N_BANKS - 1} exist"
-        )
-    input_banks = list(range(1, 1 + n_in))
-    output_banks = list(range(1 + n_in, 1 + n_in + n_out))
-    for port, items in enumerate(rac.items_in):
-        if operations * items - 1 > MAX_OFFSET:
-            raise ConfigurationError(
-                f"input port {port}: {operations} x {items} words exceed "
-                f"the {MAX_OFFSET + 1}-word bank window"
-            )
-    for port, items in enumerate(rac.items_out):
-        if operations * items - 1 > MAX_OFFSET:
-            raise ConfigurationError(
-                f"output port {port}: volume exceeds the bank window"
-            )
-
-    program = OuProgram()
-    for op_index in range(operations):
-        # configuration ports first (taps, weights, ...), data port last
-        for port in range(n_in - 1, -1, -1):
-            items = rac.items_in[port]
-            program.stream_to(
-                input_banks[port], items, fifo=port, chunk=chunk,
-                base_offset=op_index * items,
-            )
-        if blocking_exec:
-            program.exec_()
-        else:
-            program.execs()
-        for port in range(n_out):
-            items = rac.items_out[port]
-            program.stream_from(
-                output_banks[port], items, fifo=port, chunk=chunk,
-                base_offset=op_index * items,
-            )
-    program.eop()
-
+    program = streaming_program(rac.items_in, rac.items_out, operations,
+                                chunk, blocking_exec)
+    input_banks, output_banks = data_banks(len(rac.items_in),
+                                           len(rac.items_out))
     report = verify_program(
         program.instructions, rac=rac,
         configured_banks=set(input_banks + output_banks),

@@ -2,19 +2,30 @@
 
 :class:`OuProgram` is the Python-level twin of the microcode assembler:
 drivers and examples build programs by calling methods instead of
-formatting assembly text.  The canonical programs of the paper (the DFT
-microcode of Figure 4, and the analogous IDCT program) are provided as
-constructors so every benchmark runs exactly the published microcode.
+formatting assembly text.  :func:`streaming_program` is the one recipe
+of an accelerated call (stream in, start, drain, per operation, over
+the canonical bank layout): the firmware planner, the scheduler's
+batches, the bench and the paper's canonical programs (the DFT
+microcode of Figure 4, and the analogous IDCT program) all emit it, so
+every benchmark runs exactly the published microcode.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..sim.errors import ConfigurationError
 from .assembler import disassemble
 from .encoding import encode
-from .isa import FIFODirection, MAX_TRANSFER_WORDS, OuInstruction, OuOp
+from .isa import (
+    MAX_OFFSET,
+    MAX_TRANSFER_WORDS,
+    N_BANKS,
+    FIFODirection,
+    OuInstruction,
+    OuOp,
+)
+from .registers import PROGRAM_BANK
 
 
 class OuProgram:
@@ -181,10 +192,7 @@ class OuProgram:
     ) -> None:
         if total < 1:
             raise ConfigurationError("nothing to transfer")
-        if not 1 <= chunk <= MAX_TRANSFER_WORDS:
-            raise ConfigurationError(
-                f"chunk must be in [1, {MAX_TRANSFER_WORDS}]"
-            )
+        check_chunk(chunk)
         offset = base_offset
         remaining = total
         while remaining > 0:
@@ -247,16 +255,94 @@ class OuProgram:
         return disassemble(self.words())
 
 
+def check_chunk(chunk: int) -> None:
+    """Refuse a transfer chunk the ``mvtc``/``mvfc`` count field cannot
+    encode."""
+    if not 1 <= chunk <= MAX_TRANSFER_WORDS:
+        raise ConfigurationError(
+            f"chunk must be in [1, {MAX_TRANSFER_WORDS}]"
+        )
+
+
 # ---------------------------------------------------------------------------
 # canonical programs
 # ---------------------------------------------------------------------------
 
-def figure4_program(
-    n_points: int = 256,
-    in_bank: int = 1,
-    out_bank: int = 2,
+def data_banks(n_in: int, n_out: int) -> Tuple[List[int], List[int]]:
+    """The input-port and output-port banks of the canonical layout.
+
+    Bank :data:`~repro.core.registers.PROGRAM_BANK` (0) holds the
+    microcode, banks ``1..n_in`` the data of input ports
+    ``0..n_in-1`` and the next ``n_out`` banks the data of the output
+    ports.
+    """
+    if 1 + n_in + n_out > N_BANKS:
+        raise ConfigurationError(
+            f"RAC needs {n_in}+{n_out} data banks; only {N_BANKS - 1} exist"
+        )
+    return (list(range(1, 1 + n_in)),
+            list(range(1 + n_in, 1 + n_in + n_out)))
+
+
+def bank_addresses(
+    prog: int, inputs: Sequence[int], outputs: Sequence[int],
+) -> Dict[int, int]:
+    """The ``bank -> address`` map of the canonical layout: the program,
+    then one address per input port, then one per output port."""
+    in_banks, out_banks = data_banks(len(inputs), len(outputs))
+    return dict(zip([PROGRAM_BANK, *in_banks, *out_banks],
+                    [prog, *inputs, *outputs]))
+
+
+def streaming_program(
+    items_in: Sequence[int],
+    items_out: Sequence[int],
+    operations: int = 1,
     chunk: int = 64,
+    blocking_exec: bool = False,
 ) -> OuProgram:
+    """The canonical microcode of ``operations`` back-to-back runs of a
+    streaming RAC with ``items_in`` / ``items_out`` words per port and
+    operation: Figure 4, generalized.
+
+    Per operation ``k``: the configuration ports (every input port but
+    0, last first) and then the data port 0 are streamed in from offset
+    ``k x items`` of their banks, then ``execs`` (or a blocking
+    ``exec``) starts the RAC, then every output port is drained to
+    offset ``k x items``; one ``eop`` ends the program.  Ports use the
+    banks of :func:`data_banks`.
+
+    Raises
+    ------
+    ConfigurationError
+        If there is no operation, the ports outnumber the bank file,
+        the data volume outgrows the 14-bit bank window, or ``chunk``
+        is not a valid transfer count.
+    """
+    if operations < 1:
+        raise ConfigurationError("need at least one operation")
+    in_banks, out_banks = data_banks(len(items_in), len(items_out))
+    for direction, items_of in (("input", items_in), ("output", items_out)):
+        for port, items in enumerate(items_of):
+            if operations * items - 1 > MAX_OFFSET:
+                raise ConfigurationError(
+                    f"{direction} port {port}: {operations} x {items} "
+                    f"words exceed the {MAX_OFFSET + 1}-word bank window"
+                )
+    program = OuProgram()
+    for op_index in range(operations):
+        for port in range(len(items_in) - 1, -1, -1):
+            items = items_in[port]
+            program.stream_to(in_banks[port], items, fifo=port, chunk=chunk,
+                              base_offset=op_index * items)
+        (program.exec_ if blocking_exec else program.execs)()
+        for port, items in enumerate(items_out):
+            program.stream_from(out_banks[port], items, fifo=port,
+                                chunk=chunk, base_offset=op_index * items)
+    return program.eop()
+
+
+def figure4_program(n_points: int = 256) -> OuProgram:
     """The paper's Figure 4 microcode, parameterized by DFT size.
 
     Eight ``mvtc BANK1,k*64,DMA64,FIFO0`` transfers (for 256 points,
@@ -264,27 +350,12 @@ def figure4_program(
     to BANK2, then ``eop`` -- byte for byte the published program when
     called with the defaults.
     """
-    total_words = 2 * n_points
-    return (
-        OuProgram()
-        .stream_to(in_bank, total_words, fifo=0, chunk=chunk)
-        .execs()
-        .stream_from(out_bank, total_words, fifo=0, chunk=chunk)
-        .eop()
-    )
+    return streaming_program([2 * n_points], [2 * n_points])
 
 
-def idct_program(
-    n_blocks: int = 1, in_bank: int = 1, out_bank: int = 2, chunk: int = 64
-) -> OuProgram:
+def idct_program(n_blocks: int = 1) -> OuProgram:
     """Microcode processing ``n_blocks`` 8x8 blocks through the IDCT RAC."""
-    program = OuProgram()
-    for block in range(n_blocks):
-        base = 64 * block
-        program.stream_to(in_bank, 64, fifo=0, chunk=chunk, base_offset=base)
-        program.execs()
-        program.stream_from(out_bank, 64, fifo=0, chunk=chunk, base_offset=base)
-    return program.eop()
+    return streaming_program([64], [64], operations=n_blocks)
 
 
 def figure4_looped_program(

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..core.program import OuProgram
+from ..core.program import bank_addresses, streaming_program
 from ..rac.scale import PassthroughRac
 from ..sw.driver import OuessantDriver, RecoveryResult
 from ..system import RAM_BASE
@@ -28,6 +28,7 @@ from .plan import FaultEvent, FaultKind, FaultPlan
 PROG = RAM_BASE + 0x1000
 IN = RAM_BASE + 0x2000
 OUT = RAM_BASE + 0x3000
+BANKS = bank_addresses(PROG, [IN], [OUT])
 
 BLOCK = 16
 
@@ -35,14 +36,7 @@ BLOCK = 16
 def _program() -> List[int]:
     # exec (not execs): the controller waits on end_op, which is what
     # the hung-accelerator scenario needs to actually wedge
-    return (
-        OuProgram()
-        .stream_to(1, BLOCK)
-        .exec_()
-        .stream_from(2, BLOCK)
-        .eop()
-        .words()
-    )
+    return streaming_program([BLOCK], [BLOCK], blocking_exec=True).words()
 
 
 def _run_once(plan: FaultPlan) -> "tuple[List[str], List[int]]":
@@ -53,7 +47,7 @@ def _run_once(plan: FaultPlan) -> "tuple[List[str], List[int]]":
     driver = OuessantDriver(soc)
     soc.write_ram(IN, list(range(BLOCK)))
     driver.run_with_recovery(
-        _program(), {0: PROG, 1: IN, 2: OUT}, timeout_cycles=20_000
+        _program(), BANKS, timeout_cycles=20_000
     )
     return fault_signature(soc.sim.trace), soc.read_ram(OUT, BLOCK)
 
@@ -123,7 +117,7 @@ def demo_degradation(seed: int = 0) -> DegradationReport:
 
     recovery = driver.run_with_recovery(
         _program(),
-        {0: PROG, 1: IN, 2: OUT},
+        BANKS,
         max_attempts=2,
         timeout_cycles=20_000,
         backoff_cycles=32,

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import List
 
 from ..sim.errors import ConfigurationError
+from ..utils.bits import to_signed
 from ..utils.fixedpoint import saturate
 from .base import RACPortSpec, StreamingRAC
 
@@ -37,11 +38,6 @@ def fir_q15(samples: List[int], taps: List[int]) -> List[int]:
             acc += tap * samples[n - t]
         out.append(saturate(acc >> 15))
     return out
-
-
-def _resign16(word: int) -> int:
-    word &= 0xFFFFFFFF
-    return word - (1 << 32) if word & (1 << 31) else word
 
 
 class FIRRac(StreamingRAC):
@@ -71,8 +67,8 @@ class FIRRac(StreamingRAC):
         self.n_taps = n_taps
 
         def compute(collected: List[List[int]]) -> List[List[int]]:
-            samples = [_resign16(w) for w in collected[0]]
-            taps = [_resign16(w) for w in collected[1]]
+            samples = [to_signed(w) for w in collected[0]]
+            taps = [to_signed(w) for w in collected[1]]
             filtered = fir_q15(samples, taps)
             return [[v & 0xFFFFFFFF for v in filtered]]
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import List
 
 from ..sim.errors import ConfigurationError
+from ..utils.bits import to_signed
 from ..utils.fixedpoint import saturate
 from .base import RACPortSpec, StreamingRAC
 
@@ -39,13 +40,8 @@ def matmul_q15(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
     return out
 
 
-def _resign16(word: int) -> int:
-    word &= 0xFFFFFFFF
-    return word - (1 << 32) if word & (1 << 31) else word
-
-
 def _to_matrix(words: List[int], n: int) -> List[List[int]]:
-    return [[_resign16(words[i * n + j]) for j in range(n)] for i in range(n)]
+    return [[to_signed(words[i * n + j]) for j in range(n)] for i in range(n)]
 
 
 class MatMulRac(StreamingRAC):

@@ -10,12 +10,8 @@ from __future__ import annotations
 from typing import List
 
 from ..sim.errors import ConfigurationError
+from ..utils.bits import to_signed
 from .base import RACPortSpec, StreamingRAC
-
-
-def _resign(word: int) -> int:
-    word &= 0xFFFFFFFF
-    return word - (1 << 32) if word & (1 << 31) else word
 
 
 class PassthroughRac(StreamingRAC):
@@ -68,7 +64,7 @@ class ScaleRac(StreamingRAC):
 
         def compute(collected: List[List[int]]) -> List[List[int]]:
             out = [
-                ((_resign(word) * factor) >> shift) & 0xFFFFFFFF
+                ((to_signed(word) * factor) >> shift) & 0xFFFFFFFF
                 for word in collected[0]
             ]
             return [out]

@@ -44,8 +44,8 @@ from typing import (
     Tuple,
 )
 
-from ..core.program import OuProgram
-from ..sched.batch import IN_BANK, OUT_BANK, PROG_BANK, job_program
+from ..core.program import OuProgram, bank_addresses, streaming_program
+from ..sched.batch import shape_program
 from ..sched.capability import CapabilityTable
 from ..sched.job import Job
 from ..sched.scheduler import ARENA_WORDS, SlotPlan
@@ -53,13 +53,15 @@ from ..verify.diagnostics import Finding, VerifyReport, make_finding
 from ..verify.footprint import ByteRange, program_footprint
 from .model import StreamModel
 
-#: builds the microcode racelint analyzes for one job (offset 0: the
-#: widening below accounts for batch-relative placement)
+#: builds the microcode whose transfers racelint analyzes for one job
+#: (offset 0: the widening below accounts for batch-relative placement)
 ProgramFactory = Callable[[Job, int], OuProgram]
 
 
 def _default_program(job: Job, chunk: int) -> OuProgram:
-    return job_program(job, 0, 0, chunk=chunk)
+    """The job as one streaming operation: per-block operations move
+    the same word ranges."""
+    return streaming_program([job.size], [job.size], chunk=chunk)
 
 
 @dataclass(frozen=True)
@@ -83,10 +85,6 @@ class _Placement:
     job_id: str
     slot: int
     ranges: Tuple[_Range, ...]
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // max(1, b))
 
 
 class RaceChecker:
@@ -141,15 +139,16 @@ class RaceChecker:
         by_batch = (self.model.batch_jobs - 1) * slot.max_job_words
         return max(0, min(by_arena, by_batch))
 
-    def _prog_words(self, program: OuProgram, slot: SlotPlan,
-                    widened: bool) -> int:
-        solo = len(program.instructions)
-        if not widened or self.model.batch_jobs <= 1:
-            return solo
-        per_job = 2 * _ceil_div(slot.max_job_words,
-                                self.model.chunk) + 1
-        return min(ARENA_WORDS,
-                   self.model.batch_jobs * per_job + 1)
+    def _prog_words(self, job: Job, slot: SlotPlan, widened: bool) -> int:
+        """Length of the program the dispatcher stages for ``job``: its
+        own blocks, or widened, the longest batch the slot composes."""
+        words = job.size
+        if widened and self.model.batch_jobs > 1:
+            words = min(self.model.batch_jobs * slot.max_job_words,
+                        ARENA_WORDS)
+        block = slot.appetite
+        return len(shape_program(words // block, block,
+                                 self.model.chunk)[0])
 
     def placement(self, job: Job, slot_index: int,
                   widened: bool) -> Optional[_Placement]:
@@ -173,8 +172,8 @@ class RaceChecker:
                 "program's footprint (unstructured control flow)",
             )
         else:
-            bases = {PROG_BANK: slot.prog_base, IN_BANK: slot.in_base,
-                     OUT_BANK: slot.out_base}
+            bases = bank_addresses(slot.prog_base, [slot.in_base],
+                                   [slot.out_base])
             unresolved = [b for b in footprint.banks()
                           if b not in bases]
             if unresolved:
@@ -186,7 +185,7 @@ class RaceChecker:
                 )
             else:
                 placement = self._build_placement(
-                    job, slot, program, footprint, widened, bases)
+                    job, slot, footprint, widened, bases)
         self._placements[key] = placement
         return placement
 
@@ -194,7 +193,6 @@ class RaceChecker:
         self,
         job: Job,
         slot: SlotPlan,
-        program: OuProgram,
         footprint: Any,
         widened: bool,
         bases: Dict[int, int],
@@ -226,7 +224,7 @@ class RaceChecker:
         # dispatcher-side ranges: the staged program image (written at
         # dispatch, fetched by the controller), the staged input words
         # and the slot's CTRL/perf register window
-        prog_bytes = 4 * self._prog_words(program, slot, widened)
+        prog_bytes = 4 * self._prog_words(job, slot, widened)
         ranges.append(_Range(
             ByteRange(slot.prog_base, slot.prog_base + prog_bytes,
                       f"job {job.job_id} staged program"),

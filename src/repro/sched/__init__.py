@@ -12,7 +12,8 @@ correctness machinery:
 * :class:`~repro.sched.capability.CapabilityTable` -- kernel-kind to
   serving-OCP routing, soclint-validated (OU170/OU171);
 * :func:`~repro.sched.batch.compose_batch` -- fuse small jobs into one
-  microcode program (single IRQ per batch);
+  run of the streaming microcode recipe, one operation per RAC block
+  (single IRQ per batch);
 * :class:`~repro.sched.scheduler.ThroughputScheduler` -- the
   cycle-accurate dispatcher (bounded queues, back-pressure, pluggable
   round-robin / shortest-queue / cost-aware fairness, IRQ-driven
@@ -23,7 +24,7 @@ correctness machinery:
   against.
 """
 
-from .batch import Batch, compose_batch, job_program
+from .batch import Batch, compose_batch
 from .capability import CapabilityTable
 from .job import Job, JobResult
 from .reference import run_sequential_reference
@@ -52,6 +53,5 @@ __all__ = [
     "SlaRejectionError",
     "ThroughputScheduler",
     "compose_batch",
-    "job_program",
     "run_sequential_reference",
 ]

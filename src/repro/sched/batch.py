@@ -1,84 +1,35 @@
 """Batch composition: fuse small jobs into one microcode program.
 
-Each job contributes the canonical Figure-4 shape (stream in, start,
-stream out) at a distinct offset inside the batch's shared input and
-output arenas; :func:`repro.core.codegen.concat_programs` fuses the
-per-job programs into one image that raises a single end-of-program
-interrupt for the whole batch.  That program depends only on the
-jobs' sizes and the transfer chunk, so each size shape is built and
-encoded once and shared by every batch of that shape.
+Jobs are laid out back to back inside the batch's shared input and
+output arenas, so the batch is one run of the canonical streaming
+recipe (:func:`repro.core.program.streaming_program`) with one
+operation per RAC block: each block is streamed in, started and
+drained at its own offset, and the program raises a single
+end-of-program interrupt for the whole batch.  That program depends
+only on the block count, the block size and the transfer chunk, so each
+shape is built and encoded once and shared by every batch of that
+shape.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
-from ..core.codegen import concat_programs
-from ..core.isa import MAX_OFFSET, MAX_TRANSFER_WORDS
-from ..core.program import OuProgram
+from ..core.program import OuProgram, streaming_program
 from ..sim.errors import ConfigurationError
 from .job import Job
 
-#: microcode bank numbers the scheduler configures on every dispatch
-PROG_BANK = 0
-IN_BANK = 1
-OUT_BANK = 2
-
-
-def job_program(
-    job: Job, in_offset: int = 0, out_offset: int = 0, chunk: int = 64,
-) -> OuProgram:
-    """The standalone (terminated) microcode for one job.
-
-    The sequential reference runner executes exactly this program, so
-    batched execution is differentially comparable instruction by
-    instruction.
-    """
-    _check_offsets(job, in_offset, out_offset)
-    return _transfer_program(job.size, in_offset, out_offset, chunk)
-
-
-def _check_offsets(job: Job, in_offset: int, out_offset: int) -> None:
-    if in_offset + job.size - 1 > MAX_OFFSET:
-        raise ConfigurationError(
-            f"job {job.job_id}: input offset {in_offset}+{job.size} "
-            f"exceeds the ISA offset field (max {MAX_OFFSET})"
-        )
-    if out_offset + job.size - 1 > MAX_OFFSET:
-        raise ConfigurationError(
-            f"job {job.job_id}: output offset {out_offset}+{job.size} "
-            f"exceeds the ISA offset field (max {MAX_OFFSET})"
-        )
-
-
-def _transfer_program(size: int, in_offset: int, out_offset: int,
-                      chunk: int) -> OuProgram:
-    """Stream ``size`` words in, start, stream them out, ``eop``."""
-    chunk = min(chunk, MAX_TRANSFER_WORDS)
-    return (
-        OuProgram()
-        .stream_to(IN_BANK, size, chunk=chunk, base_offset=in_offset)
-        .execs()
-        .stream_from(OUT_BANK, size, chunk=chunk, base_offset=out_offset)
-        .eop()
-    )
-
 
 @functools.lru_cache(maxsize=256)
-def _shape_program(
-    sizes: Tuple[int, ...], chunk: int,
+def shape_program(
+    operations: int, block: int, chunk: int,
 ) -> Tuple[OuProgram, Tuple[int, ...]]:
-    """The batched program of jobs of ``sizes`` laid out back to back,
+    """The batched program of ``operations`` blocks of ``block`` words,
     and its encoding.  Cached per shape; the program is shared by every
-    batch of that shape and never mutated."""
-    programs: List[OuProgram] = []
-    offset = 0
-    for size in sizes:
-        programs.append(_transfer_program(size, offset, offset, chunk))
-        offset += size
-    program = concat_programs(programs)
+    batch of that shape and must not be mutated."""
+    program = streaming_program([block], [block], operations, chunk)
     return program, tuple(program.words())
 
 
@@ -86,8 +37,8 @@ def _shape_program(
 class Batch:
     """A group of jobs fused into one dispatch.
 
-    ``program`` is shared by every batch of the same job sizes and
-    chunk and must not be mutated; ``words`` is its encoding.
+    ``program`` is shared by every batch of the same shape and must not
+    be mutated; ``words`` is its encoding.
     """
 
     batch_id: int
@@ -103,21 +54,32 @@ class Batch:
         return sum(job.size for job in self.jobs)
 
 
-def compose_batch(jobs: List[Job], batch_id: int, chunk: int = 64) -> Batch:
+def compose_batch(
+    jobs: List[Job], batch_id: int, chunk: int = 64,
+    block: Optional[int] = None,
+) -> Batch:
     """Fuse ``jobs`` into a single batched program.
 
-    Jobs are laid out back to back in the input and output arenas, in
-    submission order; program order equals submission order, so chains
-    batched together keep their dependency order.
+    ``block`` is the RAC's words per operation (default: the first
+    job's size, i.e. one operation per job); every job must be a whole
+    number of blocks.  Jobs are laid out back to back in the input and
+    output arenas, in submission order; program order equals submission
+    order, so chains batched together keep their dependency order.
     """
     if not jobs:
         raise ConfigurationError("cannot compose an empty batch")
+    if block is None:
+        block = jobs[0].size
     offsets: List[int] = []
-    offset = 0
+    total = 0
     for job in jobs:
-        _check_offsets(job, offset, offset)
-        offsets.append(offset)
-        offset += job.size
-    program, words = _shape_program(tuple(job.size for job in jobs), chunk)
+        if job.size % block:
+            raise ConfigurationError(
+                f"job {job.job_id}: {job.size} words are not a whole "
+                f"number of {block}-word blocks"
+            )
+        offsets.append(total)
+        total += job.size
+    program, words = shape_program(total // block, block, chunk)
     return Batch(batch_id, list(jobs), program, words, offsets,
                  list(offsets))

@@ -2,19 +2,21 @@
 
 Runs a job stream one job at a time, in submission order, on a
 one-OCP SoC per kernel kind, through the ordinary blocking driver --
-no scheduler, no batching, no concurrency.  The scheduled multi-OCP
-run must be bit-exact against this: kernels are pure functions of
-their input block, so neither placement, nor batching, nor
-interleaving may change any output word.
+no scheduler, no batching, no concurrency.  Each job runs the program
+a dispatch of that job alone stages: the streaming recipe over its RAC
+blocks.  The scheduled multi-OCP run must be bit-exact against this:
+kernels are pure functions of their input block, so neither
+placement, nor batching, nor interleaving may change any output word.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Mapping
 
+from ..core.program import bank_addresses
 from ..sim.errors import ConfigurationError
 from ..sw.driver import OuessantDriver
-from .batch import job_program
+from .batch import compose_batch
 from .job import Job
 
 #: reference arenas (same low-RAM layout the driver examples use)
@@ -42,9 +44,9 @@ def run_sequential_reference(
     socs: Dict[str, SoC] = {}
     drivers: Dict[str, OuessantDriver] = {}
     results: Dict[str, List[int]] = {}
-    prog = RAM_BASE + REF_PROG_OFFSET
     inp = RAM_BASE + REF_IN_OFFSET
     out = RAM_BASE + REF_OUT_OFFSET
+    banks = bank_addresses(RAM_BASE + REF_PROG_OFFSET, [inp], [out])
     for job in jobs:
         if job.kind not in socs:
             try:
@@ -56,10 +58,9 @@ def run_sequential_reference(
             socs[job.kind] = SoC(racs=[factory()], **kwargs)
             drivers[job.kind] = OuessantDriver(socs[job.kind])
         soc = socs[job.kind]
-        program = job_program(job, 0, 0, chunk=chunk)
+        batch = compose_batch([job], 0, chunk,
+                              block=soc.ocp.rac.items_in[0])
         soc.write_ram(inp, job.words)
-        drivers[job.kind].run(
-            program.words(), banks={0: prog, 1: inp, 2: out},
-        )
+        drivers[job.kind].run(list(batch.words), banks=banks)
         results[job.job_id] = soc.read_ram(out, job.size)
     return results

@@ -26,6 +26,7 @@ from typing import Any, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..bus.types import AccessKind, BusTransfer
 from ..core.coprocessor import OuessantCoprocessor
+from ..core.program import bank_addresses, check_chunk
 from ..core.registers import REG_CTRL, config_writes, start_word, trap_code
 from ..sim.errors import ConfigurationError, ReproError
 from ..sim.kernel import MAX_WAIT_CYCLES, Component
@@ -36,7 +37,7 @@ from ..verify.diagnostics import (
     VerifyReport,
     has_error_findings,
 )
-from .batch import Batch, compose_batch
+from .batch import Batch, compose_batch, shape_program
 from .capability import CapabilityTable
 from .job import Job, JobResult
 
@@ -90,7 +91,9 @@ class SlotPlan:
 
     index: int
     kind: str
-    appetite: int
+    #: words per operation on each input / output port of the RAC
+    items_in: Tuple[int, ...]
+    items_out: Tuple[int, ...]
     max_job_words: int
     prog_base: int
     in_base: int
@@ -102,14 +105,13 @@ class SlotPlan:
     def of(cls, index: int, rac: Any, arena: int) -> "SlotPlan":
         """The plan of OCP ``index`` hosting ``rac``, with its program,
         input and output arenas laid out from ``arena`` upwards."""
-        items_in = getattr(rac, "items_in", None)
         return cls(
             index=index,
             kind=str(rac.kind),
-            appetite=int(items_in[0]) if items_in else 1,
-            # a whole job's output must fit in the out FIFO: the batched
-            # program interleaves push/start/drain per job, so a job
-            # larger than the drainless FIFO capacity could deadlock
+            items_in=tuple(int(items) for items in rac.items_in),
+            items_out=tuple(int(items) for items in rac.items_out),
+            # a job stays within one output FIFO of words (and the
+            # arena); racelint sizes its batch widening by this bound
             max_job_words=min(int(rac.ports.fifo_depth), ARENA_WORDS),
             prog_base=arena,
             in_base=arena + ARENA_REGION_BYTES,
@@ -118,9 +120,19 @@ class SlotPlan:
             reg_bytes=OuessantCoprocessor.WINDOW_BYTES,
         )
 
+    @property
+    def appetite(self) -> int:
+        """Words per operation: the block a job is a multiple of."""
+        return self.items_in[0]
+
     def feasible(self, job: Job) -> bool:
-        """Can this OCP physically run ``job``?"""
-        return (job.size % max(1, self.appetite) == 0
+        """Can this OCP physically run ``job``?  The RAC must stream one
+        input port into an output port of the same size (the shape the
+        batch recipe drives), and the job must be whole blocks that fit
+        the output FIFO."""
+        items_in = self.items_in
+        return (len(items_in) == 1 and self.items_out == items_in
+                and job.size % items_in[0] == 0
                 and job.size <= self.max_job_words)
 
 
@@ -144,13 +156,19 @@ def feasible_slots(
 
     Raises :class:`ConfigurationError` when none does.
     """
-    fits = tuple(index for index in capability.serving(job.kind)
+    serving = capability.serving(job.kind)
+    fits = tuple(index for index in serving
                  if index in plans and plans[index].feasible(job))
     if not fits:
+        shapes = ", ".join(
+            f"OCP {index} ports in {list(plans[index].items_in)} "
+            f"out {list(plans[index].items_out)}"
+            for index in serving if index in plans)
         raise ConfigurationError(
             f"job {job.job_id} ({job.kind}, {job.size} words) fits "
-            "no serving OCP (size must be a multiple of the RAC "
-            "block size and fit its output FIFO)"
+            f"no serving OCP ({shapes}): the RAC must stream one input "
+            "port into an output port of the same size, and the job "
+            "must be a multiple of that block and fit the output FIFO"
         )
     return fits
 
@@ -290,6 +308,9 @@ class ThroughputScheduler(Component):
     batch_jobs:
         Max jobs fused into one microcode program per dispatch
         (1 = no batching).
+    chunk:
+        Words per ``mvtc``/``mvfc`` of the staged programs, in
+        ``1..MAX_TRANSFER_WORDS``.
     max_retries:
         Re-dispatch attempts after a trapped batch before
         :class:`SchedulerError` is raised.
@@ -336,6 +357,7 @@ class ThroughputScheduler(Component):
             raise ConfigurationError("queue_bound must be >= 1")
         if batch_jobs < 1:
             raise ConfigurationError("batch_jobs must be >= 1")
+        check_chunk(chunk)
         self._soc = soc
         self.capability = capability or CapabilityTable.from_soc(soc)
         report = self.capability.validate(soc)
@@ -483,8 +505,8 @@ class ThroughputScheduler(Component):
     ) -> "Optional[Tuple[int, int]]":
         """``(mid, hi)`` of the job's predicted cycle cost on ``slot``.
 
-        Bounds the per-job offset program the dispatcher will actually
-        stage (see :func:`repro.sched.batch.job_program`) through
+        Bounds the program the dispatcher stages for the job alone
+        (the streaming recipe over its blocks) through
         :mod:`repro.perfbound`, against the slot RAC's timing contract
         and the SoC's real bus protocol and memory latency.  ``None``
         when the cost has no static bound.  Cached per
@@ -494,13 +516,13 @@ class ThroughputScheduler(Component):
         if key in self._cost_cache:
             return self._cost_cache[key]
         from ..perfbound import CostModel, bound_program
-        from .batch import job_program
 
         bounds: Optional[Tuple[int, int]] = None
         model = CostModel.of_ocp(
             slot.ocp, self._soc.bus.protocol,
             getattr(self._soc.memory, "access_latency", 1))
-        program = job_program(job, 0, 0, chunk=self.chunk)
+        block = slot.plan.appetite
+        program, _ = shape_program(job.size // block, block, self.chunk)
         bound = bound_program(
             list(program.instructions), slot.ocp.rac, model=model)
         if bound.bounded:
@@ -692,7 +714,8 @@ class ThroughputScheduler(Component):
             jobs.append(job)
             dispatch_cycles.append(submitted)
             total += job.size
-        batch = compose_batch(jobs, self._next_batch_id, chunk=self.chunk)
+        batch = compose_batch(jobs, self._next_batch_id, chunk=self.chunk,
+                              block=slot.plan.appetite)
         self._next_batch_id += 1
         batch.attempts = 1
         slot.batch = batch
@@ -729,7 +752,7 @@ class ThroughputScheduler(Component):
         assert slot.batch is not None
         plan = slot.plan
         slot.writes = config_writes(
-            {0: plan.prog_base, 1: plan.in_base, 2: plan.out_base},
+            bank_addresses(plan.prog_base, [plan.in_base], [plan.out_base]),
             len(slot.batch.words))
         slot.writes.append((REG_CTRL, _START))
         slot.state = "config"

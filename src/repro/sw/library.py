@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.firmware import FirmwarePlan, plan_streaming_run
+from ..core.program import bank_addresses
 from ..rac.base import StreamingRAC
 from ..rac.dft import DFTRac
 from ..rac.fir import FIRRac
@@ -21,6 +22,7 @@ from ..rac.matmul import MatMulRac
 from ..sim.errors import DriverError
 from ..system import RAM_BASE, SoC
 from ..utils import fixedpoint as fp
+from ..utils.bits import to_signed
 from .baremetal import BaremetalRuntime
 from .driver import RunResult
 from .linux import LinuxRuntime
@@ -66,7 +68,6 @@ class OuessantLibrary:
         soc: SoC,
         environment: str = "baremetal",
         use_interrupt: bool = True,
-        data_path: str = "mmap",
     ) -> None:
         self.soc = soc
         self.allocator = _BankAllocator(soc)
@@ -81,10 +82,7 @@ class OuessantLibrary:
             }
         elif environment == "linux":
             self._runtimes = {
-                i: LinuxRuntime(
-                    soc, ocp_index=i, data_path=data_path,
-                    use_interrupt=use_interrupt,
-                )
+                i: LinuxRuntime(soc, ocp_index=i, use_interrupt=use_interrupt)
                 for i in range(len(soc.ocps))
             }
         else:
@@ -130,18 +128,18 @@ class OuessantLibrary:
                     f"got {len(words)}"
                 )
         self.allocator.reset()
+        alloc = self.allocator.alloc
         words = plan.words
-        addresses = {0: self.allocator.alloc(len(words) + 4)}
-        for bank, count in zip(plan.input_banks, plan.words_in):
-            addresses[bank] = self.allocator.alloc(count)
-        for bank, count in zip(plan.output_banks, plan.words_out):
-            addresses[bank] = self.allocator.alloc(count)
-        for bank, values in zip(plan.input_banks, inputs):
-            self.soc.write_ram(addresses[bank], list(values))
-        self.last_result = self._runtimes[index].run(words, addresses)
+        prog = alloc(len(words) + 4)
+        in_addresses = [alloc(count) for count in plan.words_in]
+        out_addresses = [alloc(count) for count in plan.words_out]
+        for address, values in zip(in_addresses, inputs):
+            self.soc.write_ram(address, list(values))
+        self.last_result = self._runtimes[index].run(
+            words, bank_addresses(prog, in_addresses, out_addresses))
         return [
-            self.soc.read_ram(addresses[bank], count)
-            for bank, count in zip(plan.output_banks, plan.words_out)
+            self.soc.read_ram(address, count)
+            for address, count in zip(out_addresses, plan.words_out)
         ]
 
     # -- accelerated calls --------------------------------------------------
@@ -219,7 +217,7 @@ class OuessantLibrary:
             [int(v) & 0xFFFFFFFF for v in samples],
             [int(v) & 0xFFFFFFFF for v in taps],
         ])
-        return [w - (1 << 32) if w & (1 << 31) else w for w in outputs[0]]
+        return [to_signed(w) for w in outputs[0]]
 
     def matmul(
         self, a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]
@@ -234,5 +232,5 @@ class OuessantLibrary:
         flat_b = [int(v) & 0xFFFFFFFF for row in b for v in row]
         plan = self._plan(rac)
         outputs = self._run_plan(index, plan, [flat_a, flat_b])
-        signed = [w - (1 << 32) if w & (1 << 31) else w for w in outputs[0]]
+        signed = [to_signed(w) for w in outputs[0]]
         return [signed[i * n : (i + 1) * n] for i in range(n)]

@@ -20,12 +20,12 @@ from typing import List
 import pytest
 
 from repro.bus.protocol import AXI4
+from repro.core.program import streaming_program
 from repro.mem.memory import Memory
 from repro.obs import attribute_schedule
 from repro.perfbound import CostModel, RacTiming, bound_program
 from repro.rac.scale import PassthroughRac, ScaleRac
 from repro.sched import Job, ThroughputScheduler, run_sequential_reference
-from repro.sched.batch import job_program
 from repro.sched.scheduler import SlaRejectionError
 from repro.soclint import lint_soc
 from repro.system import RAM_SIZE, build_mpsoc
@@ -159,7 +159,8 @@ def test_cost_bound_follows_the_elaborated_ocp(prefetch):
         prefetch=prefetch, memory=Memory("ram", RAM_SIZE, access_latency=3))
     sched = ThroughputScheduler(soc)
     job = Job("j", "passthrough", list(range(2 * BLOCK)))
-    program = list(job_program(job, 0, 0, chunk=sched.chunk).instructions)
+    program = streaming_program([BLOCK], [BLOCK], 2,
+                                sched.chunk).instructions
     spelled_out = CostModel(
         protocol=AXI4, mem_latency=Interval.point(3),
         rac=RacTiming.of(rac), ibuf_size=2, prefetch=prefetch)

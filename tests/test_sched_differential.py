@@ -29,14 +29,10 @@ from typing import Callable, Dict, List
 import pytest
 
 from repro.core.codegen import concat_programs
+from repro.core.program import OuProgram
 from repro.faults import FaultEvent, FaultKind, FaultPlan, inject_faults
 from repro.rac.scale import PassthroughRac, ScaleRac
-from repro.sched import (
-    Job,
-    ThroughputScheduler,
-    job_program,
-    run_sequential_reference,
-)
+from repro.sched import Job, ThroughputScheduler, run_sequential_reference
 from repro.sched.scheduler import SCHED_ARENA_BASE_OFFSET
 from repro.system import RAM_BASE, build_mpsoc
 
@@ -169,20 +165,26 @@ def test_corrupted_batch_traps_watchdog_and_retries_bit_exact():
     assert scheduled == reference
 
 
-def _fresh_batch_words(jobs: List[Job], chunk: int) -> List[int]:
-    """The batch program of ``jobs`` built from scratch, job by job."""
-    programs, offset = [], 0
-    for job in jobs:
-        programs.append(job_program(job, offset, offset, chunk=chunk))
-        offset += job.size
-    return concat_programs(programs).words()
+def _fresh_batch_words(jobs: List[Job], block: int,
+                       chunk: int) -> List[int]:
+    """The batch program of ``jobs`` built from scratch: the standalone
+    program of each ``block``-word RAC operation (a whole job, for
+    one-block jobs) at its own offset, laid end to end."""
+    total = sum(job.size for job in jobs)
+    return concat_programs([
+        OuProgram()
+        .stream_to(1, block, chunk=chunk, base_offset=offset).execs()
+        .stream_from(2, block, chunk=chunk, base_offset=offset).eop()
+        for offset in range(0, total, block)
+    ]).words()
 
 
 def test_batch_programs_are_shared_per_shape_and_stay_intact():
-    """Batches of one size shape share one composed program.  Each
-    dispatch must still stage, word for word, what a fresh composition
-    of its own jobs gives, and a corruption of the staged copy (healed
-    by the retry) must leave the shared program as it was."""
+    """Batches of one shape (RAC block count and size) share one
+    composed program.  Each dispatch must still stage, word for word,
+    what a fresh composition of its own blocks gives, and a corruption
+    of the staged copy (healed by the retry) must leave the shared
+    program as it was."""
     seed = SEED_BASE + 99
     n_ocps = 2
     jobs = _stream(seed, n_ocps, n_jobs=24)
@@ -201,24 +203,38 @@ def test_batch_programs_are_shared_per_shape_and_stay_intact():
 
     def spy(slot, batch):
         place(slot, batch)
-        staged.append((batch, soc.read_ram(slot.plan.prog_base,
-                                           len(batch.words))))
+        staged.append((batch, slot.plan.appetite,
+                       soc.read_ram(slot.plan.prog_base, len(batch.words))))
 
     sched._place_batch = spy
     results = sched.run_stream(jobs)
     assert any(result.attempts > 1 for result in results)
     shared = {}
-    for batch, words in staged:
-        assert words == _fresh_batch_words(batch.jobs, sched.chunk)
-        shape = tuple(job.size for job in batch.jobs)
+    for batch, block, words in staged:
+        assert words == _fresh_batch_words(batch.jobs, block, sched.chunk)
+        shape = (batch.total_words // block, block)
         assert shared.setdefault(shape, batch.program) is batch.program
-    assert len(shared) < len({batch.batch_id for batch, _ in staged})
-    for batch, _ in staged:
+    assert len(shared) < len({batch.batch_id for batch, _, _ in staged})
+    for batch, block, _ in staged:
         assert batch.program.words() == list(batch.words) \
-            == _fresh_batch_words(batch.jobs, sched.chunk)
+            == _fresh_batch_words(batch.jobs, block, sched.chunk)
     scheduled = {r.job.job_id: r.outputs for r in results}
     assert scheduled == run_sequential_reference(
         jobs, _factories(n_ocps, seed))
+
+
+def test_multi_block_job_starts_the_rac_once_per_block():
+    """A RAC that waits for its start gets one per block: a two-block
+    job batched behind a one-block job completes bit-exact."""
+    def rac():
+        return PassthroughRac(block_size=PT_BLOCK, autostart=False)
+
+    jobs = [Job("two", "passthrough", list(range(100, 100 + 2 * PT_BLOCK))),
+            Job("one", "passthrough", list(range(PT_BLOCK)))]
+    sched = ThroughputScheduler(build_mpsoc([rac()]), batch_jobs=2)
+    results = sched.run_stream(jobs, max_cycles=50_000)
+    assert {r.job.job_id: r.outputs for r in results} == \
+        run_sequential_reference(jobs, {"passthrough": rac})
 
 
 def test_chained_jobs_bit_exact_with_batching():

@@ -11,7 +11,8 @@ the differential (bit-exactness) gate:
 * batching never reorders jobs within a dependency chain, and a chain
   never migrates between OCPs;
 * malformed submissions (duplicate ids, unknown kinds, infeasible
-  sizes) are rejected loudly at submit time, not lost at dispatch;
+  sizes, RACs the batch recipe cannot stream) are rejected loudly at
+  submit time, not lost at dispatch;
 * ``idle``, read from the queued-job set and the busy-slot count, is
   what every slot's state and queue say, through faulted retries.
 """
@@ -26,6 +27,8 @@ import pytest
 from repro.bus.types import BusSlave
 from repro.core.registers import REG_CTRL, REG_PROG_SIZE
 from repro.faults import FaultEvent, FaultKind, FaultPlan, inject_faults
+from repro.rac.base import RACPortSpec, StreamingRAC
+from repro.rac.fir import FIRRac
 from repro.rac.scale import PassthroughRac, ScaleRac
 from repro.sched import (
     CapabilityTable,
@@ -201,6 +204,31 @@ def test_infeasible_size_is_rejected():
         sched.submit(Job("odd", "passthrough", list(range(BLOCK + 1))))
     with pytest.raises(ConfigurationError, match="fits no serving OCP"):
         sched.submit(Job("huge", "passthrough", list(range(BLOCK * 64))))
+
+
+def test_rac_the_scheduler_cannot_stream_is_refused():
+    # FIR takes its taps on a second input port and a RAC may emit
+    # fewer words than it takes: the batch recipe streams one input
+    # port into an equal output port, so such jobs would hang
+    short = StreamingRAC(
+        "short", [BLOCK], [BLOCK // 2],
+        lambda collected: [collected[0][:BLOCK // 2]],
+        ports=RACPortSpec([32], [32]),
+    )
+    soc = build_mpsoc([FIRRac(name="fir0", block_size=16, n_taps=4), short])
+    sched = ThroughputScheduler(soc)
+    with pytest.raises(ConfigurationError,
+                       match=r"OCP 0 ports in \[16, 4\] out \[16\]"):
+        sched.submit(Job("f", "fir", list(range(16))))
+    with pytest.raises(ConfigurationError,
+                       match=r"OCP 1 ports in \[8\] out \[4\]"):
+        sched.submit(Job("s", "streaming", list(range(BLOCK))))
+
+
+@pytest.mark.parametrize("chunk", [0, 129, 200])
+def test_chunk_outside_the_transfer_count_is_refused(chunk):
+    with pytest.raises(ConfigurationError, match="chunk must be in"):
+        ThroughputScheduler(_soc(2), chunk=chunk)
 
 
 def test_empty_job_is_rejected():

@@ -21,11 +21,12 @@ from repro.core.coprocessor import OuessantCoprocessor
 from repro.core.program import OuProgram
 from repro.mem.memory import Memory
 from repro.rac.fifo import FIFO
-from repro.rac.scale import PassthroughRac, ScaleRac, _resign
+from repro.rac.scale import PassthroughRac, ScaleRac
 from repro.sim.errors import ConfigurationError, ReproError
 from repro.soclint import lint_map_plan, lint_soc
 from repro.sw.driver import OuessantDriver
 from repro.system import OCP_BASE, RAM_BASE, RAM_SIZE, SoC
+from repro.utils.bits import to_signed
 
 N_CLEAN_CONFIGS = 150
 
@@ -94,7 +95,7 @@ def _seeded_config(seed):
             fifo_depth=depth,
         )
         expected = lambda ws: [
-            ((_resign(w) * factor) >> shift) & 0xFFFFFFFF for w in ws
+            ((to_signed(w) * factor) >> shift) & 0xFFFFFFFF for w in ws
         ]
     soc = SoC(
         racs=[rac],
