@@ -20,7 +20,7 @@ their bookkeeping with attribute and subscript operations, and these
 counts show when one starts paying for a Python call instead.
 
 The kernel's compiled walk is listed under the synthetic filenames of
-its generated source, such as ``<sim walk 3fadaca0 scan>:2
+its generated source, such as ``<sim walk 5ba48dd3 scan>:2
 dispatch_scan`` on the Figure 4 SoC; they depend only on the shape of
 the component list, so they are the same in every run.
 
@@ -52,9 +52,9 @@ from repro.system import RAM_BASE, SoC, build_mpsoc
 from repro.utils import fixedpoint as fp
 
 #: calls per op allowed by ``--check``: 3% above the counts measured
-#: with CPython 3.11 when each entry was set (5539, 493.1 and 931), for
+#: with CPython 3.11 when each entry was set (4811, 445.4 and 824), for
 #: the interpreter differences between CPython versions
-BUDGET = {"fig4_op": 5706, "sched_job": 507, "jpeg_block": 959}
+BUDGET = {"fig4_op": 4956, "sched_job": 459, "jpeg_block": 849}
 
 #: frames that CPython 3.12 inlines into their caller
 _INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from ..sim.errors import BusError, BusFaultError
-from ..sim.kernel import MAX_WAIT_CYCLES, Component
+from ..sim.kernel import MAX_WAIT_CYCLES, Component, inlined_claim
 from ..sim.tracing import Stats, elapsed
 from .arbiter import Arbiter, FixedPriorityArbiter
 from .memmap import MemoryMap, Region
@@ -136,8 +136,8 @@ class SystemBus(Component):
         keys = self._master_keys.get(master) or self._keys(master)
         counts[keys[0]] += 1
         # a new request makes the bus due (grant) this very cycle if
-        # idle -- drop its cached quiescence claim
-        self.poke()
+        # idle; its claim is inlined, never cached: drop its cluster's
+        self._cluster._wake_valid = False
         return transfer
 
     def access(
@@ -229,16 +229,15 @@ class SystemBus(Component):
         if self._pending:
             self._grant(now)
 
-    def next_activity(self):
-        # an in-flight transfer occupies the bus until _busy_until; the
-        # ticks in between are no-ops, so the completion cycle is the
-        # next real work
-        now = self.sim.cycle
-        if self._current is not None:
-            return self._busy_until if self._busy_until > now else now
-        if self._pending:
-            return now  # a grant is due this cycle
-        return None  # idle until a master submits a request
+    #: an in-flight transfer occupies the bus until ``_busy_until``; the
+    #: ticks in between are no-ops, so the completion cycle is the next
+    #: real work.  A pending request makes a grant due this cycle;
+    #: otherwise the bus is idle until a master submits one.  The walk
+    #: inlines this claim, so ``submit`` drops the claim of the bus's
+    #: cluster (a tick drops it in the walk)
+    next_activity = inlined_claim(
+        "({c}._busy_until if {c}._busy_until > {now} else {now}) "
+        "if {c}._current is not None else {now} if {c}._pending else None")
 
     # -- internals -----------------------------------------------------------
     def _keys(self, master: str) -> Tuple[str, str]:

@@ -101,8 +101,9 @@ class MemoryMap:
         raise ConfigurationError(f"no region named {name!r} to replace")
 
     def find(self, address: int) -> Optional[Region]:
+        """The region that decodes ``address``, or None (for the static
+        analyzers; the bus decodes through :meth:`lookup`)."""
         for region in self._regions:
-            # ``contains``, inlined: every bus submit decodes here
             if region.base <= address < region.base + region.size:
                 return region
         return None
@@ -122,17 +123,21 @@ class MemoryMap:
     def lookup(self, address: int, span_bytes: int = 4) -> Tuple[Region, int]:
         """Resolve an access; the whole span must fit in one region.
 
-        Returns ``(region, byte_offset_within_region)``.
+        Returns ``(region, byte_offset_within_region)``.  Every bus
+        submit decodes here, so the decode and the bounds check are one
+        loop, with no call.
         """
-        region = self.find(address)
-        if region is None:
-            raise AddressError(f"no slave decodes address {address:#010x}")
-        if address + span_bytes > region.base + region.size:
-            raise AddressError(
-                f"access [{address:#x}+{span_bytes}] crosses the end of "
-                f"region {region}"
-            )
-        return region, address - region.base
+        for region in self._regions:
+            base = region.base
+            end = base + region.size
+            if base <= address < end:
+                if address + span_bytes > end:
+                    raise AddressError(
+                        f"access [{address:#x}+{span_bytes}] crosses the "
+                        f"end of region {region}"
+                    )
+                return region, address - base
+        raise AddressError(f"no slave decodes address {address:#010x}")
 
     def render(self) -> str:
         """Human-readable memory map listing."""

@@ -26,7 +26,7 @@ from ..bus.irq import IRQLine
 from ..bus.types import AccessKind, BusSlave, BusTransfer
 from ..mem.cache import Cache
 from ..sim.errors import ControllerError
-from ..sim.kernel import Component
+from ..sim.kernel import Component, inlined_claim
 from ..sim.tracing import Stats
 from .isa import MAX_OFFSET, N_BANKS
 from .perf import PERF_WINDOW_BYTES, PerfCounterBlock
@@ -66,11 +66,11 @@ class OuessantInterface(Component, BusSlave):
         #: past the configuration registers return 0 until then
         self.perf: Optional[PerfCounterBlock] = None
 
-    def next_activity(self):
-        # the interface has no clocked behaviour of its own: registers
-        # are written by bus transfers, signalling happens inside the
-        # controller's tick -- always safe to skip
-        return None
+    #: the interface has no clocked behaviour of its own: registers are
+    #: written by bus transfers, signalling happens inside the
+    #: controller's tick -- always safe to skip, so the walk emits no
+    #: block for it
+    next_activity = inlined_claim("None")
 
     # -- slave side (configuration registers + perf counters) ---------------
     def read_word(self, offset: int) -> int:

@@ -119,6 +119,11 @@ class _Phase(enum.Enum):
 #: computes output word lists from input word lists (one list per port)
 ComputeFn = Callable[[List[List[int]]], List[List[int]]]
 
+#: the :class:`StreamingRAC` hooks that a RAC with one port each way
+#: runs as straight single-port bodies (``_<name>_single``), chosen at
+#: construction unless its class overrides the general one
+SINGLE_STREAM_BODIES = ("next_activity", "_collect", "_emit")
+
 
 class StreamingRAC(RAC):
     """Collect / compute / emit accelerator behaviour.
@@ -144,7 +149,11 @@ class StreamingRAC(RAC):
     Each port moves one word per cycle while streaming.  :meth:`tick`
     and the hot batch lane's :meth:`tick_batch` share one body,
     :meth:`_collect` / :meth:`_emit`, which runs a given number of
-    those cycles at once.
+    those cycles at once.  A RAC with one port each way (every RAC of
+    the paper) gets straight single-port bodies of those two and of
+    :meth:`next_activity` at construction
+    (:data:`SINGLE_STREAM_BODIES`); a multi-port RAC loops over its
+    ports.
     """
 
     kind = "streaming"
@@ -184,6 +193,14 @@ class StreamingRAC(RAC):
         #: behaviour: the shape the batch lane handles
         self._single_stream = (n_in == 1 and n_out == 1
                                and type(self).tick is StreamingRAC.tick)
+        if n_in == 1 and n_out == 1 and all(
+                getattr(type(self), name) is getattr(StreamingRAC, name)
+                for name in SINGLE_STREAM_BODIES):
+            # one port each way: the straight single-port bodies, chosen
+            # once here instead of a loop over the ports on every call
+            for name in SINGLE_STREAM_BODIES:
+                setattr(self, name,
+                        getattr(self, f"_{name.lstrip('_')}_single"))
 
     # -- handshake ---------------------------------------------------------
     def start_op(self) -> None:
@@ -227,13 +244,35 @@ class StreamingRAC(RAC):
                 return now
         return None  # all remaining output FIFOs are full
 
+    def _next_activity_single(self):
+        """:meth:`next_activity` of a RAC with one port each way."""
+        phase = self._phase
+        if phase is _Phase.COMPUTE:
+            return self._compute_at
+        if phase is _Phase.COLLECT:
+            if len(self._collected[0]) < self.items_in[0]:
+                return self.sim.cycle if self.inputs[0].occupancy else None
+            return self.sim.cycle
+        if phase is _Phase.DONE:
+            if self.autostart and self.inputs[0].occupancy:
+                return self.sim.cycle
+            return None
+        if (self._emitted[0] < self.items_out[0]
+                and self.outputs[0].free_push_words):
+            return self.sim.cycle
+        return None
+
     # -- per-cycle behaviour -----------------------------------------------
     def tick(self) -> None:
         if self._phase is _Phase.DONE:
-            if self.autostart and any(f.occupancy for f in self.inputs):
-                self._begin_collect()
+            if not self.autostart:
+                return
+            for fifo in self.inputs:
+                if fifo.occupancy:
+                    break
             else:
                 return
+            self._begin_collect()
         if self._phase is _Phase.COLLECT:
             self._collect(1)
         elif self._phase is _Phase.COMPUTE:
@@ -259,6 +298,24 @@ class StreamingRAC(RAC):
             if len(collected) < self.items_in[port]:
                 done = False
         if done:
+            self._phase = _Phase.COMPUTE
+            self._compute_at = (self.sim.cycle + cycles
+                                + self.compute_latency)
+            self.trace_event("collect_done")
+
+    def _collect_single(self, cycles: int) -> None:
+        """:meth:`_collect` of a RAC with one port each way."""
+        collected = self._collected[0]
+        fifo = self.inputs[0]
+        take = self.items_in[0] - len(collected)
+        if cycles < take:
+            take = cycles
+        if fifo.occupancy < take:
+            take = fifo.occupancy
+        if take:
+            collected.extend(fifo.pop_many(take))
+            self.stats.counts["words_in"] += take
+        if len(collected) >= self.items_in[0]:
             self._phase = _Phase.COMPUTE
             self._compute_at = (self.sim.cycle + cycles
                                 + self.compute_latency)
@@ -304,6 +361,24 @@ class StreamingRAC(RAC):
             if sent < total:
                 all_done = False
         if all_done:
+            self._phase = _Phase.DONE
+            self._finish_op()
+
+    def _emit_single(self, cycles: int) -> None:
+        """:meth:`_emit` of a RAC with one port each way."""
+        fifo = self.outputs[0]
+        sent = self._emitted[0]
+        total = self.items_out[0]
+        words = total - sent
+        if cycles < words:
+            words = cycles
+        if fifo.free_push_words < words:
+            words = fifo.free_push_words
+        if words:
+            fifo.push_many(self._to_emit[0][sent:sent + words])
+            self._emitted[0] = sent = sent + words
+            self.stats.counts["words_out"] += words
+        if sent >= total:
             self._phase = _Phase.DONE
             self._finish_op()
 

@@ -19,7 +19,7 @@ import math
 from typing import Dict, List, Optional
 
 from ..sim.errors import ConfigurationError, FIFOError
-from ..sim.kernel import Component
+from ..sim.kernel import Component, inlined_claim
 from ..sim.tracing import Stats
 
 
@@ -156,7 +156,8 @@ class FIFO(Component):
                     staged.append((value >> (i * bits)) & atom_mask)
         self.free_push_words -= len(values)
         self.stats.counts["pushes"] += len(values)
-        self.poke()
+        # the claim is inlined, never cached: only the cluster's drops
+        self._cluster._wake_valid = False
 
     def pop(self) -> int:
         """Remove and return one pop-side word."""
@@ -260,12 +261,13 @@ class FIFO(Component):
         return max(1, -(-need // self._push_ratio))
 
     # -- clocked behaviour ------------------------------------------------
-    def next_activity(self):
-        # a FIFO acts only in commit, and only when a push staged data
-        # or a pop awaits its trace flush this cycle; otherwise it is
-        # idle until some other component pushes or pops (which makes
-        # that component active anyway)
-        return self.sim.cycle if (self._staged or self._pops_pending) else None
+    #: a FIFO acts only in commit, and only when a push staged data or a
+    #: pop awaits its trace flush this cycle; otherwise it is idle until
+    #: some other component pushes or pops (which makes that component
+    #: active anyway).  The walk inlines this claim, so ``_stage`` and
+    #: ``pop_many`` drop the claim of the FIFO's cluster
+    next_activity = inlined_claim(
+        "{now} if {c}._staged or {c}._pops_pending else None")
 
     def commit(self) -> None:
         # the payloads below are built only under a trace (a FIFO is

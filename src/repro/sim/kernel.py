@@ -28,8 +28,9 @@ The default *fast* schedule produces bit-identical results while
 touching only the components that matter.  Components declare
 *quiescence* through :meth:`Component.next_activity` ("my
 ``tick``/``commit`` are observable no-ops until cycle N, or until
-another component pokes me").  The kernel caches each answer, scans the
-cache once per event, and
+another component pokes me").  The kernel caches each answer (or, for a
+class that states its claim as a template, :func:`inlined_claim`,
+evaluates it in place), scans the claims once per event, and
 
 * fast-forwards the clock over windows in which no component is due,
 * ticks only the due components on the other cycles, and
@@ -313,8 +314,9 @@ _NO_CLUSTER = _Cluster([])
 # Python with one block per registered component (the flat walk) or per
 # cluster and member (the cluster walk), so each attribute site sees one
 # component class.  The source depends only on the *shape* of the
-# component list: one role digit per component (:func:`_role`), one
-# string per cluster.  :func:`_walk` compiles a shape once per process;
+# component list: per component its role digit (:func:`_role`) and its
+# inlined claim template, if any (:func:`_claim`), grouped per cluster.
+# :func:`_walk` compiles a shape once per process;
 # :meth:`Simulator._bind_walk` binds its components per simulator.
 
 #: how many compiled walk shapes :func:`_walk` keeps
@@ -333,8 +335,39 @@ def _role(comp: Component) -> str:
                   + 2 * (cls.commit is not Component.commit)]
 
 
-def _polled(comp: str, pad: str) -> List[str]:
-    """Read ``comp``'s cached claim into ``wake``, polling it if stale."""
+def inlined_claim(template: str) -> Callable[[Component], Optional[int]]:
+    """A ``next_activity`` built from a claim template, which the
+    compiled walk writes into the component's blocks instead of calling
+    it (see :func:`_claim`).
+
+    ``template`` is one side-effect-free Python expression of the
+    component's own fields, ``{c}``, and the current cycle, ``{now}``
+    (``"None"`` for a component that never wakes on its own).  Such a
+    claim is never cached, so whatever changes those fields drops only
+    the claim of the component's cluster (``_cluster._wake_valid =
+    False``, or a poke)."""
+    source = (f"def next_activity(self):\n"
+              f"    return {template.format(c='self', now='self.sim.cycle')}\n")
+    namespace: Dict[str, Any] = {}
+    exec(compile(source, f"<claim {template}>", "exec"), namespace)
+    claim = namespace["next_activity"]
+    claim.template = template
+    return claim
+
+
+def _claim(comp: Component) -> Optional[str]:
+    """``comp``'s inlined claim template, or None when the walk polls
+    its ``next_activity``.  Like :func:`_role`, the class decides: a
+    subclass overriding ``next_activity`` is polled, and an instance
+    wrapper is never consulted."""
+    return getattr(type(comp).next_activity, "template", None)
+
+
+def _polled(comp: str, template: Optional[str], pad: str) -> List[str]:
+    """Read ``comp``'s claim into ``wake``: its inlined template, or its
+    cached claim, polled when stale."""
+    if template is not None:
+        return [f"{pad}wake = {template.format(c=comp, now='now')}"]
     return [f"{pad}if {comp}._wake_valid:",
             f"{pad}    wake = {comp}._wake",
             f"{pad}else:",
@@ -342,15 +375,19 @@ def _polled(comp: str, pad: str) -> List[str]:
             f"{pad}    {comp}._wake_valid = True"]
 
 
-def _walk_source(shape: Tuple[str, ...],
+def _walk_source(shape: Tuple[Tuple[Tuple[str, Optional[str]], ...], ...],
                  clustered: bool) -> Tuple[str, str]:
     """The sources of one shape's two ``bind(sim, *components,
     *clusters)`` factories, returning its ``dispatch_scan`` and its
     ``dispatch_cycle``.  They compile separately: the compiler's
     transient memory grows faster than linearly with the source.
 
-    ``dispatch_scan(bound)`` is one pass over the cached quiescence
-    claims.  It returns ``(lanes, horizon)``: the due components in
+    ``shape`` holds, per cluster (one run for the flat walk), each
+    component's ``(role, claim)``: its :func:`_role` digit and its
+    inlined claim template (:func:`_claim`) or None.
+
+    ``dispatch_scan(bound)`` is one pass over the quiescence claims.
+    It returns ``(lanes, horizon)``: the due components in
     registration order (empty when none is due) and the earliest
     strictly-future wake clamped to ``bound``.  It keeps going past a
     due component only while every due component so far can batch; at
@@ -369,6 +406,11 @@ def _walk_source(shape: Tuple[str, ...],
     up those whose commit phase can still observe a backward poke (a
     FIFO staged into by a later producer).  A claim the sweep leaves
     invalid is polled by the next scan.
+
+    An inlined claim is evaluated in place, never cached.  A component
+    whose inlined claim is ``None`` gets no block at all, and one
+    whose class keeps the base ``tick`` gets none in the tick pass: it
+    cannot act there, and the sweep evaluates its claim afresh.
 
     On the cluster walk a cluster whose valid claim lies in the future
     costs one check in the scan and the tick pass; the scan caches a
@@ -392,6 +434,7 @@ def _walk_source(shape: Tuple[str, ...],
     sweep: List[str] = []
     for j, (codes, run) in enumerate(zip(shape, runs)):
         pad = "        "
+        ticks: List[str] = []
         if clustered:
             k = claims[j]
             members = run[0] if len(run) == 1 else f"{run[0]}..{run[-1]}"
@@ -406,12 +449,15 @@ def _walk_source(shape: Tuple[str, ...],
                      "        else:",
                      "            low = None",
                      "            quiet = True"]
-            cycle += [f"        # cluster {j}: {members}",
+            ticks += [f"        # cluster {j}: {members}",
                       f"        if not ({asleep}):"]
             pad = "            "
-        committers: List[str] = []
-        for code, c in zip(codes, run):
-            scan += _polled(c, pad) + [
+        ticked = len(ticks)
+        committers: List[Tuple[str, str, Optional[str]]] = []
+        for (code, template), c in zip(codes, run):
+            if template == "None":
+                continue
+            scan += _polled(c, template, pad) + [
                 f"{pad}if wake is not None:",
                 f"{pad}    if wake <= now:",
                 f"{pad}        if not {c}.can_batch:",
@@ -424,16 +470,22 @@ def _walk_source(shape: Tuple[str, ...],
             else:
                 scan += [f"{pad}    elif wake < horizon:",
                          f"{pad}        horizon = wake"]
-            cycle += _polled(c, pad) + [
-                f"{pad}if wake is not None and wake <= now:",
-                f"{pad}    {c}._ran_at = now"]
-            if code in "13":
-                cycle.append(f"{pad}    {c}.tick()")
-            cycle.append(f"{pad}    {c}._wake_valid = False")
-            if clustered:
-                cycle.append(f"{pad}    {k}._wake_valid = False")
             if code in "23":
-                committers.append(c)
+                committers.append((code, c, template))
+            if template is not None and code in "02":
+                continue
+            ticks += _polled(c, template, pad) + [
+                f"{pad}if wake is not None and wake <= now:"]
+            if code in "23":
+                ticks.append(f"{pad}    {c}._ran_at = now")
+            if code in "13":
+                ticks.append(f"{pad}    {c}.tick()")
+            if template is None:
+                ticks.append(f"{pad}    {c}._wake_valid = False")
+            if clustered:
+                ticks.append(f"{pad}    {k}._wake_valid = False")
+        if len(ticks) > ticked:
+            cycle += ticks
         if clustered:
             scan += ["            if low is not None and low < horizon:",
                      "                horizon = low",
@@ -442,15 +494,23 @@ def _walk_source(shape: Tuple[str, ...],
                      f"                {k}._wake_valid = True"]
             if committers:
                 sweep.append(f"        if not {k}._wake_valid:")
-        for c in committers:
-            sweep += [f"{pad}if {c}._ran_at == now:",
-                      f"{pad}    {c}.commit()",
-                      f"{pad}elif not {c}._wake_valid:",
-                      f"{pad}    {c}._wake = wake = {c}.next_activity()",
-                      f"{pad}    {c}._wake_valid = True",
-                      f"{pad}    if wake is not None and wake <= now:",
-                      f"{pad}        {c}.commit()",
-                      f"{pad}        {c}._wake_valid = False"]
+        for code, c, template in committers:
+            if template is None:
+                sweep += [f"{pad}if {c}._ran_at == now:",
+                          f"{pad}    {c}.commit()",
+                          f"{pad}elif not {c}._wake_valid:",
+                          f"{pad}    {c}._wake = wake = {c}.next_activity()",
+                          f"{pad}    {c}._wake_valid = True",
+                          f"{pad}    if wake is not None and wake <= now:",
+                          f"{pad}        {c}.commit()",
+                          f"{pad}        {c}._wake_valid = False"]
+                continue
+            due = (f"(wake := ({template.format(c=c, now='now')})) "
+                   "is not None and wake <= now")
+            if code == "3":
+                due = f"{c}._ran_at == now or {due}"
+            sweep += [f"{pad}if {due}:",
+                      f"{pad}    {c}.commit()"]
     scan += ["        return lanes, horizon",
              "    return dispatch_scan"]
     cycle += sweep + ["        sim.cycle = now + 1",
@@ -461,7 +521,7 @@ def _walk_source(shape: Tuple[str, ...],
 
 
 @lru_cache(maxsize=_WALK_SHAPES)
-def _walk(shape: Tuple[str, ...],
+def _walk(shape: Tuple[Tuple[Tuple[str, Optional[str]], ...], ...],
           clustered: bool) -> Tuple[Callable[..., Any], ...]:
     """The compiled ``bind`` factories of one walk shape's scan and
     cycle (see :func:`_walk_source`), shared by every simulator of
@@ -471,7 +531,7 @@ def _walk(shape: Tuple[str, ...],
     filename that depends only on the shape, so tracebacks and
     :func:`inspect.getsource` show the generated lines.
     """
-    key = ("cluster " if clustered else "flat ") + ".".join(shape)
+    key = ("cluster " if clustered else "flat ") + repr(shape)
     tag = f"{zlib.crc32(key.encode()):08x}"
     binds = []
     for part, source in zip(("scan", "cycle"),
@@ -681,7 +741,8 @@ class Simulator:
         clusters = self._clusters
         runs = ([self._components] if clusters is None
                 else [cluster.members for cluster in clusters])
-        shape = tuple("".join(map(_role, run)) for run in runs)
+        shape = tuple(tuple((_role(comp), _claim(comp)) for comp in run)
+                      for run in runs)
         bind_scan, bind_cycle = _walk(shape, clusters is not None)
         parts = (self, *self._components, *(clusters or ()))
         self._dispatch_scan = bind_scan(*parts)
@@ -889,9 +950,12 @@ class Simulator:
         self._tick_all()
 
     def _poll(self, comp: Component) -> Optional[int]:
-        """Re-poll a component's quiescence claim and cache it."""
-        comp._wake = wake = comp.next_activity()
-        comp._wake_valid = True
+        """Re-poll a component's quiescence claim and cache it, unless
+        the walk inlines it (an inlined claim is never cached)."""
+        wake = comp.next_activity()
+        if _claim(comp) is None:
+            comp._wake = wake
+            comp._wake_valid = True
         return wake
 
     def _grants(self, lanes: List[Component], horizon: int) -> bool:

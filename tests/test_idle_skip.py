@@ -1718,6 +1718,36 @@ def test_cluster_commit_sweep_sees_a_member_that_ticked(sim_kw):
     assert (alarm.rang, latch.published) == ([5], [5])
 
 
+def _host_pushes_into_a_sleeping_cluster(**soc_kw):
+    """Words pushed into OCP 1's input FIFO from outside the clock,
+    between ``step`` calls, while every cluster sleeps.  The FIFO's
+    claim is inlined (never cached), so the push must drop the claim of
+    its cluster, or the walk never commits the words and the
+    autostarting RAC never collects them."""
+    from repro.rac.scale import PassthroughRac
+    from repro.system import build_mpsoc
+
+    trace = Trace()
+    soc = build_mpsoc([PassthroughRac(name=f"pt{index}", block_size=4,
+                                      compute_latency=3)
+                       for index in range(2)], trace=trace, **soc_kw)
+    assert soc.sim._clusters is not None
+    soc.sim.step(10)
+    ocp = soc.ocps[1]
+    for word in range(1, 5):
+        ocp.fifos_in[0].push(word)
+        soc.sim.step(3)
+    soc.sim.step(20)
+    return (soc.sim.cycle, ocp.fifos_out[0].drain(), trace.dump(),
+            ocp.rac.stats.as_dict())
+
+
+def test_cluster_host_push_wakes_a_sleeping_cluster(schedule):
+    _, words, *_ = _agrees_with_naive(
+        _host_pushes_into_a_sleeping_cluster, schedule)
+    assert words == [1, 2, 3, 4]
+
+
 def test_cluster_walk_needs_two_groups():
     """One OCP is due on most events, so a single group keeps the flat
     walk; a second group switches the walk to clusters."""
@@ -1773,12 +1803,22 @@ def test_cluster_dpr_swap_between_scheduler_streams(schedule):
 
 
 def _walk_components(sim):
-    """The components the bound compiled walk holds."""
+    """The components the bound compiled walk holds, in registration
+    order (a component whose inlined claim is ``None`` has no block)."""
     cycle = sim._dispatch_cycle
     bound = {name: cell.cell_contents for name, cell in zip(
         cycle.__code__.co_freevars, cycle.__closure__)}
-    return [bound[f"c{index}"] for index in range(
-        sum(name[0] == "c" for name in bound))]
+    return [bound[name] for name in sorted(
+        (name for name in bound if name[0] == "c"),
+        key=lambda name: int(name[1:]))]
+
+
+def _walked(sim):
+    """The registered components the compiled walk must hold: all but
+    those whose inlined claim is ``None``."""
+    from repro.sim.kernel import _claim
+
+    return [comp for comp in sim.components if _claim(comp) != "None"]
 
 
 def _stepped_dpr_reconfigure(ocps, **soc_kw):
@@ -1811,7 +1851,7 @@ def _stepped_dpr_reconfigure(ocps, **soc_kw):
             soc.sim.step(7)
             if fast:
                 bound = _walk_components(soc.sim)
-                assert bound == soc.sim.components
+                assert bound == _walked(soc.sim)
                 assert old not in bound and soc.ocps[0].rac in bound
         jobs = [Job(f"w{wave}j{index}", "passthrough",
                     [rng.getrandbits(32) for _ in range(8)])
