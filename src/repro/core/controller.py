@@ -262,7 +262,7 @@ class OuessantController(Component):
         Its cycles are charged to ``cycles.fifo_stall`` and emitted as
         one aggregated ``stall`` event covering ``[at - cycles, at)``:
         one event per run (not per cycle) keeps declared-idle windows
-        event-free, as the strict idle-skip audit requires.
+        event-free, as the quiescence protocol requires.
         """
         cycles = self._stats.stop("cycles.fifo_stall", at)
         if cycles:

@@ -297,8 +297,9 @@ class FIFO(Component):
             self.wake_watchers()
 
     def audit_state(self) -> Dict[str, object]:
-        """Fields a strict-mode slab audit compares: the live contents
-        replace the ring layout, which depends on when it was compacted."""
+        """Fields the test suite's slab audit compares: the live
+        contents replace the ring layout, which depends on when it was
+        compacted."""
         state = dict(vars(self))
         state["_atoms"] = self._atoms[self._head:]
         state["_head"] = 0

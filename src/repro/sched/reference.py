@@ -18,11 +18,13 @@ from ..sim.errors import ConfigurationError
 from ..sw.driver import OuessantDriver
 from .batch import compose_batch
 from .job import Job
+from .scheduler import ARENA_REGION_BYTES
 
-#: reference arenas (same low-RAM layout the driver examples use)
+#: reference arenas in low RAM, one scheduler arena region each, so
+#: every job the scheduler accepts fits them
 REF_PROG_OFFSET = 0x1000
-REF_IN_OFFSET = 0x2000
-REF_OUT_OFFSET = 0x3000
+REF_IN_OFFSET = REF_PROG_OFFSET + ARENA_REGION_BYTES
+REF_OUT_OFFSET = REF_IN_OFFSET + ARENA_REGION_BYTES
 
 
 def run_sequential_reference(

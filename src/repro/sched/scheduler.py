@@ -105,14 +105,17 @@ class SlotPlan:
     def of(cls, index: int, rac: Any, arena: int) -> "SlotPlan":
         """The plan of OCP ``index`` hosting ``rac``, with its program,
         input and output arenas laid out from ``arena`` upwards."""
+        items_in = tuple(int(items) for items in rac.items_in)
+        block = items_in[0] if items_in else 1
         return cls(
             index=index,
             kind=str(rac.kind),
-            items_in=tuple(int(items) for items in rac.items_in),
+            items_in=items_in,
             items_out=tuple(int(items) for items in rac.items_out),
-            # a job stays within one output FIFO of words (and the
-            # arena); racelint sizes its batch widening by this bound
-            max_job_words=min(int(rac.ports.fifo_depth), ARENA_WORDS),
+            # the streaming recipe runs one operation per block, so a
+            # job is the whole blocks that fit the arena; racelint
+            # sizes its batch widening by this bound
+            max_job_words=ARENA_WORDS - ARENA_WORDS % block,
             prog_base=arena,
             in_base=arena + ARENA_REGION_BYTES,
             out_base=arena + 2 * ARENA_REGION_BYTES,
@@ -129,7 +132,7 @@ class SlotPlan:
         """Can this OCP physically run ``job``?  The RAC must stream one
         input port into an output port of the same size (the shape the
         batch recipe drives), and the job must be whole blocks that fit
-        the output FIFO."""
+        the arenas."""
         items_in = self.items_in
         return (len(items_in) == 1 and self.items_out == items_in
                 and job.size % items_in[0] == 0
@@ -168,7 +171,8 @@ def feasible_slots(
             f"job {job.job_id} ({job.kind}, {job.size} words) fits "
             f"no serving OCP ({shapes}): the RAC must stream one input "
             "port into an output port of the same size, and the job "
-            "must be a multiple of that block and fit the output FIFO"
+            f"must be whole blocks that fit the {ARENA_WORDS}-word "
+            "arena"
         )
     return fits
 
@@ -703,8 +707,8 @@ class ThroughputScheduler(Component):
         dispatch_cycles: List[int] = []
         while slot.queue and len(jobs) < self.batch_jobs:
             job, submitted = slot.queue[0]
-            # a batch must fit the shared arenas (per-job FIFO fit is
-            # already guaranteed at submission time)
+            # a batch must fit the shared arenas (each job alone fits
+            # them: :meth:`SlotPlan.feasible`)
             if jobs and total + job.size > ARENA_WORDS:
                 break
             slot.queue.popleft()

@@ -65,12 +65,10 @@ naive epoch drop every claim.  A component that samples other
 components every cycle (a waveform probe) is simply always due, so
 every cycle is dispatched while it is registered.
 
-``Simulator(strict=True)`` audits the fast schedule while it runs
-(:mod:`repro.sim.audit`): it checks each cached claim against a fresh
-one before trusting it -- claims carried over from a previous call
-included -- and re-executes each window it would skip or batch through
-the naive stepper.  The protocol and its correctness
-rules are documented in ``docs/SIMULATION.md``.
+The test suite audits the fast schedule against the naive one through
+a simulator subclass that wraps the walk :meth:`Simulator._bind_walk`
+binds; the shipping loop knows nothing of it.  The protocol and its
+correctness rules are documented in ``docs/SIMULATION.md``.
 """
 
 from __future__ import annotations
@@ -82,7 +80,6 @@ from functools import lru_cache
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, List, Optional,
                     Tuple)
 
-from . import audit
 from .errors import DeadlockError, SimulationError
 from .tracing import Trace
 
@@ -593,14 +590,6 @@ class Simulator:
         Run the fast schedule (default True).  With it off the kernel
         is the naive two-phase stepper; results must be bit-identical
         either way.
-    strict:
-        Audit the fast schedule: every cached quiescence claim is
-        re-polled before it is trusted, every declared-idle window is
-        executed through the naive stepper (asserting that no component
-        emitted a trace event or woke earlier than declared), and every
-        batch-lane span runs its ``tick_batch`` slabs on copies that
-        must match the naive replay of its cycles.  Used by the
-        equivalence tests; costs naive speed plus the checks.
     """
 
     #: predicate re-check granularity inside a declared-idle window --
@@ -614,12 +603,10 @@ class Simulator:
         self,
         trace: Optional[Trace] = None,
         idle_skip: bool = True,
-        strict: bool = False,
     ) -> None:
         self.cycle = 0
         self.trace = trace
         self.idle_skip = idle_skip
-        self.strict = strict
         #: name of the component that most recently emitted an event
         self.last_active: Optional[str] = None
         self._components: List[Component] = []
@@ -631,7 +618,7 @@ class Simulator:
         self._clusters: Optional[List[_Cluster]] = None
         self._names = set()
         #: per batch lane, the ids of the registered components it
-        #: drives (:func:`audit.driven`); cleared on add/remove
+        #: drives (:meth:`_drives`); cleared on add/remove
         self._driven: Dict[Component, FrozenSet[int]] = {}
         # accounting for profile()
         self._ticked = 0
@@ -737,7 +724,14 @@ class Simulator:
 
     def _bind_walk(self) -> None:
         """Bind the compiled walk of the registered components' shape
-        (compiling it on the shape's first use in the process)."""
+        (compiling it on the shape's first use in the process).
+
+        This is the kernel's one audit seam: it runs once per
+        registration change, so a subclass that wraps the
+        ``_dispatch_scan`` and ``_dispatch_cycle`` it binds sees every
+        decision of the fast schedule, and the shipping loop pays
+        nothing for the possibility (the test suite's audited
+        simulator, ``docs/SIMULATION.md``)."""
         clusters = self._clusters
         runs = ([self._components] if clusters is None
                 else [cluster.members for cluster in clusters])
@@ -801,7 +795,7 @@ class Simulator:
         record no trace events, so span reconstruction is impossible
         for them (``repro.obs`` refuses loudly).
         """
-        return self.trace is None and self.idle_skip and not self.strict
+        return self.trace is None and self.idle_skip
 
     # -- execution ---------------------------------------------------------
     def reset(self) -> None:
@@ -858,8 +852,6 @@ class Simulator:
         """
         start = self.cycle
         fast = self.idle_skip
-        # the shipping schedule; strict mode audits the same decisions
-        plain = fast and not self.strict
         # cached claims carry over from the previous call: whatever
         # mutated component state in between (a register backdoor, a
         # program load, a queued job) poked what it changed
@@ -878,7 +870,7 @@ class Simulator:
                     limit = now + self.max_skip_chunk
                     if limit > bound:
                         limit = bound
-                if plain:
+                if fast:
                     lanes, horizon = self._dispatch_scan(limit)
                     if lanes is None:
                         self._dispatch_cycle()
@@ -890,8 +882,6 @@ class Simulator:
                         self._dispatch_batch(lanes, horizon)
                     else:
                         self._dispatch_cycle()
-                elif fast:
-                    self._audited_event(limit)
                 else:
                     self._tick_all()
         finally:
@@ -924,40 +914,6 @@ class Simulator:
             comp._wake_valid = False
             comp._cluster._wake_valid = False
 
-    def _audited_event(self, bound: int) -> None:
-        """Strict mode: take the dispatch scan's decision, audited by
-        :mod:`repro.sim.audit` (the real system always ticks naively)."""
-        audit.audit_claims(self)
-        now = self.cycle
-        lanes, horizon = self._dispatch_scan(bound)
-        if lanes is None or (lanes and not self._grants(lanes, horizon)):
-            self._dispatch_cycle()
-            return
-        if lanes:
-            audit.audit_batch(self, lanes, horizon)
-        else:
-            audit.replay(self, horizon - now)
-        # the skip or slab a replay stands for leaves the claims cached:
-        # poll them afresh, so the claims carried past it (into the
-        # next public call, too) are audited like the fast schedule's
-        for comp in self._components:
-            self._poll(comp)
-
-    def _tick_settled(self) -> None:
-        """One naive cycle inside a fast epoch: drop cached wakes, tick
-        everything."""
-        self._invalidate()
-        self._tick_all()
-
-    def _poll(self, comp: Component) -> Optional[int]:
-        """Re-poll a component's quiescence claim and cache it, unless
-        the walk inlines it (an inlined claim is never cached)."""
-        wake = comp.next_activity()
-        if _claim(comp) is None:
-            comp._wake = wake
-            comp._wake_valid = True
-        return wake
-
     def _grants(self, lanes: List[Component], horizon: int) -> bool:
         """The batch-lane decision for a scan whose due components can
         all batch: tracing off, a window of at least two cycles, and
@@ -971,12 +927,26 @@ class Simulator:
         for lane in lanes:
             driven = self._driven.get(lane)
             if driven is None:
-                driven = frozenset(map(id, audit.driven(self, lane)))
+                driven = frozenset(map(id, self._drives(lane)))
                 self._driven[lane] = driven
             if not claimed.isdisjoint(driven):
                 return False
             claimed.update(driven)
         return True
+
+    def _drives(self, lane: Component) -> List[Component]:
+        """``lane`` plus the registered components it references (a
+        RAC's FIFOs): everything its ``tick_batch`` may touch.  Lanes
+        batch together only while these sets are pairwise disjoint."""
+        registered = {id(comp) for comp in self._components}
+        found = [lane]
+        for name, value in vars(lane).items():
+            if name in ("_watchers", "_watching"):
+                continue
+            for item in value if isinstance(value, (list, tuple)) else (value,):
+                if id(item) in registered and item not in found:
+                    found.append(item)
+        return found
 
     def _dispatch_batch(self, lanes: List[Component], horizon: int) -> None:
         """Advance every lane by one common span in one event.

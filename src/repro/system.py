@@ -86,10 +86,10 @@ class SoC:
         Runs the kernel's fast schedule (default); ``False`` selects
         the naive oracle (see ``docs/SIMULATION.md``).
     strict:
-        Enables the kernel's fast-schedule audits *and* runs the
-        system-level integrity analyzer (:mod:`repro.soclint`) after
-        elaboration, raising :class:`ConfigurationError` on any
-        error-severity finding.
+        Runs the system-level integrity analyzer (:mod:`repro.soclint`)
+        after elaboration and after every later :meth:`add_ocp`,
+        raising :class:`ConfigurationError` on any error-severity
+        finding.
     """
 
     def __init__(
@@ -107,11 +107,7 @@ class SoC:
         strict: bool = False,
         clock_mhz: float = 50.0,
     ) -> None:
-        self.sim = Simulator(
-            trace=trace,
-            idle_skip=idle_skip,
-            strict=strict,
-        )
+        self.sim = Simulator(trace=trace, idle_skip=idle_skip)
         self.bus = SystemBus("bus", protocol=protocol)
         self.sim.add(self.bus)
         # main memory is injectable (e.g. an SDRAM open-row model)
@@ -241,8 +237,6 @@ def build_mpsoc(racs: List[RAC], ocp_kwargs=None, **soc_kwargs) -> SoC:
             rac.name = f"{rac.name}{index}"
         seen.add(rac.name)
         soc.add_ocp(rac, index, **(ocp_kwargs or {}))
-    if soc.strict:
-        soc.check_integrity()
     return soc
 
 

@@ -1,6 +1,6 @@
-"""Strict-mode audits of the fast schedule.
+"""The audited simulator: the fast schedule checked against the naive one.
 
-``Simulator(strict=True)`` keeps the fast schedule's decisions but
+:class:`AuditedSimulator` keeps the fast schedule's decisions but
 checks each of them against the naive oracle while it runs:
 
 * :func:`audit_claims` re-polls every cached quiescence claim, a
@@ -12,8 +12,14 @@ checks each of them against the naive oracle while it runs:
   naively on the real system, and requires both to end in the same
   state (:func:`state_diff`).
 
-The real system therefore always follows the naive schedule in strict
-mode; the fast paths only run to be checked.
+The real system therefore always follows the naive schedule; the fast
+paths only run to be checked.  The subclass hooks in at
+:meth:`Simulator._bind_walk`, which binds the compiled walk after each
+registration change: it wraps the bound dispatch scan, so the shipping
+loop runs unchanged and pays nothing for the audit.  :func:`audited`
+installs it on a built :class:`~repro.system.SoC` or
+:class:`~repro.sim.Simulator`; :func:`build` builds and installs in one
+call.
 """
 
 from __future__ import annotations
@@ -21,20 +27,102 @@ from __future__ import annotations
 import copy
 from collections import deque
 from types import MethodType
-from typing import (TYPE_CHECKING, Any, Dict, List, Optional, Sequence, Set,
+from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
                     Tuple)
 
-from .errors import SimulationError
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .kernel import Component, Simulator
+from repro.sim.errors import SimulationError
+from repro.sim.kernel import Component, Simulator, _claim
 
 #: kernel bookkeeping that legitimately differs between a slab and its
 #: naive replay (cached wakes, the last-tick marker, the cluster)
 _KERNEL_FIELDS = frozenset(("_wake", "_wake_valid", "_ran_at", "_cluster"))
 
+Scan = Callable[[int], Tuple[Optional[List[Component]], int]]
 
-def audit_claims(sim: "Simulator") -> None:
+
+class AuditedSimulator(Simulator):
+    """A :class:`Simulator` whose fast schedule audits every decision
+    (see the module docstring); with ``idle_skip=False`` it is the
+    naive stepper, unaudited."""
+
+    def _bind_walk(self) -> None:
+        super()._bind_walk()
+        scan = self._dispatch_scan
+        self._dispatch_scan = lambda bound: _audited_event(self, scan, bound)
+
+
+def audited(target: Any) -> Any:
+    """Install :class:`AuditedSimulator` on ``target``, a simulator or
+    anything holding one as ``sim`` (a SoC); returns ``target``.
+
+    The walk is unbound, so the next event binds it through the audit
+    seam; claims cached before the install are audited from then on.
+    """
+    sim = getattr(target, "sim", target)
+    sim.__class__ = AuditedSimulator
+    sim._dispatch_scan = sim._bind_scan
+    sim._dispatch_cycle = sim._bind_cycle
+    return target
+
+
+def build(factory: Callable[..., Any], *args: Any, audit: bool = False,
+          **kwargs: Any) -> Any:
+    """``factory(*args, **kwargs)`` (``Simulator``, ``SoC``,
+    ``build_mpsoc``), :func:`audited` when ``audit``."""
+    built = factory(*args, **kwargs)
+    return audited(built) if audit else built
+
+
+def _audited_event(sim: Simulator, scan: Scan,
+                   bound: int) -> Tuple[Optional[List[Component]], int]:
+    """The dispatch scan of an audited simulator.
+
+    A dispatched cycle is left to the loop.  A skip or a granted batch
+    is audited here, which advances the real system naively through
+    the window; the scan then reports an empty window ending where the
+    replay did, and the profile is booked as the fast schedule would
+    book it.
+    """
+    audit_claims(sim)
+    now = sim.cycle
+    lanes, horizon = scan(bound)
+    if lanes is None or (lanes and not sim._grants(lanes, horizon)):
+        return lanes, horizon
+    ticked = sim._ticked
+    if lanes:
+        audit_batch(sim, lanes, horizon)
+        span = sim.cycle - now
+        # a slab: the loop books the empty window returned below as a
+        # skip, which this takes back
+        sim._batched += span
+        sim._skipped -= span
+        sim._skip_windows -= 1
+        for lane in lanes:
+            lane._cluster._wake_valid = False
+    else:
+        replay(sim, horizon - now)
+        sim._ticked = ticked
+    # the naive ticks leave the cluster claims as the skip or slab
+    # would (the lanes' dropped, the rest as the scan cached them) but
+    # not the members': poll those afresh, so the claims carried past
+    # the window (into the next public call, too) are audited like the
+    # fast schedule's
+    for comp in sim._components:
+        _poll(comp)
+    return [], sim.cycle
+
+
+def _poll(comp: Component) -> Optional[int]:
+    """Re-poll a component's quiescence claim and cache it, unless the
+    walk inlines it (an inlined claim is never cached)."""
+    wake = comp.next_activity()
+    if _claim(comp) is None:
+        comp._wake = wake
+        comp._wake_valid = True
+    return wake
+
+
+def audit_claims(sim: Simulator) -> None:
     """Check every cached claim against a fresh poll.
 
     A claim may only move *later* on its own (rule 3 of the protocol);
@@ -65,7 +153,7 @@ def audit_claims(sim: "Simulator") -> None:
         if not comp._wake_valid:
             continue
         cached = comp._wake
-        fresh = sim._poll(comp)
+        fresh = _poll(comp)
         if fresh is not None and (cached is None or fresh < cached):
             raise SimulationError(
                 f"strict dispatch: component {comp.name!r} moved its "
@@ -74,8 +162,8 @@ def audit_claims(sim: "Simulator") -> None:
             )
 
 
-def replay(sim: "Simulator", cycles: int,
-           lanes: Sequence["Component"] = ()) -> None:
+def replay(sim: Simulator, cycles: int,
+           lanes: Sequence[Component] = ()) -> None:
     """Tick naively through ``cycles`` cycles the fast schedule would
     have skipped (or, with ``lanes``, batched) and assert that the
     claims held: no component other than the lanes due, no trace events
@@ -95,7 +183,7 @@ def replay(sim: "Simulator", cycles: int,
                     f"turned active at cycle {sim.cycle}, {offset} "
                     f"cycles into a {cycles}-cycle {window} window"
                 )
-        sim._tick_settled()
+        sim._tick_all()
     if events_before is not None and len(sim.trace) != events_before:
         culprit = sim.trace.dump().splitlines()[events_before]
         raise SimulationError(
@@ -109,39 +197,24 @@ def replay(sim: "Simulator", cycles: int,
         )
 
 
-def driven(sim: "Simulator", lane: "Component") -> List["Component"]:
-    """``lane`` plus the registered components it references (a RAC's
-    FIFOs): everything its ``tick_batch`` may touch.  Lanes batch
-    together only while these sets are pairwise disjoint."""
-    registered = {id(comp) for comp in sim._components}
-    found = [lane]
-    for name, value in vars(lane).items():
-        if name in ("_watchers", "_watching"):
-            continue
-        for item in value if isinstance(value, (list, tuple)) else (value,):
-            if id(item) in registered and item not in found:
-                found.append(item)
-    return found
-
-
-def audit_batch(sim: "Simulator", lanes: Sequence["Component"],
+def audit_batch(sim: Simulator, lanes: Sequence[Component],
                 horizon: int) -> None:
     """Check one batch-lane span against its naive replay.
 
     The lanes' driven sets are re-derived (they must be pairwise
     disjoint) and deep-copied together; every other component and the
-    simulator are shared with the copies, not copied.  The span is computed on
-    the copies, which must not change under ``batch_span``; each copied
-    lane then runs its slab, which must consume the span exactly.  The
-    real system ticks the same cycles naively, with only the lanes
-    allowed to act, and the two must agree on every field of every
-    copied component.
+    simulator are shared with the copies, not copied.  The span is
+    computed on the copies, which must not change under ``batch_span``;
+    each copied lane then runs its slab, which must consume the span
+    exactly.  The real system ticks the same cycles naively, with only
+    the lanes allowed to act, and the two must agree on every field of
+    every copied component.
     """
     now = sim.cycle
-    reals: List["Component"] = []
-    owner: Dict[int, "Component"] = {}
+    reals: List[Component] = []
+    owner: Dict[int, Component] = {}
     for lane in lanes:
-        own = driven(sim, lane)
+        own = sim._drives(lane)
         for comp in own:
             other = owner.setdefault(id(comp), lane)
             if other is not lane:

@@ -27,10 +27,12 @@ from repro.sw.driver import OuessantDriver
 from repro.sw.library import OuessantLibrary
 from repro.system import DMA_BASE, RAM_BASE, SoC
 
+from tests.kernel_audit import build
+
 MODES = {
     "naive": {"idle_skip": False},
     "fast": {"idle_skip": True},
-    "strict": {"idle_skip": True, "strict": True},
+    "strict": {"idle_skip": True, "audit": True},
 }
 
 
@@ -299,7 +301,7 @@ class _PlainWindow(BusSlave):
 
 
 def _clocked_swap_run(mode):
-    soc = SoC(racs=[IDCTRac()], trace=Trace(), **MODES[mode])
+    soc = build(SoC, racs=[IDCTRac()], trace=Trace(), **MODES[mode])
     library = OuessantLibrary(soc, use_interrupt=False)
     memmap = soc.bus.memmap
     block = [[(r * 8 + c) * 5 - 100 for c in range(8)] for r in range(8)]

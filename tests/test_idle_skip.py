@@ -9,7 +9,9 @@ computation, chunked predicate re-checks, strict mode, profiling); the
 second half property-tests whole-SoC equivalence on the seeded random
 workloads of the differential harness, clean, under injected stall
 faults and under plans mixing every fault kind, traced and trace-free
-(batch lane).
+(batch lane).  *Strict mode* is the fast schedule run by the audited
+simulator of :mod:`tests.kernel_audit`, which checks every decision of
+it against the naive stepper.
 """
 
 import json
@@ -36,6 +38,8 @@ from repro.sim import (
 )
 from repro.system import SoC
 
+from tests import kernel_audit
+from tests.kernel_audit import AuditedSimulator, build
 from tests.test_differential_refmodel import (
     IN,
     OUT,
@@ -177,21 +181,21 @@ def test_run_until_rechecks_predicate_in_bounded_chunks():
 
 
 def test_strict_mode_passes_honest_components():
-    sim = Simulator(trace=Trace(), idle_skip=True, strict=True)
+    sim = AuditedSimulator(trace=Trace(), idle_skip=True)
     sleeper = sim.add(Sleeper())
     sim.step(350)
     assert sleeper.wakes == [0, 100, 200]
 
 
 def test_strict_mode_catches_event_during_declared_idle():
-    sim = Simulator(trace=Trace(), idle_skip=True, strict=True)
+    sim = AuditedSimulator(trace=Trace(), idle_skip=True)
     sim.add(Liar("liar"))
     with pytest.raises(SimulationError, match="declared-idle window"):
         sim.step(10)
 
 
 def test_strict_mode_catches_early_wake():
-    sim = Simulator(idle_skip=True, strict=True)
+    sim = AuditedSimulator(idle_skip=True)
     sim.add(Fickle())
     with pytest.raises(SimulationError, match="turned active"):
         sim.step(50)
@@ -232,7 +236,7 @@ class Unwired(Component):
 
 
 def test_strict_mode_catches_stale_cached_claim():
-    sim = Simulator(strict=True)
+    sim = AuditedSimulator()
     alarm = sim.add(Alarm())
     sim.add(Unwired(alarm))
     with pytest.raises(SimulationError, match="without being poked"):
@@ -269,12 +273,14 @@ def test_strict_mode_replays_batch_slabs():
     fast.step(100)
     assert fast.profile().ticked == 100 and fast.component("streamer").count == 100
 
-    strict = Simulator(strict=True)
+    strict = AuditedSimulator()
     honest = strict.add(Streamer())
     strict.step(100)
     assert honest.count == 100
+    # the replayed slab is booked as the fast schedule books the slab
+    assert strict.profile() == fast.profile()
 
-    broken = Simulator(strict=True)
+    broken = AuditedSimulator()
     broken.add(Streamer(skew=1))
     with pytest.raises(SimulationError, match="tick_batch slab .* streamer.count"):
         broken.step(100)
@@ -363,14 +369,14 @@ def test_batch_span_that_tick_batch_cannot_honour_is_caught(lane, message,
     """Every lane must offer at least one cycle and consume the granted
     span exactly: a bad offer fails loudly in the shipping schedule and
     under strict audit."""
-    sim = Simulator(strict=strict)
+    sim = build(Simulator, audit=strict)
     sim.add(lane())
     with pytest.raises(SimulationError, match=message):
         sim.step(100)
 
 
 def test_strict_mode_catches_a_batch_span_with_side_effects():
-    sim = Simulator(strict=True)
+    sim = AuditedSimulator()
     sim.add(Meddler())
     with pytest.raises(SimulationError, match="batch_span of 'streamer' "
                                               "changed state"):
@@ -419,7 +425,7 @@ class Writer(Component):
 
 
 def _writers_run(shared, idle_skip=True, strict=False):
-    sim = Simulator(idle_skip=idle_skip, strict=strict)
+    sim = build(Simulator, idle_skip=idle_skip, audit=strict)
     first = sim.add(Tally("tally_a"))
     second = first if shared else sim.add(Tally("tally_b"))
     sim.add(Writer("a", first, 30))
@@ -556,7 +562,7 @@ def _execute(case, plan=None, trace=None, **soc_kw):
     observables (the hot-mode tests need the live objects, not a
     rendered snapshot).
     """
-    soc = SoC(racs=[case.rac()], trace=trace, **soc_kw)
+    soc = build(SoC, racs=[case.rac()], trace=trace, **soc_kw)
     if plan is not None:
         inject_faults(soc, plan)
     soc.write_ram(IN, case.inputs)
@@ -577,7 +583,7 @@ def _run_case(case, idle_skip, plan=None, strict=False, traced=True):
     lane)."""
     trace = Trace() if traced else None
     soc, residual = _execute(case, plan=plan, trace=trace,
-                             idle_skip=idle_skip, strict=strict)
+                             idle_skip=idle_skip, audit=strict)
     ocp = soc.ocp
     return {
         "memory": soc.read_ram(OUT, case.total),
@@ -626,7 +632,7 @@ def test_equivalence_random_workloads(index):
 
 @pytest.mark.parametrize("index", range(N_STRICT))
 def test_equivalence_strict_mode_audits_idle_claims(index):
-    """strict=True audits every cached claim of the fast schedule,
+    """Strict mode audits every cached claim of the fast schedule,
     re-executes every declared-idle window naively and asserts the
     quiescence claims held -- on real SoC workloads, traced and
     trace-free."""
@@ -649,7 +655,6 @@ def test_strict_mode_audits_long_transfer_slabs(monkeypatch):
     from repro.bus.protocol import AXI4
     from repro.core.program import OuProgram
     from repro.rac.dft import DFTRac
-    from repro.sim import audit
 
     data = [(index * 97 + 5) % 1024 for index in range(512)]
     program = OuProgram()
@@ -657,8 +662,8 @@ def test_strict_mode_audits_long_transfer_slabs(monkeypatch):
     program.eop()
 
     def run(**kw):
-        soc = SoC(racs=[DFTRac(n_points=256, fifo_depth=512)],
-                  ram_size=1 << 17, protocol=AXI4, **kw)
+        soc = build(SoC, racs=[DFTRac(n_points=256, fifo_depth=512)],
+                    ram_size=1 << 17, protocol=AXI4, **kw)
         soc.write_ram(IN, data)
         soc.write_ram(PROG, program.words())
         ocp = soc.ocp
@@ -668,15 +673,15 @@ def test_strict_mode_audits_long_transfer_slabs(monkeypatch):
                 ocp.controller.stats.as_dict(), soc.bus.stats.as_dict())
 
     slabs = []
-    audit_batch = audit.audit_batch
+    audit_batch = kernel_audit.audit_batch
 
     def counting(sim, sole, horizon):
         start = sim.cycle
         audit_batch(sim, sole, horizon)
         slabs.append(sim.cycle - start)
 
-    monkeypatch.setattr(audit, "audit_batch", counting)
-    assert run(strict=True) == run(idle_skip=False)
+    monkeypatch.setattr(kernel_audit, "audit_batch", counting)
+    assert run(audit=True) == run(idle_skip=False)
     assert slabs and max(slabs) >= 64
 
 
@@ -743,8 +748,8 @@ def _run_faulted(case, program, plan, prefetch, idle_skip, strict=False,
     """One case under ``plan`` with every seam interposed (FIFO fabric
     included); capture every observable, the way the run ended too."""
     trace = Trace() if traced else None
-    soc = SoC(trace=trace, idle_skip=idle_skip, strict=strict,
-              prefetch=prefetch)
+    soc = build(SoC, trace=trace, idle_skip=idle_skip, prefetch=prefetch,
+                audit=strict)
     rac = case.rac()
     # the blocking form starts each op with exec, not on data arrival
     rac.autostart = program is case.program
@@ -1039,7 +1044,8 @@ def _run_sched_case(idle_skip, strict=False, n_ocps=4, seed=424242):
                                        compute_latency=30))
         else:
             racs.append(ScaleRac(name=f"sc{index}", block_size=4))
-    soc = build_mpsoc(racs, trace=trace, idle_skip=idle_skip, strict=strict)
+    soc = build(build_mpsoc, racs, trace=trace, idle_skip=idle_skip,
+                audit=strict)
     sched = ThroughputScheduler(soc, batch_jobs=2, queue_bound=3)
 
     rng = random.Random(seed)
@@ -1088,7 +1094,7 @@ def test_equivalence_multi_ocp_scheduler_contention():
 
 
 def test_equivalence_multi_ocp_strict_audits_scheduler_idle_claims():
-    """strict=True audits the scheduler's (and its six-OCP
+    """Strict mode audits the scheduler's (and its six-OCP
     neighbourhood's) cached claims, naively re-executes every window
     they declared idle, and must find no lies."""
     naive, _ = _run_sched_case(idle_skip=False, n_ocps=6, seed=515151)
@@ -1143,7 +1149,7 @@ def _run_lane_stream(config, seed, **soc_kw):
             return fp.block_to_words(
                 [[rng.randint(-400, 400) for _ in range(8)]
                  for _ in range(8)])
-    soc = build_mpsoc(racs, **soc_kw)
+    soc = build(build_mpsoc, racs, **soc_kw)
     sched = ThroughputScheduler(soc, batch_jobs=rng.choice((1, 2, 4)),
                                 queue_bound=rng.choice((2, 8)))
     jobs = [Job(f"lj{index}", racs[0].kind, payload())
@@ -1168,7 +1174,7 @@ def test_equivalence_batch_lanes_across_ocps(config, index):
     seed = SEED_BASE + 300_000 + 1000 * LANE_CONFIGS[config][0] + index
     naive, naive_prof = _run_lane_stream(config, seed, idle_skip=False)
     fast, fast_prof = _run_lane_stream(config, seed)
-    strict, _ = _run_lane_stream(config, seed, strict=True)
+    strict, _ = _run_lane_stream(config, seed, audit=True)
     assert fast == naive, f"fast schedule diverged at seed {seed}"
     assert strict == naive, f"strict schedule diverged at seed {seed}"
     assert naive_prof.batched == 0
@@ -1222,7 +1228,7 @@ def test_profiler_surfaces_kernel_and_truncation_counters():
 # carried claim, so a missing poke fails it by name.
 
 
-@pytest.fixture(params=[{}, {"strict": True}], ids=["fast", "strict"])
+@pytest.fixture(params=[{}, {"audit": True}], ids=["fast", "strict"])
 def schedule(request):
     """Simulator keywords of the schedule under test."""
     return request.param
@@ -1250,7 +1256,7 @@ def _reload_after_halt(**sim_kw):
         bne  r3, r0, loop
         halt
     """, text_base=0, data_base=0x1000)
-    sim = Simulator(**sim_kw)
+    sim = build(Simulator, **sim_kw)
     cpu = sim.add(CPU(memory=Memory("ram", 1 << 14)))
     cpu.load(program)
     sim.run_until(lambda: cpu.halted, max_cycles=1_000)
@@ -1279,7 +1285,7 @@ def _second_stream_on_drained_scheduler(**soc_kw):
 
     racs = [PassthroughRac(name=f"pt{index}", block_size=8)
             for index in range(2)]
-    soc = build_mpsoc(racs, **soc_kw)
+    soc = build(build_mpsoc, racs, **soc_kw)
     sched = ThroughputScheduler(soc, batch_jobs=2, queue_bound=4)
     rng = random.Random(SEED_BASE + 700_000)
     outputs = []
@@ -1350,7 +1356,7 @@ def _rerun_after_reset(**soc_kw):
     from repro.rac.scale import PassthroughRac
     from repro.sw.driver import OuessantDriver
 
-    soc = SoC(racs=[PassthroughRac(block_size=16)], **soc_kw)
+    soc = build(SoC, racs=[PassthroughRac(block_size=16)], **soc_kw)
     metronome = soc.sim.add(Metronome())
     driver = OuessantDriver(soc)
     runs = []
@@ -1380,7 +1386,7 @@ def _retry_after_abort(**soc_kw):
     from repro.rac.scale import PassthroughRac
     from repro.sw.driver import OuessantDriver
 
-    soc = SoC(racs=[PassthroughRac(block_size=16)], **soc_kw)
+    soc = build(SoC, racs=[PassthroughRac(block_size=16)], **soc_kw)
     driver = OuessantDriver(soc)
     soc.write_ram(IN, list(range(16)))
     # half a block: the RAC sits starved mid-collect, words in flight
@@ -1414,7 +1420,7 @@ def _library_calls_around_a_reconfigure(**soc_kw):
         return ([fp.float_to_q15(rng.uniform(-0.4, 0.4)) for _ in range(n)],
                 [fp.float_to_q15(rng.uniform(-0.4, 0.4)) for _ in range(n)])
 
-    soc = SoC(racs=[DFTRac(n_points=16)], **soc_kw)
+    soc = build(SoC, racs=[DFTRac(n_points=16)], **soc_kw)
     library = OuessantLibrary(soc, environment="baremetal")
     outputs = [library.dft(*signal(16))]
     DPRManager(soc.sim, soc.ocp).reconfigure(
@@ -1436,7 +1442,7 @@ def _probe_added_and_removed_between_steps(**soc_kw):
     from repro.sim.waveform import ocp_probe
 
     case = Case(random.Random(SEED_BASE + 720_000))
-    soc = SoC(racs=[case.rac()], trace=Trace(), **soc_kw)
+    soc = build(SoC, racs=[case.rac()], trace=Trace(), **soc_kw)
     soc.write_ram(IN, case.inputs)
     soc.write_ram(PROG, case.program.words())
     ocp = soc.ocp
@@ -1478,7 +1484,7 @@ def _raw_submits_to_register_slaves(**sim_kw):
     from repro.mem.dma import DMAEngine
     from repro.mem.memory import Memory
 
-    sim = Simulator(**sim_kw)
+    sim = build(Simulator, **sim_kw)
     bus = sim.add(SystemBus())
     mem = Memory("ram", 1 << 16, access_latency=1)
     bus.attach_slave("ram", 0x0, 1 << 16, mem)
@@ -1525,7 +1531,7 @@ def _doorbell_rung_over_the_bus(**sim_kw):
         def write_word(self, offset, value):
             self.armed_at = self.now + value
 
-    sim = Simulator(**sim_kw)
+    sim = build(Simulator, **sim_kw)
     bus = sim.add(SystemBus())
     bell = sim.add(Doorbell())
     bus.attach_slave("bell", 0x100, 4, bell)
@@ -1546,7 +1552,7 @@ def test_cross_call_completion_pokes_a_clocked_slave(schedule):
 def test_cross_call_unpoked_mutation_is_caught_by_strict_mode():
     """A toy component mutated between calls without a poke: strict
     mode audits the claim it carried out of the previous call."""
-    sim = Simulator(strict=True)
+    sim = AuditedSimulator()
     alarm = sim.add(Alarm())
     sim.step(5)
     alarm.armed_at = sim.cycle + 3  # no poke
@@ -1589,7 +1595,7 @@ class Arming(Component):
 def _armed_clusters(hand_rolled=False, **sim_kw):
     """The alarm's cluster is registered before the arming one's, so
     the poke lands backwards, on a cluster the walk skipped."""
-    sim = Simulator(**sim_kw)
+    sim = build(Simulator, **sim_kw)
     alarm = Alarm()
     sim.add_all([alarm, Sleeper("idle0", limit=0)])
     sim.add_all([Arming(alarm, hand_rolled), Sleeper("idle1", limit=0)])
@@ -1599,7 +1605,7 @@ def _armed_clusters(hand_rolled=False, **sim_kw):
 
 
 @pytest.mark.parametrize("sim_kw", [{"idle_skip": False}, {},
-                                    {"strict": True}],
+                                    {"audit": True}],
                          ids=["naive", "fast", "strict"])
 def test_cluster_claim_drops_with_a_member_poke(sim_kw):
     assert _armed_clusters(**sim_kw) == [8]
@@ -1607,7 +1613,7 @@ def test_cluster_claim_drops_with_a_member_poke(sim_kw):
 
 def test_cluster_strict_mode_names_a_stale_cluster_claim():
     with pytest.raises(SimulationError, match="stale cluster claim"):
-        _armed_clusters(hand_rolled=True, strict=True)
+        _armed_clusters(hand_rolled=True, audit=True)
 
 
 class Flag(Component):
@@ -1654,7 +1660,7 @@ class FlagRaiser(Component):
 
 
 @pytest.mark.parametrize("sim_kw", [{"idle_skip": False}, {},
-                                    {"strict": True}],
+                                    {"audit": True}],
                          ids=["naive", "fast", "strict"])
 @pytest.mark.parametrize("late", [False, True], ids=["early", "late"])
 def test_cluster_claim_drops_with_an_unregistered_watched_component(
@@ -1667,7 +1673,7 @@ def test_cluster_claim_drops_with_an_unregistered_watched_component(
     waiter = FlagWaiter(flag)
     if not late:
         flag.watch(waiter)
-    sim = Simulator(**sim_kw)
+    sim = build(Simulator, **sim_kw)
     sim.add_all([waiter, Sleeper("idle0", limit=0)])
     sim.add_all([FlagRaiser(flag, at=5), Sleeper("idle1", limit=0)])
     assert sim._clusters is not None
@@ -1702,13 +1708,13 @@ class Latch(Component):
 
 
 @pytest.mark.parametrize("sim_kw", [{"idle_skip": False}, {},
-                                    {"strict": True}],
+                                    {"audit": True}],
                          ids=["naive", "fast", "strict"])
 def test_cluster_commit_sweep_sees_a_member_that_ticked(sim_kw):
     """At cycle 5 the alarm ends the scan before it reaches the latch's
     cluster, whose claim (cached at cycle 0) has come due: the latch's
     tick must drop that claim, or the commit sweep skips its commit."""
-    sim = Simulator(**sim_kw)
+    sim = build(Simulator, **sim_kw)
     alarm = sim.add(Alarm())
     alarm.armed_at = 5
     latch = Latch("latch", 5)
@@ -1728,9 +1734,9 @@ def _host_pushes_into_a_sleeping_cluster(**soc_kw):
     from repro.system import build_mpsoc
 
     trace = Trace()
-    soc = build_mpsoc([PassthroughRac(name=f"pt{index}", block_size=4,
-                                      compute_latency=3)
-                       for index in range(2)], trace=trace, **soc_kw)
+    soc = build(build_mpsoc, [PassthroughRac(name=f"pt{index}", block_size=4,
+                                             compute_latency=3)
+                              for index in range(2)], trace=trace, **soc_kw)
     assert soc.sim._clusters is not None
     soc.sim.step(10)
     ocp = soc.ocps[1]
@@ -1770,7 +1776,7 @@ def _scheduler_streams_around_a_dpr_swap(**soc_kw):
     trace = Trace()
     racs = [PassthroughRac(name=f"pt{index}", block_size=8,
                            compute_latency=20) for index in range(2)]
-    soc = build_mpsoc(racs, trace=trace, **soc_kw)
+    soc = build(build_mpsoc, racs, trace=trace, **soc_kw)
     sched = ThroughputScheduler(soc, batch_jobs=2, queue_bound=3)
     rng = random.Random(SEED_BASE + 720_000)
     outputs = []
@@ -1832,9 +1838,9 @@ def _stepped_dpr_reconfigure(ocps, **soc_kw):
     from repro.system import build_mpsoc
 
     trace = Trace()
-    soc = build_mpsoc([PassthroughRac(name=f"pt{index}", block_size=8,
-                                      compute_latency=20)
-                       for index in range(ocps)], trace=trace, **soc_kw)
+    soc = build(build_mpsoc, [PassthroughRac(name=f"pt{index}", block_size=8,
+                                             compute_latency=20)
+                              for index in range(ocps)], trace=trace, **soc_kw)
     sched = ThroughputScheduler(soc, batch_jobs=2, queue_bound=3)
     fast = soc.sim.idle_skip
     assert (soc.sim._clusters is None) == (ocps == 1)
@@ -1873,6 +1879,74 @@ def test_compiled_walk_rebinds_across_a_dpr_reconfigure(schedule, ocps):
     outputs, *_ = _agrees_with_naive(
         lambda **kw: _stepped_dpr_reconfigure(ocps, **kw), schedule)
     assert [len(wave) for wave in outputs] == [6, 6]
+
+
+# -- the audits' power: seeded mutants ---------------------------------------
+#
+# Each test breaks one kernel contract for its duration: the fast
+# schedule alone runs through the mutant to a wrong result, and strict
+# mode must name the fault.
+
+
+def _emit_slab_run(**soc_kw):
+    """One 64-word passthrough operation on a trace-free single-OCP
+    SoC, whose RAC emits the block in slabs on the batch lane."""
+    from repro.rac.scale import PassthroughRac
+
+    soc = build(SoC, racs=[PassthroughRac(block_size=64)], **soc_kw)
+    ocp = soc.ocp
+    program = OuProgram().stream_to(1, 64).execs().stream_from(2, 64).eop()
+    soc.write_ram(IN, list(range(64)))
+    soc.write_ram(PROG, program.words())
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
+    soc.sim.run_until(lambda: ocp.done, max_cycles=100_000)
+    return soc.sim.cycle, soc.read_ram(OUT, 64), ocp.rac.stats.as_dict()
+
+
+def test_mutant_miscounting_emit_slab_is_caught_by_the_slab_audit(
+        monkeypatch):
+    """A single-stream emit that miscounts ``words_out`` only in a slab
+    of several cycles: the naive ticks never run it, the fast schedule
+    ends with a wrong count, and the slab audit names the field."""
+    from repro.rac.base import StreamingRAC
+
+    emit = StreamingRAC._emit_single
+
+    def miscounting(self, cycles):
+        emit(self, cycles)
+        if cycles > 1:
+            self.stats.counts["words_out"] -= 1
+
+    monkeypatch.setattr(StreamingRAC, "_emit_single", miscounting)
+    naive = _emit_slab_run(idle_skip=False)
+    assert naive[2]["words_out"] == 64
+    assert _emit_slab_run() != naive
+    with pytest.raises(SimulationError, match=r"tick_batch slab .* at "
+                       r"loopback\.stats\.counts\['words_out'\]"):
+        _emit_slab_run(audit=True)
+
+
+def test_mutant_stage_without_cluster_drop_is_caught_by_the_claim_audit(
+        monkeypatch):
+    """``FIFO._stage`` that keeps its cluster's claim: the fast walk
+    never commits words pushed from outside the clock into a sleeping
+    cluster's FIFO, and the claim audit names the stale cluster claim
+    at the next call."""
+    from repro.rac.fifo import FIFO
+
+    stage = FIFO._stage
+
+    def keeping_the_cluster_claim(self, values):
+        cluster = self._cluster
+        valid = cluster._wake_valid
+        stage(self, values)
+        cluster._wake_valid = valid
+
+    monkeypatch.setattr(FIFO, "_stage", keeping_the_cluster_claim)
+    naive = _host_pushes_into_a_sleeping_cluster(idle_skip=False)
+    assert _host_pushes_into_a_sleeping_cluster() != naive
+    with pytest.raises(SimulationError, match="stale cluster claim"):
+        _host_pushes_into_a_sleeping_cluster(audit=True)
 
 
 # -- live reads mid-interval -------------------------------------------------
@@ -1944,7 +2018,7 @@ def _live_cpu_driver(**soc_kw):
     from repro.system import OCP_BASE
     from repro.utils import fixedpoint as fp
 
-    soc = SoC(racs=[DFTRac(n_points=64)], **soc_kw)
+    soc = build(SoC, racs=[DFTRac(n_points=64)], **soc_kw)
     rng = random.Random(820_240)
     soc.write_ram(IN, fp.interleave_complex(
         *[[fp.float_to_q15(rng.uniform(-0.4, 0.4)) for _ in range(64)]
@@ -1981,7 +2055,7 @@ def _live_wait_and_watchdog(**soc_kw):
     ``exec`` whose 500-cycle compute outlasts a 300-cycle watchdog."""
     from repro.rac.scale import PassthroughRac
 
-    soc = SoC(racs=[], **soc_kw)
+    soc = build(SoC, racs=[], **soc_kw)
     ocp = soc.add_ocp(PassthroughRac(block_size=16, compute_latency=500),
                       watchdog_cycles=300)
     soc.write_ram(IN, list(range(16)))
@@ -1997,8 +2071,8 @@ def _live_two_block_drain(**soc_kw):
     between chunks while the second block computes."""
     from repro.rac.scale import PassthroughRac
 
-    soc = SoC(racs=[PassthroughRac(block_size=32, compute_latency=120)],
-              with_cpu=False, **soc_kw)
+    soc = build(SoC, racs=[PassthroughRac(block_size=32, compute_latency=120)],
+                with_cpu=False, **soc_kw)
     ocp = soc.ocp
     soc.write_ram(IN, list(range(64)))
     program = OuProgram().stream_to(1, 64).execs().stream_from(2, 64).eop()
@@ -2018,8 +2092,8 @@ def _live_pio_slave(**soc_kw):
     from repro.bus.types import AccessKind
     from repro.rac.scale import PassthroughRac
 
-    soc = SoC(racs=[PassthroughRac(block_size=16)], with_cpu=False,
-              **soc_kw)
+    soc = build(SoC, racs=[PassthroughRac(block_size=16)], with_cpu=False,
+                **soc_kw)
     pio = soc.sim.add(SlaveAccelerator(
         "pio", compute_fn=lambda ws: [w ^ 0xFF for w in ws], items_in=4,
         items_out=4, compute_latency=150))
@@ -2039,9 +2113,9 @@ def _live_scheduler(**soc_kw):
     from repro.sched import Job, ThroughputScheduler
     from repro.system import build_mpsoc
 
-    soc = build_mpsoc([PassthroughRac(name=f"pt{index}", block_size=8,
-                                      compute_latency=30)
-                       for index in range(3)], **soc_kw)
+    soc = build(build_mpsoc, [PassthroughRac(name=f"pt{index}", block_size=8,
+                                             compute_latency=30)
+                              for index in range(3)], **soc_kw)
     sched = ThroughputScheduler(soc, batch_jobs=2, queue_bound=4)
     rng = random.Random(830_240)
     for index in range(8):
@@ -2060,7 +2134,7 @@ LIVE_READ_SCENARIOS = {
 
 
 @pytest.mark.parametrize("kernel", [
-    {"idle_skip": False}, {}, {"strict": True}],
+    {"idle_skip": False}, {}, {"audit": True}],
     ids=["naive", "fast", "strict"])
 @pytest.mark.parametrize("scenario", sorted(LIVE_READ_SCENARIOS))
 def test_live_read_mid_interval_matches_golden(scenario, kernel):

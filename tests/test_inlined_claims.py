@@ -38,6 +38,7 @@ from repro.sim.kernel import inlined_claim
 from repro.sim.errors import BusFaultError, FIFOError
 from repro.system import SoC, build_mpsoc
 
+from tests.kernel_audit import build
 from tests.test_differential_refmodel import IN, OUT, PROG, SEED_BASE
 
 INLINED = (FIFO, SystemBus, OuessantInterface)
@@ -163,7 +164,7 @@ def _bus_run(scenario, seed, **sim_kw):
     the contended mix with an ERROR slave mapped."""
     rng = random.Random(SEED_BASE + 360_000 + seed)
     bus = SystemBus()
-    sim = Simulator(**sim_kw)
+    sim = build(Simulator, **sim_kw)
     sim.add(bus)
     sim.add_all([Idle("a0"), Idle("a1")])
     sim.add_all([Idle("b0"), Idle("b1")])
@@ -210,7 +211,7 @@ def _bus_run(scenario, seed, **sim_kw):
 def test_bus_walk_claim_equals_next_activity(scenario, seed):
     naive = _bus_run(scenario, seed, idle_skip=False)
     assert _bus_run(scenario, seed) == naive
-    assert _bus_run(scenario, seed, strict=True) == naive
+    assert _bus_run(scenario, seed, audit=True) == naive
     if scenario == "error":
         assert any(error for *_, error in naive[1])
 
@@ -320,11 +321,11 @@ class Stamper(Component):
 
 
 @pytest.mark.parametrize("sim_kw", [{"idle_skip": False}, {},
-                                    {"strict": True}],
+                                    {"audit": True}],
                          ids=["naive", "fast", "strict"])
 @pytest.mark.parametrize("clustered", [False, True], ids=["flat", "cluster"])
 def test_inlined_claim_with_tick_and_commit(sim_kw, clustered):
-    sim = Simulator(**sim_kw)
+    sim = build(Simulator, **sim_kw)
     stampers = [Stamper("s0", 5), Stamper("s1", 7), Stamper("s2", 3)]
     sim.add(stampers[0])
     if clustered:
@@ -374,7 +375,7 @@ def _rac_run(case, general, traced=True, **soc_kw):
     make, words, program, fifo_factory = CASES[case]
     rng = random.Random(SEED_BASE + 370_000)
     trace = Trace() if traced else None
-    soc = SoC(trace=trace, **soc_kw)
+    soc = build(SoC, trace=trace, **soc_kw)
     rac = make()
     assert _single(rac)
     if general:
@@ -404,7 +405,7 @@ def test_single_stream_body_matches_the_general_body(case):
     assert naive["trace"]
     for general in (False, True):
         assert _rac_run(case, general) == naive
-        assert _rac_run(case, general, strict=True) == naive
+        assert _rac_run(case, general, audit=True) == naive
         hot = _rac_run(case, general, traced=False)
         assert hot == dict(naive, trace=None)
     assert _rac_run(case, general=False, idle_skip=False) == naive

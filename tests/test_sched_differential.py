@@ -237,6 +237,25 @@ def test_multi_block_job_starts_the_rac_once_per_block():
         run_sequential_reference(jobs, {"passthrough": rac})
 
 
+@pytest.mark.parametrize("words", [128, 2048])
+def test_job_larger_than_the_output_fifo_runs_bit_exact(words):
+    """The streaming recipe runs one operation per block, so only a
+    block has to fit the FIFOs: a job of many 64-word FIFOs on a RAC
+    with 8-word blocks is accepted and streams bit-exact, batched
+    behind a one-block job, and the reference's arenas hold it too."""
+    def rac():
+        return PassthroughRac(block_size=PT_BLOCK, fifo_depth=64)
+
+    rng = random.Random(SEED_BASE + 11)
+    jobs = [Job("long", "passthrough", [rng.getrandbits(32)
+                                        for _ in range(words)]),
+            Job("one", "passthrough", list(range(PT_BLOCK)))]
+    sched = ThroughputScheduler(build_mpsoc([rac()]), batch_jobs=2)
+    results = sched.run_stream(jobs, max_cycles=50_000)
+    assert {r.job.job_id: r.outputs for r in results} == \
+        run_sequential_reference(jobs, {"passthrough": rac})
+
+
 def test_chained_jobs_bit_exact_with_batching():
     """Dependency chains stay bit-exact when fused into batches."""
     seed = SEED_BASE + 7

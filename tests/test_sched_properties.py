@@ -37,7 +37,7 @@ from repro.sched import (
     SchedulerError,
     ThroughputScheduler,
 )
-from repro.sched.scheduler import SCHED_ARENA_BASE_OFFSET
+from repro.sched.scheduler import ARENA_WORDS, SCHED_ARENA_BASE_OFFSET
 from repro.sim.errors import BusFaultError, ConfigurationError
 from repro.system import RAM_BASE, build_mpsoc
 
@@ -203,7 +203,8 @@ def test_infeasible_size_is_rejected():
     with pytest.raises(ConfigurationError, match="fits no serving OCP"):
         sched.submit(Job("odd", "passthrough", list(range(BLOCK + 1))))
     with pytest.raises(ConfigurationError, match="fits no serving OCP"):
-        sched.submit(Job("huge", "passthrough", list(range(BLOCK * 64))))
+        sched.submit(Job("huge", "passthrough",
+                         list(range(ARENA_WORDS + BLOCK))))
 
 
 def test_rac_the_scheduler_cannot_stream_is_refused():
