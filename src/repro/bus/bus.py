@@ -129,7 +129,7 @@ class SystemBus(Component):
             raise ValueError("read request must not carry data")
         route = self.memmap.lookup(address, 4 * burst)
         transfer = BusTransfer(master, kind, address, burst, data, priority,
-                               self.now, waiter, route)
+                               self.sim.cycle, waiter, route)
         self._pending.append(transfer)
         counts = self._stats.counts
         counts["requests"] += 1

@@ -87,6 +87,29 @@ STATE_CODES.update(zip(ACTIVE_STATES, range(1, len(ACTIVE_STATES) + 1)))
 _INSTR_KEYS = {op: f"instr.{op.name.lower()}" for op in OuOp}
 
 
+#: The FSM's timing contract in cycles, read by :mod:`repro.perfbound`
+#: and pinned by ``tests/test_timing_contract.py``.  A bus transaction
+#: holds its requester for the bus occupancy plus the tick submitting
+#: it (the bus grants from the next cycle) and the one consuming it.
+SUBMIT_CYCLES = 1
+CONSUME_CYCLES = 1
+#: FETCH from the instruction buffer, and the DECODE that executes
+FETCH_CYCLES = 1
+DECODE_CYCLES = 1
+#: words of the bus fetch that replaces FETCH past the buffer
+FETCH_BEATS = 1
+#: EXEC_WAIT spans the RAC op's ticks after the DECODE that pulsed
+#: ``start_op`` (the RAC ticks after the controller) and the tick that
+#: sees ``end_op``
+END_OP_CYCLES = 1
+
+
+def drain_chunk(remaining: int, max_burst: int, depth: int) -> int:
+    """Words the next ``mvfc`` chunk drains: what is left, capped by
+    the longest bus burst and by the FIFO depth."""
+    return min(remaining, max_burst, depth)
+
+
 #: microcode words :func:`_decode_defined` remembers; a program is at
 #: most ``ibuf_size`` words, and a stream reuses a few programs
 DECODE_MEMO_SIZE = 4096
@@ -151,27 +174,21 @@ class OuessantController(Component):
         #: the first cycle charged to the current state (the exec
         #: watchdog counts EXEC_WAIT cycles from it)
         self._entered = 0
-        self._pc = 0
-        self._ibuf: List[int] = []
-        #: ``_ibuf`` decoded once at prefetch (None: undefined word)
-        self._decoded: List[Optional[OuInstruction]] = []
-        self._pending: Optional[BusTransfer] = None
-        self._instr: Optional[OuInstruction] = None
+        self._clear_program()
         # transfer engine state
         self._xfer_bank = 0
         self._xfer_offset = 0
         self._xfer_remaining = 0
         self._xfer_fifo = 0
+        #: the ``mvfc`` chunk the engine waits for, set wherever
+        #: ``_xfer_remaining`` changes
+        self._xfer_chunk = 0
+        #: the bus protocol's longest burst, read at registration
+        self._max_burst = 1
         # extension registers
         self._resume_at = 0
         self._loop_count = 0
         self._loop_body = 0
-        self._loop_active = False
-        self._ofr = 0
-        #: words to accumulate before an outbound burst: the bus
-        #: protocol's maximum burst, read when the controller registers
-        #: (the OCP wires the bus first, and a protocol is frozen)
-        self.bus_burst_threshold = 16
         #: runs started (S set) since power-on or the last reset
         self.runs_started = 0
         #: hardware performance counters, readable through the slave
@@ -189,7 +206,7 @@ class OuessantController(Component):
         # cycles/word near the paper's 1.5 while bounding FIFO latency
         bus = self.interface.bus
         if bus is not None:
-            self.bus_burst_threshold = bus.protocol.max_burst_beats
+            self._max_burst = bus.protocol.max_burst_beats
 
     def bind_fabric(
         self, fifos_in: List[FIFO], fifos_out: List[FIFO], rac: RAC
@@ -205,12 +222,6 @@ class OuessantController(Component):
         for fifo in self.fifos_out:
             fifo.watch(self)
         rac.watch(self)
-
-    def _clear_fifo_watches(self) -> None:
-        for fifo in self.fifos_in:
-            fifo.set_free_watch(None)
-        for fifo in self.fifos_out:
-            fifo.set_occ_watch(None)
 
     # -- control ------------------------------------------------------------
     @property
@@ -279,13 +290,7 @@ class OuessantController(Component):
         if self.interface.registers.prog_size < 1:
             raise ControllerError("S set with PROG_SIZE == 0")
         old = self._state
-        self._pc = 0
-        self._ibuf = []
-        self._decoded = []
-        self._pending = None
-        self._instr = None
-        self._loop_active = False
-        self._ofr = 0
+        self._clear_program()
         # a restart drops the open stall run's event, not its cycles
         self._stats.stop("cycles.fifo_stall", self.now)
         self._state = _State.PREFETCH if self.prefetch else _State.FETCH
@@ -305,24 +310,38 @@ class OuessantController(Component):
             return
         if old not in (_State.HALTED, _State.ERROR):
             self.trace_event("abort", state=old.value, pc=self._pc)
-        self._flush_stall(at=self.now)
-        self._clear_fifo_watches()
-        self._state = _State.IDLE
-        self._pending = None
-        self._instr = None
-        self._loop_active = False
+        self._park(_State.IDLE)
         self._phase(at=self.now, old=old)
         self.poke()
 
-    def reset(self) -> None:
-        self._state = _State.IDLE
-        self._pc = 0
-        self._ibuf = []
-        self._decoded = []
+    def _park(self, state: _State) -> None:
+        """Leave the run for parked ``state``: close the stall run,
+        disarm the FIFO watches, drop the instruction and transfer."""
+        self._flush_stall(at=self.now)
+        for fifo in self.fifos_in:
+            fifo.set_free_watch(None)
+        for fifo in self.fifos_out:
+            fifo.set_occ_watch(None)
+        self._state = state
         self._pending = None
         self._instr = None
         self._loop_active = False
+
+    def _clear_program(self) -> None:
+        """Forget the program: pc 0, no buffered words, no loop or
+        offset, nothing in flight."""
+        self._pc = 0
+        self._ibuf: List[int] = []
+        #: ``_ibuf`` decoded once at prefetch (None: undefined word)
+        self._decoded: List[Optional[OuInstruction]] = []
+        self._pending: Optional[BusTransfer] = None
+        self._instr: Optional[OuInstruction] = None
+        self._loop_active = False
         self._ofr = 0
+
+    def reset(self) -> None:
+        self._state = _State.IDLE
+        self._clear_program()
         self._stats = Stats()
         self.runs_started = 0
         self.perf.clear()
@@ -334,11 +353,7 @@ class OuessantController(Component):
         The ERROR state is left by writing CTRL (clearing S aborts,
         setting S starts a fresh run which clears E and the code).
         """
-        self._flush_stall(at=self.now)
-        self._clear_fifo_watches()
-        self._state = _State.ERROR
-        self._pending = None
-        self._instr = None
+        self._park(_State.ERROR)
         self._stats.counts["traps"] += 1
         self.trace_event("trap", code=code, reason=reason, pc=self._pc)
         self.interface.signal_error(code)
@@ -370,7 +385,7 @@ class OuessantController(Component):
 
     def _tick_waitf(self) -> None:
         if self._waitf_satisfied():
-            self._disarm_waitf_watch()
+            self._waitf_watch(None)
             self._state = _State.FETCH
 
     # -- quiescence protocol --------------------------------------------------
@@ -413,11 +428,7 @@ class OuessantController(Component):
         if self._pending is not None:
             return self.sim.cycle if self._pending.done else None
         fifo = self.fifos_out[self._xfer_fifo]
-        chunk = self._xfer_remaining
-        if self.bus_burst_threshold < chunk:
-            chunk = self.bus_burst_threshold
-        if fifo.depth < chunk:
-            chunk = fifo.depth
+        chunk = self._xfer_chunk
         stalled = fifo.occupancy < chunk
         fifo.set_occ_watch(chunk if stalled else None)
         return None if stalled else self.sim.cycle
@@ -437,25 +448,34 @@ class OuessantController(Component):
         return self.sim.cycle if self._waitf_satisfied() else None
 
     # -- fetch path ---------------------------------------------------------
-    def _tick_prefetch(self) -> None:
-        if self._pending is None:
-            words = min(self.interface.registers.prog_size, self.ibuf_size)
+    def _read_program(
+        self, offset: int, words: int, what: str
+    ) -> Optional[List[int]]:
+        """Read microcode over the bus, one tick at a time: submit the
+        read, then return its words on the tick that consumes it (None
+        before, and on a bus error, which traps)."""
+        pending = self._pending
+        if pending is None:
             self._pending = self.interface.submit_read(
-                PROGRAM_BANK, 0, words, waiter=self
-            )
-            return
-        if self._pending.done:
-            if self._pending.error:
-                self._trap(
-                    ERR_BUS,
-                    f"microcode prefetch: {self._pending.error_reason}",
-                )
-                return
-            self._ibuf = list(self._pending.data)
+                PROGRAM_BANK, offset, words, waiter=self)
+            return None
+        if not pending.done:
+            return None
+        if pending.error:
+            self._trap(ERR_BUS, f"{what}: {pending.error_reason}")
+            return None
+        self._pending = None
+        return pending.data
+
+    def _tick_prefetch(self) -> None:
+        words = self._read_program(
+            0, min(self.interface.registers.prog_size, self.ibuf_size),
+            "microcode prefetch")
+        if words is not None:
+            self._ibuf = list(words)
             # decode once; an undefined word still traps at the fetch
             # that reaches it
             self._decoded = [_decode_defined(word) for word in self._ibuf]
-            self._pending = None
             self._state = _State.FETCH
 
     def _decode_or_trap(self, word: int) -> Optional[OuInstruction]:
@@ -467,41 +487,22 @@ class OuessantController(Component):
             return None
 
     def _tick_fetch(self) -> None:
+        pc = self._pc
         prog_size = self.interface.registers.prog_size
-        if self._pc >= prog_size:
+        if pc >= prog_size:
             raise ControllerError(
-                f"PC {self._pc} ran past PROG_SIZE {prog_size} "
+                f"PC {pc} ran past PROG_SIZE {prog_size} "
                 "(missing eop/halt?)"
             )
-        if self._pc < len(self._ibuf):
-            instr = self._decoded[self._pc]
-            if instr is None:
-                self._decode_or_trap(self._ibuf[self._pc])  # traps
-                return
+        if pc < len(self._ibuf):
+            instr = self._decoded[pc] or self._decode_or_trap(self._ibuf[pc])
+        else:
+            # slow path: fetch the instruction word over the bus
+            words = self._read_program(pc, FETCH_BEATS, f"fetch pc={pc}")
+            instr = None if words is None else self._decode_or_trap(words[0])
+        if instr is not None:
             self._instr = instr
-            self._pc += 1
-            self._state = _State.DECODE
-            return
-        # slow path: fetch one instruction word over the bus
-        if self._pending is None:
-            self._pending = self.interface.submit_read(
-                PROGRAM_BANK, self._pc, 1, waiter=self
-            )
-            return
-        if self._pending.done:
-            if self._pending.error:
-                self._trap(
-                    ERR_BUS,
-                    f"fetch pc={self._pc}: {self._pending.error_reason}",
-                )
-                return
-            word = self._pending.data[0]
-            self._pending = None
-            instr = self._decode_or_trap(word)
-            if instr is None:
-                return
-            self._instr = instr
-            self._pc += 1
+            self._pc = pc + 1
             self._state = _State.DECODE
 
     def _tick_decode(self) -> None:
@@ -518,46 +519,42 @@ class OuessantController(Component):
 
     # -- execute -------------------------------------------------------------
     def _execute(self, instr: OuInstruction) -> None:
+        # an instruction fetches the next one unless it goes elsewhere
+        self._state = _State.FETCH
         op = instr.op
         if op in (OuOp.MVTC, OuOp.MVTCX, OuOp.MVFC, OuOp.MVFCX):
             self._begin_transfer(instr)
-        elif op is OuOp.EXEC:
-            self._require_rac().start_op()
-            self._state = _State.EXEC_WAIT
-        elif op is OuOp.EXECS:
-            self._require_rac().start_op()
-            self._state = _State.FETCH
+        elif op is OuOp.EXEC or op is OuOp.EXECS:
+            if self.rac is None:
+                raise ControllerError("exec with no RAC bound")
+            self.rac.start_op()
+            if op is OuOp.EXEC:
+                self._state = _State.EXEC_WAIT
         elif op is OuOp.EOP:
             self.interface.signal_done()
             self._state = _State.HALTED
             self.trace_event("eop", pc=self._pc)
-        elif op is OuOp.NOP:
-            self._state = _State.FETCH
         elif op is OuOp.WAIT:
-            if instr.imm == 0:
-                self._state = _State.FETCH
-            else:
+            if instr.imm:
                 # WAITING ticks imm times; the last one resumes
                 self._resume_at = self.sim.cycle + instr.imm
                 self._state = _State.WAITING
         elif op is OuOp.WAITF:
             self._instr = instr
             self._state = _State.WAITF
-            self._arm_waitf_watch(instr)
+            self._waitf_watch(instr.count)
         elif op is OuOp.JMP:
             if instr.imm >= self.interface.registers.prog_size:
                 raise ControllerError(
                     f"jmp target {instr.imm} outside program"
                 )
             self._pc = instr.imm
-            self._state = _State.FETCH
         elif op is OuOp.LOOP:
             if self._loop_active:
                 raise ControllerError("nested loop: single-level only")
             self._loop_active = True
             self._loop_count = instr.imm
             self._loop_body = self._pc
-            self._state = _State.FETCH
         elif op is OuOp.ENDL:
             if not self._loop_active:
                 raise ControllerError("endl without loop")
@@ -566,29 +563,18 @@ class OuessantController(Component):
                 self._pc = self._loop_body
             else:
                 self._loop_active = False
-            self._state = _State.FETCH
         elif op is OuOp.ADDOFR:
             self._ofr += instr.imm
-            self._state = _State.FETCH
         elif op is OuOp.CLROFR:
             self._ofr = 0
-            self._state = _State.FETCH
         elif op is OuOp.IRQ:
             self.interface.signal_irq()
-            self._state = _State.FETCH
-        elif op is OuOp.SYNC:
-            # the transfer engine is synchronous per instruction, so a
-            # sync barrier is already satisfied here; costs one cycle.
-            self._state = _State.FETCH
         elif op is OuOp.HALT:
             self._state = _State.HALTED
-        else:  # pragma: no cover - decode rejects undefined opcodes
+        # nop fetches on; so does sync: the transfer engine is
+        # synchronous per instruction, so its barrier already holds
+        elif op is not OuOp.NOP and op is not OuOp.SYNC:  # pragma: no cover
             raise ControllerError(f"unimplemented opcode {op}")
-
-    def _require_rac(self) -> RAC:
-        if self.rac is None:
-            raise ControllerError("exec with no RAC bound")
-        return self.rac
 
     # -- transfer engine ------------------------------------------------------
     def _begin_transfer(self, instr: OuInstruction) -> None:
@@ -611,9 +597,12 @@ class OuessantController(Component):
         self._xfer_fifo = instr.fifo
         # validate the whole window now (hardware would fault mid-burst)
         self.interface.translate(instr.bank, offset, instr.count)
-        self._state = (
-            _State.XFER_TO if instr.to_coprocessor() else _State.XFER_FROM
-        )
+        if instr.to_coprocessor():
+            self._state = _State.XFER_TO
+        else:
+            self._state = _State.XFER_FROM
+            self._xfer_chunk = drain_chunk(
+                instr.count, self._max_burst, fifos[instr.fifo].depth)
         self._open_stall()
 
     def _tick_xfer_to(self) -> None:
@@ -672,14 +661,7 @@ class OuessantController(Component):
             else:
                 self._open_stall()
             return
-        if self.bus_burst_threshold < 1:
-            raise ControllerError("bus burst threshold must be >= 1")
-        # never wait for more words than the FIFO can physically hold
-        chunk = self._xfer_remaining
-        if self.bus_burst_threshold < chunk:
-            chunk = self.bus_burst_threshold
-        if fifo.depth < chunk:
-            chunk = fifo.depth
+        chunk = self._xfer_chunk
         if fifo.occupancy < chunk:
             # bound any producer-side batch at the cycle the chunk fills
             fifo.set_occ_watch(chunk)
@@ -697,25 +679,19 @@ class OuessantController(Component):
         )
         self._xfer_offset += chunk
         self._xfer_remaining -= chunk
+        self._xfer_chunk = drain_chunk(
+            self._xfer_remaining, self._max_burst, fifo.depth)
 
     # -- waitf ---------------------------------------------------------------
-    def _arm_waitf_watch(self, instr: OuInstruction) -> None:
-        """Bound batches at the cycle the waited-on threshold crosses."""
-        if instr.direction is FIFODirection.INPUT:
-            if instr.fifo < len(self.fifos_in):
-                self.fifos_in[instr.fifo].set_free_watch(instr.count)
-        elif instr.fifo < len(self.fifos_out):
-            self.fifos_out[instr.fifo].set_occ_watch(instr.count)
-
-    def _disarm_waitf_watch(self) -> None:
+    def _waitf_watch(self, words: Optional[int]) -> None:
+        """Bound batches at the cycle the waited-on threshold of
+        ``waitf`` crosses (``words``), or stop bounding them (None)."""
         instr = self._instr
-        if instr is None:  # pragma: no cover
-            return
         if instr.direction is FIFODirection.INPUT:
             if instr.fifo < len(self.fifos_in):
-                self.fifos_in[instr.fifo].set_free_watch(None)
+                self.fifos_in[instr.fifo].set_free_watch(words)
         elif instr.fifo < len(self.fifos_out):
-            self.fifos_out[instr.fifo].set_occ_watch(None)
+            self.fifos_out[instr.fifo].set_occ_watch(words)
 
     def _waitf_satisfied(self) -> bool:
         instr = self._instr

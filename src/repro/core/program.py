@@ -294,6 +294,16 @@ def bank_addresses(
                     [prog, *inputs, *outputs]))
 
 
+def max_operations(items_in: Sequence[int], items_out: Sequence[int],
+                   chunk: int) -> int:
+    """The most operations whose :func:`streaming_program` (per
+    operation each port's transfers and the start, then ``eop``) fits
+    the program bank's ``MAX_OFFSET + 1``-word window."""
+    check_chunk(chunk)
+    per_op = 1 + sum(-(-items // chunk) for items in (*items_in, *items_out))
+    return MAX_OFFSET // per_op
+
+
 def streaming_program(
     items_in: Sequence[int],
     items_out: Sequence[int],
@@ -316,11 +326,15 @@ def streaming_program(
     ------
     ConfigurationError
         If there is no operation, the ports outnumber the bank file,
-        the data volume outgrows the 14-bit bank window, or ``chunk``
-        is not a valid transfer count.
+        the data volume or the program outgrows the 14-bit bank
+        window, or ``chunk`` is not a valid transfer count.
     """
     if operations < 1:
         raise ConfigurationError("need at least one operation")
+    if operations > max_operations(items_in, items_out, chunk):
+        raise ConfigurationError(
+            f"{operations} operations outgrow the {MAX_OFFSET + 1}-word "
+            f"program bank (bank {PROGRAM_BANK})")
     in_banks, out_banks = data_banks(len(items_in), len(items_out))
     for direction, items_of in (("input", items_in), ("output", items_out)):
         for port, items in enumerate(items_of):

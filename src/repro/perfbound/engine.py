@@ -42,7 +42,6 @@ from .model import (
     CONTROL,
     CostModel,
     RacTiming,
-    RUN_SLACK_CYCLES,
     TRANSFER,
 )
 
@@ -231,20 +230,16 @@ def bound_program(
 
     if timing is not None:
         for index, instr in enumerate(program):
-            if instr.op is OuOp.EXEC:
-                blocked = [
-                    port for port, out in enumerate(timing.items_out)
-                    if out > timing.fifo_depth
-                ]
-                if blocked:
-                    report.add(
-                        "OU300", index,
-                        f"exec waits for an op emitting "
-                        f"{max(timing.items_out)} words through a "
-                        f"{timing.fifo_depth}-deep FIFO no one drains "
-                        "meanwhile: the wait has no static bound",
-                    )
-                    return done(_refusal(report))
+            if (instr.op is OuOp.EXEC
+                    and max(timing.items_out) > timing.fifo_depth):
+                report.add(
+                    "OU300", index,
+                    f"exec waits for an op emitting "
+                    f"{max(timing.items_out)} words through a "
+                    f"{timing.fifo_depth}-deep FIFO no one drains "
+                    "meanwhile: the wait has no static bound",
+                )
+                return done(_refusal(report))
 
     cfg = build_cfg(program)
     if not cfg.structured or cfg.acyclic_order() is None:
@@ -269,9 +264,7 @@ def bound_program(
                    "a loop's cost could not be bounded")
         return done(_refusal(report))
 
-    # run-level charges: microcode prefetch + start/done edges
-    control = (control + model.prefetch_cost(len(program))
-               + Interval(0, RUN_SLACK_CYCLES))
+    control = control + model.run_cost(len(program))
 
     ops = Interval.point(0)
     if timing is not None:

@@ -1,23 +1,25 @@
 """Cycle-cost model: per-instruction ``[lo, hi]`` cycle intervals.
 
-The model mirrors the simulator's timing sources exactly:
+The model reads the simulator's timing contract where it lives, and
+``tests/test_timing_contract.py`` pins that contract to the simulator:
 
-* **Bus transactions.**  The bus grants one cycle after submit and the
-  controller consumes the data on the finish cycle, so a transaction of
-  ``c`` beats against a slave of latency ``L`` occupies the requesting
-  FSM state for ``protocol.transfer_cycles(c, L) + 2`` cycles
-  (submit tick + occupancy + consume tick), with back-to-back chunks.
-* **Controller FSM.**  Every executed instruction costs one FETCH and
-  one DECODE cycle (the execute action runs inside the decode tick);
-  instructions past the prefetched instruction buffer pay a 1-beat bus
-  fetch instead of the FETCH tick.
-* **Transfer chunking.**  ``mvfc`` chunks deterministically
-  (``min(remaining, max_burst_beats, fifo_depth)``); ``mvtc`` chunks by
-  free FIFO space, so its best case is depth-sized chunks and its worst
-  case is one word per transaction.
-* **RAC contract.**  A :class:`~repro.rac.base.StreamingRAC` op spans at
-  most ``collect + compute + emit`` progress ticks; the per-program
-  stall ceiling multiplies that by the op-count upper bound.
+* **Bus transactions and FSM states** (:mod:`repro.core.controller`).
+  A transaction of ``c`` beats holds its state for
+  ``protocol.transfer_cycles(c, L)`` plus ``SUBMIT_CYCLES`` and
+  ``CONSUME_CYCLES``.  An instruction costs ``FETCH_CYCLES +
+  DECODE_CYCLES``, past the instruction buffer a ``FETCH_BEATS``-word
+  bus fetch in place of FETCH.  A blocking ``exec`` holds EXEC_WAIT
+  ``END_OP_CYCLES`` past the RAC's operation.
+* **Transfer chunking.**  ``mvfc`` chunks by the controller's
+  :func:`~repro.core.controller.drain_chunk`; ``mvtc`` by free FIFO
+  space, at best depth-sized chunks and at worst one word each.
+* **RAC contract** (:attr:`repro.rac.base.StreamingRAC.op_ticks`).  An
+  operation's own ticks plus a FIFO handoff
+  (:data:`repro.rac.fifo.HANDOFF_CYCLES`) on each side; the stall
+  ceiling multiplies that by the op-count upper bound.
+
+The ``*_MARGIN_CYCLES`` constants are slack that no pinned rule
+explains, kept so that no bound moves.
 
 Memory latency is a *contract interval*: bounds hold for any slave
 latency within ``[mem_latency.lo, mem_latency.hi]``, which is how the
@@ -27,9 +29,18 @@ soundness suite exercises "stall-faulted" runs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from ..bus.protocol import AHB, BusProtocol
+from ..core.controller import (
+    CONSUME_CYCLES,
+    DECODE_CYCLES,
+    END_OP_CYCLES,
+    FETCH_BEATS,
+    FETCH_CYCLES,
+    SUBMIT_CYCLES,
+    drain_chunk,
+)
 from ..core.isa import (
     FROM_COPROCESSOR_OPS,
     OuInstruction,
@@ -37,6 +48,7 @@ from ..core.isa import (
     TO_COPROCESSOR_OPS,
 )
 from ..rac.base import StreamingRAC
+from ..rac.fifo import HANDOFF_CYCLES
 from ..verify.domain import INF, Interval
 
 if TYPE_CHECKING:
@@ -48,42 +60,17 @@ COMPUTE = "compute"
 CONTROL = "control"
 BUCKETS = (TRANSFER, COMPUTE, CONTROL)
 
-#: submit tick + consume tick around every bus transaction's occupancy
-TX_EDGE_CYCLES = 2
-
-#: slack on one RAC operation's progress-tick ceiling (phase
-#: transitions: collect->compute, compute fire, done->collect restart)
-OP_SLACK_CYCLES = 4
-
-#: run-level control slack: START dispatch + DONE edge + ibuf handoff
-RUN_SLACK_CYCLES = 6
-
-
-def tx_cycles(protocol: BusProtocol, beats: int, latency: int) -> int:
-    """FSM cycles one bus transaction holds its requester."""
-    return protocol.transfer_cycles(beats, latency) + TX_EDGE_CYCLES
-
-
-def mvfc_chunks(count: int, protocol: BusProtocol, depth: int) -> List[int]:
-    """The deterministic drain chunk sequence the controller issues."""
-    chunks: List[int] = []
-    remaining = count
-    while remaining > 0:
-        take = min(remaining, protocol.max_burst_beats, depth)
-        chunks.append(take)
-        remaining -= take
-    return chunks
-
-
-def mvtc_best_chunks(count: int, depth: int) -> List[int]:
-    """Fill chunking when the FIFO is always maximally free."""
-    chunks: List[int] = []
-    remaining = count
-    while remaining > 0:
-        take = min(remaining, depth)
-        chunks.append(take)
-        remaining -= take
-    return chunks
+#: per RAC operation: a cycle for each phase change (collect to
+#: compute, the compute firing, the restart); ``op_ticks`` already
+#: spends each inside one of its ticks
+OP_MARGIN_CYCLES = 3
+#: per blocking ``exec``: the cycle a RAC ticking before its controller
+#: would take to see ``start_op``; every OCP registers it after
+EXEC_MARGIN_CYCLES = 1
+#: per run: two cycles each for the START and DONE edges and the
+#: prefetch-to-fetch handoff, which cost none (a run is exactly its
+#: FSM states' cycles)
+RUN_MARGIN_CYCLES = 6
 
 
 @dataclass(frozen=True)
@@ -92,7 +79,8 @@ class RacTiming:
 
     items_in: Sequence[int]
     items_out: Sequence[int]
-    compute_latency: int
+    #: the RAC's own ticks per operation (``StreamingRAC.op_ticks``)
+    progress_ticks: int
     fifo_depth: int
 
     @staticmethod
@@ -100,18 +88,17 @@ class RacTiming:
         return RacTiming(
             items_in=tuple(rac.items_in),
             items_out=tuple(rac.items_out),
-            compute_latency=rac.compute_latency,
+            progress_ticks=rac.op_ticks,
             fifo_depth=rac.ports.fifo_depth,
         )
 
     @property
     def op_ticks(self) -> int:
-        """Ceiling on one op's RAC progress ticks (collect..emit): one
-        word per port per tick."""
-        collect = max([0, *self.items_in])
-        emit = max([0, *self.items_out])
-        return (collect + self.compute_latency + 1 + emit
-                + OP_SLACK_CYCLES)
+        """Ceiling on the cycles one op keeps the transfer engine
+        waiting: the RAC's own ticks, a FIFO handoff into it and one
+        out of it, and the op margin."""
+        return (self.progress_ticks + 2 * HANDOFF_CYCLES
+                + OP_MARGIN_CYCLES)
 
 
 @dataclass(frozen=True)
@@ -155,52 +142,62 @@ class CostModel:
         )
 
     # -- per-site costs ---------------------------------------------------
-    def _lat(self) -> Tuple[int, int]:
-        return int(self.mem_latency.lo), int(self.mem_latency.hi)
+    def _tx(self, beats: int) -> Interval:
+        """FSM cycles one bus transaction of ``beats`` words holds its
+        requester: the bus occupancy and the submit and consume ticks."""
+        lo, hi = (self.protocol.transfer_cycles(beats, int(latency))
+                  + SUBMIT_CYCLES + CONSUME_CYCLES
+                  for latency in (self.mem_latency.lo, self.mem_latency.hi))
+        return Interval(lo, hi)
 
     def fetch_decode_cost(self, index: int) -> Interval:
         """FETCH + DECODE cycles for the instruction at ``index``."""
         if self.prefetch and index < self.ibuf_size:
-            return Interval.point(2)
-        lo, hi = self._lat()
-        # slow path: a 1-beat bus fetch replaces the FETCH tick
-        return Interval(tx_cycles(self.protocol, 1, lo) + 1,
-                        tx_cycles(self.protocol, 1, hi) + 1)
+            return Interval.point(FETCH_CYCLES + DECODE_CYCLES)
+        # slow path: a bus fetch replaces the FETCH tick
+        return self._tx(FETCH_BEATS).add_const(DECODE_CYCLES)
 
     def mvtc_cost(self, count: int) -> Interval:
-        """XFER_TO cycles excluding FIFO-stall waits (pooled)."""
+        """XFER_TO cycles excluding FIFO-stall waits (pooled): at best
+        depth-sized chunks, at worst one word of FIFO space per
+        transaction."""
         depth = self.rac.fifo_depth if self.rac is not None else count
-        lo_lat, hi_lat = self._lat()
-        best = sum(tx_cycles(self.protocol, c, lo_lat)
-                   for c in mvtc_best_chunks(count, depth))
-        # worst chunking: one word of FIFO space per transaction
-        worst = count * tx_cycles(self.protocol, 1, hi_lat)
-        return Interval(best, max(best, worst))
+        best, left = 0, count
+        while left > 0:
+            chunk = min(left, depth)
+            best += self._tx(chunk).lo
+            left -= chunk
+        return Interval(best, max(best, count * self._tx(1).hi))
 
     def mvfc_cost(self, count: int) -> Interval:
-        """XFER_FROM cycles excluding FIFO-stall waits (pooled)."""
+        """XFER_FROM cycles excluding FIFO-stall waits (pooled): the
+        controller's own drain chunks."""
         depth = self.rac.fifo_depth if self.rac is not None else count
-        lo_lat, hi_lat = self._lat()
-        chunks = mvfc_chunks(count, self.protocol, depth)
-        return Interval(
-            sum(tx_cycles(self.protocol, c, lo_lat) for c in chunks),
-            sum(tx_cycles(self.protocol, c, hi_lat) for c in chunks),
-        )
+        cost, left = Interval.point(0), count
+        while left > 0:
+            chunk = drain_chunk(left, self.protocol.max_burst_beats, depth)
+            cost += self._tx(chunk)
+            left -= chunk
+        return cost
 
     def exec_cost(self) -> Interval:
         """EXEC_WAIT cycles for a blocking ``exec``."""
         if self.rac is None:
-            return Interval.point(1)
-        return Interval(1, self.rac.op_ticks + TX_EDGE_CYCLES)
+            return Interval.point(END_OP_CYCLES)
+        return Interval(END_OP_CYCLES, self.rac.op_ticks + END_OP_CYCLES
+                        + EXEC_MARGIN_CYCLES)
 
     def prefetch_cost(self, prog_size: int) -> Interval:
         """PREFETCH-state cycles for the initial microcode burst."""
         if not self.prefetch:
             return Interval.point(0)
-        beats = min(prog_size, self.ibuf_size)
-        lo, hi = self._lat()
-        return Interval(tx_cycles(self.protocol, beats, lo),
-                        tx_cycles(self.protocol, beats, hi))
+        return self._tx(min(prog_size, self.ibuf_size))
+
+    def run_cost(self, prog_size: int) -> Interval:
+        """Control cycles a run spends outside its instructions: the
+        microcode prefetch burst and the run margin."""
+        return (self.prefetch_cost(prog_size)
+                + Interval(0, RUN_MARGIN_CYCLES))
 
     def instruction_cost(
         self, index: int, instr: OuInstruction

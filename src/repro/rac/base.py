@@ -202,6 +202,13 @@ class StreamingRAC(RAC):
                 setattr(self, name,
                         getattr(self, f"_{name.lstrip('_')}_single"))
 
+    @property
+    def op_ticks(self) -> int:
+        """Ticks of one operation, input ready and output unblocked:
+        collect, ``compute_latency``, emit (firing on the first emit)."""
+        return (max(self.items_in) + self.compute_latency
+                + max(self.items_out))
+
     # -- handshake ---------------------------------------------------------
     def start_op(self) -> None:
         super().start_op()

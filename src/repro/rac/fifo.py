@@ -22,6 +22,11 @@ from ..sim.errors import ConfigurationError, FIFOError
 from ..sim.kernel import Component, inlined_claim
 from ..sim.tracing import Stats
 
+#: cycles from a push to the pop side seeing the word: staged words
+#: publish in :meth:`FIFO.commit`, at the end of the cycle (a pop frees
+#: its space at once)
+HANDOFF_CYCLES = 1
+
 
 class FIFO(Component):
     """Synchronous FIFO with independent push/pop widths.

@@ -144,8 +144,7 @@ class RaceChecker:
         own blocks, or widened, the longest batch the slot composes."""
         words = job.size
         if widened and self.model.batch_jobs > 1:
-            words = min(self.model.batch_jobs * slot.max_job_words,
-                        ARENA_WORDS)
+            words = slot.max_job_words
         block = slot.appetite
         return len(shape_program(words // block, block,
                                  self.model.chunk)[0])

@@ -125,7 +125,7 @@ class StreamModel:
                 )
             slots[index] = SlotPlan.of(
                 index, racs[index],
-                slot_arena(index, arena_base, arena_stride))
+                slot_arena(index, arena_base, arena_stride), chunk)
         size = RAM_SIZE if ram_size is None else ram_size
         ram = ByteRange(RAM_BASE, RAM_BASE + size, "ram")
         return cls(slots, capability, batch_jobs=batch_jobs,

@@ -26,7 +26,7 @@ from typing import Any, Deque, Dict, List, Mapping, Optional, Set, Tuple
 
 from ..bus.types import AccessKind, BusTransfer
 from ..core.coprocessor import OuessantCoprocessor
-from ..core.program import bank_addresses, check_chunk
+from ..core.program import bank_addresses, check_chunk, max_operations
 from ..core.registers import REG_CTRL, config_writes, start_word, trap_code
 from ..sim.errors import ConfigurationError, ReproError
 from ..sim.kernel import MAX_WAIT_CYCLES, Component
@@ -94,6 +94,7 @@ class SlotPlan:
     #: words per operation on each input / output port of the RAC
     items_in: Tuple[int, ...]
     items_out: Tuple[int, ...]
+    #: the most words one dispatch (a job, or a batch of jobs) stages
     max_job_words: int
     prog_base: int
     in_base: int
@@ -102,20 +103,24 @@ class SlotPlan:
     reg_bytes: int
 
     @classmethod
-    def of(cls, index: int, rac: Any, arena: int) -> "SlotPlan":
+    def of(cls, index: int, rac: Any, arena: int, chunk: int) -> "SlotPlan":
         """The plan of OCP ``index`` hosting ``rac``, with its program,
-        input and output arenas laid out from ``arena`` upwards."""
+        input and output arenas laid out from ``arena`` upwards, for
+        ``chunk``-word transfers."""
         items_in = tuple(int(items) for items in rac.items_in)
+        items_out = tuple(int(items) for items in rac.items_out)
         block = items_in[0] if items_in else 1
         return cls(
             index=index,
             kind=str(rac.kind),
             items_in=items_in,
-            items_out=tuple(int(items) for items in rac.items_out),
-            # the streaming recipe runs one operation per block, so a
-            # job is the whole blocks that fit the arena; racelint
-            # sizes its batch widening by this bound
-            max_job_words=ARENA_WORDS - ARENA_WORDS % block,
+            items_out=items_out,
+            # one operation per block: a dispatch is the whole blocks
+            # that fit the arena and the program bank; racelint sizes
+            # its batch widening by this bound
+            max_job_words=block * min(
+                ARENA_WORDS // block,
+                max_operations(items_in, items_out, chunk)),
             prog_base=arena,
             in_base=arena + ARENA_REGION_BYTES,
             out_base=arena + 2 * ARENA_REGION_BYTES,
@@ -132,7 +137,7 @@ class SlotPlan:
         """Can this OCP physically run ``job``?  The RAC must stream one
         input port into an output port of the same size (the shape the
         batch recipe drives), and the job must be whole blocks that fit
-        the arenas."""
+        the arenas and the program bank."""
         items_in = self.items_in
         return (len(items_in) == 1 and self.items_out == items_in
                 and job.size % items_in[0] == 0
@@ -172,7 +177,7 @@ def feasible_slots(
             f"no serving OCP ({shapes}): the RAC must stream one input "
             "port into an output port of the same size, and the job "
             f"must be whole blocks that fit the {ARENA_WORDS}-word "
-            "arena"
+            "arena and the program bank"
         )
     return fits
 
@@ -407,7 +412,8 @@ class ThroughputScheduler(Component):
         for index in self.capability.indices():
             ocp = soc.ocps[index]
             plan = SlotPlan.of(index, ocp.rac,
-                               slot_arena(index, arena_base, arena_stride))
+                               slot_arena(index, arena_base, arena_stride),
+                               chunk)
             self._plans[index] = plan
             self._slots[index] = _OcpSlot(ocp, plan)
         self._chains: Dict[str, int] = {}
@@ -707,9 +713,9 @@ class ThroughputScheduler(Component):
         dispatch_cycles: List[int] = []
         while slot.queue and len(jobs) < self.batch_jobs:
             job, submitted = slot.queue[0]
-            # a batch must fit the shared arenas (each job alone fits
-            # them: :meth:`SlotPlan.feasible`)
-            if jobs and total + job.size > ARENA_WORDS:
+            # a batch must fit the shared arenas and the program bank
+            # (each job alone fits them: :meth:`SlotPlan.feasible`)
+            if jobs and total + job.size > slot.plan.max_job_words:
                 break
             slot.queue.popleft()
             if slot in self._awaited:

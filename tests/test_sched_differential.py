@@ -34,6 +34,7 @@ from repro.faults import FaultEvent, FaultKind, FaultPlan, inject_faults
 from repro.rac.scale import PassthroughRac, ScaleRac
 from repro.sched import Job, ThroughputScheduler, run_sequential_reference
 from repro.sched.scheduler import SCHED_ARENA_BASE_OFFSET
+from repro.sim.errors import ConfigurationError
 from repro.system import RAM_BASE, build_mpsoc
 
 PT_BLOCK = 8
@@ -254,6 +255,36 @@ def test_job_larger_than_the_output_fifo_runs_bit_exact(words):
     results = sched.run_stream(jobs, max_cycles=50_000)
     assert {r.job.job_id: r.outputs for r in results} == \
         run_sequential_reference(jobs, {"passthrough": rac})
+
+
+def test_batch_is_cut_before_its_program_outgrows_the_program_bank():
+    """One-word blocks take three program words each, so 256 jobs of
+    64 words would make one 49 153-word batch program: the dispatcher
+    cuts each batch where its program still fits the 16 384-word
+    program bank, and the stream runs bit-exact."""
+    def rac():
+        return PassthroughRac(block_size=1)
+
+    rng = random.Random(SEED_BASE + 13)
+    jobs = [Job(f"j{index}", "passthrough",
+                [rng.getrandbits(32) for _ in range(64)])
+            for index in range(256)]
+    sched = ThroughputScheduler(build_mpsoc([rac()]), batch_jobs=256,
+                                queue_bound=256)
+    results = sched.run_stream(jobs)
+    assert {r.job.job_id: r.outputs for r in results} == \
+        run_sequential_reference(jobs, {"passthrough": rac})
+    assert sched.slots[0].plan.max_job_words == 5461
+
+
+def test_job_whose_program_outgrows_the_program_bank_is_refused():
+    """A 6000-word job of one-word blocks needs an 18 001-word program:
+    :meth:`ThroughputScheduler.submit` refuses it instead of letting
+    the run fault past the program bank."""
+    sched = ThroughputScheduler(build_mpsoc([PassthroughRac(block_size=1)]))
+    with pytest.raises(ConfigurationError, match="program bank"):
+        sched.submit(Job("big", "passthrough", list(range(6000))))
+    assert sched.submitted == 0
 
 
 def test_chained_jobs_bit_exact_with_batching():

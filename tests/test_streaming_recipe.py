@@ -56,6 +56,16 @@ def test_recipe_refuses_what_the_isa_cannot_encode(kwargs, message):
         streaming_program([8], [8], **kwargs)
 
 
+def test_recipe_refuses_a_program_the_program_bank_cannot_hold():
+    """One-word blocks take three program words each (``mvtc``,
+    ``execs``, ``mvfc``): 5461 operations and the ``eop`` fill the
+    16 384-word program bank exactly, and one more outgrows it."""
+    assert len(streaming_program([1], [1], 5461)) == 16384
+    with pytest.raises(ConfigurationError, match="5462 operations "
+                       "outgrow the 16384-word program bank"):
+        streaming_program([1], [1], 5462)
+
+
 def test_recipe_refuses_more_ports_than_banks():
     with pytest.raises(ConfigurationError, match="only 7 exist"):
         streaming_program([4] * 5, [4] * 3)
