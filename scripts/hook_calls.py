@@ -52,9 +52,9 @@ from repro.system import RAM_BASE, SoC, build_mpsoc
 from repro.utils import fixedpoint as fp
 
 #: calls per op allowed by ``--check``: 3% above the counts measured
-#: with CPython 3.11 when each entry was set (4811, 445.4 and 824), for
+#: with CPython 3.11 when each entry was set (3855, 365.8 and 700), for
 #: the interpreter differences between CPython versions
-BUDGET = {"fig4_op": 4956, "sched_job": 459, "jpeg_block": 849}
+BUDGET = {"fig4_op": 3971, "sched_job": 377, "jpeg_block": 721}
 
 #: frames that CPython 3.12 inlines into their caller
 _INLINED = frozenset({"<listcomp>", "<dictcomp>", "<setcomp>"})

@@ -30,7 +30,7 @@ from ..bus.types import BusTransfer
 from ..rac.base import RAC
 from ..rac.fifo import FIFO
 from ..sim.errors import ControllerError, EncodingError, FIFOError
-from ..sim.kernel import Component
+from ..sim.kernel import Component, inlined_claim
 from ..sim.tracing import Stats
 from .encoding import decode
 from .interface import OuessantInterface
@@ -43,10 +43,9 @@ from .registers import PROGRAM_BANK
 class _State(enum.Enum):
     """FSM states; each one that ticks charges ``cycles.<value>``.
 
-    A ticking state's ``step`` and ``claim`` are its entries in the
-    controller's dispatch table (:data:`_TABLE`): the controller method
-    its tick runs and the one that answers ``next_activity``.  A parked
-    state has neither.
+    A ticking state's ``step`` is its entry in the controller's
+    dispatch table (:data:`_TABLE`): the controller method its tick
+    runs.  A parked state has none.
     """
 
     IDLE = "idle"
@@ -68,8 +67,6 @@ class _State(enum.Enum):
             None if value in ("idle", "halted", "error")
             else f"cycles.{value}")
         self.step: Optional[Callable[["OuessantController"], None]] = None
-        self.claim: Optional[
-            Callable[["OuessantController"], Optional[int]]] = None
 
 
 #: the states that never tick
@@ -108,6 +105,19 @@ def drain_chunk(remaining: int, max_burst: int, depth: int) -> int:
     """Words the next ``mvfc`` chunk drains: what is left, capped by
     the longest bus burst and by the FIFO depth."""
     return min(remaining, max_burst, depth)
+
+
+def prefetch_words(prog_size: int, ibuf_size: int) -> int:
+    """Words the PREFETCH burst reads: the program, capped by the
+    instruction buffer."""
+    return min(prog_size, ibuf_size)
+
+
+def buffered_fetch(index: int, prefetch: bool, buffered: int) -> bool:
+    """True when FETCH reads the instruction at ``index`` from the
+    instruction buffer (one tick) rather than over the bus: prefetch is
+    on and ``index`` lies within the ``buffered`` words."""
+    return prefetch and index < buffered
 
 
 #: microcode words :func:`_decode_defined` remembers; a program is at
@@ -171,6 +181,10 @@ class OuessantController(Component):
         self.fifos_out: List[FIFO] = []
         self._stats = Stats()
         self._state = _State.IDLE
+        #: the state's self-timed wake (set by :meth:`_phase`), and
+        #: whether it waits on the RAC's ``end_op`` (EXEC_WAIT)
+        self._wake_at: Optional[int] = None
+        self._awaits_end_op = False
         #: the first cycle charged to the current state (the exec
         #: watchdog counts EXEC_WAIT cycles from it)
         self._entered = 0
@@ -259,11 +273,26 @@ class OuessantController(Component):
         opens; the boundary is also traced for span reconstruction.
         """
         state = self._state
-        if old.cycle_key is not None:
-            self._stats.stop(old.cycle_key, at)
+        opened = self._stats.open
+        key = old.cycle_key
+        if key is not None:
+            since = opened.pop(key, None)
+            if since is not None and at > since:
+                self._stats.counts[key] += at - since
         if state.cycle_key is not None:
-            self._stats.start(state.cycle_key, at)
+            opened.setdefault(state.cycle_key, at)
         self._entered = at
+        # the claim's self-timed wake: a state is due on entry unless
+        # it waits for a cycle, the RAC or nothing at all
+        self._awaits_end_op = state is _State.EXEC_WAIT
+        if state is _State.WAITING:
+            self._wake_at = self._resume_at
+        elif state is _State.EXEC_WAIT:
+            # the watchdog trips on the watchdog_cycles-th EXEC_WAIT tick
+            self._wake_at = (at + self.watchdog_cycles - 1
+                             if self.watchdog_cycles > 0 else None)
+        else:
+            self._wake_at = None if state.cycle_key is None else at
         if self.sim is not None and self.sim.trace is not None:
             self.trace_quiet("phase", state=state.value, at=at)
 
@@ -275,16 +304,30 @@ class OuessantController(Component):
         one event per run (not per cycle) keeps declared-idle windows
         event-free, as the quiescence protocol requires.
         """
-        cycles = self._stats.stop("cycles.fifo_stall", at)
-        if cycles:
-            self.trace_quiet("stall", cycles=cycles, at=at)
+        since = self._stats.open.pop("cycles.fifo_stall", None)
+        if since is not None and at > since:
+            self._stats.counts["cycles.fifo_stall"] += at - since
+            self.trace_quiet("stall", cycles=at - since, at=at)
 
     def _open_stall(self) -> None:
         """The transfer engine has no bus transfer in flight from the
         next cycle on: every cycle until it issues one is a FIFO stall
         (an unstalled engine issues at once, closing the interval
-        empty)."""
-        self._stats.start("cycles.fifo_stall", self.sim.cycle + 1)
+        empty).  It awaits the FIFO level its next chunk needs -- one
+        free word for ``mvtc``, the whole chunk for ``mvfc`` -- and
+        arms that FIFO's stall watch at it, so a batch on the other
+        side ends at the crossing cycle."""
+        self._stats.open.setdefault("cycles.fifo_stall", self.sim.cycle + 1)
+        if self._state is _State.XFER_TO:
+            fifo = self.fifos_in[self._xfer_fifo]
+            self._free_fifo = fifo
+            self._level = 1
+            fifo.set_free_watch(1)
+        else:
+            fifo = self.fifos_out[self._xfer_fifo]
+            self._occ_fifo = fifo
+            self._level = self._xfer_chunk
+            fifo.set_occ_watch(self._xfer_chunk)
 
     def _on_start(self) -> None:
         if self.interface.registers.prog_size < 1:
@@ -292,7 +335,9 @@ class OuessantController(Component):
         old = self._state
         self._clear_program()
         # a restart drops the open stall run's event, not its cycles
-        self._stats.stop("cycles.fifo_stall", self.now)
+        since = self._stats.open.pop("cycles.fifo_stall", None)
+        if since is not None and self.now > since:
+            self._stats.counts["cycles.fifo_stall"] += self.now - since
         self._state = _State.PREFETCH if self.prefetch else _State.FETCH
         self.perf.clear()
         self.runs_started += 1
@@ -324,6 +369,7 @@ class OuessantController(Component):
             fifo.set_occ_watch(None)
         self._state = state
         self._pending = None
+        self._free_fifo = self._occ_fifo = None
         self._instr = None
         self._loop_active = False
 
@@ -335,12 +381,19 @@ class OuessantController(Component):
         #: ``_ibuf`` decoded once at prefetch (None: undefined word)
         self._decoded: List[Optional[OuInstruction]] = []
         self._pending: Optional[BusTransfer] = None
+        #: the FIFO whose free space / occupancy the transfer engine or
+        #: ``waitf`` awaits, at least ``_level`` words
+        self._free_fifo: Optional[FIFO] = None
+        self._occ_fifo: Optional[FIFO] = None
+        self._level = 0
         self._instr: Optional[OuInstruction] = None
         self._loop_active = False
         self._ofr = 0
 
     def reset(self) -> None:
         self._state = _State.IDLE
+        self._wake_at = None
+        self._awaits_end_op = False
         self._clear_program()
         self._stats = Stats()
         self.runs_started = 0
@@ -389,63 +442,23 @@ class OuessantController(Component):
             self._state = _State.FETCH
 
     # -- quiescence protocol --------------------------------------------------
-    def next_activity(self):
-        """Declare idleness for the stall-shaped FSM states.
-
-        The controller is data-driven in most states (waiting on a bus
-        transfer, on FIFO occupancy, on the RAC's ``end_op``): those
-        conditions only change when *another* component ticks, so the
-        controller may declare indefinite idleness and rely on the
-        global quiescence rule.  Self-timed waits (``wait`` imm, the
-        exec watchdog) declare their expiry cycle instead.  The
-        state's ``claim`` answers; a parked state is idle.
-        """
-        claim = self._state.claim
-        return None if claim is None else claim(self)
-
-    def _claim_due(self) -> int:
-        return self.sim.cycle  # DECODE: always active
-
-    def _claim_fetch(self) -> Optional[int]:
-        pending = self._pending
-        if pending is not None and not pending.done:
-            return None  # the bus completion wakes us
-        return self.sim.cycle
-
-    def _claim_xfer_to(self) -> Optional[int]:
-        if self._pending is not None:
-            return self.sim.cycle if self._pending.done else None
-        fifo = self.fifos_in[self._xfer_fifo]
-        stalled = fifo.free_push_words < 1
-        # under idle skipping the stalled tick branch (which arms the
-        # watch on the naive path) never runs: declare the resume
-        # threshold here so a hot-mode batch on the other side of the
-        # FIFO stops at the crossing cycle
-        fifo.set_free_watch(1 if stalled else None)
-        return None if stalled else self.sim.cycle
-
-    def _claim_xfer_from(self) -> Optional[int]:
-        if self._pending is not None:
-            return self.sim.cycle if self._pending.done else None
-        fifo = self.fifos_out[self._xfer_fifo]
-        chunk = self._xfer_chunk
-        stalled = fifo.occupancy < chunk
-        fifo.set_occ_watch(chunk if stalled else None)
-        return None if stalled else self.sim.cycle
-
-    def _claim_exec_wait(self) -> Optional[int]:
-        if self.rac is not None and self.rac.end_op:
-            return self.sim.cycle
-        if self.watchdog_cycles > 0:
-            # the trap fires on the watchdog_cycles-th EXEC_WAIT tick
-            return self._entered + self.watchdog_cycles - 1
-        return None
-
-    def _claim_waiting(self) -> int:
-        return self._resume_at
-
-    def _claim_waitf(self) -> Optional[int]:
-        return self.sim.cycle if self._waitf_satisfied() else None
+    #: Declare idleness from the fields the transitions keep current.
+    #: The controller is data-driven in most states: a pending bus
+    #: transfer wakes it when done, a stalled transfer or ``waitf`` when
+    #: its FIFO reaches the awaited level, EXEC_WAIT at the RAC's
+    #: ``end_op``; those only change when *another* component acts,
+    #: which pokes it.  Otherwise the self-timed wake answers: the entry
+    #: cycle of a state due at once, the ``wait`` resume cycle, the exec
+    #: watchdog, None when parked.  The walk inlines this claim; it
+    #: reads the FIFOs and the RAC that :meth:`bind_fabric` bound.
+    next_activity = inlined_claim(
+        "({now} if {c}._pending.done else None) if {c}._pending is not None"
+        " else ({now} if {c}._occ_fifo.occupancy >= {c}._level else None)"
+        " if {c}._occ_fifo is not None"
+        " else ({now} if {c}._free_fifo.free_push_words >= {c}._level"
+        " else None) if {c}._free_fifo is not None"
+        " else {now} if {c}._awaits_end_op and {c}.rac.end_op"
+        " else {c}._wake_at")
 
     # -- fetch path ---------------------------------------------------------
     def _read_program(
@@ -469,7 +482,8 @@ class OuessantController(Component):
 
     def _tick_prefetch(self) -> None:
         words = self._read_program(
-            0, min(self.interface.registers.prog_size, self.ibuf_size),
+            0, prefetch_words(self.interface.registers.prog_size,
+                              self.ibuf_size),
             "microcode prefetch")
         if words is not None:
             self._ibuf = list(words)
@@ -494,7 +508,7 @@ class OuessantController(Component):
                 f"PC {pc} ran past PROG_SIZE {prog_size} "
                 "(missing eop/halt?)"
             )
-        if pc < len(self._ibuf):
+        if buffered_fetch(pc, self.prefetch, len(self._ibuf)):
             instr = self._decoded[pc] or self._decode_or_trap(self._ibuf[pc])
         else:
             # slow path: fetch the instruction word over the bus
@@ -625,6 +639,7 @@ class OuessantController(Component):
                 return
             self._stats.counts["words_to_rac"] += len(data)
             if self._xfer_remaining == 0:
+                self._free_fifo = None
                 self._state = _State.FETCH
             else:
                 self._open_stall()
@@ -657,6 +672,7 @@ class OuessantController(Component):
                 return
             self._pending = None
             if self._xfer_remaining == 0:
+                self._occ_fifo = None
                 self._state = _State.FETCH
             else:
                 self._open_stall()
@@ -684,14 +700,21 @@ class OuessantController(Component):
 
     # -- waitf ---------------------------------------------------------------
     def _waitf_watch(self, words: Optional[int]) -> None:
-        """Bound batches at the cycle the waited-on threshold of
-        ``waitf`` crosses (``words``), or stop bounding them (None)."""
+        """Await the threshold of ``waitf`` (``words``) and bound
+        batches at the cycle it crosses, or stop (None).  An
+        out-of-range FIFO is awaited by no field: the state is due, and
+        its tick raises."""
         instr = self._instr
+        self._level = words or 0
         if instr.direction is FIFODirection.INPUT:
             if instr.fifo < len(self.fifos_in):
-                self.fifos_in[instr.fifo].set_free_watch(words)
+                fifo = self.fifos_in[instr.fifo]
+                fifo.set_free_watch(words)
+                self._free_fifo = None if words is None else fifo
         elif instr.fifo < len(self.fifos_out):
-            self.fifos_out[instr.fifo].set_occ_watch(words)
+            fifo = self.fifos_out[instr.fifo]
+            fifo.set_occ_watch(words)
+            self._occ_fifo = None if words is None else fifo
 
     def _waitf_satisfied(self) -> bool:
         instr = self._instr
@@ -708,26 +731,18 @@ class OuessantController(Component):
         return fifos[instr.fifo].occupancy >= instr.count
 
 
-#: the controller's dispatch table: each ticking state's tick step and
-#: quiescence claim, kept on the state itself (a dict keyed by a plain
-#: Enum would hash in Python on every event)
+#: the controller's dispatch table: each ticking state's tick step, kept
+#: on the state itself (a dict keyed by a plain Enum would hash in
+#: Python on every event)
 _TABLE = {
-    _State.PREFETCH: (OuessantController._tick_prefetch,
-                      OuessantController._claim_fetch),
-    _State.FETCH: (OuessantController._tick_fetch,
-                   OuessantController._claim_fetch),
-    _State.DECODE: (OuessantController._tick_decode,
-                    OuessantController._claim_due),
-    _State.XFER_TO: (OuessantController._tick_xfer_to,
-                     OuessantController._claim_xfer_to),
-    _State.XFER_FROM: (OuessantController._tick_xfer_from,
-                       OuessantController._claim_xfer_from),
-    _State.EXEC_WAIT: (OuessantController._tick_exec_wait,
-                       OuessantController._claim_exec_wait),
-    _State.WAITING: (OuessantController._tick_waiting,
-                     OuessantController._claim_waiting),
-    _State.WAITF: (OuessantController._tick_waitf,
-                   OuessantController._claim_waitf),
+    _State.PREFETCH: OuessantController._tick_prefetch,
+    _State.FETCH: OuessantController._tick_fetch,
+    _State.DECODE: OuessantController._tick_decode,
+    _State.XFER_TO: OuessantController._tick_xfer_to,
+    _State.XFER_FROM: OuessantController._tick_xfer_from,
+    _State.EXEC_WAIT: OuessantController._tick_exec_wait,
+    _State.WAITING: OuessantController._tick_waiting,
+    _State.WAITF: OuessantController._tick_waitf,
 }
-for _state, _entry in _TABLE.items():
-    _state.step, _state.claim = _entry
+for _state, _step in _TABLE.items():
+    _state.step = _step

@@ -39,7 +39,9 @@ from ..core.controller import (
     FETCH_BEATS,
     FETCH_CYCLES,
     SUBMIT_CYCLES,
+    buffered_fetch,
     drain_chunk,
+    prefetch_words,
 )
 from ..core.isa import (
     FROM_COPROCESSOR_OPS,
@@ -152,7 +154,7 @@ class CostModel:
 
     def fetch_decode_cost(self, index: int) -> Interval:
         """FETCH + DECODE cycles for the instruction at ``index``."""
-        if self.prefetch and index < self.ibuf_size:
+        if buffered_fetch(index, self.prefetch, self.ibuf_size):
             return Interval.point(FETCH_CYCLES + DECODE_CYCLES)
         # slow path: a bus fetch replaces the FETCH tick
         return self._tx(FETCH_BEATS).add_const(DECODE_CYCLES)
@@ -191,7 +193,7 @@ class CostModel:
         """PREFETCH-state cycles for the initial microcode burst."""
         if not self.prefetch:
             return Interval.point(0)
-        return self._tx(min(prog_size, self.ibuf_size))
+        return self._tx(prefetch_words(prog_size, self.ibuf_size))
 
     def run_cost(self, prog_size: int) -> Interval:
         """Control cycles a run spends outside its instructions: the

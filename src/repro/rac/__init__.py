@@ -1,6 +1,6 @@
 """Accelerator substrate: FIFOs, RAC framework, and concrete RACs."""
 
-from .base import RAC, RACPortSpec, StreamingRAC
+from .base import RAC, MultiPortRAC, RACPortSpec, StreamingRAC
 from .dft import DFTRac, dft_latency
 from .fifo import FIFO
 from .fir import FIRRac, fir_q15
@@ -17,6 +17,7 @@ __all__ = [
     "IDCTRac",
     "IDCT_PIPELINE_LATENCY",
     "MatMulRac",
+    "MultiPortRAC",
     "matmul_q15",
     "PassthroughRac",
     "RAC",

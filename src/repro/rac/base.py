@@ -17,7 +17,7 @@ import enum
 from typing import Callable, List, Optional, Sequence
 
 from ..sim.errors import ConfigurationError, RACError
-from ..sim.kernel import Component
+from ..sim.kernel import Component, inlined_claim
 from ..sim.tracing import Stats
 from .fifo import FIFO
 
@@ -122,7 +122,7 @@ ComputeFn = Callable[[List[List[int]]], List[List[int]]]
 #: the :class:`StreamingRAC` hooks that a RAC with one port each way
 #: runs as straight single-port bodies (``_<name>_single``), chosen at
 #: construction unless its class overrides the general one
-SINGLE_STREAM_BODIES = ("next_activity", "_collect", "_emit")
+SINGLE_STREAM_BODIES = ("_collect", "_emit")
 
 
 class StreamingRAC(RAC):
@@ -150,10 +150,9 @@ class StreamingRAC(RAC):
     and the hot batch lane's :meth:`tick_batch` share one body,
     :meth:`_collect` / :meth:`_emit`, which runs a given number of
     those cycles at once.  A RAC with one port each way (every RAC of
-    the paper) gets straight single-port bodies of those two and of
-    :meth:`next_activity` at construction
-    (:data:`SINGLE_STREAM_BODIES`); a multi-port RAC loops over its
-    ports.
+    the paper) gets straight single-port bodies of those two at
+    construction (:data:`SINGLE_STREAM_BODIES`); a multi-port RAC loops
+    over its ports.
     """
 
     kind = "streaming"
@@ -176,6 +175,9 @@ class StreamingRAC(RAC):
             raise ConfigurationError(f"{name}: port/item count mismatch")
         if compute_latency < 0:
             raise ConfigurationError("compute_latency must be >= 0")
+        if min(items_in, default=0) < 1 or min(items_out, default=0) < 1:
+            raise ConfigurationError(
+                f"{name}: items per operation must be >= 1")
         super().__init__(name, ports)
         self.items_in = list(items_in)
         self.items_out = list(items_out)
@@ -187,8 +189,16 @@ class StreamingRAC(RAC):
         self._to_emit: List[List[int]] = []
         self._emitted: List[int] = []
         #: the cycle the compute fires: ``compute_latency`` cycles after
-        #: the tick that completes collection
-        self._compute_at = 0
+        #: the tick that completes collection (None outside COMPUTE)
+        self._compute_at: Optional[int] = None
+        #: what the claim of a RAC with one port each way reads: its
+        #: FIFOs (bound in :meth:`bind`; None on a multi-port RAC), the
+        #: words left to collect (an autostart RAC at rest awaits its
+        #: next operation's) and the words left to emit
+        self._in: Optional[FIFO] = None
+        self._out: Optional[FIFO] = None
+        self._to_collect = self._at_rest()
+        self._to_send = 0
         #: one input and one output port, stock collect/compute/emit
         #: behaviour: the shape the batch lane handles
         self._single_stream = (n_in == 1 and n_out == 1
@@ -201,6 +211,17 @@ class StreamingRAC(RAC):
             for name in SINGLE_STREAM_BODIES:
                 setattr(self, name,
                         getattr(self, f"_{name.lstrip('_')}_single"))
+
+    def bind(self, inputs: List[FIFO], outputs: List[FIFO]) -> None:
+        super().bind(inputs, outputs)
+        single = len(self.inputs) == 1 == len(self.outputs)
+        self._in = self.inputs[0] if single else None
+        self._out = self.outputs[0] if single else None
+
+    def _at_rest(self) -> int:
+        """Words an idle RAC awaits: its next operation's, if autostart
+        collects them as they arrive."""
+        return self.items_in[0] if self.autostart else 0
 
     @property
     def op_ticks(self) -> int:
@@ -217,12 +238,26 @@ class StreamingRAC(RAC):
 
     def _begin_collect(self) -> None:
         self._phase = _Phase.COLLECT
+        self._to_collect = self.items_in[0]
         self._collected = [[] for _ in self.items_in]
         self._to_emit = []
         self._emitted = []
 
     # -- quiescence protocol -------------------------------------------------
-    def next_activity(self):
+    #: A RAC with one port each way is due while a word it awaits is in
+    #: its input FIFO (collecting, or at rest under autostart) or while
+    #: it has words to emit and output space; computing, it wakes at the
+    #: deadline.  The walk inlines this claim; a multi-port RAC answers
+    #: through the port loops of :meth:`_port_claim`, called in place
+    #: (a :class:`MultiPortRAC` has them polled and cached instead).
+    next_activity = inlined_claim(
+        "{c}._port_claim() if {c}._in is None"
+        " else ({now} if {c}._in.occupancy else None) if {c}._to_collect"
+        " else ({now} if {c}._out.free_push_words else None)"
+        " if {c}._to_send else {c}._compute_at")
+
+    def _port_claim(self) -> Optional[int]:
+        """The claim of a RAC with several ports on a side."""
         phase = self._phase
         if phase is _Phase.COMPUTE:
             # pipeline latency: nothing happens until the deadline
@@ -250,24 +285,6 @@ class StreamingRAC(RAC):
                     and fifo.free_push_words):
                 return now
         return None  # all remaining output FIFOs are full
-
-    def _next_activity_single(self):
-        """:meth:`next_activity` of a RAC with one port each way."""
-        phase = self._phase
-        if phase is _Phase.COMPUTE:
-            return self._compute_at
-        if phase is _Phase.COLLECT:
-            if len(self._collected[0]) < self.items_in[0]:
-                return self.sim.cycle if self.inputs[0].occupancy else None
-            return self.sim.cycle
-        if phase is _Phase.DONE:
-            if self.autostart and self.inputs[0].occupancy:
-                return self.sim.cycle
-            return None
-        if (self._emitted[0] < self.items_out[0]
-                and self.outputs[0].free_push_words):
-            return self.sim.cycle
-        return None
 
     # -- per-cycle behaviour -----------------------------------------------
     def tick(self) -> None:
@@ -304,6 +321,7 @@ class StreamingRAC(RAC):
                 self.stats.counts["words_in"] += take
             if len(collected) < self.items_in[port]:
                 done = False
+        self._to_collect = self.items_in[0] - len(self._collected[0])
         if done:
             self._phase = _Phase.COMPUTE
             self._compute_at = (self.sim.cycle + cycles
@@ -314,7 +332,7 @@ class StreamingRAC(RAC):
         """:meth:`_collect` of a RAC with one port each way."""
         collected = self._collected[0]
         fifo = self.inputs[0]
-        take = self.items_in[0] - len(collected)
+        take = self._to_collect
         if cycles < take:
             take = cycles
         if fifo.occupancy < take:
@@ -322,7 +340,8 @@ class StreamingRAC(RAC):
         if take:
             collected.extend(fifo.pop_many(take))
             self.stats.counts["words_in"] += take
-        if len(collected) >= self.items_in[0]:
+        self._to_collect = left = self._to_collect - take
+        if not left:
             self._phase = _Phase.COMPUTE
             self._compute_at = (self.sim.cycle + cycles
                                 + self.compute_latency)
@@ -345,6 +364,8 @@ class StreamingRAC(RAC):
                 )
         self._to_emit = [list(w) for w in outputs]
         self._emitted = [0] * len(outputs)
+        self._to_send = self.items_out[0]
+        self._compute_at = None
         self._phase = _Phase.EMIT
         self.trace_event("compute_done")
 
@@ -367,8 +388,10 @@ class StreamingRAC(RAC):
                 self.stats.counts["words_out"] += words
             if sent < total:
                 all_done = False
+        self._to_send = self.items_out[0] - self._emitted[0]
         if all_done:
             self._phase = _Phase.DONE
+            self._to_collect = self._at_rest()
             self._finish_op()
 
     def _emit_single(self, cycles: int) -> None:
@@ -385,8 +408,10 @@ class StreamingRAC(RAC):
             fifo.push_many(self._to_emit[0][sent:sent + words])
             self._emitted[0] = sent = sent + words
             self.stats.counts["words_out"] += words
+        self._to_send = total - sent
         if sent >= total:
             self._phase = _Phase.DONE
+            self._to_collect = self._at_rest()
             self._finish_op()
 
     # -- hot-mode batch lane -------------------------------------------------
@@ -406,7 +431,7 @@ class StreamingRAC(RAC):
             return (self._single_stream
                     and type(self.outputs[0]).push_many is FIFO.push_many)
         return (phase is _Phase.COLLECT and self._single_stream
-                and len(self._collected[0]) < self.items_in[0])
+                and self._to_collect > 0)
 
     def batch_span(self, budget: int) -> int:
         """Cycles :meth:`tick_batch` would consume: one per word it can
@@ -414,13 +439,13 @@ class StreamingRAC(RAC):
         (:meth:`FIFO.pop_crossing` / :meth:`FIFO.push_crossing`)."""
         if self._phase is _Phase.COLLECT:
             fifo = self.inputs[0]
-            ready = self.items_in[0] - len(self._collected[0])
+            ready = self._to_collect
             if fifo.occupancy < ready:
                 ready = fifo.occupancy
             crossing = fifo.pop_crossing()
         else:
             fifo = self.outputs[0]
-            ready = self.items_out[0] - self._emitted[0]
+            ready = self._to_send
             if fifo.free_push_words < ready:
                 ready = fifo.free_push_words
             crossing = fifo.push_crossing()
@@ -455,4 +480,15 @@ class StreamingRAC(RAC):
         self._collected = []
         self._to_emit = []
         self._emitted = []
-        self._compute_at = 0
+        self._compute_at = None
+        self._to_collect = self._at_rest()
+        self._to_send = 0
+
+
+class MultiPortRAC(StreamingRAC):
+    """A :class:`StreamingRAC` built with several ports on a side (FIR,
+    MatMul, a multi-port HLS core).  Its claim is the port loop of
+    :meth:`_port_claim`, which the walk polls once and caches until a
+    poke, where an inlined call would run it at every scan."""
+
+    next_activity = StreamingRAC._port_claim

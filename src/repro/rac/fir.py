@@ -19,7 +19,7 @@ from typing import List
 from ..sim.errors import ConfigurationError
 from ..utils.bits import to_signed
 from ..utils.fixedpoint import saturate
-from .base import RACPortSpec, StreamingRAC
+from .base import MultiPortRAC, RACPortSpec
 
 
 def fir_q15(samples: List[int], taps: List[int]) -> List[int]:
@@ -40,7 +40,7 @@ def fir_q15(samples: List[int], taps: List[int]) -> List[int]:
     return out
 
 
-class FIRRac(StreamingRAC):
+class FIRRac(MultiPortRAC):
     """Block FIR filter: data on port 0, taps on config port 1.
 
     Parameters

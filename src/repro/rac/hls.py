@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
 
 from ..sim.errors import ConfigurationError
-from .base import RACPortSpec, StreamingRAC
+from .base import MultiPortRAC, RACPortSpec, StreamingRAC
 
 
 @dataclass(frozen=True)
@@ -72,8 +72,6 @@ def wrap_function(
         raise ConfigurationError("pipeline_depth must be >= 0")
     if not spec.items_in or not spec.items_out:
         raise ConfigurationError("spec needs at least one port per side")
-    if any(i < 1 for i in list(spec.items_in) + list(spec.items_out)):
-        raise ConfigurationError("items per operation must be >= 1")
 
     ports = RACPortSpec(
         spec.resolved_input_widths(),
@@ -85,7 +83,8 @@ def wrap_function(
     # to consuming 1 word per cycle but waiting (II-1) extra cycles per
     # word in the compute phase.
     extra = (spec.initiation_interval - 1) * sum(spec.items_in)
-    rac = StreamingRAC(
+    single = len(spec.items_in) == 1 == len(spec.items_out)
+    rac = (StreamingRAC if single else MultiPortRAC)(
         name,
         items_in=list(spec.items_in),
         items_out=list(spec.items_out),

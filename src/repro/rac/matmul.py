@@ -18,7 +18,7 @@ from typing import List
 from ..sim.errors import ConfigurationError
 from ..utils.bits import to_signed
 from ..utils.fixedpoint import saturate
-from .base import RACPortSpec, StreamingRAC
+from .base import MultiPortRAC, RACPortSpec
 
 
 def matmul_q15(a: List[List[int]], b: List[List[int]]) -> List[List[int]]:
@@ -44,7 +44,7 @@ def _to_matrix(words: List[int], n: int) -> List[List[int]]:
     return [[to_signed(words[i * n + j]) for j in range(n)] for i in range(n)]
 
 
-class MatMulRac(StreamingRAC):
+class MatMulRac(MultiPortRAC):
     """N x N Q15 matrix multiplier behind FIFO ports.
 
     Latency model: an N-wide systolic row pipeline computes one output

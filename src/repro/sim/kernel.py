@@ -338,7 +338,7 @@ def inlined_claim(template: str) -> Callable[[Component], Optional[int]]:
     it (see :func:`_claim`).
 
     ``template`` is one side-effect-free Python expression of the
-    component's own fields, ``{c}``, and the current cycle, ``{now}``
+    component's fields, ``{c}``, and the current cycle, ``{now}``
     (``"None"`` for a component that never wakes on its own).  Such a
     claim is never cached, so whatever changes those fields drops only
     the claim of the component's cluster (``_cluster._wake_valid =

@@ -138,7 +138,10 @@ class Stats:
 
     A hook the simulation kernel calls per event counts through the
     public mapping, ``stats.counts[name] += amount``, which creates a
-    key exactly when :meth:`incr` would and costs no Python call.
+    key exactly when :meth:`incr` would and costs no Python call.  Such
+    a hook opens and closes intervals through the public ``open`` map
+    the same way: ``open.setdefault(name, at)`` opens one, and closing
+    one pops its start and adds ``at - since`` only when positive.
     """
 
     def __init__(self) -> None:
@@ -146,7 +149,7 @@ class Stats:
         self.counts: Counter = Counter()
         self._gauges: set = set()
         #: cycle intervals still open, by counter: the cycle each began
-        self._open: Dict[str, int] = {}
+        self.open: Dict[str, int] = {}
 
     def incr(self, name: str, amount: int = 1) -> None:
         self.counts[name] += amount
@@ -154,12 +157,12 @@ class Stats:
     def start(self, name: str, at: int) -> None:
         """Open a cycle interval of ``name`` at cycle ``at`` (kept if
         one is open already); :meth:`at` counts it until :meth:`stop`."""
-        self._open.setdefault(name, at)
+        self.open.setdefault(name, at)
 
     def stop(self, name: str, at: int) -> int:
         """Close ``name``'s open interval at cycle ``at``: charge its
         cycles and return them (0 when none was open)."""
-        since = self._open.pop(name, None)
+        since = self.open.pop(name, None)
         if since is None or at <= since:
             return 0
         cycles = at - since
@@ -172,7 +175,7 @@ class Stats:
         live = Stats()
         live._gauges = set(self._gauges)
         live.counts = self.counts.copy()
-        for name, since in self._open.items():
+        for name, since in self.open.items():
             cycles = elapsed(since, now)
             if cycles:
                 live.counts[name] += cycles

@@ -293,19 +293,19 @@ def test_restart_after_completion(soc_passthrough):
 
 
 def test_every_state_is_parked_or_has_a_dispatch_entry():
-    """``tick`` and ``next_activity`` dispatch on each state's table
-    entry: a state the table missed would silently never tick."""
+    """``tick`` dispatches on each state's table entry: a state the
+    table missed would silently never tick."""
     from repro.core.controller import (_PARKED, _TABLE, OuessantController,
                                        _State)
 
     for state in _State:
         if state in _PARKED:
-            assert state.step is None and state.claim is None
+            assert state.step is None
             assert state not in _TABLE
         else:
-            assert (state.step, state.claim) == _TABLE[state]
-            for hook in (state.step, state.claim):
-                assert getattr(OuessantController, hook.__name__) is hook
+            assert state.step == _TABLE[state]
+            assert getattr(OuessantController,
+                           state.step.__name__) is state.step
 
 
 def test_prefetch_decode_memo_still_traps_undefined_words():

@@ -1,14 +1,18 @@
 """Inlined claims and single-stream RAC bodies.
 
-The FIFO, the bus and the OCP interface state their quiescence claim
-once, as a template (:func:`repro.sim.kernel.inlined_claim`); the
-compiled walk evaluates it in place and their ``next_activity`` is
-built from it.  These tests check that the two agree after every step
-of random push/pop/commit/reset and submit/step sequences, that every
-change to such a component's fields drops its cluster's claim, that
-the walk polls none of them (but does poll a subclass that overrides
-``next_activity``), and that a single-stream RAC's straight bodies
-match the general port loops in every observable.
+The FIFO, the bus, the OCP interface, the controller and the streaming
+RAC state their quiescence claim once, as a template
+(:func:`repro.sim.kernel.inlined_claim`); the compiled walk evaluates
+it in place and their ``next_activity`` is built from it.  These tests
+check that the two agree after every step of random push/pop/commit/
+reset and submit/step sequences, that every change to such a
+component's fields drops its cluster's claim, that the controller's and
+the RAC's templates equal the polled claims they replaced
+(:func:`polled_controller_claim`, :func:`polled_rac_claim`) through
+every state and phase, a RAC swap included, that the walk polls none
+of them (but does poll a subclass that overrides ``next_activity``),
+and that a single-stream RAC's straight bodies match the general port
+loops in every observable.
 """
 
 import inspect
@@ -19,6 +23,7 @@ import pytest
 
 from repro.bus.bus import SystemBus
 from repro.bus.types import AccessKind, BusSlave
+from repro.core.controller import OuessantController
 from repro.core.interface import OuessantInterface
 from repro.core.program import OuProgram, figure4_program
 from repro.faults import (FaultEvent, FaultKind, FaultPlan,
@@ -29,6 +34,7 @@ from repro.rac.base import SINGLE_STREAM_BODIES, StreamingRAC
 from repro.rac.dft import DFTRac
 from repro.rac.fifo import FIFO
 from repro.rac.fir import FIRRac
+from repro.rac.hls import HLSInterfaceSpec, wrap_function
 from repro.rac.idct import IDCTRac
 from repro.rac.matmul import MatMulRac
 from repro.rac.scale import PassthroughRac
@@ -41,7 +47,8 @@ from repro.system import SoC, build_mpsoc
 from tests.kernel_audit import build
 from tests.test_differential_refmodel import IN, OUT, PROG, SEED_BASE
 
-INLINED = (FIFO, SystemBus, OuessantInterface)
+INLINED = (FIFO, SystemBus, OuessantInterface, OuessantController,
+           StreamingRAC)
 
 
 class Idle(Component):
@@ -416,3 +423,195 @@ def test_multi_port_racs_take_the_general_body(make):
     rac = make()
     assert not set(SINGLE_STREAM_BODIES) & set(vars(rac))
     assert not _single(rac)
+
+
+# -- the controller's and the RAC's claims ---------------------------------------
+
+def polled_controller_claim(ctrl):
+    """The controller's claim as its per-state methods polled it: the
+    oracle its template must equal."""
+    state, now = ctrl.state, ctrl.sim.cycle
+    if state in ("idle", "halted", "error"):
+        return None
+    if state == "decode":
+        return now
+    pending = ctrl._pending
+    if state in ("prefetch", "fetch"):
+        return None if pending is not None and not pending.done else now
+    if state in ("xfer_to", "xfer_from"):
+        if pending is not None:
+            return now if pending.done else None
+        if state == "xfer_to":
+            fifo = ctrl.fifos_in[ctrl._xfer_fifo]
+            return now if fifo.free_push_words >= 1 else None
+        fifo = ctrl.fifos_out[ctrl._xfer_fifo]
+        return now if fifo.occupancy >= ctrl._xfer_chunk else None
+    if state == "exec_wait":
+        if ctrl.rac.end_op:
+            return now
+        if ctrl.watchdog_cycles > 0:
+            return ctrl._entered + ctrl.watchdog_cycles - 1
+        return None
+    if state == "waiting":
+        return ctrl._resume_at
+    return now if ctrl._waitf_satisfied() else None
+
+
+def polled_rac_claim(rac):
+    """A single-stream RAC's claim as its straight body polled it."""
+    phase, now = rac._phase.value, rac.sim.cycle
+    if phase == "compute":
+        return rac._compute_at
+    if phase == "collect":
+        if len(rac._collected[0]) < rac.items_in[0]:
+            return now if rac.inputs[0].occupancy else None
+        return now
+    if phase == "done":
+        if rac.autostart and rac.inputs[0].occupancy:
+            return now
+        return None
+    if (rac._emitted[0] < rac.items_out[0]
+            and rac.outputs[0].free_push_words):
+        return now
+    return None
+
+
+def _no_autostart():
+    return StreamingRAC("manual", [8], [8], lambda c: [list(c[0])],
+                        compute_latency=5, autostart=False)
+
+
+#: name -> (RAC factory, program, words, add_ocp options)
+PROGRAMS = {
+    "stream": (lambda: PassthroughRac(block_size=16, fifo_depth=4),
+               OuProgram().stream_to(1, 16).execs().stream_from(2, 16)
+               .eop(), 16, {}),
+    "exec_watchdog": (lambda: PassthroughRac(block_size=16, fifo_depth=4),
+                      OuProgram().stream_to(1, 16).exec_()
+                      .stream_from(2, 16).eop(), 16,
+                      {"watchdog_cycles": 60}),
+    "exec": (lambda: PassthroughRac(block_size=4, fifo_depth=8,
+                                    compute_latency=30),
+             OuProgram().mvtc(1, 0, 4).exec_().wait(7).mvfc(2, 0, 4)
+             .eop(), 4, {}),
+    "waitf": (_no_autostart,
+              OuProgram().waitf("in", 0, 8).mvtc(1, 0, 8).execs()
+              .waitf("out", 0, 8).loop(2).nop().endl().mvfc(2, 0, 8)
+              .eop(), 8, {}),
+    "dft64": (lambda: DFTRac(n_points=64), figure4_program(64), 128, {}),
+}
+
+
+def _claims_run(name, seed, swap=False):
+    """Run program ``name`` in random steps (with a mid-run abort and
+    restart), checking after each step that the controller's and the
+    RAC's templates equal the polled claims; returns the controller
+    states and RAC phases seen."""
+    make, program, words, options = PROGRAMS[name]
+    rng = random.Random(SEED_BASE + 380_000 + seed)
+    soc = SoC()
+    ocp = soc.add_ocp(make(), **options)
+    banks = {0: PROG, 1: IN, 2: OUT}
+    soc.write_ram(IN, [rng.getrandbits(16) for _ in range(words)])
+    soc.write_ram(PROG, program.words())
+    seen = set()
+
+    def run(limit):
+        ocp.start(banks, len(program))
+        ctrl, rac = ocp.controller, ocp.rac
+        for _ in range(limit):
+            if not ctrl.running:
+                break
+            soc.sim.step(rng.choice([1, 1, 1, 2, 3]))
+            seen.add(ctrl.state)
+            seen.add(rac._phase.value)
+            assert _walk_claim(ctrl) == polled_controller_claim(ctrl)
+            assert _walk_claim(rac) == polled_rac_claim(rac)
+
+    run(rng.randint(5, 40))
+    ocp.soft_reset()
+    if swap:
+        old_fifos = ocp.fifos_in + ocp.fifos_out
+        ocp.swap_rac(make())
+        assert ocp.rac._in is ocp.fifos_in[0]
+        assert ocp.rac._out is ocp.fifos_out[0]
+        assert ocp.controller.rac is ocp.rac
+    run(20_000)
+    if swap:
+        # the new run awaited only the new fabric's FIFOs
+        assert ocp.controller.fifos_in[0] not in old_fifos
+    return seen
+
+
+@pytest.mark.parametrize("name", list(PROGRAMS))
+@pytest.mark.parametrize("seed", range(2))
+def test_controller_and_rac_templates_equal_the_polled_claims(name, seed):
+    _claims_run(name, seed)
+
+
+def test_templates_cover_every_state_and_phase():
+    seen = set()
+    for name in PROGRAMS:
+        seen |= _claims_run(name, 0)
+    assert {"prefetch", "fetch", "decode", "xfer_to", "xfer_from",
+            "exec_wait", "waiting", "waitf", "halted", "error",
+            "collect", "compute", "emit", "done"} <= seen
+
+
+@pytest.mark.parametrize("name", ["stream", "exec"])
+def test_templates_read_the_fabric_after_a_rac_swap(name):
+    _claims_run(name, 1, swap=True)
+
+
+def _two_port_stream(fir):
+    """``fir``'s ports and behaviour on a plain :class:`StreamingRAC`,
+    whose class inlines the claim template."""
+    return StreamingRAC("fir2", fir.items_in, fir.items_out, fir.compute_fn,
+                        fir.compute_latency, ports=fir.ports)
+
+
+def _fir_run(plain, **soc_kw):
+    """A FIR block through an OCP: data on FIFO 0, taps on FIFO 1.  The
+    RAC is a :class:`FIRRac` (a :class:`MultiPortRAC`, whose port-loop
+    claim the walk polls and caches) or, ``plain``, the same two-port
+    RAC as a :class:`StreamingRAC` (the template calls the loop)."""
+    rng = random.Random(SEED_BASE + 390_000)
+    soc = build(SoC, **soc_kw)
+    fir = FIRRac(block_size=16, n_taps=4, fifo_depth=8)
+    ocp = soc.add_ocp(_two_port_stream(fir) if plain else fir)
+    program = (OuProgram().mvtc(1, 0, 16).mvtc(1, 16, 4, fifo=1).execs()
+               .mvfc(2, 0, 16).eop())
+    soc.write_ram(IN, [rng.getrandbits(12) for _ in range(20)])
+    soc.write_ram(PROG, program.words())
+    ocp.start({0: PROG, 1: IN, 2: OUT}, len(program))
+    rac = ocp.rac
+    assert (kernel._claim(rac) is None) is not plain
+    while not ocp.done:
+        soc.sim.step(1)
+        assert rac._in is None
+        if plain:
+            assert _walk_claim(rac) == rac._port_claim()
+        else:
+            assert rac.next_activity() == rac._port_claim()
+    return (soc.sim.cycle, soc.read_ram(OUT, 16),
+            [comp.stats.as_dict() for comp in soc.sim.components
+             if hasattr(comp, "stats")])
+
+
+@pytest.mark.parametrize("plain", [False, True])
+def test_multi_port_rac_answers_through_its_port_loops(plain):
+    naive = _fir_run(plain, idle_skip=False)
+    assert _fir_run(plain) == naive
+    assert _fir_run(plain, audit=True) == naive
+    assert _fir_run(not plain) == naive
+
+
+def test_only_a_multi_port_hls_core_polls_its_claim():
+    def spec(n_in):
+        return HLSInterfaceSpec(items_in=[4] * n_in, items_out=[4])
+
+    def add(collected):
+        return [[sum(col) & 0xFFFFFFFF for col in zip(*collected)]]
+
+    assert kernel._claim(wrap_function("one", add, spec(1))) is not None
+    assert kernel._claim(wrap_function("two", add, spec(2))) is None
